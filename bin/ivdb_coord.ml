@@ -12,6 +12,8 @@
    DDL broadcasts, INSERTs split by partition, cross-shard COMMITs run
    presumed-abort 2PC, and the coordinator-resident catalogs
    (sys.gtxns, sys.coord_shards, sys.cluster_metrics) answer locally.
+   Each connection is its own coordinator session with its own
+   transaction; one that disconnects mid-transaction is rolled back.
    --metrics-port serves the coordinator registry's Prometheus
    exposition (per-phase 2PC tick histograms, vote and abort-cause
    counters, fast-path vs 2PC commits, in-doubt gauge); --trace-out
@@ -21,24 +23,11 @@
 
 module Sched = Ivdb_sched.Sched
 module Coord = Ivdb_coord.Coord
-module Coord_server = Ivdb_coord.Coord_server
 module Unix_transport = Ivdb_transport.Unix_transport
 module Metrics = Ivdb_util.Metrics
 module Trace = Ivdb_util.Trace
 
 open Cmdliner
-
-let parse_host_port s =
-  match String.rindex_opt s ':' with
-  | None -> None
-  | Some i -> (
-      let host = String.sub s 0 i in
-      let host = if host = "" then "127.0.0.1" else host in
-      match
-        int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-      with
-      | Some port when port >= 0 -> Some (host, port)
-      | _ -> None)
 
 let run port shards name metrics_port trace_out =
   let addrs =
@@ -53,7 +42,7 @@ let run port shards name metrics_port trace_out =
   let dialers =
     addrs
     |> List.map (fun addr ->
-           match parse_host_port addr with
+           match Unix_transport.parse_host_port addr with
            | Some (host, p) -> Unix_transport.dialer ~host ~port:p ()
            | None ->
                prerr_endline
@@ -81,8 +70,12 @@ let run port shards name metrics_port trace_out =
               close_out oc
       in
       let listener, actual_port = Unix_transport.listen ~port () in
-      let srv = Coord_server.create ~name c listener in
-      Coord_server.serve srv;
+      let srv =
+        Coord.server
+          ~config:{ Ivdb_server.Server.default_config with name }
+          c listener
+      in
+      Ivdb_server.Server.serve srv;
       Printf.printf "ivdb_coord %S listening on 127.0.0.1:%d (%d shard(s))\n"
         name actual_port (Coord.shard_count c);
       let stop_metrics =
@@ -106,7 +99,7 @@ let run port shards name metrics_port trace_out =
          and keep the scheduler running forever *)
       stop_metrics ();
       close_trace ();
-      Coord_server.drain srv;
+      Ivdb_server.Server.drain srv;
       Coord.close c);
   match !coord with
   | None -> ()

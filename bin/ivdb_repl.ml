@@ -46,18 +46,8 @@ let ring_capacity = 4096
 
 type backend = Local of Sql.session | Remote of string * Client.t
 
-let parse_host_port s =
-  match String.rindex_opt s ':' with
-  | None -> None
-  | Some i -> (
-      let host = String.sub s 0 i in
-      let host = if host = "" then "127.0.0.1" else host in
-      match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-      | Some port when port >= 0 -> Some (host, port)
-      | _ -> None)
-
 let connect_remote addr =
-  match parse_host_port addr with
+  match Ivdb_transport.Unix_transport.parse_host_port addr with
   | None ->
       Printf.printf "bad address %S (want HOST:PORT)\n" addr;
       None

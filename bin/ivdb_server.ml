@@ -45,18 +45,6 @@ let commit_mode_conv =
   in
   Arg.conv (parse, print)
 
-let parse_host_port s =
-  match String.rindex_opt s ':' with
-  | None -> None
-  | Some i -> (
-      let host = String.sub s 0 i in
-      let host = if host = "" then "127.0.0.1" else host in
-      match
-        int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-      with
-      | Some port when port >= 0 -> Some (host, port)
-      | _ -> None)
-
 let parse_shard_spec s =
   (* "i/N": this server is shard i of an N-shard cluster *)
   match String.index_opt s '/' with
@@ -77,7 +65,7 @@ let run port max_inflight busy_retry commit_mode slow_query_ticks metrics_port
     match follow with
     | None -> None
     | Some addr -> (
-        match parse_host_port addr with
+        match Unix_transport.parse_host_port addr with
         | Some hp -> Some hp
         | None ->
             prerr_endline

@@ -6,7 +6,25 @@ module Log_record = Ivdb_wal.Log_record
 
 exception Duplicate_key of string
 
-type t = { mgr : Txn.mgr; idx : int; root_pid : int }
+module Metrics = Ivdb_util.Metrics
+
+type t = {
+  mgr : Txn.mgr;
+  idx : int;
+  root_pid : int;
+  m_split : Metrics.counter;
+  m_vacuum_freed : Metrics.counter;
+}
+
+let attach mgr ~index_id ~root =
+  let m = Txn.metrics mgr in
+  {
+    mgr;
+    idx = index_id;
+    root_pid = root;
+    m_split = Metrics.counter m "btree.split";
+    m_vacuum_freed = Metrics.counter m "btree.vacuum_freed";
+  }
 
 let root t = t.root_pid
 let index_id t = t.idx
@@ -24,9 +42,7 @@ let create mgr ~index_id =
   let (), d = Bufpool.update (Txn.pool mgr) pid (fun p -> Bt_node.init_leaf p) in
   Txn.log_update mgr stx ~undo:Log_record.No_undo [ (pid, d) ];
   Txn.commit mgr stx;
-  { mgr; idx = index_id; root_pid = pid }
-
-let attach mgr ~index_id ~root = { mgr; idx = index_id; root_pid = root }
+  attach mgr ~index_id ~root:pid
 
 (* --- descent ------------------------------------------------------------ *)
 
@@ -186,7 +202,7 @@ let make_room t ~key ~need =
   in
   descend t.root_pid;
   Txn.commit t.mgr stx;
-  Ivdb_util.Metrics.incr (Txn.metrics t.mgr) "btree.split"
+  Metrics.inc t.m_split
 
 (* --- point operations ---------------------------------------------------- *)
 
@@ -541,5 +557,5 @@ let vacuum t =
   relink_chain stx;
   Txn.commit t.mgr stx;
   if !freed > 0 then
-    Ivdb_util.Metrics.add (Txn.metrics t.mgr) "btree.vacuum_freed" !freed;
+    Metrics.inc_by t.m_vacuum_freed !freed;
   !freed

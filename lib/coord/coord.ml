@@ -37,6 +37,8 @@ module Sched = Ivdb_sched.Sched
 module Value = Ivdb_relation.Value
 module Row = Ivdb_relation.Row
 module B = Ivdb_util.Bytes_util
+module Wire = Ivdb_wire.Wire
+module Server = Ivdb_server.Server
 
 exception Coord_error of string
 
@@ -89,9 +91,11 @@ type shard_health = {
   mutable sh_dedupe_hits : int; (* Prepare answered from the dedupe tables *)
 }
 
-type t = {
+(* The coordinator proper: the decision log, the global transaction
+   tables and routing metadata every session shares. *)
+type coordinator = {
   cname : string;
-  clients : Client.t array;
+  dialers : Transport.dialer array;
   cwal : Wal.t;
   metrics : Metrics.t;
   ctrace : Trace.t;
@@ -99,7 +103,6 @@ type t = {
   (* coordinator-assigned correlation id: one per routed statement,
      stamped on every shard-bound frame that statement causes *)
   mutable next_rid : int;
-  mutable cur_rid : int;
   started : (string, int list) Hashtbl.t; (* gtxn -> participant shards *)
   decided : (string, bool) Hashtbl.t;
   pending : (string, int list) Hashtbl.t; (* decided, but shards still owed it *)
@@ -108,12 +111,6 @@ type t = {
   health : shard_health array;
   pk_cols : (string, string) Hashtbl.t; (* table -> partition column *)
   views : (string, unit) Hashtbl.t; (* view names seen in DDL *)
-  mutable in_txn : bool;
-  mutable open_on : int list; (* shards holding this txn's server session txn *)
-  (* a shard connection died mid-statement inside this transaction: the
-     shard's session transaction was rolled back by the disconnect, so
-     the global transaction can only abort *)
-  mutable poisoned : bool;
   (* deterministic crash injection: every 2PC protocol action (log force,
      Prepare send, Decide send) bumps the counter; reaching the armed
      value raises Fault.Crash_point before the action happens *)
@@ -140,6 +137,20 @@ type t = {
   h_decide : Metrics.hist; (* decide fan-out ticks per 2PC round *)
 }
 
+(* One client's session: its own shard connections and its own
+   distributed transaction. *)
+type t = {
+  co : coordinator;
+  clients : Client.t array;
+  mutable in_txn : bool;
+  mutable open_on : int list; (* shards holding this txn's server session txn *)
+  (* a shard lost this transaction's part of it — the connection died, or
+     the shard rolled its session transaction back (a deadlock victim) —
+     so the global transaction can only abort *)
+  mutable poisoned : bool;
+  mutable cur_rid : int;
+}
+
 let parse_gid cname gtxn =
   let p = cname ^ ":" in
   let pl = String.length p in
@@ -151,19 +162,19 @@ let parse_gid cname gtxn =
    logged to the coordinator's WAL so a restarted coordinator re-derives
    it (the pk-column guard and pinning must survive a crash, see
    [scan_wal]). Anything unparseable is ignored — the log is ours. *)
-let register_ddl c sql =
+let register_ddl co sql =
   match Sql_parser.parse sql with
   | A.Create_table { t_name; cols } -> (
       match cols with
-      | first :: _ -> Hashtbl.replace c.pk_cols t_name first.A.cd_name
+      | first :: _ -> Hashtbl.replace co.pk_cols t_name first.A.cd_name
       | [] -> ())
-  | A.Create_view { v_name; _ } -> Hashtbl.replace c.views v_name ()
+  | A.Create_view { v_name; _ } -> Hashtbl.replace co.views v_name ()
   | _ -> ()
   | exception _ -> ()
 
 (* --- sys.gtxns bookkeeping -------------------------------------------- *)
 
-let gtxn_begin c ~gtxn ~participants =
+let gtxn_begin co ~gtxn ~participants =
   let gi =
     {
       gi_gtxn = gtxn;
@@ -173,7 +184,7 @@ let gtxn_begin c ~gtxn ~participants =
       gi_phase_tick = Sched.now ();
     }
   in
-  Hashtbl.replace c.live gtxn gi;
+  Hashtbl.replace co.live gtxn gi;
   gi
 
 let gtxn_phase gi phase =
@@ -182,39 +193,39 @@ let gtxn_phase gi phase =
 
 let gtxn_vote gi shard vote = gi.gi_votes <- gi.gi_votes @ [ (shard, vote) ]
 
-let gtxn_done c gtxn committed =
-  match Hashtbl.find_opt c.live gtxn with
+let gtxn_done co gtxn committed =
+  match Hashtbl.find_opt co.live gtxn with
   | None -> ()
   | Some gi ->
       gtxn_phase gi (if committed then "committed" else "aborted");
-      Hashtbl.remove c.live gtxn;
-      c.recent <-
-        gi :: (if List.length c.recent >= recent_cap then
-                 List.filteri (fun i _ -> i < recent_cap - 1) c.recent
-               else c.recent)
+      Hashtbl.remove co.live gtxn;
+      co.recent <-
+        gi :: (if List.length co.recent >= recent_cap then
+                 List.filteri (fun i _ -> i < recent_cap - 1) co.recent
+               else co.recent)
 
-let scan_wal c =
-  Wal.iter_stable c.cwal (fun r ->
+let scan_wal co =
+  Wal.iter_stable co.cwal (fun r ->
       match r.Log_record.body with
-      | Log_record.Ddl sql -> register_ddl c sql
+      | Log_record.Ddl sql -> register_ddl co sql
       | Log_record.Prepare { gtxn; deltas } ->
           let participants =
             try List.map int_of_string (String.split_on_char ',' deltas)
             with Failure _ -> fail "corrupt participant list for %s" gtxn
           in
-          Hashtbl.replace c.started gtxn participants;
+          Hashtbl.replace co.started gtxn participants;
           (* rebuild the sys.gtxns view of the log: started and (until a
              Decision record follows) in-doubt *)
-          ignore (gtxn_begin c ~gtxn ~participants);
-          (match parse_gid c.cname gtxn with
-          | Some n -> c.next_gid <- max c.next_gid (n + 1)
+          ignore (gtxn_begin co ~gtxn ~participants);
+          (match parse_gid co.cname gtxn with
+          | Some n -> co.next_gid <- max co.next_gid (n + 1)
           | None -> ())
       | Log_record.Decision { gtxn; committed } ->
-          Hashtbl.replace c.decided gtxn committed;
-          gtxn_done c gtxn committed
+          Hashtbl.replace co.decided gtxn committed;
+          gtxn_done co gtxn committed
       | _ -> ())
 
-let create ?(name = "coord") ?wal ?metrics ?trace dialers =
+let coordinator ?(name = "coord") ?wal ?metrics ?trace dialers =
   if Array.length dialers = 0 then invalid_arg "Coord.create: no shards";
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let ctrace =
@@ -228,17 +239,15 @@ let create ?(name = "coord") ?wal ?metrics ?trace dialers =
   let cwal =
     match wal with Some w -> w | None -> Wal.create ~trace:ctrace metrics
   in
-  let c =
+  let co =
     {
       cname = name;
-      clients =
-        Array.map (fun d -> Client.connect ~client:("coord:" ^ name) d) dialers;
+      dialers;
       cwal;
       metrics;
       ctrace;
       next_gid = 1;
       next_rid = 1;
-      cur_rid = 0;
       started = Hashtbl.create 32;
       decided = Hashtbl.create 32;
       pending = Hashtbl.create 8;
@@ -252,9 +261,6 @@ let create ?(name = "coord") ?wal ?metrics ?trace dialers =
           dialers;
       pk_cols = Hashtbl.create 8;
       views = Hashtbl.create 8;
-      in_txn = false;
-      open_on = [];
-      poisoned = false;
       actions = 0;
       crash_at = None;
       s_single = 0;
@@ -277,40 +283,56 @@ let create ?(name = "coord") ?wal ?metrics ?trace dialers =
       h_decide = Metrics.hist metrics "coord.decide.ticks";
     }
   in
-  scan_wal c;
-  c
+  scan_wal co;
+  co
 
-let wal c = c.cwal
-let metrics c = c.metrics
-let trace c = c.ctrace
-let last_rid c = c.cur_rid
+(* A session dials its own connection to every shard, so each one holds
+   its own server-side transactions. *)
+let open_session co =
+  {
+    co;
+    clients =
+      Array.map (fun d -> Client.connect ~client:("coord:" ^ co.cname) d) co.dialers;
+    in_txn = false;
+    open_on = [];
+    poisoned = false;
+    cur_rid = 0;
+  }
+
+let create ?name ?wal ?metrics ?trace dialers =
+  open_session (coordinator ?name ?wal ?metrics ?trace dialers)
+
+let wal c = c.co.cwal
+let metrics c = c.co.metrics
+let trace c = c.co.ctrace
+let last_rid c = c.co.next_rid - 1
 let shard_count c = Array.length c.clients
 let in_transaction c = c.in_txn
 
-let temit c ev = if Trace.enabled c.ctrace then Trace.emit c.ctrace ev
-let touch c i = c.health.(i).sh_last_contact <- Sched.now ()
+let temit c ev = if Trace.enabled c.co.ctrace then Trace.emit c.co.ctrace ev
+let touch c i = c.co.health.(i).sh_last_contact <- Sched.now ()
 
 (* the in-doubt gauge tracks |pending| through a counter handle *)
 let sync_indoubt c =
-  Metrics.inc_by c.m_indoubt (Hashtbl.length c.pending - Metrics.value c.m_indoubt)
+  Metrics.inc_by c.co.m_indoubt (Hashtbl.length c.co.pending - Metrics.value c.co.m_indoubt)
 
 let stats c =
   {
-    single_shard_commits = c.s_single;
-    cross_shard_commits = c.s_cross;
-    aborts = c.s_aborts;
-    prepares_sent = c.s_prepares;
-    decides_sent = c.s_decides;
+    single_shard_commits = c.co.s_single;
+    cross_shard_commits = c.co.s_cross;
+    aborts = c.co.s_aborts;
+    prepares_sent = c.co.s_prepares;
+    decides_sent = c.co.s_decides;
   }
 
-let set_crash_at_action c n = c.crash_at <- n
-let actions c = c.actions
+let set_crash_at_action c n = c.co.crash_at <- n
+let actions c = c.co.actions
 
 let gate c site =
-  c.actions <- c.actions + 1;
-  match c.crash_at with
-  | Some n when c.actions >= n ->
-      raise (Fault.Crash_point (Printf.sprintf "coord.%s.%d" site c.actions))
+  c.co.actions <- c.co.actions + 1;
+  match c.co.crash_at with
+  | Some n when c.co.actions >= n ->
+      raise (Fault.Crash_point (Printf.sprintf "coord.%s.%d" site c.co.actions))
   | _ -> ()
 
 let close c =
@@ -324,8 +346,8 @@ let close c =
 let retrying f = try f () with Client.Disconnected _ -> f ()
 
 let log_force c body =
-  let lsn = Wal.append c.cwal ~txn:0 ~prev:Log_record.nil_lsn body in
-  Wal.force c.cwal lsn
+  let lsn = Wal.append c.co.cwal ~txn:0 ~prev:Log_record.nil_lsn body in
+  Wal.force c.co.cwal lsn
 
 let unhex s =
   let n = String.length s in
@@ -375,8 +397,8 @@ let deliver_decision ?(gated = true) c ~gtxn ~committed ~participants =
       try
         retrying (fun () ->
             Client.decide_2pc ~rid:c.cur_rid c.clients.(i) ~gtxn ~committed);
-        c.s_decides <- c.s_decides + 1;
-        c.health.(i).sh_decides <- c.health.(i).sh_decides + 1;
+        c.co.s_decides <- c.co.s_decides + 1;
+        c.co.health.(i).sh_decides <- c.co.health.(i).sh_decides + 1;
         touch c i
       with Client.Disconnected _ | Client.Server_error _ ->
         (* the decision is durable in our log; an unreachable shard stays
@@ -384,8 +406,8 @@ let deliver_decision ?(gated = true) c ~gtxn ~committed ~participants =
         failed := i :: !failed)
     participants;
   (match !failed with
-  | [] -> Hashtbl.remove c.pending gtxn
-  | fs -> Hashtbl.replace c.pending gtxn (List.rev fs));
+  | [] -> Hashtbl.remove c.co.pending gtxn
+  | fs -> Hashtbl.replace c.co.pending gtxn (List.rev fs));
   sync_indoubt c
 
 (* A shard that missed its decision keeps the in-doubt transaction's
@@ -394,23 +416,23 @@ let deliver_decision ?(gated = true) c ~gtxn ~committed ~participants =
    Ungated: re-delivery is not a protocol action of the current
    transaction, so it must not shift the crash-sweep numbering. *)
 let redeliver_pending c =
-  if Hashtbl.length c.pending > 0 then
-    Hashtbl.fold (fun g ps acc -> (g, ps) :: acc) c.pending []
+  if Hashtbl.length c.co.pending > 0 then
+    Hashtbl.fold (fun g ps acc -> (g, ps) :: acc) c.co.pending []
     |> List.sort compare
     |> List.iter (fun (gtxn, participants) ->
-           match Hashtbl.find_opt c.decided gtxn with
+           match Hashtbl.find_opt c.co.decided gtxn with
            | Some committed ->
-               Metrics.inc c.m_redeliver;
+               Metrics.inc c.co.m_redeliver;
                deliver_decision ~gated:false c ~gtxn ~committed ~participants
-           | None -> Hashtbl.remove c.pending gtxn)
+           | None -> Hashtbl.remove c.co.pending gtxn)
 
 let two_phase c ~gtxn ~participants ~outbound ~ops =
-  let gi = gtxn_begin c ~gtxn ~participants in
+  let gi = gtxn_begin c.co ~gtxn ~participants in
   gate c "log_start";
   log_force c
     (Log_record.Prepare
        { gtxn; deltas = String.concat "," (List.map string_of_int participants) });
-  Hashtbl.replace c.started gtxn participants;
+  Hashtbl.replace c.co.started gtxn participants;
   let prepared = ref [] in
   (* shards whose line died around a Prepare: their vote is unknown — the
      frame (or only its ack) may have been lost, so they may hold a
@@ -446,45 +468,45 @@ let two_phase c ~gtxn ~participants ~outbound ~ops =
         | `Vote v ->
             (match v with
             | `Already_decided _ ->
-                c.health.(i).sh_dedupe_hits <- c.health.(i).sh_dedupe_hits + 1
+                c.co.health.(i).sh_dedupe_hits <- c.co.health.(i).sh_dedupe_hits + 1
             | `Prepared -> ());
-            c.s_prepares <- c.s_prepares + 1;
-            c.health.(i).sh_prepares <- c.health.(i).sh_prepares + 1;
+            c.co.s_prepares <- c.co.s_prepares + 1;
+            c.co.health.(i).sh_prepares <- c.co.health.(i).sh_prepares + 1;
             touch c i;
-            Metrics.inc c.m_votes_yes;
+            Metrics.inc c.co.m_votes_yes;
             gtxn_vote gi i "yes";
             temit c (Trace.Coord_vote { gtxn; shard = i; vote = "yes" });
             prepared := i :: !prepared;
             prep rest
         | `No reason ->
-            Metrics.inc c.m_votes_no;
+            Metrics.inc c.co.m_votes_no;
             gtxn_vote gi i "no";
             temit c (Trace.Coord_vote { gtxn; shard = i; vote = "no" });
-            Some (reason, c.m_abort_vote)
+            Some (reason, c.co.m_abort_vote)
         | `Dead reason ->
-            Metrics.inc c.m_votes_dead;
+            Metrics.inc c.co.m_votes_dead;
             gtxn_vote gi i "dead";
             temit c (Trace.Coord_vote { gtxn; shard = i; vote = "dead" });
-            Some (reason, c.m_abort_dead))
+            Some (reason, c.co.m_abort_dead))
   in
   let t_prep = Sched.now () in
   let outcome = prep participants in
-  Metrics.record c.h_prepare (Sched.now () - t_prep);
+  Metrics.record c.co.h_prepare (Sched.now () - t_prep);
   match outcome with
   | None ->
       gtxn_phase gi "deciding";
       gate c "log_decision";
       let t_force = Sched.now () in
       log_force c (Log_record.Decision { gtxn; committed = true });
-      Metrics.record c.h_force (Sched.now () - t_force);
+      Metrics.record c.co.h_force (Sched.now () - t_force);
       temit c (Trace.Coord_decision { gtxn; committed = true });
-      Hashtbl.replace c.decided gtxn true;
+      Hashtbl.replace c.co.decided gtxn true;
       let t_dec = Sched.now () in
       deliver_decision c ~gtxn ~committed:true ~participants;
-      Metrics.record c.h_decide (Sched.now () - t_dec);
-      gtxn_done c gtxn true;
-      c.s_cross <- c.s_cross + 1;
-      Metrics.inc c.m_2pc;
+      Metrics.record c.co.h_decide (Sched.now () - t_dec);
+      gtxn_done c.co gtxn true;
+      c.co.s_cross <- c.co.s_cross + 1;
+      Metrics.inc c.co.m_2pc;
       Sql.Message
         (Printf.sprintf "committed (%s, %d participants)" gtxn
            (List.length participants))
@@ -493,9 +515,9 @@ let two_phase c ~gtxn ~participants ~outbound ~ops =
       gate c "log_decision";
       let t_force = Sched.now () in
       log_force c (Log_record.Decision { gtxn; committed = false });
-      Metrics.record c.h_force (Sched.now () - t_force);
+      Metrics.record c.co.h_force (Sched.now () - t_force);
       temit c (Trace.Coord_decision { gtxn; committed = false });
-      Hashtbl.replace c.decided gtxn false;
+      Hashtbl.replace c.co.decided gtxn false;
       (* prepared shards get the abort decision now, and so does every
          suspect — it may have prepared without us seeing the ack, and a
          shard that never saw the Prepare answers presumed-abort; an op
@@ -504,15 +526,15 @@ let two_phase c ~gtxn ~participants ~outbound ~ops =
       let informed = List.sort_uniq compare (!prepared @ !suspects) in
       let t_dec = Sched.now () in
       deliver_decision c ~gtxn ~committed:false ~participants:informed;
-      Metrics.record c.h_decide (Sched.now () - t_dec);
+      Metrics.record c.co.h_decide (Sched.now () - t_dec);
       List.iter
         (fun i ->
           if not (List.mem i informed) then
             try ignore (shard_exec c i "ROLLBACK")
             with Client.Disconnected _ | Client.Server_error _ -> ())
         ops;
-      gtxn_done c gtxn false;
-      c.s_aborts <- c.s_aborts + 1;
+      gtxn_done c.co gtxn false;
+      c.co.s_aborts <- c.co.s_aborts + 1;
       Metrics.inc abort_cause;
       fail "transaction %s aborted: %s" gtxn reason
 
@@ -533,9 +555,9 @@ let commit_txn c =
   c.poisoned <- false;
   if poisoned then begin
     rollback_ops c ops;
-    c.s_aborts <- c.s_aborts + 1;
-    Metrics.inc c.m_abort_poisoned;
-    fail "transaction aborted: a shard connection died mid-statement"
+    c.co.s_aborts <- c.co.s_aborts + 1;
+    Metrics.inc c.co.m_abort_poisoned;
+    fail "transaction aborted: a shard lost its part of it"
   end;
   match ops with
   | [] -> Sql.Message "committed"
@@ -562,13 +584,13 @@ let commit_txn c =
           (match guarded (fun () -> shard_exec c i "COMMIT") with
           | Sql.Message _ -> ()
           | _ -> fail "unexpected reply to COMMIT");
-          c.s_single <- c.s_single + 1;
-          Metrics.inc c.m_fast;
+          c.co.s_single <- c.co.s_single + 1;
+          Metrics.inc c.co.m_fast;
           temit c (Trace.Coord_fast_path { rid = c.cur_rid; shard = i });
           Sql.Message "committed"
       | _ ->
-          let gtxn = Printf.sprintf "%s:%d" c.cname c.next_gid in
-          c.next_gid <- c.next_gid + 1;
+          let gtxn = Printf.sprintf "%s:%d" c.co.cname c.co.next_gid in
+          c.co.next_gid <- c.co.next_gid + 1;
           two_phase c ~gtxn ~participants ~outbound ~ops)
 
 let abort_txn c =
@@ -584,30 +606,30 @@ let abort_txn c =
 
 let recover c =
   let entries =
-    Hashtbl.fold (fun g ps acc -> (g, ps) :: acc) c.started [] |> List.sort compare
+    Hashtbl.fold (fun g ps acc -> (g, ps) :: acc) c.co.started [] |> List.sort compare
   in
   List.iter
     (fun (gtxn, participants) ->
       let committed =
-        match Hashtbl.find_opt c.decided gtxn with
+        match Hashtbl.find_opt c.co.decided gtxn with
         | Some d -> d
         | None ->
             (* started but never decided: presumed abort, made explicit
                so the next recovery needn't re-derive it *)
             log_force c (Log_record.Decision { gtxn; committed = false });
-            Hashtbl.replace c.decided gtxn false;
+            Hashtbl.replace c.co.decided gtxn false;
             false
       in
       deliver_decision c ~gtxn ~committed ~participants;
-      gtxn_done c gtxn committed)
+      gtxn_done c.co gtxn committed)
     entries;
   (* live entries never logged (crashed before the begin-record force):
      no shard ever heard of them, so they abort locally *)
   Hashtbl.fold
-    (fun g _ acc -> if not (Hashtbl.mem c.started g) then g :: acc else acc)
-    c.live []
+    (fun g _ acc -> if not (Hashtbl.mem c.co.started g) then g :: acc else acc)
+    c.co.live []
   |> List.sort compare
-  |> List.iter (fun g -> gtxn_done c g false);
+  |> List.iter (fun g -> gtxn_done c.co g false);
   List.length entries
 
 (* --- statement routing ------------------------------------------------ *)
@@ -655,10 +677,11 @@ let exec_shard ?(kind = "pin") c i sql =
     try
       ensure_open c i;
       shard_exec c i sql
-    with Client.Disconnected _ as e ->
-      (* the disconnect rolled that shard's session transaction back on
-         the server: whatever this transaction already did there is gone,
-         so it is marked abort-only — COMMIT will refuse *)
+    with (Client.Disconnected _ | Client.Server_error { txn_open = false; _ }) as e ->
+      (* that shard's session transaction is gone — rolled back by the
+         disconnect, or by the shard itself for a deadlock victim — and
+         with it whatever this transaction did there; a later statement
+         would run there in autocommit, so the transaction is abort-only *)
       c.poisoned <- true;
       raise e)
   else shard_exec c i sql
@@ -677,7 +700,7 @@ let rec conjuncts = function
 (* WHERE pins the statement to one shard iff it has a top-level
    pk = literal conjunct for the table's partition column. *)
 let pk_eq c table where =
-  match (Hashtbl.find_opt c.pk_cols table, where) with
+  match (Hashtbl.find_opt c.co.pk_cols table, where) with
   | Some pk, Some w ->
       List.find_map
         (function
@@ -729,7 +752,7 @@ let gtxns_rows c =
   let now = Sched.now () in
   let row gi =
     let undelivered =
-      match Hashtbl.find_opt c.pending gi.gi_gtxn with
+      match Hashtbl.find_opt c.co.pending gi.gi_gtxn with
       | Some shards -> List.length shards
       | None -> 0
     in
@@ -748,16 +771,16 @@ let gtxns_rows c =
     |]
   in
   let live =
-    Hashtbl.fold (fun _ gi acc -> gi :: acc) c.live []
+    Hashtbl.fold (fun _ gi acc -> gi :: acc) c.co.live []
     |> List.sort (fun a b -> compare a.gi_gtxn b.gi_gtxn)
   in
-  (Sys_tables.gtxns_header, List.map row live @ List.map row c.recent)
+  (Sys_tables.gtxns_header, List.map row live @ List.map row c.co.recent)
 
 let coord_shards_rows c =
   let outstanding i =
     Hashtbl.fold
       (fun _ shards acc -> if List.mem i shards then acc + 1 else acc)
-      c.pending 0
+      c.co.pending 0
   in
   let row i h =
     [|
@@ -771,7 +794,7 @@ let coord_shards_rows c =
       Value.Int (Client.reconnects c.clients.(i));
     |]
   in
-  (Sys_tables.coord_shards_header, Array.to_list (Array.mapi row c.health))
+  (Sys_tables.coord_shards_header, Array.to_list (Array.mapi row c.co.health))
 
 (* The cluster rollup: this registry's counters tagged "coord", then each
    reachable shard's sys.metrics tagged "shard<i>". A dead shard is
@@ -781,7 +804,7 @@ let cluster_metrics_rows c =
   let own =
     List.map
       (fun (k, v) -> [| Value.Str "coord"; Value.Str k; Value.Int v |])
-      (Metrics.snapshot c.metrics)
+      (Metrics.snapshot c.co.metrics)
   in
   let shard i =
     let node = Printf.sprintf "shard%d" i in
@@ -808,7 +831,7 @@ let route_select c (q : A.select) sql =
     | None ->
         if q.A.from = "sys.shards" then broadcast_rows c q sql (all_shards c)
         else exec_shard ~kind:"sys" c 0 sql)
-  else if Hashtbl.mem c.views q.A.from then
+  else if Hashtbl.mem c.co.views q.A.from then
     (* view groups are partitioned by group-key hash: every group lives
        wholly on its owner, so concatenation is the full view *)
     broadcast_rows c q sql (all_shards c)
@@ -828,7 +851,7 @@ let route_select c (q : A.select) sql =
              indexed view (its groups are partitioned) or pin the query \
              with %s = <literal>"
             q.A.from
-            (match Hashtbl.find_opt c.pk_cols q.A.from with
+            (match Hashtbl.find_opt c.co.pk_cols q.A.from with
             | Some pk -> pk
             | None -> "<pk>")
         else broadcast_rows c q sql (all_shards c)
@@ -894,16 +917,18 @@ let exec c sql =
   let stmt = Sql_parser.parse sql in
   (* one correlation id per routed statement: every shard-bound frame this
      statement causes (Exec, Prepare, Decide) carries it *)
-  c.cur_rid <- c.next_rid;
-  c.next_rid <- c.next_rid + 1;
+  c.cur_rid <- c.co.next_rid;
+  c.co.next_rid <- c.co.next_rid + 1;
   match stmt with
+  | A.Commit -> commit_txn c
+  | A.Rollback -> abort_txn c
+  | _ when c.poisoned ->
+      fail "transaction is abort-only: a shard lost its part of it; ROLLBACK"
   | A.Begin _ ->
       if c.in_txn then fail "transaction already open";
       c.in_txn <- true;
       c.poisoned <- false;
       Sql.Message "distributed transaction started"
-  | A.Commit -> commit_txn c
-  | A.Rollback -> abort_txn c
   | A.Savepoint _ | A.Rollback_to _ ->
       fail "savepoints are not supported through the coordinator"
   | A.Create_table _ | A.Create_view _ ->
@@ -912,7 +937,7 @@ let exec c sql =
          it, and re-derive the tables from the statement text — the same
          path scan_wal replays *)
       log_force c (Log_record.Ddl sql);
-      register_ddl c sql;
+      register_ddl c.co sql;
       broadcast_ddl c sql
   | A.Create_index _ | A.Checkpoint -> broadcast_ddl c sql
   | A.Show _ -> exec_shard c 0 sql
@@ -920,7 +945,7 @@ let exec c sql =
   | A.Delete { from_t; where } ->
       with_write c (fun () -> route_modify c from_t where sql)
   | A.Update { table; sets; where } ->
-      (match Hashtbl.find_opt c.pk_cols table with
+      (match Hashtbl.find_opt c.co.pk_cols table with
       | Some pk when List.mem_assoc pk sets ->
           fail "cannot UPDATE partition column %s through the coordinator" pk
       | _ -> ());
@@ -931,3 +956,37 @@ let exec c sql =
       match pk_eq c q.A.from q.A.where with
       | Some l -> exec_shard c (route_lit c l) sql
       | None -> exec_shard c 0 sql)
+
+(* --- wire sessions ------------------------------------------------------ *)
+
+(* One routed statement as its response frame. The incoming Exec's client
+   rid is not used: every shard-bound frame carries the coordinator's own
+   correlation id, so shard-side records join to the coordinator
+   statement. A shard's Err is relayed with its code but the
+   coordinator's transaction state. *)
+let exec_frame c ~seq sql =
+  let err code text = Wire.Err { seq; code; text; txn_open = c.in_txn } in
+  match exec c sql with
+  | Sql.Rows { header; rows } -> Wire.Rows { seq; header; rows }
+  | Sql.Affected n -> Wire.Affected { seq; n }
+  | Sql.Message text -> Wire.Msg { seq; text }
+  | exception (Coord_error text | Sql.Sql_error text) -> err E_sql text
+  | exception (Sql_parser.Parse_error text | Ivdb_sql.Sql_lexer.Lex_error text) ->
+      err E_parse text
+  | exception Client.Server_error { code; text; _ } -> err code text
+  | exception Client.Disconnected text -> err E_sql ("shard unreachable: " ^ text)
+  | exception Client.Server_busy { retry_ticks } -> Wire.Busy { retry_ticks }
+
+let server ?config c listener =
+  Server.create_sessions ?config ~metrics:c.co.metrics ~trace:c.co.ctrace
+    (fun () ->
+      let s = open_session c.co in
+      {
+        Server.exec = exec_frame s;
+        in_txn = (fun () -> s.in_txn);
+        close =
+          (fun () ->
+            if s.in_txn then ignore (abort_txn s);
+            close s);
+      })
+    listener

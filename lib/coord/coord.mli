@@ -11,7 +11,13 @@
     fibers in one scheduler run, or TCP to [ivdb_server --shard i/N]
     processes.
 
-    A coordinator transaction opens an ordinary server-side transaction
+    A coordinator serves any number of sessions ({!t}). Each session has
+    its own connection to every shard and its own distributed
+    transaction; the decision log, global transaction tables, routing
+    metadata, shard health and metrics belong to the coordinator and are
+    shared. {!server} puts one session behind each wire connection.
+
+    A session's transaction opens an ordinary server-side transaction
     on each shard a statement lands on. At [COMMIT], deltas the shards
     diverted toward remote view groups are collected over
     [sys.outbound]; a transaction with one participant and no remote
@@ -25,7 +31,11 @@
     Prepare) reconnect-and-resend retries safe. A Prepare to a shard
     whose session ran this transaction's statements is never retried —
     the disconnect rolled that session's transaction back, so a dead
-    line is a No vote and the transaction aborts everywhere.
+    line is a No vote and the transaction aborts everywhere. For the same
+    reason a statement that loses a shard's part of the transaction (a
+    dead line, or the shard rolling back a deadlock victim) makes the
+    transaction abort-only: every later statement but [ROLLBACK] is
+    refused, and [COMMIT] aborts.
     Undeliverable decisions are re-delivered before the next commit. *)
 
 exception Coord_error of string
@@ -50,9 +60,10 @@ val configure_shard : Ivdb.Database.t -> shard:int -> shards:int -> unit
     delta router, so view maintenance diverts remote groups' deltas into
     the transaction's outbound buffer. *)
 
-(** {1 Coordinator} *)
+(** {1 Coordinator sessions} *)
 
 type t
+(** One session on a coordinator. *)
 
 val create :
   ?name:string ->
@@ -61,8 +72,9 @@ val create :
   ?trace:Ivdb_util.Trace.t ->
   Ivdb_transport.Transport.dialer array ->
   t
-(** Connect one client per shard (the array index is the shard id — it
-    must match each engine's {!configure_shard} slot). [name] prefixes
+(** A session on a fresh coordinator. The session connects one client
+    per shard (the array index is the shard id — it must match each
+    engine's {!configure_shard} slot). [name] prefixes
     global transaction ids ([name:n]). [wal] is the coordinator's
     decision log; pass the previous incarnation's log (round-tripped
     through {!Ivdb_wal.Wal.crash}) to restart after a crash — the
@@ -78,6 +90,21 @@ val create :
     [coord.vote] / [coord.decision] / [coord.decide]); defaults to a
     fresh disabled trace wired to the deterministic scheduler's clock
     and fiber id, so an enabled stream is byte-identical per seed. *)
+
+val server :
+  ?config:Ivdb_server.Server.config ->
+  t ->
+  Ivdb_transport.Transport.listener ->
+  Ivdb_server.Server.t
+(** Serve [t]'s coordinator over the wire: every connection gets its own
+    session, closed — its open transaction rolled back — when the
+    connection ends. Metrics and [net.*] trace events go to the
+    coordinator's registry and trace, and a [Metrics_req] returns the
+    coordinator registry. Routing errors answer [E_sql], parse errors
+    [E_parse], a shard's own [Err] keeps its code, and a dead shard line
+    answers [E_sql "shard unreachable: …"]; [txn_open] is the session's
+    transaction state. Engine-only frames ([Prepare], [Decide],
+    replication and admin) are refused as unexpected. *)
 
 val exec : t -> string -> Ivdb_sql.Sql.result
 (** Route one SQL statement: DDL broadcasts (recording partition
@@ -109,7 +136,8 @@ val exec : t -> string -> Ivdb_sql.Sql.result
     [sys.slow_queries] rows join back to the coordinator statement. *)
 
 val last_rid : t -> int
-(** Correlation id assigned to the most recent {!exec} statement. *)
+(** Correlation id the coordinator assigned most recently, to a
+    statement of any of its sessions. *)
 
 val metrics : t -> Ivdb_util.Metrics.t
 (** The coordinator's metrics registry (2PC phase histograms
@@ -149,8 +177,10 @@ type stats = {
 }
 
 val stats : t -> stats
+(** The coordinator's totals, over all its sessions. *)
 
 val close : t -> unit
+(** Close this session's shard connections. *)
 
 (** {1 Deterministic crash injection}
 

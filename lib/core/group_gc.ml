@@ -30,7 +30,7 @@ let run mgr rt =
               rt.Maintain.vstats.Maintain.v_gc_zero + 1;
             rt.Maintain.vstats.Maintain.v_system_txns <-
               rt.Maintain.vstats.Maintain.v_system_txns + 1;
-            Ivdb_util.Metrics.incr (Txn.metrics mgr) "view.gc_removed";
+            Maintain.note_gc_removed rt;
             let tr = Txn.trace mgr in
             if Ivdb_util.Trace.enabled tr then
               Ivdb_util.Trace.emit tr

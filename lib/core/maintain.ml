@@ -28,6 +28,9 @@ type stats = {
   s_group_create : Metrics.counter;
   s_group_create_user : Metrics.counter;
   s_deferred_append : Metrics.counter;
+  s_gc_removed : Metrics.counter;
+  s_auto_refresh : Metrics.counter;
+  s_refresh_deltas : Metrics.counter;
 }
 
 let make_stats m =
@@ -40,6 +43,9 @@ let make_stats m =
     s_group_create = Metrics.counter m "view.group_create";
     s_group_create_user = Metrics.counter m "view.group_create_user";
     s_deferred_append = Metrics.counter m "view.deferred_append";
+    s_gc_removed = Metrics.counter m "view.gc_removed";
+    s_auto_refresh = Metrics.counter m "view.auto_refresh";
+    s_refresh_deltas = Metrics.counter m "view.refresh_deltas";
   }
 
 (* Per-view plain counters for sys.views: the typed handles above all land
@@ -84,6 +90,10 @@ type runtime = {
 }
 
 let key_name rt key = Lock_name.Key (rt.vid, key)
+
+let note_gc_removed rt = Metrics.inc rt.stats.s_gc_removed
+let note_auto_refresh rt = Metrics.inc rt.stats.s_auto_refresh
+let note_refresh_deltas rt n = Metrics.inc_by rt.stats.s_refresh_deltas n
 
 (* The lock name guarding the gap a new key falls into: the next existing
    key, or the index's +infinity when inserting past the end. *)

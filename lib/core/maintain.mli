@@ -78,6 +78,15 @@ type runtime = {
   vstats : vstats;  (** per-view tallies, from {!make_vstats} *)
 }
 
+val note_gc_removed : runtime -> unit
+(** Count one zero-count group reclaimed ([view.gc_removed]). *)
+
+val note_auto_refresh : runtime -> unit
+(** Count one reader-paid deferred refresh ([view.auto_refresh]). *)
+
+val note_refresh_deltas : runtime -> int -> unit
+(** Count deltas drained by a deferred refresh ([view.refresh_deltas]). *)
+
 val apply_delta :
   Ivdb_txn.Txn.mgr -> Ivdb_txn.Txn.t -> runtime -> key:string -> Aggregate.delta -> unit
 (** Fold one group delta into the view under the runtime's strategy, with

@@ -84,6 +84,22 @@ type t = {
   dtrace : Trace.t;
   m_retry : Metrics.counter;
   m_give_up : Metrics.counter;
+  m_escalation : Metrics.counter;
+  m_scan_fallback : Metrics.counter;
+  m_truncation_skipped : Metrics.counter;
+  m_table_insert : Metrics.counter;
+  m_table_delete : Metrics.counter;
+  m_on_demand_aggregate : Metrics.counter;
+  m_outbound_delta : Metrics.counter;
+  m_prepared : Metrics.counter;
+  m_decided : Metrics.counter;
+  m_redo_applied : Metrics.counter;
+  m_torn_pages : Metrics.counter;
+  m_losers : Metrics.counter;
+  m_stable_records : Metrics.counter;
+  m_indoubt : Metrics.counter;
+  m_repl_applied : Metrics.counter;
+  m_promotions : Metrics.counter;
   disk : Disk.t;
   dpool : Bufpool.t;
   dwal : Wal.t;
@@ -194,7 +210,7 @@ let lock_row t tx tid rid mode =
         in
         incr c;
         if !c = threshold then begin
-          Metrics.incr t.dmetrics "lock.escalation";
+          Metrics.inc t.m_escalation;
           let table_mode =
             match mode with
             | Lock_mode.X | Lock_mode.U -> Lock_mode.X
@@ -360,7 +376,7 @@ let find_index_on t tid col =
 let index_probe_rids t txn ~table:tid ~col v =
   match (if is_snapshot txn then None else find_index_on t tid col) with
   | None ->
-      Metrics.incr t.dmetrics "view.join_scan_fallback";
+      Metrics.inc t.m_scan_fallback;
       heap_scan_rows t txn tid
       |> Seq.filter (fun (_, row) -> Value.equal row.(col) v)
   | Some ix ->
@@ -386,7 +402,7 @@ let index_range_rids t txn ~table:tid ~col ~lo ~hi =
   in
   match (if is_snapshot txn then None else find_index_on t tid col) with
   | None ->
-      Metrics.incr t.dmetrics "view.join_scan_fallback";
+      Metrics.inc t.m_scan_fallback;
       heap_scan_rows t txn tid |> Seq.filter (fun (_, row) -> in_range row)
   | Some ix ->
       let lo_key =
@@ -553,6 +569,22 @@ let bare ?(config = default_config) ?(role = Primary) ?trace ~metrics ~disk ~wal
       dtrace = trace;
       m_retry = Metrics.counter metrics "txn.retry";
       m_give_up = Metrics.counter metrics "txn.give_up";
+      m_escalation = Metrics.counter metrics "lock.escalation";
+      m_scan_fallback = Metrics.counter metrics "view.join_scan_fallback";
+      m_truncation_skipped = Metrics.counter metrics "fault.truncation_skipped";
+      m_table_insert = Metrics.counter metrics "table.insert";
+      m_table_delete = Metrics.counter metrics "table.delete";
+      m_on_demand_aggregate = Metrics.counter metrics "query.on_demand_aggregate";
+      m_outbound_delta = Metrics.counter metrics "shard.outbound_delta";
+      m_prepared = Metrics.counter metrics "shard.prepared";
+      m_decided = Metrics.counter metrics "shard.decided";
+      m_redo_applied = Metrics.counter metrics "recovery.redo_applied";
+      m_torn_pages = Metrics.counter metrics "recovery.torn_pages";
+      m_losers = Metrics.counter metrics "recovery.losers";
+      m_stable_records = Metrics.counter metrics "recovery.stable_records";
+      m_indoubt = Metrics.counter metrics "recovery.indoubt";
+      m_repl_applied = Metrics.counter metrics "repl.applied_records";
+      m_promotions = Metrics.counter metrics "repl.promotions";
       disk;
       dpool;
       dwal = wal;
@@ -979,7 +1011,7 @@ let checkpoint_gen t ~truncate =
          can be reset to fresh and rebuilt from its complete diff history
          (the same trade as PostgreSQL's full_page_writes — pay log volume
          for torn-page recoverability) *)
-      Metrics.incr t.dmetrics "fault.truncation_skipped"
+      Metrics.inc t.m_truncation_skipped
     else begin
       let safe =
         List.fold_left min ckpt
@@ -1091,7 +1123,7 @@ let route_remote t tx ~vid ~key delta =
         in
         l := (dest, vid, key, bytes) :: !l;
         Txn.note_delta tx;
-        Metrics.incr t.dmetrics "shard.outbound_delta";
+        Metrics.inc t.m_outbound_delta;
         true
       end
   | _ -> false
@@ -1129,7 +1161,7 @@ let prepare_2pc t tx ~gtxn ~deltas =
     (Deltas.decode deltas);
   Txn.prepare t.tmgr tx ~gtxn ~deltas;
   Hashtbl.replace t.indoubt_2pc gtxn tx;
-  Metrics.incr t.dmetrics "shard.prepared"
+  Metrics.inc t.m_prepared
 
 (* 2PC phase 2: idempotent against retransmits. An unknown gtxn with an
    abort decision is presumed-abort (this shard never prepared it, or its
@@ -1143,7 +1175,7 @@ let decide_2pc t ~gtxn ~committed =
       if committed then Txn.commit t.tmgr tx else Txn.abort t.tmgr tx;
       Hashtbl.replace t.decided_2pc gtxn committed;
       t.last_decided <- Some gtxn;
-      Metrics.incr t.dmetrics "shard.decided";
+      Metrics.inc t.m_decided;
       `Applied
   | None -> (
       match Hashtbl.find_opt t.decided_2pc gtxn with
@@ -1235,10 +1267,10 @@ let crash old =
     else analysis
   in
   let redo = Recovery.redo wal t.dpool analysis in
-  Metrics.add metrics "recovery.redo_applied" redo.Recovery.applied;
-  Metrics.add metrics "recovery.torn_pages" (List.length redo.Recovery.torn_pages);
-  Metrics.add metrics "recovery.losers" (List.length analysis.Recovery.losers);
-  Metrics.add metrics "recovery.stable_records" analysis.Recovery.stable_records;
+  Metrics.inc_by t.m_redo_applied redo.Recovery.applied;
+  Metrics.inc_by t.m_torn_pages (List.length redo.Recovery.torn_pages);
+  Metrics.inc_by t.m_losers (List.length analysis.Recovery.losers);
+  Metrics.inc_by t.m_stable_records analysis.Recovery.stable_records;
   Txn.bump_txn_id t.tmgr analysis.Recovery.max_txn_id;
   (match analysis.Recovery.catalog with
   | Some snap ->
@@ -1270,8 +1302,7 @@ let crash old =
           relock_indoubt t tx;
           Hashtbl.replace t.indoubt_2pc d.Recovery.id_gtxn tx)
         analysis.Recovery.indoubt;
-      Metrics.add metrics "recovery.indoubt"
-        (List.length analysis.Recovery.indoubt);
+      Metrics.inc_by t.m_indoubt (List.length analysis.Recovery.indoubt);
       (* Stable Decision records rebuild the retransmit-dedupe memory, and
          settle right away any in-doubt transaction whose decision was
          logged but whose Commit/End never went stable. Commit mode is
@@ -1366,7 +1397,7 @@ let apply_replicated t records =
        Heap_file handle: adopt any pages appended behind the caches so
        scans and digests see the full chain *)
     Hashtbl.iter (fun _ heap -> Heap_file.refresh heap) t.heaps;
-    Metrics.add t.dmetrics "repl.applied_records" !applied
+    Metrics.inc_by t.m_repl_applied !applied
   end
 
 (* On a follower every *applied* record is stable (ingest forces nothing
@@ -1434,7 +1465,7 @@ let promote t =
       Txn.rollback_tail t.tmgr loser ~from:last)
     analysis.Recovery.losers;
   checkpoint_gen t ~truncate:false;
-  Metrics.incr t.dmetrics "repl.promotions";
+  Metrics.inc t.m_promotions;
   {
     tail_records = tail;
     losers_undone = List.length analysis.Recovery.losers;
@@ -1575,6 +1606,9 @@ module Internal = struct
   let encode_rid_payload = encode_rid_payload
   let index_key = index_key
   let inflight t = t.inflight
+  let note_insert t = Metrics.inc t.m_table_insert
+  let note_delete t = Metrics.inc t.m_table_delete
+  let note_on_demand_aggregate t = Metrics.inc t.m_on_demand_aggregate
   let lock_row = lock_row
   let route_remote = route_remote
   let heap_scan_rows = heap_scan_rows

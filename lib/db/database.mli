@@ -395,6 +395,11 @@ module Internal : sig
   val view_rt : t -> int -> Ivdb_core.Maintain.runtime
   val inflight : t -> Ivdb_core.Inflight.t
 
+  (** Bump [table.insert] / [table.delete] / [query.on_demand_aggregate]. *)
+  val note_insert : t -> unit
+  val note_delete : t -> unit
+  val note_on_demand_aggregate : t -> unit
+
   (** Row lock with escalation accounting; a covering table lock makes it
       a no-op. *)
   val lock_row :

@@ -57,12 +57,12 @@ let maybe_auto_refresh db txn v rt =
   | Some tx, Some q when Txn.snapshot_of tx = None -> (
       match Database.view_refresh_threshold db v with
       | Some threshold when Deferred.pending q > threshold ->
-          Ivdb_util.Metrics.incr (Database.metrics db) "view.auto_refresh";
+          Maintain.note_auto_refresh rt;
           let n =
             Deferred.drain tx q ~apply:(fun ~key delta ->
                 Maintain.apply_delta_exclusive (Database.mgr db) tx rt ~key delta)
           in
-          Ivdb_util.Metrics.add (Database.metrics db) "view.refresh_deltas" n
+          Maintain.note_refresh_deltas rt n
       | Some _ | None -> ())
   | _ -> ()
 
@@ -233,7 +233,7 @@ let view_count db v =
   !n
 
 let on_demand_aggregate db txn def =
-  Ivdb_util.Metrics.incr (Database.metrics db) "query.on_demand_aggregate";
+  I.note_on_demand_aggregate db;
   let groups : (string, Row.t) Hashtbl.t = Hashtbl.create 64 in
   Seq.iter
     (fun row ->
@@ -268,7 +268,7 @@ let refresh db tx v =
         Deferred.drain tx q ~apply:(fun ~key delta ->
             Maintain.apply_delta_exclusive (Database.mgr db) tx rt ~key delta)
       in
-      Ivdb_util.Metrics.add (Database.metrics db) "view.refresh_deltas" n;
+      Maintain.note_refresh_deltas rt n;
       n
 
 let staleness db v =

@@ -130,7 +130,7 @@ let insert db tx tbl row =
   record_heap_version db tx tid rid None;
   List.iter (fun ix -> index_insert db tx ix row.(I.ix_col ix) rid) (I.rt_indexes rt);
   propagate db tx tid 1 row;
-  Ivdb_util.Metrics.incr (Database.metrics db) "table.insert";
+  I.note_insert db;
   rid
 
 let delete db tx tbl rid =
@@ -151,7 +151,7 @@ let delete db tx tbl rid =
   I.note_ghost db tx tid rid;
   List.iter (fun ix -> index_delete db tx ix row.(I.ix_col ix) rid) (I.rt_indexes rt);
   propagate db tx tid (-1) row;
-  Ivdb_util.Metrics.incr (Database.metrics db) "table.delete"
+  I.note_delete db
 
 let update db tx tbl rid row' =
   delete db tx tbl rid;

@@ -24,6 +24,17 @@ let default_config =
     slow_query_ticks = None;
   }
 
+type session = {
+  exec : seq:int -> string -> Wire.frame;
+  in_txn : unit -> bool;
+  close : unit -> unit;
+}
+
+(* Where sessions come from: a local engine, whose sessions also answer
+   the engine-only frames (2PC participant, replication, promotion), or
+   any session factory — a shard coordinator, say. *)
+type backend = Engine of Database.t | Sessions of (unit -> session)
+
 (* One row of sys.server_sessions: live per-connection accounting. *)
 type sess = {
   se_id : int;
@@ -31,7 +42,8 @@ type sess = {
   mutable se_state : string; (* "idle" | "exec" *)
   mutable se_statements : int;
   mutable se_last_rid : int;
-  se_sql : Sql.session;
+  se_session : session;
+  se_engine : (Database.t * Sql.session) option;
 }
 
 (* One row of sys.slow_queries. *)
@@ -64,7 +76,9 @@ type replica_state = {
 let repl_batch_limit = 128
 
 type t = {
-  db : Database.t;
+  backend : backend;
+  metrics : Metrics.t;
+  trace : Trace.t;
   listener : Transport.listener;
   config : config;
   mutable inflight : int;
@@ -90,10 +104,11 @@ type t = {
   h_latency : Metrics.hist;
 }
 
-let create ?(config = default_config) db listener =
-  let m = Database.metrics db in
+let make ?(config = default_config) ~metrics:m ~trace backend listener =
   {
-    db;
+    backend;
+    metrics = m;
+    trace;
     listener;
     config;
     inflight = 0;
@@ -115,6 +130,13 @@ let create ?(config = default_config) db listener =
     h_latency = Metrics.hist m "server.request.ticks";
   }
 
+let create ?config db listener =
+  make ?config ~metrics:(Database.metrics db) ~trace:(Database.trace db)
+    (Engine db) listener
+
+let create_sessions ?config ~metrics ~trace open_session listener =
+  make ?config ~metrics ~trace (Sessions open_session) listener
+
 let drain t = t.listener.stop ()
 let draining t = t.listener.stopped ()
 let inflight t = t.inflight
@@ -127,9 +149,7 @@ let note_slow t entry =
   Queue.push entry t.slow;
   if Queue.length t.slow > slow_cap then ignore (Queue.pop t.slow)
 
-let trace_emit t ev =
-  let tr = Database.trace t.db in
-  if Trace.enabled tr then Trace.emit tr ev
+let trace_emit t ev = if Trace.enabled t.trace then Trace.emit t.trace ev
 
 (* Live providers for the serving-layer sys.* tables, registered on every
    session's SQL state at handshake so SELECT over the wire (or a local
@@ -143,7 +163,7 @@ let sessions_rows t () =
           Value.Int se.se_id;
           Value.Int se.se_conn;
           Value.Str se.se_state;
-          Value.Bool (Sql.in_transaction se.se_sql);
+          Value.Bool (se.se_session.in_txn ());
           Value.Int se.se_statements;
           Value.Int se.se_last_rid;
         |]
@@ -169,15 +189,15 @@ let slow_rows t () =
   in
   (Sys_tables.slow_queries_header, rows)
 
-let replication_rows t () =
+let replication_rows t db () =
   match t.attached with
-  | Some r when Database.is_follower t.db ->
+  | Some r when Database.is_follower db ->
       (* still a follower: show the driver's row; after promote the slot
          rows below take over, making the role transition visible in
          sys.replication *)
       Replica.replication_rows r ()
   | _ ->
-      let wal = Database.wal t.db in
+      let wal = Database.wal db in
       let flushed = Wal.flushed_lsn wal in
       let committed = Wal.commit_horizon wal in
       let rows =
@@ -202,7 +222,9 @@ let replication_rows t () =
 let register_sys t session =
   Sql.add_sys_provider session "sys.server_sessions" (sessions_rows t);
   Sql.add_sys_provider session "sys.slow_queries" (slow_rows t);
-  Sql.add_sys_provider session "sys.replication" (replication_rows t);
+  (match t.backend with
+  | Engine db -> Sql.add_sys_provider session "sys.replication" (replication_rows t db)
+  | Sessions _ -> ());
   List.iter (fun install -> install session) (List.rev t.sys_ext)
 
 let add_sys t install = t.sys_ext <- install :: t.sys_ext
@@ -218,7 +240,7 @@ let replicas t =
    the floor is the minimum unacked LSN across all slots, detached ones
    included. With no slots the floor lifts and checkpoints truncate
    freely again. *)
-let update_retain_floor t =
+let update_retain_floor t db =
   let floor =
     Hashtbl.fold
       (fun _ rp acc ->
@@ -227,65 +249,54 @@ let update_retain_floor t =
         | Some f -> Some (min f (rp.rp_acked + 1)))
       t.replicas None
   in
-  Wal.set_retain_floor (Database.wal t.db) floor
+  Wal.set_retain_floor (Database.wal db) floor
+
+let err ?(seq = 0) ?(txn_open = false) code text =
+  Wire.Err { seq; code; text; txn_open }
 
 (* Map one statement's execution to its response frame. Exceptions here
    are user errors: the connection survives them all. A deadlock victim
    has already lost its transaction inside the engine, so the session's
    continuation is discarded via ROLLBACK before answering. *)
 let exec_frame session ~seq sql =
+  let err code text = err ~seq ~txn_open:(Sql.in_transaction session) code text in
   match Sql.exec session sql with
   | Sql.Rows { header; rows } -> Wire.Rows { seq; header; rows }
   | Sql.Affected n -> Wire.Affected { seq; n }
   | Sql.Message text -> Wire.Msg { seq; text }
-  | exception Sql.Sql_error text ->
-      Wire.Err
-        { seq; code = E_sql; text; txn_open = Sql.in_transaction session }
-  | exception Ivdb_sql.Sql_parser.Parse_error text ->
-      Wire.Err
-        { seq; code = E_parse; text; txn_open = Sql.in_transaction session }
-  | exception Ivdb_sql.Sql_lexer.Lex_error text ->
-      Wire.Err
-        { seq; code = E_parse; text; txn_open = Sql.in_transaction session }
-  | exception Database.Constraint_violation text ->
-      Wire.Err
-        {
-          seq;
-          code = E_constraint;
-          text;
-          txn_open = Sql.in_transaction session;
-        }
+  | exception Sql.Sql_error text -> err E_sql text
+  | exception (Ivdb_sql.Sql_parser.Parse_error text | Ivdb_sql.Sql_lexer.Lex_error text) ->
+      err E_parse text
+  | exception Database.Constraint_violation text -> err E_constraint text
   | exception Ivdb_txn.Txn.Conflict { reason; _ } ->
       if Sql.in_transaction session then ignore (Sql.exec session "ROLLBACK");
-      Wire.Err { seq; code = E_deadlock; text = reason; txn_open = false }
+      err E_deadlock reason
   | exception Database.Read_only_replica ->
-      Wire.Err
-        {
-          seq;
-          code = E_read_only;
-          text = "read-only replica: writes are not accepted";
-          txn_open = Sql.in_transaction session;
-        }
+      err E_read_only "read-only replica: writes are not accepted"
+
+let engine_session t db =
+  let sql = Sql.session db in
+  register_sys t sql;
+  let in_txn () = Sql.in_transaction sql in
+  ( {
+      exec = exec_frame sql;
+      in_txn;
+      close = (fun () -> if in_txn () then ignore (Sql.exec sql "ROLLBACK"));
+    },
+    Some (db, sql) )
 
 (* After ReplSubscribe the connection leaves request/response mode for
    good: the server pushes ReplRecords batches and blocks for a ReplAck
    after each one (stop-and-wait flow control), yielding while caught
    up. Returning closes the session; the slot — and with it the retain
    floor — survives for the replica's next connection. *)
-let repl_stream t io ~from ~replica =
-  let wal = Database.wal t.db in
+let repl_stream t db io ~from ~replica =
+  let wal = Database.wal db in
   if from < Wal.first_lsn wal || from > Wal.flushed_lsn wal + 1 then begin
     Transport.Frame_io.send io
-      (Wire.Err
-         {
-           seq = 0;
-           code = E_repl;
-           text =
-             Printf.sprintf
-               "cannot stream from LSN %d: retained log spans [%d, %d]" from
-               (Wal.first_lsn wal) (Wal.flushed_lsn wal);
-           txn_open = false;
-         });
+      (err E_repl
+         (Printf.sprintf "cannot stream from LSN %d: retained log spans [%d, %d]"
+            from (Wal.first_lsn wal) (Wal.flushed_lsn wal)));
     Transport.Frame_io.send io Wire.Bye
   end
   else begin
@@ -308,7 +319,7 @@ let repl_stream t io ~from ~replica =
     rp.rp_connected <- true;
     rp.rp_acked <- from - 1;
     rp.rp_tick <- Sched.now ();
-    update_retain_floor t;
+    update_retain_floor t db;
     (* the ship position is per-connection, not per-slot: a stale pump
        fiber on a dead connection must not advance the position a fresh
        subscription streams from *)
@@ -345,18 +356,10 @@ let repl_stream t io ~from ~replica =
                  resubscribe renegotiates the position *)
               rp.rp_acked <- max rp.rp_acked acked;
               rp.rp_tick <- Sched.now ();
-              update_retain_floor t;
+              update_retain_floor t db;
               pump ()
           | Some Wire.Bye | None -> ()
-          | Some _ ->
-              Transport.Frame_io.send io
-                (Wire.Err
-                   {
-                     seq = 0;
-                     code = E_protocol;
-                     text = "expected ReplAck";
-                     txn_open = false;
-                   })
+          | Some _ -> Transport.Frame_io.send io (err E_protocol "expected ReplAck")
           | exception Transport.Corrupt _ -> ()
         end
         else begin
@@ -369,7 +372,10 @@ let repl_stream t io ~from ~replica =
     rp.rp_connected <- false
   end
 
+(* Closing rolls back whatever transaction the session left open, so a
+   client that disconnects mid-transaction releases its locks. *)
 let close_session t se conn =
+  se.se_session.close ();
   t.inflight <- t.inflight - 1;
   Hashtbl.remove t.sessions se.se_id;
   Metrics.inc t.m_closed;
@@ -379,175 +385,17 @@ let close_session t se conn =
 (* Request/response loop after a successful handshake. Returns on Bye,
    EOF, protocol violation, or drain-with-no-open-txn. *)
 let rec session_loop t io se =
-  let session = se.se_sql in
   let conn = Transport.Frame_io.conn io in
   match Transport.Frame_io.recv io with
-  | None | Some Wire.Bye | (exception Transport.Corrupt _) ->
-      if Sql.in_transaction session then ignore (Sql.exec session "ROLLBACK")
+  | None | Some Wire.Bye | (exception Transport.Corrupt _) -> ()
   | Some (Wire.Metrics_req { seq }) ->
       Metrics.inc t.m_requests;
       Transport.Frame_io.send io
-        (Wire.Msg { seq; text = Metrics.to_prometheus (Database.metrics t.db) });
-      session_loop t io se
-  | Some (Wire.ReplSubscribe { from; replica }) ->
-      Metrics.inc t.m_requests;
-      se.se_state <- "repl";
-      repl_stream t io ~from ~replica
-  | Some (Wire.Promote { seq }) ->
-      Metrics.inc t.m_requests;
-      let reply =
-        if not (Database.is_follower t.db) then
-          Wire.Err
-            {
-              seq;
-              code = E_repl;
-              text = "not a follower: nothing to promote";
-              txn_open = false;
-            }
-        else begin
-          (* promotion needs the engine quiescent: stop the replication
-             driver and wait for its fiber to unwind before touching the
-             transaction table *)
-          (match t.attached with
-          | Some r ->
-              Replica.stop r;
-              let rec wait () =
-                if Replica.status r <> Replica.Stopped then begin
-                  Sched.yield ();
-                  wait ()
-                end
-              in
-              wait ()
-          | None -> ());
-          match Database.promote t.db with
-          | p ->
-              Wire.Msg
-                {
-                  seq;
-                  text =
-                    Printf.sprintf
-                      "promoted to primary: %d in-flight transaction(s) \
-                       rolled back (%d undo record(s)), %d buffered \
-                       record(s) applied"
-                      p.Database.losers_undone p.Database.undo_records
-                      p.Database.tail_records;
-                }
-          | exception e ->
-              Wire.Err
-                { seq; code = E_repl; text = Printexc.to_string e; txn_open = false }
-        end
-      in
-      Transport.Frame_io.send io reply;
-      session_loop t io se
-  | Some (Wire.DropSlot { seq; name }) ->
-      Metrics.inc t.m_requests;
-      let reply =
-        match Hashtbl.find_opt t.replicas name with
-        | None ->
-            Wire.Err
-              {
-                seq;
-                code = E_repl;
-                text = Printf.sprintf "no replication slot %S" name;
-                txn_open = false;
-              }
-        | Some rp when rp.rp_connected ->
-            Wire.Err
-              {
-                seq;
-                code = E_repl;
-                text =
-                  Printf.sprintf "slot %S has a live subscription; stop the replica first"
-                    name;
-                txn_open = false;
-              }
-        | Some _ ->
-            Hashtbl.remove t.replicas name;
-            (* the dropped slot may have been the retention floor: recompute
-               so the next checkpoint truncates again *)
-            update_retain_floor t;
-            Wire.Msg { seq; text = Printf.sprintf "dropped replication slot %S" name }
-      in
-      Transport.Frame_io.send io reply;
-      session_loop t io se
-  | Some (Wire.Prepare { seq; rid; gtxn; deltas }) ->
-      Metrics.inc t.m_requests;
-      let reply =
-        (* idempotence first: a coordinator retransmit after reconnect must
-           be answered from the dedupe tables, never re-executed *)
-        match Database.gtxn_status t.db gtxn with
-        | `Prepared -> Wire.Prepared { seq; gtxn }
-        | `Decided committed -> Wire.Decided { seq; gtxn; committed }
-        | `Unknown -> (
-            try
-              (* a delta-only participant has no statements of its own: open
-                 the transaction the inbound deltas will be applied in *)
-              if not (Sql.in_transaction session) then
-                ignore (Sql.exec session "BEGIN");
-              Sql.prepare_2pc session ~gtxn ~deltas;
-              Wire.Prepared { seq; gtxn }
-            with
-            | Sql.Sql_error text ->
-                if Sql.in_transaction session then
-                  ignore (Sql.exec session "ROLLBACK");
-                Wire.Err { seq; code = E_sql; text; txn_open = false }
-            | Ivdb_txn.Txn.Conflict { reason; _ } ->
-                if Sql.in_transaction session then
-                  ignore (Sql.exec session "ROLLBACK");
-                Wire.Err { seq; code = E_deadlock; text = reason; txn_open = false }
-            | Invalid_argument text ->
-                if Sql.in_transaction session then
-                  ignore (Sql.exec session "ROLLBACK");
-                Wire.Err { seq; code = E_sql; text; txn_open = false }
-            | Database.Read_only_replica ->
-                Wire.Err
-                  {
-                    seq;
-                    code = E_read_only;
-                    text = "read-only replica: cannot prepare";
-                    txn_open = false;
-                  })
-      in
-      (* gtxn-correlated participant event: the coordinator's rid joins
-         this to its Coord_prepare on the other side of the wire *)
-      (let outcome =
-         match reply with
-         | Wire.Prepared _ -> "prepared"
-         | Wire.Decided _ -> "decided"
-         | _ -> "no"
-       in
-       trace_emit t (Trace.Twopc_prepare { conn = conn.id; gtxn; rid; outcome }));
-      Transport.Frame_io.send io reply;
-      session_loop t io se
-  | Some (Wire.Decide { seq; rid; gtxn; committed }) ->
-      Metrics.inc t.m_requests;
-      let reply =
-        match Database.decide_2pc t.db ~gtxn ~committed with
-        | (`Applied | `Duplicate | `Presumed_abort) as o ->
-            let outcome =
-              match o with
-              | `Applied -> "applied"
-              | `Duplicate -> "duplicate"
-              | `Presumed_abort -> "presumed_abort"
-            in
-            trace_emit t
-              (Trace.Twopc_decide { conn = conn.id; gtxn; rid; committed; outcome });
-            Wire.Decided { seq; gtxn; committed }
-        | exception Invalid_argument text ->
-            Wire.Err { seq; code = E_protocol; text; txn_open = false }
-      in
-      Transport.Frame_io.send io reply;
+        (Wire.Msg { seq; text = Metrics.to_prometheus t.metrics });
       session_loop t io se
   | Some (Wire.Exec { seq; rid; sql }) ->
-      if draining t && not (Sql.in_transaction session) then begin
-        Transport.Frame_io.send io
-          (Wire.Err
-             {
-               seq;
-               code = E_draining;
-               text = "server is draining";
-               txn_open = false;
-             });
+      if draining t && not (se.se_session.in_txn ()) then begin
+        Transport.Frame_io.send io (err ~seq E_draining "server is draining");
         Transport.Frame_io.send io Wire.Bye
       end
       else begin
@@ -559,7 +407,7 @@ let rec session_loop t io se =
           (Trace.Net_request
              { conn = conn.id; seq; rid; bytes = String.length sql });
         let t0 = Sched.now () in
-        let reply = exec_frame session ~seq sql in
+        let reply = se.se_session.exec ~seq sql in
         let ticks = Sched.now () - t0 in
         Metrics.record t.h_latency ticks;
         (match t.config.slow_query_ticks with
@@ -583,77 +431,186 @@ let rec session_loop t io se =
              { conn = conn.id; seq; rid; frame = Wire.frame_name reply; ticks });
         session_loop t io se
       end
-  | Some _ ->
-      (* a server-to-client frame from a client: protocol violation *)
+  | Some frame -> engine_frame t io se frame
+
+(* Frames only an engine answers. Any other session — and any
+   server-to-client frame from a client — is a protocol violation. *)
+and engine_frame t io se frame =
+  let conn = Transport.Frame_io.conn io in
+  match (frame, se.se_engine) with
+  | Wire.ReplSubscribe { from; replica }, Some (db, _) ->
+      Metrics.inc t.m_requests;
+      se.se_state <- "repl";
+      repl_stream t db io ~from ~replica
+  | Wire.Promote { seq }, Some (db, _) ->
+      Metrics.inc t.m_requests;
+      let reply =
+        if not (Database.is_follower db) then
+          err ~seq E_repl "not a follower: nothing to promote"
+        else begin
+          (* promotion needs the engine quiescent: stop the replication
+             driver and wait for its fiber to unwind before touching the
+             transaction table *)
+          (match t.attached with
+          | Some r ->
+              Replica.stop r;
+              let rec wait () =
+                if Replica.status r <> Replica.Stopped then begin
+                  Sched.yield ();
+                  wait ()
+                end
+              in
+              wait ()
+          | None -> ());
+          match Database.promote db with
+          | p ->
+              Wire.Msg
+                {
+                  seq;
+                  text =
+                    Printf.sprintf
+                      "promoted to primary: %d in-flight transaction(s) \
+                       rolled back (%d undo record(s)), %d buffered \
+                       record(s) applied"
+                      p.Database.losers_undone p.Database.undo_records
+                      p.Database.tail_records;
+                }
+          | exception e -> err ~seq E_repl (Printexc.to_string e)
+        end
+      in
+      Transport.Frame_io.send io reply;
+      session_loop t io se
+  | Wire.DropSlot { seq; name }, Some (db, _) ->
+      Metrics.inc t.m_requests;
+      let reply =
+        match Hashtbl.find_opt t.replicas name with
+        | None -> err ~seq E_repl (Printf.sprintf "no replication slot %S" name)
+        | Some rp when rp.rp_connected ->
+            err ~seq E_repl
+              (Printf.sprintf "slot %S has a live subscription; stop the replica first"
+                 name)
+        | Some _ ->
+            Hashtbl.remove t.replicas name;
+            (* the dropped slot may have been the retention floor: recompute
+               so the next checkpoint truncates again *)
+            update_retain_floor t db;
+            Wire.Msg { seq; text = Printf.sprintf "dropped replication slot %S" name }
+      in
+      Transport.Frame_io.send io reply;
+      session_loop t io se
+  | Wire.Prepare { seq; rid; gtxn; deltas }, Some (db, session) ->
+      Metrics.inc t.m_requests;
+      let reply =
+        (* idempotence first: a coordinator retransmit after reconnect must
+           be answered from the dedupe tables, never re-executed *)
+        match Database.gtxn_status db gtxn with
+        | `Prepared -> Wire.Prepared { seq; gtxn }
+        | `Decided committed -> Wire.Decided { seq; gtxn; committed }
+        | `Unknown -> (
+            (* a No vote rolls the participant back *)
+            let no code text =
+              if Sql.in_transaction session then
+                ignore (Sql.exec session "ROLLBACK");
+              err ~seq code text
+            in
+            try
+              (* a delta-only participant has no statements of its own: open
+                 the transaction the inbound deltas will be applied in *)
+              if not (Sql.in_transaction session) then
+                ignore (Sql.exec session "BEGIN");
+              Sql.prepare_2pc session ~gtxn ~deltas;
+              Wire.Prepared { seq; gtxn }
+            with
+            | Sql.Sql_error text | Invalid_argument text -> no E_sql text
+            | Ivdb_txn.Txn.Conflict { reason; _ } -> no E_deadlock reason
+            | Database.Read_only_replica ->
+                err ~seq E_read_only "read-only replica: cannot prepare")
+      in
+      (* gtxn-correlated participant event: the coordinator's rid joins
+         this to its Coord_prepare on the other side of the wire *)
+      (let outcome =
+         match reply with
+         | Wire.Prepared _ -> "prepared"
+         | Wire.Decided _ -> "decided"
+         | _ -> "no"
+       in
+       trace_emit t (Trace.Twopc_prepare { conn = conn.id; gtxn; rid; outcome }));
+      Transport.Frame_io.send io reply;
+      session_loop t io se
+  | Wire.Decide { seq; rid; gtxn; committed }, Some (db, _) ->
+      Metrics.inc t.m_requests;
+      let reply =
+        match Database.decide_2pc db ~gtxn ~committed with
+        | (`Applied | `Duplicate | `Presumed_abort) as o ->
+            let outcome =
+              match o with
+              | `Applied -> "applied"
+              | `Duplicate -> "duplicate"
+              | `Presumed_abort -> "presumed_abort"
+            in
+            trace_emit t
+              (Trace.Twopc_decide { conn = conn.id; gtxn; rid; committed; outcome });
+            Wire.Decided { seq; gtxn; committed }
+        | exception Invalid_argument text -> err ~seq E_protocol text
+      in
+      Transport.Frame_io.send io reply;
+      session_loop t io se
+  | _ ->
       Transport.Frame_io.send io
-        (Wire.Err
-           {
-             seq = 0;
-             code = E_protocol;
-             text = "unexpected frame";
-             txn_open = Sql.in_transaction session;
-           });
-      if Sql.in_transaction session then ignore (Sql.exec session "ROLLBACK")
+        (err ~txn_open:(se.se_session.in_txn ()) E_protocol "unexpected frame")
 
 let handshake t io =
   let conn = Transport.Frame_io.conn io in
   match Transport.Frame_io.recv io with
   | Some (Wire.Hello { version; _ }) when version = Wire.version ->
       if draining t then begin
-        Transport.Frame_io.send io
-          (Wire.Err
-             {
-               seq = 0;
-               code = E_draining;
-               text = "server is draining";
-               txn_open = false;
-             });
+        Transport.Frame_io.send io (err E_draining "server is draining");
         Transport.Frame_io.send io Wire.Bye;
         None
       end
       else begin
-        (* resume is honoured as protocol only: disconnect rolled the old
-           transaction back, so a fresh session id is always returned *)
-        let session = t.next_session in
-        t.next_session <- session + 1;
-        Transport.Frame_io.send io
-          (Wire.Welcome
-             { version = Wire.version; server = t.config.name; session });
-        let sql = Sql.session t.db in
-        register_sys t sql;
-        let se =
-          {
-            se_id = session;
-            se_conn = conn.Transport.id;
-            se_state = "idle";
-            se_statements = 0;
-            se_last_rid = 0;
-            se_sql = sql;
-          }
+        let opened =
+          match t.backend with
+          | Engine db -> engine_session t db
+          | Sessions open_session -> (open_session (), None)
         in
-        Hashtbl.replace t.sessions session se;
-        Some se
+        match opened with
+        | exception e ->
+            (* a factory that cannot serve — e.g. a coordinator whose
+               shard is unreachable — refuses the connection *)
+            Transport.Frame_io.send io
+              (err E_sql ("cannot open a session: " ^ Printexc.to_string e));
+            None
+        | s, se_engine ->
+            (* resume is honoured as protocol only: disconnect rolled the
+               old transaction back, so a fresh session id is always
+               returned *)
+            let session = t.next_session in
+            t.next_session <- session + 1;
+            Transport.Frame_io.send io
+              (Wire.Welcome
+                 { version = Wire.version; server = t.config.name; session });
+            let se =
+              {
+                se_id = session;
+                se_conn = conn.Transport.id;
+                se_state = "idle";
+                se_statements = 0;
+                se_last_rid = 0;
+                se_session = s;
+                se_engine;
+              }
+            in
+            Hashtbl.replace t.sessions session se;
+            Some se
       end
   | Some (Wire.Hello { version; _ }) ->
       Transport.Frame_io.send io
-        (Wire.Err
-           {
-             seq = 0;
-             code = E_protocol;
-             text = Printf.sprintf "unsupported protocol version %d" version;
-             txn_open = false;
-           });
+        (err E_protocol (Printf.sprintf "unsupported protocol version %d" version));
       None
   | None -> None
   | Some _ | (exception Transport.Corrupt _) ->
-      Transport.Frame_io.send io
-        (Wire.Err
-           {
-             seq = 0;
-             code = E_protocol;
-             text = "expected Hello";
-             txn_open = false;
-           });
+      Transport.Frame_io.send io (err E_protocol "expected Hello");
       None
 
 let session_fiber t conn =

@@ -1,5 +1,14 @@
-(** The ivdb network server: one {!Ivdb_sql.Sql.session} fiber per
-    connection on the cooperative scheduler.
+(** The ivdb network server: one session fiber per connection on the
+    cooperative scheduler.
+
+    A session is whatever answers one connection's statements: an
+    {!Ivdb_sql.Sql.session} on a local engine ({!create}), or any
+    {!session} a factory opens at handshake ({!create_sessions}) — the
+    shard coordinator serves its per-connection sessions this way.
+    Everything below the statement (handshake, admission, drain,
+    metrics, trace, slow-query log) is shared. A session's [close] runs
+    when its connection ends for any reason and rolls back the
+    transaction it left open, releasing its locks.
 
     [serve] spawns an accept fiber that polls the listener and spawns a
     session fiber per admitted connection. Admission control is a hard
@@ -11,7 +20,7 @@
     next request. Once every session exits the scheduler run completes —
     a clean drain leaks no fibers.
 
-    Per-request instrumentation lands in the database's {!Ivdb_util.Metrics}
+    Per-request instrumentation lands in the server's {!Ivdb_util.Metrics}
     ([server.accepted], [server.shed], [server.requests],
     [server.sessions_closed], [server.slow_queries], [server.inflight] and
     [server.request.ticks] histograms) and {!Ivdb_util.Trace} ([net.accept],
@@ -21,12 +30,17 @@
     statement can be joined across client logs, server trace, and
     [sys.slow_queries].
 
-    Every session's SQL state is given live [sys.server_sessions],
+    Every engine session's SQL state is given live [sys.server_sessions],
     [sys.slow_queries] and [sys.replication] providers (via
     {!Ivdb_sql.Sql.add_sys_provider}), so introspection queries over the
     wire see the whole registry. A [Metrics_req] frame is answered with a
-    [Msg] carrying the Prometheus text exposition of the database's
-    metrics.
+    [Msg] carrying the Prometheus text exposition of the server's
+    registry.
+
+    The 2PC participant frames ([Prepare], [Decide]) and the replication
+    and admin frames below are engine-only: a {!create_sessions} server
+    answers them [Err E_protocol "unexpected frame"] and ends the
+    connection.
 
     {b Replication.} A session that sends [ReplSubscribe] leaves
     request/response mode permanently: the server streams the stable WAL
@@ -69,6 +83,26 @@ type t
 
 val create :
   ?config:config -> Ivdb.Database.t -> Ivdb_transport.Transport.listener -> t
+(** Serve engine sessions on [db]; metrics and trace events go to the
+    database's registry and trace. *)
+
+type session = {
+  exec : seq:int -> string -> Ivdb_wire.Wire.frame;
+      (** run one statement, answer with its response frame *)
+  in_txn : unit -> bool;
+      (** an open transaction — keeps the session serving through a drain *)
+  close : unit -> unit;  (** release the session, rolling back an open transaction *)
+}
+
+val create_sessions :
+  ?config:config ->
+  metrics:Ivdb_util.Metrics.t ->
+  trace:Ivdb_util.Trace.t ->
+  (unit -> session) ->
+  Ivdb_transport.Transport.listener ->
+  t
+(** Serve sessions opened by the factory, one per handshake. A factory
+    that raises refuses that connection with an [Err]. *)
 
 val serve : t -> unit
 (** Spawn the accept fiber. Must be called inside a scheduler run; the

@@ -25,9 +25,23 @@ type session = {
       (* environment-supplied sys.* tables (the server registers
          sys.server_sessions / sys.slow_queries here), shadowing the
          built-in resolution *)
+  m_index_probe : Ivdb_util.Metrics.counter;
+  m_index_range : Ivdb_util.Metrics.counter;
+  m_view_match : Ivdb_util.Metrics.counter;
 }
 
-let session sdb = { sdb; txn = None; savepoints = []; sys_ext = [] }
+let session sdb =
+  let m = Database.metrics sdb in
+  {
+    sdb;
+    txn = None;
+    savepoints = [];
+    sys_ext = [];
+    m_index_probe = Ivdb_util.Metrics.counter m "sql.index_probe";
+    m_index_range = Ivdb_util.Metrics.counter m "sql.index_range";
+    m_view_match = Ivdb_util.Metrics.counter m "sql.view_match";
+  }
+
 let db s = s.sdb
 let in_transaction s = s.txn <> None
 
@@ -334,7 +348,7 @@ let select_rows ?stats s txn (q : A.select) src =
     | Src_table (t, schema) -> (
         match plan_table_access s t q.A.where with
         | Plan_index_probe { p_col; p_value; p_residual; _ } ->
-            Ivdb_util.Metrics.incr (Database.metrics s.sdb) "sql.index_probe";
+            Ivdb_util.Metrics.inc s.m_index_probe;
             let rows =
               List.to_seq (Table.find s.sdb txn t ~col:p_col p_value) |> Seq.map snd
             in
@@ -349,7 +363,7 @@ let select_rows ?stats s txn (q : A.select) src =
             (* residual + probe already applied: hand back a no-op where *)
             (schema, rows)
         | Plan_index_range { r_col; r_lo; r_hi; r_residual; _ } ->
-            Ivdb_util.Metrics.incr (Database.metrics s.sdb) "sql.index_range";
+            Ivdb_util.Metrics.inc s.m_index_range;
             let col_pos = Schema.index_of schema r_col in
             let rows =
               Database.Internal.index_range_rids s.sdb txn
@@ -560,7 +574,7 @@ let select_grouped ?stats s txn (q : A.select) src =
   let results =
     match find_matching_view s def with
     | Some (_, v, mapping) ->
-        Ivdb_util.Metrics.incr (Database.metrics s.sdb) "sql.view_match";
+        Ivdb_util.Metrics.inc s.m_view_match;
         let locking = if txn = None then Query.Dirty else Query.Serializable in
         Query.view_scan s.sdb txn v locking
         |> op_count stats "stored groups read"

@@ -110,6 +110,16 @@ let dial ?(host = "127.0.0.1") ~port () =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise Transport.Refused
 
+let parse_host_port s =
+  match String.rindex_opt s ':' with
+  | None -> None
+  | Some i -> (
+      let host = String.sub s 0 i in
+      let host = if host = "" then "127.0.0.1" else host in
+      match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
+      | Some port when port >= 0 -> Some (host, port)
+      | _ -> None)
+
 let dialer ?(host = "127.0.0.1") ~port () =
   {
     Transport.addr = Printf.sprintf "%s:%d" host port;

@@ -20,3 +20,8 @@ val dial : ?host:string -> port:int -> unit -> Transport.conn
 
 val dialer : ?host:string -> port:int -> unit -> Transport.dialer
 (** {!dial} packaged as a named {!Transport.dialer} ("host:port"). *)
+
+val parse_host_port : string -> (string * int) option
+(** Parse a ["HOST:PORT"] command-line address; an empty host means
+    127.0.0.1. [None] without a colon or with a port that is not a
+    non-negative integer. *)

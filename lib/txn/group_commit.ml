@@ -37,6 +37,8 @@ type t = {
   m_forces_avoided : Metrics.counter;
   m_stall_ticks : Metrics.counter;
   h_batch : Metrics.hist;
+  m_sync_fallback : Metrics.counter;
+  m_async : Metrics.counter;
   mutable mode : mode;
   mutable waiters : (unit -> unit) list; (* wake callbacks, newest first *)
   mutable n_pending : int; (* commits (waiting or async) since last force *)
@@ -56,6 +58,8 @@ let create ~wal ~mode ?trace metrics =
     m_forces_avoided = Metrics.counter metrics "commit.forces_avoided";
     m_stall_ticks = Metrics.counter metrics "commit.stall_ticks";
     h_batch = Metrics.hist metrics "commit.batch";
+    m_sync_fallback = Metrics.counter metrics "commit.sync_fallback";
+    m_async = Metrics.counter metrics "commit.async";
     mode;
     waiters = [];
     n_pending = 0;
@@ -132,7 +136,7 @@ let commit_durable t ~lsn =
       if Wal.flushed_lsn t.wal < lsn then
         if not (Sched.in_run ()) then begin
           (* no fibers outside a scheduler run: degrade to a private force *)
-          Metrics.incr t.metrics "commit.sync_fallback";
+          Metrics.inc t.m_sync_fallback;
           Wal.force t.wal lsn
         end
         else begin
@@ -145,7 +149,7 @@ let commit_durable t ~lsn =
           Metrics.inc_by t.m_stall_ticks (Sched.now () - t0)
         end
   | Async ->
-      Metrics.incr t.metrics "commit.async";
+      Metrics.inc t.m_async;
       if Wal.flushed_lsn t.wal < lsn then begin
         enqueue t lsn;
         (* acknowledged before the flush: a crash from here until the

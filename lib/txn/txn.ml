@@ -59,6 +59,10 @@ type mgr = {
   m_abort : Metrics.counter;
   m_snap_begin : Metrics.counter;
   m_snap_commit : Metrics.counter;
+  m_partial_rollback : Metrics.counter;
+  m_prepare : Metrics.counter;
+  m_recovery_undo : Metrics.counter;
+  m_checkpoint : Metrics.counter;
   mmvcc : Mvcc.t;
   active : (int, t) Hashtbl.t;
   recent : info Queue.t; (* finished txns, oldest first, <= recent_cap *)
@@ -84,6 +88,10 @@ let create_mgr ?(commit_mode = Sync) ?trace ~wal ~locks ~pool metrics =
     m_abort = Metrics.counter metrics "txn.abort";
     m_snap_begin = Metrics.counter metrics "txn.snapshot_begin";
     m_snap_commit = Metrics.counter metrics "txn.snapshot_commit";
+    m_partial_rollback = Metrics.counter metrics "txn.partial_rollback";
+    m_prepare = Metrics.counter metrics "txn.prepare";
+    m_recovery_undo = Metrics.counter metrics "txn.recovery_undo";
+    m_checkpoint = Metrics.counter metrics "txn.checkpoint";
     mmvcc = Mvcc.create metrics;
     active = Hashtbl.create 32;
     recent = Queue.create ();
@@ -348,7 +356,7 @@ let rollback_to mgr t sp =
     end
   in
   go t.tlast_lsn;
-  Metrics.incr mgr.mmetrics "txn.partial_rollback"
+  Metrics.inc mgr.m_partial_rollback
 
 let abort_rw mgr t =
   t.tlast_lsn <- Wal.append mgr.mwal ~txn:t.tid ~prev:t.tlast_lsn Log_record.Abort;
@@ -372,7 +380,7 @@ let prepare mgr t ~gtxn ~deltas =
   in
   t.tlast_lsn <- lsn;
   Group_commit.commit_durable mgr.mgc ~lsn;
-  Metrics.incr mgr.mmetrics "txn.prepare"
+  Metrics.inc mgr.m_prepare
 
 let log_decision mgr t ~gtxn ~committed =
   check_active t;
@@ -395,7 +403,7 @@ let rollback_tail mgr t ~from =
   undo_chain mgr t ~cursor:from;
   ignore (Wal.append mgr.mwal ~txn:t.tid ~prev:t.tlast_lsn Log_record.End);
   finish mgr t Aborted;
-  Metrics.incr mgr.mmetrics "txn.recovery_undo"
+  Metrics.inc mgr.m_recovery_undo
 
 let resurrect mgr ?(first_lsn = Log_record.nil_lsn) ~id ~last_lsn () =
   let t =
@@ -455,6 +463,6 @@ let checkpoint mgr ~catalog =
   in
   let lsn = Wal.append mgr.mwal ~txn:0 ~prev:Log_record.nil_lsn body in
   Wal.force mgr.mwal lsn;
-  Metrics.incr mgr.mmetrics "txn.checkpoint"
+  Metrics.inc mgr.m_checkpoint
 
 let bump_txn_id mgr n = if n >= mgr.next_id then mgr.next_id <- n + 1

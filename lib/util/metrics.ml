@@ -30,9 +30,6 @@ let inc c = Stdlib.incr c
 let inc_by c n = c := !c + n
 let value c = !c
 
-let add t name n = inc_by (counter t name) n
-let incr t name = add t name 1
-
 let get t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
 
@@ -79,8 +76,6 @@ let record h v =
   match Hashtbl.find_opt h v with
   | Some r -> Stdlib.incr r
   | None -> Hashtbl.add h v (ref 1)
-
-let observe t name v = record (hist t name) v
 
 let sorted_cells h =
   Hashtbl.fold (fun v r acc -> (v, !r) :: acc) h []

@@ -6,12 +6,10 @@
     exact value counts (no bucketing); they back distribution-shaped
     telemetry such as the group-commit batch-size histogram.
 
-    Hot paths should resolve a typed {!counter} or {!hist} handle once at
-    subsystem-create time and bump it with {!inc} / {!record}: the
-    steady-state cost is then a ref increment, not a per-event hashtable
-    lookup. The stringly [incr]/[add]/[observe] API remains for cold call
-    sites and ad-hoc reporting; both routes land in the same cells, and
-    the name→value snapshot API sees them identically. *)
+    Every writer resolves a typed {!counter} or {!hist} handle once at
+    subsystem-create time and bumps it with {!inc} / {!record}: the
+    steady-state cost is a ref increment, not a per-event hashtable
+    lookup. Reads go by name ({!get}, {!snapshot}, {!hist_snapshot}). *)
 
 type t
 
@@ -39,10 +37,8 @@ val hist : t -> string -> hist
 val record : hist -> int -> unit
 (** Record one occurrence of an integer value. *)
 
-(** {1 Stringly API (cold paths)} *)
+(** {1 Reading by name} *)
 
-val incr : t -> string -> unit
-val add : t -> string -> int -> unit
 val get : t -> string -> int
 (** 0 for counters never bumped. *)
 
@@ -57,9 +53,6 @@ val diff : before:(string * int) list -> after:(string * int) list -> (string * 
 (** Per-counter [after - before]; counters absent on one side count as 0. *)
 
 (** {1 Histograms} *)
-
-val observe : t -> string -> int -> unit
-(** Record one occurrence of an integer value under a histogram name. *)
 
 val hist_snapshot : t -> string -> (int * int) list
 (** (value, occurrences), sorted by value; [] for unknown names. *)

@@ -29,6 +29,11 @@ type t = {
   m_append : Metrics.counter;
   m_bytes : Metrics.counter;
   m_force : Metrics.counter;
+  (* resolved on first use: a log that never ingests, truncates or tears
+     (a coordinator's decision log) exports no idle counters for them *)
+  m_ingested : Metrics.counter Lazy.t;
+  m_truncated : Metrics.counter Lazy.t;
+  m_torn_dropped : Metrics.counter Lazy.t;
   force_cost : int;
 }
 
@@ -53,6 +58,9 @@ let create ?trace metrics =
     m_append = Metrics.counter metrics "log.append";
     m_bytes = Metrics.counter metrics "log.bytes";
     m_force = Metrics.counter metrics "log.force";
+    m_ingested = lazy (Metrics.counter metrics "log.ingested");
+    m_truncated = lazy (Metrics.counter metrics "log.truncated_records");
+    m_torn_dropped = lazy (Metrics.counter metrics "wal.torn_tail_dropped");
     force_cost = 100;
   }
 
@@ -260,7 +268,7 @@ let crash t ?trace metrics =
       | _ -> ())
     copy.records;
   let dropped = t.flushed - t.base - copy.len in
-  if dropped > 0 then Metrics.add metrics "wal.torn_tail_dropped" dropped;
+  if dropped > 0 then Metrics.inc_by (Lazy.force copy.m_torn_dropped) dropped;
   copy
 
 (* Replica ingestion: install an already-sequenced record shipped from a
@@ -283,7 +291,7 @@ let ingest t r =
   t.records.(t.len) <- r;
   t.len <- t.len + 1;
   track_boundary t r;
-  Metrics.add t.metrics "log.ingested" 1;
+  Metrics.inc (Lazy.force t.m_ingested);
   Metrics.inc_by t.m_bytes (Log_record.byte_size r);
   flush_range t r.Log_record.lsn
 
@@ -299,7 +307,7 @@ let truncate_before t lsn =
     t.base <- t.base + drop;
     t.len <- t.len - drop;
     t.boundaries <- List.filter (fun b -> b > t.base) t.boundaries;
-    Metrics.add t.metrics "log.truncated_records" drop
+    Metrics.inc_by (Lazy.force t.m_truncated) drop
   end
 
 let stable_byte_size t = t.bytes_flushed

@@ -22,7 +22,6 @@ module Transport = Ivdb_transport.Transport
 module Server = Ivdb_server.Server
 module Client = Ivdb_client.Client
 module Coord = Ivdb_coord.Coord
-module Coord_server = Ivdb_coord.Coord_server
 module Trace = Ivdb_util.Trace
 module Wal = Ivdb_wal.Wal
 module Log_record = Ivdb_wal.Log_record
@@ -724,7 +723,7 @@ let test_trace_determinism () =
     {|"gtxn": "coord:1", "rid": 7, "committed": true, "outcome": "applied"|}
 
 (* The whole observability surface over the wire: an ordinary client
-   connected to Coord_server sees the coordinator catalogs, the
+   connected to the coordinator's Server sees the coordinator catalogs, the
    Prometheus rollup, and shard-side slow-query rows carrying the
    coordinator's correlation ids. *)
 let test_catalogs_over_wire () =
@@ -756,10 +755,12 @@ let test_catalogs_over_wire () =
       let c = Coord.create dialers in
       let cnet = Transport.Loopback.create ~backlog:16 () in
       let csrv =
-        Coord_server.create ~name:"coord-console" c
+        Coord.server
+          ~config:{ Server.default_config with name = "coord-console" }
+          c
           (Transport.Loopback.listener cnet)
       in
-      Coord_server.serve csrv;
+      Server.serve csrv;
       let cl = Client.connect (Transport.Loopback.dialer cnet) in
       check Alcotest.string "welcome names the coordinator" "coord-console"
         (Client.server_name cl);
@@ -844,7 +845,7 @@ let test_catalogs_over_wire () =
            slow);
       Client.close cl;
       Coord.close c;
-      Coord_server.drain csrv;
+      Server.drain csrv;
       Array.iter Server.drain servers)
 
 (* --- coordinator restart without crash --------------------------------- *)
@@ -901,6 +902,163 @@ let test_routing_metadata_survives_restart () =
       check Alcotest.int "view fan-out" 2
         (List.length (rows (Coord.exec c "SELECT * FROM v"))))
 
+(* --- per-connection sessions ---------------------------------------------- *)
+
+let rec wait_until cond = if not (cond ()) then (Sched.yield (); wait_until cond)
+
+let sorted_keys c =
+  rows (Coord.exec c "SELECT k FROM t")
+  |> List.map (function [| Value.Int k |] -> k | _ -> Alcotest.fail "key row")
+  |> List.sort compare
+
+(* Every wire connection to the coordinator is its own session: one
+   client's ROLLBACK cannot touch another's transaction, and a client
+   that disconnects mid-transaction leaves nothing open on any shard. *)
+let test_wire_sessions_are_isolated () =
+  let shards = 2 in
+  cross_shard_cluster 37 (fun dbs nets ->
+      let c = Coord.create (Array.map Transport.Loopback.dialer nets) in
+      ignore (Coord.exec c "CREATE TABLE t (k INT NOT NULL, x INT)");
+      ignore (Coord.exec c "CREATE UNIQUE INDEX t_k ON t (k)");
+      let cnet = Transport.Loopback.create ~backlog:16 () in
+      let csrv = Coord.server c (Transport.Loopback.listener cnet) in
+      Server.serve csrv;
+      let connect () = Client.connect (Transport.Loopback.dialer cnet) in
+      let insert cl k =
+        ignore (Client.exec cl (Printf.sprintf "INSERT INTO t VALUES (%d, 1)" k))
+      in
+      let k0 = keys_owned_by ~shards 0 2 and k1 = keys_owned_by ~shards 1 1 in
+      let a = connect () and b = connect () in
+      ignore (Client.exec a "BEGIN");
+      insert a k0.(0);
+      ignore (Client.exec b "BEGIN");
+      insert b k1.(0);
+      ignore (Client.exec b "ROLLBACK");
+      ignore (Client.exec a "COMMIT");
+      check Alcotest.(list int) "A's row committed, B's rolled back" [ k0.(0) ]
+        (sorted_keys c);
+      (* a client that goes away mid-transaction *)
+      let d = connect () in
+      ignore (Client.exec d "BEGIN");
+      insert d k0.(1);
+      Client.close d;
+      wait_until (fun () -> Server.inflight csrv = 2);
+      Array.iteri
+        (fun i db ->
+          check Alcotest.int
+            (Printf.sprintf "shard %d has no open transaction" i)
+            0
+            (List.length (Ivdb_txn.Txn.active_info (Database.mgr db)));
+          Alcotest.(check bool)
+            (Printf.sprintf "shard %d holds no lock" i)
+            true
+            (List.for_all
+               (fun (_, owners, _) -> owners = [])
+               (Ivdb_lock.Lock_mgr.dump (Database.locks db))))
+        dbs;
+      (* the same key is free for the next client *)
+      let e = connect () in
+      ignore (Client.exec e "BEGIN");
+      insert e k0.(1);
+      ignore (Client.exec e "COMMIT");
+      check Alcotest.(list int) "the next client's transaction commits"
+        (List.sort compare [ k0.(0); k0.(1) ])
+        (sorted_keys c);
+      List.iter Client.close [ a; b; e ];
+      Coord.close c;
+      Server.drain csrv)
+
+(* A deadlock victim's shard rolls its session transaction back and
+   answers txn_open = false. The coordinator transaction must become
+   abort-only: a further statement would run on that shard in
+   autocommit, and a COMMIT would prepare an empty shard transaction
+   next to the victim's surviving work on the other shard. *)
+let test_deadlock_victim_is_abort_only () =
+  let shards = 2 in
+  cross_shard_cluster 41 (fun dbs nets ->
+      let dialers = Array.map Transport.Loopback.dialer nets in
+      let c1 = Coord.create ~name:"c1" dialers
+      and c2 = Coord.create ~name:"c2" dialers in
+      ignore
+        (Coord.exec c1
+           "CREATE TABLE t (k INT NOT NULL, grp TEXT NOT NULL, qty INT NOT NULL)");
+      ignore
+        (Coord.exec c1
+           "CREATE VIEW v AS SELECT grp, COUNT(*), SUM(qty) FROM t GROUP BY grp \
+            USING EXCLUSIVE");
+      (* groups owned by a shard, so their locks are taken there *)
+      let groups_on shard =
+        List.filter
+          (fun g ->
+            Coord.route_key ~shards (Ivdb_relation.Key_codec.encode [| Value.Str g |])
+            = shard)
+          (List.init 26 (fun i -> String.make 1 (Char.chr (97 + i))))
+      in
+      let g0 = Array.of_list (groups_on 0) and g1 = Array.of_list (groups_on 1) in
+      let k0 = keys_owned_by ~shards 0 8 and k1 = keys_owned_by ~shards 1 4 in
+      let insert c k g =
+        ignore (Coord.exec c (Printf.sprintf "INSERT INTO t VALUES (%d, '%s', 1)" k g))
+      in
+      (* the groups exist up front, so the transactions below only
+         X-lock existing group rows *)
+      insert c1 k0.(6) g0.(0);
+      insert c1 k0.(7) g0.(1);
+      insert c1 k1.(2) g1.(0);
+      insert c1 k1.(3) g1.(1);
+      let setup_keys = [ k0.(6); k0.(7); k1.(2); k1.(3) ] in
+      let a_ready = ref false and b_ready = ref false in
+      let survivor_done = ref false and finished = ref 0 in
+      let victim = ref None and survivor_keys = ref [] in
+      (* each side: a row on shard 1, then two shard-0 groups in opposite
+         orders; one of the two closes the lock cycle and is the victim *)
+      let side c ~me ~first ~second ~own ~ready ~other keys =
+        ignore (Coord.exec c "BEGIN");
+        insert c keys.(0) g1.(me);
+        insert c keys.(1) first;
+        ready := true;
+        wait_until (fun () -> !other);
+        (match insert c keys.(2) second with
+        | () ->
+            ignore (Coord.exec c "COMMIT");
+            survivor_keys := Array.to_list keys;
+            survivor_done := true
+        | exception Client.Server_error { code = Ivdb_wire.Wire.E_deadlock; _ } ->
+            victim := Some me;
+            wait_until (fun () -> !survivor_done);
+            (try
+               insert c own g0.(0);
+               Alcotest.fail "the victim's next statement ran"
+             with Coord.Coord_error _ -> ());
+            (try
+               ignore (Coord.exec c "COMMIT");
+               Alcotest.fail "the victim's COMMIT committed"
+             with Coord.Coord_error _ -> ()));
+        incr finished
+      in
+      ignore
+        (Sched.spawn (fun () ->
+             side c1 ~me:0 ~first:g0.(0) ~second:g0.(1) ~own:k0.(3)
+               ~ready:a_ready ~other:b_ready
+               [| k1.(0); k0.(0); k0.(1) |]));
+      ignore
+        (Sched.spawn (fun () ->
+             side c2 ~me:1 ~first:g0.(1) ~second:g0.(0) ~own:k0.(5)
+               ~ready:b_ready ~other:a_ready
+               [| k1.(1); k0.(2); k0.(4) |]));
+      wait_until (fun () -> !finished = 2);
+      Alcotest.(check bool) "a deadlock picked a victim" true (!victim <> None);
+      check Alcotest.(list int) "only the survivor's rows exist"
+        (List.sort compare (setup_keys @ !survivor_keys))
+        (sorted_keys c1);
+      Array.iteri
+        (fun i db ->
+          check Alcotest.int
+            (Printf.sprintf "shard %d not in doubt" i)
+            0 (Database.indoubt_count db))
+        dbs;
+      Coord.close c1;
+      Coord.close c2)
+
 let () =
   Alcotest.run "coord"
     [
@@ -939,5 +1097,12 @@ let () =
             `Quick test_trace_determinism;
           Alcotest.test_case "catalogs, rollup and rids over the wire" `Quick
             test_catalogs_over_wire;
+        ] );
+      ( "sessions",
+        [
+          Alcotest.test_case "wire sessions run independent transactions"
+            `Quick test_wire_sessions_are_isolated;
+          Alcotest.test_case "a deadlock victim's transaction is abort-only"
+            `Quick test_deadlock_victim_is_abort_only;
         ] );
     ]

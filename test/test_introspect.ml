@@ -476,8 +476,8 @@ let test_loopback_sys_smoke_and_scrape () =
 
 let test_metrics_http_endpoint () =
   let m = Metrics.create () in
-  Metrics.add m "txn.commit" 5;
-  Metrics.observe m "commit.batch" 2;
+  Metrics.inc_by (Metrics.counter m "txn.commit") 5;
+  Metrics.record (Metrics.hist m "commit.batch") 2;
   let response = Buffer.create 256 in
   Sched.run ~seed:19 (fun () ->
       let net = Transport.Loopback.create () in

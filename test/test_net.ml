@@ -313,6 +313,15 @@ let test_net_workload_tcp () =
   let result, db = Net_workload.run_net ~transport:Tcp spec in
   check_net_result spec result db
 
+let test_parse_host_port () =
+  let parse = Ivdb_transport.Unix_transport.parse_host_port in
+  let hp = Alcotest.(option (pair string int)) in
+  check hp "empty host is loopback" (Some ("127.0.0.1", 5433)) (parse ":5433");
+  check hp "port 0 asks the kernel" (Some ("h", 0)) (parse "h:0");
+  check hp "no port" None (parse "h");
+  check hp "non-numeric port" None (parse "h:x");
+  check hp "negative port" None (parse "h:-1")
+
 let () =
   Alcotest.run "net"
     [
@@ -322,6 +331,7 @@ let () =
             test_loopback_smoke;
           Alcotest.test_case "two clients interleave" `Quick
             test_two_clients_interleave;
+          Alcotest.test_case "HOST:PORT parsing" `Quick test_parse_host_port;
         ] );
       ( "error semantics",
         [

@@ -128,19 +128,19 @@ let test_stats_merge () =
 
 let test_metrics_counters () =
   let m = Metrics.create () in
-  Metrics.incr m "a";
-  Metrics.add m "a" 4;
-  Metrics.incr m "b";
+  Metrics.inc (Metrics.counter m "a");
+  Metrics.inc_by (Metrics.counter m "a") 4;
+  Metrics.inc (Metrics.counter m "b");
   check Alcotest.int "a" 5 (Metrics.get m "a");
   check Alcotest.int "b" 1 (Metrics.get m "b");
   check Alcotest.int "absent" 0 (Metrics.get m "zzz")
 
 let test_metrics_diff () =
   let m = Metrics.create () in
-  Metrics.add m "x" 3;
+  Metrics.inc_by (Metrics.counter m "x") 3;
   let before = Metrics.snapshot m in
-  Metrics.add m "x" 2;
-  Metrics.incr m "y";
+  Metrics.inc_by (Metrics.counter m "x") 2;
+  Metrics.inc (Metrics.counter m "y");
   let after = Metrics.snapshot m in
   let d = Metrics.diff ~before ~after in
   check Alcotest.int "x delta" 2 (List.assoc "x" d);
@@ -151,10 +151,10 @@ let test_metrics_diff () =
    side count down to zero *)
 let test_metrics_diff_mid_run_registration () =
   let m = Metrics.create () in
-  Metrics.add m "pre" 3;
+  Metrics.inc_by (Metrics.counter m "pre") 3;
   let before = Metrics.snapshot m in
-  Metrics.add m "pre" 1;
-  Metrics.add m "server.accepted" 7;
+  Metrics.inc_by (Metrics.counter m "pre") 1;
+  Metrics.inc_by (Metrics.counter m "server.accepted") 7;
   let after = Metrics.snapshot m in
   let d = Metrics.diff ~before ~after in
   check Alcotest.int "pre delta" 1 (List.assoc "pre" d);
@@ -179,14 +179,14 @@ let test_metrics_typed_handles () =
   Metrics.inc c;
   Metrics.inc_by c 4;
   check Alcotest.int "handle value" 5 (Metrics.value c);
-  check Alcotest.int "stringly sees it" 5 (Metrics.get m "hot");
-  (* both routes land in the same cell *)
-  Metrics.incr m "hot";
+  check Alcotest.int "name lookup sees it" 5 (Metrics.get m "hot");
+  (* every handle resolved for one name shares its cell *)
+  Metrics.inc (Metrics.counter m "hot");
   check Alcotest.int "one cell" 6 (Metrics.value c);
   let h = Metrics.hist m "sizes" in
   Metrics.record h 3;
   Metrics.record h 3;
-  Metrics.observe m "sizes" 5;
+  Metrics.record (Metrics.hist m "sizes") 5;
   check
     Alcotest.(list (pair int int))
     "hist snapshot" [ (3, 2); (5, 1) ]
@@ -209,8 +209,8 @@ let test_metrics_reset_keeps_handles () =
 
 let test_metrics_hists_and_pp_deterministic () =
   let m = Metrics.create () in
-  Metrics.observe m "zz" 1;
-  Metrics.observe m "aa" 2;
+  Metrics.record (Metrics.hist m "zz") 1;
+  Metrics.record (Metrics.hist m "aa") 2;
   check
     Alcotest.(list string)
     "hists sorted by name" [ "aa"; "zz" ]
@@ -219,10 +219,10 @@ let test_metrics_hists_and_pp_deterministic () =
   check Alcotest.(list (pair int int)) "hist diff drops zero deltas" [ (2, 2); (5, 1) ] d;
   (* pp output is independent of registration order *)
   let m2 = Metrics.create () in
-  Metrics.observe m2 "aa" 2;
-  Metrics.observe m2 "zz" 1;
-  Metrics.incr m "k";
-  Metrics.incr m2 "k";
+  Metrics.record (Metrics.hist m2 "aa") 2;
+  Metrics.record (Metrics.hist m2 "zz") 1;
+  Metrics.inc (Metrics.counter m "k");
+  Metrics.inc (Metrics.counter m2 "k");
   check Alcotest.string "pp deterministic"
     (Format.asprintf "%a" Metrics.pp m)
     (Format.asprintf "%a" Metrics.pp m2)
@@ -249,8 +249,8 @@ let test_metrics_percentile_cells () =
 
 let test_metrics_to_prometheus () =
   let m = Metrics.create () in
-  Metrics.add m "txn.commit" 3;
-  Metrics.incr m "lock.wait";
+  Metrics.inc_by (Metrics.counter m "txn.commit") 3;
+  Metrics.inc (Metrics.counter m "lock.wait");
   let h = Metrics.hist m "server.request.ticks" in
   Metrics.record h 1;
   Metrics.record h 1;
@@ -279,10 +279,10 @@ let test_metrics_to_prometheus () =
   let m2 = Metrics.create () in
   let h2 = Metrics.hist m2 "server.request.ticks" in
   Metrics.record h2 5;
-  Metrics.incr m2 "lock.wait";
+  Metrics.inc (Metrics.counter m2 "lock.wait");
   Metrics.record h2 1;
   Metrics.record h2 1;
-  Metrics.add m2 "txn.commit" 3;
+  Metrics.inc_by (Metrics.counter m2 "txn.commit") 3;
   check Alcotest.string "exposition deterministic" text (Metrics.to_prometheus m2)
 
 (* --- Bytes_util ---------------------------------------------------------- *)

@@ -969,88 +969,6 @@ let e17_header =
   [ "crash"; "commits"; "suffix"; "tail"; "losers"; "undo"; "promote ticks";
     "digest" ]
 
-let e17_ship ?(batch = 64) wal follower =
-  let upto = Wal.flushed_lsn wal in
-  let shipped = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    let from = Database.received_lsn follower + 1 in
-    let hi = min upto (from + batch - 1) in
-    if hi < from then continue_ := false
-    else begin
-      let records =
-        Wal.decode_frames ~first_lsn:from (Wal.serialize_range wal ~from ~upto:hi)
-      in
-      Database.apply_replicated follower records;
-      shipped := !shipped + List.length records
-    end
-  done;
-  !shipped
-
-(* The streaming-follower deployment from the crash sweep: a shipper
-   fiber pumps the stable tail and advances the slot's retention floor
-   while MPL workers commit, until the armed force point fires. *)
-let e17_run_until_crash spec fcfg =
-  let db, sales, _views = Workload.setup spec in
-  let f = Database.create_follower ~config:spec.Workload.config () in
-  Wal.set_retain_floor (Database.wal db) (Some 1);
-  (* installed even for no_faults: the counting run needs forces_seen *)
-  Database.install_fault db fcfg;
-  let seed = spec.Workload.seed in
-  let committed = ref 0 in
-  let crashed = ref false in
-  (try
-     Sched.run ~seed (fun () ->
-         let remaining = ref spec.Workload.mpl in
-         let running = ref true in
-         let wake_main = ref (fun () -> ()) in
-         ignore
-           (Sched.spawn (fun () ->
-                while !running do
-                  ignore (e17_ship ~batch:16 (Database.wal db) f);
-                  Wal.set_retain_floor (Database.wal db)
-                    (Some (Database.replicated_lsn f + 1));
-                  Sched.yield ()
-                done));
-         for w = 1 to spec.Workload.mpl do
-           ignore
-             (Sched.spawn (fun () ->
-                  Fun.protect
-                    ~finally:(fun () ->
-                      decr remaining;
-                      if !remaining = 0 then begin
-                        running := false;
-                        !wake_main ()
-                      end)
-                    (fun () ->
-                      let rng = Rng.create ((seed * 131) + w) in
-                      let next = ref (1000 * w) in
-                      for _ = 1 to spec.Workload.txns_per_worker do
-                        (try
-                           Database.transact db (fun tx ->
-                               for _ = 1 to spec.Workload.ops_per_txn do
-                                 incr next;
-                                 ignore
-                                   (Table.insert db tx sales
-                                      [|
-                                        Value.Int !next;
-                                        Value.Int (1 + Rng.int rng 5);
-                                        Value.Int (1 + Rng.int rng 10);
-                                        Value.Float 1.;
-                                      |]);
-                                 Sched.yield ()
-                               done);
-                           incr committed;
-                           if !committed mod 3 = 0 then Database.checkpoint db
-                         with Txn.Conflict _ -> ());
-                        Sched.yield ()
-                      done)))
-         done;
-         if !remaining > 0 then
-           Sched.suspend (fun wake _cancel -> wake_main := wake))
-   with Fault.Crash_point _ -> crashed := true);
-  (db, f, !committed, !crashed)
-
 let e17_cells ~quick =
   let spec =
     {
@@ -1065,12 +983,15 @@ let e17_cells ~quick =
       theta = 0.8;
       initial_rows = 20;
       n_views = 1;
+      checkpoint_every = Some 3;
       config =
         { Workload.default.Workload.config with Database.pool_capacity = 8 };
     }
   in
   let n_forces =
-    let db, _f, _committed, crashed = e17_run_until_crash spec Fault.no_faults in
+    let db, _f, _committed, crashed =
+      Workload.run_replicated_until_crash spec Fault.no_faults
+    in
     if crashed then begin
       Printf.eprintf "FATAL: e17 counting run crashed\n";
       exit 1
@@ -1078,7 +999,9 @@ let e17_cells ~quick =
     Fault.forces_seen (Database.fault_plan db)
   in
   let cell (name, fcfg) =
-    let db, f, committed, crashed = e17_run_until_crash spec fcfg in
+    let db, f, committed, crashed =
+      Workload.run_replicated_until_crash spec fcfg
+    in
     if not crashed then begin
       Printf.eprintf "FATAL: e17 %s: armed crash trigger did not fire\n" name;
       exit 1
@@ -1088,7 +1011,7 @@ let e17_cells ~quick =
     let ticks = ref 0 in
     let promo = ref None in
     Sched.run ~seed:1 (fun () ->
-        ignore (e17_ship dead f);
+        ignore (Workload.ship_wal dead f);
         let t0 = Sched.now () in
         let p = Database.promote f in
         ticks := Sched.now () - t0;
@@ -1154,12 +1077,7 @@ let e18_header =
     "in-doubt" ]
 
 module Coord = Ivdb_coord.Coord
-
-let e18_mk_cluster shards =
-  Array.init shards (fun i ->
-      let db = Database.create () in
-      Coord.configure_shard db ~shard:i ~shards;
-      db)
+module Server = Ivdb_server.Server
 
 let e18_keys ~shards shard n =
   let rec go k acc remaining =
@@ -1200,53 +1118,32 @@ let e18_setup c =
       "CHECKPOINT";
     ]
 
-(* One cluster phase: loopback nets and servers over [dbs], a coordinator
-   over [cwal], run [f]. Fault.Crash_point escaping [f] models the whole
-   machine dying mid-run. *)
-let e18_phase ?(seed = 11) ?(crash_at = None) ?metrics ?trace dbs cwal f =
-  Sched.run ~seed (fun () ->
-      let module Server = Ivdb_server.Server in
-      let module Transport = Ivdb_transport.Transport in
-      let nets =
-        Array.map (fun _ -> Transport.Loopback.create ~backlog:64 ()) dbs
-      in
-      let servers =
-        Array.mapi
-          (fun i net ->
-            let s = Server.create dbs.(i) (Transport.Loopback.listener net) in
-            Server.serve s;
-            s)
-          nets
-      in
-      let c =
-        Coord.create ?metrics ?trace ~wal:cwal
-          (Array.map Transport.Loopback.dialer nets)
-      in
-      Coord.set_crash_at_action c crash_at;
-      let r = f c in
-      Coord.close c;
-      Array.iter Server.drain servers;
-      r)
+(* Every scripted transaction through one coordinator session: BEGIN,
+   its inserts, COMMIT. *)
+let e18_run c script =
+  List.iter
+    (fun stmts ->
+      ignore (Coord.exec c "BEGIN");
+      List.iter (fun (_, s) -> ignore (Coord.exec c s)) stmts;
+      ignore (Coord.exec c "COMMIT"))
+    script
 
 let e18_cell ~quick shards mix =
   let txns = if quick then 12 else 60 in
   let cross = match mix with "cross" -> fun _ -> true | _ -> fun _ -> false in
   let script = e18_script ~shards ~txns cross in
-  let dbs = e18_mk_cluster shards in
+  let dbs = Array.init shards (fun _ -> Database.create ()) in
   let cwal = Wal.create (Metrics.create ()) in
   let committed, ticks, stats =
-    e18_phase dbs cwal (fun c ->
-        e18_setup c;
-        let t0 = Sched.now () in
-        let committed = ref 0 in
-        List.iter
-          (fun stmts ->
-            ignore (Coord.exec c "BEGIN");
-            List.iter (fun (_, s) -> ignore (Coord.exec c s)) stmts;
-            ignore (Coord.exec c "COMMIT");
-            incr committed)
-          script;
-        (!committed, Sched.now () - t0, Coord.stats c))
+    Sched.run ~seed:11 (fun () ->
+        Coord.loopback_cluster ~config:Server.default_config dbs (fun dialers ->
+            let c = Coord.create ~wal:cwal dialers in
+            e18_setup c;
+            let t0 = Sched.now () in
+            e18_run c script;
+            let r = (List.length script, Sched.now () - t0, Coord.stats c) in
+            Coord.close c;
+            r))
   in
   let indoubt =
     Array.fold_left (fun acc db -> acc + Database.indoubt_count db) 0 dbs
@@ -1277,22 +1174,25 @@ let e18_crash_smoke () =
   let shards = 2 in
   let txns = 6 in
   let script = e18_script ~shards ~txns (fun _ -> true) in
+  (* a Fault.Crash_point escaping the run models the whole machine dying *)
   let run_workload ?(crash_at = None) dbs cwal =
-    e18_phase ~crash_at dbs cwal (fun c ->
-        e18_setup c;
-        List.iter
-          (fun stmts ->
-            ignore (Coord.exec c "BEGIN");
-            List.iter (fun (_, s) -> ignore (Coord.exec c s)) stmts;
-            ignore (Coord.exec c "COMMIT"))
-          script;
-        Coord.actions c)
+    Sched.run ~seed:11 (fun () ->
+        Coord.loopback_cluster ~config:Server.default_config dbs (fun dialers ->
+            let c = Coord.create ~wal:cwal dialers in
+            Coord.set_crash_at_action c crash_at;
+            e18_setup c;
+            e18_run c script;
+            let n = Coord.actions c in
+            Coord.close c;
+            n))
   in
   let total =
-    run_workload (e18_mk_cluster shards) (Wal.create (Metrics.create ()))
+    run_workload
+      (Array.init shards (fun _ -> Database.create ()))
+      (Wal.create (Metrics.create ()))
   in
   let crash_action = max 1 (total / 2) in
-  let dbs = e18_mk_cluster shards in
+  let dbs = Array.init shards (fun _ -> Database.create ()) in
   let cwal = Wal.create (Metrics.create ()) in
   let crashed =
     try
@@ -1307,12 +1207,15 @@ let e18_crash_smoke () =
   (* power loss: every shard recovers from its WAL, the coordinator from
      its decision log *)
   let dbs = Array.map Database.crash dbs in
-  Array.iteri (fun s db -> Coord.configure_shard db ~shard:s ~shards) dbs;
   let cwal = Wal.crash cwal (Metrics.create ()) in
   let indoubt_at_crash =
     Array.fold_left (fun acc db -> acc + Database.indoubt_count db) 0 dbs
   in
-  e18_phase dbs cwal (fun c -> ignore (Coord.recover c));
+  Sched.run ~seed:11 (fun () ->
+      Coord.loopback_cluster ~config:Server.default_config dbs (fun dialers ->
+          let c = Coord.create ~wal:cwal dialers in
+          ignore (Coord.recover c);
+          Coord.close c));
   let indoubt_after =
     Array.fold_left (fun acc db -> acc + Database.indoubt_count db) 0 dbs
   in
@@ -1398,7 +1301,7 @@ let e19_cell ~quick shards traced =
   let txns = if quick then 12 else 60 in
   let cross = if shards > 1 then fun _ -> true else fun _ -> false in
   let script = e18_script ~shards ~txns cross in
-  let dbs = e18_mk_cluster shards in
+  let dbs = Array.init shards (fun _ -> Database.create ()) in
   let metrics = Metrics.create () in
   let cwal = Wal.create metrics in
   let events = ref 0 in
@@ -1415,18 +1318,15 @@ let e19_cell ~quick shards traced =
   end;
   let wall0 = Unix.gettimeofday () in
   let committed, ticks =
-    e18_phase ~metrics ~trace dbs cwal (fun c ->
-        e18_setup c;
-        let t0 = Sched.now () in
-        let n = ref 0 in
-        List.iter
-          (fun stmts ->
-            ignore (Coord.exec c "BEGIN");
-            List.iter (fun (_, s) -> ignore (Coord.exec c s)) stmts;
-            ignore (Coord.exec c "COMMIT");
-            incr n)
-          script;
-        (!n, Sched.now () - t0))
+    Sched.run ~seed:11 (fun () ->
+        Coord.loopback_cluster ~config:Server.default_config dbs (fun dialers ->
+            let c = Coord.create ~metrics ~trace ~wal:cwal dialers in
+            e18_setup c;
+            let t0 = Sched.now () in
+            e18_run c script;
+            let r = (List.length script, Sched.now () - t0) in
+            Coord.close c;
+            r))
   in
   let wall = Unix.gettimeofday () -. wall0 in
   let pcts name =
@@ -1469,37 +1369,35 @@ let e19_exporter_smoke () =
   let shards = 2 in
   let txns = 4 in
   let script = e18_script ~shards ~txns (fun _ -> true) in
-  let dbs = e18_mk_cluster shards in
+  let dbs = Array.init shards (fun _ -> Database.create ()) in
   let metrics = Metrics.create () in
   let cwal = Wal.create metrics in
   let body =
-    e18_phase ~metrics dbs cwal (fun c ->
-        e18_setup c;
-        List.iter
-          (fun stmts ->
-            ignore (Coord.exec c "BEGIN");
-            List.iter (fun (_, s) -> ignore (Coord.exec c s)) stmts;
-            ignore (Coord.exec c "COMMIT"))
-          script;
-        let module Transport = Ivdb_transport.Transport in
-        let net = Transport.Loopback.create () in
-        let mlistener = Transport.Loopback.listener net in
-        Ivdb_server.Metrics_http.serve metrics mlistener;
-        let conn = Transport.Loopback.connect net in
-        conn.Transport.write "GET /metrics HTTP/1.0\r\n\r\n";
-        let chunk = Bytes.create 4096 in
-        let acc = Buffer.create 4096 in
-        let rec drain () =
-          let n = conn.Transport.read chunk 0 (Bytes.length chunk) in
-          if n > 0 then begin
-            Buffer.add_subbytes acc chunk 0 n;
-            drain ()
-          end
-        in
-        drain ();
-        conn.Transport.close ();
-        mlistener.Transport.stop ();
-        Buffer.contents acc)
+    Sched.run ~seed:11 (fun () ->
+        Coord.loopback_cluster ~config:Server.default_config dbs (fun dialers ->
+            let c = Coord.create ~metrics ~wal:cwal dialers in
+            e18_setup c;
+            e18_run c script;
+            let module Transport = Ivdb_transport.Transport in
+            let net = Transport.Loopback.create () in
+            let mlistener = Transport.Loopback.listener net in
+            Ivdb_server.Metrics_http.serve metrics mlistener;
+            let conn = Transport.Loopback.connect net in
+            conn.Transport.write "GET /metrics HTTP/1.0\r\n\r\n";
+            let chunk = Bytes.create 4096 in
+            let acc = Buffer.create 4096 in
+            let rec drain () =
+              let n = conn.Transport.read chunk 0 (Bytes.length chunk) in
+              if n > 0 then begin
+                Buffer.add_subbytes acc chunk 0 n;
+                drain ()
+              end
+            in
+            drain ();
+            conn.Transport.close ();
+            mlistener.Transport.stop ();
+            Coord.close c;
+            Buffer.contents acc))
   in
   let required =
     [

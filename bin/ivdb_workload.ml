@@ -15,12 +15,12 @@ module Txn = Ivdb_txn.Txn
 module Trace = Ivdb_util.Trace
 module Metrics = Ivdb_util.Metrics
 module Fault = Ivdb_storage.Fault
-module Sched = Ivdb_sched.Sched
 module Server = Ivdb_server.Server
-module Transport = Ivdb_transport.Transport
 module Client = Ivdb_client.Client
 module Coord = Ivdb_coord.Coord
 module Value = Ivdb_relation.Value
+module Rng = Ivdb_util.Rng
+module Zipf = Ivdb_util.Zipf
 
 open Cmdliner
 
@@ -108,28 +108,56 @@ let print_result strategy create_mode r =
     r.Workload.p95_latency;
   Printf.printf "wall time         %.3f s\n" r.Workload.wall_s
 
-(* The sharded path: a loopback cluster of [shards] engines behind
-   servers, [mpl] coordinator sessions driving a closed-loop mix of
-   single-shard and cross-shard writer transactions (plus readers per
-   --reads). Base keys are pre-partitioned per worker so the only
-   contention is on the escrow view groups — the part 2PC has to get
-   right — and the run ends with a global consistency check: the view
-   recomputed from the base rows, both read through coordinator
-   fan-out. *)
-let run_sharded ~shards ~cross_pct ~seed ~mpl ~txns ~ops ~groups
-    ~read_fraction ~verbose =
+(* The groups whose escrow view row disagrees with a fold of the base
+   rows into per-group (count, sum), both read through coordinator
+   fan-out; empty view groups a gc would reclaim are not divergence. *)
+let view_vs_base c =
+  let rows_of = function Ivdb_sql.Sql.Rows { rows; _ } -> rows | _ -> [] in
+  let base = Hashtbl.create 64 in
+  List.iter
+    (fun (r : Value.t array) ->
+      match (r.(1), r.(2)) with
+      | Value.Str g, Value.Int q ->
+          let n, s =
+            match Hashtbl.find_opt base g with Some ns -> ns | None -> (0, 0)
+          in
+          Hashtbl.replace base g (n + 1, s + q)
+      | _ -> ())
+    (rows_of (Coord.exec c "SELECT * FROM t"));
+  let diverged = ref 0 in
+  List.iter
+    (fun (r : Value.t array) ->
+      match r with
+      | [| Value.Str g; Value.Int n; sum |] ->
+          let s = match sum with Value.Int s -> s | _ -> 0 in
+          let expect = Hashtbl.find_opt base g in
+          if expect <> Some (n, s) && not (n = 0 && expect = None) then
+            incr diverged;
+          Hashtbl.remove base g
+      | _ -> incr diverged)
+    (rows_of (Coord.exec c "SELECT * FROM v"));
+  (* groups present in the base but missing from the view *)
+  !diverged + Hashtbl.length base
+
+(* The sharded path: a loopback cluster of [shards] engines behind one
+   coordinator whose sessions are the closed loop's workers. A writer
+   inserts --ops rows into view groups drawn from the worker's Zipf
+   sampler, on one shard or spread over two per --cross-shard-pct;
+   a reader fans out a view SELECT. Base keys are pre-partitioned per
+   worker so the only contention is on the escrow view groups — the
+   part 2PC has to get right — and the run ends with the global
+   view-vs-base check. *)
+let run_sharded ~shards ~cross_pct spec verbose =
   if shards < 1 then begin
     prerr_endline "--shards must be >= 1";
     exit 2
   end;
+  let ops = spec.Workload.ops_per_txn in
   let dbs =
-    Array.init shards (fun i ->
-        let db = Database.create () in
-        Coord.configure_shard db ~shard:i ~shards;
-        db)
+    Array.init shards (fun _ -> Database.create ~config:spec.Workload.config ())
   in
   (* per-shard pools of keys hashing to that shard, sliced per worker *)
-  let per_worker = txns * ops in
+  let per_worker = spec.Workload.txns_per_worker * ops in
   let pool =
     Array.init shards (fun s ->
         let rec go k acc remaining =
@@ -138,183 +166,81 @@ let run_sharded ~shards ~cross_pct ~seed ~mpl ~txns ~ops ~groups
             go (k + 1) (k :: acc) (remaining - 1)
           else go (k + 1) acc remaining
         in
-        go 0 [] (mpl * per_worker))
+        go 0 [] (spec.Workload.mpl * per_worker))
   in
-  let committed = ref 0
-  and readers = ref 0
-  and aborted = ref 0
-  and ticks = ref 0
-  and diverged = ref 0 in
-  let tot =
-    ref
-      {
-        Coord.single_shard_commits = 0;
-        cross_shard_commits = 0;
-        aborts = 0;
-        prepares_sent = 0;
-        decides_sent = 0;
-      }
+  let session c0 w rng zipf =
+    let c = Coord.session c0 in
+    let idx = Array.make shards 0 in
+    let take s =
+      let k = pool.(s).(((w - 1) * per_worker) + idx.(s)) in
+      idx.(s) <- idx.(s) + 1;
+      k
+    in
+    let write () =
+      let home = Rng.int rng shards in
+      let cross = shards > 1 && Rng.int rng 100 < cross_pct in
+      let legs =
+        List.init ops (fun i ->
+            let s = if cross && i land 1 = 1 then (home + 1) mod shards else home in
+            (s, take s, 1 + Rng.int rng 9, Zipf.draw zipf rng))
+        (* visit shards in ascending order so cross-engine lock waits
+           cannot form a cycle no local deadlock detector sees *)
+        |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
+      in
+      ignore (Coord.exec c "BEGIN");
+      List.iter
+        (fun (_, k, q, g) ->
+          ignore
+            (Coord.exec c (Printf.sprintf "INSERT INTO t VALUES (%d, 'g%d', %d)" k g q)))
+        legs;
+      ignore (Coord.exec c "COMMIT")
+    in
+    let txn ~reader =
+      match if reader then ignore (Coord.exec c "SELECT * FROM v") else write () with
+      | () -> true
+      | exception (Coord.Coord_error _ | Client.Server_error _) ->
+          (if Coord.in_transaction c then
+             try ignore (Coord.exec c "ROLLBACK") with _ -> ());
+          false
+    in
+    Some { Workload.txn; close = (fun () -> Coord.close c) }
   in
-  let wall0 = Unix.gettimeofday () in
-  Sched.run ~seed (fun () ->
-      let nets =
-        Array.map (fun _ -> Transport.Loopback.create ~backlog:64 ()) dbs
-      in
-      let servers =
-        Array.mapi
-          (fun i net ->
-            let s = Server.create dbs.(i) (Transport.Loopback.listener net) in
-            Server.serve s;
-            s)
-          nets
-      in
-      let dialers = Array.map Transport.Loopback.dialer nets in
-      let c0 = Coord.create ~name:"setup" dialers in
-      List.iter
-        (fun s -> ignore (Coord.exec c0 s))
-        [
-          "CREATE TABLE t (k INT NOT NULL, grp TEXT NOT NULL, qty INT NOT \
-           NULL)";
-          "CREATE VIEW v AS SELECT grp, COUNT(*), SUM(qty) FROM t GROUP BY \
-           grp USING ESCROW";
-        ];
-      let t0 = Sched.now () in
-      let live = ref mpl in
-      let worker_coords = ref [] in
-      for w = 0 to mpl - 1 do
-        ignore
-          (Sched.spawn (fun () ->
-               let c = Coord.create ~name:(Printf.sprintf "w%d" w) dialers in
-               worker_coords := c :: !worker_coords;
-               let rng = Random.State.make [| seed; w; 0x5eed |] in
-               let idx = Array.make shards 0 in
-               let take s =
-                 let k = pool.(s).((w * per_worker) + idx.(s)) in
-                 idx.(s) <- idx.(s) + 1;
-                 k
-               in
-               for _ = 1 to txns do
-                 if Random.State.float rng 1.0 < read_fraction then begin
-                   (try ignore (Coord.exec c "SELECT * FROM v")
-                    with Coord.Coord_error _ -> ());
-                   incr readers
-                 end
-                 else begin
-                   let home = Random.State.int rng shards in
-                   let cross =
-                     shards > 1 && Random.State.int rng 100 < cross_pct
-                   in
-                   let legs =
-                     List.init ops (fun i ->
-                         let s =
-                           if cross && i land 1 = 1 then (home + 1) mod shards
-                           else home
-                         in
-                         ( s,
-                           take s,
-                           1 + Random.State.int rng 9,
-                           Random.State.int rng groups ))
-                     (* visit shards in ascending order so cross-engine
-                        lock waits cannot form a cycle no local deadlock
-                        detector sees *)
-                     |> List.sort (fun (a, _, _, _) (b, _, _, _) ->
-                            compare a b)
-                   in
-                   match
-                     ignore (Coord.exec c "BEGIN");
-                     List.iter
-                       (fun (_, k, q, g) ->
-                         ignore
-                           (Coord.exec c
-                              (Printf.sprintf
-                                 "INSERT INTO t VALUES (%d, 'g%d', %d)" k g q)))
-                       legs;
-                     ignore (Coord.exec c "COMMIT")
-                   with
-                   | () -> incr committed
-                   | exception (Coord.Coord_error _ | Client.Server_error _)
-                     ->
-                       incr aborted;
-                       if Coord.in_transaction c then
-                         try ignore (Coord.exec c "ROLLBACK") with _ -> ()
-                 end
-               done;
-               decr live))
-      done;
-      while !live > 0 do
-        Sched.yield ()
-      done;
-      ticks := Sched.now () - t0;
-      (* global consistency: fold the base rows into per-group (count,
-         sum) and require the escrow view to agree, modulo empty groups
-         a gc would reclaim *)
-      let rows_of = function
-        | Ivdb_sql.Sql.Rows { rows; _ } -> rows
-        | _ -> []
-      in
-      let base = Hashtbl.create 64 in
-      List.iter
-        (fun (r : Value.t array) ->
-          match (r.(1), r.(2)) with
-          | Value.Str g, Value.Int q ->
-              let n, s =
-                match Hashtbl.find_opt base g with
-                | Some ns -> ns
-                | None -> (0, 0)
-              in
-              Hashtbl.replace base g (n + 1, s + q)
-          | _ -> ())
-        (rows_of (Coord.exec c0 "SELECT * FROM t"));
-      List.iter
-        (fun (r : Value.t array) ->
-          match r with
-          | [| Value.Str g; Value.Int n; sum |] ->
-              let s = match sum with Value.Int s -> s | _ -> 0 in
-              let expect = Hashtbl.find_opt base g in
-              if expect <> Some (n, s) && not (n = 0 && expect = None) then
-                incr diverged;
-              Hashtbl.remove base g
-          | _ -> incr diverged)
-        (rows_of (Coord.exec c0 "SELECT * FROM v"));
-      (* groups present in the base but missing from the view *)
-      diverged := !diverged + Hashtbl.length base;
-      List.iter
-        (fun c ->
-          let s = Coord.stats c in
-          tot :=
-            {
-              Coord.single_shard_commits =
-                !tot.Coord.single_shard_commits + s.Coord.single_shard_commits;
-              cross_shard_commits =
-                !tot.Coord.cross_shard_commits + s.Coord.cross_shard_commits;
-              aborts = !tot.Coord.aborts + s.Coord.aborts;
-              prepares_sent = !tot.Coord.prepares_sent + s.Coord.prepares_sent;
-              decides_sent = !tot.Coord.decides_sent + s.Coord.decides_sent;
-            };
-          Coord.close c)
-        !worker_coords;
-      Coord.close c0;
-      Array.iter Server.drain servers);
-  let wall_s = Unix.gettimeofday () -. wall0 in
+  (* the coordinator's registry is the run's: its decision log's forces
+     are the result's log forces *)
+  let metrics = Metrics.create () in
+  let diverged = ref 0 and stats = ref None in
+  let r =
+    Workload.closed_loop spec metrics ~on_commit:ignore (fun start ->
+        Coord.loopback_cluster ~config:Server.default_config dbs (fun dialers ->
+            let c0 = Coord.create ~metrics dialers in
+            List.iter
+              (fun s -> ignore (Coord.exec c0 s))
+              [
+                "CREATE TABLE t (k INT NOT NULL, grp TEXT NOT NULL, qty INT \
+                 NOT NULL)";
+                "CREATE VIEW v AS SELECT grp, COUNT(*), SUM(qty) FROM t GROUP \
+                 BY grp USING ESCROW";
+              ];
+            let wait, _running = start (session c0) in
+            wait ();
+            diverged := view_vs_base c0;
+            stats := Some (Coord.stats c0);
+            Coord.close c0))
+  in
+  let st = Option.get !stats in
   let indoubt =
     Array.fold_left (fun acc db -> acc + Database.indoubt_count db) 0 dbs
   in
   Printf.printf "shards            %d (loopback cluster, %d coordinator \
                  sessions)\n"
-    shards mpl;
+    shards spec.Workload.mpl;
   Printf.printf "cross-shard mix   %d%% of writer transactions\n" cross_pct;
-  Printf.printf "committed         %d writers (%d readers), %d aborted\n"
-    !committed !readers !aborted;
+  print_result Maintain.Escrow Maintain.System_txn r;
   Printf.printf "2pc               %d cross-shard, %d local fast path; %d \
                  prepares, %d decides\n"
-    !tot.Coord.cross_shard_commits !tot.Coord.single_shard_commits
-    !tot.Coord.prepares_sent !tot.Coord.decides_sent;
-  Printf.printf "simulated ticks   %d\n" !ticks;
-  Printf.printf "throughput        %.2f txns / 1k ticks\n"
-    (if !ticks = 0 then 0.
-     else float_of_int !committed *. 1000. /. float_of_int !ticks);
+    st.Coord.cross_shard_commits st.Coord.single_shard_commits
+    st.Coord.prepares_sent st.Coord.decides_sent;
   Printf.printf "in-doubt          %d\n" indoubt;
-  Printf.printf "wall time         %.3f s\n" wall_s;
   if verbose then
     Array.iteri
       (fun i db ->
@@ -395,23 +321,11 @@ let run_replicated max_inflight spec strategy create_mode verbose =
   end;
   if dp <> df then exit 1
 
-let run seed groups theta mpl txns ops deletes reads read_pct scan coarse
+let run seed groups theta mpl txns ops deletes reads scan coarse
     snapshot strategy create_mode commit_mode views initial gc_every
     checkpoint_every stats_interval trace_out verbose check net replica
     max_inflight shards cross_shard_pct fault_seed fault_read_p fault_write_p
     fault_crash_write fault_crash_force fault_torn_writes fault_torn_tail =
-  (* --read-pct is the integer-percent spelling of --reads; it wins when
-     both are given *)
-  let read_fraction =
-    match read_pct with
-    | Some p -> float_of_int p /. 100.
-    | None -> reads
-  in
-  match shards with
-  | Some n ->
-      run_sharded ~shards:n ~cross_pct:cross_shard_pct ~seed ~mpl ~txns ~ops
-        ~groups ~read_fraction ~verbose
-  | None ->
   let spec =
     {
       Workload.config = { Workload.default.Workload.config with Database.commit_mode };
@@ -422,7 +336,7 @@ let run seed groups theta mpl txns ops deletes reads read_pct scan coarse
       txns_per_worker = txns;
       ops_per_txn = ops;
       delete_fraction = deletes;
-      read_fraction;
+      read_fraction = reads;
       reader_scan = scan;
       reader_locking =
         (if snapshot then Workload.Snapshot
@@ -437,11 +351,17 @@ let run seed groups theta mpl txns ops deletes reads read_pct scan coarse
       stats_interval;
     }
   in
-  if replica then run_replicated max_inflight spec strategy create_mode verbose
-  else
-  match net with
-  | Some n -> run_net n max_inflight spec strategy create_mode verbose check
-  | None ->
+  match (shards, net) with
+  | Some n, _ ->
+      run_sharded ~shards:n ~cross_pct:cross_shard_pct
+        (* one view, no reporter: the coordinator's registry counts no
+           engine commits *)
+        { spec with n_views = 1; stats_interval = None }
+        verbose
+  | None, _ when replica ->
+      run_replicated max_inflight spec strategy create_mode verbose
+  | None, Some n -> run_net n max_inflight spec strategy create_mode verbose check
+  | None, None ->
   let fcfg =
     {
       Fault.no_faults with
@@ -530,13 +450,6 @@ let cmd =
   in
   let reads =
     Arg.(value & opt float 0. & info [ "reads" ] ~doc:"Per-txn reader probability.")
-  in
-  let read_pct =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "read-pct" ]
-          ~doc:"Percent of transactions that are readers (overrides --reads).")
   in
   let scan = Arg.(value & flag & info [ "scan" ] ~doc:"Readers scan the view.") in
   let coarse =
@@ -634,12 +547,16 @@ let cmd =
       & opt (some int) None
       & info [ "shards" ]
           ~doc:"Run the closed-loop workload against a hash-partitioned \
-                loopback cluster of N engines behind a sharding \
-                coordinator: --mpl coordinator sessions each run --txns \
-                transactions of --ops INSERTs (single- or cross-shard per \
+                loopback cluster of N engines (built with --commit-mode) \
+                behind one sharding coordinator: --mpl sessions on it each \
+                run --txns transactions of --ops INSERTs into view groups \
+                drawn per --groups/--theta (single- or cross-shard per \
                 --cross-shard-pct, readers per --reads), then the escrow \
-                view is checked against the base rows globally. The \
-                strategy/fault/trace knobs of the in-process path do not \
+                view is checked against the base rows globally. Counters \
+                and log forces are the coordinator's. --strategy, \
+                --create-mode, --deletes, --views, --initial, --scan, \
+                --coarse, --snapshot, --gc-every, --checkpoint-every, \
+                --stats-interval, --trace-out and the fault knobs do not \
                 apply.")
   in
   let cross_shard_pct =
@@ -698,7 +615,7 @@ let cmd =
   Cmd.v
     (Cmd.info "ivdb_workload" ~doc:"Drive the ivdb order-entry workload")
     (const run $ seed $ groups $ theta $ mpl $ txns $ ops $ deletes $ reads
-   $ read_pct $ scan $ coarse $ snapshot $ strategy $ create_mode
+   $ scan $ coarse $ snapshot $ strategy $ create_mode
    $ commit_mode $ views $ initial
    $ gc_every $ checkpoint_every $ stats_interval $ trace_out $ verbose
    $ check $ net $ replica $ max_inflight $ shards $ cross_shard_pct

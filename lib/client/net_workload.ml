@@ -83,101 +83,59 @@ let writer_txn cl spec rng zipf next_id my_rows =
   in
   attempt 0 1
 
-let reader_txn cl _spec =
+let reader_txn cl =
   match ignore (Client.exec cl "SELECT * FROM sales_by_product_0") with
   | () -> true
   | exception Client.Server_error _ -> false
   | exception Client.Disconnected _ -> false
 
-(* Spawn [spec.mpl] closed-loop client fibers against [dialer]. Returns
-   [(wait, running)]: [wait ()] suspends the calling fiber until the last
-   client exits, [running ()] reports whether any is still going. *)
-let spawn_clients spec phase dialer =
-  let next_id = ref 0 in
-  let client_fiber widx =
-    let rng = Rng.create ((spec.Workload.seed * 7919) + widx) in
-    let zipf =
-      Zipf.create ~n:spec.Workload.n_groups ~theta:spec.Workload.theta
-    in
-    let my_rows = ref [] in
-    match
-      Client.connect ~client:(Printf.sprintf "wl-%d" widx) ~attempts:64 dialer
-    with
-    | cl ->
-        for _ = 1 to spec.Workload.txns_per_worker do
-          let is_reader =
-            Rng.float rng < spec.Workload.read_fraction
-            && spec.Workload.n_views > 0
-          in
-          let t_begin = Sched.now () in
-          let ok =
-            if is_reader then reader_txn cl spec
-            else writer_txn cl spec rng zipf next_id my_rows
-          in
-          if ok then
-            Workload.phase_commit phase ~reader:is_reader
-              ~latency:(float_of_int (Sched.now () - t_begin))
-              ()
-          else Workload.phase_give_up phase;
-          Sched.yield ()
-        done;
-        Client.close cl
-    | exception (Client.Server_busy _ | Client.Disconnected _) ->
-        (* admission never let this client in: all its transactions
-           count as abandoned *)
-        for _ = 1 to spec.Workload.txns_per_worker do
-          Workload.phase_give_up phase
-        done
-  in
-  let remaining = ref spec.Workload.mpl in
-  let wake_main = ref (fun () -> ()) in
-  for w = 1 to spec.Workload.mpl do
-    ignore
-      (Sched.spawn (fun () ->
-           Fun.protect
-             ~finally:(fun () ->
-               decr remaining;
-               if !remaining = 0 then !wake_main ())
-             (fun () -> client_fiber w)))
-  done;
-  let wait () =
-    if !remaining > 0 then
-      Sched.suspend (fun wake _cancel -> wake_main := wake)
-  in
-  (wait, fun () -> !remaining > 0)
+(* The server shape's client: one connection per worker. A worker the
+   admission control never lets in gets no client at all. *)
+let net_client spec dialer next_id w rng zipf =
+  match
+    Client.connect ~client:(Printf.sprintf "wl-%d" w) ~attempts:64 dialer
+  with
+  | cl ->
+      let my_rows = ref [] in
+      Some
+        {
+          Workload.txn =
+            (fun ~reader ->
+              if reader then reader_txn cl
+              else writer_txn cl spec rng zipf next_id my_rows);
+          close = (fun () -> Client.close cl);
+        }
+  | exception (Client.Server_busy _ | Client.Disconnected _) -> None
 
 let run_net ?(transport = Loopback) ?(server_config = Server.default_config)
     spec =
   let db, _sales, _views = Workload.setup spec in
-  let phase = Workload.phase_start db in
-  let start_ticks = ref 0 and end_ticks = ref 0 in
-  Sched.run ~seed:spec.Workload.seed (fun () ->
-      start_ticks := Sched.now ();
-      let listener, dialer =
-        match transport with
-        | Loopback ->
-            (* backlog well above mpl so the admission-control cap in
-               [server_config], not the transport queue, is the limiter *)
-            let net =
-              Transport.Loopback.create
-                ~backlog:(max 64 (2 * spec.Workload.mpl))
-                ()
-            in
-            (Transport.Loopback.listener net, Transport.Loopback.dialer net)
-        | Tcp ->
-            let listener, port = Unix_transport.listen ~port:0 () in
-            (listener, Unix_transport.dialer ~port ())
-      in
-      let srv = Server.create ~config:server_config db listener in
-      Server.serve srv;
-      let wait, running = spawn_clients spec phase dialer in
-      (match spec.Workload.stats_interval with
-      | Some n when n > 0 -> Workload.spawn_reporter db ~interval:n ~running
-      | Some _ | None -> ());
-      wait ();
-      Server.drain srv;
-      end_ticks := Sched.now ());
-  (Workload.phase_finish phase ~ticks:(!end_ticks - !start_ticks) (), db)
+  let next_id = ref 0 in
+  let result =
+    Workload.closed_loop spec (Database.metrics db) ~on_commit:ignore
+      (fun start ->
+        let listener, dialer =
+          match transport with
+          | Loopback ->
+              (* backlog well above mpl so the admission-control cap in
+                 [server_config], not the transport queue, is the limiter *)
+              let net =
+                Transport.Loopback.create
+                  ~backlog:(max 64 (2 * spec.Workload.mpl))
+                  ()
+              in
+              (Transport.Loopback.listener net, Transport.Loopback.dialer net)
+          | Tcp ->
+              let listener, port = Unix_transport.listen ~port:0 () in
+              (listener, Unix_transport.dialer ~port ())
+        in
+        let srv = Server.create ~config:server_config db listener in
+        Server.serve srv;
+        let wait, _running = start (net_client spec dialer next_id) in
+        wait ();
+        Server.drain srv)
+  in
+  (result, db)
 
 (* The same closed-loop run with a follower attached over a second
    loopback connection: primary serves clients and ships its WAL; the
@@ -188,62 +146,60 @@ let run_net ?(transport = Loopback) ?(server_config = Server.default_config)
 let run_replicated ?(server_config = Server.default_config) spec =
   let db, _sales, _views = Workload.setup spec in
   let fdb = Database.create_follower () in
-  let phase = Workload.phase_start db in
-  let start_ticks = ref 0 and end_ticks = ref 0 in
+  let next_id = ref 0 in
   let lag_sum = ref 0 and lag_n = ref 0 and lag_max = ref 0 in
   let catchup = ref 0 in
   let ship_batches = ref 0 and reconnects = ref 0 in
-  Sched.run ~seed:spec.Workload.seed (fun () ->
-      start_ticks := Sched.now ();
-      let net =
-        Transport.Loopback.create
-          ~backlog:(max 64 ((2 * spec.Workload.mpl) + 2))
-          ()
-      in
-      let srv =
-        Server.create ~config:server_config db (Transport.Loopback.listener net)
-      in
-      Server.serve srv;
-      let repl =
-        Replica.create ~name:"wl-follower" fdb (Transport.Loopback.dialer net)
-      in
-      Replica.spawn repl;
-      let wait, running = spawn_clients spec phase (Transport.Loopback.dialer net) in
-      ignore
-        (Sched.spawn (fun () ->
-             (* sample replication lag while the workload runs *)
-             while running () do
-               let lag =
-                 Wal.flushed_lsn (Database.wal db)
-                 - Database.replicated_lsn fdb
-               in
-               lag_sum := !lag_sum + lag;
-               incr lag_n;
-               if lag > !lag_max then lag_max := lag;
-               for _ = 1 to 32 do
-                 Sched.yield ()
-               done
-             done));
-      (match spec.Workload.stats_interval with
-      | Some n when n > 0 -> Workload.spawn_reporter db ~interval:n ~running
-      | Some _ | None -> ());
-      wait ();
-      (* aborts (e.g. deadlock victims) append CLRs without forcing:
-         flush the tail so the follower can converge on the full log *)
-      let pwal = Database.wal db in
-      Wal.force pwal (Wal.last_lsn pwal);
-      let done_tick = Sched.now () in
-      while
-        Database.replicated_lsn fdb < Wal.flushed_lsn (Database.wal db)
-      do
-        Sched.yield ()
-      done;
-      catchup := Sched.now () - done_tick;
-      ship_batches := Replica.batches repl;
-      reconnects := Replica.reconnects repl;
-      Replica.stop repl;
-      Server.drain srv;
-      end_ticks := Sched.now ());
+  let result =
+    Workload.closed_loop spec (Database.metrics db) ~on_commit:ignore
+      (fun start ->
+        let net =
+          Transport.Loopback.create
+            ~backlog:(max 64 ((2 * spec.Workload.mpl) + 2))
+            ()
+        in
+        let srv =
+          Server.create ~config:server_config db
+            (Transport.Loopback.listener net)
+        in
+        Server.serve srv;
+        let repl =
+          Replica.create ~name:"wl-follower" fdb (Transport.Loopback.dialer net)
+        in
+        Replica.spawn repl;
+        let wait, running =
+          start (net_client spec (Transport.Loopback.dialer net) next_id)
+        in
+        ignore
+          (Sched.spawn (fun () ->
+               (* sample replication lag while the workload runs *)
+               while running () do
+                 let lag =
+                   Wal.flushed_lsn (Database.wal db)
+                   - Database.replicated_lsn fdb
+                 in
+                 lag_sum := !lag_sum + lag;
+                 incr lag_n;
+                 if lag > !lag_max then lag_max := lag;
+                 for _ = 1 to 32 do
+                   Sched.yield ()
+                 done
+               done));
+        wait ();
+        (* aborts (e.g. deadlock victims) append CLRs without forcing:
+           flush the tail so the follower can converge on the full log *)
+        let pwal = Database.wal db in
+        Wal.force pwal (Wal.last_lsn pwal);
+        let done_tick = Sched.now () in
+        while Database.replicated_lsn fdb < Wal.flushed_lsn pwal do
+          Sched.yield ()
+        done;
+        catchup := Sched.now () - done_tick;
+        ship_batches := Replica.batches repl;
+        reconnects := Replica.reconnects repl;
+        Replica.stop repl;
+        Server.drain srv)
+  in
   let report =
     {
       lag_max = !lag_max;
@@ -254,4 +210,4 @@ let run_replicated ?(server_config = Server.default_config) spec =
       catchup_ticks = !catchup;
     }
   in
-  (Workload.phase_finish phase ~ticks:(!end_ticks - !start_ticks) (), db, fdb, report)
+  (result, db, fdb, report)

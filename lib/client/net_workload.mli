@@ -1,14 +1,14 @@
 (** Closed-loop network workload: the {!Ivdb.Workload} order-entry mix
     driven through the wire protocol instead of in-process calls.
 
-    One scheduler run hosts everything: the server's accept fiber, a
-    session fiber per admitted connection, and [spec.mpl] client fibers
-    each owning one {!Client.t}. Writers wrap [ops_per_txn] INSERT/DELETE
-    statements in [BEGIN]/[COMMIT] (retrying deadlock victims client-side
-    with capped backoff); readers issue autocommitted view SELECTs. The
-    measured phase is bracketed with {!Ivdb.Workload.phase_start} /
-    [phase_finish], so the returned {!Ivdb.Workload.result} is directly
-    comparable with in-process runs — server counters ([server.accepted],
+    The server and replica shapes of {!Ivdb.Workload.closed_loop}: one
+    scheduler run hosts the server's accept fiber, a session fiber per
+    admitted connection, and the loop's [spec.mpl] workers, each owning
+    one {!Client.t}. Writers wrap [ops_per_txn] INSERT/DELETE statements
+    in [BEGIN]/[COMMIT] (retrying deadlock victims client-side with
+    capped backoff); readers issue autocommitted view SELECTs. The
+    returned {!Ivdb.Workload.result} is directly comparable with
+    in-process runs — server counters ([server.accepted],
     [server.shed], …) ride along in [result.metrics].
 
     Over [Loopback] the run is fully deterministic in [spec.seed]; over

@@ -302,6 +302,8 @@ let open_session co =
 let create ?name ?wal ?metrics ?trace dialers =
   open_session (coordinator ?name ?wal ?metrics ?trace dialers)
 
+let session c = open_session c.co
+
 let wal c = c.co.cwal
 let metrics c = c.co.metrics
 let trace c = c.co.ctrace
@@ -990,3 +992,23 @@ let server ?config c listener =
             close s);
       })
     listener
+
+(* --- loopback cluster --------------------------------------------------- *)
+
+let loopback_cluster ~config dbs f =
+  let shards = Array.length dbs in
+  Array.iteri (fun i db -> configure_shard db ~shard:i ~shards) dbs;
+  let nets =
+    Array.map (fun _ -> Transport.Loopback.create ~backlog:64 ()) dbs
+  in
+  let servers =
+    Array.mapi
+      (fun i net ->
+        let s = Server.create ~config dbs.(i) (Transport.Loopback.listener net) in
+        Server.serve s;
+        s)
+      nets
+  in
+  let r = f (Array.map Transport.Loopback.dialer nets) in
+  Array.iter Server.drain servers;
+  r

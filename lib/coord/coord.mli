@@ -106,6 +106,11 @@ val server :
     transaction state. Engine-only frames ([Prepare], [Decide],
     replication and admin) are refused as unexpected. *)
 
+val session : t -> t
+(** Another session on [t]'s coordinator, with its own shard connections
+    and transaction; the decision log, gtxn counter, routing metadata and
+    {!stats} are shared. *)
+
 val exec : t -> string -> Ivdb_sql.Sql.result
 (** Route one SQL statement: DDL broadcasts (recording partition
     columns), INSERT splits its rows by partition, DML/SELECT with a
@@ -195,3 +200,17 @@ val set_crash_at_action : t -> int option -> unit
 
 val actions : t -> int
 (** Actions performed so far (run once unarmed to size a sweep). *)
+
+(** {1 Loopback cluster} *)
+
+val loopback_cluster :
+  config:Ivdb_server.Server.config ->
+  Ivdb.Database.t array ->
+  (Ivdb_transport.Transport.dialer array -> 'a) ->
+  'a
+(** [loopback_cluster ~config dbs f], inside a scheduler run: make
+    [dbs.(i)] shard [i] of [Array.length dbs] ({!configure_shard}), serve
+    each engine with [config] over its own deterministic loopback
+    transport, run [f] on the dialers (indexed by shard), then drain
+    every server. An exception escaping [f] skips the drain, as a
+    machine dying mid-run would. *)

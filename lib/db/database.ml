@@ -926,10 +926,7 @@ let reclaim_ghosts t entries =
     Txn.commit t.tmgr stx
   end
 
-type abort_reason =
-  | Deadlock_victim
-  | Lock_timeout
-  | User_abort of exn
+type abort_reason = Deadlock_victim | User_abort of exn
 
 (* Retry loop returning the terminal exception (if any) unconsumed, so
    [transact] can re-raise the original and [transact_result] can classify
@@ -985,9 +982,6 @@ let transact t ?retries ?(read_only = false) f =
   if read_only then transact_snapshot t f
   else match transact_exn t ?retries f with Ok v -> v | Error e -> raise e
 
-(* No lock acquisition in the engine times out today (deadlocks are
-   detected, not waited out), so [Lock_timeout] never currently arises; it
-   completes the vocabulary for callers that pattern-match exhaustively. *)
 let transact_result t ?retries f =
   match transact_exn t ?retries f with
   | Ok v -> Ok v

@@ -231,13 +231,11 @@ type abort_reason =
   | Deadlock_victim
       (** chosen as a deadlock victim (a {!Ivdb_txn.Txn.Conflict}) and out
           of retries *)
-  | Lock_timeout
-      (** reserved: no lock wait in the engine times out today — deadlocks
-          are detected at block time rather than waited out *)
   | User_abort of exn
       (** the transaction body raised; the exception is preserved *)
 (** Why a {!transact_result} transaction ultimately failed (after all
-    automatic retries). *)
+    automatic retries). No lock wait in the engine times out — deadlocks
+    are detected at block time — so there is no timeout reason. *)
 
 val transact : t -> ?retries:int -> ?read_only:bool -> (Ivdb_txn.Txn.t -> 'a) -> 'a
 (** Begin / run / commit, aborting on exception. A deadlock-victim

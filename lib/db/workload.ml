@@ -8,6 +8,7 @@ module Expr = Ivdb_relation.Expr
 module View_def = Ivdb_core.View_def
 module Maintain = Ivdb_core.Maintain
 module Txn = Ivdb_txn.Txn
+module Wal = Ivdb_wal.Wal
 
 type reader_locking = Key_range | Coarse_table | Snapshot
 
@@ -115,85 +116,6 @@ let setup spec =
   done;
   (db, sales, views)
 
-(* A measured phase: the metrics bracketing and result assembly shared by
-   [run_on] (in-process fibers) and the network closed-loop driver (client
-   fibers talking to a server over a transport). The driver owns the fibers;
-   the phase owns the bookkeeping. *)
-type phase = {
-  p_db : Database.t;
-  p_before : (string * int) list;
-  p_hist_before : (int * int) list;
-  p_t0 : float;
-  p_lat : Ivdb_util.Stats.t;
-  p_commit_hist : Metrics.hist;
-  mutable p_committed : int;
-  mutable p_readers : int;
-  mutable p_given_up : int;
-}
-
-let phase_start db =
-  let metrics = Database.metrics db in
-  {
-    p_db = db;
-    p_before = Metrics.snapshot metrics;
-    p_hist_before = Metrics.hist_snapshot metrics "commit.batch";
-    p_t0 = Unix.gettimeofday ();
-    p_lat = Ivdb_util.Stats.create ();
-    p_commit_hist = Metrics.hist metrics "txn.commit_ticks";
-    p_committed = 0;
-    p_readers = 0;
-    p_given_up = 0;
-  }
-
-let phase_commit p ?(reader = false) ~latency () =
-  p.p_committed <- p.p_committed + 1;
-  if reader then p.p_readers <- p.p_readers + 1;
-  (* the histogram feeds the live stats reporter and sys.metrics_hist;
-     the Stats accumulator stays the source of the end-of-run figures *)
-  Metrics.record p.p_commit_hist (int_of_float latency);
-  Ivdb_util.Stats.add p.p_lat latency
-
-let phase_give_up p = p.p_given_up <- p.p_given_up + 1
-let phase_committed p = p.p_committed
-
-let phase_finish p ?(crashed = false) ~ticks () =
-  let wall_s = Unix.gettimeofday () -. p.p_t0 in
-  let metrics = Database.metrics p.p_db in
-  let after = Metrics.snapshot metrics in
-  let diff = Metrics.diff ~before:p.p_before ~after in
-  let get name = match List.assoc_opt name diff with Some v -> v | None -> 0 in
-  let ticks = max 1 ticks in
-  let batch_hist =
-    Metrics.hist_diff ~before:p.p_hist_before
-      ~after:(Metrics.hist_snapshot metrics "commit.batch")
-  in
-  let batch_count = List.fold_left (fun acc (_, c) -> acc + c) 0 batch_hist in
-  let batch_total =
-    List.fold_left (fun acc (v, c) -> acc + (v * c)) 0 batch_hist
-  in
-  {
-    committed = p.p_committed;
-    crashed;
-    committed_readers = p.p_readers;
-    given_up = p.p_given_up;
-    retries = get "txn.retry";
-    deadlocks = get "lock.deadlock";
-    lock_waits = get "lock.wait";
-    ticks;
-    wall_s;
-    throughput = float_of_int p.p_committed *. 1000. /. float_of_int ticks;
-    mean_latency = Ivdb_util.Stats.mean p.p_lat;
-    p95_latency =
-      (if Ivdb_util.Stats.count p.p_lat = 0 then 0.
-       else Ivdb_util.Stats.percentile p.p_lat 95.);
-    forces = get "log.force";
-    mean_batch =
-      (if batch_count = 0 then 0.
-       else float_of_int batch_total /. float_of_int batch_count);
-    batch_hist;
-    metrics = diff;
-  }
-
 (* --- live stats reporting ---------------------------------------------------
 
    A periodic one-line summary of the last interval, computed purely from
@@ -202,17 +124,16 @@ let phase_finish p ?(crashed = false) ~ticks () =
    network clients. *)
 
 type stats_probe = {
-  sp_db : Database.t;
+  sp_metrics : Metrics.t;
   mutable sp_counters : (string * int) list;
   mutable sp_commit : (int * int) list;
   mutable sp_wait : (int * int) list;
   mutable sp_tick : int;
 }
 
-let probe_start db =
-  let m = Database.metrics db in
+let probe_start m =
   {
-    sp_db = db;
+    sp_metrics = m;
     sp_counters = Metrics.snapshot m;
     sp_commit = Metrics.hist_snapshot m "txn.commit_ticks";
     sp_wait = Metrics.hist_snapshot m "lock.wait_ticks";
@@ -220,7 +141,7 @@ let probe_start db =
   }
 
 let probe_line p =
-  let m = Database.metrics p.sp_db in
+  let m = p.sp_metrics in
   let now = Sched.now () in
   let counters = Metrics.snapshot m in
   let commit = Metrics.hist_snapshot m "txn.commit_ticks" in
@@ -249,10 +170,10 @@ let probe_line p =
 
 (* Spawn the reporter fiber: prints a line every [interval] ticks while
    [running ()] holds, and a final line for any partial last interval. *)
-let spawn_reporter db ~interval ~running =
+let spawn_reporter m ~interval ~running =
   ignore
     (Sched.spawn (fun () ->
-         let probe = probe_start db in
+         let probe = probe_start m in
          let rec loop () =
            if running () then begin
              Sched.yield ();
@@ -265,138 +186,261 @@ let spawn_reporter db ~interval ~running =
          in
          loop ()))
 
-let run_on db sales views spec =
-  let phase = phase_start db in
-  let next_id = ref 0 in
-  let start_ticks = ref 0 in
-  let end_ticks = ref 0 in
+(* --- the closed loop ---------------------------------------------------------- *)
+
+type client = { txn : reader:bool -> bool; close : unit -> unit }
+
+(* The loop owns the bookkeeping of the measured window: the registry and
+   commit-batch histogram are snapshotted before the run and diffed after
+   it (robust to counters first registered mid-run, e.g. [server.*]). *)
+let closed_loop spec metrics ~on_commit body =
+  let before = Metrics.snapshot metrics in
+  let batch_before = Metrics.hist_snapshot metrics "commit.batch" in
+  let wall0 = Unix.gettimeofday () in
+  let lat = Ivdb_util.Stats.create () in
+  (* feeds the live stats reporter and sys.metrics_hist; [lat] stays the
+     source of the end-of-run figures *)
+  let commit_hist = Metrics.hist metrics "txn.commit_ticks" in
+  let committed = ref 0 and readers = ref 0 and given_up = ref 0 in
+  let start_ticks = ref 0 and end_ticks = ref 0 in
   let crashed = ref false in
-  (try
-  Sched.run ~seed:spec.seed (fun () ->
-      start_ticks := Sched.now ();
-      let worker widx =
-        let rng = Rng.create ((spec.seed * 7919) + widx) in
-        let zipf = Zipf.create ~n:spec.n_groups ~theta:spec.theta in
-        let my_rows = ref [] in
-        for _ = 1 to spec.txns_per_worker do
-          let is_reader = Rng.float rng < spec.read_fraction && views <> [] in
-          let t_begin = Sched.now () in
-          let read_view tx v =
-            if spec.reader_scan then begin
-              Seq.iter
-                (fun _ -> ())
-                (Query.view_scan db (Some tx) v Query.Serializable);
-              Sched.yield ()
-            end
-            else
-              for _ = 1 to 3 do
-                ignore
-                  (Query.view_lookup db (Some tx) v
-                     [| Value.Int (Zipf.draw zipf rng) |]);
+  let start open_client =
+    let wait, running =
+      Sched.spawn_group spec.mpl (fun w ->
+          let rng = Rng.create ((spec.seed * 7919) + w) in
+          let zipf = Zipf.create ~n:spec.n_groups ~theta:spec.theta in
+          match open_client w rng zipf with
+          | None ->
+              (* never connected: every transaction counts as abandoned *)
+              given_up := !given_up + spec.txns_per_worker
+          | Some c ->
+              for _ = 1 to spec.txns_per_worker do
+                let reader =
+                  Rng.float rng < spec.read_fraction && spec.n_views > 0
+                in
+                let t_begin = Sched.now () in
+                if c.txn ~reader then begin
+                  let latency = Sched.now () - t_begin in
+                  incr committed;
+                  if reader then incr readers;
+                  Metrics.record commit_hist latency;
+                  Ivdb_util.Stats.add lat (float_of_int latency);
+                  on_commit !committed
+                end
+                else incr given_up;
                 Sched.yield ()
-              done
-          in
-          (try
-             (if is_reader && spec.reader_locking = Snapshot then
-                (* lock-free MVCC reader: same statements, no Lock_mgr or
-                   WAL traffic at all *)
-                Database.transact db ~read_only:true (fun tx ->
-                    read_view tx (List.hd views))
-              else
-             Database.transact db (fun tx ->
-                 if is_reader then begin
-                   let v = List.hd views in
-                   match spec.reader_locking with
-                   | Snapshot -> assert false (* handled above *)
-                   | Coarse_table ->
-                       Txn.lock (Database.mgr db) tx
-                         (Ivdb_lock.Lock_name.Table
-                            (Database.Internal.view_id v))
-                         Ivdb_lock.Lock_mode.S;
-                       if spec.reader_scan then begin
-                         Seq.iter (fun _ -> ()) (Query.view_scan db None v Query.Dirty);
-                         Sched.yield ()
-                       end
-                       else
-                         for _ = 1 to 3 do
-                           ignore
-                             (Query.view_lookup db None v
-                                [| Value.Int (Zipf.draw zipf rng) |]);
-                           Sched.yield ()
-                         done
-                   | Key_range -> read_view tx v
-                 end
-                 else
-                   for _ = 1 to spec.ops_per_txn do
-                     let do_delete =
-                       Rng.float rng < spec.delete_fraction && !my_rows <> []
-                     in
-                     (if do_delete then begin
-                        match !my_rows with
-                        | rid :: rest ->
-                            my_rows := rest;
-                            (try Table.delete db tx sales rid with Not_found -> ())
-                        | [] -> ()
-                      end
-                      else begin
-                        incr next_id;
-                        let rid =
-                          Table.insert db tx sales
-                            (sales_row ~id:!next_id ~product:(Zipf.draw zipf rng)
-                               ~qty:(1 + Rng.int rng 10)
-                               ~amount:(Rng.float rng *. 100.))
-                        in
-                        my_rows := rid :: !my_rows
-                      end);
-                     (* yield at every statement boundary so lock lifetimes
-                        of concurrent transactions overlap, as they would
-                        under preemptive threads *)
-                     Sched.yield ()
-                   done));
-             phase_commit phase ~reader:is_reader
-               ~latency:(float_of_int (Sched.now () - t_begin))
-               ();
-             (match spec.gc_every with
-             | Some n when phase.p_committed mod n = 0 ->
-                 ignore (Database.gc db)
-             | Some _ | None -> ());
-             (match spec.checkpoint_every with
-             | Some n when phase.p_committed mod n = 0 -> Database.checkpoint db
-             | Some _ | None -> ())
-           with Txn.Conflict _ -> phase_give_up phase);
-          Sched.yield ()
-        done
-      in
-      let remaining = ref spec.mpl in
-      let wake_main = ref (fun () -> ()) in
-      for w = 1 to spec.mpl do
-        ignore
-          (Sched.spawn (fun () ->
-               Fun.protect
-                 ~finally:(fun () ->
-                   decr remaining;
-                   if !remaining = 0 then !wake_main ())
-                 (fun () -> worker w)))
-      done;
+              done;
+              c.close ())
+    in
+    let wait () =
       (match spec.stats_interval with
-      | Some n when n > 0 ->
-          spawn_reporter db ~interval:n ~running:(fun () -> !remaining > 0)
+      | Some n when n > 0 -> spawn_reporter metrics ~interval:n ~running
       | Some _ | None -> ());
-      (* block until the last worker finishes: if the workers deadlock in a
-         way the lock manager missed, the run fails with Sched.Stuck rather
-         than spinning silently *)
-      if !remaining > 0 then
-        Sched.suspend (fun wake _cancel -> wake_main := wake);
-      end_ticks := Sched.now ())
-  with Ivdb_storage.Fault.Crash_point _ ->
-    (* an injected crash point fired: the whole run stopped mid-step, as a
-       power loss would. The caller recovers with [Database.crash]. *)
-    crashed := true);
-  phase_finish phase ~crashed:!crashed ~ticks:(!end_ticks - !start_ticks) ()
+      wait ()
+    in
+    (wait, running)
+  in
+  (try
+     Sched.run ~seed:spec.seed (fun () ->
+         start_ticks := Sched.now ();
+         body start;
+         end_ticks := Sched.now ())
+   with Ivdb_storage.Fault.Crash_point _ ->
+     (* an injected crash point fired: the whole run stopped mid-step, as a
+        power loss would. The caller recovers with [Database.crash]. *)
+     crashed := true);
+  let wall_s = Unix.gettimeofday () -. wall0 in
+  let diff = Metrics.diff ~before ~after:(Metrics.snapshot metrics) in
+  let get name = match List.assoc_opt name diff with Some v -> v | None -> 0 in
+  let ticks = max 1 (!end_ticks - !start_ticks) in
+  let batch_hist =
+    Metrics.hist_diff ~before:batch_before
+      ~after:(Metrics.hist_snapshot metrics "commit.batch")
+  in
+  let batch_count = List.fold_left (fun acc (_, c) -> acc + c) 0 batch_hist in
+  let batch_total =
+    List.fold_left (fun acc (v, c) -> acc + (v * c)) 0 batch_hist
+  in
+  {
+    committed = !committed;
+    crashed = !crashed;
+    committed_readers = !readers;
+    given_up = !given_up;
+    retries = get "txn.retry";
+    deadlocks = get "lock.deadlock";
+    lock_waits = get "lock.wait";
+    ticks;
+    wall_s;
+    throughput = float_of_int !committed *. 1000. /. float_of_int ticks;
+    mean_latency = Ivdb_util.Stats.mean lat;
+    p95_latency =
+      (if Ivdb_util.Stats.count lat = 0 then 0.
+       else Ivdb_util.Stats.percentile lat 95.);
+    forces = get "log.force";
+    mean_batch =
+      (if batch_count = 0 then 0.
+       else float_of_int batch_total /. float_of_int batch_count);
+    batch_hist;
+    metrics = diff;
+  }
+
+(* The engine shape: each worker calls the database directly. *)
+let engine_client db sales views spec next_id rng zipf =
+  let my_rows = ref [] in
+  let read_view tx mode v =
+    if spec.reader_scan then begin
+      Seq.iter ignore (Query.view_scan db tx v mode);
+      Sched.yield ()
+    end
+    else
+      for _ = 1 to 3 do
+        ignore (Query.view_lookup db tx v [| Value.Int (Zipf.draw zipf rng) |]);
+        Sched.yield ()
+      done
+  in
+  let write tx =
+    for _ = 1 to spec.ops_per_txn do
+      let do_delete = Rng.float rng < spec.delete_fraction && !my_rows <> [] in
+      (if do_delete then begin
+         match !my_rows with
+         | rid :: rest ->
+             my_rows := rest;
+             (try Table.delete db tx sales rid with Not_found -> ())
+         | [] -> ()
+       end
+       else begin
+         incr next_id;
+         let rid =
+           Table.insert db tx sales
+             (sales_row ~id:!next_id ~product:(Zipf.draw zipf rng)
+                ~qty:(1 + Rng.int rng 10)
+                ~amount:(Rng.float rng *. 100.))
+         in
+         my_rows := rid :: !my_rows
+       end);
+      (* yield at every statement boundary so lock lifetimes of concurrent
+         transactions overlap, as they would under preemptive threads *)
+      Sched.yield ()
+    done
+  in
+  let txn ~reader =
+    match
+      if not reader then Database.transact db write
+      else
+        let v = List.hd views in
+        match spec.reader_locking with
+        | Snapshot ->
+            (* lock-free MVCC reader: same statements, no Lock_mgr or WAL
+               traffic at all *)
+            Database.transact db ~read_only:true (fun tx ->
+                read_view (Some tx) Query.Serializable v)
+        | Coarse_table ->
+            Database.transact db (fun tx ->
+                Txn.lock (Database.mgr db) tx
+                  (Ivdb_lock.Lock_name.Table (Database.Internal.view_id v))
+                  Ivdb_lock.Lock_mode.S;
+                read_view None Query.Dirty v)
+        | Key_range ->
+            Database.transact db (fun tx ->
+                read_view (Some tx) Query.Serializable v)
+    with
+    | () -> true
+    | exception Txn.Conflict _ -> false
+  in
+  { txn; close = ignore }
+
+let run_on db sales views spec =
+  let next_id = ref 0 in
+  let maintain committed =
+    (match spec.gc_every with
+    | Some n when committed mod n = 0 -> ignore (Database.gc db)
+    | Some _ | None -> ());
+    match spec.checkpoint_every with
+    | Some n when committed mod n = 0 -> Database.checkpoint db
+    | Some _ | None -> ()
+  in
+  closed_loop spec (Database.metrics db) ~on_commit:maintain (fun start ->
+      let wait, _running =
+        start (fun _ rng zipf ->
+            Some (engine_client db sales views spec next_id rng zipf))
+      in
+      wait ())
 
 let run spec =
   let db, sales, views = setup spec in
   run_on db sales views spec
+
+(* --- a replicated primary crashed mid-run --------------------------------- *)
+
+let ship_wal ?(batch = 64) ?upto wal follower =
+  let upto = match upto with Some u -> u | None -> Wal.flushed_lsn wal in
+  let shipped = ref 0 in
+  let continue_ = ref true in
+  while !continue_ do
+    let from = Database.received_lsn follower + 1 in
+    let hi = min upto (from + batch - 1) in
+    if hi < from then continue_ := false
+    else begin
+      let bytes = Wal.serialize_range wal ~from ~upto:hi in
+      let records = Wal.decode_frames ~first_lsn:from bytes in
+      if List.length records <> hi - from + 1 then
+        failwith (Printf.sprintf "ship_wal: batch [%d,%d] decoded short" from hi);
+      Database.apply_replicated follower records;
+      shipped := !shipped + List.length records
+    end
+  done;
+  !shipped
+
+let run_replicated_until_crash spec fcfg =
+  let db, sales, _views = setup spec in
+  let f = Database.create_follower ~config:spec.config () in
+  let wal = Database.wal db in
+  Wal.set_retain_floor wal (Some 1);
+  (* installed even for no_faults: a counting run needs forces_seen *)
+  Database.install_fault db fcfg;
+  let committed = ref 0 in
+  let crashed = ref false in
+  (try
+     Sched.run ~seed:spec.seed (fun () ->
+         let running = ref (fun () -> true) in
+         ignore
+           (Sched.spawn (fun () ->
+                while !running () do
+                  ignore (ship_wal ~batch:16 wal f);
+                  Wal.set_retain_floor wal (Some (Database.replicated_lsn f + 1));
+                  Sched.yield ()
+                done));
+         let wait, workers_running =
+           Sched.spawn_group spec.mpl (fun w ->
+               let rng = Rng.create ((spec.seed * 131) + w) in
+               let next = ref (1000 * w) in
+               for _ = 1 to spec.txns_per_worker do
+                 (try
+                    Database.transact db (fun tx ->
+                        for _ = 1 to spec.ops_per_txn do
+                          incr next;
+                          ignore
+                            (Table.insert db tx sales
+                               [|
+                                 Value.Int !next;
+                                 Value.Int (1 + Rng.int rng 5);
+                                 Value.Int (1 + Rng.int rng 10);
+                                 Value.Float 1.;
+                               |]);
+                          Sched.yield ()
+                        done);
+                    incr committed;
+                    match spec.checkpoint_every with
+                    | Some n when !committed mod n = 0 -> Database.checkpoint db
+                    | Some _ | None -> ()
+                  with Txn.Conflict _ -> ());
+                 Sched.yield ()
+               done)
+         in
+         running := workers_running;
+         wait ())
+   with Ivdb_storage.Fault.Crash_point _ -> crashed := true);
+  (db, f, !committed, !crashed)
 
 (* Incremental maintenance and the from-scratch fold add floats in different
    orders, so SUM(float) may differ in the last ulps; compare with a relative

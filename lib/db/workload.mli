@@ -4,7 +4,11 @@
 
     This reproduces the contention structure that motivates escrow locking:
     under skew, most transactions update the aggregates of a few hot
-    product groups. *)
+    product groups. {!closed_loop} is the one driver every deployment
+    shape runs it through — the engine here ({!run_on}), the server and
+    replica in [Ivdb_client.Net_workload], the sharded cluster in
+    [ivdb_workload --shards] — and {!run_replicated_until_crash} the one
+    crash driver for a primary with a streaming follower. *)
 
 type reader_locking = Key_range | Coarse_table | Snapshot
 (** How reader transactions read a view: per-key RangeS_S (the paper's
@@ -31,8 +35,10 @@ type spec = {
   checkpoint_every : int option;
       (** sharp checkpoint (and log truncation) every n committed txns *)
   stats_interval : int option;
-      (** print a one-line throughput/latency summary every n simulated
-          ticks (see {!probe_line}); [None] = silent *)
+      (** print a one-line summary of the last interval (commits,
+          throughput, commit p95, lock waits and wait p95, deadlocks,
+          all diffed from the registry) every n simulated ticks;
+          [None] = silent *)
   config : Database.config;
 }
 
@@ -67,59 +73,88 @@ type result = {
 val setup : spec -> Database.t * Database.table * Database.view list
 (** Create the schema and preload [initial_rows] (not measured). *)
 
-(** {1 Phase bracketing}
+(** {1 The closed loop}
 
-    The measurement machinery of {!run_on}, reusable by drivers that own
-    their own fibers (the network closed-loop driver): snapshot metrics
-    and the commit-batch histogram at the start, accumulate per-transaction
-    outcomes during the run, assemble a full {!result} at the end.
-    Counter diffing is robust to counters first registered mid-phase
-    (e.g. [server.*], created when the first server starts). *)
+    One loop drives every deployment shape: [spec.mpl] worker fibers
+    (spawned with {!Ivdb_sched.Sched.spawn_group}), each with its own RNG
+    seeded [seed * 7919 + w] and Zipf sampler over [n_groups], runs
+    [txns_per_worker] transactions, drawing each one's reader flag from
+    [read_fraction] (never a reader when [n_views = 0]) and yielding
+    after it. The loop times each
+    transaction, counts commits, readers and give-ups, runs the
+    [stats_interval] reporter, and brackets the whole run: it snapshots
+    the registry before the scheduler starts and diffs it at the end, so
+    [result.metrics] holds everything the run did to that registry. A
+    shape supplies only how a worker reaches its engine(s) — a {!client}
+    — and its own set-up and tear-down inside the run. *)
 
-type phase
+type client = {
+  txn : reader:bool -> bool;
+      (** Run one transaction to its end; [false] means it was given up
+          (deadlock retries exhausted, a shard voted no, …). A writer
+          draws its statements from the worker's RNG and Zipf sampler,
+          which the shape captured when it opened the client. *)
+  close : unit -> unit;  (** After the worker's last transaction. *)
+}
 
-val phase_start : Database.t -> phase
-
-val phase_commit : phase -> ?reader:bool -> latency:float -> unit -> unit
-(** One committed transaction; [latency] in ticks. *)
-
-val phase_give_up : phase -> unit
-(** One transaction abandoned after exhausting its retries. *)
-
-val phase_committed : phase -> int
-
-val phase_finish : phase -> ?crashed:bool -> ticks:int -> unit -> result
-(** [ticks] is the simulated span of the measured window (clamped to 1). *)
-
-(** {1 Live stats reporting}
-
-    Interval summaries computed from {!Ivdb_util.Metrics.diff} between
-    registry snapshots — the same counters and histograms [sys.metrics]
-    and [sys.metrics_hist] expose — so the reporter is driver-agnostic:
-    {!run_on} and the network closed loop both use it via
-    [stats_interval]. *)
-
-type stats_probe
-
-val probe_start : Database.t -> stats_probe
-(** Snapshot the registry (counters, [txn.commit_ticks] and
-    [lock.wait_ticks] histograms) and the clock. *)
-
-val probe_line : stats_probe -> string
-(** One-line summary of the interval since the last call (or
-    {!probe_start}): commits, throughput per 1000 ticks, commit p95,
-    lock waits and wait p95, deadlocks. Advances the probe. *)
-
-val spawn_reporter : Database.t -> interval:int -> running:(unit -> bool) -> unit
-(** Spawn a fiber printing {!probe_line} every [interval] ticks while
-    [running ()] holds, plus a final partial-interval line. Must be
-    called inside a scheduler run. *)
+val closed_loop :
+  spec ->
+  Ivdb_util.Metrics.t ->
+  on_commit:(int -> unit) ->
+  (((int -> Ivdb_util.Rng.t -> Ivdb_util.Zipf.t -> client option) ->
+   (unit -> unit) * (unit -> bool)) ->
+  unit) ->
+  result
+(** [closed_loop spec metrics ~on_commit body] runs [body start] as the
+    main fiber of one {!Ivdb_sched.Sched.run} seeded [spec.seed].
+    [body] sets its shape up, calls [start open_client] once — which
+    spawns the workers and returns [(wait, running)] — and tears down
+    after [wait ()] returns. [open_client w rng zipf] is called in
+    worker [w]'s fiber (1-based); [None] means the worker never got a
+    client, and all its transactions count as given up. [wait] also
+    spawns the stats reporter, so a shape's own monitor fiber spawned
+    between [start] and [wait] keeps its place in the run queue.
+    [on_commit n] runs after the [n]-th commit of the run, before the
+    worker's yield. An injected {!Ivdb_storage.Fault.Crash_point}
+    stops the run with [result.crashed] set. The measured window spans
+    the whole run, set-up and tear-down included. *)
 
 val run_on : Database.t -> Database.table -> Database.view list -> spec -> result
-(** Execute the measured phase under {!Ivdb_sched.Sched.run}. *)
+(** The engine shape: workers call the database directly, writers insert
+    and delete [sales] rows, readers read the first view under
+    [reader_locking]; [gc_every] and [checkpoint_every] count the run's
+    commits. [views] must come from {!setup} of the same [spec]. *)
 
 val run : spec -> result
 (** [setup] + [run_on]. *)
+
+(** {1 A replicated primary crashed mid-run}
+
+    The crash sweeps over a streaming follower (the replication tests and
+    the E17 failover bench) share this driver. *)
+
+val ship_wal : ?batch:int -> ?upto:int -> Ivdb_wal.Wal.t -> Database.t -> int
+(** Stream stable records [received_lsn follower + 1 .. upto] (default
+    the log's flushed horizon) to the follower in batches of [batch]
+    (default 64), through the wire's framing: serialize, decode, apply.
+    The follower applies up to the last commit boundary it received and
+    buffers the rest, so the resume position is its receive horizon.
+    Takes a bare log so a caller can ship a crashed primary's surviving
+    image. Returns the number of records shipped; fails if a batch
+    decodes short. *)
+
+val run_replicated_until_crash :
+  spec -> Ivdb_storage.Fault.config -> Database.t * Database.t * int * bool
+(** Set up [spec]'s primary, attach a fresh follower, install the fault
+    plan (even {!Ivdb_storage.Fault.no_faults}, so a counting run can
+    read [forces_seen]), and run [spec.mpl] insert-only workers ([ops_per_txn] rows per
+    transaction, a sharp checkpoint every [checkpoint_every] commits)
+    while a shipper fiber streams the stable tail with {!ship_wal} and
+    advances the slot's retention floor to the follower's ack, until the
+    workers finish or an armed crash point fires. Returns
+    [(primary, follower, committed, crashed)]. Deterministic per
+    [spec.seed]: a counting run and every armed re-run interleave
+    identically up to the trigger. *)
 
 val check_consistency : Database.t -> Database.view -> bool
 (** Invariant V1: the view's visible contents equal a from-scratch

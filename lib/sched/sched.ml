@@ -169,6 +169,7 @@ let with_fallback : type a. a Effect.t -> a =
 
 let spawn f = with_fallback (Spawn f)
 let yield () = with_fallback Yield
+
 let self () = with_fallback Self
 let suspend register = with_fallback (Suspend register)
 let now () = with_fallback Now
@@ -178,3 +179,23 @@ let fibers_alive () = with_fallback Alive
 (* true iff the caller executes inside a scheduler run (so spawn/suspend are
    available); single-threaded callers outside any run get false *)
 let in_run () = with_fallback Running
+
+(* The one spawn-and-wait skeleton every closed loop and crash driver uses.
+   The wake is registered by [wait]; a fiber finishing before anyone waits
+   calls the no-op placeholder. *)
+let spawn_group n f =
+  let remaining = ref n in
+  let wake_main = ref ignore in
+  for i = 1 to n do
+    ignore
+      (spawn (fun () ->
+           Fun.protect
+             ~finally:(fun () ->
+               decr remaining;
+               if !remaining = 0 then !wake_main ())
+             (fun () -> f i)))
+  done;
+  let wait () =
+    if !remaining > 0 then suspend (fun wake _cancel -> wake_main := wake)
+  in
+  (wait, fun () -> !remaining > 0)

@@ -29,6 +29,14 @@ val spawn : (unit -> unit) -> int
 (** Start a new fiber; returns its id. A fiber's uncaught exception aborts
     the whole [run]. *)
 
+val spawn_group : int -> (int -> unit) -> (unit -> unit) * (unit -> bool)
+(** [spawn_group n f] spawns fibers running [f 1] … [f n], in index order,
+    and returns [(wait, running)]. Each fiber counts itself down when it
+    ends, normally or by an exception. [wait ()] suspends the caller until
+    the last of them has ended (at once if none is left), so a group
+    whose fibers all block forever ends the run with {!Stuck} instead of
+    spinning. [running ()] is [true] until the last fiber ends. *)
+
 val yield : unit -> unit
 (** Let the scheduler pick the next fiber (possibly this one again). *)
 

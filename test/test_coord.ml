@@ -50,45 +50,29 @@ type cluster = { mutable dbs : Database.t array; mutable cwal : Wal.t }
 
 let fresh_cluster shards =
   {
-    dbs =
-      Array.init shards (fun i ->
-          let db = Database.create () in
-          Coord.configure_shard db ~shard:i ~shards;
-          db);
+    dbs = Array.init shards (fun _ -> Database.create ());
     cwal = Wal.create (Metrics.create ());
   }
 
-(* One power cycle: each phase is one scheduler run with fresh loopback
-   nets, servers over the surviving engines, and a coordinator rebuilt
-   over the surviving decision log. An escaping Fault.Crash_point
-   models the whole machine dying mid-run. *)
+(* One power cycle: each phase is one scheduler run with a fresh
+   loopback cluster over the surviving engines and a coordinator rebuilt
+   over the surviving decision log. An escaping Fault.Crash_point models
+   the whole machine dying mid-run. *)
 let phase ?(seed = 11) ?trace cl f =
   Sched.run ~seed (fun () ->
-      let nets =
-        Array.map (fun _ -> Transport.Loopback.create ~backlog:64 ()) cl.dbs
-      in
-      let servers =
-        Array.mapi
-          (fun i net ->
-            let s = Server.create cl.dbs.(i) (Transport.Loopback.listener net) in
-            Server.serve s;
-            s)
-          nets
-      in
-      let dialers = Array.map Transport.Loopback.dialer nets in
-      let c = Coord.create ?trace ~wal:cl.cwal dialers in
-      let r = f c dialers in
-      Coord.close c;
-      Array.iter Server.drain servers;
-      r)
+      Coord.loopback_cluster ~config:Server.default_config cl.dbs
+        (fun dialers ->
+          let c = Coord.create ?trace ~wal:cl.cwal dialers in
+          let r = f c dialers in
+          Coord.close c;
+          r))
 
 (* Power loss: volatile state (open sessions, unforced tails) is gone;
    shards recover from their WALs — resurrecting in-doubt transactions
-   with their locks — and the coordinator log drops its torn tail. *)
+   with their locks — and the coordinator log drops its torn tail. The
+   next [phase] makes the recovered engines shards again. *)
 let crash_cluster cl =
-  let shards = Array.length cl.dbs in
   cl.dbs <- Array.map Database.crash cl.dbs;
-  Array.iteri (fun i db -> Coord.configure_shard db ~shard:i ~shards) cl.dbs;
   cl.cwal <- Wal.crash cl.cwal (Metrics.create ())
 
 let digest_union cl =
@@ -502,39 +486,18 @@ let black_hole_dialer (inner : Transport.dialer) needle drops =
    partial transaction. The coordinator must treat the dead line as a No
    vote and abort everywhere. *)
 let cross_shard_cluster seed f =
-  let shards = 2 in
-  let dbs =
-    Array.init shards (fun i ->
-        let db = Database.create () in
-        Coord.configure_shard db ~shard:i ~shards;
-        db)
-  in
+  let dbs = Array.init 2 (fun _ -> Database.create ()) in
   Sched.run ~seed (fun () ->
-      let nets =
-        Array.map (fun _ -> Transport.Loopback.create ~backlog:64 ()) dbs
-      in
-      let servers =
-        Array.mapi
-          (fun i net ->
-            let s = Server.create dbs.(i) (Transport.Loopback.listener net) in
-            Server.serve s;
-            s)
-          nets
-      in
-      let r = f dbs nets in
-      Array.iter Server.drain servers;
-      r)
+      Coord.loopback_cluster ~config:Server.default_config dbs (f dbs))
 
 let test_prepare_loss_aborts () =
   let shards = 2 in
-  cross_shard_cluster 13 (fun dbs nets ->
+  cross_shard_cluster 13 (fun dbs dialers ->
       let drops = ref [] in
       let dialers =
         Array.mapi
-          (fun i net ->
-            let d = Transport.Loopback.dialer net in
-            if i = 0 then black_hole_dialer d "coord:1" drops else d)
-          nets
+          (fun i d -> if i = 0 then black_hole_dialer d "coord:1" drops else d)
+          dialers
       in
       let c = Coord.create dialers in
       ignore (Coord.exec c "CREATE TABLE t (k INT NOT NULL, x INT)");
@@ -576,14 +539,12 @@ let test_prepare_loss_aborts () =
 
 let test_decision_redelivery () =
   let shards = 2 in
-  cross_shard_cluster 17 (fun dbs nets ->
+  cross_shard_cluster 17 (fun dbs dialers ->
       let drops = ref [] in
       let dialers =
         Array.mapi
-          (fun i net ->
-            let d = Transport.Loopback.dialer net in
-            if i = 1 then black_hole_dialer d "coord:1" drops else d)
-          nets
+          (fun i d -> if i = 1 then black_hole_dialer d "coord:1" drops else d)
+          dialers
       in
       let c = Coord.create dialers in
       ignore (Coord.exec c "CREATE TABLE t (k INT NOT NULL, x INT)");
@@ -728,125 +689,106 @@ let test_trace_determinism () =
    coordinator's correlation ids. *)
 let test_catalogs_over_wire () =
   let shards = 2 in
-  let dbs =
-    Array.init shards (fun i ->
-        let db = Database.create () in
-        Coord.configure_shard db ~shard:i ~shards;
-        db)
-  in
+  let dbs = Array.init shards (fun _ -> Database.create ()) in
   Sched.run ~seed:23 (fun () ->
-      let nets =
-        Array.map (fun _ -> Transport.Loopback.create ~backlog:64 ()) dbs
-      in
-      let servers =
-        Array.mapi
-          (fun i net ->
-            let s =
-              Server.create
-                ~config:{ Server.default_config with slow_query_ticks = Some 0 }
-                dbs.(i)
-                (Transport.Loopback.listener net)
-            in
-            Server.serve s;
-            s)
-          nets
-      in
-      let dialers = Array.map Transport.Loopback.dialer nets in
-      let c = Coord.create dialers in
-      let cnet = Transport.Loopback.create ~backlog:16 () in
-      let csrv =
-        Coord.server
-          ~config:{ Server.default_config with name = "coord-console" }
-          c
-          (Transport.Loopback.listener cnet)
-      in
-      Server.serve csrv;
-      let cl = Client.connect (Transport.Loopback.dialer cnet) in
-      check Alcotest.string "welcome names the coordinator" "coord-console"
-        (Client.server_name cl);
-      ignore
-        (Client.exec cl
-           "CREATE TABLE t (k INT NOT NULL, grp TEXT NOT NULL, qty INT NOT \
-            NULL)");
-      ignore
-        (Client.exec cl
-           "CREATE VIEW v AS SELECT grp, COUNT(*), SUM(qty) FROM t GROUP BY \
-            grp USING ESCROW");
-      let k0 = (keys_owned_by ~shards 0 1).(0)
-      and k1 = (keys_owned_by ~shards 1 1).(0) in
-      ignore (Client.exec cl "BEGIN");
-      ignore
-        (Client.exec cl (Printf.sprintf "INSERT INTO t VALUES (%d, 'a', 1)" k0));
-      ignore
-        (Client.exec cl (Printf.sprintf "INSERT INTO t VALUES (%d, 'b', 2)" k1));
-      (match Client.exec cl "COMMIT" with
-      | Sql.Message m ->
-          Alcotest.(check bool) "2PC commit reported" true
-            (contains m "2 participants")
-      | _ -> Alcotest.fail "expected a commit message");
-      let commit_rid = Coord.last_rid c in
-      (* sys.gtxns answers over the wire, WHERE/projection included *)
-      (match
-         rows (Client.exec cl "SELECT gtxn, phase FROM sys.gtxns")
-       with
-      | [ [| Value.Str "coord:1"; Value.Str "committed" |] ] -> ()
-      | _ -> Alcotest.fail "sys.gtxns over the wire");
-      (* sys.coord_shards: one health row per shard, traffic counted *)
-      (match rows (Client.exec cl "SELECT * FROM sys.coord_shards") with
-      | [
-          [| Value.Int 0; Value.Str _; _; Value.Int p0; Value.Int d0; _; _; _ |];
-          [| Value.Int 1; Value.Str _; _; Value.Int p1; Value.Int d1; _; _; _ |];
-        ] ->
-          check Alcotest.int "prepares counted" 2 (p0 + p1);
-          check Alcotest.int "decides counted" 2 (d0 + d1)
-      | _ -> Alcotest.fail "sys.coord_shards over the wire");
-      (* sys.cluster_metrics: rollup rows from the coordinator and every
-         shard, in one relation *)
-      let nodes =
-        rows (Client.exec cl "SELECT node FROM sys.cluster_metrics")
-        |> List.filter_map (function
-             | [| Value.Str n |] -> Some n
-             | _ -> None)
-        |> List.sort_uniq compare
-      in
-      check
-        Alcotest.(list string)
-        "every node reports" [ "coord"; "shard0"; "shard1" ] nodes;
-      Alcotest.(check bool) "the coordinator's 2PC counters are in the rollup"
-        true
-        (rows
-           (Client.exec cl
-              "SELECT value FROM sys.cluster_metrics WHERE counter = \
-               'coord.commit.2pc'")
-        = [ [| Value.Int 1 |] ]);
-      (* Metrics_req returns the coordinator registry, not a shard's *)
-      let prom = Client.metrics cl in
-      Alcotest.(check bool) "prometheus rollup has the vote counters" true
-        (contains prom "ivdb_coord_votes_yes 2");
-      Alcotest.(check bool) "prometheus rollup has the phase histograms" true
-        (contains prom "ivdb_coord_prepare_ticks");
-      (* shard-side slow queries carry the coordinator's correlation ids:
-         small sequential rids (client-originated ones are >= 65536) *)
-      let slow = rows (Client.exec cl "SELECT rid, sql FROM sys.slow_queries") in
-      Alcotest.(check bool) "shard 0 recorded coordinator statements" true
-        (List.length slow > 0);
-      List.iter
-        (function
-          | [| Value.Int rid; Value.Str _ |] ->
-              Alcotest.(check bool) "rid is coordinator-assigned" true
-                (rid >= 1 && rid < 65536)
-          | _ -> Alcotest.fail "malformed slow-query row")
-        slow;
-      Alcotest.(check bool) "the COMMIT's rid reached the shard log" true
-        (List.exists
-           (function
-             | [| Value.Int rid; Value.Str _ |] -> rid = commit_rid
-             | _ -> false)
-           slow);
-      Client.close cl;
-      Coord.close c;
-      Server.drain csrv;
-      Array.iter Server.drain servers)
+      Coord.loopback_cluster
+        ~config:{ Server.default_config with slow_query_ticks = Some 0 }
+        dbs
+        (fun dialers ->
+          let c = Coord.create dialers in
+          let cnet = Transport.Loopback.create ~backlog:16 () in
+          let csrv =
+            Coord.server
+              ~config:{ Server.default_config with name = "coord-console" }
+              c
+              (Transport.Loopback.listener cnet)
+          in
+          Server.serve csrv;
+          let cl = Client.connect (Transport.Loopback.dialer cnet) in
+          check Alcotest.string "welcome names the coordinator" "coord-console"
+            (Client.server_name cl);
+          ignore
+            (Client.exec cl
+               "CREATE TABLE t (k INT NOT NULL, grp TEXT NOT NULL, qty INT NOT \
+                NULL)");
+          ignore
+            (Client.exec cl
+               "CREATE VIEW v AS SELECT grp, COUNT(*), SUM(qty) FROM t GROUP BY \
+                grp USING ESCROW");
+          let k0 = (keys_owned_by ~shards 0 1).(0)
+          and k1 = (keys_owned_by ~shards 1 1).(0) in
+          ignore (Client.exec cl "BEGIN");
+          ignore
+            (Client.exec cl (Printf.sprintf "INSERT INTO t VALUES (%d, 'a', 1)" k0));
+          ignore
+            (Client.exec cl (Printf.sprintf "INSERT INTO t VALUES (%d, 'b', 2)" k1));
+          (match Client.exec cl "COMMIT" with
+          | Sql.Message m ->
+              Alcotest.(check bool) "2PC commit reported" true
+                (contains m "2 participants")
+          | _ -> Alcotest.fail "expected a commit message");
+          let commit_rid = Coord.last_rid c in
+          (* sys.gtxns answers over the wire, WHERE/projection included *)
+          (match
+             rows (Client.exec cl "SELECT gtxn, phase FROM sys.gtxns")
+           with
+          | [ [| Value.Str "coord:1"; Value.Str "committed" |] ] -> ()
+          | _ -> Alcotest.fail "sys.gtxns over the wire");
+          (* sys.coord_shards: one health row per shard, traffic counted *)
+          (match rows (Client.exec cl "SELECT * FROM sys.coord_shards") with
+          | [
+              [| Value.Int 0; Value.Str _; _; Value.Int p0; Value.Int d0; _; _; _ |];
+              [| Value.Int 1; Value.Str _; _; Value.Int p1; Value.Int d1; _; _; _ |];
+            ] ->
+              check Alcotest.int "prepares counted" 2 (p0 + p1);
+              check Alcotest.int "decides counted" 2 (d0 + d1)
+          | _ -> Alcotest.fail "sys.coord_shards over the wire");
+          (* sys.cluster_metrics: rollup rows from the coordinator and every
+             shard, in one relation *)
+          let nodes =
+            rows (Client.exec cl "SELECT node FROM sys.cluster_metrics")
+            |> List.filter_map (function
+                 | [| Value.Str n |] -> Some n
+                 | _ -> None)
+            |> List.sort_uniq compare
+          in
+          check
+            Alcotest.(list string)
+            "every node reports" [ "coord"; "shard0"; "shard1" ] nodes;
+          Alcotest.(check bool) "the coordinator's 2PC counters are in the rollup"
+            true
+            (rows
+               (Client.exec cl
+                  "SELECT value FROM sys.cluster_metrics WHERE counter = \
+                   'coord.commit.2pc'")
+            = [ [| Value.Int 1 |] ]);
+          (* Metrics_req returns the coordinator registry, not a shard's *)
+          let prom = Client.metrics cl in
+          Alcotest.(check bool) "prometheus rollup has the vote counters" true
+            (contains prom "ivdb_coord_votes_yes 2");
+          Alcotest.(check bool) "prometheus rollup has the phase histograms" true
+            (contains prom "ivdb_coord_prepare_ticks");
+          (* shard-side slow queries carry the coordinator's correlation ids:
+             small sequential rids (client-originated ones are >= 65536) *)
+          let slow = rows (Client.exec cl "SELECT rid, sql FROM sys.slow_queries") in
+          Alcotest.(check bool) "shard 0 recorded coordinator statements" true
+            (List.length slow > 0);
+          List.iter
+            (function
+              | [| Value.Int rid; Value.Str _ |] ->
+                  Alcotest.(check bool) "rid is coordinator-assigned" true
+                    (rid >= 1 && rid < 65536)
+              | _ -> Alcotest.fail "malformed slow-query row")
+            slow;
+          Alcotest.(check bool) "the COMMIT's rid reached the shard log" true
+            (List.exists
+               (function
+                 | [| Value.Int rid; Value.Str _ |] -> rid = commit_rid
+                 | _ -> false)
+               slow);
+          Client.close cl;
+          Coord.close c;
+          Server.drain csrv))
 
 (* --- coordinator restart without crash --------------------------------- *)
 
@@ -916,8 +858,8 @@ let sorted_keys c =
    that disconnects mid-transaction leaves nothing open on any shard. *)
 let test_wire_sessions_are_isolated () =
   let shards = 2 in
-  cross_shard_cluster 37 (fun dbs nets ->
-      let c = Coord.create (Array.map Transport.Loopback.dialer nets) in
+  cross_shard_cluster 37 (fun dbs dialers ->
+      let c = Coord.create dialers in
       ignore (Coord.exec c "CREATE TABLE t (k INT NOT NULL, x INT)");
       ignore (Coord.exec c "CREATE UNIQUE INDEX t_k ON t (k)");
       let cnet = Transport.Loopback.create ~backlog:16 () in
@@ -975,8 +917,7 @@ let test_wire_sessions_are_isolated () =
    next to the victim's surviving work on the other shard. *)
 let test_deadlock_victim_is_abort_only () =
   let shards = 2 in
-  cross_shard_cluster 41 (fun dbs nets ->
-      let dialers = Array.map Transport.Loopback.dialer nets in
+  cross_shard_cluster 41 (fun dbs dialers ->
       let c1 = Coord.create ~name:"c1" dialers
       and c2 = Coord.create ~name:"c2" dialers in
       ignore
@@ -1059,6 +1000,50 @@ let test_deadlock_victim_is_abort_only () =
       Coord.close c1;
       Coord.close c2)
 
+(* Coord.session: a second session on the same coordinator. Two sessions'
+   cross-shard transactions interleave statement by statement; they draw
+   global ids from the one shared counter and land in the one decision
+   log, and the coordinator's stats count both. *)
+let test_sessions_share_the_coordinator () =
+  let shards = 2 in
+  let txns = script ~shards 4 in
+  let cl = fresh_cluster shards in
+  let stats_a, stats_b =
+    phase cl (fun a _ ->
+        run_setup a;
+        let b = Coord.session a in
+        let exec c s = ignore (Coord.exec c s) in
+        (match txns with
+        | [ t1; t2; t3; t4 ] ->
+            List.iter
+              (fun (ta, tb) ->
+                exec a "BEGIN";
+                exec b "BEGIN";
+                List.iter2 (fun sa sb -> exec a sa; exec b sb) ta tb;
+                exec b "COMMIT";
+                exec a "COMMIT")
+              [ (t1, t2); (t3, t4) ]
+        | _ -> assert false);
+        check Alcotest.int "every row through either session" 8
+          (List.length (sorted_keys b));
+        let st = (Coord.stats a, Coord.stats b) in
+        Coord.close b;
+        st)
+  in
+  let decided = ref [] in
+  Wal.iter_stable cl.cwal (fun r ->
+      match r.Log_record.body with
+      | Log_record.Decision { gtxn; committed = true } ->
+          decided := gtxn :: !decided
+      | _ -> ());
+  check Alcotest.int "four decisions logged" 4 (List.length !decided);
+  check Alcotest.int "distinct gtxn ids" 4
+    (List.length (List.sort_uniq compare !decided));
+  check Alcotest.int "stats count both sessions' commits" 4
+    stats_a.Coord.cross_shard_commits;
+  Alcotest.(check bool) "both sessions see the same stats" true
+    (stats_a = stats_b)
+
 let () =
   Alcotest.run "coord"
     [
@@ -1104,5 +1089,7 @@ let () =
             `Quick test_wire_sessions_are_isolated;
           Alcotest.test_case "a deadlock victim's transaction is abort-only"
             `Quick test_deadlock_victim_is_abort_only;
+          Alcotest.test_case "Coord.session shares log, ids and stats"
+            `Quick test_sessions_share_the_coordinator;
         ] );
     ]

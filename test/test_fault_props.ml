@@ -63,44 +63,35 @@ let run_until_crash db sales ~mpl ~txns_per_worker ~ops =
   let crashed = ref false in
   (try
      Sched.run ~seed (fun () ->
-         let remaining = ref mpl in
-         let wake_main = ref (fun () -> ()) in
-         for w = 1 to mpl do
-           ignore
-             (Sched.spawn (fun () ->
-                  Fun.protect
-                    ~finally:(fun () ->
-                      decr remaining;
-                      if !remaining = 0 then !wake_main ())
-                    (fun () ->
-                      let rng = Rng.create ((seed * 31) + w) in
-                      for _ = 1 to txns_per_worker do
-                        let ids = ref [] in
-                        (try
-                           Database.transact db (fun tx ->
-                               for _ = 1 to ops do
-                                 incr next_id;
-                                 let id = !next_id in
-                                 ignore
-                                   (Table.insert db tx sales
-                                      [|
-                                        Value.Int id;
-                                        Value.Int (1 + Rng.int rng 5);
-                                        Value.Int (1 + Rng.int rng 10);
-                                        Value.Float 1.;
-                                      |]);
-                                 ids := id :: !ids;
-                                 Sched.yield ()
-                               done);
-                           acked := !ids @ !acked;
-                           incr committed;
-                           if !committed mod ckpt_every = 0 then
-                             Database.checkpoint db
-                         with Txn.Conflict _ -> ());
-                        Sched.yield ()
-                      done)))
-         done;
-         if !remaining > 0 then Sched.suspend (fun wake _cancel -> wake_main := wake))
+         let wait, _running =
+           Sched.spawn_group mpl (fun w ->
+               let rng = Rng.create ((seed * 31) + w) in
+               for _ = 1 to txns_per_worker do
+                 let ids = ref [] in
+                 (try
+                    Database.transact db (fun tx ->
+                        for _ = 1 to ops do
+                          incr next_id;
+                          let id = !next_id in
+                          ignore
+                            (Table.insert db tx sales
+                               [|
+                                 Value.Int id;
+                                 Value.Int (1 + Rng.int rng 5);
+                                 Value.Int (1 + Rng.int rng 10);
+                                 Value.Float 1.;
+                               |]);
+                          ids := id :: !ids;
+                          Sched.yield ()
+                        done);
+                    acked := !ids @ !acked;
+                    incr committed;
+                    if !committed mod ckpt_every = 0 then Database.checkpoint db
+                  with Txn.Conflict _ -> ());
+                 Sched.yield ()
+               done)
+         in
+         wait ())
    with Fault.Crash_point _ -> crashed := true);
   (!acked, !committed, !crashed)
 

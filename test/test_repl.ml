@@ -48,34 +48,8 @@ let qtest = QCheck_alcotest.to_alcotest
 
 (* --- shipping harness ----------------------------------------------------- *)
 
-(* Stream stable records [received_lsn f + 1 .. upto] to the follower in
-   batches of [batch] records, through the wire's framing (serialize,
-   decode, apply). The follower applies only up to the last commit
-   boundary in what it received and buffers the rest, so the resume
-   position is its receive horizon, not its applied one. Takes a bare
-   [Wal.t] so a sweep can ship from a crashed primary's surviving log
-   image. Returns the number of records shipped. *)
-let ship_wal ?(batch = 64) ?upto wal follower =
-  let upto = match upto with Some u -> u | None -> Wal.flushed_lsn wal in
-  let shipped = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    let from = Database.received_lsn follower + 1 in
-    let hi = min upto (from + batch - 1) in
-    if hi < from then continue_ := false
-    else begin
-      let bytes = Wal.serialize_range wal ~from ~upto:hi in
-      let records = Wal.decode_frames ~first_lsn:from bytes in
-      if List.length records <> hi - from + 1 then
-        Alcotest.failf "ship: batch [%d,%d] decoded short" from hi;
-      Database.apply_replicated follower records;
-      shipped := !shipped + List.length records
-    end
-  done;
-  !shipped
-
 let ship ?batch ?upto primary follower =
-  ship_wal ?batch ?upto (Database.wal primary) follower
+  Workload.ship_wal ?batch ?upto (Database.wal primary) follower
 
 (* Force the primary's tail stable, ship everything, and require equal
    horizons and equal logical state digests. *)
@@ -346,12 +320,12 @@ let test_no_split_transactions () =
 
 (* --- crash-the-primary sweep ----------------------------------------------- *)
 
-(* A workload with a continuously-streaming follower fiber: the shipper
-   observes the stable horizon between other fibers' steps, ships it, and
-   advances the slot's retention floor to its ack — exactly the server's
-   subscription lifecycle. Determinism makes the force sweep exhaustive:
-   the counting run and every armed run interleave identically up to the
-   trigger. *)
+(* Workload.run_replicated_until_crash with a continuously-streaming
+   follower fiber: the shipper observes the stable horizon between other
+   fibers' steps, ships it, and advances the slot's retention floor to its
+   ack — exactly the server's subscription lifecycle. Determinism makes
+   the force sweep exhaustive: the counting run and every armed run
+   interleave identically up to the trigger. *)
 let sweep_spec =
   {
     Workload.default with
@@ -364,84 +338,22 @@ let sweep_spec =
     theta = 0.8;
     initial_rows = 20;
     n_views = 1;
+    checkpoint_every = Some 3;
     strategy = Maintain.Escrow;
     config =
       { Workload.default.Workload.config with Database.pool_capacity = 8 };
   }
 
-let ckpt_every = 3
-
-let run_replicated_until_crash spec fcfg =
-  let db, sales, _views = Workload.setup spec in
-  let f = Database.create_follower ~config:spec.Workload.config () in
-  Wal.set_retain_floor (Database.wal db) (Some 1);
-  Database.install_fault db fcfg;
-  let seed = spec.Workload.seed in
-  let committed = ref 0 in
-  let crashed = ref false in
-  (try
-     Sched.run ~seed (fun () ->
-         let remaining = ref spec.Workload.mpl in
-         let running = ref true in
-         let wake_main = ref (fun () -> ()) in
-         ignore
-           (Sched.spawn (fun () ->
-                while !running do
-                  ignore (ship ~batch:16 db f);
-                  Wal.set_retain_floor (Database.wal db)
-                    (Some (Database.replicated_lsn f + 1));
-                  Sched.yield ()
-                done));
-         for w = 1 to spec.Workload.mpl do
-           ignore
-             (Sched.spawn (fun () ->
-                  Fun.protect
-                    ~finally:(fun () ->
-                      decr remaining;
-                      if !remaining = 0 then begin
-                        running := false;
-                        !wake_main ()
-                      end)
-                    (fun () ->
-                      let rng = Rng.create ((seed * 131) + w) in
-                      let next = ref (1000 * w) in
-                      for _ = 1 to spec.Workload.txns_per_worker do
-                        (try
-                           Database.transact db (fun tx ->
-                               for _ = 1 to spec.Workload.ops_per_txn do
-                                 incr next;
-                                 ignore
-                                   (Table.insert db tx sales
-                                      [|
-                                        Value.Int !next;
-                                        Value.Int (1 + Rng.int rng 5);
-                                        Value.Int (1 + Rng.int rng 10);
-                                        Value.Float 1.;
-                                      |]);
-                                 Sched.yield ()
-                               done);
-                           incr committed;
-                           if !committed mod ckpt_every = 0 then
-                             Database.checkpoint db
-                         with Txn.Conflict _ -> ());
-                        Sched.yield ()
-                      done)))
-         done;
-         if !remaining > 0 then
-           Sched.suspend (fun wake _cancel -> wake_main := wake))
-   with Fault.Crash_point _ -> crashed := true);
-  (db, f, !committed, !crashed)
-
 let count_forces spec =
   let db, _f, committed, crashed =
-    run_replicated_until_crash spec Fault.no_faults
+    Workload.run_replicated_until_crash spec Fault.no_faults
   in
   Alcotest.(check bool) "counting run crashed" false crashed;
   Alcotest.(check bool) "counting run committed" true (committed > 0);
   Fault.forces_seen (Database.fault_plan db)
 
 let run_sweep_point spec fcfg desc =
-  let db, f, _committed, crashed = run_replicated_until_crash spec fcfg in
+  let db, f, _committed, crashed = Workload.run_replicated_until_crash spec fcfg in
   if not crashed then
     Alcotest.failf "%s: armed trigger did not fire (sweep out of sync)" desc;
   (* the slot is durable state: pin it to the follower's ack so recovery's
@@ -903,11 +815,11 @@ let sweep_crash_primary () =
    back by the promotion's undo pass. The promoted database must then
    serve writes and checkpoints. *)
 let run_promote_point spec fcfg desc =
-  let db, f, _committed, crashed = run_replicated_until_crash spec fcfg in
+  let db, f, _committed, crashed = Workload.run_replicated_until_crash spec fcfg in
   if not crashed then
     Alcotest.failf "%s: armed trigger did not fire (sweep out of sync)" desc;
   let dead = Wal.crash (Database.wal db) (Metrics.create ()) in
-  ignore (ship_wal dead f);
+  ignore (Workload.ship_wal dead f);
   let promo = Database.promote f in
   Alcotest.(check bool) (desc ^ ": promoted out of the follower role") false
     (Database.is_follower f);

@@ -157,6 +157,82 @@ let test_nested_spawn () =
              ignore (Sched.spawn (fun () -> incr count)))));
   check Alcotest.int "nested fibers run" 2 !count
 
+(* --- spawn_group ------------------------------------------------------ *)
+
+let test_group_wait_returns_after_all () =
+  let finished = ref 0 and at_wait = ref (-1) in
+  Sched.run ~seed:3 (fun () ->
+      let wait, _ =
+        Sched.spawn_group 4 (fun i ->
+            for _ = 1 to 3 * i do
+              Sched.yield ()
+            done;
+            incr finished)
+      in
+      wait ();
+      at_wait := !finished);
+  check Alcotest.int "every worker finished before wait returned" 4 !at_wait
+
+let test_group_running_flips_at_last_exit () =
+  let n = 3 in
+  let finished = ref 0 and samples = ref [] in
+  Sched.run ~seed:5 (fun () ->
+      let wait, running =
+        Sched.spawn_group n (fun i ->
+            for _ = 1 to 2 * i do
+              Sched.yield ()
+            done;
+            incr finished)
+      in
+      let sample () = samples := (!finished, running ()) :: !samples in
+      sample ();
+      ignore
+        (Sched.spawn (fun () ->
+             while running () do
+               sample ();
+               Sched.yield ()
+             done;
+             sample ()));
+      wait ();
+      sample ());
+  Alcotest.(check bool)
+    "running () holds exactly while a worker is left" true
+    (List.for_all (fun (f, r) -> r = (f < n)) !samples);
+  Alcotest.(check bool)
+    "both sides of the flip were observed" true
+    (List.exists snd !samples && List.exists (fun (_, r) -> not r) !samples)
+
+let test_group_raising_worker_counts_down () =
+  let running = ref (fun () -> true) in
+  (match
+     Sched.run ~policy:Sched.Fifo (fun () ->
+         let wait, r =
+           Sched.spawn_group 2 (fun i ->
+               if i = 2 then begin
+                 Sched.yield ();
+                 failwith "boom"
+               end)
+         in
+         running := r;
+         wait ())
+   with
+  | () -> Alcotest.fail "expected the worker's exception"
+  | exception Failure m -> check Alcotest.string "the worker's exception" "boom" m);
+  Alcotest.(check bool) "the raising worker counted itself down" false
+    (!running ())
+
+let test_group_all_blocked_is_stuck () =
+  match
+    Sched.run (fun () ->
+        let wait, _ =
+          Sched.spawn_group 3 (fun _ -> Sched.suspend (fun _wake _cancel -> ()))
+        in
+        wait ())
+  with
+  | () -> Alcotest.fail "expected Stuck"
+  | exception Sched.Stuck n ->
+      check Alcotest.int "main and the three workers are stuck" 4 n
+
 let () =
   Alcotest.run "sched"
     [
@@ -188,5 +264,16 @@ let () =
           Alcotest.test_case "in_run probe" `Quick test_in_run;
           Alcotest.test_case "fifo order survives wraparound" `Quick
             test_fifo_order_survives_wraparound;
+        ] );
+      ( "group",
+        [
+          Alcotest.test_case "wait returns after every worker" `Quick
+            test_group_wait_returns_after_all;
+          Alcotest.test_case "running flips at the last exit" `Quick
+            test_group_running_flips_at_last_exit;
+          Alcotest.test_case "a raising worker counts down" `Quick
+            test_group_raising_worker_counts_down;
+          Alcotest.test_case "all workers blocked is Stuck" `Quick
+            test_group_all_blocked_is_stuck;
         ] );
     ]

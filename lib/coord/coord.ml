@@ -915,6 +915,12 @@ let broadcast_ddl c sql =
     (all_shards c);
   !last
 
+(* a plan is per-shard: pin it when the statement pins, else shard 0 *)
+let explain_on c table where sql =
+  match pk_eq c table where with
+  | Some l -> exec_shard c (route_lit c l) sql
+  | None -> exec_shard c 0 sql
+
 let exec c sql =
   let stmt = Sql_parser.parse sql in
   (* one correlation id per routed statement: every shard-bound frame this
@@ -953,11 +959,11 @@ let exec c sql =
       | _ -> ());
       with_write c (fun () -> route_modify c table where sql)
   | A.Select q -> route_select c q sql
-  | A.Explain q | A.Explain_analyze q -> (
-      (* a plan is per-shard: pin it when the query pins, else shard 0 *)
-      match pk_eq c q.A.from q.A.where with
-      | Some l -> exec_shard c (route_lit c l) sql
-      | None -> exec_shard c 0 sql)
+  | A.Explain q | A.Explain_analyze q -> explain_on c q.A.from q.A.where sql
+  | A.Explain_write (A.Update { table; where; _ } | A.Delete { from_t = table; where })
+    ->
+      explain_on c table where sql
+  | A.Explain_write _ -> fail "EXPLAIN supports SELECT, UPDATE and DELETE"
 
 (* --- wire sessions ------------------------------------------------------ *)
 

@@ -224,10 +224,6 @@ let lock_row t tx tid rid mode =
 
 let mvcc t = Txn.mvcc t.tmgr
 
-let is_snapshot = function
-  | Some tx -> Txn.snapshot_of tx <> None
-  | None -> false
-
 let snap_of tx =
   match Txn.snapshot_of tx with
   | Some s -> s
@@ -262,27 +258,46 @@ let snapshot_heap_rows t ~snap tid =
     (Ivdb_txn.Mvcc.keys_of_obj mv ~obj:tid);
   List.sort (fun (a, _) (b, _) -> Heap_file.rid_compare a b) !out
 
-(* Snapshot the rid list, then (re)read each record lazily; with a
-   transaction each row is S-locked before it is read, so in-flight writers
-   block the scan as serializability requires. Snapshot transactions take
-   the lock-free MVCC path instead. *)
+(* Rows of a table, read in rid order. Without a transaction: live rows,
+   unlocked. With one: IS on the table and S on every rid, live and ghost
+   (an uncommitted delete must block the reader on its row lock, not be
+   silently invisible). Acquiring a lock can block, and while blocked a
+   writer may move a row to a new rid ([Table.update] deletes and
+   re-inserts), so the rid set is collected to a fixpoint: walk the heap,
+   S-lock every rid not seen before, walk again, until a walk finds no new
+   rid. Only locked rids are then read — a final unlocked walk would see
+   uncommitted inserts. Snapshot transactions take the lock-free MVCC path
+   instead. *)
 let heap_scan_rows_locked t txn tid =
   let rt = table_rt t tid in
-  let rids = ref [] in
-  (* transactional scans visit ghosts too: an uncommitted delete must block
-     the reader on its row lock, not be silently invisible *)
-  (match txn with
-  | Some _ -> Heap_file.iter_all rt.heap (fun rid _ ~ghost:_ -> rids := rid :: !rids)
-  | None -> Heap_file.iter rt.heap (fun rid _ -> rids := rid :: !rids));
-  let rids = List.rev !rids in
-  (match txn with
-  | Some tx -> Txn.lock t.tmgr tx (Lock_name.Table tid) Lock_mode.IS
-  | None -> ());
+  let rids =
+    match txn with
+    | None ->
+        let rids = ref [] in
+        Heap_file.iter rt.heap (fun rid _ -> rids := rid :: !rids);
+        List.rev !rids
+    | Some tx ->
+        Txn.lock t.tmgr tx (Lock_name.Table tid) Lock_mode.IS;
+        let locked = Hashtbl.create 64 in
+        let rec grow () =
+          let fresh = ref [] in
+          Heap_file.iter_all rt.heap (fun rid _ ~ghost:_ ->
+              if not (Hashtbl.mem locked rid) then fresh := rid :: !fresh);
+          if !fresh <> [] then begin
+            List.iter
+              (fun rid ->
+                Hashtbl.replace locked rid ();
+                lock_row t tx tid rid Lock_mode.S)
+              (List.rev !fresh);
+            grow ()
+          end
+        in
+        grow ();
+        Hashtbl.fold (fun rid () acc -> rid :: acc) locked []
+        |> List.sort Heap_file.rid_compare
+  in
   List.to_seq rids
   |> Seq.filter_map (fun rid ->
-         (match txn with
-         | Some tx -> lock_row t tx tid rid Lock_mode.S
-         | None -> ());
          Option.map (fun r -> (rid, Row.decode r)) (Heap_file.get rt.heap rid))
 
 let heap_scan_rows t txn tid =
@@ -293,13 +308,19 @@ let heap_scan_rows t txn tid =
 
 let heap_scan_seq t txn tid = Seq.map snd (heap_scan_rows t txn tid)
 
-(* Probe [table]'s rows with [col] = [v] through an index when one exists.
-   Index keys are (value, rpage, rslot); the value prefix bounds the scan.
-   With a transaction the protocol is key-range locking: RangeS_S on every
-   entry in range and on the terminating key (or EOF), then S on each rid. *)
+(* The rid an index entry points at: unique indexes carry it in the
+   entry's payload (a ghost keeps its payload), ordinary ones in the key,
+   which is (value, rpage, rslot). *)
+let entry_rid (ix : index_rt) k v =
+  if ix.imeta.Catalog.ix_unique then decode_rid_payload (index_entry_payload v)
+  else
+    match Key_codec.decode k with
+    | [| _; Value.Int rpage; Value.Int rslot |] -> { Heap_file.rpage; rslot }
+    | _ -> invalid_arg "Database: corrupt index key"
+
 (* Key-space range walk under key-range locking, shared by point probes and
-   range scans. [lo_key] inclusive, [hi_key] exclusive; the fixpoint logic
-   is as for point probes (see below). *)
+   range scans: RangeS_S on every entry in [lo_key, hi_key) and on the
+   terminating key (or EOF), then S on each rid. *)
 let index_keyspace_rids t txn (ix : index_rt) ~table:tid ~lo_key ~hi_key =
   let rt = table_rt t tid in
   let ixid = ix.imeta.Catalog.ix_id in
@@ -348,14 +369,8 @@ let index_keyspace_rids t txn (ix : index_rt) ~table:tid ~lo_key ~hi_key =
     List.filter_map
       (fun k ->
         match Btree.search ix.itree k with
-        | Some v when index_entry_is_ghost v -> None
-        | Some v when ix.imeta.Catalog.ix_unique ->
-            Some (decode_rid_payload (index_entry_payload v))
-        | Some _ | None -> (
-            match Key_codec.decode k with
-            | [| _; Value.Int rpage; Value.Int rslot |] ->
-                Some { Heap_file.rpage; rslot }
-            | _ -> invalid_arg "Database: corrupt index key"))
+        | Some v when not (index_entry_is_ghost v) -> Some (entry_rid ix k v)
+        | Some _ | None -> None)
       keys
   in
   List.to_seq rids
@@ -365,27 +380,76 @@ let index_keyspace_rids t txn (ix : index_rt) ~table:tid ~lo_key ~hi_key =
          | None -> ());
          Option.map (fun r -> (rid, Row.decode r)) (Heap_file.get rt.heap rid))
 
+(* The same walk for a snapshot transaction, without locks. Index entries
+   are not versioned: a ghost may be reclaimed and a row's entry may be
+   newer than the snapshot. So the candidates are every entry in range,
+   live and ghost, plus every rid with a version chain on the table; each
+   is resolved at the snapshot and [pred] filters the resolved row. This
+   finds every row the snapshot sees by the invariant [snapshot_heap_rows]
+   relies on: a row whose value at the snapshot differs from storage has a
+   chain, and a row without one is live in storage under its current
+   entry. Rows come back in index order, as from the locked walk. *)
+let snapshot_index_rids t ~snap (ix : index_rt) ~table:tid ~lo_key ~hi_key pred =
+  let rt = table_rt t tid in
+  let mv = mvcc t in
+  let cands = Hashtbl.create 16 in
+  let rec walk = function
+    | Some (k, v, c) when String.compare k hi_key < 0 ->
+        Hashtbl.replace cands (encode_rid_payload (entry_rid ix k v)) ();
+        walk (Btree.cursor_next ix.itree c)
+    | Some _ | None -> ()
+  in
+  walk (Btree.seek ix.itree lo_key);
+  List.iter
+    (fun key -> Hashtbl.replace cands key ())
+    (Ivdb_txn.Mvcc.keys_of_obj mv ~obj:tid);
+  let col = ix.imeta.Catalog.ix_col in
+  Hashtbl.fold
+    (fun key () acc ->
+      let rid = decode_rid_payload key in
+      let bytes =
+        match Ivdb_txn.Mvcc.resolve mv ~obj:tid ~key ~snap with
+        | Ivdb_txn.Mvcc.Committed v | Ivdb_txn.Mvcc.Pending v -> v
+        | Ivdb_txn.Mvcc.Current -> Heap_file.get rt.heap rid
+      in
+      match Option.map Row.decode bytes with
+      | Some row when pred row -> (rid, row) :: acc
+      | Some _ | None -> acc)
+    cands []
+  |> List.sort (fun (ra, a) (rb, b) ->
+         match Value.compare a.(col) b.(col) with
+         | 0 -> Heap_file.rid_compare ra rb
+         | c -> c)
+
+let index_rids t txn ix ~table ~lo_key ~hi_key pred =
+  match txn with
+  | Some tx when Txn.snapshot_of tx <> None ->
+      List.to_seq
+        (snapshot_index_rids t ~snap:(snap_of tx) ix ~table ~lo_key ~hi_key pred)
+  | _ -> index_keyspace_rids t txn ix ~table ~lo_key ~hi_key
+
 let find_index_on t tid col =
   List.find_opt
     (fun ix -> ix.imeta.Catalog.ix_col = col)
     (table_rt t tid).indexes
 
-(* Index entries are not versioned (ghost reclaim is not horizon-gated), so
-   snapshot transactions answer probes and range scans from filtered
-   snapshot heap scans instead of the index. *)
+(* Without an index on [col], both probes fall back to a filtered scan. *)
+let scan_fallback t txn tid pred =
+  Metrics.inc t.m_scan_fallback;
+  heap_scan_rows t txn tid |> Seq.filter (fun (_, row) -> pred row)
+
+(* Rows with [col] = [v]. Index keys start with the value, so the value
+   and its successor bound the walk. *)
 let index_probe_rids t txn ~table:tid ~col v =
-  match (if is_snapshot txn then None else find_index_on t tid col) with
-  | None ->
-      Metrics.inc t.m_scan_fallback;
-      heap_scan_rows t txn tid
-      |> Seq.filter (fun (_, row) -> Value.equal row.(col) v)
+  let pred row = Value.equal row.(col) v in
+  match find_index_on t tid col with
+  | None -> scan_fallback t txn tid pred
   | Some ix ->
       let lo_key = Key_codec.encode_one v in
       let hi_key = Key_codec.successor lo_key in
-      index_keyspace_rids t txn ix ~table:tid ~lo_key ~hi_key
+      index_rids t txn ix ~table:tid ~lo_key ~hi_key pred
 
-(* Rows with [col] in the half-open / closed interval; bounds are (value,
-   inclusive?) pairs. Falls back to a filtered scan without an index. *)
+(* Rows with [col] in the interval; bounds are (value, inclusive?) pairs. *)
 let index_range_rids t txn ~table:tid ~col ~lo ~hi =
   let in_range row =
     let v = row.(col) in
@@ -400,10 +464,8 @@ let index_range_rids t txn ~table:tid ~col ~lo ~hi =
            let c = Value.compare v h in
            if incl then c <= 0 else c < 0)
   in
-  match (if is_snapshot txn then None else find_index_on t tid col) with
-  | None ->
-      Metrics.inc t.m_scan_fallback;
-      heap_scan_rows t txn tid |> Seq.filter (fun (_, row) -> in_range row)
+  match find_index_on t tid col with
+  | None -> scan_fallback t txn tid in_range
   | Some ix ->
       let lo_key =
         match lo with
@@ -419,7 +481,7 @@ let index_range_rids t txn ~table:tid ~col ~lo ~hi =
             let k = Key_codec.encode_one h in
             if incl then Key_codec.successor k else k
       in
-      index_keyspace_rids t txn ix ~table:tid ~lo_key ~hi_key
+      index_rids t txn ix ~table:tid ~lo_key ~hi_key in_range
 
 let index_probe t txn ~table ~col v = Seq.map snd (index_probe_rids t txn ~table ~col v)
 

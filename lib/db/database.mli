@@ -427,8 +427,10 @@ module Internal : sig
     Ivdb_txn.Txn.t option ->
     table ->
     (Ivdb_storage.Heap_file.rid * Ivdb_relation.Row.t) Seq.t
-  (** Rows of a table with their rids; with a transaction, IS on the table
-      and [S] per row. *)
+  (** Rows of a table with their rids, in rid order. With a transaction:
+      IS on the table and [S] on every rid, collected to a fixpoint so a
+      row moved to a new rid while the scan waited is still read; a
+      snapshot transaction reads its snapshot without locks. *)
 
   val index_probe :
     t ->
@@ -437,8 +439,11 @@ module Internal : sig
     col:int ->
     Ivdb_relation.Value.t ->
     Ivdb_relation.Row.t Seq.t
-  (** Rows with [col = value], via the column's index under key-range
-      locking when one exists (scan fallback otherwise). *)
+  (** Rows with [col = value], via the column's index when one exists
+      (scan fallback otherwise): under key-range locking with a
+      transaction, lock-free at the snapshot with a snapshot transaction
+      (index entries in range plus the table's version-chain rids,
+      resolved at the snapshot and filtered). *)
 
   val index_probe_rids :
     t ->
@@ -458,8 +463,8 @@ module Internal : sig
     hi:(Ivdb_relation.Value.t * bool) option ->
     (Ivdb_storage.Heap_file.rid * Ivdb_relation.Row.t) Seq.t
   (** Rows with [col] in the interval (bounds are (value, inclusive)
-      pairs), via the column's index under key-range locking when one
-      exists; filtered scan otherwise. *)
+      pairs), via the column's index when one exists, locked or at the
+      snapshot as {!index_probe}; filtered scan otherwise. *)
 
   val source_rows :
     t ->

@@ -341,47 +341,46 @@ let bind_by_header ~what header (w : A.expr) : Expr.t =
   in
   rewrite w
 
+(* The rows, with their rids, that a single-table statement reads through
+   the plan [plan_table_access] chose: an index probe or range (key-range
+   locked in a transaction, lock-free at a snapshot) and then the residual
+   filter, or a scan and then the WHERE filter. SELECT, UPDATE and DELETE
+   all read through here. *)
+let plan_rows ?stats s txn t schema plan =
+  let filter label where rows =
+    match where with
+    | None -> rows
+    | Some w ->
+        let pred = bind_expr schema w in
+        op_count stats label (Seq.filter (fun (_, row) -> Expr.eval_bool pred row) rows)
+  in
+  let tid = Database.Internal.table_id t in
+  match plan with
+  | Plan_index_probe { p_col; p_value; p_residual; _ } ->
+      Ivdb_util.Metrics.inc s.m_index_probe;
+      Database.Internal.index_probe_rids s.sdb txn ~table:tid
+        ~col:(Schema.index_of schema p_col) p_value
+      |> op_count stats "index probe rows"
+      |> filter "rows after residual filter" p_residual
+  | Plan_index_range { r_col; r_lo; r_hi; r_residual; _ } ->
+      Ivdb_util.Metrics.inc s.m_index_range;
+      Database.Internal.index_range_rids s.sdb txn ~table:tid
+        ~col:(Schema.index_of schema r_col) ~lo:r_lo ~hi:r_hi
+      |> op_count stats "index range rows"
+      |> filter "rows after residual filter" r_residual
+  | Plan_scan where ->
+      Database.Internal.heap_scan_rows s.sdb txn t
+      |> op_count stats "seq scan rows"
+      |> filter "rows after filter" where
+
 (* plain row select over a table (or join), no grouping *)
 let select_rows ?stats s txn (q : A.select) src =
   let schema, seq =
     match src with
-    | Src_table (t, schema) -> (
-        match plan_table_access s t q.A.where with
-        | Plan_index_probe { p_col; p_value; p_residual; _ } ->
-            Ivdb_util.Metrics.inc s.m_index_probe;
-            let rows =
-              List.to_seq (Table.find s.sdb txn t ~col:p_col p_value) |> Seq.map snd
-            in
-            let rows = op_count stats "index probe rows" rows in
-            let rows =
-              match p_residual with
-              | None -> rows
-              | Some w ->
-                  op_count stats "rows after residual filter"
-                    (Seq.filter (Expr.eval_bool (bind_expr schema w)) rows)
-            in
-            (* residual + probe already applied: hand back a no-op where *)
-            (schema, rows)
-        | Plan_index_range { r_col; r_lo; r_hi; r_residual; _ } ->
-            Ivdb_util.Metrics.inc s.m_index_range;
-            let col_pos = Schema.index_of schema r_col in
-            let rows =
-              Database.Internal.index_range_rids s.sdb txn
-                ~table:(Database.Internal.table_id t) ~col:col_pos ~lo:r_lo ~hi:r_hi
-              |> Seq.map snd
-            in
-            let rows = op_count stats "index range rows" rows in
-            let rows =
-              match r_residual with
-              | None -> rows
-              | Some w ->
-                  op_count stats "rows after residual filter"
-                    (Seq.filter (Expr.eval_bool (bind_expr schema w)) rows)
-            in
-            (schema, rows)
-        | Plan_scan _ ->
-            let locking = if txn = None then Query.Dirty else Query.Serializable in
-            (schema, op_count stats "seq scan rows" (Query.table_scan s.sdb txn t locking)))
+    | Src_table (t, schema) ->
+        ( schema,
+          Seq.map snd
+            (plan_rows ?stats s txn t schema (plan_table_access s t q.A.where)) )
     | Src_join (l, r, lcol, rcol, schema) ->
         let lc = Schema.index_of (Database.schema s.sdb l) lcol in
         let rc =
@@ -403,23 +402,17 @@ let select_rows ?stats s txn (q : A.select) src =
                 };
           }
         in
-        (schema, op_count stats "join rows" (Database.Internal.source_rows s.sdb txn def))
+        let rows =
+          op_count stats "join rows" (Database.Internal.source_rows s.sdb txn def)
+        in
+        ( schema,
+          match q.A.where with
+          | None -> rows
+          | Some w ->
+              let pred = bind_expr schema w in
+              op_count stats "rows after filter" (Seq.filter (Expr.eval_bool pred) rows)
+        )
     | Src_view _ -> assert false
-  in
-  let probe_consumed_where =
-    match src with
-    | Src_table (t, _) -> (
-        match plan_table_access s t q.A.where with
-        | Plan_index_probe _ | Plan_index_range _ -> true
-        | Plan_scan _ -> false)
-    | Src_join _ | Src_view _ -> false
-  in
-  let seq =
-    match q.A.where with
-    | Some w when not probe_consumed_where ->
-        let pred = bind_expr schema w in
-        op_count stats "rows after filter" (Seq.filter (Expr.eval_bool pred) seq)
-    | Some _ | None -> seq
   in
   let positions, header =
     let cols = Schema.cols schema in
@@ -673,6 +666,26 @@ let select_grouped ?stats s txn (q : A.select) src =
 let is_sys_name from =
   String.length from > 4 && String.sub from 0 4 = "sys."
 
+(* The access-plan line EXPLAIN prints for a single-table SELECT, UPDATE
+   or DELETE. *)
+let describe_access from plan =
+  let residual = function None -> "" | Some _ -> " with residual filter" in
+  match plan with
+  | Plan_scan None -> Printf.sprintf "seq scan on %s" from
+  | Plan_scan (Some _) -> Printf.sprintf "seq scan on %s with filter" from
+  | Plan_index_probe { p_col; p_index; p_value; p_residual } ->
+      Printf.sprintf "index probe on %s.%s via %s (= %s)%s" from p_col p_index
+        (Value.to_string p_value) (residual p_residual)
+  | Plan_index_range { r_col; r_index; r_lo; r_hi; r_residual } ->
+      let bound = function
+        | None -> "unbounded"
+        | Some (v, incl) ->
+            Printf.sprintf "%s %s" (Value.to_string v)
+              (if incl then "inclusive" else "exclusive")
+      in
+      Printf.sprintf "index range scan on %s.%s via %s [%s .. %s]%s" from r_col
+        r_index (bound r_lo) (bound r_hi) (residual r_residual)
+
 let describe_plan s (q : A.select) =
   let b = Buffer.create 128 in
   let line fmt = Format.kasprintf (fun str -> Buffer.add_string b (str ^ "\n")) fmt in
@@ -722,25 +735,7 @@ let describe_plan s (q : A.select) =
         | Some (vname, _, _) ->
             line "answered from indexed view %s (stored groups)" vname
         | None -> line "on-demand aggregation over seq scan on %s" q.A.from)
-      else (
-        match plan_table_access s t q.A.where with
-        | Plan_scan None -> line "seq scan on %s" q.A.from
-        | Plan_scan (Some _) -> line "seq scan on %s with filter" q.A.from
-        | Plan_index_probe { p_col; p_index; p_value; p_residual } ->
-            line "index probe on %s.%s via %s (= %s)%s" q.A.from p_col p_index
-              (Value.to_string p_value)
-              (match p_residual with None -> "" | Some _ -> " with residual filter")
-        | Plan_index_range { r_col; r_index; r_lo; r_hi; r_residual } ->
-            let bound side = function
-              | None -> "unbounded"
-              | Some (v, incl) ->
-                  Printf.sprintf "%s%s" (Value.to_string v)
-                    (if incl then " inclusive" else
-                     if side = `Lo then " exclusive" else " exclusive")
-            in
-            line "index range scan on %s.%s via %s [%s .. %s]%s" q.A.from r_col
-              r_index (bound `Lo r_lo) (bound `Hi r_hi)
-              (match r_residual with None -> "" | Some _ -> " with residual filter")));
+      else line "%s" (describe_access q.A.from (plan_table_access s t q.A.where)));
   (match q.A.order with
   | Some o ->
       let preserved =
@@ -968,15 +963,14 @@ let with_txn s f =
   match s.txn with
   | Some tx when Txn.snapshot_of tx <> None ->
       fail "cannot write in a READ ONLY transaction"
-  | Some tx -> f (Some tx)
-  | None -> Database.transact s.sdb (fun tx -> f (Some tx))
+  | Some tx -> f tx
+  | None -> Database.transact s.sdb f
 
 let run_insert s ~into ~rows =
   match find_table s into with
   | None -> fail "unknown table %s" into
   | Some t ->
-      with_txn s (fun txn ->
-          let tx = Option.get txn in
+      with_txn s (fun tx ->
           List.iter
             (fun lits ->
               let row = Array.of_list (List.map value_of_lit lits) in
@@ -985,53 +979,62 @@ let run_insert s ~into ~rows =
             rows);
       Affected (List.length rows)
 
-let run_delete s ~from_t ~where =
-  match find_table s from_t with
-  | None -> fail "unknown table %s" from_t
+(* UPDATE and DELETE: the table, its schema and the bound WHERE, checked
+   before a transaction is opened. *)
+let dml_target s name where =
+  match find_table s name with
+  | None -> fail "unknown table %s" name
   | Some t ->
       let schema = Database.schema s.sdb t in
-      let pred =
-        match where with
-        | Some w -> bind_expr schema w
-        | None -> Expr.bool true
-      in
-      let n = with_txn s (fun txn -> Table.delete_where s.sdb (Option.get txn) t pred) in
-      Affected n
+      let pred = match where with Some w -> bind_expr schema w | None -> Expr.bool true in
+      (t, schema, pred)
+
+(* A write statement's victims, read through the SELECT planner — an index
+   probe or range under key-range locking when the WHERE allows one — with
+   the full WHERE applied as a filter. All are collected before the first
+   write, so a row the statement moves (an UPDATE re-inserts it at a new
+   rid, perhaps into the range being read) is written exactly once. *)
+let dml_victims s tx t schema where pred =
+  plan_rows s (Some tx) t schema (plan_table_access s t where)
+  |> Seq.filter (fun (_, row) -> Expr.eval_bool pred row)
+  |> List.of_seq
+
+let run_delete s ~from_t ~where =
+  let t, schema, pred = dml_target s from_t where in
+  with_txn s (fun tx ->
+      let victims = dml_victims s tx t schema where pred in
+      List.iter (fun (rid, _) -> Table.delete s.sdb tx t rid) victims;
+      Affected (List.length victims))
 
 let run_update s ~table ~sets ~where =
-  match find_table s table with
-  | None -> fail "unknown table %s" table
-  | Some t ->
-      let schema = Database.schema s.sdb t in
-      let pred =
-        match where with Some w -> bind_expr schema w | None -> Expr.bool true
-      in
-      let sets =
-        List.map
-          (fun (c, e) ->
-            let pos =
-              try Schema.index_of schema c with Not_found -> fail "unknown column %s" c
-            in
-            (pos, bind_expr schema e))
-          sets
-      in
-      let n =
-        with_txn s (fun txn ->
-            let tx = Option.get txn in
-            let victims =
-              Database.Internal.heap_scan_rows s.sdb txn t
-              |> Seq.filter (fun (_, row) -> Expr.eval_bool pred row)
-              |> List.of_seq
-            in
-            List.iter
-              (fun (rid, row) ->
-                let row' = Array.copy row in
-                List.iter (fun (pos, e) -> row'.(pos) <- Expr.eval e row) sets;
-                ignore (Table.update s.sdb tx t rid row'))
-              victims;
-            List.length victims)
-      in
-      Affected n
+  let t, schema, pred = dml_target s table where in
+  let sets =
+    List.map
+      (fun (c, e) ->
+        let pos =
+          try Schema.index_of schema c with Not_found -> fail "unknown column %s" c
+        in
+        (pos, bind_expr schema e))
+      sets
+  in
+  with_txn s (fun tx ->
+      let victims = dml_victims s tx t schema where pred in
+      List.iter
+        (fun (rid, row) ->
+          let row' = Array.copy row in
+          List.iter (fun (pos, e) -> row'.(pos) <- Expr.eval e row) sets;
+          ignore (Table.update s.sdb tx t rid row'))
+        victims;
+      Affected (List.length victims))
+
+(* EXPLAIN UPDATE / EXPLAIN DELETE: the access plan the statement's
+   victims are read through. *)
+let explain_write s (w : A.stmt) =
+  match w with
+  | A.Update { table = name; where; _ } | A.Delete { from_t = name; where } ->
+      let t, _, _ = dml_target s name where in
+      Message (describe_access name (plan_table_access s t where))
+  | _ -> fail "EXPLAIN supports SELECT, UPDATE and DELETE"
 
 (* --- DDL --------------------------------------------------------------------- *)
 
@@ -1127,6 +1130,7 @@ let exec s input =
   | A.Select q -> run_select_auto s q
   | A.Explain q -> Message (describe_plan s q)
   | A.Explain_analyze q -> explain_analyze s q
+  | A.Explain_write w -> explain_write s w
   | A.Begin { read_only } ->
       if s.txn <> None then fail "transaction already open";
       if read_only then begin

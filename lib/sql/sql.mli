@@ -27,6 +27,9 @@
                                               -- row counts, index probes,
                                               -- lock waits, buffer traffic,
                                               -- simulated ticks
+      EXPLAIN UPDATE ... / EXPLAIN DELETE ... -- the access plan the write
+                                              -- reads its rows through (the
+                                              -- SELECT planner's)
       BEGIN / COMMIT / ROLLBACK
       SAVEPOINT name / ROLLBACK TO name
       CHECKPOINT / SHOW TABLES / SHOW VIEWS / SHOW METRICS

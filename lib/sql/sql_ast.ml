@@ -55,6 +55,7 @@ type stmt =
   | Select of select
   | Explain of select
   | Explain_analyze of select
+  | Explain_write of stmt (* an UPDATE or DELETE *)
   | Begin of { read_only : bool }
   | Commit
   | Rollback
@@ -93,7 +94,7 @@ and pp_agg ppf = function
   | Max e -> Format.fprintf ppf "MAX(%a)" pp_expr e
   | Avg e -> Format.fprintf ppf "AVG(%a)" pp_expr e
 
-let pp_stmt ppf = function
+let rec pp_stmt ppf = function
   | Create_table { t_name; cols } ->
       Format.fprintf ppf "CREATE TABLE %s (%d cols)" t_name (List.length cols)
   | Create_index { i_name; on_table; col; unique } ->
@@ -109,6 +110,7 @@ let pp_stmt ppf = function
   | Explain s -> Format.fprintf ppf "EXPLAIN SELECT ... FROM %s" s.from
   | Explain_analyze s ->
       Format.fprintf ppf "EXPLAIN ANALYZE SELECT ... FROM %s" s.from
+  | Explain_write w -> Format.fprintf ppf "EXPLAIN %a" pp_stmt w
   | Begin { read_only } ->
       Format.fprintf ppf "BEGIN%s" (if read_only then " READ ONLY" else "")
   | Commit -> Format.fprintf ppf "COMMIT"

@@ -64,6 +64,7 @@ type stmt =
   | Select of select
   | Explain of select
   | Explain_analyze of select
+  | Explain_write of stmt  (** [EXPLAIN UPDATE ...] / [EXPLAIN DELETE ...] *)
   | Begin of { read_only : bool }
   | Commit
   | Rollback

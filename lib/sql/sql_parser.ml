@@ -337,7 +337,7 @@ let strategy st =
     else fail "expected ESCROW | EXCLUSIVE | DEFERRED after USING"
   else S_escrow
 
-let statement st =
+let rec statement st =
   match peek st with
   | L.Kw "CREATE" -> (
       advance st;
@@ -403,16 +403,19 @@ let statement st =
   | L.Kw "SELECT" ->
       advance st;
       Select (select_body st)
-  | L.Kw "EXPLAIN" ->
+  | L.Kw "EXPLAIN" -> (
       advance st;
-      if accept st (L.Kw "ANALYZE") then begin
-        eat_kw st "SELECT";
-        Explain_analyze (select_body st)
-      end
-      else begin
-        eat_kw st "SELECT";
-        Explain (select_body st)
-      end
+      match peek st with
+      | L.Kw ("UPDATE" | "DELETE") -> Explain_write (statement st)
+      | _ ->
+          if accept st (L.Kw "ANALYZE") then begin
+            eat_kw st "SELECT";
+            Explain_analyze (select_body st)
+          end
+          else begin
+            eat_kw st "SELECT";
+            Explain (select_body st)
+          end)
   | L.Kw "BEGIN" ->
       advance st;
       if accept st (L.Kw "READ") then begin

@@ -201,6 +201,10 @@ let test_cluster_smoke () =
         (affected (Coord.exec c "UPDATE t SET qty = 14 WHERE k = 3"));
       check Alcotest.int "pinned delete" 1
         (affected (Coord.exec c "DELETE FROM t WHERE k = 2"));
+      (* EXPLAIN of a write is answered by a shard's planner *)
+      (match Coord.exec c "EXPLAIN DELETE FROM t WHERE k = 4" with
+      | Sql.Message m -> check Alcotest.string "explain delete" "seq scan on t with filter" m
+      | _ -> Alcotest.fail "expected a plan");
       (match sort_rows (rows (Coord.exec c "SELECT * FROM v")) with
       | [
           [| Value.Str "a"; Value.Int 3; Value.Int 8 |];

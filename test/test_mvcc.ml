@@ -327,6 +327,172 @@ let test_mixed_install_race () =
   Alcotest.(check int) "chains drain with the snapshot" 0
     (Mvcc.live_versions mvcc)
 
+(* --- snapshot index probes ------------------------------------------------- *)
+
+module Heap_file = Ivdb_storage.Heap_file
+module I = Database.Internal
+
+(* Differential: under a snapshot, index probes and range scans must return
+   exactly what a filtered snapshot heap scan returns. Random histories on
+   a table with a unique index (id) and an ordinary one (grp): inserts,
+   point updates (which move a row to a new rid), deletes (whose ghosts
+   are reclaimed at commit), aborts and explicit gc, with snapshots opened
+   and closed in between. The check runs for every open snapshot while a
+   writer is still in flight and again after it ends. *)
+let normalize rows =
+  List.map
+    (fun ((rid : Heap_file.rid), row) ->
+      ( rid.Heap_file.rpage,
+        rid.Heap_file.rslot,
+        Array.to_list (Array.map Value.to_int row) ))
+    rows
+  |> List.sort compare
+
+let snapshot_probes_agree db t snap =
+  let tid = I.table_id t in
+  let heap = List.of_seq (I.heap_scan_rows db (Some snap) t) in
+  let expect f = normalize (List.filter (fun (_, row) -> f row) heap) in
+  let same what f got = if normalize (List.of_seq got) = expect f then [] else [ what ] in
+  let int_at c row = Value.to_int row.(c) in
+  let probes =
+    List.concat_map
+      (fun (col, v) ->
+        same
+          (Printf.sprintf "probe col %d = %d" col v)
+          (fun row -> int_at col row = v)
+          (I.index_probe_rids db (Some snap) ~table:tid ~col (Value.Int v)))
+      (List.init 5 (fun g -> (1, g)) @ List.init 24 (fun id -> (0, id)))
+  in
+  let ranges =
+    List.concat_map
+      (fun (col, lo, hi) ->
+        let bound = Option.map (fun (v, incl) -> (Value.Int v, incl)) in
+        let ok row =
+          let x = int_at col row in
+          (match lo with None -> true | Some (l, i) -> if i then x >= l else x > l)
+          && match hi with None -> true | Some (h, i) -> if i then x <= h else x < h
+        in
+        same
+          (Printf.sprintf "range col %d" col)
+          ok
+          (I.index_range_rids db (Some snap) ~table:tid ~col ~lo:(bound lo) ~hi:(bound hi)))
+      [
+        (1, Some (1, true), Some (3, false));
+        (1, Some (2, false), None);
+        (1, None, Some (2, true));
+        (0, Some (4, true), Some (15, true));
+        (0, None, Some (7, false));
+        (0, Some (10, false), None);
+        (0, None, None);
+      ]
+  in
+  probes @ ranges
+
+let history_agrees steps =
+  let config = { Database.default_config with read_cost = 0; write_cost = 0 } in
+  let db = Database.create ~config () in
+  let mgr = Database.mgr db in
+  let t =
+    Database.create_table db ~name:"t"
+      ~cols:
+        [
+          { Schema.name = "id"; ty = Value.TInt; nullable = false };
+          { Schema.name = "grp"; ty = Value.TInt; nullable = false };
+          { Schema.name = "qty"; ty = Value.TInt; nullable = false };
+        ]
+  in
+  Database.create_index db ~unique:true t ~col:"id" ~name:"t_id";
+  Database.create_index db t ~col:"grp" ~name:"t_grp";
+  let next_id = ref 0 and live = ref [] and snaps = ref [] and failures = ref [] in
+  let check_all () =
+    List.iter
+      (fun snap -> failures := snapshot_probes_agree db t snap @ !failures)
+      !snaps
+  in
+  List.iter
+    (fun (kind, a, b) ->
+      match kind mod 6 with
+      | 0 -> snaps := Txn.begin_snapshot mgr :: !snaps
+      | 1 -> (
+          match !snaps with
+          | [] -> ()
+          | l ->
+              let victim = List.nth l (a mod List.length l) in
+              Txn.commit mgr victim;
+              snaps := List.filter (fun s -> s != victim) l)
+      | 2 -> ignore (Database.gc db)
+      | _ -> (
+          let commit = b mod 4 <> 0 in
+          let before = !live in
+          try
+            Database.transact db (fun tx ->
+                for op = 0 to a mod 3 do
+                  match ((a / 3) + op + b) mod 3, !live with
+                  | 0, _ | _, [] ->
+                      incr next_id;
+                      let id = !next_id in
+                      let row = [| Value.Int id; Value.Int ((a + op) mod 5); Value.Int b |] in
+                      ignore (Table.insert db tx t row);
+                      live := id :: !live
+                  | k, l ->
+                      let id = List.nth l ((a + op) mod List.length l) in
+                      let rid, row =
+                        List.hd (Table.find db (Some tx) t ~col:"id" (Value.Int id))
+                      in
+                      if k = 1 then
+                        ignore
+                          (Table.update db tx t rid
+                             [| row.(0); Value.Int ((b + op) mod 5); Value.Int (a + b) |])
+                      else begin
+                        Table.delete db tx t rid;
+                        live := List.filter (( <> ) id) !live
+                      end
+                done;
+                check_all ();
+                if not commit then raise Planned_abort)
+          with Planned_abort ->
+            live := before;
+            check_all ()))
+    steps;
+  check_all ();
+  List.iter (Txn.commit mgr) !snaps;
+  if Metrics.get (Database.metrics db) "view.join_scan_fallback" <> 0 then
+    failures := "scan fallback" :: !failures;
+  !failures = []
+
+let qtest = QCheck_alcotest.to_alcotest
+
+let prop_snapshot_probes =
+  QCheck.Test.make ~name:"snapshot probes = filtered snapshot heap scan" ~count:150
+    QCheck.(
+      list_of_size Gen.(int_range 5 40) (triple small_nat small_nat small_nat))
+    history_agrees
+
+(* Auto-snapshot point and range SELECTs read through the index: no scan
+   fallback, and the probe is counted. *)
+let test_auto_snapshot_select_probes () =
+  let s = Ivdb_sql.Sql.session (Database.create ()) in
+  let exec sql = ignore (Ivdb_sql.Sql.exec s sql) in
+  exec "CREATE TABLE t (id INT NOT NULL, qty INT NOT NULL)";
+  exec "CREATE UNIQUE INDEX t_id ON t (id)";
+  exec "INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)";
+  exec "UPDATE t SET qty = 21 WHERE id = 2";
+  let m = Database.metrics (Ivdb_sql.Sql.db s) in
+  let rows sql =
+    match Ivdb_sql.Sql.exec s sql with
+    | Ivdb_sql.Sql.Rows { rows; _ } -> List.map (Array.map Value.to_int) rows
+    | _ -> Alcotest.fail "rows"
+  in
+  let probes0 = Metrics.get m "sql.index_probe" in
+  let ranges0 = Metrics.get m "sql.index_range" in
+  Alcotest.(check (list (array int))) "point" [ [| 2; 21 |] ]
+    (rows "SELECT id, qty FROM t WHERE id = 2");
+  Alcotest.(check (list (array int))) "range" [ [| 2 |]; [| 3 |] ]
+    (rows "SELECT id FROM t WHERE id > 1 ORDER BY id");
+  Alcotest.(check int) "no scan fallback" 0 (Metrics.get m "view.join_scan_fallback");
+  Alcotest.(check int) "probe counted" 1 (Metrics.get m "sql.index_probe" - probes0);
+  Alcotest.(check int) "range counted" 1 (Metrics.get m "sql.index_range" - ranges0)
+
 let () =
   Alcotest.run "mvcc"
     [
@@ -341,5 +507,11 @@ let () =
           Alcotest.test_case "version chains drain" `Quick test_version_gc;
           Alcotest.test_case "mixed-key install race dedups at the head"
             `Quick test_mixed_install_race;
+        ] );
+      ( "probes",
+        [
+          qtest prop_snapshot_probes;
+          Alcotest.test_case "auto-snapshot SELECT probes the index" `Quick
+            test_auto_snapshot_select_probes;
         ] );
     ]

@@ -460,6 +460,168 @@ let test_concurrent_sessions () =
       check Alcotest.int "reader saw committed value" 90 v
   | _ -> Alcotest.fail "unexpected interleaving")
 
+(* --- point DML through the planner ------------------------------------------- *)
+
+module Sched = Ivdb_sched.Sched
+module Txn = Ivdb_txn.Txn
+
+let metric s name = Ivdb_util.Metrics.get (Database.metrics (Sql.db s)) name
+
+let setup_ids ?(index = "CREATE UNIQUE INDEX t_id ON t (id)") n =
+  let s = fresh () in
+  ignore (exec s "CREATE TABLE t (id INT NOT NULL, qty INT NOT NULL)");
+  ignore (exec s index);
+  ignore
+    (exec s
+       ("INSERT INTO t VALUES "
+       ^ String.concat ", "
+           (List.init n (fun i -> Printf.sprintf "(%d, %d)" (i + 1) (i + 1)))));
+  s
+
+(* Two sessions each add 1 to rows k = a and k = b in one transaction, in
+   opposite orders, yielding between the two UPDATEs; deadlock victims
+   retry. Returns the final (k, qty) rows and every UPDATE's count. *)
+let increment_both ~indexed ~seed =
+  let db = Database.create ~config () in
+  let boot = Sql.session db in
+  ignore (exec boot "CREATE TABLE t (k INT NOT NULL, qty INT NOT NULL)");
+  if indexed then ignore (exec boot "CREATE INDEX t_k ON t (k)");
+  ignore (exec boot "INSERT INTO t VALUES (1, 0), (2, 0)");
+  let counts = ref [] in
+  Sched.run ~seed (fun () ->
+      let wait, _ =
+        Sched.spawn_group 2 (fun w ->
+            let a, b = if w = 1 then (1, 2) else (2, 1) in
+            let s = Sql.session db in
+            let bump k =
+              affected s (Printf.sprintf "UPDATE t SET qty = qty + 1 WHERE k = %d" k)
+            in
+            let rec attempt () =
+              match
+                ignore (exec s "BEGIN");
+                let n1 = bump a in
+                Sched.yield ();
+                let n2 = bump b in
+                ignore (exec s "COMMIT");
+                [ n1; n2 ]
+              with
+              | ns -> counts := ns @ !counts
+              | exception Txn.Conflict _ ->
+                  ignore (exec s "ROLLBACK");
+                  attempt ()
+            in
+            attempt ())
+      in
+      wait ());
+  (List.map ints (rows_of boot "SELECT k, qty FROM t ORDER BY k"), !counts)
+
+(* Regression: an UPDATE that waited on a row another UPDATE moved to a new
+   rid used to wake on the empty old slot, affect 0 rows and lose the
+   increment — with the index (probe) and without it (scan). *)
+let test_no_lost_update () =
+  List.iter
+    (fun indexed ->
+      for seed = 1 to 20 do
+        let final, counts = increment_both ~indexed ~seed in
+        let what = Printf.sprintf "%s, seed %d" (if indexed then "index" else "scan") seed in
+        check Alcotest.(list (list int)) ("both increments land: " ^ what)
+          [ [ 1; 2 ]; [ 2; 2 ] ] final;
+        check Alcotest.(list int) ("every UPDATE hits its row: " ^ what)
+          [ 1; 1; 1; 1 ] counts
+      done)
+    [ true; false ]
+
+(* A point UPDATE or DELETE on an indexed column locks only its key and
+   gap, so it runs past another session's uncommitted write to a
+   different row instead of waiting for it. *)
+let test_point_dml_does_not_wait () =
+  let s0 = setup_ids 10 in
+  let db = Sql.db s0 in
+  let waits0 = metric s0 "lock.wait" in
+  let trace = ref [] in
+  Sched.run ~policy:Sched.Fifo (fun () ->
+      ignore
+        (Sched.spawn (fun () ->
+             let a = Sql.session db in
+             ignore (exec a "BEGIN");
+             ignore (exec a "UPDATE t SET qty = 0 WHERE id = 8");
+             trace := `A_wrote :: !trace;
+             for _ = 1 to 5 do
+               Sched.yield ()
+             done;
+             ignore (exec a "COMMIT");
+             trace := `A_committed :: !trace));
+      ignore
+        (Sched.spawn (fun () ->
+             Sched.yield ();
+             let b = Sql.session db in
+             check Alcotest.int "update" 1
+               (affected b "UPDATE t SET qty = qty + 10 WHERE id = 2");
+             check Alcotest.int "delete" 1 (affected b "DELETE FROM t WHERE id = 4");
+             trace := `B_done :: !trace)));
+  Alcotest.(check bool) "B finished while A held its locks" true
+    (List.rev !trace = [ `A_wrote; `B_done; `A_committed ]);
+  check Alcotest.int "no lock waits" 0 (metric s0 "lock.wait" - waits0);
+  check Alcotest.(list (list int)) "final"
+    [ [ 1; 1 ]; [ 2; 12 ]; [ 3; 3 ]; [ 5; 5 ]; [ 6; 6 ];
+      [ 7; 7 ]; [ 8; 0 ]; [ 9; 9 ]; [ 10; 10 ] ]
+    (List.map ints (rows_of s0 "SELECT id, qty FROM t ORDER BY id"))
+
+let test_point_dml_residual () =
+  let s = setup_ids 6 in
+  let probes0 = metric s "sql.index_probe" in
+  check Alcotest.int "residual rejects" 0
+    (affected s "UPDATE t SET qty = 0 WHERE id = 2 AND qty > 3");
+  check Alcotest.int "residual accepts" 1
+    (affected s "UPDATE t SET qty = 0 WHERE id = 5 AND qty > 3");
+  check Alcotest.int "delete residual rejects" 0
+    (affected s "DELETE FROM t WHERE id = 3 AND qty < 3");
+  check Alcotest.int "delete residual accepts" 1
+    (affected s "DELETE FROM t WHERE qty > 3 AND id = 4");
+  check Alcotest.int "each statement probed" 4 (metric s "sql.index_probe" - probes0);
+  check Alcotest.(list (list int)) "rows"
+    [ [ 1; 1 ]; [ 2; 2 ]; [ 3; 3 ]; [ 5; 0 ]; [ 6; 6 ] ]
+    (List.map ints (rows_of s "SELECT id, qty FROM t ORDER BY id"))
+
+(* Victims are collected before the first write: rows moved into the
+   range being read are not updated again. *)
+let test_range_update_once () =
+  List.iter
+    (fun index ->
+      let s = setup_ids ~index 10 in
+      let ranges0 = metric s "sql.index_range" in
+      check Alcotest.int "affected" 5 (affected s "UPDATE t SET id = id + 100 WHERE id > 5");
+      check Alcotest.int "range counted" 1 (metric s "sql.index_range" - ranges0);
+      check Alcotest.(list (list int)) ("ids: " ^ index)
+        [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ]; [ 5 ]; [ 106 ]; [ 107 ]; [ 108 ]; [ 109 ]; [ 110 ] ]
+        (List.map ints (rows_of s "SELECT id FROM t ORDER BY id"));
+      check Alcotest.int "range delete" 5 (affected s "DELETE FROM t WHERE id >= 100");
+      check Alcotest.int "rows left" 5 (List.length (rows_of s "SELECT id FROM t")))
+    [ "CREATE UNIQUE INDEX t_id ON t (id)"; "CREATE INDEX t_id ON t (id)" ]
+
+let test_explain_write () =
+  let s = setup_ids 10 in
+  let plan sql = match exec s sql with Sql.Message m -> m | _ -> Alcotest.fail "plan" in
+  check Alcotest.string "update probe" "index probe on t.id via t_id (= 7)"
+    (plan "EXPLAIN UPDATE t SET qty = 1 WHERE id = 7");
+  check Alcotest.string "delete residual"
+    "index probe on t.id via t_id (= 7) with residual filter"
+    (plan "EXPLAIN DELETE FROM t WHERE id = 7 AND qty > 1");
+  check Alcotest.string "update range"
+    "index range scan on t.id via t_id [5 exclusive .. unbounded]"
+    (plan "EXPLAIN UPDATE t SET id = id + 100 WHERE id > 5");
+  check Alcotest.string "delete scan" "seq scan on t with filter"
+    (plan "EXPLAIN DELETE FROM t WHERE qty = 3");
+  check Alcotest.string "delete all" "seq scan on t" (plan "EXPLAIN DELETE FROM t");
+  check Alcotest.string "select agrees" (plan "EXPLAIN SELECT * FROM t WHERE id = 7")
+    (plan "EXPLAIN UPDATE t SET qty = 1 WHERE id = 7");
+  check Alcotest.int "nothing written" 10 (List.length (rows_of s "SELECT id FROM t"));
+  Alcotest.(check bool) "unknown table" true
+    (try
+       ignore (exec s "EXPLAIN DELETE FROM nope");
+       false
+     with Sql.Sql_error _ -> true)
+
 let () =
   Alcotest.run "sql"
     [
@@ -497,5 +659,15 @@ let () =
           Alcotest.test_case "concurrent sessions" `Quick test_concurrent_sessions;
           Alcotest.test_case "order by index" `Quick test_order_by_index;
           Alcotest.test_case "render" `Quick test_render;
+        ] );
+      ( "point dml",
+        [
+          Alcotest.test_case "no lost update" `Quick test_no_lost_update;
+          Alcotest.test_case "does not wait on other rows" `Quick
+            test_point_dml_does_not_wait;
+          Alcotest.test_case "residual conjuncts" `Quick test_point_dml_residual;
+          Alcotest.test_case "range update writes each row once" `Quick
+            test_range_update_once;
+          Alcotest.test_case "explain update/delete" `Quick test_explain_write;
         ] );
     ]

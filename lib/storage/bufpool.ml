@@ -14,6 +14,7 @@ type t = {
   disk : Disk.t;
   cap : int;
   trace : Ivdb_util.Trace.t;
+  metrics : Ivdb_util.Metrics.t;
   m_hit : Ivdb_util.Metrics.counter;
   m_miss : Ivdb_util.Metrics.counter;
   m_evict : Ivdb_util.Metrics.counter;
@@ -39,6 +40,7 @@ let create disk ~capacity ?trace metrics =
     disk;
     cap = capacity;
     trace;
+    metrics;
     m_hit = Ivdb_util.Metrics.counter metrics "buffer.hit";
     m_miss = Ivdb_util.Metrics.counter metrics "buffer.miss";
     m_evict = Ivdb_util.Metrics.counter metrics "buffer.evict";
@@ -56,6 +58,7 @@ let set_wal_force t f = t.wal_force <- f
 let capacity t = t.cap
 let resident t = Hashtbl.length t.frames
 let disk t = t.disk
+let metrics t = t.metrics
 
 let ring_add t fr =
   if t.ring_len = Array.length t.ring then begin

@@ -51,3 +51,7 @@ val resident : t -> int
 (** Pages currently held in frames (clean or dirty). *)
 
 val disk : t -> Disk.t
+
+val metrics : t -> Ivdb_util.Metrics.t
+(** The registry the pool counts into; clients of the pool (heap files)
+    resolve their own counters from it. *)

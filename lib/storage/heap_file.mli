@@ -3,7 +3,19 @@
     Mutating operations return the [(page_id, diff)] list they produced; the
     transaction layer logs these diffs and stamps the pages. The heap itself
     holds no volatile state that cannot be rebuilt from the page chain, so
-    {!attach} after a crash recovers it by walking the chain. *)
+    {!attach} after a crash recovers it by walking the chain.
+
+    {b Placement.} {!insert} tries the tail page, then the newest page of
+    the handle's free-space map, then appends a fresh page. The map holds
+    the non-tail pages that may have room: {!free_ghost} adds its page,
+    and a page leaves on its first failed probe, so each freed slot costs
+    an insert at most one wasted pin. The map is derived state: it is
+    never logged, and {!attach} and {!refresh} drop it, so the next insert
+    that misses the tail rebuilds it from the pages' free space. Recovery,
+    replication followers and promotion therefore need nothing extra.
+
+    Inserts count [heap.probe] (pages tried) and [heap.grow] (pages
+    appended) in the pool's metrics registry. *)
 
 type rid = { rpage : int; rslot : int }
 
@@ -23,6 +35,8 @@ val attach : Bufpool.t -> Disk.t -> first_page:int -> t
 val first_page : t -> int
 
 val insert : t -> string -> rid * diffs
+(** Places the record by the rule above. Raises [Invalid_argument] if it
+    cannot fit an empty page. *)
 
 val delete : t -> rid -> diffs
 (** Ghost-marks the record: readers no longer see it, but the slot and
@@ -33,8 +47,9 @@ val revive : t -> rid -> diffs
 (** Undo of {!delete}. Raises [Not_found] if the rid is not a ghost. *)
 
 val free_ghost : t -> rid -> diffs
-(** Physically reclaim a ghost slot (post-commit system transaction).
-    Empty diffs if the rid is not a ghost (already cleaned). *)
+(** Physically reclaim a ghost slot (post-commit system transaction) and
+    put its page in the free-space map. Empty diffs if the rid is not a
+    ghost (already cleaned). *)
 
 val update : t -> rid -> string -> diffs
 (** In-place when sizes match; raises [Not_found] if not live and
@@ -50,10 +65,12 @@ val iter_all : t -> (rid -> string -> ghost:bool -> unit) -> unit
     reader (via the row lock) instead of being silently invisible. *)
 
 val page_ids : t -> int list
+(** The chain, first page to tail. *)
 
 val refresh : t -> unit
 (** Re-walk the next-pointer chain from the cached tail and adopt any
     pages appended to the on-disk chain behind this handle's back — as
     physical redo does on a replication follower, where page diffs grow
-    the heap without calling {!grow}. A no-op (one page read) when
-    nothing grew. *)
+    the heap without calling [insert]. Redo also frees slots behind the
+    handle, so the free-space map is dropped for the next insert to
+    rebuild. One page read per new page, plus one. *)

@@ -391,6 +391,62 @@ let test_heap_growth () =
   Alcotest.(check bool) "rows span multiple pages" true (count db >= 300);
   Alcotest.(check int) "equal row counts" (count db) (count f)
 
+(* --- free space after promotion ---------------------------------------------- *)
+
+(* A slot freed on the primary (a committed delete whose ghost the commit
+   reclaims) reaches the follower through physical redo, behind its heap
+   handles. After promotion, the new primary's first insert that misses the
+   full tail must find that slot (the free-space map is rebuilt from the
+   pages) instead of growing the file. *)
+let test_promoted_reuses_space () =
+  let module Heap_file = Ivdb_storage.Heap_file in
+  let module Heap_page = Ivdb_storage.Heap_page in
+  let module Bufpool = Ivdb_storage.Bufpool in
+  let config = { Database.default_config with read_cost = 0; write_cost = 0 } in
+  let db = Database.create ~config () in
+  let t =
+    Database.create_table db ~name:"t"
+      ~cols:
+        [
+          { Schema.name = "id"; ty = Value.TInt; nullable = false };
+          { Schema.name = "pad"; ty = Value.TStr; nullable = false };
+        ]
+  in
+  let heap d =
+    Database.Internal.(rt_heap (table_rt d (table_id (Database.table d "t"))))
+  in
+  let row i = [| Value.Int i; Value.Str (String.make 200 'p') |] in
+  let insert d i = Database.transact d (fun tx -> Table.insert d tx (Database.table d "t") (row i)) in
+  let tail_full d =
+    let pages = Heap_file.page_ids (heap d) in
+    let len = ref 0 in
+    Heap_file.iter (heap d) (fun _ r -> len := String.length r);
+    Bufpool.read (Database.pool d) (List.nth pages (List.length pages - 1))
+      Heap_page.free_space
+    < 2 + !len + 2
+  in
+  let rids = ref [] and i = ref 0 in
+  while List.length (Heap_file.page_ids (heap db)) < 3 || not (tail_full db) do
+    incr i;
+    rids := insert db !i :: !rids
+  done;
+  let first = Heap_file.first_page (heap db) in
+  let victim = List.find (fun r -> r.Heap_file.rpage = first) !rids in
+  Database.transact db (fun tx -> Table.delete db tx t victim);
+  let slots = ref [] in
+  Heap_file.iter_all (heap db) (fun rid _ ~ghost:_ -> slots := rid :: !slots);
+  Alcotest.(check bool) "the commit reclaimed the ghost" false (List.mem victim !slots);
+  let f = Database.create_follower ~config () in
+  converged "before promotion" db f;
+  ignore (Database.promote f);
+  let pages = Heap_file.page_ids (heap f) in
+  Alcotest.(check bool) "the follower's tail is full" true (tail_full f);
+  let rid = insert f (!i + 1) in
+  Alcotest.(check string) "the insert lands in the freed slot"
+    (Format.asprintf "%a" Heap_file.pp_rid victim)
+    (Format.asprintf "%a" Heap_file.pp_rid rid);
+  Alcotest.(check (list int)) "no page appended" pages (Heap_file.page_ids (heap f))
+
 (* --- wire-level: server, replica driver, clients ---------------------------- *)
 
 module Server = Ivdb_server.Server
@@ -879,6 +935,8 @@ let () =
         [
           Alcotest.test_case "heap chain growth under physical redo" `Quick
             test_heap_growth;
+          Alcotest.test_case "promoted follower reuses freed space" `Quick
+            test_promoted_reuses_space;
         ] );
       ( "horizon",
         [

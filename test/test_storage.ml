@@ -446,6 +446,230 @@ let test_heap_file_attach () =
   Heap_file.iter reopened (fun _ _ -> incr n);
   check Alcotest.int "all records visible" 50 !n
 
+(* --- Heap_file free-space map ------------------------------------------------ *)
+
+let record_100 = String.make 100 'f'
+
+(* Insert [n] records one by one; returns their rids in insertion order. *)
+let fill heap stamp n record =
+  List.init n (fun _ ->
+      let rid, ds = Heap_file.insert heap record in
+      stamp ds;
+      rid)
+
+let free_slot heap stamp rid =
+  stamp (Heap_file.delete heap rid);
+  stamp (Heap_file.free_ghost heap rid)
+
+(* Buffer-pool pins per insert into holes freed on scattered old pages. A
+   scan for free space pays O(pages) pins once the tail is full; the map
+   pays the tail, the page it filled last time (full now, so it leaves
+   the map) and the page it fills. *)
+let pins_per_insert rows =
+  let _, pool, heap, stamp = make_heap () in
+  let m = Bufpool.metrics pool in
+  let rids = fill heap stamp rows record_100 in
+  (* top the tail up so every later insert misses it *)
+  let tail_room () =
+    let pages = Heap_file.page_ids heap in
+    Bufpool.read pool (List.nth pages (List.length pages - 1)) Heap_page.free_space
+  in
+  while tail_room () >= 2 + String.length record_100 + 2 do
+    stamp (snd (Heap_file.insert heap record_100))
+  done;
+  let pages = Heap_file.page_ids heap in
+  (* one hole on every third page but the tail *)
+  let holes =
+    List.filteri (fun i _ -> i mod 3 = 0) (List.filteri (fun i _ -> i < List.length pages - 1) pages)
+  in
+  List.iter
+    (fun pid -> free_slot heap stamp (List.find (fun r -> r.Heap_file.rpage = pid) rids))
+    holes;
+  let pins () = Metrics.get m "buffer.hit" + Metrics.get m "buffer.miss" in
+  let pins0 = pins () and probes0 = Metrics.get m "heap.probe" in
+  let placed = fill heap stamp (List.length holes) record_100 in
+  check Alcotest.(list int) "holes refilled, newest first" (List.rev holes)
+    (List.map (fun r -> r.Heap_file.rpage) placed);
+  check Alcotest.(list int) "no page appended" pages (Heap_file.page_ids heap);
+  let n = float_of_int (List.length holes) in
+  ( float_of_int (pins () - pins0) /. n,
+    float_of_int (Metrics.get m "heap.probe" - probes0) /. n,
+    List.length holes )
+
+let test_heap_insert_cost () =
+  let small_pins, small_probes, small_holes = pins_per_insert 1_000 in
+  let big_pins, big_probes, big_holes = pins_per_insert 50_000 in
+  Alcotest.(check bool) "many scattered holes" true (small_holes >= 3 && big_holes >= 200);
+  List.iter
+    (fun (what, v) ->
+      if v > 3.0 then Alcotest.failf "%s: %.2f per insert, want at most 3" what v)
+    [
+      ("1k rows: pins", small_pins);
+      ("1k rows: heap.probe", small_probes);
+      ("50k rows: pins", big_pins);
+      ("50k rows: heap.probe", big_probes);
+    ]
+
+(* Insert/delete/reclaim churn: freed slots are reused, so the file never
+   holds more pages than the peak live rows need (plus the tail's slack). *)
+let test_heap_churn_reuses_space () =
+  let _, pool, heap, stamp = make_heap () in
+  let rng = Rng.create 42 in
+  let per_page =
+    (* records an empty page holds: the first page's count once a second exists *)
+    let rids = fill heap stamp 200 record_100 in
+    let first = Heap_file.first_page heap in
+    let n = List.length (List.filter (fun r -> r.Heap_file.rpage = first) rids) in
+    List.iter (free_slot heap stamp) rids;
+    n
+  in
+  let live = ref [] and n_live = ref 0 and peak = ref 0 in
+  for _ = 1 to 20_000 do
+    if !n_live > 0 && (Rng.int rng 2 = 0 || !n_live >= 1_500) then begin
+      let i = Rng.int rng !n_live in
+      let victim = List.nth !live i in
+      free_slot heap stamp victim;
+      live := List.filteri (fun j _ -> j <> i) !live;
+      decr n_live
+    end
+    else begin
+      let rid, ds = Heap_file.insert heap record_100 in
+      stamp ds;
+      live := rid :: !live;
+      incr n_live;
+      peak := max !peak !n_live
+    end
+  done;
+  let pages = List.length (Heap_file.page_ids heap) in
+  let bound = ((!peak + per_page - 1) / per_page) + 1 in
+  if pages > bound then
+    Alcotest.failf "%d pages for a peak of %d live rows (%d per page): want at most %d"
+      pages !peak per_page bound;
+  check Alcotest.int "heap.grow counts appended pages" (pages - 1)
+    (Metrics.get (Bufpool.metrics pool) "heap.grow")
+
+(* Insert through [heap] until a record lands on page [hole]; the file
+   must not grow first. *)
+let fills_hole_before_growing heap stamp hole =
+  let pages = Heap_file.page_ids heap in
+  let rec go () =
+    let rid, ds = Heap_file.insert heap record_100 in
+    stamp ds;
+    check Alcotest.(list int) "no growth before the hole is used" pages
+      (Heap_file.page_ids heap);
+    if rid.Heap_file.rpage <> hole then go ()
+  in
+  go ()
+
+(* A hole freed behind a handle's back is found once the handle is
+   reopened ([attach]) or told its pages changed ([refresh]): both rebuild
+   the map from the pages. *)
+let test_heap_rebuilt_map_finds_hole () =
+  let _, pool, heap, stamp = make_heap () in
+  let rids = fill heap stamp 300 record_100 in
+  let page n = List.nth (Heap_file.page_ids heap) n in
+  let on n = List.find (fun r -> r.Heap_file.rpage = page n) rids in
+  free_slot heap stamp (on 0);
+  let reopened = Heap_file.attach pool (Bufpool.disk pool) ~first_page:(page 0) in
+  fills_hole_before_growing reopened stamp (page 0);
+  (* a page [heap] never saw freed *)
+  free_slot reopened stamp (on 1);
+  Heap_file.refresh heap;
+  fills_hole_before_growing heap stamp (page 1)
+
+(* The on-disk chain, walked through next pointers. *)
+let disk_chain pool heap =
+  let rec walk pid acc =
+    let next = Bufpool.read pool pid Heap_page.get_next in
+    if next = 0 then List.rev (pid :: acc) else walk next (pid :: acc)
+  in
+  walk (Heap_file.first_page heap) []
+
+(* Model-based: random insert / delete / revive / free_ghost / same-size
+   update / reopen against a rid -> (record, ghost) map, through a small
+   pool so pages are evicted and re-read. *)
+let prop_heap_file_model =
+  QCheck.Test.make ~name:"heap file vs model" ~count:60 QCheck.small_int (fun seed ->
+      let rng = Rng.create seed in
+      let m = Metrics.create () in
+      let d = Disk.create ~read_cost:0 ~write_cost:0 m in
+      let pool = Bufpool.create d ~capacity:4 m in
+      Bufpool.set_wal_force pool (fun _ -> ());
+      let stamp = List.iter (fun (pid, _) -> Bufpool.stamp pool pid 1L) in
+      let heap, ds = Heap_file.create pool d in
+      stamp ds;
+      let heap = ref heap in
+      let model = Hashtbl.create 64 in
+      let pick ghost =
+        let rids =
+          Hashtbl.fold (fun rid (_, g) acc -> if g = ghost then rid :: acc else acc) model []
+          |> List.sort Heap_file.rid_compare
+        in
+        match rids with [] -> None | _ -> Some (List.nth rids (Rng.int rng (List.length rids)))
+      in
+      let record () = String.make (1 + Rng.int rng 900) (Char.chr (97 + Rng.int rng 26)) in
+      for _ = 1 to 250 do
+        match Rng.int rng 10 with
+        | 0 | 1 | 2 | 3 ->
+            let r = record () in
+            let rid, ds = Heap_file.insert !heap r in
+            stamp ds;
+            if Hashtbl.mem model rid then
+              QCheck.Test.fail_reportf "insert reused rid %a" Heap_file.pp_rid rid;
+            Hashtbl.replace model rid (r, false)
+        | 4 | 5 ->
+            Option.iter
+              (fun rid ->
+                stamp (Heap_file.delete !heap rid);
+                let r, _ = Hashtbl.find model rid in
+                Hashtbl.replace model rid (r, true))
+              (pick false)
+        | 6 ->
+            Option.iter
+              (fun rid ->
+                stamp (Heap_file.revive !heap rid);
+                let r, _ = Hashtbl.find model rid in
+                Hashtbl.replace model rid (r, false))
+              (pick true)
+        | 7 | 8 ->
+            Option.iter
+              (fun rid ->
+                stamp (Heap_file.free_ghost !heap rid);
+                Hashtbl.remove model rid)
+              (pick true)
+        | _ ->
+            if Rng.int rng 2 = 0 then
+              heap := Heap_file.attach pool d ~first_page:(Heap_file.first_page !heap)
+            else
+              Option.iter
+                (fun rid ->
+                  let r, _ = Hashtbl.find model rid in
+                  let r' = String.map (fun _ -> Char.chr (97 + Rng.int rng 26)) r in
+                  stamp (Heap_file.update !heap rid r');
+                  Hashtbl.replace model rid (r', false))
+                (pick false)
+      done;
+      let sorted l = List.sort (fun (a, _) (b, _) -> Heap_file.rid_compare a b) l in
+      let expect_live =
+        sorted (Hashtbl.fold (fun rid (r, g) acc -> if g then acc else (rid, r) :: acc) model [])
+      in
+      let expect_all =
+        sorted
+          (Hashtbl.fold (fun rid (r, g) acc -> (rid, ((if g then "" else r), g)) :: acc) model [])
+      in
+      let live = ref [] and all = ref [] in
+      Heap_file.iter !heap (fun rid r -> live := (rid, r) :: !live);
+      Heap_file.iter_all !heap (fun rid r ~ghost -> all := (rid, (r, ghost)) :: !all);
+      Hashtbl.iter
+        (fun rid (r, g) ->
+          let want = if g then None else Some r in
+          if Heap_file.get !heap rid <> want then
+            QCheck.Test.fail_reportf "get %a disagrees with the model" Heap_file.pp_rid rid)
+        model;
+      List.rev !live = expect_live
+      && List.rev !all = expect_all
+      && Heap_file.page_ids !heap = disk_chain pool !heap)
+
 let () =
   Alcotest.run "storage"
     [
@@ -494,5 +718,10 @@ let () =
           Alcotest.test_case "crud" `Quick test_heap_file_crud;
           Alcotest.test_case "grows across pages" `Quick test_heap_file_grows_chains;
           Alcotest.test_case "attach rebuilds" `Quick test_heap_file_attach;
+          Alcotest.test_case "insert cost is flat in heap size" `Quick test_heap_insert_cost;
+          Alcotest.test_case "churn reuses freed slots" `Quick test_heap_churn_reuses_space;
+          Alcotest.test_case "attach and refresh find an old hole" `Quick
+            test_heap_rebuilt_map_finds_hole;
+          qtest prop_heap_file_model;
         ] );
     ]

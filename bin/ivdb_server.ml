@@ -7,10 +7,10 @@
      ivdb_server --port 5434 --follow 127.0.0.1:5433
      ivdb_server --port 5433 --shard 0/2
    With --shard i/N the engine serves as shard i of an N-way
-   hash-partitioned cluster: escrow view deltas for remote groups are
-   diverted to the transaction's outbound buffer, and the 2PC
-   Prepare/Decide frames a sharding coordinator sends are honoured
-   (sys.shards / the REPL .shards command show the identity).
+   hash-partitioned cluster: it maintains every view over the rows it
+   holds, and honours the 2PC Prepare/Decide frames a sharding
+   coordinator sends (sys.shards / the REPL .shards command show the
+   identity).
    With --follow the engine starts as a read-only follower: a replica
    driver subscribes to the primary at HOST:PORT and applies its WAL
    continuously, while this server answers snapshot SELECTs (writes get
@@ -280,9 +280,8 @@ let cmd =
       & info [ "shard" ] ~docv:"I/N"
           ~doc:
             "Serve as shard $(docv) of an N-way hash-partitioned cluster: \
-             install the shared partition maps so escrow view deltas owned \
-             by remote shards are diverted to the coordinator, and accept \
-             2PC Prepare/Decide frames. All N servers must use the same N.")
+             report the slot in sys.shards and accept 2PC Prepare/Decide \
+             frames. All N servers must use the same N.")
   in
   Cmd.v
     (Cmd.info "ivdb_server" ~doc:"Serve ivdb over the wire protocol")

@@ -565,8 +565,7 @@ let cmd =
       & info [ "cross-shard-pct" ]
           ~doc:"With --shards: percent of writer transactions that spread \
                 their INSERTs over two shards (two-phase commit); the rest \
-                stay on one shard and may still 2PC when their view groups \
-                hash elsewhere.")
+                stay on one shard and commit there.")
   in
   let fault_seed =
     Arg.(value & opt int 1 & info [ "fault-seed" ] ~doc:"Fault-injection RNG seed.")

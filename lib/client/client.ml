@@ -173,18 +173,17 @@ let msg_request t mk =
       | exception Transport.Corrupt m -> broken t m)
 
 (* 2PC round trips for the coordinator. Deliberately no transparent
-   retry: after a Disconnected the coordinator itself re-sends, and the
-   server answers retransmits idempotently from its dedupe tables — a
-   blind client-side resend could otherwise re-prepare a transaction the
-   coordinator has already decided. *)
-let prepare_2pc ?(rid = 0) t ~gtxn ~deltas =
+   retry: whether to re-send is the coordinator's call (it re-sends a
+   Decide, which the server answers idempotently from its dedupe tables,
+   but never a Prepare, whose session transaction died with the line). *)
+let prepare_2pc ?(rid = 0) t ~gtxn =
   if t.closed then raise (Disconnected "client closed");
   match t.io with
   | None -> broken t "not connected"
   | Some io -> (
       t.seq <- t.seq + 1;
       let seq = t.seq in
-      Frame_io.send io (Wire.Prepare { seq; rid; gtxn; deltas });
+      Frame_io.send io (Wire.Prepare { seq; rid; gtxn });
       match Frame_io.recv io with
       | Some (Wire.Prepared _) -> `Prepared
       | Some (Wire.Decided { committed; _ }) -> `Already_decided committed

@@ -72,18 +72,15 @@ val prepare_2pc :
   ?rid:int ->
   t ->
   gtxn:string ->
-  deltas:string ->
   [ `Prepared | `Already_decided of bool ]
 (** 2PC phase 1: ask the server to prepare its session's open transaction
-    under global id [gtxn], carrying [deltas]
-    ({!Ivdb.Database.Deltas}-encoded escrow deltas owned by that shard).
-    [`Already_decided c] means the shard had already decided this gtxn —
-    the coordinator's retransmit after a reconnect was answered from the
-    dedupe tables, not re-executed. Raises {!Server_error} on a no vote
-    (the participant rolled back) and {!Disconnected} on a dead
-    connection; there is no transparent retry — re-sending is the
-    coordinator's call, and is safe because the server dedupes by
-    gtxn. *)
+    under global id [gtxn]. [`Already_decided c] means the shard had
+    already decided this gtxn — a retransmit answered from the dedupe
+    tables, not re-executed. Raises {!Server_error} on a no vote (the
+    participant rolled back, or its session had no open transaction) and
+    {!Disconnected} on a dead connection. There is no transparent retry:
+    the server rolls a dead session's transaction back, so a resend on a
+    fresh session finds nothing to prepare. *)
 
 val decide_2pc : ?rid:int -> t -> gtxn:string -> committed:bool -> unit
 (** 2PC phase 2: deliver the coordinator's logged decision. Idempotent on

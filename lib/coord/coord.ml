@@ -5,12 +5,11 @@
    The coordinator owns no data. It parses each statement just far
    enough to route it: DDL broadcasts, an INSERT splits its VALUES rows
    by partition, a WHERE pk = lit pins DML/SELECT to the owning shard,
-   everything else fans out. Escrow view deltas whose group lives on a
-   different shard than the base row are diverted by the owning engine
-   into a per-transaction outbound buffer (Database.route_remote); at
-   commit the coordinator collects them over sys.outbound and ships each
-   batch inside the Prepare of the shard that owns the group, so the
-   remote delta commits or dies atomically with the global decision.
+   everything else fans out. Every shard maintains every view over its
+   own rows, exactly as a single engine does, so a transaction
+   participates only where its statements ran. A view read fans out and
+   the coordinator combines the shards' partial rows by group key
+   (COUNT/SUM/MIN/MAX distribute over a union of partitions).
 
    Durability follows presumed abort with a forced begin record: before
    the first Prepare message the participant set is forced to the
@@ -46,18 +45,11 @@ let fail fmt = Format.kasprintf (fun s -> raise (Coord_error s)) fmt
 
 (* --- routing ---------------------------------------------------------- *)
 
-let hash_string s = B.fnv1a32_string s 0 (String.length s)
-let route_key ~shards key = hash_string key mod shards
-let route_value ~shards v = route_key ~shards (Value.to_string v)
+let route_value ~shards v =
+  let s = Value.to_string v in
+  B.fnv1a32_string s 0 (String.length s) mod shards
 
-(* View groups route by their encoded group key — a different key space
-   than base-row primary keys, but all that matters is that every engine
-   and the coordinator agree on the owner of a group. *)
-let route_group ~shards ~view:_ ~key = route_key ~shards key
-
-let configure_shard db ~shard ~shards =
-  Database.set_shard db ~shard ~shards;
-  Database.set_delta_router db (fun ~view ~key -> route_group ~shards ~view ~key)
+let configure_shard db ~shard ~shards = Database.set_shard db ~shard ~shards
 
 (* --- coordinator state ------------------------------------------------ *)
 
@@ -110,7 +102,7 @@ type coordinator = {
   mutable recent : ginfo list; (* newest first, capped at recent_cap *)
   health : shard_health array;
   pk_cols : (string, string) Hashtbl.t; (* table -> partition column *)
-  views : (string, unit) Hashtbl.t; (* view names seen in DDL *)
+  views : (string, int) Hashtbl.t; (* view -> its GROUP BY column count *)
   (* deterministic crash injection: every 2PC protocol action (log force,
      Prepare send, Decide send) bumps the counter; reaching the armed
      value raises Fault.Crash_point before the action happens *)
@@ -168,7 +160,8 @@ let register_ddl co sql =
       match cols with
       | first :: _ -> Hashtbl.replace co.pk_cols t_name first.A.cd_name
       | [] -> ())
-  | A.Create_view { v_name; _ } -> Hashtbl.replace co.views v_name ()
+  | A.Create_view { v_name; query; _ } ->
+      Hashtbl.replace co.views v_name (List.length query.A.group_by)
   | _ -> ()
   | exception _ -> ()
 
@@ -208,9 +201,9 @@ let scan_wal co =
   Wal.iter_stable co.cwal (fun r ->
       match r.Log_record.body with
       | Log_record.Ddl sql -> register_ddl co sql
-      | Log_record.Prepare { gtxn; deltas } ->
+      | Log_record.Prepare { gtxn; participants } ->
           let participants =
-            try List.map int_of_string (String.split_on_char ',' deltas)
+            try List.map int_of_string (String.split_on_char ',' participants)
             with Failure _ -> fail "corrupt participant list for %s" gtxn
           in
           Hashtbl.replace co.started gtxn participants;
@@ -342,27 +335,9 @@ let close c =
 
 (* --- 2PC message plumbing --------------------------------------------- *)
 
-(* A dead connection is retried exactly once after the client's automatic
-   re-dial; safe only for prepare/decide, which the participant dedupes
-   by gtxn — never used for statement execution. *)
-let retrying f = try f () with Client.Disconnected _ -> f ()
-
 let log_force c body =
   let lsn = Wal.append c.co.cwal ~txn:0 ~prev:Log_record.nil_lsn body in
   Wal.force c.co.cwal lsn
-
-let unhex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then fail "odd hex payload";
-  String.init (n / 2) (fun i ->
-      let d k =
-        match s.[(2 * i) + k] with
-        | '0' .. '9' as ch -> Char.code ch - Char.code '0'
-        | 'a' .. 'f' as ch -> Char.code ch - Char.code 'a' + 10
-        | 'A' .. 'F' as ch -> Char.code ch - Char.code 'A' + 10
-        | ch -> fail "bad hex digit %C" ch
-      in
-      Char.chr ((d 0 * 16) + d 1))
 
 (* One statement to one shard, stamped with the coordinator's current
    correlation id; a successful round trip refreshes the shard's
@@ -372,23 +347,6 @@ let shard_exec c i sql =
   touch c i;
   r
 
-(* The shard session's diverted deltas, read back over the wire. *)
-let outbound_of c i =
-  match shard_exec c i "SELECT * FROM sys.outbound" with
-  | Sql.Rows { rows; _ } ->
-      List.map
-        (fun r ->
-          match r with
-          | [| Value.Int dest; Value.Int vid; Value.Str key; Value.Str hx |] ->
-              (dest, (vid, key, unhex hx))
-          | _ -> fail "malformed sys.outbound row")
-        rows
-  | _ -> fail "unexpected reply to sys.outbound"
-
-let deltas_for outbound i =
-  Database.Deltas.encode
-    (List.filter_map (fun (d, entry) -> if d = i then Some entry else None) outbound)
-
 let deliver_decision ?(gated = true) c ~gtxn ~committed ~participants =
   let failed = ref [] in
   List.iter
@@ -396,9 +354,13 @@ let deliver_decision ?(gated = true) c ~gtxn ~committed ~participants =
       if gated then gate c "decide";
       temit c
         (Trace.Coord_decide { gtxn; rid = c.cur_rid; shard = i; committed });
+      let send () =
+        Client.decide_2pc ~rid:c.cur_rid c.clients.(i) ~gtxn ~committed
+      in
       try
-        retrying (fun () ->
-            Client.decide_2pc ~rid:c.cur_rid c.clients.(i) ~gtxn ~committed);
+        (* a dead line is retried once after the client's automatic
+           re-dial: the participant dedupes a Decide by gtxn *)
+        (try send () with Client.Disconnected _ -> send ());
         c.co.s_decides <- c.co.s_decides + 1;
         c.co.health.(i).sh_decides <- c.co.health.(i).sh_decides + 1;
         touch c i
@@ -428,12 +390,15 @@ let redeliver_pending c =
                deliver_decision ~gated:false c ~gtxn ~committed ~participants
            | None -> Hashtbl.remove c.co.pending gtxn)
 
-let two_phase c ~gtxn ~participants ~outbound ~ops =
+let two_phase c ~gtxn ~participants =
   let gi = gtxn_begin c.co ~gtxn ~participants in
   gate c "log_start";
   log_force c
     (Log_record.Prepare
-       { gtxn; deltas = String.concat "," (List.map string_of_int participants) });
+       {
+         gtxn;
+         participants = String.concat "," (List.map string_of_int participants);
+       });
   Hashtbl.replace c.co.started gtxn participants;
   let prepared = ref [] in
   (* shards whose line died around a Prepare: their vote is unknown — the
@@ -445,23 +410,15 @@ let two_phase c ~gtxn ~participants ~outbound ~ops =
     | i :: rest -> (
         gate c "prepare";
         temit c (Trace.Coord_prepare { gtxn; rid = c.cur_rid; shard = i });
-        (* An op shard's vote rides the session that ran its statements:
-           if that connection dies, the server rolls the session
-           transaction back on disconnect, and a blind resend on a fresh
-           session would prepare a brand-new EMPTY transaction — voting
-           yes while the shard's DML is gone. So an op shard's Prepare is
-           never retried; a dead line is a No vote (presumed abort keeps
-           an actually-prepared shard safe: it stays in-doubt and the
-           abort reaches it below, or via re-delivery). A delta-only
-           destination has no session state — its whole transaction is
-           the delta batch inside the frame — so the dedupe-backed
-           reconnect-and-resend is safe there. *)
-        let send () =
-          Client.prepare_2pc ~rid:c.cur_rid c.clients.(i) ~gtxn
-            ~deltas:(deltas_for outbound i)
-        in
+        (* A shard's vote rides the session that ran its statements: if
+           that connection dies, the server rolls the session transaction
+           back on disconnect, and a resend on a fresh session finds no
+           transaction to prepare. So a Prepare is never retried; a dead
+           line is a No vote (presumed abort keeps an actually-prepared
+           shard safe: it stays in-doubt and the abort reaches it below,
+           or via re-delivery). *)
         match
-          (try `Vote (if List.mem i ops then send () else retrying send) with
+          (try `Vote (Client.prepare_2pc ~rid:c.cur_rid c.clients.(i) ~gtxn) with
           | Client.Server_error { text; _ } -> `No text
           | Client.Disconnected m ->
               suspects := i :: !suspects;
@@ -522,8 +479,8 @@ let two_phase c ~gtxn ~participants ~outbound ~ops =
       Hashtbl.replace c.co.decided gtxn false;
       (* prepared shards get the abort decision now, and so does every
          suspect — it may have prepared without us seeing the ack, and a
-         shard that never saw the Prepare answers presumed-abort; an op
-         shard that never prepared still holds an ordinary session
+         shard that never saw the Prepare answers presumed-abort; a
+         participant that never prepared still holds an ordinary session
          transaction, rolled back explicitly *)
       let informed = List.sort_uniq compare (!prepared @ !suspects) in
       let t_dec = Sched.now () in
@@ -534,7 +491,7 @@ let two_phase c ~gtxn ~participants ~outbound ~ops =
           if not (List.mem i informed) then
             try ignore (shard_exec c i "ROLLBACK")
             with Client.Disconnected _ | Client.Server_error _ -> ())
-        ops;
+        participants;
       gtxn_done c.co gtxn false;
       c.co.s_aborts <- c.co.s_aborts + 1;
       Metrics.inc abort_cause;
@@ -563,37 +520,26 @@ let commit_txn c =
   end;
   match ops with
   | [] -> Sql.Message "committed"
-  | _ -> (
-      (* Failing before any Prepare is sent leaves plain session
-         transactions holding locks on the op shards: roll them back
-         best-effort before re-raising. A simulated coordinator crash is
-         exempt — a dead process sends nothing. *)
-      let guarded f =
-        try f () with
-        | Fault.Crash_point _ as e -> raise e
-        | e ->
-            rollback_ops c ops;
-            raise e
-      in
-      let outbound =
-        guarded (fun () -> List.concat_map (fun i -> outbound_of c i) ops)
-      in
-      let dests = List.sort_uniq compare (List.map fst outbound) in
-      let participants = List.sort_uniq compare (ops @ dests) in
-      match (participants, outbound) with
-      | [ i ], [] ->
-          (* single shard, no remote deltas: plain local commit *)
-          (match guarded (fun () -> shard_exec c i "COMMIT") with
-          | Sql.Message _ -> ()
-          | _ -> fail "unexpected reply to COMMIT");
-          c.co.s_single <- c.co.s_single + 1;
-          Metrics.inc c.co.m_fast;
-          temit c (Trace.Coord_fast_path { rid = c.cur_rid; shard = i });
-          Sql.Message "committed"
-      | _ ->
-          let gtxn = Printf.sprintf "%s:%d" c.co.cname c.co.next_gid in
-          c.co.next_gid <- c.co.next_gid + 1;
-          two_phase c ~gtxn ~participants ~outbound ~ops)
+  | [ i ] ->
+      (* one participant: a plain local commit. A failed COMMIT leaves the
+         session transaction holding locks: roll it back best-effort
+         before re-raising. A simulated coordinator crash is exempt — a
+         dead process sends nothing. *)
+      (match shard_exec c i "COMMIT" with
+      | Sql.Message _ -> ()
+      | _ -> fail "unexpected reply to COMMIT"
+      | exception (Fault.Crash_point _ as e) -> raise e
+      | exception e ->
+          rollback_ops c ops;
+          raise e);
+      c.co.s_single <- c.co.s_single + 1;
+      Metrics.inc c.co.m_fast;
+      temit c (Trace.Coord_fast_path { rid = c.cur_rid; shard = i });
+      Sql.Message "committed"
+  | _ ->
+      let gtxn = Printf.sprintf "%s:%d" c.co.cname c.co.next_gid in
+      c.co.next_gid <- c.co.next_gid + 1;
+      two_phase c ~gtxn ~participants:(List.sort compare ops)
 
 let abort_txn c =
   if not c.in_txn then fail "no open transaction";
@@ -826,6 +772,20 @@ let coord_sys c name =
   | "sys.cluster_metrics" -> Some (fun () -> cluster_metrics_rows c)
   | _ -> None
 
+(* A view read. Each shard holds a partial view over its own rows; the
+   WHERE is applied only after the merge, because a filter on an
+   aggregate column can hold for the combined row and for no partial one. *)
+let select_view c (q : A.select) ~groups =
+  let replies =
+    List.map
+      (fun i ->
+        rows_of (exec_shard ~kind:"broadcast" c i ("SELECT * FROM " ^ q.A.from)))
+      (all_shards c)
+  in
+  let header = match replies with (h, _) :: _ -> h | [] -> [] in
+  Sql.select_over q
+    (header, Sql.combine_view_rows ~groups header (List.concat_map snd replies))
+
 let route_select c (q : A.select) sql =
   if is_sys_name q.A.from then (
     match coord_sys c q.A.from with
@@ -833,14 +793,11 @@ let route_select c (q : A.select) sql =
     | None ->
         if q.A.from = "sys.shards" then broadcast_rows c q sql (all_shards c)
         else exec_shard ~kind:"sys" c 0 sql)
-  else if Hashtbl.mem c.co.views q.A.from then
-    (* view groups are partitioned by group-key hash: every group lives
-       wholly on its owner, so concatenation is the full view *)
-    broadcast_rows c q sql (all_shards c)
   else
-    match pk_eq c q.A.from q.A.where with
-    | Some l -> exec_shard c (route_lit c l) sql
-    | None ->
+    match (Hashtbl.find_opt c.co.views q.A.from, pk_eq c q.A.from q.A.where) with
+    | Some groups, _ -> select_view c q ~groups
+    | None, Some l -> exec_shard c (route_lit c l) sql
+    | None, None ->
         let grouped =
           q.A.group_by <> []
           || List.exists
@@ -850,8 +807,8 @@ let route_select c (q : A.select) sql =
         if grouped then
           fail
             "cross-shard aggregation over %s is not supported: create an \
-             indexed view (its groups are partitioned) or pin the query \
-             with %s = <literal>"
+             indexed view (the coordinator combines its shards' partial \
+             rows) or pin the query with %s = <literal>"
             q.A.from
             (match Hashtbl.find_opt c.co.pk_cols q.A.from with
             | Some pk -> pk
@@ -891,8 +848,8 @@ let route_modify c table where sql =
            0 (all_shards c))
 
 (* A write outside an open transaction still runs under the coordinator's
-   transaction machinery: its escrow deltas may belong to another shard,
-   and only the commit path ships them. *)
+   transaction machinery: a split INSERT or a fanned-out UPDATE/DELETE
+   touches several shards, and only the commit path makes them atomic. *)
 let with_write c f =
   if c.in_txn then f ()
   else begin
@@ -939,8 +896,17 @@ let exec c sql =
       Sql.Message "distributed transaction started"
   | A.Savepoint _ | A.Rollback_to _ ->
       fail "savepoints are not supported through the coordinator"
+  | A.Create_view { query = { A.from; join = Some (right, lcol, rcol); _ }; _ }
+    when Hashtbl.find_opt c.co.pk_cols from <> Some lcol
+         || Hashtbl.find_opt c.co.pk_cols right <> Some rcol ->
+      (* a shard joins only the rows it holds: pairs whose rows live on
+         different shards would silently drop out of the view *)
+      fail
+        "join view over %s and %s must join their partition columns: each \
+         shard joins only its own rows"
+        from right
   | A.Create_table _ | A.Create_view _ ->
-      (* routing metadata (partition column, view names) must survive a
+      (* routing metadata (partition columns, view group widths) must survive a
          coordinator restart: force the DDL to our log before acting on
          it, and re-derive the tables from the statement text — the same
          path scan_wal replays *)

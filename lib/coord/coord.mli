@@ -2,11 +2,13 @@
     instances with two-phase commit for cross-shard transactions.
 
     Base rows are partitioned by the hash of their first column (the
-    table's "primary key"); escrow view groups by the hash of their
-    encoded group key. The partition maps are pure functions shared by
-    the coordinator and every shard ({!configure_shard} installs them
-    into an engine), so any party can compute an owner without a
-    directory service. Shards are reached through
+    table's "primary key"). The partition map is a pure function, so any
+    party can compute an owner without a directory service. Every shard
+    maintains every view over its own rows with the single-engine
+    protocol; a view read fans out and the coordinator combines the
+    shards' partial rows by group key. A join view must join both
+    tables' partition columns, so that every joining pair of rows lives
+    on one shard. Shards are reached through
     {!Ivdb_client.Client} over any transport — deterministic loopback
     fibers in one scheduler run, or TCP to [ivdb_server --shard i/N]
     processes.
@@ -18,20 +20,17 @@
     shared. {!server} puts one session behind each wire connection.
 
     A session's transaction opens an ordinary server-side transaction
-    on each shard a statement lands on. At [COMMIT], deltas the shards
-    diverted toward remote view groups are collected over
-    [sys.outbound]; a transaction with one participant and no remote
-    deltas commits locally (no 2PC), anything else runs presumed-abort
-    two-phase commit: participant set forced to the coordinator's WAL,
-    Prepare (carrying each shard's inbound deltas) to every participant,
-    decision forced, Decide fanned out. {!recover} re-delivers logged
-    decisions after a coordinator crash and presumed-aborts every
-    started-but-undecided transaction; participants dedupe retransmits
-    by global transaction id, which makes Decide (and delta-only
-    Prepare) reconnect-and-resend retries safe. A Prepare to a shard
-    whose session ran this transaction's statements is never retried —
-    the disconnect rolled that session's transaction back, so a dead
-    line is a No vote and the transaction aborts everywhere. For the same
+    on each shard a statement lands on; those shards are its
+    participants. At [COMMIT] a transaction with one participant commits
+    locally (no 2PC); one with several runs presumed-abort two-phase
+    commit: participant set forced to the coordinator's WAL, Prepare to
+    every participant, decision forced, Decide fanned out. {!recover}
+    re-delivers logged decisions after a coordinator crash and
+    presumed-aborts every started-but-undecided transaction;
+    participants dedupe retransmits by global transaction id, which
+    makes Decide reconnect-and-resend retries safe. A Prepare is never
+    retried — the disconnect rolled that session's transaction back, so
+    a dead line is a No vote and the transaction aborts everywhere. For the same
     reason a statement that loses a shard's part of the transaction (a
     dead line, or the shard rolling back a deadlock victim) makes the
     transaction abort-only: every later statement but [ROLLBACK] is
@@ -45,20 +44,12 @@ exception Coord_error of string
 
 (** {1 Partition maps} *)
 
-val route_key : shards:int -> string -> int
-(** Owner shard of an opaque key string (FNV-1a mod [shards]). *)
-
 val route_value : shards:int -> Ivdb_relation.Value.t -> int
-(** Owner shard of a base row, from its first-column value. *)
-
-val route_group : shards:int -> view:int -> key:string -> int
-(** Owner shard of a view group, from its encoded group key. *)
+(** Owner shard of a base row, from its first-column value (FNV-1a of
+    its text, mod [shards]). *)
 
 val configure_shard : Ivdb.Database.t -> shard:int -> shards:int -> unit
-(** Make an engine shard [shard] of [shards]: sets its identity
-    ({!Ivdb.Database.set_shard}) and installs {!route_group} as its
-    delta router, so view maintenance diverts remote groups' deltas into
-    the transaction's outbound buffer. *)
+(** Make an engine shard [shard] of [shards] ({!Ivdb.Database.set_shard}). *)
 
 (** {1 Coordinator sessions} *)
 
@@ -79,7 +70,8 @@ val create :
     decision log; pass the previous incarnation's log (round-tripped
     through {!Ivdb_wal.Wal.crash}) to restart after a crash — the
     started/decided tables, the gtxn counter and the routing metadata
-    (partition columns and view names, logged as DDL records) are
+    (partition columns and each view's group-key width, logged as DDL
+    records) are
     rebuilt by scanning it; follow with {!recover} to re-deliver
     outcomes. [metrics] is the coordinator's registry (fresh by
     default): the typed per-phase 2PC counters and histograms live
@@ -113,14 +105,20 @@ val session : t -> t
 
 val exec : t -> string -> Ivdb_sql.Sql.result
 (** Route one SQL statement: DDL broadcasts (recording partition
-    columns), INSERT splits its rows by partition, DML/SELECT with a
+    columns; a join view that does not join both partition columns is
+    refused), INSERT splits its rows by partition, DML/SELECT with a
     top-level [pk = literal] conjunct pins to the owner, other DML and
-    plain SELECTs fan out (rows concatenated, ORDER BY/LIMIT re-applied),
-    SELECT over a view fans out (each group lives wholly on its owner).
-    [BEGIN]/[COMMIT]/[ROLLBACK] drive the distributed transaction; a
-    write outside a transaction autocommits through the same machinery
-    so its remote deltas still ship. Raises {!Coord_error} (and
-    {!Ivdb_client.Client} exceptions for dead shards).
+    plain SELECTs fan out (rows concatenated, ORDER BY/LIMIT re-applied).
+    A SELECT over a view reads [SELECT * FROM <view>] on every shard,
+    combines the partial rows by group key
+    ({!Ivdb_sql.Sql.combine_view_rows}), then applies the statement's
+    WHERE, ORDER BY and LIMIT. The fan-out is not a cross-shard
+    snapshot; inside a transaction it S-locks every group on every
+    shard. [BEGIN]/[COMMIT]/[ROLLBACK] drive the distributed
+    transaction; a write outside a transaction autocommits through the
+    same machinery, so a write that spans shards is atomic. Raises
+    {!Coord_error} (and {!Ivdb_client.Client} exceptions for dead
+    shards).
 
     Coordinator-resident catalogs are answered locally, with full
     [sys.*] query semantics (WHERE / projection / ORDER BY / LIMIT):

@@ -90,7 +90,6 @@ type t = {
   m_table_insert : Metrics.counter;
   m_table_delete : Metrics.counter;
   m_on_demand_aggregate : Metrics.counter;
-  m_outbound_delta : Metrics.counter;
   m_prepared : Metrics.counter;
   m_decided : Metrics.counter;
   m_redo_applied : Metrics.counter;
@@ -115,16 +114,11 @@ type t = {
   inflight : Ivdb_core.Inflight.t;
   row_lock_counts : (int * int, int ref) Hashtbl.t; (* (txn, table) -> rows *)
   (* --- sharding / 2PC participant state ---
-     [shard] identifies this engine inside a hash-partitioned cluster;
-     [delta_router] maps a view group to its owning shard so escrow deltas
-     for remote groups are diverted into [outbound] (per txn) instead of
-     applied locally. [indoubt_2pc] holds prepared transactions (still
-     owning their locks) keyed by the coordinator's global id until a
-     decision arrives; [decided_2pc] dedupes decision/prepare retransmits. *)
+     [shard] identifies this engine inside a hash-partitioned cluster.
+     [indoubt_2pc] holds prepared transactions (still owning their locks)
+     keyed by the coordinator's global id until a decision arrives;
+     [decided_2pc] dedupes decision/prepare retransmits. *)
   mutable shard : (int * int) option; (* (shard id, shard count) *)
-  mutable delta_router : (view:int -> key:string -> int) option;
-  outbound : (int, (int * int * string * string) list ref) Hashtbl.t;
-      (* txn -> (dest shard, view, group key, encoded delta), newest first *)
   indoubt_2pc : (string, Txn.t) Hashtbl.t;
   decided_2pc : (string, bool) Hashtbl.t;
   mutable last_decided : string option;
@@ -637,7 +631,6 @@ let bare ?(config = default_config) ?(role = Primary) ?trace ~metrics ~disk ~wal
       m_table_insert = Metrics.counter metrics "table.insert";
       m_table_delete = Metrics.counter metrics "table.delete";
       m_on_demand_aggregate = Metrics.counter metrics "query.on_demand_aggregate";
-      m_outbound_delta = Metrics.counter metrics "shard.outbound_delta";
       m_prepared = Metrics.counter metrics "shard.prepared";
       m_decided = Metrics.counter metrics "shard.decided";
       m_redo_applied = Metrics.counter metrics "recovery.redo_applied";
@@ -662,8 +655,6 @@ let bare ?(config = default_config) ?(role = Primary) ?trace ~metrics ~disk ~wal
       inflight = Ivdb_core.Inflight.create ();
       row_lock_counts = Hashtbl.create 32;
       shard = None;
-      delta_router = None;
-      outbound = Hashtbl.create 8;
       indoubt_2pc = Hashtbl.create 8;
       decided_2pc = Hashtbl.create 32;
       last_decided = None;
@@ -704,7 +695,6 @@ let bare ?(config = default_config) ?(role = Primary) ?trace ~metrics ~disk ~wal
             (Ivdb_core.Inflight.keys_of_txn t.inflight ~txn:(Txn.id txn))
       | _ -> ());
       Ivdb_core.Inflight.drop_txn t.inflight ~txn:(Txn.id txn);
-      Hashtbl.remove t.outbound (Txn.id txn);
       Hashtbl.filter_map_inplace
         (fun (tid, _) v -> if tid = Txn.id txn then None else Some v)
         t.row_lock_counts);
@@ -1082,112 +1072,12 @@ let checkpoint t = checkpoint_gen t ~truncate:true
 
 (* --- sharding / two-phase commit (participant side) -------------------------------- *)
 
-(* Remote escrow deltas ride the prepare payload as an opaque byte string;
-   this codec is shared by the coordinator (packing per-shard payloads),
-   the wire (which treats it as bytes), and recovery (the payload is
-   logged verbatim inside the Prepare record). Layout: u32 count, then per
-   entry u32 view id | u32-framed group key | u32-framed encoded delta. *)
-module Deltas = struct
-  let encode entries =
-    let buf = Buffer.create 64 in
-    let add_u32 v =
-      let b = Bytes.create 4 in
-      Ivdb_util.Bytes_util.set_u32 b 0 v;
-      Buffer.add_bytes buf b
-    in
-    let add_str s =
-      add_u32 (String.length s);
-      Buffer.add_string buf s
-    in
-    add_u32 (List.length entries);
-    List.iter
-      (fun (vid, key, delta) ->
-        add_u32 vid;
-        add_str key;
-        add_str delta)
-      entries;
-    Buffer.contents buf
-
-  let decode s =
-    let pos = ref 0 in
-    let fail () = invalid_arg "Database.Deltas.decode: malformed payload" in
-    let rd_u32 () =
-      if !pos + 4 > String.length s then fail ();
-      let v =
-        (Char.code s.[!pos] lsl 24)
-        lor (Char.code s.[!pos + 1] lsl 16)
-        lor (Char.code s.[!pos + 2] lsl 8)
-        lor Char.code s.[!pos + 3]
-      in
-      pos := !pos + 4;
-      v
-    in
-    let rd_str () =
-      let len = rd_u32 () in
-      if !pos + len > String.length s then fail ();
-      let v = String.sub s !pos len in
-      pos := !pos + len;
-      v
-    in
-    let n = rd_u32 () in
-    let entries =
-      List.init n (fun _ ->
-          let vid = rd_u32 () in
-          let key = rd_str () in
-          (vid, key, rd_str ()))
-    in
-    if !pos <> String.length s then fail ();
-    entries
-end
-
 let set_shard t ~shard ~shards =
   if shard < 0 || shard >= shards then
     invalid_arg "Database.set_shard: shard id out of range";
   t.shard <- Some (shard, shards)
 
 let shard_info t = t.shard
-let set_delta_router t f = t.delta_router <- Some f
-
-(* Called from [Table.propagate] per produced view delta: [true] means the
-   delta's group lives on another shard — it has been stashed in the
-   transaction's outbound buffer (to ride a Prepare over there) and must
-   NOT be applied locally. Only additive (escrow) deltas can travel;
-   anything else landing on a remote group is a partitioning error. *)
-let route_remote t tx ~vid ~key delta =
-  match (t.delta_router, t.shard) with
-  | Some f, Some (self, _) ->
-      let dest = f ~view:vid ~key in
-      if dest = self then false
-      else begin
-        let bytes =
-          try Aggregate.encode delta
-          with Invalid_argument _ ->
-            invalid_arg
-              (Printf.sprintf
-                 "Database: non-additive delta for view %d cannot be routed \
-                  to remote shard %d"
-                 vid dest)
-        in
-        let txid = Txn.id tx in
-        let l =
-          match Hashtbl.find_opt t.outbound txid with
-          | Some l -> l
-          | None ->
-              let l = ref [] in
-              Hashtbl.replace t.outbound txid l;
-              l
-        in
-        l := (dest, vid, key, bytes) :: !l;
-        Txn.note_delta tx;
-        Metrics.inc t.m_outbound_delta;
-        true
-      end
-  | _ -> false
-
-let outbound_deltas t tx =
-  match Hashtbl.find_opt t.outbound (Txn.id tx) with
-  | Some l -> List.rev !l
-  | None -> []
 
 let gtxn_status t gtxn =
   if Hashtbl.mem t.indoubt_2pc gtxn then `Prepared
@@ -1196,26 +1086,17 @@ let gtxn_status t gtxn =
     | Some c -> `Decided c
     | None -> `Unknown
 
-(* 2PC phase 1 on a participant: apply the inbound remote deltas through
-   the ordinary escrow path *inside* the preparing transaction — they are
-   logged with escrow undo and covered by E locks, so they commit or die
-   atomically with the decision — then force a Prepare record carrying
-   the payload. The transaction keeps all its locks; its handle moves
-   from the session into the in-doubt table, where it survives until a
-   decision arrives (possibly after a crash, via recovery's in-doubt
-   resurrection). *)
-let prepare_2pc t tx ~gtxn ~deltas =
+(* 2PC phase 1 on a participant: force a Prepare record. The transaction
+   keeps all its locks; its handle moves from the session into the
+   in-doubt table, where it survives until a decision arrives (possibly
+   after a crash, via recovery's in-doubt resurrection). *)
+let prepare_2pc t tx ~gtxn =
   reject_writes t;
   (match gtxn_status t gtxn with
   | `Unknown -> ()
   | `Prepared | `Decided _ ->
       invalid_arg ("Database.prepare_2pc: duplicate gtxn " ^ gtxn));
-  List.iter
-    (fun (vid, key, bytes) ->
-      let rt = view_rt t vid in
-      Maintain.apply_delta t.tmgr tx rt ~key (Aggregate.decode bytes))
-    (Deltas.decode deltas);
-  Txn.prepare t.tmgr tx ~gtxn ~deltas;
+  Txn.prepare t.tmgr tx ~gtxn;
   Hashtbl.replace t.indoubt_2pc gtxn tx;
   Metrics.inc t.m_prepared
 
@@ -1666,7 +1547,6 @@ module Internal = struct
   let note_delete t = Metrics.inc t.m_table_delete
   let note_on_demand_aggregate t = Metrics.inc t.m_on_demand_aggregate
   let lock_row = lock_row
-  let route_remote = route_remote
   let heap_scan_rows = heap_scan_rows
   let index_probe = index_probe
   let index_probe_rids = index_probe_rids

@@ -264,24 +264,13 @@ val checkpoint : t -> unit
 (** {1 Sharding and two-phase commit (participant side)}
 
     A [Database.t] can act as one shard of a hash-partitioned cluster
-    driven by {!Ivdb_coord.Coord}: {!set_shard} names its slot,
-    {!set_delta_router} installs the group-to-shard map, and escrow view
-    deltas whose group lives on another shard are diverted into a per-
-    transaction outbound buffer ({!outbound_deltas}) instead of applied
-    locally — the coordinator ships them to the owning shard inside its
-    Prepare. {!prepare_2pc} / {!decide_2pc} implement the participant
+    driven by {!Ivdb_coord.Coord}: {!set_shard} names its slot. A shard
+    maintains every view over its own rows exactly as a single engine
+    does; the coordinator combines the shards' partial view rows when a
+    view is read. {!prepare_2pc} / {!decide_2pc} implement the participant
     half of 2PC: a prepared transaction's handle moves into an in-doubt
     table where it keeps every lock (across crashes, via recovery's
     in-doubt resurrection) until the coordinator's decision arrives. *)
-
-(** Codec for the opaque remote-delta payload carried by [Prepare] wire
-    frames and WAL records: a list of (view id, group key, encoded
-    additive delta). *)
-module Deltas : sig
-  val encode : (int * string * string) list -> string
-  val decode : string -> (int * string * string) list
-  (** Raises [Invalid_argument] on malformed input. *)
-end
 
 val set_shard : t -> shard:int -> shards:int -> unit
 (** Declare this engine shard [shard] of [shards]. [Invalid_argument] if
@@ -291,24 +280,11 @@ val shard_info : t -> (int * int) option
 (** [(shard id, shard count)] once {!set_shard} ran; [None] on an
     unsharded engine. *)
 
-val set_delta_router : t -> (view:int -> key:string -> int) -> unit
-(** Install the group-to-shard map. Once set (together with
-    {!set_shard}), view maintenance routes deltas for remote groups into
-    the outbound buffer; non-additive deltas for remote groups raise
-    [Invalid_argument] (only escrow increments commute enough to travel). *)
-
-val outbound_deltas : t -> Ivdb_txn.Txn.t -> (int * int * string * string) list
-(** The transaction's diverted deltas, oldest first:
-    (destination shard, view id, group key, encoded delta). Cleared
-    automatically when the transaction finishes. *)
-
-val prepare_2pc : t -> Ivdb_txn.Txn.t -> gtxn:string -> deltas:string -> unit
-(** 2PC phase 1: apply the inbound {!Deltas} payload through the escrow
-    maintenance path inside the transaction, force a [Prepare] WAL
-    record, and move the transaction into the in-doubt table (it keeps
-    all its locks; the caller must stop using the handle). Raises
-    [Invalid_argument] on a duplicate gtxn — callers dedupe with
-    {!gtxn_status} first. *)
+val prepare_2pc : t -> Ivdb_txn.Txn.t -> gtxn:string -> unit
+(** 2PC phase 1: force a [Prepare] WAL record and move the transaction
+    into the in-doubt table (it keeps all its locks; the caller must stop
+    using the handle). Raises [Invalid_argument] on a duplicate gtxn —
+    callers dedupe with {!gtxn_status} first. *)
 
 val gtxn_status : t -> string -> [ `Unknown | `Prepared | `Decided of bool ]
 
@@ -402,12 +378,6 @@ module Internal : sig
       a no-op. *)
   val lock_row :
     t -> Ivdb_txn.Txn.t -> int -> Ivdb_storage.Heap_file.rid -> Ivdb_lock.Lock_mode.t -> unit
-
-  (** [true] iff the delta's group is owned by another shard and was
-      stashed in the transaction's outbound buffer (the caller must not
-      apply it locally). *)
-  val route_remote :
-    t -> Ivdb_txn.Txn.t -> vid:int -> key:string -> Ivdb_core.Aggregate.delta -> bool
 
   val view_rts : t -> Ivdb_core.Maintain.runtime list
   val note_ghost : t -> Ivdb_txn.Txn.t -> int -> Ivdb_storage.Heap_file.rid -> unit

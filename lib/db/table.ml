@@ -102,12 +102,7 @@ let propagate db tx tid sign row =
     (fun vid ->
       let vrt = I.view_rt db vid in
       List.iter
-        (fun (key, delta) ->
-          (* on a sharded engine a delta whose group lives on another
-             shard is diverted into the transaction's outbound buffer to
-             ride the 2PC prepare there, not applied locally *)
-          if not (I.route_remote db tx ~vid ~key delta) then
-            Maintain.apply_delta (Database.mgr db) tx vrt ~key delta)
+        (fun (key, delta) -> Maintain.apply_delta (Database.mgr db) tx vrt ~key delta)
         (view_deltas db tx vrt tid sign row))
     (I.rt_dep_views rt)
 

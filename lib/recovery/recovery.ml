@@ -8,7 +8,6 @@ type indoubt_txn = {
   id_gtxn : string;
   id_first_lsn : Log_record.lsn;
   id_last_lsn : Log_record.lsn;
-  id_deltas : string;
 }
 
 type analysis = {
@@ -44,7 +43,7 @@ let analyze wal =
      coordinator — it is in-doubt (locks held across restart) rather
      than a loser, unless a stable local Commit/End or a stable
      Decision already settles it. *)
-  let prepared : (int, string * string * Log_record.lsn) Hashtbl.t =
+  let prepared : (int, string * Log_record.lsn) Hashtbl.t =
     Hashtbl.create 8
   in
   let first_lsn : (int, Log_record.lsn) Hashtbl.t = Hashtbl.create 16 in
@@ -69,7 +68,7 @@ let analyze wal =
           if not (Hashtbl.mem first_lsn txn) then
             Hashtbl.replace first_lsn txn lsn
       | Log_record.Prepare p ->
-          Hashtbl.replace prepared txn (p.gtxn, p.deltas, lsn)
+          Hashtbl.replace prepared txn (p.gtxn, lsn)
       | Log_record.Decision d -> decisions := (d.gtxn, d.committed) :: !decisions
       | _ -> ());
       List.iter
@@ -105,7 +104,7 @@ let analyze wal =
         else
           match Hashtbl.find_opt prepared txn with
           | None -> acc
-          | Some (gtxn, deltas, plsn) ->
+          | Some (gtxn, plsn) ->
               {
                 id_txn = txn;
                 id_gtxn = gtxn;
@@ -114,7 +113,6 @@ let analyze wal =
                   | Some l -> l
                   | None -> plsn);
                 id_last_lsn = last;
-                id_deltas = deltas;
               }
               :: acc)
       att []

@@ -25,7 +25,6 @@ type indoubt_txn = {
   id_gtxn : string;  (** coordinator's global transaction id *)
   id_first_lsn : Ivdb_wal.Log_record.lsn;  (** Begin LSN (truncation bound) *)
   id_last_lsn : Ivdb_wal.Log_record.lsn;
-  id_deltas : string;  (** remote escrow deltas carried by the Prepare *)
 }
 
 type analysis = {

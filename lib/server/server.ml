@@ -498,7 +498,7 @@ and engine_frame t io se frame =
       in
       Transport.Frame_io.send io reply;
       session_loop t io se
-  | Wire.Prepare { seq; rid; gtxn; deltas }, Some (db, session) ->
+  | Wire.Prepare { seq; rid; gtxn }, Some (db, session) ->
       Metrics.inc t.m_requests;
       let reply =
         (* idempotence first: a coordinator retransmit after reconnect must
@@ -514,11 +514,7 @@ and engine_frame t io se frame =
               err ~seq code text
             in
             try
-              (* a delta-only participant has no statements of its own: open
-                 the transaction the inbound deltas will be applied in *)
-              if not (Sql.in_transaction session) then
-                ignore (Sql.exec session "BEGIN");
-              Sql.prepare_2pc session ~gtxn ~deltas;
+              Sql.prepare_2pc session ~gtxn;
               Wire.Prepared { seq; gtxn }
             with
             | Sql.Sql_error text | Invalid_argument text -> no E_sql text

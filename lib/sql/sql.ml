@@ -48,21 +48,19 @@ let in_transaction s = s.txn <> None
 let add_sys_provider s name f =
   s.sys_ext <- (name, f) :: List.remove_assoc name s.sys_ext
 
-let current_txn s = s.txn
-
 (* 2PC participant hooks, driven by the server's Prepare/Decide frame
    handlers (and the coordinator's loopback shards). Preparing detaches
    the transaction handle from the session: it now belongs to the
    engine's in-doubt table, so a session death's rollback must not touch
    it — only the coordinator's decision (possibly after a crash and
    recovery) finishes it. *)
-let prepare_2pc s ~gtxn ~deltas =
+let prepare_2pc s ~gtxn =
   match s.txn with
   | None -> fail "prepare: no open transaction"
   | Some tx when Txn.snapshot_of tx <> None ->
       fail "prepare: cannot prepare a READ ONLY transaction"
   | Some tx ->
-      Database.prepare_2pc s.sdb tx ~gtxn ~deltas;
+      Database.prepare_2pc s.sdb tx ~gtxn;
       s.txn <- None;
       s.savepoints <- []
 
@@ -814,33 +812,45 @@ let select_view ?stats s txn (q : A.select) v =
   op_note stats "rows returned" (List.length rows);
   Rows { header; rows }
 
+(* One view's rows from several partitions, combined by group key: the
+   aggregates distribute over a union of partitions under the labels
+   select_view gives them, with NULL as the identity. *)
+let combine_view_rows ~groups header rows =
+  let labels = Array.of_list header in
+  let combine j a b =
+    match (labels.(j), a, b) with
+    | _, Value.Null, v | _, v, Value.Null -> v
+    | ("count(*)" | "count" | "sum"), a, b -> Value.add a b
+    | "min", a, b -> if Value.compare a b <= 0 then a else b
+    | "max", a, b -> if Value.compare a b >= 0 then a else b
+    | l, _, _ -> fail "cannot combine view column %s" l
+  in
+  let by_key (a : Row.t) (b : Row.t) =
+    let rec from i =
+      if i = groups then 0
+      else match Value.compare a.(i) b.(i) with 0 -> from (i + 1) | c -> c
+    in
+    from 0
+  in
+  List.fold_left
+    (fun acc (r : Row.t) ->
+      match acc with
+      | prev :: rest when by_key prev r = 0 ->
+          Array.mapi (fun j v -> if j < groups then v else combine j v r.(j)) prev
+          :: rest
+      | _ -> r :: acc)
+    [] (List.stable_sort by_key rows)
+  |> List.rev
+
 (* --- sys.* virtual tables ----------------------------------------------------- *)
 
 (* Resolve a sys.* name to its header and (already materialized) rows:
    session-registered providers first (the server injects live
    sys.server_sessions / sys.slow_queries per connection), then the
    built-ins over the session's database. *)
-let hex bytes =
-  let b = Buffer.create (2 * String.length bytes) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) bytes;
-  Buffer.contents b
-
-(* sys.outbound needs the session's open transaction, so it cannot live in
-   Sys_tables: the open txn's diverted escrow deltas, in routing order. *)
-let outbound_rows s =
-  match s.txn with
-  | None -> []
-  | Some tx ->
-      List.map
-        (fun (dest, vid, key, bytes) ->
-          [| Value.Int dest; Value.Int vid; Value.Str key; Value.Str (hex bytes) |])
-        (Database.outbound_deltas s.sdb tx)
-
 let resolve_sys s name =
   match List.assoc_opt name s.sys_ext with
   | Some f -> Some (f ())
-  | None when name = "sys.outbound" ->
-      Some (Sys_tables.outbound_header, outbound_rows s)
   | None ->
       Sys_tables.builtin s.sdb ~self_txn:(Option.map Txn.id s.txn) name
 

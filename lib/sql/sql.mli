@@ -47,17 +47,13 @@ val session : Ivdb.Database.t -> session
 val db : session -> Ivdb.Database.t
 val in_transaction : session -> bool
 
-val current_txn : session -> Ivdb_txn.Txn.t option
-(** The session's open transaction, if any (for coordinator-side
-    inspection of its outbound delta buffer). *)
-
-val prepare_2pc : session -> gtxn:string -> deltas:string -> unit
+val prepare_2pc : session -> gtxn:string -> unit
 (** 2PC phase 1 on the session's open transaction (see
-    {!Ivdb.Database.prepare_2pc}): applies the inbound delta payload,
-    force-writes the Prepare record, and detaches the transaction from
-    the session — after this the handle lives in the engine's in-doubt
-    table and only a decision (possibly after crash recovery) finishes
-    it; a session disconnect no longer rolls it back. Raises {!Sql_error}
+    {!Ivdb.Database.prepare_2pc}): force-writes the Prepare record and
+    detaches the transaction from the session — after this the handle
+    lives in the engine's in-doubt table and only a decision (possibly
+    after crash recovery) finishes it; a session disconnect no longer
+    rolls it back. Raises {!Sql_error}
     if no read-write transaction is open. *)
 
 val decide_2pc :
@@ -86,6 +82,15 @@ val select_over :
     evaluation half of the [sys.*] path, exported so the shard
     coordinator can answer coordinator-resident catalogs ([sys.gtxns],
     [sys.coord_shards], [sys.cluster_metrics]) without a database. *)
+
+val combine_view_rows :
+  groups:int -> string list -> Ivdb_relation.Row.t list -> Ivdb_relation.Row.t list
+(** [combine_view_rows ~groups header rows] merges an indexed view's rows
+    read from several partitions (the shards of a cluster) into one row
+    per group, ordered by group key. The first [groups] columns are the
+    group key; each later column combines by its [SELECT * FROM <view>]
+    label: [count( * )], [count] and [sum] add, [min] and [max] take the
+    least and greatest, and [NULL] is the identity. *)
 
 val exec : session -> string -> result
 (** Parse and execute one statement. Raises {!Sql_error} (or

@@ -31,6 +31,16 @@ let ident st =
       i
   | t -> fail "expected identifier, found %a" L.pp_token t
 
+(* A column reference. An aggregate word not followed by "(" names the
+   column a view labels with it ("sum", "min", ...). *)
+let column st =
+  match peek st with
+  | L.Kw ("COUNT" | "SUM" | "MIN" | "MAX" | "AVG" as k)
+    when List.nth_opt st.toks 1 <> Some (L.Sym "(") ->
+      advance st;
+      String.lowercase_ascii k
+  | _ -> ident st
+
 let int_lit st =
   match peek st with
   | L.Int i ->
@@ -132,15 +142,15 @@ and atom st =
   | L.Kw "NULL" ->
       advance st;
       Lit L_null
-  | L.Ident i ->
-      advance st;
-      Column i
   | L.Sym "(" ->
       advance st;
       let e = expr st in
       eat st (L.Sym ")");
       e
-  | L.Kw ("COUNT" | "SUM" | "MIN" | "MAX" | "AVG") -> Agg_ref (agg_atom st)
+  | L.Kw ("COUNT" | "SUM" | "MIN" | "MAX" | "AVG")
+    when List.nth_opt st.toks 1 = Some (L.Sym "(") ->
+      Agg_ref (agg_atom st)
+  | L.Ident _ | L.Kw ("COUNT" | "SUM" | "MIN" | "MAX" | "AVG") -> Column (column st)
   | t -> fail "expected expression, found %a" L.pp_token t
 
 and agg_atom st =
@@ -279,7 +289,7 @@ let select_body st =
   let order =
     if accept st (L.Kw "ORDER") then begin
       eat_kw st "BY";
-      let c = ident st in
+      let c = column st in
       let desc = accept st (L.Kw "DESC") in
       if not desc then ignore (accept st (L.Kw "ASC"));
       Some { ob_col = c; ob_desc = desc }

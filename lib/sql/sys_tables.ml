@@ -238,11 +238,6 @@ let shards db =
   in
   (shards_header, rows)
 
-(* The session's diverted escrow deltas waiting to ride a 2PC prepare to
-   their owning shard; resolved in the SQL layer (it needs the session's
-   open transaction), this is just the schema for the zero-row default. *)
-let outbound_header = [ "dest_shard"; "view"; "key"; "delta_hex" ]
-
 (* Placeholders for the serving layer's tables: a local (non-networked)
    session has no server, so these resolve to their schema with zero rows;
    the server overrides them per session with live providers. *)
@@ -294,7 +289,6 @@ let names =
     "sys.locks";
     "sys.metrics";
     "sys.metrics_hist";
-    "sys.outbound";
     "sys.replication";
     "sys.server_sessions";
     "sys.shards";
@@ -318,7 +312,6 @@ let builtin db ~self_txn name =
   | "sys.slow_queries" -> Some (slow_queries_header, [])
   | "sys.replication" -> Some (replication_header, [])
   | "sys.shards" -> Some (shards db)
-  | "sys.outbound" -> Some (outbound_header, [])
   | "sys.gtxns" -> Some (gtxns_header, [])
   | "sys.coord_shards" -> Some (coord_shards_header, [])
   | "sys.cluster_metrics" -> Some (cluster_metrics_header, [])

@@ -24,11 +24,6 @@ val shards_header : string list
     last decided gtxn; the coordinator overrides the table per session
     with one row per shard of the cluster. *)
 
-val outbound_header : string list
-(** Column names of [sys.outbound] — the open transaction's escrow deltas
-    diverted toward other shards. The built-in resolution is always zero
-    rows; {!Sql} resolves it against the session's transaction. *)
-
 val replication_header : string list
 (** Column names of [sys.replication]. A standalone database is not
     replicating, so the built-in resolution returns zero rows; the

@@ -371,12 +371,12 @@ let abort_rw mgr t =
    transaction stays Active and keeps every lock — its fate now belongs to
    the coordinator, and recovery classifies it as in-doubt rather than a
    loser until a Decision record settles it. *)
-let prepare mgr t ~gtxn ~deltas =
+let prepare mgr t ~gtxn =
   check_active t;
   check_not_snapshot t "prepare";
   let lsn =
     Wal.append mgr.mwal ~txn:t.tid ~prev:t.tlast_lsn
-      (Log_record.Prepare { gtxn; deltas })
+      (Log_record.Prepare { gtxn; participants = "" })
   in
   t.tlast_lsn <- lsn;
   Group_commit.commit_durable mgr.mgc ~lsn;

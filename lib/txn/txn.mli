@@ -112,10 +112,9 @@ val abort : mgr -> t -> unit
 (** Roll back by walking the undo chain, logging compensation records;
     idempotent on already-finished transactions. *)
 
-val prepare : mgr -> t -> gtxn:string -> deltas:string -> unit
-(** 2PC phase 1: append a [Prepare] record (carrying the coordinator's
-    global id and the opaque remote-delta payload applied on this shard)
-    and force the log through it. The transaction stays active and keeps
+val prepare : mgr -> t -> gtxn:string -> unit
+(** 2PC phase 1: append a [Prepare] record carrying the coordinator's
+    global id and force the log through it. The transaction stays active and keeps
     all its locks; recovery classifies it as in-doubt, not a loser, until
     a decision settles it. *)
 

@@ -55,8 +55,8 @@ type event =
           forwarded Exec frame, so the shard-side [Net_request] /
           [Slow_query] events join back to this dispatch *)
   | Coord_fast_path of { rid : int; shard : int }
-      (** single-participant commit with no remote deltas: committed
-          locally on [shard], skipping 2PC *)
+      (** single-participant commit: committed locally on [shard],
+          skipping 2PC *)
   | Coord_prepare of { gtxn : string; rid : int; shard : int }
       (** Prepare sent to [shard] for global transaction [gtxn] *)
   | Coord_vote of { gtxn : string; shard : int; vote : string }

@@ -29,7 +29,7 @@ type body =
       catalog : string;
     }
   | Ddl of string
-  | Prepare of { gtxn : string; deltas : string }
+  | Prepare of { gtxn : string; participants : string }
   | Decision of { gtxn : string; committed : bool }
 
 type t = { lsn : lsn; txn : int; prev : lsn; body : body }
@@ -131,7 +131,7 @@ let add_body buf = function
   | Prepare p ->
       Buffer.add_char buf 'P';
       add_str buf p.gtxn;
-      add_str buf p.deltas
+      add_str buf p.participants
   | Decision d ->
       Buffer.add_char buf 'V';
       add_str buf d.gtxn;
@@ -244,7 +244,7 @@ let rd_body r =
   | 'D' -> Ddl (rd_str r)
   | 'P' ->
       let gtxn = rd_str r in
-      Prepare { gtxn; deltas = rd_str r }
+      Prepare { gtxn; participants = rd_str r }
   | 'V' ->
       let gtxn = rd_str r in
       Decision { gtxn; committed = rd_u8 r = 1 }

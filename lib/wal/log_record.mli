@@ -45,11 +45,12 @@ type body =
       catalog : string;  (** opaque catalog snapshot, restored by the owner *)
     }
   | Ddl of string  (** opaque catalog delta, replayed by the owner in order *)
-  | Prepare of { gtxn : string; deltas : string }
+  | Prepare of { gtxn : string; participants : string }
       (** 2PC phase 1: the transaction is fully forced and holds its locks
-          until a [Decision] arrives. [gtxn] is the coordinator's global id;
-          [deltas] is an opaque payload of remote escrow view deltas applied
-          on this shard as part of the prepared work. *)
+          until a [Decision] arrives. [gtxn] is the coordinator's global id.
+          In the coordinator's decision log, [participants] is the
+          comma-separated list of participant shards; a participant logs it
+          empty. *)
   | Decision of { gtxn : string; committed : bool }
       (** 2PC phase 2 outcome for a previously prepared transaction. *)
 

@@ -51,7 +51,7 @@ type frame =
   | ReplAck of { upto : Log_record.lsn }
   | Promote of { seq : int }
   | DropSlot of { seq : int; name : string }
-  | Prepare of { seq : int; rid : int; gtxn : string; deltas : string }
+  | Prepare of { seq : int; rid : int; gtxn : string }
   | Prepared of { seq : int; gtxn : string }
   | Decide of { seq : int; rid : int; gtxn : string; committed : bool }
   | Decided of { seq : int; gtxn : string; committed : bool }
@@ -114,9 +114,8 @@ let pp ppf f =
   | ReplAck { upto } -> Format.fprintf ppf "ReplAck{upto=%d}" upto
   | Promote { seq } -> Format.fprintf ppf "Promote{#%d}" seq
   | DropSlot { seq; name } -> Format.fprintf ppf "DropSlot{#%d %S}" seq name
-  | Prepare { seq; rid; gtxn; deltas } ->
-      Format.fprintf ppf "Prepare{#%d r%d %s delta_bytes=%d}" seq rid gtxn
-        (String.length deltas)
+  | Prepare { seq; rid; gtxn } ->
+      Format.fprintf ppf "Prepare{#%d r%d %s}" seq rid gtxn
   | Prepared { seq; gtxn } -> Format.fprintf ppf "Prepared{#%d %s}" seq gtxn
   | Decide { seq; rid; gtxn; committed } ->
       Format.fprintf ppf "Decide{#%d r%d %s %s}" seq rid gtxn
@@ -220,12 +219,11 @@ let encode f =
       Buffer.add_char buf 'D';
       add_u32 buf seq;
       add_str buf name
-  | Prepare { seq; rid; gtxn; deltas } ->
+  | Prepare { seq; rid; gtxn } ->
       Buffer.add_char buf '1';
       add_u32 buf seq;
       add_u32 buf rid;
-      add_str buf gtxn;
-      add_str buf deltas
+      add_str buf gtxn
   | Prepared { seq; gtxn } ->
       Buffer.add_char buf '2';
       add_u32 buf seq;
@@ -349,8 +347,7 @@ let decode s =
     | '1' ->
         let seq = rd_u32 r in
         let rid = rd_u32 r in
-        let gtxn = rd_str r in
-        Prepare { seq; rid; gtxn; deltas = rd_str r }
+        Prepare { seq; rid; gtxn = rd_str r }
     | '2' ->
         let seq = rd_u32 r in
         Prepared { seq; gtxn = rd_str r }

@@ -115,18 +115,14 @@ type frame =
           horizon stops pinning the WAL retention floor. Answered with a
           [Msg], or [Err E_repl] if the slot is unknown or still
           connected. *)
-  | Prepare of { seq : int; rid : int; gtxn : string; deltas : string }
+  | Prepare of { seq : int; rid : int; gtxn : string }
       (** 2PC phase 1, coordinator → participant: force-prepare the
           session's open transaction under global id [gtxn]. [rid] is the
           coordinator's correlation id for the commit statement driving
           this round, echoed into the participant's [Twopc_prepare] trace
           event so shard-side activity joins the coordinator's stream.
-          [deltas] is an opaque {!Ivdb.Database.Deltas} payload of escrow
-          view deltas whose groups live on this shard but were produced
-          elsewhere; they are applied inside the preparing transaction, so
-          they commit or die atomically with the decision. Answered with
-          [Prepared] (vote yes) or [Err] (vote no — the transaction was
-          rolled back). Re-sending a [Prepare] for a gtxn the shard has
+          Answered with [Prepared] (vote yes) or [Err] (vote no — the
+          transaction was rolled back, or the session had none open). Re-sending a [Prepare] for a gtxn the shard has
           already prepared or decided is answered idempotently from the
           participant's dedupe tables, never re-executed. *)
   | Prepared of { seq : int; gtxn : string }

@@ -1,9 +1,10 @@
 (* The sharding coordinator end to end on the deterministic loopback
-   transport: statement routing and view fan-out, cross-shard 2PC with
-   escrow delta shipping, sys.shards through both paths, the
-   coordinator-crash-at-every-action sweep, the participant-crash-at-
-   every-force-point sweep (clean and torn tail), and the
-   prepare/decide retransmit dedupe regression.
+   transport: statement routing, cross-shard 2PC, shard-local partial
+   views combined on read (V1 across the cluster, MIN/MAX and deferred
+   views included; join views must be co-partitioned), sys.shards
+   through both paths, the coordinator-crash-at-every-action sweep, the
+   participant-crash-at-every-force-point sweep (clean and torn tail),
+   and the prepare/decide retransmit dedupe regression.
 
    The crash sweeps follow the repo's standard shape: run a scripted
    workload once unarmed to size the sweep, then re-run it once per
@@ -37,6 +38,11 @@ let rows = function
 let affected = function
   | Sql.Affected n -> n
   | _ -> Alcotest.fail "expected Affected"
+
+let contains s needle =
+  let n = String.length needle and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
+  n = 0 || go 0
 
 let sort_rows rs =
   List.sort (fun (a : Value.t array) b -> Value.compare a.(0) b.(0)) rs
@@ -188,7 +194,7 @@ let test_cluster_smoke () =
       (match rows (Coord.exec c "SELECT qty FROM t WHERE k = 4") with
       | [ [| Value.Int 5 |] ] -> ()
       | _ -> Alcotest.fail "pinned point read");
-      (* the escrow view is partitioned by group: fan-out is the full view *)
+      (* each shard holds a partial view; the coordinator combines them *)
       (match sort_rows (rows (Coord.exec c "SELECT * FROM v")) with
       | [
           [| Value.Str "a"; Value.Int 3; Value.Int 8 |];
@@ -196,7 +202,7 @@ let test_cluster_smoke () =
         ] -> ()
       | v ->
           Alcotest.failf "view contents after inserts: %d rows" (List.length v));
-      (* pinned autocommit write: deltas for a remote group still ship *)
+      (* pinned autocommit writes commit on their one shard *)
       check Alcotest.int "pinned update" 1
         (affected (Coord.exec c "UPDATE t SET qty = 14 WHERE k = 3"));
       check Alcotest.int "pinned delete" 1
@@ -211,16 +217,13 @@ let test_cluster_smoke () =
           [| Value.Str "b"; Value.Int 1; Value.Int 14 |];
         ] -> ()
       | _ -> Alcotest.fail "view contents after update+delete");
-      (* a table with no views commits on the single-shard fast path *)
       ignore (Coord.exec c "CREATE TABLE u (k INT NOT NULL, x INT)");
       ignore (Coord.exec c "INSERT INTO u VALUES (0, 1)");
       let s = Coord.stats c in
-      check Alcotest.int "every write committed" 4
-        (s.Coord.single_shard_commits + s.Coord.cross_shard_commits);
-      Alcotest.(check bool) "the split insert ran 2PC" true
-        (s.Coord.cross_shard_commits >= 1);
-      Alcotest.(check bool) "the view-less insert skipped 2PC" true
-        (s.Coord.single_shard_commits >= 1);
+      check Alcotest.int "the split insert ran 2PC" 1 s.Coord.cross_shard_commits;
+      check Alcotest.int "its two participants prepared" 2 s.Coord.prepares_sent;
+      check Alcotest.int "every one-shard write took the fast path" 3
+        s.Coord.single_shard_commits;
       (* sys.shards: the coordinator concatenates every shard's row ... *)
       (match rows (Coord.exec c "SELECT * FROM sys.shards") with
       | [ [| Value.Int 0; Value.Int 2; Value.Str "participant"; _; _; _ |];
@@ -262,6 +265,228 @@ let test_txn_semantics () =
        with Coord.Coord_error m ->
          Alcotest.(check bool) "hint names indexed views" true
            (String.length m > 0)))
+
+(* --- shard-local partial views ------------------------------------------ *)
+
+(* A transaction whose rows all live on one shard commits there, whatever
+   view groups its rows fall into: every shard maintains its own rows'
+   view, so no other shard takes part. *)
+let test_single_shard_write_skips_2pc () =
+  let shards = 2 in
+  let cl = fresh_cluster shards in
+  phase cl (fun c _ ->
+      run_setup c;
+      let ks = keys_owned_by ~shards 0 8 in
+      run_txn c
+        (List.init 8 (fun i ->
+             Printf.sprintf "INSERT INTO t VALUES (%d, 'g%d', 1)" ks.(i) i));
+      ignore
+        (Coord.exec c (Printf.sprintf "UPDATE t SET qty = 2 WHERE k = %d" ks.(0)));
+      let s = Coord.stats c in
+      check Alcotest.int "no prepares" 0 s.Coord.prepares_sent;
+      check Alcotest.int "both commits took the fast path" 2
+        s.Coord.single_shard_commits;
+      check Alcotest.int "every group visible" 8
+        (List.length (rows (Coord.exec c "SELECT * FROM v"))))
+
+let str = function Value.Str s -> s | v -> Value.to_string v
+
+(* Base rows (k, grp, qty) grouped on grp, each group's qty folded by [f]. *)
+let fold_base f (rows : Value.t array list) =
+  let h = Hashtbl.create 16 in
+  List.iter
+    (fun (r : Value.t array) ->
+      let g = str r.(1) in
+      Hashtbl.replace h g (f (Hashtbl.find_opt h g) (Value.to_int r.(2))))
+    rows;
+  Hashtbl.fold (fun g acc l -> (g, acc) :: l) h [] |> List.sort compare
+
+(* the columns after grp of a COUNT/SUM view and of a MIN/MAX view *)
+let count_sum acc q =
+  match acc with
+  | None -> [ 1; q ]
+  | Some [ n; s ] -> [ n + 1; s + q ]
+  | Some _ -> assert false
+
+let count_min_max acc q =
+  match acc with
+  | None -> [ 1; q; q ]
+  | Some [ n; lo; hi ] -> [ n + 1; min lo q; max hi q ]
+  | Some _ -> assert false
+
+let view_groups (rows : Value.t array list) =
+  List.map
+    (fun (r : Value.t array) ->
+      (str r.(0), List.map Value.to_int (List.tl (Array.to_list r))))
+    rows
+  |> List.sort compare
+
+(* V1 across the cluster: after a seeded script of inserts, pinned
+   updates (moving rows between groups), deletes and rollbacks on three
+   shards, every view read through the coordinator equals a GROUP BY
+   fold of all base rows, and every shard's own view equals the fold of
+   that shard's rows — for an escrow COUNT/SUM view, an exclusive MIN/MAX
+   view and a deferred view. *)
+let test_partial_views_v1 () =
+  let shards = 3 in
+  let cl = fresh_cluster shards in
+  phase cl (fun c dialers ->
+      List.iter
+        (fun s -> ignore (Coord.exec c s))
+        [
+          "CREATE TABLE t (k INT NOT NULL, grp TEXT NOT NULL, qty INT NOT NULL)";
+          "CREATE VIEW ve AS SELECT grp, COUNT(*), SUM(qty) FROM t GROUP BY grp \
+           USING ESCROW";
+          "CREATE VIEW vm AS SELECT grp, MIN(qty), MAX(qty) FROM t GROUP BY grp \
+           USING EXCLUSIVE";
+          "CREATE VIEW vd AS SELECT grp, COUNT(*), SUM(qty) FROM t GROUP BY grp \
+           USING DEFERRED REFRESH THRESHOLD 0";
+        ];
+      let rng = Random.State.make [| 7 |] in
+      let live = ref [] and next = ref 0 in
+      for _ = 1 to 40 do
+        ignore (Coord.exec c "BEGIN");
+        let added = ref [] and gone = ref [] in
+        for _ = 1 to 1 + Random.State.int rng 3 do
+          let grp = Printf.sprintf "g%d" (Random.State.int rng 5) in
+          let qty = 1 + Random.State.int rng 50 in
+          match (Random.State.int rng 4, !live) with
+          | (0 | 1), _ | _, [] ->
+              incr next;
+              added := !next :: !added;
+              ignore
+                (Coord.exec c
+                   (Printf.sprintf "INSERT INTO t VALUES (%d, '%s', %d)" !next grp qty))
+          | 2, l ->
+              let k = List.nth l (Random.State.int rng (List.length l)) in
+              ignore
+                (Coord.exec c
+                   (Printf.sprintf "UPDATE t SET grp = '%s', qty = %d WHERE k = %d"
+                      grp qty k))
+          | _, l ->
+              let k = List.nth l (Random.State.int rng (List.length l)) in
+              gone := k :: !gone;
+              ignore (Coord.exec c (Printf.sprintf "DELETE FROM t WHERE k = %d" k))
+        done;
+        if Random.State.int rng 5 = 0 then ignore (Coord.exec c "ROLLBACK")
+        else begin
+          ignore (Coord.exec c "COMMIT");
+          live := List.filter (fun k -> not (List.mem k !gone)) (!added @ !live)
+        end
+      done;
+      (* a deferred view refreshes for a transactional reader *)
+      let read exec v =
+        ignore (exec "BEGIN");
+        let r = rows (exec ("SELECT * FROM " ^ v)) in
+        ignore (exec "COMMIT");
+        view_groups r
+      in
+      let expect what exec base =
+        check
+          Alcotest.(list (pair string (list int)))
+          (what ^ ": escrow COUNT/SUM") (fold_base count_sum base)
+          (read exec "ve");
+        check
+          Alcotest.(list (pair string (list int)))
+          (what ^ ": exclusive MIN/MAX") (fold_base count_min_max base)
+          (read exec "vm");
+        check
+          Alcotest.(list (pair string (list int)))
+          (what ^ ": deferred COUNT/SUM") (fold_base count_sum base)
+          (read exec "vd")
+      in
+      let base = rows (Coord.exec c "SELECT * FROM t") in
+      check Alcotest.int "every committed row is there" (List.length !live)
+        (List.length base);
+      expect "combined" (Coord.exec c) base;
+      let partial_sums =
+        Array.map
+          (fun d ->
+            let cl = Client.connect d in
+            let own = rows (Client.exec cl "SELECT * FROM t") in
+            expect "shard" (Client.exec cl) own;
+            Client.close cl;
+            fold_base count_sum own)
+          dialers
+      in
+      (* a group whose combined sum beats every partial one *)
+      let combined = fold_base count_sum base in
+      let biggest_partial g =
+        Array.fold_left
+          (fun acc p ->
+            match List.assoc_opt g p with Some [ _; s ] -> max acc s | _ -> acc)
+          0 partial_sums
+      in
+      let g, n =
+        List.find_map
+          (fun (g, cs) ->
+            let m = biggest_partial g in
+            if List.nth cs 1 > m then Some (g, m) else None)
+          combined
+        |> Option.get
+      in
+      let above =
+        view_groups
+          (rows (Coord.exec c (Printf.sprintf "SELECT * FROM ve WHERE sum > %d" n)))
+      in
+      Alcotest.(check bool) "WHERE applies to the combined row" true
+        (List.mem_assoc g above);
+      check
+        Alcotest.(list (pair string (list int)))
+        "WHERE filters after the merge"
+        (List.filter (fun (_, cs) -> List.nth cs 1 > n) combined)
+        above;
+      let top2 =
+        rows (Coord.exec c "SELECT * FROM ve ORDER BY sum DESC LIMIT 2")
+        |> List.map (fun (r : Value.t array) -> Value.to_int r.(2))
+      in
+      check Alcotest.(list int) "ORDER BY and LIMIT apply after the merge"
+        (List.map (fun (_, cs) -> List.nth cs 1) combined
+        |> List.sort (fun a b -> compare b a)
+        |> List.filteri (fun i _ -> i < 2))
+        top2)
+
+(* A shard joins only the rows it holds, so a join view is accepted only
+   when both sides join on their partition columns. *)
+let test_join_views_must_be_copartitioned () =
+  let cl = fresh_cluster 2 in
+  phase cl (fun c _ ->
+      List.iter
+        (fun s -> ignore (Coord.exec c s))
+        [
+          "CREATE TABLE o (oid INT NOT NULL, cust TEXT NOT NULL)";
+          "CREATE TABLE i (iid INT NOT NULL, order_id INT NOT NULL, amt INT NOT NULL)";
+          "CREATE TABLE li (order_id INT NOT NULL, amt INT NOT NULL)";
+        ];
+      (match
+         Coord.exec c
+           "CREATE VIEW jv AS SELECT cust, COUNT(*), SUM(amt) FROM o JOIN i ON \
+            oid = order_id GROUP BY cust USING ESCROW"
+       with
+      | _ -> Alcotest.fail "a join off i's partition column was accepted"
+      | exception Coord.Coord_error m ->
+          Alcotest.(check bool) "the refusal names the partition columns" true
+            (contains m "partition column"));
+      ignore
+        (Coord.exec c
+           "CREATE VIEW jv AS SELECT cust, COUNT(*), SUM(amt) FROM o JOIN li ON \
+            oid = order_id GROUP BY cust USING ESCROW");
+      ignore
+        (Coord.exec c
+           "INSERT INTO o VALUES (1, 'ada'), (2, 'bob'), (3, 'cy'), (4, 'di')");
+      ignore
+        (Coord.exec c
+           "INSERT INTO li VALUES (1, 10), (1, 20), (2, 5), (2, 2), (3, 7), (4, 1)");
+      Alcotest.(check bool) "the orders span both shards" true
+        (List.length
+           (List.sort_uniq compare
+              (List.init 4 (fun k -> Coord.route_value ~shards:2 (Value.Int (k + 1)))))
+        = 2);
+      check
+        Alcotest.(list (pair string (list int)))
+        "the combined join view"
+        [ ("ada", [ 2; 30 ]); ("bob", [ 2; 7 ]); ("cy", [ 1; 7 ]); ("di", [ 1; 1 ]) ]
+        (view_groups (rows (Coord.exec c "SELECT * FROM jv"))))
 
 (* --- coordinator crash at every protocol action ------------------------ *)
 
@@ -421,16 +646,15 @@ let test_retransmit_dedupe () =
       ignore (Client.exec cl "CREATE TABLE t (k INT NOT NULL, x INT)");
       ignore (Client.exec cl "BEGIN");
       ignore (Client.exec cl "INSERT INTO t VALUES (1, 10)");
-      let deltas = Database.Deltas.encode [] in
       (* the Prepare lands, the Prepared ack dies with the connection *)
       drop := true;
       (try
-         ignore (Client.prepare_2pc cl ~gtxn:"g:1" ~deltas);
+         ignore (Client.prepare_2pc cl ~gtxn:"g:1");
          Alcotest.fail "expected Disconnected"
        with Client.Disconnected _ -> ());
       (* the coordinator-style resend is answered from the dedupe
          table on a fresh session — not re-executed *)
-      (match Client.prepare_2pc cl ~gtxn:"g:1" ~deltas with
+      (match Client.prepare_2pc cl ~gtxn:"g:1" with
       | `Prepared -> ()
       | `Already_decided _ -> Alcotest.fail "not decided yet");
       check Alcotest.int "prepared exactly once" 1
@@ -452,12 +676,27 @@ let test_retransmit_dedupe () =
       Client.close cl;
       Server.drain srv)
 
-(* --- prepare lost before the shard sees it ------------------------------ *)
+(* A Prepare on a session with no open transaction is a No vote: there is
+   nothing of this gtxn's on the shard to prepare, and preparing an empty
+   transaction would vote yes for work the shard never did. *)
+let test_prepare_without_txn_votes_no () =
+  let db = Database.create () in
+  Coord.configure_shard db ~shard:0 ~shards:1;
+  Sched.run ~seed:5 (fun () ->
+      let net = Transport.Loopback.create ~backlog:64 () in
+      let srv = Server.create db (Transport.Loopback.listener net) in
+      Server.serve srv;
+      let cl = Client.connect (Transport.Loopback.dialer net) in
+      (match Client.prepare_2pc cl ~gtxn:"g:1" with
+      | _ -> Alcotest.fail "a Prepare with no open transaction voted yes"
+      | exception Client.Server_error _ -> ());
+      check Alcotest.int "nothing in doubt" 0 (Database.indoubt_count db);
+      Alcotest.(check bool) "the gtxn is unknown to the shard" true
+        (Database.gtxn_status db "g:1" = `Unknown);
+      Client.close cl;
+      Server.drain srv)
 
-let contains s needle =
-  let n = String.length needle and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
-  n = 0 || go 0
+(* --- prepare lost before the shard sees it ------------------------------ *)
 
 (* A dialer whose connections silently drop selected outbound frames:
    the [k]-th write containing [needle] never reaches the server and the
@@ -694,6 +933,14 @@ let test_trace_determinism () =
 let test_catalogs_over_wire () =
   let shards = 2 in
   let dbs = Array.init shards (fun _ -> Database.create ()) in
+  (* the rids on the Prepare frames shard 0 traced *)
+  let prepare_rids = ref [] in
+  let tr = Database.trace dbs.(0) in
+  Trace.add_sink tr (fun r ->
+      match r.Trace.event with
+      | Trace.Twopc_prepare { rid; _ } -> prepare_rids := rid :: !prepare_rids
+      | _ -> ());
+  Trace.set_enabled tr true;
   Sched.run ~seed:23 (fun () ->
       Coord.loopback_cluster
         ~config:{ Server.default_config with slow_query_ticks = Some 0 }
@@ -784,12 +1031,8 @@ let test_catalogs_over_wire () =
                     (rid >= 1 && rid < 65536)
               | _ -> Alcotest.fail "malformed slow-query row")
             slow;
-          Alcotest.(check bool) "the COMMIT's rid reached the shard log" true
-            (List.exists
-               (function
-                 | [| Value.Int rid; Value.Str _ |] -> rid = commit_rid
-                 | _ -> false)
-               slow);
+          check Alcotest.(list int) "the COMMIT's rid reached the shard's trace"
+            [ commit_rid ] !prepare_rids;
           Client.close cl;
           Coord.close c;
           Server.drain csrv))
@@ -931,15 +1174,9 @@ let test_deadlock_victim_is_abort_only () =
         (Coord.exec c1
            "CREATE VIEW v AS SELECT grp, COUNT(*), SUM(qty) FROM t GROUP BY grp \
             USING EXCLUSIVE");
-      (* groups owned by a shard, so their locks are taken there *)
-      let groups_on shard =
-        List.filter
-          (fun g ->
-            Coord.route_key ~shards (Ivdb_relation.Key_codec.encode [| Value.Str g |])
-            = shard)
-          (List.init 26 (fun i -> String.make 1 (Char.chr (97 + i))))
-      in
-      let g0 = Array.of_list (groups_on 0) and g1 = Array.of_list (groups_on 1) in
+      (* rows of groups g0 live on shard 0 and rows of groups g1 on shard
+         1, so each group's locks are taken on that shard *)
+      let g0 = [| "a"; "b" |] and g1 = [| "c"; "d" |] in
       let k0 = keys_owned_by ~shards 0 8 and k1 = keys_owned_by ~shards 1 4 in
       let insert c k g =
         ignore (Coord.exec c (Printf.sprintf "INSERT INTO t VALUES (%d, '%s', 1)" k g))
@@ -1058,6 +1295,15 @@ let () =
           Alcotest.test_case "cross-shard transactions and aborts" `Quick
             test_txn_semantics;
         ] );
+      ( "partial views",
+        [
+          Alcotest.test_case "a one-shard write commits without 2PC" `Quick
+            test_single_shard_write_skips_2pc;
+          Alcotest.test_case "V1 across the cluster, MIN/MAX and deferred too"
+            `Quick test_partial_views_v1;
+          Alcotest.test_case "join views must be co-partitioned" `Quick
+            test_join_views_must_be_copartitioned;
+        ] );
       ( "crash",
         [
           Alcotest.test_case "coordinator crash at every protocol action"
@@ -1073,6 +1319,8 @@ let () =
         [
           Alcotest.test_case "prepare/decide retransmits are deduped" `Quick
             test_retransmit_dedupe;
+          Alcotest.test_case "a Prepare with no open transaction votes no"
+            `Quick test_prepare_without_txn_votes_no;
           Alcotest.test_case "a lost Prepare aborts instead of part-committing"
             `Quick test_prepare_loss_aborts;
           Alcotest.test_case "undelivered decisions re-deliver at next commit"

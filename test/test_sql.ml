@@ -66,14 +66,24 @@ let test_parse_arith_precedence () =
   | e -> Alcotest.failf "wrong precedence: %a" A.pp_expr e
 
 let test_parse_view () =
-  match
-    Parser.parse
-      "CREATE VIEW v AS SELECT p, COUNT(*), SUM(q) FROM t GROUP BY p USING DEFERRED \
-       REFRESH THRESHOLD 10"
-  with
+  (match
+     Parser.parse
+       "CREATE VIEW v AS SELECT p, COUNT(*), SUM(q) FROM t GROUP BY p USING \
+        DEFERRED REFRESH THRESHOLD 10"
+   with
   | A.Create_view { strat = A.S_deferred (Some 10); query; _ } ->
       check Alcotest.(list string) "group by" [ "p" ] query.A.group_by
-  | _ -> Alcotest.fail "bad view parse"
+  | _ -> Alcotest.fail "bad view parse");
+  (* a view's aggregate columns are named by their labels *)
+  match Parser.parse "SELECT * FROM v WHERE sum > 3 ORDER BY sum DESC" with
+  | A.Select
+      {
+        where = Some (A.Binop (A.Gt, A.Column "sum", _));
+        order = Some { ob_col = "sum"; _ };
+        _;
+      } ->
+      ()
+  | _ -> Alcotest.fail "aggregate word as a view column"
 
 let test_parse_errors () =
   Alcotest.(check bool) "trailing" true

@@ -96,9 +96,8 @@ let frame_gen =
           (fun seq name -> Wire.DropSlot { seq; name })
           (int_bound 100000) str_gen;
         map3
-          (fun (seq, rid) gtxn deltas -> Wire.Prepare { seq; rid; gtxn; deltas })
-          (pair (int_bound 100000) (int_bound 100000))
-          str_gen str_gen;
+          (fun seq rid gtxn -> Wire.Prepare { seq; rid; gtxn })
+          (int_bound 100000) (int_bound 100000) str_gen;
         map2
           (fun seq gtxn -> Wire.Prepared { seq; gtxn })
           (int_bound 100000) str_gen;
@@ -153,8 +152,8 @@ let sample_frames =
     Wire.ReplAck { upto = 44 };
     Wire.Promote { seq = 10 };
     Wire.DropSlot { seq = 11; name = "follower-1" };
-    Wire.Prepare { seq = 13; rid = 2; gtxn = "coord:7"; deltas = "\x00\x02bin\xff" };
-    Wire.Prepare { seq = 14; rid = 0; gtxn = ""; deltas = "" };
+    Wire.Prepare { seq = 13; rid = 2; gtxn = "coord:7" };
+    Wire.Prepare { seq = 14; rid = 0; gtxn = "" };
     Wire.Prepared { seq = 15; gtxn = "coord:7" };
     Wire.Decide { seq = 16; rid = 2; gtxn = "coord:7"; committed = true };
     Wire.Decide { seq = 17; rid = 0; gtxn = "c:1"; committed = false };

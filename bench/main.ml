@@ -1684,8 +1684,23 @@ let micro () =
     | None -> assert false
   in
   let counter = ref 100_000 in
+  (* two page images one 8-byte word apart, and a resident page to write *)
+  let diff_before = Ivdb_storage.Page.alloc () in
+  let diff_after = Bytes.copy diff_before in
+  Bytes.set_int64_le diff_after 4096 1L;
+  let upd_page = Ivdb_storage.Disk.alloc_page disk in
   let tests =
     [
+      Test.make ~name:"page_diff.compute (one 8-byte change)"
+        (Staged.stage (fun () ->
+             ignore
+               (Ivdb_storage.Page_diff.compute ~before:diff_before ~after:diff_after)));
+      Test.make ~name:"bufpool.update (8-byte write)"
+        (Staged.stage (fun () ->
+             incr counter;
+             ignore
+               (Ivdb_storage.Bufpool.update pool upd_page (fun p ->
+                    Bytes.set_int64_le p 4096 (Int64.of_int !counter)))));
       Test.make ~name:"btree.search (10k)"
         (Staged.stage (fun () ->
              ignore (Ivdb_btree.Btree.search tree (key (1 + Rng.int rng 10_000)))));

@@ -29,6 +29,9 @@ type t = {
   mutable ring : frame array;
   mutable ring_len : int;
   mutable hand : int;
+  mutable spares : bytes list;
+      (* free [Page.size] buffers for [update]'s pre-images; a field of the
+         pool, not a global, so a dropped pool frees them *)
   mutable wal_force : int64 -> unit;
 }
 
@@ -51,6 +54,7 @@ let create disk ~capacity ?trace metrics =
     ring = [||];
     ring_len = 0;
     hand = 0;
+    spares = [];
     wal_force = (fun _ -> failwith "Bufpool: wal_force not set");
   }
 
@@ -114,12 +118,16 @@ let write_back t fr =
 (* Clock eviction: advance the hand around the ring, clearing reference
    bits; evict the first unpinned, unreferenced frame. Two revolutions
    suffice; if every frame is pinned we overflow rather than deadlock the
-   cooperative scheduler. *)
+   cooperative scheduler. Returns the evicted frame's buffer, which the
+   caller reads the missed page into. *)
 let evict_one t =
   (* an empty ring (capacity 0, or every frame already removed) has
      nothing to evict — and the clock arithmetic below divides by
      [ring_len], so guard explicitly rather than trust the loop bound *)
-  if t.ring_len = 0 then Ivdb_util.Metrics.inc t.m_overflow
+  if t.ring_len = 0 then begin
+    Ivdb_util.Metrics.inc t.m_overflow;
+    None
+  end
   else begin
   let victim = ref None in
   let steps = ref (2 * t.ring_len) in
@@ -135,7 +143,9 @@ let evict_one t =
     else victim := Some fr
   done;
   match !victim with
-  | None -> Ivdb_util.Metrics.inc t.m_overflow
+  | None ->
+      Ivdb_util.Metrics.inc t.m_overflow;
+      None
   | Some fr ->
       write_back t fr;
       Hashtbl.remove t.frames fr.page_id;
@@ -143,7 +153,8 @@ let evict_one t =
       Ivdb_util.Metrics.inc t.m_evict;
       if Ivdb_util.Trace.enabled t.trace then
         Ivdb_util.Trace.emit t.trace
-          (Ivdb_util.Trace.Buf_evict { page = fr.page_id })
+          (Ivdb_util.Trace.Buf_evict { page = fr.page_id });
+      Some fr.data
   end
 
 let get_frame t page_id =
@@ -156,8 +167,11 @@ let get_frame t page_id =
       Ivdb_util.Metrics.inc t.m_miss;
       if Ivdb_util.Trace.enabled t.trace then
         Ivdb_util.Trace.emit t.trace (Ivdb_util.Trace.Buf_miss { page = page_id });
-      if Hashtbl.length t.frames >= t.cap then evict_one t;
-      let data = with_io_retry t ~page:page_id (fun () -> Disk.read t.disk page_id) in
+      let victim = if Hashtbl.length t.frames >= t.cap then evict_one t else None in
+      let data =
+        match victim with Some buf -> buf | None -> Bytes.create Page.size
+      in
+      with_io_retry t ~page:page_id (fun () -> Disk.read_into t.disk page_id data);
       let fr =
         {
           page_id;
@@ -183,25 +197,38 @@ let read t page_id f = with_pin t page_id (fun fr -> f fr.data)
 
 let update t page_id f =
   with_pin t page_id (fun fr ->
-      let before = Bytes.copy fr.data in
-      let result =
-        try f fr.data
-        with e ->
-          (* the mutation callback died partway: restore the pre-image, or
-             the frame would keep unlogged bytes while looking clean
-             (dirty = false, no no-steal window) — evictable to disk with
-             no covering log record, violating the WAL rule *)
-          Bytes.blit before 0 fr.data 0 Page.size;
-          raise e
+      (* the pre-image goes in a spare buffer, back on the stack once the
+         diff is taken: a fresh 8 KB copy per mutation would go straight
+         to the major heap *)
+      let before =
+        match t.spares with
+        | b :: rest ->
+            t.spares <- rest;
+            b
+        | [] -> Bytes.create Page.size
       in
-      let diff = Page_diff.compute ~before ~after:fr.data in
-      (* a real change opens a no-steal window until the caller logs the
-         diff and stamps the page; an empty diff leaves the frame as-is *)
-      if not (Page_diff.is_empty diff) then begin
-        fr.dirty <- true;
-        fr.no_steal <- true
-      end;
-      (result, diff))
+      Bytes.blit fr.data 0 before 0 Page.size;
+      Fun.protect ~finally:(fun () -> t.spares <- before :: t.spares)
+        (fun () ->
+          let result =
+            try f fr.data
+            with e ->
+              (* the mutation callback died partway: restore the pre-image,
+                 or the frame would keep unlogged bytes while looking clean
+                 (dirty = false, no no-steal window) — evictable to disk
+                 with no covering log record, violating the WAL rule *)
+              Bytes.blit before 0 fr.data 0 Page.size;
+              raise e
+          in
+          let diff = Page_diff.compute ~before ~after:fr.data in
+          (* a real change opens a no-steal window until the caller logs
+             the diff and stamps the page; an empty diff leaves the frame
+             as-is *)
+          if not (Page_diff.is_empty diff) then begin
+            fr.dirty <- true;
+            fr.no_steal <- true
+          end;
+          (result, diff)))
 
 let stamp t page_id lsn =
   match Hashtbl.find_opt t.frames page_id with

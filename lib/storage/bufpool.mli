@@ -27,6 +27,11 @@ val update : t -> int -> (bytes -> 'a) -> 'a * Page_diff.t
     its pre-image before the exception escapes (a half-mutated frame with
     no covering log record must never reach disk).
 
+    The pre-image is a pool-owned buffer, reused by the next [update]; the
+    page bytes the callback gets are the frame itself, whose buffer a
+    later miss may reuse for another page. The callback must keep neither:
+    copy out what it needs.
+
     Disk I/O performed on a frame miss or eviction retries transient
     {!Fault.Io_error}s with bounded tick-based backoff (counts
     [buffer.io_retry], traces [buf.io_retry]); the last failure

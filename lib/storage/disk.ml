@@ -44,31 +44,34 @@ let alloc_page t =
   t.next_id <- id + 1;
   id
 
-(* Stamp the checksum into a private stable copy. The pool-facing image
-   always carries zero in the checksum field (see [read]), so the field
-   never shows up in page diffs or pre-images. *)
-let stamped p =
-  let s = Bytes.copy p in
+(* Stamp the checksum into a stable image. The pool-facing image always
+   carries zero in the checksum field (see [read_into]), so the field never
+   shows up in page diffs or pre-images. *)
+let stamp_into s p =
+  Bytes.blit p 0 s 0 Page.size;
   Page.set_checksum s 0;
-  Page.set_checksum s (Page.checksum s);
+  Page.set_checksum s (Page.checksum s)
+
+let stamped p =
+  let s = Bytes.create Page.size in
+  stamp_into s p;
   s
 
-let read t id =
+let read_into t id buf =
   Metrics.inc t.m_read;
   Ivdb_sched.Sched.advance t.read_cost;
   Fault.on_read t.fault ~page:id;
   match Hashtbl.find_opt t.pages id with
   | Some p ->
       if not (Page.verifies p) then raise (Torn_page id);
-      let c = Bytes.copy p in
-      Page.set_checksum c 0;
-      c
+      Bytes.blit p 0 buf 0 Page.size;
+      Page.set_checksum buf 0
   | None ->
       if id < t.next_id then begin
         (* allocated but never flushed — legitimate after a crash that beat
            the first write-back; reads as a fresh page *)
         Metrics.inc t.m_unwritten;
-        Page.alloc ()
+        Bytes.fill buf 0 Page.size '\000'
       end
       else begin
         (* an id the allocator never handed out: a dangling reference *)
@@ -78,16 +81,25 @@ let read t id =
         if t.strict then
           invalid_arg
             (Printf.sprintf "Disk.read: page %d was never allocated" id)
-        else Page.alloc ()
+        else Bytes.fill buf 0 Page.size '\000'
       end
 
+let read t id =
+  let buf = Bytes.create Page.size in
+  read_into t id buf;
+  buf
+
+(* No stored image ever leaves this module ([read_into] and the torn path
+   copy out of it), so a write may stamp over it in place. *)
 let write t id p =
   if not (Fault.frozen t.fault) then begin
     Metrics.inc t.m_write;
     Ivdb_sched.Sched.advance t.write_cost;
     match Fault.on_write t.fault ~page:id with
     | Fault.Write_ok ->
-        Hashtbl.replace t.pages id (stamped p);
+        (match Hashtbl.find_opt t.pages id with
+         | Some s -> stamp_into s p
+         | None -> Hashtbl.replace t.pages id (stamped p));
         if id >= t.next_id then t.next_id <- id + 1
     | Fault.Write_crash -> Fault.crash "disk.write"
     | Fault.Write_torn keep ->

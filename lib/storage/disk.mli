@@ -41,20 +41,27 @@ val alloc_page : t -> int
 (** Fresh page id (ids start at 1; 0 is "nil"). Allocation itself performs
     no I/O. *)
 
+val read_into : t -> int -> bytes -> unit
+(** [read_into t id buf] copies the page's stable image into [buf] (a
+    {!Page.size} buffer; the buffer pool passes the frame it just evicted)
+    and zeroes its checksum field. An allocated but never-written page
+    reads as zeroes and counts [disk.read_unwritten] (legitimate after a
+    crash that beat the first write-back). A page id the allocator never
+    handed out is a dangling reference: counts [disk.read_bogus] and, in
+    strict mode, raises [Invalid_argument]. Raises {!Torn_page} on checksum
+    mismatch. Counts [disk.read]; may raise {!Fault.Io_error} under an
+    installed plan. [buf] is written only once the read succeeds. *)
+
 val read : t -> int -> bytes
-(** Copy of the page's stable image, checksum field zeroed. An allocated
-    but never-written page reads as zeroes and counts
-    [disk.read_unwritten] (legitimate after a crash that beat the first
-    write-back). A page id the allocator never handed out is a dangling
-    reference: counts [disk.read_bogus] and, in strict mode, raises
-    [Invalid_argument]. Raises {!Torn_page} on checksum mismatch. Counts
-    [disk.read]; may raise {!Fault.Io_error} under an installed plan. *)
+(** {!read_into} a fresh buffer. *)
 
 val write : t -> int -> bytes -> unit
-(** Stores a checksum-stamped copy. Counts [disk.write]. Under an
-    installed plan this is the torn-write / crash-at-write injection
-    point; after the plan freezes, writes are silent no-ops (the machine
-    is dead). *)
+(** Stores a checksum-stamped copy; the caller keeps its buffer. A page
+    already stored is stamped over its old image in place: a stored image
+    is private to the disk, and {!read_into} hands out copies only. Counts
+    [disk.write]. Under an installed plan this is the torn-write /
+    crash-at-write injection point; after the plan freezes, writes are
+    silent no-ops (the machine is dead). *)
 
 val is_torn : t -> int -> bool
 (** The stored image fails verification (torn write at crash). *)

@@ -8,11 +8,15 @@
     The pageLSN range at offsets 0..7 is excluded; the logger stamps it. *)
 
 type t = (int * string) list
-(** [(offset, replacement bytes)] ranges, ascending, non-overlapping. *)
+(** [(offset, replacement bytes)] ranges: non-empty, ascending and
+    non-overlapping, all inside [\[8, Page.size)]. *)
 
 val compute : before:bytes -> after:bytes -> t
-(** Ranges where the images differ (offsets >= {!Page.header_size} minus the
-    type byte are compared from offset 8 on; the LSN field is ignored). *)
+(** The byte ranges where [after] differs from [before], compared from
+    offset 8 on (the pageLSN at 0..7 is ignored). Runs of changed bytes
+    separated by fewer than 8 equal bytes merge into one range. Equal
+    8-byte words are skipped a word at a time; the result is exactly what
+    a byte-at-a-time comparison gives. *)
 
 val apply : bytes -> t -> unit
 
@@ -21,4 +25,11 @@ val byte_size : t -> int
 (** Log-volume accounting: payload bytes plus per-range framing. *)
 
 val encode : t -> string
+
 val decode : string -> t
+(** Inverse of {!encode}. Raises [Invalid_argument] on a malformed
+    encoding, and on ranges {!compute} never produces: an offset below 8
+    (it would overwrite the pageLSN), a zero length, a range past
+    {!Page.size}, or ranges out of order or overlapping. Log records
+    shipped to a replica are decoded here, so a bad range stops at
+    decode, not inside redo. *)

@@ -56,6 +56,97 @@ let prop_diff_apply =
       Page_diff.apply restored d';
       Bytes.sub restored 8 (Page.size - 8) = Bytes.sub b 8 (Page.size - 8))
 
+(* Oracle for [Page_diff.compute]: one byte at a time, no word skipping,
+   the same rule that merges runs fewer than 8 equal bytes apart. *)
+let bytewise_diff ~before ~after =
+  let n = Bytes.length before in
+  let ranges = ref [] in
+  let i = ref 8 in
+  while !i < n do
+    if Bytes.get before !i <> Bytes.get after !i then begin
+      let start = !i in
+      let last_diff = ref !i in
+      incr i;
+      let continue = ref true in
+      while !continue && !i < n do
+        if Bytes.get before !i <> Bytes.get after !i then begin
+          last_diff := !i;
+          incr i
+        end
+        else if !i - !last_diff < 8 then incr i
+        else continue := false
+      done;
+      ranges := (start, Bytes.sub_string after start (!last_diff - start + 1)) :: !ranges
+    end
+    else incr i
+  done;
+  List.rev !ranges
+
+let prop_diff_matches_bytewise =
+  QCheck.Test.make ~name:"compute = byte-at-a-time reference" ~count:500
+    QCheck.(pair int (int_bound 3))
+    (fun (seed, shape) ->
+      let rng = Rng.create seed in
+      let a = Page.alloc () in
+      for _ = 0 to 200 do
+        Bytes.set a (8 + Rng.int rng (Page.size - 8)) (Char.chr (Rng.int rng 256))
+      done;
+      let b = Bytes.copy a in
+      (* change the byte at [off] to any other value *)
+      let flip off =
+        if off < Page.size then
+          Bytes.set b off
+            (Char.chr ((Char.code (Bytes.get a off) + 1 + Rng.int rng 255) land 255))
+      in
+      (match shape with
+      | 0 -> () (* identical pages *)
+      | 1 ->
+          (* word and page edges: the first compared byte, both sides of a
+             word boundary, the last word and the last byte *)
+          List.iter
+            (fun off -> if Rng.bool rng then flip off)
+            [ 8; 15; 16; Page.size - 8; Page.size - 1 ];
+          flip [| 8; 15; 16; Page.size - 8; Page.size - 1 |].(Rng.int rng 5)
+      | 2 ->
+          (* runs separated by gaps of 7, 8 and 9 equal bytes: the first
+             merges, the others split (merge_gap = 8); some start near
+             the end of the page *)
+          let off =
+            ref (if Rng.bool rng then 8 + Rng.int rng 64 else Page.size - 48 + Rng.int rng 16)
+          in
+          for _ = 1 to 1 + Rng.int rng 6 do
+            let len = 1 + Rng.int rng 5 in
+            for k = 0 to len - 1 do
+              flip (!off + k)
+            done;
+            off := !off + len + [| 7; 8; 9 |].(Rng.int rng 3)
+          done
+      | _ ->
+          for _ = 1 to 1 + Rng.int rng 50 do
+            flip (8 + Rng.int rng (Page.size - 8))
+          done);
+      Page.set_lsn b (Int64.of_int (Rng.int rng 1_000_000));
+      Page_diff.compute ~before:a ~after:b = bytewise_diff ~before:a ~after:b)
+
+let test_diff_decode_rejects () =
+  (* [encode] writes whatever it is given; [decode] takes only what
+     [compute] can produce *)
+  let rejects name d =
+    Alcotest.check_raises name (Invalid_argument "Page_diff.decode: malformed diff")
+      (fun () -> ignore (Page_diff.decode (Page_diff.encode d)))
+  in
+  rejects "offset 0 (the pageLSN)" [ (0, "x") ];
+  rejects "offset 7, overlapping the type byte" [ (7, "ab") ];
+  rejects "past the page end" [ (Page.size - 1, "ab") ];
+  rejects "zero length" [ (100, "") ];
+  rejects "unsorted" [ (200, "a"); (100, "b") ];
+  rejects "overlapping" [ (100, "abc"); (102, "d") ];
+  rejects "repeated offset" [ (100, "a"); (100, "b") ];
+  let edges = [ (8, "a"); (Page.size - 1, "z") ] in
+  Alcotest.(check (list (pair int string)))
+    "page edges accepted" edges
+    (Page_diff.decode (Page_diff.encode edges))
+
 (* --- Disk ------------------------------------------------------------------ *)
 
 let test_disk_rw () =
@@ -333,12 +424,60 @@ let test_bufpool_update_raise_restores () =
   Bufpool.read pool a (fun p ->
       check Alcotest.char "mutation rolled back" 'G' (Bytes.get p 200);
       check Alcotest.char "second byte rolled back" '\000' (Bytes.get p 300));
+  (* the pre-image buffer goes back to the pool after the raise: the next
+     updates, on this page and another, diff against their own pages *)
+  let diff = Alcotest.(list (pair int string)) in
+  let (), da = Bufpool.update pool a (fun p -> Bytes.set p 400 'Q') in
+  check diff "same page: only its change" [ (400, "Q") ] da;
+  Bufpool.stamp pool a 2L;
+  let b = Disk.alloc_page d in
+  let (), db = Bufpool.update pool b (fun p -> Bytes.set p 500 'R') in
+  check diff "other page: only its change" [ (500, "R") ] db;
+  Bufpool.stamp pool b 3L;
   (* the frame is clean: evicting it must not write the poisoned bytes *)
   for _ = 1 to 4 do
     Bufpool.read pool (Disk.alloc_page d) (fun _ -> ())
   done;
   let stable = Disk.read d a in
   check Alcotest.char "stable image intact" 'G' (Bytes.get stable 200)
+
+let test_bufpool_reused_buffers () =
+  (* a capacity-2 pool evicts dirty pages and reads misses into the
+     evicted frames' buffers; a model of every page must agree with the
+     pool, with each diff, and with the disk after a flush *)
+  let _, d, pool, _ = make_pool ~capacity:2 () in
+  let rng = Rng.create 7 in
+  let ids = Array.init 6 (fun _ -> Disk.alloc_page d) in
+  let model = Array.map (fun _ -> Page.alloc ()) ids in
+  for step = 1 to 300 do
+    let i = Rng.int rng (Array.length ids) in
+    let off = 8 + Rng.int rng (Page.size - 40) in
+    let run = String.init (1 + Rng.int rng 32) (fun _ -> Char.chr (Rng.int rng 256)) in
+    let before = Bytes.copy model.(i) in
+    Bytes.blit_string run 0 model.(i) off (String.length run);
+    let (), diff =
+      Bufpool.update pool ids.(i) (fun p -> Bytes.blit_string run 0 p off (String.length run))
+    in
+    Page_diff.apply before diff;
+    Alcotest.(check bool) "diff takes the old page to the new" true
+      (Bytes.sub before 8 (Page.size - 8) = Bytes.sub model.(i) 8 (Page.size - 8));
+    let lsn = Int64.of_int step in
+    Bufpool.stamp pool ids.(i) lsn;
+    Page.set_lsn model.(i) lsn
+  done;
+  Array.iteri
+    (fun i id ->
+      Bufpool.read pool id (fun p ->
+          check Alcotest.int "checksum field reads as 0" 0 (Page.get_checksum p);
+          Alcotest.(check bool) "pool page = last update" true (Bytes.equal p model.(i))))
+    ids;
+  Bufpool.flush_all pool;
+  Array.iteri
+    (fun i id ->
+      Alcotest.(check bool) "stored image verifies" false (Disk.is_torn d id);
+      Alcotest.(check bool) "disk page = last update" true
+        (Bytes.equal (Disk.read d id) model.(i)))
+    ids
 
 let test_bufpool_capacity_zero () =
   (* regression: an empty clock ring must not divide by zero; a capacity-0
@@ -679,6 +818,9 @@ let () =
           Alcotest.test_case "empty" `Quick test_diff_empty;
           Alcotest.test_case "ignores lsn" `Quick test_diff_ignores_lsn;
           qtest prop_diff_apply;
+          qtest prop_diff_matches_bytewise;
+          Alcotest.test_case "decode rejects what compute never makes" `Quick
+            test_diff_decode_rejects;
         ] );
       ( "disk",
         [
@@ -710,6 +852,8 @@ let () =
           Alcotest.test_case "drop_all" `Quick test_bufpool_drop_all;
           Alcotest.test_case "update raise restores pre-image" `Quick
             test_bufpool_update_raise_restores;
+          Alcotest.test_case "misses reuse evicted buffers" `Quick
+            test_bufpool_reused_buffers;
           Alcotest.test_case "capacity zero" `Quick test_bufpool_capacity_zero;
           Alcotest.test_case "transient I/O retry" `Quick test_bufpool_io_retry;
         ] );

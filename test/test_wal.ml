@@ -16,11 +16,23 @@ let rid_gen =
 
 let str_gen = QCheck.Gen.(string_size (int_bound 64))
 
+(* only diffs [Page_diff.compute] can produce, which is all that
+   [Page_diff.decode] accepts: non-empty, ascending, disjoint ranges from
+   offset 8 on *)
 let diff_gen =
   QCheck.Gen.(
-    list_size (int_bound 4)
-      (map2 (fun off s -> (off land 0xFFF, s)) (int_bound 0xFFF)
-         (string_size (int_range 1 32))))
+    map
+      (fun runs ->
+        let _, ranges =
+          List.fold_left
+            (fun (floor, acc) (gap, s) ->
+              let off = floor + gap in
+              (off + String.length s, (off, s) :: acc))
+            (8, []) runs
+        in
+        List.rev ranges)
+      (list_size (int_bound 4)
+         (pair (int_bound 0x3FF) (string_size (int_range 1 32)))))
 
 let redo_gen =
   QCheck.Gen.(
@@ -90,6 +102,22 @@ let test_decode_garbage () =
     (Invalid_argument "Log_record.decode: malformed record") (fun () ->
       let ok = LR.encode { LR.lsn = 1; txn = 1; prev = 0; body = LR.Commit } in
       ignore (LR.decode (ok ^ "x")))
+
+let test_decode_frames_stops_at_bad_diff () =
+  (* a shipped record whose page diff [Page_diff.compute] could never
+     produce (offset 0 would overwrite the pageLSN in redo) ends the
+     batch at decode: the receiver keeps only the records before it *)
+  let w = Wal.create (Metrics.create ()) in
+  let update diff = LR.Update { redo = [ (3, diff) ]; undo = LR.No_undo } in
+  let good = Wal.append w ~txn:1 ~prev:0 (update [ (100, "ok") ]) in
+  let bad = Wal.append w ~txn:1 ~prev:good (update [ (0, "lsn") ]) in
+  ignore (Wal.append w ~txn:1 ~prev:bad LR.Commit);
+  Wal.force w (Wal.last_lsn w);
+  let payload = Wal.serialize_range w ~from:good ~upto:(Wal.last_lsn w) in
+  let recs = Wal.decode_frames ~first_lsn:good payload in
+  Alcotest.(check (list int)) "only the first record" [ good ]
+    (List.map (fun r -> r.LR.lsn) recs);
+  Alcotest.(check bool) "and it decodes whole" true (List.hd recs = Wal.get w good)
 
 (* --- wal mechanics ----------------------------------------------------------- *)
 
@@ -288,6 +316,8 @@ let () =
           qtest prop_codec_roundtrip;
           qtest prop_byte_size_exact;
           Alcotest.test_case "decode garbage" `Quick test_decode_garbage;
+          Alcotest.test_case "decode_frames stops at a bad page diff" `Quick
+            test_decode_frames_stops_at_bad_diff;
         ] );
       ( "wal",
         [

@@ -1,8 +1,11 @@
-(* Benchmark harness: regenerates every experiment table/figure of the
-   reproduction (E1-E8, see DESIGN.md / EXPERIMENTS.md) plus the bechamel
-   micro-benchmarks (M0).
+(* Benchmark harness: regenerates every experiment table of the
+   reproduction (E1-E19, see DESIGN.md / EXPERIMENTS.md) plus the bechamel
+   micro-benchmarks (M0). Each experiment builds one typed table; the text
+   table and the machine-readable record (BENCH.json, written to the
+   current directory at exit) are both rendered from it.
 
-   Usage: main.exe [e1|e2|...|e8|micro]...; no arguments runs everything. *)
+   Usage: main.exe [e1|e2|...|e19|micro|commit-quick]...; no arguments runs
+   e1-e19 and micro. commit-quick runs E11-E19 at smoke size. *)
 
 module Database = Ivdb.Database
 module Table = Ivdb.Table
@@ -19,36 +22,136 @@ module Txn = Ivdb_txn.Txn
 module Wal = Ivdb_wal.Wal
 module Metrics = Ivdb_util.Metrics
 module Rng = Ivdb_util.Rng
-module Zipf = Ivdb_util.Zipf
+module Stats = Ivdb_util.Stats
 module Fault = Ivdb_storage.Fault
 module Sched = Ivdb_sched.Sched
+module Coord = Ivdb_coord.Coord
+module Server = Ivdb_server.Server
+module Net_workload = Ivdb_client.Net_workload
 
-(* --- table printing -------------------------------------------------------- *)
+(* --- tables ---------------------------------------------------------------- *)
 
-let print_table ~title ~header rows =
-  let all = header :: rows in
-  let ncols = List.length header in
-  let width c =
-    List.fold_left (fun acc row -> max acc (String.length (List.nth row c))) 0 all
+(* One table cell; [F (d, x)] prints [x] with [d] decimals. *)
+type cell = I of int | F of int * float | S of string
+
+type table = { title : string; header : string list; rows : cell list list }
+
+let i n = I n
+let f1 x = F (1, x)
+let f2 x = F (2, x)
+
+let text = function
+  | I n -> string_of_int n
+  | F (d, x) -> Printf.sprintf "%.*f" d x
+  | S s -> s
+
+(* Every table printed so far, newest first; written to BENCH.json at exit. *)
+let printed = ref []
+
+let print_table t =
+  let ncols = List.length t.header in
+  List.iter
+    (fun r ->
+      if List.length r <> ncols then
+        invalid_arg
+          (Printf.sprintf "table %S: a row has %d cells, the header has %d"
+             t.title (List.length r) ncols))
+    t.rows;
+  let all = t.header :: List.map (List.map text) t.rows in
+  let widths =
+    List.fold_left
+      (List.map2 (fun w c -> max w (String.length c)))
+      (List.map (fun _ -> 0) t.header)
+      all
   in
-  let widths = List.init ncols width in
-  let line row =
-    String.concat "  "
-      (List.mapi
-         (fun i cell -> Printf.sprintf "%*s" (List.nth widths i) cell)
-         row)
+  let line row = String.concat "  " (List.map2 (Printf.sprintf "%*s") widths row) in
+  Printf.printf "\n%s\n%s\n" t.title (String.make (String.length t.title) '=');
+  print_endline (line t.header);
+  print_endline (String.make (String.length (line t.header)) '-');
+  List.iter (fun r -> print_endline (line r)) (List.tl all);
+  flush stdout;
+  printed := t :: !printed
+
+(* The run's record: {"quick": b, "tables": [{"title", "columns", "rows"}]}
+   with the tables in print order. Titles, headers and string cells are
+   fixed identifiers from this file, so they need no escaping. Floats are
+   written unrounded; a non-finite one (M0 without an estimate) as null. *)
+let write_json ~quick path =
+  let b = Buffer.create 4096 in
+  let add = Buffer.add_string b in
+  let str s = Printf.bprintf b "\"%s\"" s in
+  let list sep f xs =
+    List.iteri (fun k x -> if k > 0 then add sep; f x) xs
   in
-  Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=');
-  print_endline (line header);
-  print_endline (String.make (String.length (line header)) '-');
-  List.iter (fun r -> print_endline (line r)) rows;
-  flush stdout
+  let cell = function
+    | I n -> add (string_of_int n)
+    | F (_, x) when Float.is_finite x -> Printf.bprintf b "%.17g" x
+    | F _ -> add "null"
+    | S s -> str s
+  in
+  Printf.bprintf b "{\"quick\": %b, \"tables\": [\n" quick;
+  list ",\n"
+    (fun t ->
+      add "  {\"title\": ";
+      str t.title;
+      add ",\n   \"columns\": [";
+      list ", " str t.header;
+      add "],\n   \"rows\": [";
+      list ","
+        (fun r ->
+          add "\n    [";
+          list ", " cell r;
+          add "]")
+        t.rows;
+      add "]}")
+    (List.rev !printed);
+  add "\n]}\n";
+  Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc b)
 
-let f1 x = Printf.sprintf "%.1f" x
-let f2 x = Printf.sprintf "%.2f" x
-let i = string_of_int
+(* --- shared fixtures ----------------------------------------------------------- *)
 
-let strategy_name = Maintain.strategy_to_string
+let strategy_name s = S (Maintain.strategy_to_string s)
+
+let metric r name =
+  match List.assoc_opt name r.Workload.metrics with Some v -> v | None -> 0
+
+let group_commit = Txn.Group { max_batch = 32; max_wait_ticks = 50 }
+
+(* The closed loop E2 and E11-E16 share: [budget] transactions split over
+   [mpl] workers, committing in [commit_mode]. *)
+let closed_loop ~seed ~budget
+    ?(commit_mode = Workload.default.Workload.config.Database.commit_mode) mpl =
+  {
+    Workload.default with
+    seed;
+    mpl;
+    txns_per_worker = max 1 (budget / mpl);
+    config = { Workload.default.Workload.config with commit_mode };
+  }
+
+(* The sales(id, product, qty) table under a SUM(qty) GROUP BY product
+   escrow view, with [rows] loaded in one transaction once the view
+   exists. The default config has free I/O. *)
+let sales_db ?(config = Workload.default.Workload.config) rows =
+  let db = Database.create ~config () in
+  let t =
+    Database.create_table db ~name:"sales"
+      ~cols:
+        [
+          { Schema.name = "id"; ty = Value.TInt; nullable = false };
+          { Schema.name = "product"; ty = Value.TInt; nullable = false };
+          { Schema.name = "qty"; ty = Value.TInt; nullable = false };
+        ]
+  in
+  let v =
+    Database.create_view db ~name:"by_product" ~group_by:[ "product" ]
+      ~aggs:[ View_def.Sum (Expr.col (Database.schema db t) "qty") ]
+      ~source:(Database.From (t, None))
+      ~strategy:Maintain.Escrow ()
+  in
+  Database.transact db (fun tx ->
+      List.iter (fun r -> ignore (Table.insert db tx t r)) rows);
+  (db, t, v)
 
 (* --- E1: read benefit of indexed views -------------------------------------- *)
 
@@ -57,31 +160,12 @@ let strategy_name = Maintain.strategy_to_string
    aggregation into an O(log N) lookup. *)
 let e1 () =
   let rows_of n =
-    let config =
-      { Database.default_config with read_cost = 0; write_cost = 0; pool_capacity = 4096 }
-    in
-    let db = Database.create ~config () in
-    let t =
-      Database.create_table db ~name:"sales"
-        ~cols:
-          [
-            { Schema.name = "id"; ty = Value.TInt; nullable = false };
-            { Schema.name = "product"; ty = Value.TInt; nullable = false };
-            { Schema.name = "qty"; ty = Value.TInt; nullable = false };
-          ]
-    in
     let rng = Rng.create 7 in
-    Database.transact db (fun tx ->
-        for k = 1 to n do
-          ignore
-            (Table.insert db tx t
-               [| Value.Int k; Value.Int (Rng.int rng 100); Value.Int (1 + Rng.int rng 9) |])
-        done);
-    let v =
-      Database.create_view db ~name:"by_product" ~group_by:[ "product" ]
-        ~aggs:[ View_def.Sum (Expr.col (Database.schema db t) "qty") ]
-        ~source:(Database.From (t, None))
-        ~strategy:Maintain.Escrow ()
+    let db, _t, v =
+      sales_db
+        ~config:{ Workload.default.Workload.config with pool_capacity = 4096 }
+        (List.init n (fun k ->
+             [| Value.Int (k + 1); Value.Int (Rng.int rng 100); Value.Int (1 + Rng.int rng 9) |]))
     in
     let time_it iters f =
       let t0 = Unix.gettimeofday () in
@@ -101,27 +185,17 @@ let e1 () =
     [ i n; f2 lookup_us; f2 ondemand_us; f1 (ondemand_us /. lookup_us) ]
   in
   print_table
-    ~title:"E1  Indexed view vs on-demand aggregation (100 groups, point query)"
-    ~header:[ "base rows"; "view lookup (us)"; "on-demand agg (us)"; "speedup" ]
-    (List.map rows_of [ 1_000; 5_000; 20_000; 50_000 ])
+    {
+      title = "E1  Indexed view vs on-demand aggregation (100 groups, point query)";
+      header = [ "base rows"; "view lookup (us)"; "on-demand agg (us)"; "speedup" ];
+      rows = List.map rows_of [ 1_000; 5_000; 20_000; 50_000 ];
+    }
 
 (* --- E2: writer throughput under contention ---------------------------------- *)
 
 let e2 () =
   let cell strategy mpl =
-    let spec =
-      {
-        Workload.default with
-        seed = 2;
-        strategy;
-        mpl;
-        txns_per_worker = max 1 (256 / mpl);
-        n_groups = 20;
-        theta = 0.99;
-        delete_fraction = 0.1;
-      }
-    in
-    let r = Workload.run spec in
+    let r = Workload.run { (closed_loop ~seed:2 ~budget:256 mpl) with strategy } in
     let per_txn x = float_of_int x /. float_of_int (max 1 r.Workload.committed) in
     [
       strategy_name strategy;
@@ -137,14 +211,17 @@ let e2 () =
   in
   let mpls = [ 1; 2; 4; 8; 16; 32 ] in
   print_table
-    ~title:
-      "E2  Writer scalability on a hot skewed view (zipf 0.99 over 20 groups, ~256 txns)"
-    ~header:
-      [ "strategy"; "mpl"; "commits"; "tput/1k ticks"; "waits/txn"; "deadlocks";
-        "retries"; "lat mean"; "lat p95" ]
-    (List.concat_map
-       (fun s -> List.map (cell s) mpls)
-       [ Maintain.Exclusive; Maintain.Escrow ])
+    {
+      title =
+        "E2  Writer scalability on a hot skewed view (zipf 0.99 over 20 groups, ~256 txns)";
+      header =
+        [ "strategy"; "mpl"; "commits"; "tput/1k ticks"; "waits/txn"; "deadlocks";
+          "retries"; "lat mean"; "lat p95" ];
+      rows =
+        List.concat_map
+          (fun s -> List.map (cell s) mpls)
+          [ Maintain.Exclusive; Maintain.Escrow ];
+    }
 
 (* --- E3: conflicts vs skew ----------------------------------------------------- *)
 
@@ -159,7 +236,6 @@ let e3 () =
         txns_per_worker = 16;
         n_groups = 50;
         theta;
-        delete_fraction = 0.1;
       }
     in
     let r = Workload.run spec in
@@ -176,13 +252,16 @@ let e3 () =
   in
   let thetas = [ 0.0; 0.5; 0.9; 0.99; 1.2 ] in
   print_table
-    ~title:"E3  Conflict rate vs access skew (mpl 16, 50 groups)"
-    ~header:
-      [ "strategy"; "theta"; "commits"; "deadlocks/100"; "retries/100";
-        "waits/100"; "lat p95" ]
-    (List.concat_map
-       (fun s -> List.map (cell s) thetas)
-       [ Maintain.Exclusive; Maintain.Escrow ])
+    {
+      title = "E3  Conflict rate vs access skew (mpl 16, 50 groups)";
+      header =
+        [ "strategy"; "theta"; "commits"; "deadlocks/100"; "retries/100";
+          "waits/100"; "lat p95" ];
+      rows =
+        List.concat_map
+          (fun s -> List.map (cell s) thetas)
+          [ Maintain.Exclusive; Maintain.Escrow ];
+    }
 
 (* --- E4: maintenance overhead per view ------------------------------------------ *)
 
@@ -195,7 +274,6 @@ let e4 () =
         strategy;
         mpl = 1;
         txns_per_worker = 200;
-        ops_per_txn = 4;
         delete_fraction = 0.;
         n_views;
         initial_rows = 100;
@@ -204,35 +282,31 @@ let e4 () =
     in
     let r = Workload.run spec in
     let per_txn x = float_of_int x /. float_of_int (max 1 r.Workload.committed) in
-    let get n = match List.assoc_opt n r.Workload.metrics with Some v -> v | None -> 0 in
     [
-      (if n_views = 0 then "none" else strategy_name strategy);
+      (if n_views = 0 then S "none" else strategy_name strategy);
       i n_views;
       i r.Workload.committed;
       f1 (float_of_int r.Workload.ticks /. float_of_int (max 1 r.Workload.committed));
-      f1 (per_txn (get "log.bytes"));
-      f2 (per_txn (get "disk.read" + get "disk.write"));
+      f1 (per_txn (metric r "log.bytes"));
+      f2 (per_txn (metric r "disk.read" + metric r "disk.write"));
     ]
   in
-  let rows =
-    cell Maintain.Escrow 0
-    :: List.concat_map
-         (fun s -> List.map (cell s) [ 1; 2; 4 ])
-         [ Maintain.Escrow; Maintain.Deferred ]
-  in
   print_table
-    ~title:"E4  Writer-side cost of immediate vs deferred maintenance (mpl 1, 200 txns)"
-    ~header:[ "strategy"; "views"; "commits"; "ticks/txn"; "log B/txn"; "IOs/txn" ]
-    rows
+    {
+      title = "E4  Writer-side cost of immediate vs deferred maintenance (mpl 1, 200 txns)";
+      header = [ "strategy"; "views"; "commits"; "ticks/txn"; "log B/txn"; "IOs/txn" ];
+      rows =
+        cell Maintain.Escrow 0
+        :: List.concat_map
+             (fun s -> List.map (cell s) [ 1; 2; 4 ])
+             [ Maintain.Escrow; Maintain.Deferred ];
+    }
 
 (* --- E5: deferred refresh amortization -------------------------------------------- *)
 
 let e5 () =
   let cell batch =
-    let config = { Database.default_config with read_cost = 0; write_cost = 0 } in
-    let spec =
-      { Workload.default with seed = 5; strategy = Maintain.Deferred; config }
-    in
+    let spec = { Workload.default with seed = 5; strategy = Maintain.Deferred } in
     let db, sales, views = Workload.setup spec in
     let v = List.hd views in
     (* fold the preload's deltas away so only the batch is measured *)
@@ -266,11 +340,13 @@ let e5 () =
     ]
   in
   print_table
-    ~title:"E5  Deferred maintenance: refresh cost amortizes with batch size (20 groups)"
-    ~header:
-      [ "batch"; "staleness"; "deltas applied"; "view rows touched"; "refresh us";
-        "us/delta" ]
-    (List.map cell [ 1; 10; 100; 1000 ])
+    {
+      title = "E5  Deferred maintenance: refresh cost amortizes with batch size (20 groups)";
+      header =
+        [ "batch"; "staleness"; "deltas applied"; "view rows touched"; "refresh us";
+          "us/delta" ];
+      rows = List.map cell [ 1; 10; 100; 1000 ];
+    }
 
 (* --- E6: recovery ------------------------------------------------------------------- *)
 
@@ -280,7 +356,6 @@ let e6 () =
       {
         Workload.default with
         seed = 6;
-        strategy = Maintain.Escrow;
         mpl = 4;
         txns_per_worker = txns / 4;
         delete_fraction = 0.15;
@@ -307,22 +382,25 @@ let e6 () =
     let m = Database.metrics db' in
     let rows_after = Table.row_count db' (Database.table db' "sales") in
     [
-      (if ckpt then i txns ^ " +ckpt" else i txns);
+      (if ckpt then S (Printf.sprintf "%d +ckpt" txns) else i txns);
       i (Metrics.get m "recovery.stable_records");
       i (Metrics.get m "recovery.redo_applied");
       i (Metrics.get m "recovery.losers");
       f2 ms;
       i rows_after;
-      string_of_bool
-        (Workload.check_consistency db' (Database.view db' "sales_by_product_0"));
+      S
+        (string_of_bool
+           (Workload.check_consistency db' (Database.view db' "sales_by_product_0")));
     ]
   in
   print_table
-    ~title:"E6  Restart recovery vs log length (crash with 5 in-flight losers)"
-    ~header:
-      [ "txns"; "stable log recs"; "redo applied"; "losers undone"; "recovery ms";
-        "rows after"; "view consistent" ]
-    (List.concat_map (fun n -> [ cell n; cell ~ckpt:true n ]) [ 200; 1000; 3000 ])
+    {
+      title = "E6  Restart recovery vs log length (crash with 5 in-flight losers)";
+      header =
+        [ "txns"; "stable log recs"; "redo applied"; "losers undone"; "recovery ms";
+          "rows after"; "view consistent" ];
+      rows = List.concat_map (fun n -> [ cell n; cell ~ckpt:true n ]) [ 200; 1000; 3000 ];
+    }
 
 (* --- E7: reader locking granularity -------------------------------------------------- *)
 
@@ -332,11 +410,8 @@ let e7 () =
       {
         Workload.default with
         seed = 7;
-        strategy = Maintain.Escrow;
-        mpl = 8;
         txns_per_worker = 40;
         read_fraction = 0.5;
-        reader_scan = false;
         reader_locking = locking;
         n_groups = 50;
         theta = 0.5;
@@ -345,10 +420,11 @@ let e7 () =
     let r = Workload.run spec in
     let writers = r.Workload.committed - r.Workload.committed_readers in
     [
-      (match locking with
-      | Workload.Key_range -> "key-range"
-      | Workload.Coarse_table -> "table S lock"
-      | Workload.Snapshot -> "mvcc snapshot");
+      S
+        (match locking with
+        | Workload.Key_range -> "key-range"
+        | Workload.Coarse_table -> "table S lock"
+        | Workload.Snapshot -> "mvcc snapshot");
       i r.Workload.committed;
       i r.Workload.committed_readers;
       i writers;
@@ -359,12 +435,14 @@ let e7 () =
     ]
   in
   print_table
-    ~title:
-      "E7  Serializable view readers vs writers: key-range locks vs coarse table locks"
-    ~header:
-      [ "reader locking"; "commits"; "readers"; "writers"; "lock waits";
-        "deadlocks"; "lat mean"; "lat p95" ]
-    (List.map cell [ Workload.Key_range; Workload.Coarse_table ])
+    {
+      title =
+        "E7  Serializable view readers vs writers: key-range locks vs coarse table locks";
+      header =
+        [ "reader locking"; "commits"; "readers"; "writers"; "lock waits";
+          "deadlocks"; "lat mean"; "lat p95" ];
+      rows = List.map cell [ Workload.Key_range; Workload.Coarse_table ];
+    }
 
 (* --- E8: group lifecycle churn --------------------------------------------------------- *)
 
@@ -374,7 +452,6 @@ let e8 () =
       {
         Workload.default with
         seed = 8;
-        strategy = Maintain.Escrow;
         create_mode;
         mpl = 12;
         txns_per_worker = 40;
@@ -393,14 +470,14 @@ let e8 () =
       Group_gc.zero_count_rows
         (Database.Internal.view_rt db (Database.Internal.view_id (List.hd views)))
     in
-    let get n = match List.assoc_opt n r.Workload.metrics with Some v -> v | None -> 0 in
     [
-      (match create_mode with
-      | Maintain.System_txn -> "system txn"
-      | Maintain.User_txn -> "user txn");
+      S
+        (match create_mode with
+        | Maintain.System_txn -> "system txn"
+        | Maintain.User_txn -> "user txn");
       i r.Workload.committed;
-      i (get "view.group_create" + get "view.group_create_user");
-      i (get "view.gc_removed" + removed);
+      i (metric r "view.group_create" + metric r "view.group_create_user");
+      i (metric r "view.gc_removed" + removed);
       i zero_left;
       i r.Workload.lock_waits;
       i r.Workload.deadlocks;
@@ -408,11 +485,14 @@ let e8 () =
     ]
   in
   print_table
-    ~title:"E8  Group create/delete churn: system-transaction vs user-transaction creation"
-    ~header:
-      [ "creation"; "commits"; "creates"; "gc removed"; "zero rows left";
-        "lock waits"; "deadlocks"; "lat p95" ]
-    (List.map cell [ Maintain.System_txn; Maintain.User_txn ])
+    {
+      title =
+        "E8  Group create/delete churn: system-transaction vs user-transaction creation";
+      header =
+        [ "creation"; "commits"; "creates"; "gc removed"; "zero rows left";
+          "lock waits"; "deadlocks"; "lat p95" ];
+      rows = List.map cell [ Maintain.System_txn; Maintain.User_txn ];
+    }
 
 (* --- E9: lock escalation --------------------------------------------------------------- *)
 
@@ -444,7 +524,7 @@ let e9 () =
     let ms = (Unix.gettimeofday () -. t0) *. 1000. in
     let m = Database.metrics db in
     [
-      (match threshold with None -> "off" | Some n -> string_of_int n);
+      (match threshold with None -> S "off" | Some n -> i n);
       i rows_n;
       i (Metrics.get m "lock.acquire");
       i (Metrics.get m "lock.escalation");
@@ -452,57 +532,42 @@ let e9 () =
     ]
   in
   print_table
-    ~title:"E9  Lock escalation: bulk-load lock footprint (single transaction)"
-    ~header:[ "threshold"; "rows"; "lock acquisitions"; "escalations"; "wall ms" ]
-    (List.concat_map
-       (fun n -> [ cell None n; cell (Some 100) n ])
-       [ 1_000; 5_000; 20_000 ])
+    {
+      title = "E9  Lock escalation: bulk-load lock footprint (single transaction)";
+      header = [ "threshold"; "rows"; "lock acquisitions"; "escalations"; "wall ms" ];
+      rows =
+        List.concat_map
+          (fun n -> [ cell None n; cell (Some 100) n ])
+          [ 1_000; 5_000; 20_000 ];
+    }
 
 (* --- E10: bounds reads vs blocking reads ------------------------------------------------- *)
 
 let e10 () =
   let run mode =
-    let config = { Database.default_config with read_cost = 0; write_cost = 0 } in
-    let db = Database.create ~config () in
-    let t =
-      Database.create_table db ~name:"sales"
-        ~cols:
-          [
-            { Schema.name = "id"; ty = Value.TInt; nullable = false };
-            { Schema.name = "product"; ty = Value.TInt; nullable = false };
-            { Schema.name = "qty"; ty = Value.TInt; nullable = false };
-          ]
-    in
-    let v =
-      Database.create_view db ~name:"v" ~group_by:[ "product" ]
-        ~aggs:[ View_def.Sum (Expr.col (Database.schema db t) "qty") ]
-        ~source:(Database.From (t, None))
-        ~strategy:Maintain.Escrow ()
-    in
-    Database.transact db (fun tx ->
-        ignore (Table.insert db tx t [| Value.Int 0; Value.Int 1; Value.Int 1 |]));
-    let lat = Ivdb_util.Stats.create () in
-    let widths = Ivdb_util.Stats.create () in
+    let db, t, v = sales_db [ [| Value.Int 0; Value.Int 1; Value.Int 1 |] ] in
+    let lat = Stats.create () in
+    let widths = Stats.create () in
     let reads = 60 in
-    Ivdb_sched.Sched.run ~seed:10 (fun () ->
+    Sched.run ~seed:10 (fun () ->
         (* writers hammer group 1, holding E locks across yields *)
         for w = 1 to 6 do
           ignore
-            (Ivdb_sched.Sched.spawn (fun () ->
+            (Sched.spawn (fun () ->
                  for k = 1 to 40 do
                    Database.transact db (fun tx ->
                        ignore
                          (Table.insert db tx t
                             [| Value.Int ((w * 1000) + k); Value.Int 1; Value.Int 1 |]);
-                       Ivdb_sched.Sched.yield ();
-                       Ivdb_sched.Sched.yield ())
+                       Sched.yield ();
+                       Sched.yield ())
                  done))
         done;
         (* one reader samples the hot group *)
         ignore
-          (Ivdb_sched.Sched.spawn (fun () ->
+          (Sched.spawn (fun () ->
                for _ = 1 to reads do
-                 let t0 = Ivdb_sched.Sched.now () in
+                 let t0 = Sched.now () in
                  (match mode with
                  | `Blocking ->
                      Database.transact db (fun tx ->
@@ -510,18 +575,17 @@ let e10 () =
                  | `Bounds -> (
                      match Query.view_lookup_bounds db v [| Value.Int 1 |] with
                      | Some (lo, hi) ->
-                         Ivdb_util.Stats.add widths
-                           (Value.to_float hi.(1) -. Value.to_float lo.(1))
+                         Stats.add widths (Value.to_float hi.(1) -. Value.to_float lo.(1))
                      | None -> ()));
-                 Ivdb_util.Stats.add lat (float_of_int (Ivdb_sched.Sched.now () - t0));
-                 Ivdb_sched.Sched.yield ()
+                 Stats.add lat (float_of_int (Sched.now () - t0));
+                 Sched.yield ()
                done)))
     ;
-    let mean = Ivdb_util.Stats.mean lat in
-    let p95 = if Ivdb_util.Stats.count lat = 0 then 0. else Ivdb_util.Stats.percentile lat 95. in
-    let width = if Ivdb_util.Stats.count widths = 0 then 0. else Ivdb_util.Stats.mean widths in
+    let mean = Stats.mean lat in
+    let p95 = if Stats.count lat = 0 then 0. else Stats.percentile lat 95. in
+    let width = if Stats.count widths = 0 then 0. else Stats.mean widths in
     [
-      (match mode with `Blocking -> "serializable lookup" | `Bounds -> "escrow bounds");
+      S (match mode with `Blocking -> "serializable lookup" | `Bounds -> "escrow bounds");
       i reads;
       f1 mean;
       f1 p95;
@@ -529,9 +593,72 @@ let e10 () =
     ]
   in
   print_table
-    ~title:"E10  Reading a hot escrow group: blocking lookup vs bounds read"
-    ~header:[ "reader mode"; "reads"; "lat mean (ticks)"; "lat p95"; "avg interval width" ]
-    [ run `Blocking; run `Bounds ]
+    {
+      title = "E10  Reading a hot escrow group: blocking lookup vs bounds read";
+      header = [ "reader mode"; "reads"; "lat mean (ticks)"; "lat p95"; "avg interval width" ];
+      rows = [ run `Blocking; run `Bounds ];
+    }
+
+(* --- E11: commit path — per-commit force vs group commit vs async ----------------------- *)
+
+(* Escrow removes the lock bottleneck on the hot aggregate rows, so with a
+   private force per commit the 100-tick log force is the throughput
+   ceiling; batching commits behind the coordinator amortizes it. *)
+let e11 ~quick =
+  let mpls = if quick then [ 8; 16 ] else [ 1; 4; 8; 16; 32 ] in
+  let budget = if quick then 128 else 512 in
+  let cell (mode_name, commit_mode) mpl =
+    let r = Workload.run (closed_loop ~seed:11 ~budget ~commit_mode mpl) in
+    let per_commit x = float_of_int x /. float_of_int (max 1 r.Workload.committed) in
+    [
+      S mode_name;
+      i mpl;
+      i r.Workload.committed;
+      f2 r.Workload.throughput;
+      i r.Workload.forces;
+      f2 (per_commit r.Workload.forces);
+      f2 r.Workload.mean_batch;
+      f1 (per_commit (metric r "commit.stall_ticks"));
+    ]
+  in
+  print_table
+    {
+      title =
+        Printf.sprintf
+          "E11  Commit path: per-commit force vs group commit vs async (escrow, zipf 0.99, ~%d txns)"
+          budget;
+      header =
+        [ "commit mode"; "mpl"; "commits"; "tput/1k ticks"; "forces";
+          "forces/commit"; "mean batch"; "stall/commit" ];
+      rows =
+        List.concat_map
+          (fun m -> List.map (cell m) mpls)
+          [ ("sync", Txn.Sync); ("group", group_commit); ("async", Txn.Async) ];
+    };
+  (* tracing overhead: the group-commit cell at the highest mpl, structured
+     trace off vs on (events counted, then discarded). Tick throughput is
+     deterministic and must be identical either way — tracing never touches
+     the simulated clock — so the interesting deltas are event volume and
+     wall time. *)
+  let mpl = List.fold_left max 1 mpls in
+  let traced enabled =
+    let spec = closed_loop ~seed:11 ~budget ~commit_mode:group_commit mpl in
+    let db, sales, views = Workload.setup spec in
+    let events = ref 0 in
+    if enabled then begin
+      let tr = Database.trace db in
+      Ivdb_util.Trace.add_sink tr (fun _ -> incr events);
+      Ivdb_util.Trace.set_enabled tr true
+    end;
+    let r = Workload.run_on db sales views spec in
+    (r, !events)
+  in
+  let r_off, _ = traced false in
+  let r_on, events = traced true in
+  Printf.printf
+    "\ntracing overhead (group, mpl %d): off %.2f tput / %.3fs wall, on %.2f tput / %.3fs wall (%d events)\n"
+    mpl r_off.Workload.throughput r_off.Workload.wall_s
+    r_on.Workload.throughput r_on.Workload.wall_s events
 
 (* --- E12: recovery under injected faults ------------------------------------------------ *)
 
@@ -539,17 +666,10 @@ let e10 () =
    end-of-run) crash, and measure what recovery had to do. "rate" is the
    transient-error probability for the error rows, 0 for the crash rows;
    recovery time is wall clock. Every cell also re-checks invariant V1. *)
-let fault_cells ~quick =
-  let budget = if quick then 96 else 384 in
-  let mpl = 8 in
+let e12 ~quick =
   let spec =
     {
-      Workload.default with
-      seed = 23;
-      strategy = Maintain.Escrow;
-      mpl;
-      txns_per_worker = max 1 (budget / mpl);
-      delete_fraction = 0.1;
+      (closed_loop ~seed:23 ~budget:(if quick then 96 else 384) 8) with
       checkpoint_every = Some 10;
       config =
         { Workload.default.Workload.config with Database.pool_capacity = 64 };
@@ -567,66 +687,43 @@ let fault_cells ~quick =
     let consistent =
       Workload.check_consistency db' (Database.view db' "sales_by_product_0")
     in
-    let retries =
-      match List.assoc_opt "buffer.io_retry" r.Workload.metrics with
-      | Some v -> v
-      | None -> 0
-    in
-    let row =
-      [
-        name;
-        f2 rate;
-        i r.Workload.committed;
-        (if r.Workload.crashed then "yes" else "no");
-        f2 recov_ms;
-        i (get "recovery.redo_applied");
-        i (get "recovery.torn_pages");
-        i (get "wal.torn_tail_dropped");
-        i (get "recovery.losers");
-        i retries;
-        string_of_bool consistent;
-      ]
-    in
-    let json =
-      Printf.sprintf
-        {|    {"fault": "%s", "rate": %.2f, "committed": %d, "crashed": %b, "recovery_ms": %.3f, "redo_applied": %d, "torn_pages": %d, "torn_tail_dropped": %d, "losers": %d, "io_retries": %d, "consistent": %b}|}
-        name rate r.Workload.committed r.Workload.crashed recov_ms
-        (get "recovery.redo_applied") (get "recovery.torn_pages")
-        (get "wal.torn_tail_dropped") (get "recovery.losers") retries consistent
-    in
-    (row, json)
+    [
+      S name;
+      f2 rate;
+      i r.Workload.committed;
+      S (if r.Workload.crashed then "yes" else "no");
+      f2 recov_ms;
+      i (get "recovery.redo_applied");
+      i (get "recovery.torn_pages");
+      i (get "wal.torn_tail_dropped");
+      i (get "recovery.losers");
+      i (metric r "buffer.io_retry");
+      S (string_of_bool consistent);
+    ]
   in
   let n = Fault.no_faults in
-  List.map cell
-    [
-      ("none", 0., n);
-      ( "err-0.05", 0.05,
-        { n with fault_seed = 3; read_error_p = 0.05; write_error_p = 0.05 } );
-      ( "err-0.20", 0.2,
-        { n with fault_seed = 3; read_error_p = 0.2; write_error_p = 0.2 } );
-      ("crash-write", 0., { n with crash_at_write = Some 5 });
-      ( "torn-write", 0.,
-        { n with fault_seed = 1; crash_at_write = Some 5; torn_writes = true } );
-      ( "torn-tail", 0.,
-        { n with fault_seed = 9; crash_at_force = Some 25; torn_tail = true } );
-    ]
+  print_table
+    {
+      title = "E12  Recovery under injected faults (escrow, mpl 8, ckpt every 10)";
+      header =
+        [ "fault"; "rate"; "commits"; "crashed"; "recov ms"; "redo"; "torn pg";
+          "tail drop"; "losers"; "io retry"; "consistent" ];
+      rows =
+        List.map cell
+          [
+            ("none", 0., n);
+            ( "err-0.05", 0.05,
+              { n with fault_seed = 3; read_error_p = 0.05; write_error_p = 0.05 } );
+            ( "err-0.20", 0.2,
+              { n with fault_seed = 3; read_error_p = 0.2; write_error_p = 0.2 } );
+            ("crash-write", 0., { n with crash_at_write = Some 5 });
+            ( "torn-write", 0.,
+              { n with fault_seed = 1; crash_at_write = Some 5; torn_writes = true } );
+            ( "torn-tail", 0.,
+              { n with fault_seed = 9; crash_at_force = Some 25; torn_tail = true } );
+          ];
+    }
 
-let e12_title = "E12  Recovery under injected faults (escrow, mpl 8, ckpt every 10)"
-
-let e12_header =
-  [ "fault"; "rate"; "commits"; "crashed"; "recov ms"; "redo"; "torn pg";
-    "tail drop"; "losers"; "io retry"; "consistent" ]
-
-let e12 () =
-  let cells = fault_cells ~quick:false in
-  print_table ~title:e12_title ~header:e12_header (List.map fst cells)
-
-(* --- E11: commit path — per-commit force vs group commit vs async ----------------------- *)
-
-(* Escrow removes the lock bottleneck on the hot aggregate rows, so with a
-   private force per commit the 100-tick log force is the throughput
-   ceiling; batching commits behind the coordinator amortizes it. Also
-   emits machine-readable BENCH_commit.json for trend tracking. *)
 (* --- E13: network serving layer ---------------------------------------------------------- *)
 
 (* Throughput/latency of the wire-protocol server under a closed loop of
@@ -634,62 +731,28 @@ let e12 () =
    vs group commit, plus an overloaded cell where admission control sheds
    with Busy frames. Group commit finally earns its keep here: the batches
    come from genuinely independent client connections. *)
-let e13_title =
-  "E13  Network serving: transport x commit mode x connections (escrow, zipf 0.99)"
-
-let e13_header =
-  [ "transport"; "commit mode"; "clients"; "cap"; "commits"; "tput/1k ticks";
-    "p95 lat"; "forces/commit"; "mean batch"; "shed" ]
-
-let e13_cells ~quick =
-  let module Server = Ivdb_server.Server in
-  let module Net_workload = Ivdb_client.Net_workload in
+let e13 ~quick =
   let budget = if quick then 64 else 256 in
-  let cell (tname, transport) (mode_name, mode) ~mpl ~max_inflight =
-    let spec =
-      {
-        Workload.default with
-        seed = 11;
-        strategy = Maintain.Escrow;
-        mpl;
-        txns_per_worker = max 1 (budget / mpl);
-        n_groups = 20;
-        theta = 0.99;
-        delete_fraction = 0.1;
-        config = { Workload.default.Workload.config with commit_mode = mode };
-      }
-    in
+  let cell (tname, transport) (mode_name, commit_mode) ~mpl ~max_inflight =
     let server_config =
       { Server.default_config with max_inflight; busy_retry_ticks = 50 }
     in
-    let r, _db = Net_workload.run_net ~transport ~server_config spec in
-    let get n =
-      match List.assoc_opt n r.Workload.metrics with Some v -> v | None -> 0
+    let r, _db =
+      Net_workload.run_net ~transport ~server_config
+        (closed_loop ~seed:11 ~budget ~commit_mode mpl)
     in
     let per_commit x =
       float_of_int x /. float_of_int (max 1 r.Workload.committed)
     in
-    let row =
-      [
-        tname; mode_name; i mpl; i max_inflight; i r.Workload.committed;
-        f2 r.Workload.throughput; f1 r.Workload.p95_latency;
-        f2 (per_commit r.Workload.forces); f2 r.Workload.mean_batch;
-        i (get "server.shed");
-      ]
-    in
-    let json =
-      Printf.sprintf
-        {|    {"transport": "%s", "mode": "%s", "clients": %d, "max_inflight": %d, "committed": %d, "throughput_per_1k_ticks": %.3f, "p95_latency_ticks": %.1f, "forces_per_commit": %.4f, "mean_batch": %.2f, "shed": %d, "accepted": %d, "requests": %d, "wall_s": %.4f}|}
-        tname mode_name mpl max_inflight r.Workload.committed
-        r.Workload.throughput r.Workload.p95_latency
-        (per_commit r.Workload.forces)
-        r.Workload.mean_batch (get "server.shed") (get "server.accepted")
-        (get "server.requests") r.Workload.wall_s
-    in
-    (row, json)
+    [
+      S tname; S mode_name; i mpl; i max_inflight; i r.Workload.committed;
+      f2 r.Workload.throughput; f1 r.Workload.p95_latency;
+      f2 (per_commit r.Workload.forces); f2 r.Workload.mean_batch;
+      i (metric r "server.shed");
+    ]
   in
   let sync = ("sync", Txn.Sync) in
-  let group = ("group", Txn.Group { max_batch = 32; max_wait_ticks = 50 }) in
+  let group = ("group", group_commit) in
   let loopback = ("loopback", Net_workload.Loopback) in
   let tcp = ("tcp", Net_workload.Tcp) in
   let mpls = if quick then [ 4; 8 ] else [ 2; 4; 8; 16 ] in
@@ -712,11 +775,15 @@ let e13_cells ~quick =
   (* overload: twice as many clients as admission slots; shed > 0 and the
      run still completes because refused clients back off and retry *)
   let overload = [ cell loopback group ~mpl:16 ~max_inflight:4 ] in
-  scaling @ tcp_cells @ overload
-
-let e13 () =
-  let cells = e13_cells ~quick:false in
-  print_table ~title:e13_title ~header:e13_header (List.map fst cells)
+  print_table
+    {
+      title =
+        "E13  Network serving: transport x commit mode x connections (escrow, zipf 0.99)";
+      header =
+        [ "transport"; "commit mode"; "clients"; "cap"; "commits"; "tput/1k ticks";
+          "p95 lat"; "forces/commit"; "mean batch"; "shed" ];
+      rows = scaling @ tcp_cells @ overload;
+    }
 
 (* --- E14: introspection overhead --------------------------------------------------------- *)
 
@@ -727,143 +794,118 @@ let e13 () =
    bounded-queue push + a Slow_query trace event per statement). The
    interesting result is the ticks column: the log does no yields, so the
    simulated schedule is identical and the overhead is wall-clock only. *)
-let e14_title =
-  "E14  Introspection overhead: slow-query log on the E13 closed loop (loopback, group commit, escrow)"
-
-let e14_header =
-  [ "slow log"; "threshold"; "clients"; "commits"; "ticks"; "tput/1k ticks";
-    "slow entries"; "wall_s" ]
-
-let e14_cells ~quick =
-  let module Server = Ivdb_server.Server in
-  let module Net_workload = Ivdb_client.Net_workload in
+let e14 ~quick =
   let budget = if quick then 64 else 256 in
-  let cell name threshold ~mpl =
-    let spec =
-      {
-        Workload.default with
-        seed = 11;
-        strategy = Maintain.Escrow;
-        mpl;
-        txns_per_worker = max 1 (budget / mpl);
-        n_groups = 20;
-        theta = 0.99;
-        delete_fraction = 0.1;
-        config =
-          {
-            Workload.default.Workload.config with
-            commit_mode = Txn.Group { max_batch = 32; max_wait_ticks = 50 };
-          };
-      }
-    in
+  let mpl = if quick then 4 else 8 in
+  let cell name threshold =
     let server_config =
       { Server.default_config with slow_query_ticks = threshold }
     in
-    let r, db = Net_workload.run_net ~server_config spec in
-    let slow = Metrics.get (Database.metrics db) "server.slow_queries" in
-    let row =
-      [
-        name;
-        (match threshold with None -> "-" | Some t -> string_of_int t);
-        i mpl; i r.Workload.committed; i r.Workload.ticks;
-        f2 r.Workload.throughput; i slow; Printf.sprintf "%.4f" r.Workload.wall_s;
-      ]
+    let r, db =
+      Net_workload.run_net ~server_config
+        (closed_loop ~seed:11 ~budget ~commit_mode:group_commit mpl)
     in
-    let json =
-      Printf.sprintf
-        {|    {"slow_log": "%s", "threshold": %s, "clients": %d, "committed": %d, "ticks": %d, "throughput_per_1k_ticks": %.3f, "slow_entries": %d, "wall_s": %.4f}|}
-        name
-        (match threshold with None -> "null" | Some t -> string_of_int t)
-        mpl r.Workload.committed r.Workload.ticks r.Workload.throughput slow
-        r.Workload.wall_s
-    in
-    (row, json)
+    [
+      S name;
+      (match threshold with None -> S "-" | Some t -> i t);
+      i mpl; i r.Workload.committed; i r.Workload.ticks;
+      f2 r.Workload.throughput;
+      i (Metrics.get (Database.metrics db) "server.slow_queries");
+      F (4, r.Workload.wall_s);
+    ]
   in
-  let mpl = if quick then 4 else 8 in
-  [
-    cell "off" None ~mpl;
-    cell "on (idle)" (Some 1_000_000) ~mpl;
-    cell "on (worst)" (Some 0) ~mpl;
-  ]
-
-let e14 () =
-  let cells = e14_cells ~quick:false in
-  print_table ~title:e14_title ~header:e14_header (List.map fst cells)
+  print_table
+    {
+      title =
+        "E14  Introspection overhead: slow-query log on the E13 closed loop (loopback, group commit, escrow)";
+      header =
+        [ "slow log"; "threshold"; "clients"; "commits"; "ticks"; "tput/1k ticks";
+          "slow entries"; "wall_s" ];
+      rows =
+        [
+          cell "off" None;
+          cell "on (idle)" (Some 1_000_000);
+          cell "on (worst)" (Some 0);
+        ];
+    }
 
 (* --- E15: MVCC snapshot readers vs S-lock readers ---------------------------------------- *)
+
+(* Build-breaking guard for the smoke run: a read-only transaction must
+   never enter the lock manager or the WAL. Asserted on metric deltas
+   across a snapshot that exercises every read path. *)
+let assert_snapshot_lock_free () =
+  let db, t, v =
+    sales_db
+      (List.init 20 (fun k ->
+           [| Value.Int (k + 1); Value.Int ((k + 1) mod 5); Value.Int (k + 1) |]))
+  in
+  let m = Database.metrics db in
+  let locks0 = Metrics.get m "lock.acquire" in
+  let wal0 = Metrics.get m "log.append" in
+  Database.transact db ~read_only:true (fun tx ->
+      ignore (Query.view_lookup db (Some tx) v [| Value.Int 1 |]);
+      Seq.iter (fun _ -> ()) (Query.table_scan db (Some tx) t Query.Serializable);
+      Seq.iter (fun _ -> ()) (Query.view_scan db (Some tx) v Query.Serializable));
+  let locks = Metrics.get m "lock.acquire" - locks0 in
+  let wal = Metrics.get m "log.append" - wal0 in
+  if locks <> 0 || wal <> 0 then begin
+    Printf.eprintf
+      "FATAL: read-only transaction touched the lock manager or WAL (lock.acquire +%d, log.append +%d)\n"
+      locks wal;
+    exit 1
+  end;
+  Printf.printf "snapshot lock-free guard: ok (0 lock acquisitions, 0 WAL appends)\n%!"
 
 (* The D14 payoff: at high MPL a read-heavy mix over a hot escrow view,
    with readers either taking the paper's per-key RangeS_S locks or running
    as lock-free MVCC snapshots. Snapshot readers never enter the lock
    manager, so reader throughput climbs with MPL instead of queueing
    behind writers' E locks, while writer commit throughput stays within
-   noise of the locked baseline. *)
-let e15_title =
-  "E15  Snapshot readers vs key-range S-lock readers (escrow writers, zipf 0.99, 60% reads)"
-
-let e15_header =
-  [ "reader mode"; "mpl"; "commits"; "readers"; "writers"; "reader tput";
-    "writer tput"; "lock waits"; "lat mean"; "lat p95" ]
-
-let e15_cells ~quick =
+   noise of the locked baseline. The smoke run starts with the zero-lock
+   guard above. *)
+let e15 ~quick =
+  if quick then assert_snapshot_lock_free ();
   let budget = if quick then 128 else 768 in
-  let cell locking mpl =
-    let spec =
-      {
-        Workload.default with
-        seed = 15;
-        strategy = Maintain.Escrow;
-        mpl;
-        txns_per_worker = max 1 (budget / mpl);
-        read_fraction = 0.6;
-        reader_scan = false;
-        reader_locking = locking;
-        n_groups = 20;
-        theta = 0.99;
-        delete_fraction = 0.1;
-      }
+  let cell reader_locking mpl =
+    let r =
+      Workload.run
+        {
+          (closed_loop ~seed:15 ~budget mpl) with
+          read_fraction = 0.6;
+          reader_locking;
+        }
     in
-    let r = Workload.run spec in
     let writers = r.Workload.committed - r.Workload.committed_readers in
     let per_1k x = 1000. *. float_of_int x /. float_of_int (max 1 r.Workload.ticks) in
-    let name =
-      match locking with
-      | Workload.Key_range -> "s-lock key-range"
-      | Workload.Coarse_table -> "table S lock"
-      | Workload.Snapshot -> "mvcc snapshot"
-    in
-    let get n = match List.assoc_opt n r.Workload.metrics with Some v -> v | None -> 0 in
-    let row =
-      [
-        name; i mpl; i r.Workload.committed; i r.Workload.committed_readers;
-        i writers;
-        f2 (per_1k r.Workload.committed_readers);
-        f2 (per_1k writers);
-        i r.Workload.lock_waits;
-        f1 r.Workload.mean_latency;
-        f1 r.Workload.p95_latency;
-      ]
-    in
-    let json =
-      Printf.sprintf
-        {|    {"reader_mode": "%s", "mpl": %d, "committed": %d, "readers": %d, "writers": %d, "reader_tput_per_1k_ticks": %.3f, "writer_tput_per_1k_ticks": %.3f, "lock_waits": %d, "snapshot_begins": %d, "versions_pruned": %d, "mean_latency_ticks": %.1f, "p95_latency_ticks": %.1f}|}
-        name mpl r.Workload.committed r.Workload.committed_readers writers
-        (per_1k r.Workload.committed_readers)
-        (per_1k writers) r.Workload.lock_waits
-        (get "txn.snapshot_begin")
-        (get "mvcc.versions_pruned")
-        r.Workload.mean_latency r.Workload.p95_latency
-    in
-    (row, json)
+    [
+      S
+        (match reader_locking with
+        | Workload.Key_range -> "s-lock key-range"
+        | Workload.Coarse_table -> "table S lock"
+        | Workload.Snapshot -> "mvcc snapshot");
+      i mpl; i r.Workload.committed; i r.Workload.committed_readers;
+      i writers;
+      f2 (per_1k r.Workload.committed_readers);
+      f2 (per_1k writers);
+      i r.Workload.lock_waits;
+      f1 r.Workload.mean_latency;
+      f1 r.Workload.p95_latency;
+    ]
   in
   let mpls = if quick then [ 8; 16 ] else [ 8; 16; 32 ] in
-  List.concat_map
-    (fun mpl -> [ cell Workload.Key_range mpl; cell Workload.Snapshot mpl ])
-    mpls
-
-let e15 () =
-  let cells = e15_cells ~quick:false in
-  print_table ~title:e15_title ~header:e15_header (List.map fst cells)
+  print_table
+    {
+      title =
+        "E15  Snapshot readers vs key-range S-lock readers (escrow writers, zipf 0.99, 60% reads)";
+      header =
+        [ "reader mode"; "mpl"; "commits"; "readers"; "writers"; "reader tput";
+          "writer tput"; "lock waits"; "lat mean"; "lat p95" ];
+      rows =
+        List.concat_map
+          (fun mpl -> [ cell Workload.Key_range mpl; cell Workload.Snapshot mpl ])
+          mpls;
+    }
 
 (* --- E16: read replicas via WAL shipping ------------------------------------------------ *)
 
@@ -875,47 +917,15 @@ let e15 () =
    commit the replica takes to drain the residual lag. Every replicated
    cell ends with a bit-identical state-digest comparison against the
    primary — divergence is a correctness bug and kills the run. *)
-let e16_title =
-  "E16  Read replica via WAL shipping: lag and primary overhead (escrow, group commit, zipf 0.99)"
-
-let e16_header =
-  [ "follower"; "mpl"; "commits"; "tput/1k ticks"; "lag max"; "lag mean";
-    "batches"; "reconnects"; "catchup"; "digest" ]
-
-let e16_cells ~quick =
-  let module Net_workload = Ivdb_client.Net_workload in
+let e16 ~quick =
   let budget = if quick then 64 else 256 in
-  let spec_for mpl =
-    {
-      Workload.default with
-      seed = 16;
-      strategy = Maintain.Escrow;
-      mpl;
-      txns_per_worker = max 1 (budget / mpl);
-      n_groups = 20;
-      theta = 0.99;
-      delete_fraction = 0.1;
-      config =
-        {
-          Workload.default.Workload.config with
-          commit_mode = Txn.Group { max_batch = 32; max_wait_ticks = 50 };
-        };
-    }
-  in
+  let spec_for = closed_loop ~seed:16 ~budget ~commit_mode:group_commit in
   let solo mpl =
     let r, _db =
       Net_workload.run_net ~transport:Net_workload.Loopback (spec_for mpl)
     in
-    let row =
-      [ "no"; i mpl; i r.Workload.committed; f2 r.Workload.throughput;
-        "-"; "-"; "-"; "-"; "-"; "-" ]
-    in
-    let json =
-      Printf.sprintf
-        {|    {"follower": false, "mpl": %d, "committed": %d, "throughput_per_1k_ticks": %.3f}|}
-        mpl r.Workload.committed r.Workload.throughput
-    in
-    (row, json)
+    [ S "no"; i mpl; i r.Workload.committed; f2 r.Workload.throughput ]
+    @ List.init 6 (fun _ -> S "-")
   in
   let replicated mpl =
     let r, db, fdb, rep = Net_workload.run_replicated (spec_for mpl) in
@@ -929,28 +939,21 @@ let e16_cells ~quick =
         (Database.state_digest db) (Database.state_digest fdb);
       exit 1
     end;
-    let row =
-      [ "yes"; i mpl; i r.Workload.committed; f2 r.Workload.throughput;
-        i rep.Net_workload.lag_max; f2 rep.Net_workload.lag_mean;
-        i rep.Net_workload.ship_batches; i rep.Net_workload.reconnects;
-        i rep.Net_workload.catchup_ticks; "match" ]
-    in
-    let json =
-      Printf.sprintf
-        {|    {"follower": true, "mpl": %d, "committed": %d, "throughput_per_1k_ticks": %.3f, "lag_max_records": %d, "lag_mean_records": %.2f, "ship_batches": %d, "reconnects": %d, "catchup_ticks": %d, "digest_match": true}|}
-        mpl r.Workload.committed r.Workload.throughput
-        rep.Net_workload.lag_max rep.Net_workload.lag_mean
-        rep.Net_workload.ship_batches rep.Net_workload.reconnects
-        rep.Net_workload.catchup_ticks
-    in
-    (row, json)
+    [ S "yes"; i mpl; i r.Workload.committed; f2 r.Workload.throughput;
+      i rep.Net_workload.lag_max; f2 rep.Net_workload.lag_mean;
+      i rep.Net_workload.ship_batches; i rep.Net_workload.reconnects;
+      i rep.Net_workload.catchup_ticks; S "match" ]
   in
   let mpls = if quick then [ 8 ] else [ 8; 16 ] in
-  List.concat_map (fun mpl -> [ solo mpl; replicated mpl ]) mpls
-
-let e16 () =
-  let cells = e16_cells ~quick:false in
-  print_table ~title:e16_title ~header:e16_header (List.map fst cells)
+  print_table
+    {
+      title =
+        "E16  Read replica via WAL shipping: lag and primary overhead (escrow, group commit, zipf 0.99)";
+      header =
+        [ "follower"; "mpl"; "commits"; "tput/1k ticks"; "lag max"; "lag mean";
+          "batches"; "reconnects"; "catchup"; "digest" ];
+      rows = List.concat_map (fun mpl -> [ solo mpl; replicated mpl ]) mpls;
+    }
 
 (* --- E17: failover — follower promotion under a primary crash --------------------------- *)
 
@@ -962,19 +965,11 @@ let e16 () =
    and the promotion latency in simulated ticks. Every cell ends with the
    zero-loss check — the promoted digest must equal single-node recovery
    of the same log — and a mismatch kills the run. *)
-let e17_title =
-  "E17  Failover: follower promotion under primary crash (escrow, mpl 3, zipf 0.8)"
-
-let e17_header =
-  [ "crash"; "commits"; "suffix"; "tail"; "losers"; "undo"; "promote ticks";
-    "digest" ]
-
-let e17_cells ~quick =
+let e17 ~quick =
   let spec =
     {
       Workload.default with
       seed = 7;
-      strategy = Maintain.Escrow;
       mpl = 3;
       txns_per_worker = (if quick then 3 else 6);
       ops_per_txn = 3;
@@ -982,7 +977,6 @@ let e17_cells ~quick =
       n_groups = 5;
       theta = 0.8;
       initial_rows = 20;
-      n_views = 1;
       checkpoint_every = Some 3;
       config =
         { Workload.default.Workload.config with Database.pool_capacity = 8 };
@@ -1026,20 +1020,11 @@ let e17_cells ~quick =
         name;
       exit 1
     end;
-    let row =
-      [
-        name; i committed; i suffix; i p.Database.tail_records;
-        i p.Database.losers_undone; i p.Database.undo_records; i !ticks;
-        "match";
-      ]
-    in
-    let json =
-      Printf.sprintf
-        {|    {"crash": "%s", "committed": %d, "suffix_records": %d, "tail_records": %d, "losers_undone": %d, "undo_records": %d, "promote_ticks": %d, "digest_match": true}|}
-        name committed suffix p.Database.tail_records p.Database.losers_undone
-        p.Database.undo_records !ticks
-    in
-    (row, json)
+    [
+      S name; i committed; i suffix; i p.Database.tail_records;
+      i p.Database.losers_undone; i p.Database.undo_records; i !ticks;
+      S "match";
+    ]
   in
   let n = Fault.no_faults in
   let mid = max 1 (n_forces / 2) in
@@ -1054,30 +1039,24 @@ let e17_cells ~quick =
          { n with crash_at_force = Some mid; torn_tail = true });
       ]
   in
-  List.map cell points
-
-let e17 () =
-  let cells = e17_cells ~quick:false in
-  print_table ~title:e17_title ~header:e17_header (List.map fst cells)
+  print_table
+    {
+      title =
+        "E17  Failover: follower promotion under primary crash (escrow, mpl 3, zipf 0.8)";
+      header =
+        [ "crash"; "commits"; "suffix"; "tail"; "losers"; "undo"; "promote ticks";
+          "digest" ];
+      rows = List.map cell points;
+    }
 
 (* --- E18: hash-partitioned shards, 2PC cross-shard commit ------------------- *)
 
 (* Closed-loop scripted transactions through one coordinator over N
    loopback engine shards: per cell, throughput, prepare round-trips and
-   the 2PC/local commit split; plus the commit-quick crash smoke — crash
-   the coordinator mid-protocol, power-cycle the cluster, recover, and
-   fail the build if any transaction is left in doubt or any decision is
-   lost or applied twice. *)
-
-let e18_title =
-  "E18  Sharding: 2PC cross-shard commit over hash partitions (escrow view, loopback)"
-
-let e18_header =
-  [ "shards"; "mix"; "commits"; "tput/1k ticks"; "prepares"; "2pc"; "local";
-    "in-doubt" ]
-
-module Coord = Ivdb_coord.Coord
-module Server = Ivdb_server.Server
+   the 2PC/local commit split; plus the crash smoke — crash the
+   coordinator mid-protocol, power-cycle the cluster, recover, and fail
+   the build if any transaction is left in doubt or any decision is lost
+   or applied twice. *)
 
 let e18_keys ~shards shard n =
   let rec go k acc remaining =
@@ -1128,63 +1107,59 @@ let e18_run c script =
       ignore (Coord.exec c "COMMIT"))
     script
 
+(* Set up the schema, then run [script]: its transaction count and the
+   ticks it took. *)
+let e18_timed c script =
+  e18_setup c;
+  let t0 = Sched.now () in
+  e18_run c script;
+  (List.length script, Sched.now () - t0)
+
+(* [f] on one coordinator session over loopback shards [dbs], in its own
+   scheduler run. A Fault.Crash_point escaping [f] skips the close, as the
+   whole machine dying would. *)
+let with_cluster ?metrics ?trace ~wal dbs f =
+  Sched.run ~seed:11 (fun () ->
+      Coord.loopback_cluster ~config:Server.default_config dbs (fun dialers ->
+          let c = Coord.create ?metrics ?trace ~wal dialers in
+          let r = f c in
+          Coord.close c;
+          r))
+
+let indoubt dbs =
+  Array.fold_left (fun acc db -> acc + Database.indoubt_count db) 0 dbs
+
 let e18_cell ~quick shards mix =
   let txns = if quick then 12 else 60 in
-  let cross = match mix with "cross" -> fun _ -> true | _ -> fun _ -> false in
-  let script = e18_script ~shards ~txns cross in
+  let script = e18_script ~shards ~txns (fun _ -> mix = "cross") in
   let dbs = Array.init shards (fun _ -> Database.create ()) in
-  let cwal = Wal.create (Metrics.create ()) in
-  let committed, ticks, stats =
-    Sched.run ~seed:11 (fun () ->
-        Coord.loopback_cluster ~config:Server.default_config dbs (fun dialers ->
-            let c = Coord.create ~wal:cwal dialers in
-            e18_setup c;
-            let t0 = Sched.now () in
-            e18_run c script;
-            let r = (List.length script, Sched.now () - t0, Coord.stats c) in
-            Coord.close c;
-            r))
-  in
-  let indoubt =
-    Array.fold_left (fun acc db -> acc + Database.indoubt_count db) 0 dbs
+  let (committed, ticks), stats =
+    with_cluster ~wal:(Wal.create (Metrics.create ())) dbs (fun c ->
+        let r = e18_timed c script in
+        (r, Coord.stats c))
   in
   let tput = 1000. *. float_of_int committed /. float_of_int (max 1 ticks) in
-  let row =
-    [
-      i shards; mix; i committed; f2 tput; i stats.Coord.prepares_sent;
-      i stats.Coord.cross_shard_commits; i stats.Coord.single_shard_commits;
-      i indoubt;
-    ]
-  in
-  let json =
-    Printf.sprintf
-      {|    {"shards": %d, "mix": "%s", "committed": %d, "throughput_per_1k_ticks": %.3f, "prepares_sent": %d, "cross_shard_commits": %d, "single_shard_commits": %d, "indoubt": %d}|}
-      shards mix committed tput stats.Coord.prepares_sent
-      stats.Coord.cross_shard_commits stats.Coord.single_shard_commits indoubt
-  in
-  (row, json)
+  [
+    i shards; S mix; i committed; f2 tput; i stats.Coord.prepares_sent;
+    i stats.Coord.cross_shard_commits; i stats.Coord.single_shard_commits;
+    i (indoubt dbs);
+  ]
 
-(* The commit-quick decision audit: arm a coordinator crash mid-2PC on a
-   2-shard cluster, power-cycle, recover, then check every scripted
-   transaction against the coordinator's logged decisions — a committed
-   transaction's keys must each exist exactly once, an aborted or
-   undecided one's not at all. Any in-doubt leftover, lost decision or
-   double apply kills the run. *)
+(* The decision audit: arm a coordinator crash mid-2PC on a 2-shard
+   cluster, power-cycle, recover, then check every scripted transaction
+   against the coordinator's logged decisions — a committed transaction's
+   keys must each exist exactly once, an aborted or undecided one's not at
+   all. Any in-doubt leftover, lost decision or double apply kills the
+   run. *)
 let e18_crash_smoke () =
   let shards = 2 in
-  let txns = 6 in
-  let script = e18_script ~shards ~txns (fun _ -> true) in
-  (* a Fault.Crash_point escaping the run models the whole machine dying *)
-  let run_workload ?(crash_at = None) dbs cwal =
-    Sched.run ~seed:11 (fun () ->
-        Coord.loopback_cluster ~config:Server.default_config dbs (fun dialers ->
-            let c = Coord.create ~wal:cwal dialers in
-            Coord.set_crash_at_action c crash_at;
-            e18_setup c;
-            e18_run c script;
-            let n = Coord.actions c in
-            Coord.close c;
-            n))
+  let script = e18_script ~shards ~txns:6 (fun _ -> true) in
+  let run_workload ?crash_at dbs cwal =
+    with_cluster ~wal:cwal dbs (fun c ->
+        Coord.set_crash_at_action c crash_at;
+        e18_setup c;
+        e18_run c script;
+        Coord.actions c)
   in
   let total =
     run_workload
@@ -1196,7 +1171,7 @@ let e18_crash_smoke () =
   let cwal = Wal.create (Metrics.create ()) in
   let crashed =
     try
-      ignore (run_workload ~crash_at:(Some crash_action) dbs cwal);
+      ignore (run_workload ~crash_at:crash_action dbs cwal);
       false
     with Fault.Crash_point _ -> true
   in
@@ -1208,17 +1183,9 @@ let e18_crash_smoke () =
      its decision log *)
   let dbs = Array.map Database.crash dbs in
   let cwal = Wal.crash cwal (Metrics.create ()) in
-  let indoubt_at_crash =
-    Array.fold_left (fun acc db -> acc + Database.indoubt_count db) 0 dbs
-  in
-  Sched.run ~seed:11 (fun () ->
-      Coord.loopback_cluster ~config:Server.default_config dbs (fun dialers ->
-          let c = Coord.create ~wal:cwal dialers in
-          ignore (Coord.recover c);
-          Coord.close c));
-  let indoubt_after =
-    Array.fold_left (fun acc db -> acc + Database.indoubt_count db) 0 dbs
-  in
+  let indoubt_at_crash = indoubt dbs in
+  with_cluster ~wal:cwal dbs (fun c -> ignore (Coord.recover c));
+  let indoubt_after = indoubt dbs in
   if indoubt_after <> 0 then begin
     Printf.eprintf "FATAL: e18 smoke: %d transaction(s) left in doubt\n"
       indoubt_after;
@@ -1262,23 +1229,24 @@ let e18_crash_smoke () =
   Printf.printf
     "e18 coordinator-crash smoke: crash at action %d/%d, %d committed, %d \
      in-doubt at crash, all resolved, 0 lost / 0 duplicated\n"
-    crash_action total !committed_txns indoubt_at_crash;
-  Printf.sprintf
-    {|    {"smoke": "coord-crash", "crash_action": %d, "actions": %d, "txns": %d, "committed": %d, "indoubt_at_crash": %d, "indoubt_after_recovery": 0, "lost": 0, "duplicated": 0}|}
-    crash_action total txns !committed_txns indoubt_at_crash
+    crash_action total !committed_txns indoubt_at_crash
 
-let e18_cells ~quick =
-  let shard_counts = [ 1; 2; 4 ] in
-  List.concat_map
-    (fun s ->
-      if s = 1 then [ e18_cell ~quick s "single" ]
-      else [ e18_cell ~quick s "single"; e18_cell ~quick s "cross" ])
-    shard_counts
-
-let e18 () =
-  let cells = e18_cells ~quick:false in
-  print_table ~title:e18_title ~header:e18_header (List.map fst cells);
-  ignore (e18_crash_smoke ())
+let e18 ~quick =
+  print_table
+    {
+      title =
+        "E18  Sharding: 2PC cross-shard commit over hash partitions (escrow view, loopback)";
+      header =
+        [ "shards"; "mix"; "commits"; "tput/1k ticks"; "prepares"; "2pc"; "local";
+          "in-doubt" ];
+      rows =
+        List.concat_map
+          (fun s ->
+            if s = 1 then [ e18_cell ~quick s "single" ]
+            else [ e18_cell ~quick s "single"; e18_cell ~quick s "cross" ])
+          [ 1; 2; 4 ];
+    };
+  e18_crash_smoke ()
 
 (* --- E19: cluster observability ----------------------------------------------------------- *)
 
@@ -1290,17 +1258,9 @@ let e18 () =
    interesting columns are event volume, wall-time delta, and the
    per-phase tick histograms the registry collected. *)
 
-let e19_title =
-  "E19  Cluster observability: per-phase 2PC metrics, trace on/off (loopback)"
-
-let e19_header =
-  [ "shards"; "trace"; "commits"; "tput/1k ticks"; "events";
-    "prepare p50/p95"; "decide p50/p95"; "wall s" ]
-
 let e19_cell ~quick shards traced =
   let txns = if quick then 12 else 60 in
-  let cross = if shards > 1 then fun _ -> true else fun _ -> false in
-  let script = e18_script ~shards ~txns cross in
+  let script = e18_script ~shards ~txns (fun _ -> shards > 1) in
   let dbs = Array.init shards (fun _ -> Database.create ()) in
   let metrics = Metrics.create () in
   let cwal = Wal.create metrics in
@@ -1318,86 +1278,58 @@ let e19_cell ~quick shards traced =
   end;
   let wall0 = Unix.gettimeofday () in
   let committed, ticks =
-    Sched.run ~seed:11 (fun () ->
-        Coord.loopback_cluster ~config:Server.default_config dbs (fun dialers ->
-            let c = Coord.create ~metrics ~trace ~wal:cwal dialers in
-            e18_setup c;
-            let t0 = Sched.now () in
-            e18_run c script;
-            let r = (List.length script, Sched.now () - t0) in
-            Coord.close c;
-            r))
+    with_cluster ~metrics ~trace ~wal:cwal dbs (fun c -> e18_timed c script)
   in
   let wall = Unix.gettimeofday () -. wall0 in
   let pcts name =
     let cells = Metrics.hist_snapshot metrics name in
-    (Metrics.percentile_cells cells 50., Metrics.percentile_cells cells 95.)
+    S
+      (Printf.sprintf "%d/%d" (Metrics.percentile_cells cells 50.)
+         (Metrics.percentile_cells cells 95.))
   in
-  let prep50, prep95 = pcts "coord.prepare.ticks" in
-  let dec50, dec95 = pcts "coord.decide.ticks" in
   let tput = 1000. *. float_of_int committed /. float_of_int (max 1 ticks) in
-  let onoff = if traced then "on" else "off" in
-  let row =
-    [
-      i shards; onoff; i committed; f2 tput; i !events;
-      Printf.sprintf "%d/%d" prep50 prep95;
-      Printf.sprintf "%d/%d" dec50 dec95; Printf.sprintf "%.4f" wall;
-    ]
-  in
-  let json =
-    Printf.sprintf
-      {|    {"shards": %d, "trace": "%s", "committed": %d, "throughput_per_1k_ticks": %.3f, "events": %d, "prepare_ticks_p50": %d, "prepare_ticks_p95": %d, "decide_ticks_p50": %d, "decide_ticks_p95": %d, "wall_s": %.4f}|}
-      shards onoff committed tput !events prep50 prep95 dec50 dec95 wall
-  in
-  (row, json)
-
-let e19_cells ~quick =
-  List.concat_map
-    (fun s -> [ e19_cell ~quick s false; e19_cell ~quick s true ])
-    [ 1; 2; 4 ]
+  [
+    i shards; S (if traced then "on" else "off"); i committed; f2 tput; i !events;
+    pcts "coord.prepare.ticks"; pcts "coord.decide.ticks"; F (4, wall);
+  ]
 
 let e19_contains s needle =
   let n = String.length needle and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
   n = 0 || go 0
 
-(* Build-breaking exporter smoke for the dune-runtest run: drive a small
-   cross-shard workload, scrape the coordinator's Metrics_http endpoint
-   over a loopback HTTP round trip, and fail the build if any of the 2PC
-   metric families is missing from the exposition. *)
+(* Build-breaking exporter smoke: drive a small cross-shard workload,
+   scrape the coordinator's Metrics_http endpoint over a loopback HTTP
+   round trip, and fail the build if any of the 2PC metric families is
+   missing from the exposition. *)
 let e19_exporter_smoke () =
   let shards = 2 in
-  let txns = 4 in
-  let script = e18_script ~shards ~txns (fun _ -> true) in
+  let script = e18_script ~shards ~txns:4 (fun _ -> true) in
   let dbs = Array.init shards (fun _ -> Database.create ()) in
   let metrics = Metrics.create () in
-  let cwal = Wal.create metrics in
   let body =
-    Sched.run ~seed:11 (fun () ->
-        Coord.loopback_cluster ~config:Server.default_config dbs (fun dialers ->
-            let c = Coord.create ~metrics ~wal:cwal dialers in
-            e18_setup c;
-            e18_run c script;
-            let module Transport = Ivdb_transport.Transport in
-            let net = Transport.Loopback.create () in
-            let mlistener = Transport.Loopback.listener net in
-            Ivdb_server.Metrics_http.serve metrics mlistener;
-            let conn = Transport.Loopback.connect net in
-            conn.Transport.write "GET /metrics HTTP/1.0\r\n\r\n";
-            let chunk = Bytes.create 4096 in
-            let acc = Buffer.create 4096 in
-            let rec drain () =
-              let n = conn.Transport.read chunk 0 (Bytes.length chunk) in
-              if n > 0 then begin
-                Buffer.add_subbytes acc chunk 0 n;
-                drain ()
-              end
-            in
-            drain ();
-            conn.Transport.close ();
-            mlistener.Transport.stop ();
-            Coord.close c;
-            Buffer.contents acc))
+    with_cluster ~metrics ~wal:(Wal.create metrics) dbs (fun c ->
+        e18_setup c;
+        e18_run c script;
+        let module Transport = Ivdb_transport.Transport in
+        let net = Transport.Loopback.create () in
+        let mlistener = Transport.Loopback.listener net in
+        Ivdb_server.Metrics_http.serve metrics mlistener;
+        let conn = Transport.Loopback.connect net in
+        conn.Transport.write "GET /metrics HTTP/1.0\r\n\r\n";
+        let chunk = Bytes.create 4096 in
+        let acc = Buffer.create 4096 in
+        let rec drain () =
+          let n = conn.Transport.read chunk 0 (Bytes.length chunk) in
+          if n > 0 then begin
+            Buffer.add_subbytes acc chunk 0 n;
+            drain ()
+          end
+        in
+        drain ();
+        conn.Transport.close ();
+        mlistener.Transport.stop ();
+        Buffer.contents acc)
   in
   let required =
     [
@@ -1420,229 +1352,22 @@ let e19_exporter_smoke () =
   Printf.printf
     "e19 exporter smoke: scraped %d bytes, all %d 2PC metric families \
      present\n"
-    (String.length body) (List.length required);
-  Printf.sprintf
-    {|    {"smoke": "metrics-exporter", "txns": %d, "scraped_bytes": %d, "families_checked": %d, "missing": 0}|}
-    txns (String.length body) (List.length required)
+    (String.length body) (List.length required)
 
-let e19 () =
-  let cells = e19_cells ~quick:false in
-  print_table ~title:e19_title ~header:e19_header (List.map fst cells);
-  ignore (e19_exporter_smoke ())
-
-(* Build-breaking guard for the dune-runtest smoke: a read-only transaction
-   must never enter the lock manager or the WAL. Asserted on metric deltas
-   across a snapshot that exercises every read path. *)
-let assert_snapshot_lock_free () =
-  let config = { Database.default_config with read_cost = 0; write_cost = 0 } in
-  let db = Database.create ~config () in
-  let t =
-    Database.create_table db ~name:"sales"
-      ~cols:
-        [
-          { Schema.name = "id"; ty = Value.TInt; nullable = false };
-          { Schema.name = "product"; ty = Value.TInt; nullable = false };
-          { Schema.name = "qty"; ty = Value.TInt; nullable = false };
-        ]
-  in
-  let v =
-    Database.create_view db ~name:"by_product" ~group_by:[ "product" ]
-      ~aggs:[ View_def.Sum (Expr.col (Database.schema db t) "qty") ]
-      ~source:(Database.From (t, None))
-      ~strategy:Maintain.Escrow ()
-  in
-  Database.transact db (fun tx ->
-      for k = 1 to 20 do
-        ignore
-          (Table.insert db tx t
-             [| Value.Int k; Value.Int (k mod 5); Value.Int k |])
-      done);
-  let m = Database.metrics db in
-  let locks0 = Metrics.get m "lock.acquire" in
-  let wal0 = Metrics.get m "log.append" in
-  Database.transact db ~read_only:true (fun tx ->
-      ignore (Query.view_lookup db (Some tx) v [| Value.Int 1 |]);
-      Seq.iter (fun _ -> ()) (Query.table_scan db (Some tx) t Query.Serializable);
-      Seq.iter (fun _ -> ()) (Query.view_scan db (Some tx) v Query.Serializable));
-  let locks = Metrics.get m "lock.acquire" - locks0 in
-  let wal = Metrics.get m "log.append" - wal0 in
-  if locks <> 0 || wal <> 0 then begin
-    Printf.eprintf
-      "FATAL: read-only transaction touched the lock manager or WAL (lock.acquire +%d, log.append +%d)\n"
-      locks wal;
-    exit 1
-  end;
-  Printf.printf "snapshot lock-free guard: ok (0 lock acquisitions, 0 WAL appends)\n%!"
-
-let commit_bench ~quick () =
-  let modes =
-    [
-      ("sync", Txn.Sync);
-      ("group", Txn.Group { max_batch = 32; max_wait_ticks = 50 });
-      ("async", Txn.Async);
-    ]
-  in
-  let mpls = if quick then [ 8; 16 ] else [ 1; 4; 8; 16; 32 ] in
-  let budget = if quick then 128 else 512 in
-  let cell (mode_name, mode) mpl =
-    let spec =
-      {
-        Workload.default with
-        seed = 11;
-        strategy = Maintain.Escrow;
-        mpl;
-        txns_per_worker = max 1 (budget / mpl);
-        n_groups = 20;
-        theta = 0.99;
-        delete_fraction = 0.1;
-        config = { Workload.default.Workload.config with commit_mode = mode };
-      }
-    in
-    let r = Workload.run spec in
-    let get n = match List.assoc_opt n r.Workload.metrics with Some v -> v | None -> 0 in
-    let per_commit x = float_of_int x /. float_of_int (max 1 r.Workload.committed) in
-    let row =
-      [
-        mode_name;
-        i mpl;
-        i r.Workload.committed;
-        f2 r.Workload.throughput;
-        i r.Workload.forces;
-        f2 (per_commit r.Workload.forces);
-        f2 r.Workload.mean_batch;
-        f1 (per_commit (get "commit.stall_ticks"));
-      ]
-    in
-    let json =
-      Printf.sprintf
-        {|    {"mode": "%s", "mpl": %d, "committed": %d, "throughput_per_1k_ticks": %.3f, "forces": %d, "forces_per_commit": %.4f, "mean_batch": %.2f, "stall_ticks_per_commit": %.2f}|}
-        mode_name mpl r.Workload.committed r.Workload.throughput
-        r.Workload.forces
-        (per_commit r.Workload.forces)
-        r.Workload.mean_batch
-        (per_commit (get "commit.stall_ticks"))
-    in
-    (row, json)
-  in
-  let cells = List.concat_map (fun m -> List.map (cell m) mpls) modes in
-  (* tracing overhead: the group-commit cell at the highest mpl, structured
-     trace off vs on (events counted, then discarded). Tick throughput is
-     deterministic and must be identical either way — tracing never touches
-     the simulated clock — so the interesting deltas are event volume and
-     wall time. *)
-  let trace_cell enabled =
-    let mpl = List.fold_left max 1 mpls in
-    let spec =
-      {
-        Workload.default with
-        seed = 11;
-        strategy = Maintain.Escrow;
-        mpl;
-        txns_per_worker = max 1 (budget / mpl);
-        n_groups = 20;
-        theta = 0.99;
-        delete_fraction = 0.1;
-        config =
-          {
-            Workload.default.Workload.config with
-            commit_mode = Txn.Group { max_batch = 32; max_wait_ticks = 50 };
-          };
-      }
-    in
-    let db, sales, views = Workload.setup spec in
-    let events = ref 0 in
-    if enabled then begin
-      let tr = Database.trace db in
-      Ivdb_util.Trace.add_sink tr (fun _ -> incr events);
-      Ivdb_util.Trace.set_enabled tr true
-    end;
-    let r = Workload.run_on db sales views spec in
-    (mpl, r, !events)
-  in
-  let mpl_off, r_off, _ = trace_cell false in
-  let _, r_on, events = trace_cell true in
-  let trace_json =
-    [
-      Printf.sprintf
-        {|    {"mode": "group", "mpl": %d, "trace": "off", "committed": %d, "throughput_per_1k_ticks": %.3f, "events": 0, "wall_s": %.4f}|}
-        mpl_off r_off.Workload.committed r_off.Workload.throughput
-        r_off.Workload.wall_s;
-      Printf.sprintf
-        {|    {"mode": "group", "mpl": %d, "trace": "on", "committed": %d, "throughput_per_1k_ticks": %.3f, "events": %d, "wall_s": %.4f}|}
-        mpl_off r_on.Workload.committed r_on.Workload.throughput events
-        r_on.Workload.wall_s;
-    ]
-  in
+let e19 ~quick =
   print_table
-    ~title:
-      (Printf.sprintf
-         "E11  Commit path: per-commit force vs group commit vs async (escrow, zipf 0.99, ~%d txns)"
-         budget)
-    ~header:
-      [ "commit mode"; "mpl"; "commits"; "tput/1k ticks"; "forces";
-        "forces/commit"; "mean batch"; "stall/commit" ]
-    (List.map fst cells);
-  Printf.printf
-    "\ntracing overhead (group, mpl %d): off %.2f tput / %.3fs wall, on %.2f tput / %.3fs wall (%d events)\n"
-    mpl_off r_off.Workload.throughput r_off.Workload.wall_s
-    r_on.Workload.throughput r_on.Workload.wall_s events;
-  (* the fault-recovery cells ride along: quick mode doubles as the
-     fault-enabled smoke run invoked from the dune test runner *)
-  let e12_cells = fault_cells ~quick in
-  print_table ~title:e12_title ~header:e12_header (List.map fst e12_cells);
-  (* the network-serving cells ride along too: quick mode doubles as the
-     loopback+tcp server smoke run invoked from the dune test runner *)
-  let e13_cells = e13_cells ~quick in
-  print_table ~title:e13_title ~header:e13_header (List.map fst e13_cells);
-  (* and the introspection-overhead cells: slow-query log off/idle/worst
-     over the same loopback closed loop *)
-  let e14_cells = e14_cells ~quick in
-  print_table ~title:e14_title ~header:e14_header (List.map fst e14_cells);
-  (* and the MVCC snapshot-reader cells, preceded by the build-breaking
-     zero-lock guard for read-only transactions *)
-  assert_snapshot_lock_free ();
-  let e15_cells = e15_cells ~quick in
-  print_table ~title:e15_title ~header:e15_header (List.map fst e15_cells);
-  (* and the replication cells: quick mode doubles as the zero-divergence
-     WAL-shipping smoke run (any digest mismatch exits non-zero) *)
-  let e16_cells = e16_cells ~quick in
-  print_table ~title:e16_title ~header:e16_header (List.map fst e16_cells);
-  (* and the failover cells: quick mode doubles as the promote-under-crash
-     zero-loss smoke run (digest divergence exits non-zero) *)
-  let e17_cells = e17_cells ~quick in
-  print_table ~title:e17_title ~header:e17_header (List.map fst e17_cells);
-  (* and the sharding cells: quick mode doubles as the coordinator-crash
-     decision-audit smoke run (lost/duplicated decisions exit non-zero) *)
-  let e18_cells = e18_cells ~quick in
-  print_table ~title:e18_title ~header:e18_header (List.map fst e18_cells);
-  let e18_smoke_json = e18_crash_smoke () in
-  (* and the cluster-observability cells: quick mode doubles as the
-     coordinator-exporter smoke run (a missing 2PC metric family exits
-     non-zero) *)
-  let e19_cells = e19_cells ~quick in
-  print_table ~title:e19_title ~header:e19_header (List.map fst e19_cells);
-  let e19_smoke_json = e19_exporter_smoke () in
-  let oc = open_out "BENCH_commit.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"commit\",\n  \"quick\": %b,\n  \"cells\": [\n%s\n  ],\n  \"e12_fault_recovery\": [\n%s\n  ],\n  \"e13_network\": [\n%s\n  ],\n  \"e14_introspection\": [\n%s\n  ],\n  \"e15_mvcc\": [\n%s\n  ],\n  \"e16_replication\": [\n%s\n  ],\n  \"e17_failover\": [\n%s\n  ],\n  \"e18_sharding\": [\n%s\n  ],\n  \"e19_cluster_observability\": [\n%s\n  ]\n}\n"
-    quick
-    (String.concat ",\n" (List.map snd cells @ trace_json))
-    (String.concat ",\n" (List.map snd e12_cells))
-    (String.concat ",\n" (List.map snd e13_cells))
-    (String.concat ",\n" (List.map snd e14_cells))
-    (String.concat ",\n" (List.map snd e15_cells))
-    (String.concat ",\n" (List.map snd e16_cells))
-    (String.concat ",\n" (List.map snd e17_cells))
-    (String.concat ",\n" (List.map snd e18_cells @ [ e18_smoke_json ]))
-    (String.concat ",\n" (List.map snd e19_cells @ [ e19_smoke_json ]));
-  close_out oc;
-  Printf.printf "wrote BENCH_commit.json (%d cells)\n%!"
-    (List.length cells + List.length trace_json + List.length e12_cells
-   + List.length e13_cells + List.length e14_cells + List.length e15_cells
-   + List.length e16_cells + List.length e17_cells + List.length e18_cells
-   + List.length e19_cells + 2)
-
-let e11 () = commit_bench ~quick:false ()
+    {
+      title =
+        "E19  Cluster observability: per-phase 2PC metrics, trace on/off (loopback)";
+      header =
+        [ "shards"; "trace"; "commits"; "tput/1k ticks"; "events";
+          "prepare p50/p95"; "decide p50/p95"; "wall s" ];
+      rows =
+        List.concat_map
+          (fun s -> [ e19_cell ~quick s false; e19_cell ~quick s true ])
+          [ 1; 2; 4 ];
+    };
+  e19_exporter_smoke ()
 
 (* --- M0: bechamel micro-benchmarks ------------------------------------------------------ *)
 
@@ -1776,27 +1501,40 @@ let micro () =
               | Some (x :: _) -> x
               | _ -> nan
             in
-            [ name; f1 ns ] :: acc)
+            [ S name; f1 ns ] :: acc)
           results []
         |> List.hd)
       tests
   in
-  print_table ~title:"M0  Substrate micro-benchmarks (bechamel)"
-    ~header:[ "operation"; "ns/op" ] rows
+  print_table
+    {
+      title = "M0  Substrate micro-benchmarks (bechamel)";
+      header = [ "operation"; "ns/op" ];
+      rows;
+    }
 
 (* --- driver ------------------------------------------------------------------------------- *)
+
+(* E11-E19 take [~quick]: full size for a named run, smoke size (each
+   doubling as a build-breaking check) for commit-quick. *)
+let commit_series =
+  [
+    ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
+    ("e16", e16); ("e17", e17); ("e18", e18); ("e19", e19);
+  ]
 
 let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-    ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
-    ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
-    ("e17", e17); ("e18", e18); ("e19", e19); ("micro", micro);
+    ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
   ]
+  @ List.map (fun (n, e) -> (n, fun () -> e ~quick:false)) commit_series
+  @ [ ("micro", micro) ]
 
-(* "commit-quick" is a cheap smoke variant of e11 invoked from the dune
-   test runner; it is not part of the run-everything default. *)
-let extra = [ ("commit-quick", fun () -> commit_bench ~quick:true ()) ]
+(* "commit-quick" is the smoke run invoked from the dune test runner; it
+   is not part of the run-everything default. *)
+let extra =
+  [ ("commit-quick", fun () -> List.iter (fun (_, e) -> e ~quick:true) commit_series) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -1815,4 +1553,5 @@ let () =
                 exit 2)
           names
   in
-  List.iter (fun (_, f) -> f ()) chosen
+  List.iter (fun (_, f) -> f ()) chosen;
+  write_json ~quick:(List.mem "commit-quick" args) "BENCH.json"

@@ -1191,11 +1191,23 @@ let e18_crash_smoke () =
       indoubt_after;
     exit 1
   end;
-  let decided = Hashtbl.create 8 in
+  (* presumed abort logs only what recovery needs: a decision record is
+     a commit, and follows its gtxn's begin record *)
+  let decided = Hashtbl.create 8 and begun = Hashtbl.create 8 in
   Wal.iter_stable cwal (fun r ->
       match r.Ivdb_wal.Log_record.body with
+      | Ivdb_wal.Log_record.Prepare { gtxn; _ } -> Hashtbl.replace begun gtxn ()
       | Ivdb_wal.Log_record.Decision { gtxn; committed } ->
-          Hashtbl.replace decided gtxn committed
+          if not committed then begin
+            Printf.eprintf "FATAL: e18 smoke: abort decision logged for %s\n" gtxn;
+            exit 1
+          end;
+          if not (Hashtbl.mem begun gtxn) then begin
+            Printf.eprintf "FATAL: e18 smoke: decision for %s has no begin record\n"
+              gtxn;
+            exit 1
+          end;
+          Hashtbl.replace decided gtxn ()
       | _ -> ());
   (* one multiset of surviving keys across the cluster *)
   let count k =
@@ -1211,9 +1223,7 @@ let e18_crash_smoke () =
   List.iteri
     (fun idx stmts ->
       let gtxn = Printf.sprintf "coord:%d" (idx + 1) in
-      let want =
-        match Hashtbl.find_opt decided gtxn with Some true -> 1 | _ -> 0
-      in
+      let want = if Hashtbl.mem decided gtxn then 1 else 0 in
       if want = 1 then incr committed_txns;
       List.iter
         (fun (k, _) ->

@@ -18,8 +18,8 @@
    exposition (per-phase 2PC tick histograms, vote and abort-cause
    counters, fast-path vs 2PC commits, in-doubt gauge); --trace-out
    streams the gtxn-correlated coordinator trace as JSONL. Stop with
-   Ctrl-C: the listener drains, then decision re-delivery state is
-   reported. *)
+   Ctrl-C: the listener drains, then the coordinator's commit, abort,
+   prepare and decide totals are printed. *)
 
 module Sched = Ivdb_sched.Sched
 module Coord = Ivdb_coord.Coord

@@ -14,11 +14,17 @@
    Durability follows presumed abort with a forced begin record: before
    the first Prepare message the participant set is forced to the
    coordinator's own WAL (a Log_record.Prepare with the ids in the
-   payload), and the decision is forced before the first Decide message.
-   Recovery therefore re-delivers the logged decision for every started
-   transaction and presumed-aborts the rest; participants answer
-   retransmits idempotently from their dedupe tables, which is also what
-   makes the coordinator's reconnect-and-resend retry safe. *)
+   payload), and a commit decision (a Log_record.Decision) is forced
+   before the first Decide message. An abort logs nothing: a begin record
+   with no commit record after it reads as abort. Recovery therefore
+   delivers, for every begin record in the log, commit if a commit record
+   follows it and abort otherwise; participants answer retransmits
+   idempotently from their dedupe tables, which is also what makes the
+   coordinator's reconnect-and-resend retry safe.
+
+   A global transaction lives in one table from its begin record until
+   every participant has its decision, then moves to a short list of
+   recent ones; nothing else about it is kept. *)
 
 module A = Ivdb_sql.Sql_ast
 module Sql = Ivdb_sql.Sql
@@ -61,16 +67,18 @@ type stats = {
   decides_sent : int;
 }
 
-(* One global transaction as sys.gtxns sees it: live entries sit in a
-   table keyed by gtxn, terminal ones move to a bounded recent list.
-   Pure bookkeeping — never gated, so it cannot shift the crash-sweep
-   action numbering. *)
-type ginfo = {
-  gi_gtxn : string;
-  gi_participants : int list;
-  mutable gi_phase : string; (* preparing | deciding | committed | aborted *)
-  mutable gi_votes : (int * string) list; (* shard -> yes / no / dead *)
-  mutable gi_phase_tick : int; (* tick the current phase was entered *)
+(* One global transaction, from the start of its commit round until every
+   participant has its decision; then it moves to the capped [recent]
+   list, where sys.gtxns still shows it. Updates to it are never gated,
+   so they cannot shift the crash-sweep action numbering. *)
+type gtxn = {
+  g_id : string;
+  g_participants : int list;
+  mutable g_phase : string; (* preparing | deciding | committed | aborted *)
+  mutable g_votes : (int * string) list; (* shard -> yes / no / dead *)
+  mutable g_phase_tick : int; (* tick the current phase was entered *)
+  mutable g_decision : bool option; (* committed?, once decided *)
+  mutable g_owed : int list; (* shards the decision has not reached *)
 }
 
 let recent_cap = 32
@@ -83,8 +91,8 @@ type shard_health = {
   mutable sh_dedupe_hits : int; (* Prepare answered from the dedupe tables *)
 }
 
-(* The coordinator proper: the decision log, the global transaction
-   tables and routing metadata every session shares. *)
+(* The coordinator proper: the decision log, the gtxn table and the
+   routing metadata every session shares. *)
 type coordinator = {
   cname : string;
   dialers : Transport.dialer array;
@@ -95,11 +103,8 @@ type coordinator = {
   (* coordinator-assigned correlation id: one per routed statement,
      stamped on every shard-bound frame that statement causes *)
   mutable next_rid : int;
-  started : (string, int list) Hashtbl.t; (* gtxn -> participant shards *)
-  decided : (string, bool) Hashtbl.t;
-  pending : (string, int list) Hashtbl.t; (* decided, but shards still owed it *)
-  live : (string, ginfo) Hashtbl.t; (* in-flight gtxns, for sys.gtxns *)
-  mutable recent : ginfo list; (* newest first, capped at recent_cap *)
+  gtxns : (string, gtxn) Hashtbl.t; (* undecided or owed to some shard *)
+  mutable recent : gtxn list; (* newest first, capped at recent_cap *)
   health : shard_health array;
   pk_cols : (string, string) Hashtbl.t; (* table -> partition column *)
   views : (string, int) Hashtbl.t; (* view -> its GROUP BY column count *)
@@ -111,8 +116,6 @@ type coordinator = {
   mutable s_single : int;
   mutable s_cross : int;
   mutable s_aborts : int;
-  mutable s_prepares : int;
-  mutable s_decides : int;
   (* typed per-phase 2PC metric handles, resolved once at create *)
   m_votes_yes : Metrics.counter;
   m_votes_no : Metrics.counter;
@@ -165,57 +168,60 @@ let register_ddl co sql =
   | _ -> ()
   | exception _ -> ()
 
-(* --- sys.gtxns bookkeeping -------------------------------------------- *)
+(* --- the gtxn table ---------------------------------------------------- *)
 
 let gtxn_begin co ~gtxn ~participants =
-  let gi =
+  let g =
     {
-      gi_gtxn = gtxn;
-      gi_participants = participants;
-      gi_phase = "preparing";
-      gi_votes = [];
-      gi_phase_tick = Sched.now ();
+      g_id = gtxn;
+      g_participants = participants;
+      g_phase = "preparing";
+      g_votes = [];
+      g_phase_tick = Sched.now ();
+      g_decision = None;
+      g_owed = [];
     }
   in
-  Hashtbl.replace co.live gtxn gi;
-  gi
+  Hashtbl.replace co.gtxns gtxn g;
+  g
 
-let gtxn_phase gi phase =
-  gi.gi_phase <- phase;
-  gi.gi_phase_tick <- Sched.now ()
+let gtxn_phase g phase =
+  g.g_phase <- phase;
+  g.g_phase_tick <- Sched.now ()
 
-let gtxn_vote gi shard vote = gi.gi_votes <- gi.gi_votes @ [ (shard, vote) ]
+let gtxn_vote g shard vote = g.g_votes <- g.g_votes @ [ (shard, vote) ]
 
-let gtxn_done co gtxn committed =
-  match Hashtbl.find_opt co.live gtxn with
-  | None -> ()
-  | Some gi ->
-      gtxn_phase gi (if committed then "committed" else "aborted");
-      Hashtbl.remove co.live gtxn;
-      co.recent <-
-        gi :: (if List.length co.recent >= recent_cap then
-                 List.filteri (fun i _ -> i < recent_cap - 1) co.recent
-               else co.recent)
+(* The in-doubt gauge counts gtxns that owe some shard their decision. It
+   moves by one as an entry gains or loses its last owed shard, so
+   coordinators sharing a registry add up instead of overwriting. *)
+let set_owed co g owed =
+  (match (g.g_owed, owed) with
+  | [], _ :: _ -> Metrics.inc co.m_indoubt
+  | _ :: _, [] -> Metrics.inc_by co.m_indoubt (-1)
+  | _ -> ());
+  g.g_owed <- owed
 
+(* The outcome is final: show it, and once every participant has it,
+   move the entry from the table to [recent]. *)
+let gtxn_done co g committed =
+  let phase = if committed then "committed" else "aborted" in
+  if g.g_phase <> phase then gtxn_phase g phase;
+  if g.g_owed = [] then begin
+    Hashtbl.remove co.gtxns g.g_id;
+    let rest = List.filter (fun r -> r.g_id <> g.g_id) co.recent in
+    co.recent <- List.filteri (fun i _ -> i < recent_cap) (g :: rest)
+  end
+
+(* A restarted coordinator re-derives its routing metadata and gtxn
+   counter from the log; outcomes are read again only by [recover]. *)
 let scan_wal co =
   Wal.iter_stable co.cwal (fun r ->
       match r.Log_record.body with
       | Log_record.Ddl sql -> register_ddl co sql
-      | Log_record.Prepare { gtxn; participants } ->
-          let participants =
-            try List.map int_of_string (String.split_on_char ',' participants)
-            with Failure _ -> fail "corrupt participant list for %s" gtxn
-          in
-          Hashtbl.replace co.started gtxn participants;
-          (* rebuild the sys.gtxns view of the log: started and (until a
-             Decision record follows) in-doubt *)
-          ignore (gtxn_begin co ~gtxn ~participants);
-          (match parse_gid co.cname gtxn with
+      | Log_record.Prepare { gtxn; _ } -> (
+          match parse_gid co.cname gtxn with
           | Some n -> co.next_gid <- max co.next_gid (n + 1)
           | None -> ())
-      | Log_record.Decision { gtxn; committed } ->
-          Hashtbl.replace co.decided gtxn committed;
-          gtxn_done co gtxn committed
       | _ -> ())
 
 let coordinator ?(name = "coord") ?wal ?metrics ?trace dialers =
@@ -241,10 +247,7 @@ let coordinator ?(name = "coord") ?wal ?metrics ?trace dialers =
       ctrace;
       next_gid = 1;
       next_rid = 1;
-      started = Hashtbl.create 32;
-      decided = Hashtbl.create 32;
-      pending = Hashtbl.create 8;
-      live = Hashtbl.create 8;
+      gtxns = Hashtbl.create 8;
       recent = [];
       health =
         Array.map
@@ -259,8 +262,6 @@ let coordinator ?(name = "coord") ?wal ?metrics ?trace dialers =
       s_single = 0;
       s_cross = 0;
       s_aborts = 0;
-      s_prepares = 0;
-      s_decides = 0;
       m_votes_yes = Metrics.counter metrics "coord.votes.yes";
       m_votes_no = Metrics.counter metrics "coord.votes.no";
       m_votes_dead = Metrics.counter metrics "coord.votes.dead_line";
@@ -307,17 +308,14 @@ let in_transaction c = c.in_txn
 let temit c ev = if Trace.enabled c.co.ctrace then Trace.emit c.co.ctrace ev
 let touch c i = c.co.health.(i).sh_last_contact <- Sched.now ()
 
-(* the in-doubt gauge tracks |pending| through a counter handle *)
-let sync_indoubt c =
-  Metrics.inc_by c.co.m_indoubt (Hashtbl.length c.co.pending - Metrics.value c.co.m_indoubt)
-
 let stats c =
+  let sum f = Array.fold_left (fun acc h -> acc + f h) 0 c.co.health in
   {
     single_shard_commits = c.co.s_single;
     cross_shard_commits = c.co.s_cross;
     aborts = c.co.s_aborts;
-    prepares_sent = c.co.s_prepares;
-    decides_sent = c.co.s_decides;
+    prepares_sent = sum (fun h -> h.sh_prepares);
+    decides_sent = sum (fun h -> h.sh_decides);
   }
 
 let set_crash_at_action c n = c.co.crash_at <- n
@@ -347,51 +345,57 @@ let shard_exec c i sql =
   touch c i;
   r
 
-let deliver_decision ?(gated = true) c ~gtxn ~committed ~participants =
+let rollback_ops c ops =
+  List.iter
+    (fun i ->
+      try ignore (shard_exec c i "ROLLBACK")
+      with Client.Disconnected _ | Client.Server_error _ -> ())
+    ops
+
+(* Send [g]'s decision to [shards]; the ones it cannot reach stay owed. *)
+let deliver_decision ?(gated = true) c g ~committed shards =
   let failed = ref [] in
   List.iter
     (fun i ->
       if gated then gate c "decide";
       temit c
-        (Trace.Coord_decide { gtxn; rid = c.cur_rid; shard = i; committed });
+        (Trace.Coord_decide { gtxn = g.g_id; rid = c.cur_rid; shard = i; committed });
       let send () =
-        Client.decide_2pc ~rid:c.cur_rid c.clients.(i) ~gtxn ~committed
+        Client.decide_2pc ~rid:c.cur_rid c.clients.(i) ~gtxn:g.g_id ~committed
       in
       try
         (* a dead line is retried once after the client's automatic
            re-dial: the participant dedupes a Decide by gtxn *)
         (try send () with Client.Disconnected _ -> send ());
-        c.co.s_decides <- c.co.s_decides + 1;
         c.co.health.(i).sh_decides <- c.co.health.(i).sh_decides + 1;
         touch c i
       with Client.Disconnected _ | Client.Server_error _ ->
-        (* the decision is durable in our log; an unreachable shard stays
-           in-doubt (locks held) until a re-delivery reaches it *)
+        (* an unreachable shard stays in-doubt (locks held) until a
+           re-delivery reaches it *)
         failed := i :: !failed)
-    participants;
-  (match !failed with
-  | [] -> Hashtbl.remove c.co.pending gtxn
-  | fs -> Hashtbl.replace c.co.pending gtxn (List.rev fs));
-  sync_indoubt c
+    shards;
+  set_owed c.co g (List.rev !failed)
 
 (* A shard that missed its decision keeps the in-doubt transaction's
    locks, blocking conflicting work there; rather than waiting for an
-   operator's [recover], retry the logged outcome before the next commit.
+   operator's [recover], retry the outcome before the next commit.
    Ungated: re-delivery is not a protocol action of the current
    transaction, so it must not shift the crash-sweep numbering. *)
 let redeliver_pending c =
-  if Hashtbl.length c.co.pending > 0 then
-    Hashtbl.fold (fun g ps acc -> (g, ps) :: acc) c.co.pending []
-    |> List.sort compare
-    |> List.iter (fun (gtxn, participants) ->
-           match Hashtbl.find_opt c.co.decided gtxn with
-           | Some committed ->
-               Metrics.inc c.co.m_redeliver;
-               deliver_decision ~gated:false c ~gtxn ~committed ~participants
-           | None -> Hashtbl.remove c.co.pending gtxn)
+  Hashtbl.fold
+    (fun _ g acc -> if g.g_owed <> [] then g :: acc else acc)
+    c.co.gtxns []
+  |> List.sort (fun a b -> compare a.g_id b.g_id)
+  |> List.iter (fun g ->
+         match g.g_decision with
+         | Some committed ->
+             Metrics.inc c.co.m_redeliver;
+             deliver_decision ~gated:false c g ~committed g.g_owed;
+             gtxn_done c.co g committed
+         | None -> ())
 
 let two_phase c ~gtxn ~participants =
-  let gi = gtxn_begin c.co ~gtxn ~participants in
+  let g = gtxn_begin c.co ~gtxn ~participants in
   gate c "log_start";
   log_force c
     (Log_record.Prepare
@@ -399,7 +403,6 @@ let two_phase c ~gtxn ~participants =
          gtxn;
          participants = String.concat "," (List.map string_of_int participants);
        });
-  Hashtbl.replace c.co.started gtxn participants;
   let prepared = ref [] in
   (* shards whose line died around a Prepare: their vote is unknown — the
      frame (or only its ack) may have been lost, so they may hold a
@@ -429,54 +432,50 @@ let two_phase c ~gtxn ~participants =
             | `Already_decided _ ->
                 c.co.health.(i).sh_dedupe_hits <- c.co.health.(i).sh_dedupe_hits + 1
             | `Prepared -> ());
-            c.co.s_prepares <- c.co.s_prepares + 1;
             c.co.health.(i).sh_prepares <- c.co.health.(i).sh_prepares + 1;
             touch c i;
             Metrics.inc c.co.m_votes_yes;
-            gtxn_vote gi i "yes";
+            gtxn_vote g i "yes";
             temit c (Trace.Coord_vote { gtxn; shard = i; vote = "yes" });
             prepared := i :: !prepared;
             prep rest
         | `No reason ->
             Metrics.inc c.co.m_votes_no;
-            gtxn_vote gi i "no";
+            gtxn_vote g i "no";
             temit c (Trace.Coord_vote { gtxn; shard = i; vote = "no" });
             Some (reason, c.co.m_abort_vote)
         | `Dead reason ->
             Metrics.inc c.co.m_votes_dead;
-            gtxn_vote gi i "dead";
+            gtxn_vote g i "dead";
             temit c (Trace.Coord_vote { gtxn; shard = i; vote = "dead" });
             Some (reason, c.co.m_abort_dead))
   in
   let t_prep = Sched.now () in
   let outcome = prep participants in
   Metrics.record c.co.h_prepare (Sched.now () - t_prep);
+  gtxn_phase g "deciding";
   match outcome with
   | None ->
-      gtxn_phase gi "deciding";
       gate c "log_decision";
       let t_force = Sched.now () in
       log_force c (Log_record.Decision { gtxn; committed = true });
       Metrics.record c.co.h_force (Sched.now () - t_force);
       temit c (Trace.Coord_decision { gtxn; committed = true });
-      Hashtbl.replace c.co.decided gtxn true;
+      g.g_decision <- Some true;
       let t_dec = Sched.now () in
-      deliver_decision c ~gtxn ~committed:true ~participants;
+      deliver_decision c g ~committed:true participants;
       Metrics.record c.co.h_decide (Sched.now () - t_dec);
-      gtxn_done c.co gtxn true;
+      gtxn_done c.co g true;
       c.co.s_cross <- c.co.s_cross + 1;
       Metrics.inc c.co.m_2pc;
       Sql.Message
         (Printf.sprintf "committed (%s, %d participants)" gtxn
            (List.length participants))
   | Some (reason, abort_cause) ->
-      gtxn_phase gi "deciding";
-      gate c "log_decision";
-      let t_force = Sched.now () in
-      log_force c (Log_record.Decision { gtxn; committed = false });
-      Metrics.record c.co.h_force (Sched.now () - t_force);
+      (* presumed abort: nothing is logged — a begin record without a
+         commit record already reads as abort *)
       temit c (Trace.Coord_decision { gtxn; committed = false });
-      Hashtbl.replace c.co.decided gtxn false;
+      g.g_decision <- Some false;
       (* prepared shards get the abort decision now, and so does every
          suspect — it may have prepared without us seeing the ack, and a
          shard that never saw the Prepare answers presumed-abort; a
@@ -484,25 +483,13 @@ let two_phase c ~gtxn ~participants =
          transaction, rolled back explicitly *)
       let informed = List.sort_uniq compare (!prepared @ !suspects) in
       let t_dec = Sched.now () in
-      deliver_decision c ~gtxn ~committed:false ~participants:informed;
+      deliver_decision c g ~committed:false informed;
       Metrics.record c.co.h_decide (Sched.now () - t_dec);
-      List.iter
-        (fun i ->
-          if not (List.mem i informed) then
-            try ignore (shard_exec c i "ROLLBACK")
-            with Client.Disconnected _ | Client.Server_error _ -> ())
-        participants;
-      gtxn_done c.co gtxn false;
+      rollback_ops c (List.filter (fun i -> not (List.mem i informed)) participants);
+      gtxn_done c.co g false;
       c.co.s_aborts <- c.co.s_aborts + 1;
       Metrics.inc abort_cause;
       fail "transaction %s aborted: %s" gtxn reason
-
-let rollback_ops c ops =
-  List.iter
-    (fun i ->
-      try ignore (shard_exec c i "ROLLBACK")
-      with Client.Disconnected _ | Client.Server_error _ -> ())
-    ops
 
 let commit_txn c =
   if not c.in_txn then fail "no open transaction";
@@ -552,33 +539,47 @@ let abort_txn c =
 
 (* --- recovery --------------------------------------------------------- *)
 
-let recover c =
-  let entries =
-    Hashtbl.fold (fun g ps acc -> (g, ps) :: acc) c.co.started [] |> List.sort compare
-  in
-  List.iter
-    (fun (gtxn, participants) ->
-      let committed =
-        match Hashtbl.find_opt c.co.decided gtxn with
-        | Some d -> d
-        | None ->
-            (* started but never decided: presumed abort, made explicit
-               so the next recovery needn't re-derive it *)
-            log_force c (Log_record.Decision { gtxn; committed = false });
-            Hashtbl.replace c.co.decided gtxn false;
-            false
-      in
-      deliver_decision c ~gtxn ~committed ~participants;
-      gtxn_done c.co gtxn committed)
-    entries;
-  (* live entries never logged (crashed before the begin-record force):
-     no shard ever heard of them, so they abort locally *)
+(* Every begin record in the log with its outcome: committed iff a commit
+   record follows (presumed abort), sorted by gtxn. *)
+let logged_outcomes co =
+  let begun = Hashtbl.create 16 and committed = Hashtbl.create 16 in
+  Wal.iter_stable co.cwal (fun r ->
+      match r.Log_record.body with
+      | Log_record.Prepare { gtxn; participants } ->
+          let participants =
+            try List.map int_of_string (String.split_on_char ',' participants)
+            with Failure _ -> fail "corrupt participant list for %s" gtxn
+          in
+          Hashtbl.replace begun gtxn participants
+      | Log_record.Decision { gtxn; committed = true } ->
+          Hashtbl.replace committed gtxn ()
+      | _ -> ());
   Hashtbl.fold
-    (fun g _ acc -> if not (Hashtbl.mem c.co.started g) then g :: acc else acc)
-    c.co.live []
+    (fun g ps acc -> (g, ps, Hashtbl.mem committed g) :: acc)
+    begun []
   |> List.sort compare
+
+let recover c =
+  let outcomes = logged_outcomes c.co in
+  List.iter
+    (fun (gtxn, participants, committed) ->
+      let g =
+        match Hashtbl.find_opt c.co.gtxns gtxn with
+        | Some g -> g
+        | None -> gtxn_begin c.co ~gtxn ~participants
+      in
+      g.g_decision <- Some committed;
+      deliver_decision c g ~committed participants;
+      gtxn_done c.co g committed)
+    outcomes;
+  (* entries never logged (crashed before the begin-record force): no
+     shard ever heard of them, so they abort locally *)
+  Hashtbl.fold
+    (fun _ g acc -> if g.g_decision = None then g :: acc else acc)
+    c.co.gtxns []
+  |> List.sort (fun a b -> compare a.g_id b.g_id)
   |> List.iter (fun g -> gtxn_done c.co g false);
-  List.length entries
+  List.length outcomes
 
 (* --- statement routing ------------------------------------------------ *)
 
@@ -698,37 +699,32 @@ let is_sys_name from =
 
 let gtxns_rows c =
   let now = Sched.now () in
-  let row gi =
-    let undelivered =
-      match Hashtbl.find_opt c.co.pending gi.gi_gtxn with
-      | Some shards -> List.length shards
-      | None -> 0
-    in
+  let row g =
     [|
-      Value.Str gi.gi_gtxn;
-      Value.Str gi.gi_phase;
+      Value.Str g.g_id;
+      Value.Str g.g_phase;
       Value.Str
-        (String.concat "," (List.map string_of_int gi.gi_participants));
+        (String.concat "," (List.map string_of_int g.g_participants));
       Value.Str
         (String.concat ","
            (List.map
               (fun (s, v) -> Printf.sprintf "%d:%s" s v)
-              (List.sort compare gi.gi_votes)));
-      Value.Int (now - gi.gi_phase_tick);
-      Value.Int undelivered;
+              (List.sort compare g.g_votes)));
+      Value.Int (now - g.g_phase_tick);
+      Value.Int (List.length g.g_owed);
     |]
   in
   let live =
-    Hashtbl.fold (fun _ gi acc -> gi :: acc) c.co.live []
-    |> List.sort (fun a b -> compare a.gi_gtxn b.gi_gtxn)
+    Hashtbl.fold (fun _ g acc -> g :: acc) c.co.gtxns []
+    |> List.sort (fun a b -> compare a.g_id b.g_id)
   in
   (Sys_tables.gtxns_header, List.map row live @ List.map row c.co.recent)
 
 let coord_shards_rows c =
   let outstanding i =
     Hashtbl.fold
-      (fun _ shards acc -> if List.mem i shards then acc + 1 else acc)
-      c.co.pending 0
+      (fun _ g acc -> if List.mem i g.g_owed then acc + 1 else acc)
+      c.co.gtxns 0
   in
   let row i h =
     [|

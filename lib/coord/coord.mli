@@ -24,9 +24,10 @@
     participants. At [COMMIT] a transaction with one participant commits
     locally (no 2PC); one with several runs presumed-abort two-phase
     commit: participant set forced to the coordinator's WAL, Prepare to
-    every participant, decision forced, Decide fanned out. {!recover}
-    re-delivers logged decisions after a coordinator crash and
-    presumed-aborts every started-but-undecided transaction;
+    every participant, commit decision forced, Decide fanned out; an
+    abort logs nothing. {!recover} delivers, after a coordinator crash,
+    commit for every logged begin record with a commit record after it
+    and abort for every other one (presumed abort);
     participants dedupe retransmits by global transaction id, which
     makes Decide reconnect-and-resend retries safe. A Prepare is never
     retried — the disconnect rolled that session's transaction back, so
@@ -68,12 +69,11 @@ val create :
     engine's {!configure_shard} slot). [name] prefixes
     global transaction ids ([name:n]). [wal] is the coordinator's
     decision log; pass the previous incarnation's log (round-tripped
-    through {!Ivdb_wal.Wal.crash}) to restart after a crash — the
-    started/decided tables, the gtxn counter and the routing metadata
-    (partition columns and each view's group-key width, logged as DDL
-    records) are
-    rebuilt by scanning it; follow with {!recover} to re-deliver
-    outcomes. [metrics] is the coordinator's registry (fresh by
+    through {!Ivdb_wal.Wal.crash}) to restart after a crash — the gtxn
+    counter and the routing metadata (partition columns and each view's
+    group-key width, logged as DDL records) are rebuilt by scanning it.
+    A coordinator over an existing log sends no decision until
+    {!recover} delivers the logged outcomes. [metrics] is the coordinator's registry (fresh by
     default): the typed per-phase 2PC counters and histograms live
     there, and — when no [wal] is passed — so do the decision log's
     own append/force counters instead of a private throwaway registry.
@@ -122,7 +122,8 @@ val exec : t -> string -> Ivdb_sql.Sql.result
 
     Coordinator-resident catalogs are answered locally, with full
     [sys.*] query semantics (WHERE / projection / ORDER BY / LIMIT):
-    - [sys.gtxns] — live and recent global transactions: phase
+    - [sys.gtxns] — live global transactions (undecided, or owing some
+      shard its decision), then the most recent finished ones: phase
       ([preparing] / [deciding] / [committed] / [aborted]), participant
       set, per-shard votes ([yes] / [no] / [dead]), ticks in the current
       phase, undelivered-decision count;
@@ -156,11 +157,11 @@ val trace : t -> Ivdb_util.Trace.t
     event stream). *)
 
 val recover : t -> int
-(** Resolve every started transaction found in the WAL: re-deliver the
-    logged decision, or log-and-deliver an abort for the undecided
-    (presumed abort). Returns the number of transactions resolved.
-    Idempotent — participants answer retransmits from their dedupe
-    tables. *)
+(** Resolve every global transaction with a begin record in the WAL:
+    deliver commit if a commit record follows it, abort otherwise
+    (presumed abort). Writes nothing to the log. Returns the number of
+    transactions resolved. Idempotent — participants answer retransmits
+    from their dedupe tables. *)
 
 val in_transaction : t -> bool
 
@@ -175,8 +176,8 @@ type stats = {
   single_shard_commits : int;  (** commits that skipped 2PC *)
   cross_shard_commits : int;
   aborts : int;
-  prepares_sent : int;  (** prepare round-trips, retransmits included *)
-  decides_sent : int;
+  prepares_sent : int;  (** yes votes received, dedupe answers included *)
+  decides_sent : int;  (** Decides a shard acknowledged *)
 }
 
 val stats : t -> stats
@@ -188,7 +189,9 @@ val close : t -> unit
 (** {1 Deterministic crash injection}
 
     Every 2PC protocol action — the begin-record force, each Prepare
-    send, the decision force, each Decide send — bumps a counter. Arming
+    send, the commit-decision force, each Decide send (from a commit,
+    an abort or {!recover}) — bumps a counter. An abort has no decision
+    force. Arming
     {!set_crash_at_action} [n] makes the [n]-th action raise
     {!Ivdb_storage.Fault.Crash_point} instead of happening, so a sweep
     over [n] crashes the coordinator at every message boundary of a

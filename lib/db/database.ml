@@ -1108,7 +1108,6 @@ let decide_2pc t ~gtxn ~committed =
   match Hashtbl.find_opt t.indoubt_2pc gtxn with
   | Some tx ->
       Hashtbl.remove t.indoubt_2pc gtxn;
-      Txn.log_decision t.tmgr tx ~gtxn ~committed;
       if committed then Txn.commit t.tmgr tx else Txn.abort t.tmgr tx;
       Hashtbl.replace t.decided_2pc gtxn committed;
       t.last_decided <- Some gtxn;
@@ -1240,20 +1239,10 @@ let crash old =
           Hashtbl.replace t.indoubt_2pc d.Recovery.id_gtxn tx)
         analysis.Recovery.indoubt;
       Metrics.inc_by t.m_indoubt (List.length analysis.Recovery.indoubt);
-      (* Stable Decision records rebuild the retransmit-dedupe memory, and
-         settle right away any in-doubt transaction whose decision was
-         logged but whose Commit/End never went stable. Commit mode is
-         pinned to Sync for the replay: recovery runs outside the
-         scheduler, so a batched group-commit force has no fiber to ride. *)
-      let saved_mode = Txn.commit_mode t.tmgr in
-      Txn.set_commit_mode t.tmgr Txn.Sync;
+      (* every stable decision rebuilds the retransmit-dedupe memory *)
       List.iter
-        (fun (gtxn, committed) ->
-          if Hashtbl.mem t.indoubt_2pc gtxn then
-            ignore (decide_2pc t ~gtxn ~committed)
-          else Hashtbl.replace t.decided_2pc gtxn committed)
+        (fun (gtxn, committed) -> Hashtbl.replace t.decided_2pc gtxn committed)
         analysis.Recovery.decisions;
-      Txn.set_commit_mode t.tmgr saved_mode;
       checkpoint t
   | Follower ->
       (* "losers" here are the primary's transactions still in flight at

@@ -290,8 +290,8 @@ val gtxn_status : t -> string -> [ `Unknown | `Prepared | `Decided of bool ]
 
 val decide_2pc :
   t -> gtxn:string -> committed:bool -> [ `Applied | `Duplicate | `Presumed_abort ]
-(** 2PC phase 2: log a [Decision] record and commit or roll back the
-    prepared transaction. Idempotent: a retransmit for an already-decided
+(** 2PC phase 2: commit or roll back the prepared transaction; its
+    Commit or Abort record is the logged decision. Idempotent: a retransmit for an already-decided
     gtxn returns [`Duplicate]; an unknown gtxn with an abort decision is
     [`Presumed_abort] (no-op); an unknown commit raises
     [Invalid_argument]. *)

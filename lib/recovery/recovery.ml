@@ -41,13 +41,22 @@ let analyze wal =
   (* 2PC bookkeeping, tracked over the full scan like [committed]: a
      stable Prepare means the transaction's fate belongs to the
      coordinator — it is in-doubt (locks held across restart) rather
-     than a loser, unless a stable local Commit/End or a stable
-     Decision already settles it. *)
+     than a loser. Its own Commit or Abort record is the decision: a
+     stable Commit makes it a winner, a stable Abort an ordinary loser
+     (the rollback may not have finished), and either one gives the
+     dedupe list its gtxn's outcome. *)
   let prepared : (int, string * Log_record.lsn) Hashtbl.t =
     Hashtbl.create 8
   in
   let first_lsn : (int, Log_record.lsn) Hashtbl.t = Hashtbl.create 16 in
   let decisions = ref [] in
+  let decide txn committed =
+    match Hashtbl.find_opt prepared txn with
+    | Some (gtxn, _) ->
+        decisions := (gtxn, committed) :: !decisions;
+        if not committed then Hashtbl.remove prepared txn
+    | None -> ()
+  in
   (* seed from the governing checkpoint *)
   if ckpt_lsn <> Log_record.nil_lsn then begin
     match (Wal.get wal ckpt_lsn).Log_record.body with
@@ -63,13 +72,15 @@ let analyze wal =
       let txn = r.Log_record.txn in
       if txn > !max_txn then max_txn := txn;
       (match r.Log_record.body with
-      | Log_record.Commit -> Hashtbl.replace committed txn ()
+      | Log_record.Commit ->
+          Hashtbl.replace committed txn ();
+          decide txn true
+      | Log_record.Abort -> decide txn false
       | Log_record.Begin _ ->
           if not (Hashtbl.mem first_lsn txn) then
             Hashtbl.replace first_lsn txn lsn
       | Log_record.Prepare p ->
           Hashtbl.replace prepared txn (p.gtxn, lsn)
-      | Log_record.Decision d -> decisions := (d.gtxn, d.committed) :: !decisions
       | _ -> ());
       List.iter
         (fun pid -> if pid > !max_page then max_page := pid)

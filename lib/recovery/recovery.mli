@@ -29,7 +29,8 @@ type indoubt_txn = {
 
 type analysis = {
   losers : (int * Ivdb_wal.Log_record.lsn) list;
-      (** active, uncommitted, unprepared transactions: (txn id, last LSN) *)
+      (** active, uncommitted transactions that are unprepared or whose
+          abort decision is stable: (txn id, last LSN) *)
   dirty_pages : (int * Ivdb_wal.Log_record.lsn) list;  (** (page, recLSN) *)
   redo_start : Ivdb_wal.Log_record.lsn;
   catalog : string option;  (** snapshot from the governing checkpoint *)
@@ -38,12 +39,14 @@ type analysis = {
   max_txn_id : int;
   stable_records : int;
   indoubt : indoubt_txn list;
-      (** stable Prepare, no stable local Commit: these hold their locks
-          across restart until a coordinator decision is (re-)delivered.
-          A stable [Decision] for the same gtxn may already settle one —
-          see [decisions]. *)
+      (** stable Prepare, and neither a stable Commit nor a stable Abort
+          after it: these hold their locks across restart until a
+          coordinator decision is (re-)delivered. A prepared transaction
+          with a stable Abort is in [losers] instead. *)
   decisions : (string * bool) list;
-      (** stable Decision records, in log order: (gtxn, committed) *)
+      (** the outcomes of prepared transactions, for the retransmit
+          dedupe: (gtxn of the Prepare record, committed), one per stable
+          Commit or Abort record that follows a Prepare, in log order *)
 }
 
 val analyze : Ivdb_wal.Wal.t -> analysis

@@ -67,7 +67,6 @@ let create ~wal ~mode ?trace metrics =
     coordinator_active = false;
   }
 
-let mode t = t.mode
 let set_mode t m = t.mode <- m
 
 let mode_to_string = function

@@ -35,7 +35,6 @@ val create :
 (** [trace] defaults to a fresh disabled trace; when enabled each batched
     force emits one [commit.batch_flush] event. *)
 
-val mode : t -> mode
 val set_mode : t -> mode -> unit
 val mode_to_string : mode -> string
 

@@ -100,7 +100,6 @@ let create_mgr ?(commit_mode = Sync) ?trace ~wal ~locks ~pool metrics =
     end_hooks = [];
   }
 
-let commit_mode mgr = Group_commit.mode mgr.mgc
 let set_commit_mode mgr m = Group_commit.set_mode mgr.mgc m
 
 let set_undo_exec mgr f = mgr.undo_exec <- f
@@ -370,7 +369,7 @@ let abort_rw mgr t =
 (* 2PC phase 1: append a Prepare record and force it stable. The
    transaction stays Active and keeps every lock — its fate now belongs to
    the coordinator, and recovery classifies it as in-doubt rather than a
-   loser until a Decision record settles it. *)
+   loser until its Commit or Abort record settles it. *)
 let prepare mgr t ~gtxn =
   check_active t;
   check_not_snapshot t "prepare";
@@ -381,12 +380,6 @@ let prepare mgr t ~gtxn =
   t.tlast_lsn <- lsn;
   Group_commit.commit_durable mgr.mgc ~lsn;
   Metrics.inc mgr.m_prepare
-
-let log_decision mgr t ~gtxn ~committed =
-  check_active t;
-  t.tlast_lsn <-
-    Wal.append mgr.mwal ~txn:t.tid ~prev:t.tlast_lsn
-      (Log_record.Decision { gtxn; committed })
 
 let abort mgr t =
   if t.tstatus = Active then

@@ -39,7 +39,6 @@ val create_mgr :
     Transaction begin/commit/abort and batched commit flushes emit trace
     events when enabled. *)
 
-val commit_mode : mgr -> commit_mode
 val set_commit_mode : mgr -> commit_mode -> unit
 
 val set_undo_exec : mgr -> (t -> Ivdb_wal.Log_record.logical_undo -> Ivdb_wal.Log_record.page_diffs) -> unit
@@ -116,13 +115,9 @@ val prepare : mgr -> t -> gtxn:string -> unit
 (** 2PC phase 1: append a [Prepare] record carrying the coordinator's
     global id and force the log through it. The transaction stays active and keeps
     all its locks; recovery classifies it as in-doubt, not a loser, until
-    a decision settles it. *)
-
-val log_decision : mgr -> t -> gtxn:string -> committed:bool -> unit
-(** Append a [Decision] record into the transaction's chain. The caller
-    then runs {!commit} (committed) or {!abort} (rolled back); the
-    decision record makes the outcome recoverable even if the crash lands
-    between it and the Commit/End records. *)
+    a decision settles it. The decision needs no record of its own:
+    {!commit} or {!abort} writes the Commit or Abort record that states
+    it. *)
 
 type savepoint
 

@@ -47,12 +47,14 @@ type body =
   | Ddl of string  (** opaque catalog delta, replayed by the owner in order *)
   | Prepare of { gtxn : string; participants : string }
       (** 2PC phase 1: the transaction is fully forced and holds its locks
-          until a [Decision] arrives. [gtxn] is the coordinator's global id.
+          until a decision arrives. [gtxn] is the coordinator's global id.
           In the coordinator's decision log, [participants] is the
           comma-separated list of participant shards; a participant logs it
           empty. *)
   | Decision of { gtxn : string; committed : bool }
-      (** 2PC phase 2 outcome for a previously prepared transaction. *)
+      (** A coordinator's forced commit decision for a gtxn whose begin
+          record ([Prepare]) precedes it. Aborts are never logged, and a
+          participant's decision is its own [Commit] or [Abort] record. *)
 
 type t = { lsn : lsn; txn : int; prev : lsn; body : body }
 

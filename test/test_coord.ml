@@ -131,8 +131,7 @@ let run_script c txns = List.iter (run_txn c) txns
 
 (* Global transaction ids decided committed in the coordinator's log
    ("coord:N" -> N), i.e. the transactions recovery is bound to
-   preserve. Read after recovery — the presumed-abort decisions it
-   appends are committed=false and don't affect the set. *)
+   preserve. *)
 let committed_gids cwal =
   let h = Hashtbl.create 8 in
   Wal.iter_stable cwal (fun r ->
@@ -152,6 +151,18 @@ let committed_gids cwal =
       | _ -> acc)
     h []
   |> List.sort compare
+
+(* The coordinator log's 2PC records, in log order: "begin g" for a begin
+   record, "commit g" / "abort g" for a decision record. *)
+let coord_log cwal =
+  let acc = ref [] in
+  Wal.iter_stable cwal (fun r ->
+      match r.Log_record.body with
+      | Log_record.Prepare { gtxn; _ } -> acc := ("begin " ^ gtxn) :: !acc
+      | Log_record.Decision { gtxn; committed } ->
+          acc := ((if committed then "commit " else "abort ") ^ gtxn) :: !acc
+      | _ -> ());
+  List.rev !acc
 
 (* Serial reference: execute exactly [gids] of [txns], in order, on a
    fresh cluster — the state every recovery must land on. Memoised per
@@ -757,10 +768,18 @@ let test_prepare_loss_aborts () =
       (* the first 2PC frame carrying this gtxn — shard 0's Prepare, the
          one whose session transaction holds the shard's DML — vanishes *)
       drops := [ 1 ];
+      let forces () = Metrics.get (Coord.metrics c) "log.force" in
+      let forces0 = forces () in
       (try
          ignore (Coord.exec c "COMMIT");
          Alcotest.fail "expected the transaction to abort"
        with Coord.Coord_error _ -> ());
+      (* presumed abort: the begin record is the round's one force, and
+         no decision record follows it *)
+      check Alcotest.int "one coordinator force" 1 (forces () - forces0);
+      check
+        Alcotest.(list string)
+        "the coordinator log" [ "begin coord:1" ] (coord_log (Coord.wal c));
       (* atomicity: no leg survived anywhere, nothing left in doubt *)
       check Alcotest.int "no partial commit" 0
         (List.length (rows (Coord.exec c "SELECT k FROM t")));
@@ -772,8 +791,16 @@ let test_prepare_loss_aborts () =
             (Database.indoubt_count db))
         dbs;
       check Alcotest.int "the abort was counted" 1 (Coord.stats c).Coord.aborts;
-      (* the coordinator session survives: the same work then commits *)
+      (* the coordinator session survives: the same work then commits,
+         forcing its begin and commit records *)
+      let forces0 = forces () in
       run_txn c legs;
+      check Alcotest.int "two coordinator forces" 2 (forces () - forces0);
+      check
+        Alcotest.(list string)
+        "the coordinator log after the commit"
+        [ "begin coord:1"; "begin coord:2"; "commit coord:2" ]
+        (coord_log (Coord.wal c));
       check Alcotest.int "retried transaction landed both legs" 2
         (List.length (rows (Coord.exec c "SELECT k FROM t")));
       Coord.close c)
@@ -812,6 +839,227 @@ let test_decision_redelivery () =
       check Alcotest.int "all three rows visible" 3
         (List.length (rows (Coord.exec c "SELECT k FROM t")));
       Coord.close c)
+
+(* An aborting round — shard 0's Prepare is lost, as in
+   test_prepare_loss_aborts — crashed at each of its actions: the begin
+   force, the Prepare, the Decide. After a power cycle and recovery no
+   shard is in doubt, no leg survives anywhere, and the coordinator log
+   holds no decision record: recovery reads the lone begin record as
+   abort and writes nothing. *)
+let test_abort_round_crash_sweep () =
+  let shards = 2 in
+  let k0 = (keys_owned_by ~shards 0 1).(0) and k1 = (keys_owned_by ~shards 1 1).(0) in
+  let legs =
+    [
+      Printf.sprintf "INSERT INTO t VALUES (%d, 1)" k0;
+      Printf.sprintf "INSERT INTO t VALUES (%d, 2)" k1;
+    ]
+  in
+  (* the aborting round on a fresh cluster, armed [n] actions into its
+     COMMIT: the round's action count, or the crash *)
+  let round cl n =
+    Sched.run ~seed:13 (fun () ->
+        Coord.loopback_cluster ~config:Server.default_config cl.dbs
+          (fun dialers ->
+            let drops = ref [] in
+            let dialers =
+              Array.mapi
+                (fun i d -> if i = 0 then black_hole_dialer d "coord:1" drops else d)
+                dialers
+            in
+            let c = Coord.create ~wal:cl.cwal dialers in
+            ignore (Coord.exec c "CREATE TABLE t (k INT NOT NULL, x INT)");
+            ignore (Coord.exec c "CHECKPOINT");
+            ignore (Coord.exec c "BEGIN");
+            List.iter (fun s -> ignore (Coord.exec c s)) legs;
+            drops := [ 1 ];
+            let a0 = Coord.actions c in
+            Coord.set_crash_at_action c (Option.map (fun n -> a0 + n) n);
+            (try
+               ignore (Coord.exec c "COMMIT");
+               Alcotest.fail "expected the transaction to abort"
+             with Coord.Coord_error _ -> ());
+            let n = Coord.actions c - a0 in
+            Coord.close c;
+            n))
+  in
+  check Alcotest.int "begin force, Prepare, Decide" 3
+    (round (fresh_cluster shards) None);
+  for n = 1 to 3 do
+    let cl = fresh_cluster shards in
+    (match round cl (Some n) with
+    | _ -> Alcotest.failf "action %d: armed trigger did not fire" n
+    | exception Fault.Crash_point _ -> ());
+    crash_cluster cl;
+    phase cl (fun c _ -> ignore (Coord.recover c));
+    Array.iteri
+      (fun i db ->
+        check Alcotest.int
+          (Printf.sprintf "action %d: shard %d not in doubt" n i)
+          0 (Database.indoubt_count db))
+      cl.dbs;
+    check Alcotest.int
+      (Printf.sprintf "action %d: no leg survived" n)
+      0
+      (phase cl (fun c _ -> List.length (rows (Coord.exec c "SELECT k FROM t"))));
+    Alcotest.(check bool)
+      (Printf.sprintf "action %d: no decision record" n)
+      true
+      (List.for_all
+         (fun r -> String.starts_with ~prefix:"begin " r)
+         (coord_log cl.cwal))
+  done
+
+(* A coordinator over a copy of a log that holds committed gtxns — as
+   each of perfbench's session coordinators starts — sends no Decide
+   until [recover] is called: the first Decide frames any shard sees are
+   its own first commit's. *)
+let test_restart_sends_nothing_before_recover () =
+  let shards = 2 in
+  let cl = fresh_cluster shards in
+  phase cl (fun c _ ->
+      run_setup c;
+      run_script c (script ~shards 2));
+  check Alcotest.(list string) "two committed gtxns"
+    [ "begin coord:1"; "commit coord:1"; "begin coord:2"; "commit coord:2" ]
+    (coord_log cl.cwal);
+  let decides = ref [] in
+  Array.iter
+    (fun db ->
+      let tr = Database.trace db in
+      Trace.add_sink tr (fun r ->
+          match r.Trace.event with
+          | Trace.Twopc_decide { gtxn; _ } -> decides := gtxn :: !decides
+          | _ -> ());
+      Trace.set_enabled tr true)
+    cl.dbs;
+  let a = keys_owned_by ~shards 0 4 and b = keys_owned_by ~shards 1 4 in
+  Sched.run ~seed:11 (fun () ->
+      Coord.loopback_cluster ~config:Server.default_config cl.dbs
+        (fun dialers ->
+          let c =
+            Coord.create ~name:"w1" ~wal:(Wal.crash cl.cwal (Metrics.create ()))
+              dialers
+          in
+          (* a one-shard commit first, then the first 2PC commit *)
+          ignore (Coord.exec c (Printf.sprintf "INSERT INTO t VALUES (%d, 'g0', 1)" a.(3)));
+          check Alcotest.int "no Decide for a one-shard commit" 0
+            (List.length !decides);
+          run_txn c
+            [
+              Printf.sprintf "INSERT INTO t VALUES (%d, 'g0', 1)" a.(2);
+              Printf.sprintf "INSERT INTO t VALUES (%d, 'g1', 2)" b.(2);
+            ];
+          Coord.close c));
+  check Alcotest.(list string) "only the new gtxn's Decides" [ "w1:1"; "w1:1" ]
+    !decides
+
+(* Coordinators sharing one registry add up in the in-doubt gauge: each
+   leaves one decision undelivered, and the gauge counts both, then drops
+   back as the next commit of each re-delivers its own. *)
+let test_indoubt_gauge_is_shared () =
+  let shards = 2 in
+  cross_shard_cluster 19 (fun dbs dialers ->
+      let m = Metrics.create () in
+      let k0 = keys_owned_by ~shards 0 4 and k1 = keys_owned_by ~shards 1 2 in
+      let coordinator name =
+        let drops = ref [] in
+        let dialers =
+          Array.mapi
+            (fun i d ->
+              if i = 1 then black_hole_dialer d (name ^ ":1") drops else d)
+            dialers
+        in
+        (Coord.create ~name ~metrics:m dialers, drops)
+      in
+      let a, drops_a = coordinator "ca" in
+      let b, drops_b = coordinator "cb" in
+      ignore (Coord.exec a "CREATE TABLE t (k INT NOT NULL, x INT)");
+      List.iteri
+        (fun j (c, drops) ->
+          (* shard 1's Decide and its one retry vanish, as in
+             test_decision_redelivery *)
+          drops := [ 2; 3 ];
+          run_txn c
+            [
+              Printf.sprintf "INSERT INTO t VALUES (%d, 1)" k0.(j);
+              Printf.sprintf "INSERT INTO t VALUES (%d, 2)" k1.(j);
+            ])
+        [ (a, drops_a); (b, drops_b) ];
+      check Alcotest.int "shard 1 holds both in doubt" 2
+        (Database.indoubt_count dbs.(1));
+      check Alcotest.int "the gauge counts both coordinators" 2
+        (Metrics.get m "coord.indoubt");
+      List.iteri
+        (fun j c ->
+          ignore
+            (Coord.exec c
+               (Printf.sprintf "INSERT INTO t VALUES (%d, 3)" k0.(2 + j))))
+        [ a; b ];
+      check Alcotest.int "re-delivery resolved both" 0
+        (Database.indoubt_count dbs.(1));
+      check Alcotest.int "the gauge is back to zero" 0
+        (Metrics.get m "coord.indoubt");
+      Coord.close a;
+      Coord.close b)
+
+(* A participant's decision is its own Commit or Abort record. One
+   prepared transaction is decided commit and the crash lands after its
+   Commit force; another is decided abort and the crash lands with its
+   Abort record stable but its rollback not. Both restart settled, not
+   in doubt, and answer a retransmitted Decide as a duplicate. *)
+let test_participant_outcomes_survive_restart () =
+  let db = Database.create () in
+  let s = Sql.session db in
+  ignore (Sql.exec s "CREATE TABLE t (k INT NOT NULL, x INT)");
+  ignore (Sql.exec s "CHECKPOINT");
+  let prepare gtxn k =
+    ignore (Sql.exec s "BEGIN");
+    ignore (Sql.exec s (Printf.sprintf "INSERT INTO t VALUES (%d, 0)" k));
+    Sql.prepare_2pc s ~gtxn
+  in
+  prepare "g:commit" 1;
+  prepare "g:abort" 2;
+  let decide gtxn committed =
+    match Database.decide_2pc db ~gtxn ~committed with
+    | `Applied -> ()
+    | _ -> Alcotest.failf "%s: decision not applied" gtxn
+  in
+  let appends () = Metrics.get (Database.metrics db) "log.append" in
+  let a0 = appends () in
+  decide "g:commit" true;
+  check Alcotest.int "a commit decision appends Commit and End only" 2
+    (appends () - a0);
+  let wal = Database.wal db in
+  let from = Wal.flushed_lsn wal + 1 in
+  decide "g:abort" false;
+  let rec abort_lsn l =
+    if l > Wal.last_lsn wal then Alcotest.fail "no Abort record"
+    else
+      match (Wal.get wal l).Log_record.body with
+      | Log_record.Abort -> l
+      | _ -> abort_lsn (l + 1)
+  in
+  Wal.force wal (abort_lsn from);
+  Alcotest.(check bool) "the rollback is not stable" true
+    (Wal.flushed_lsn wal < Wal.last_lsn wal);
+  let db = Database.crash db in
+  check Alcotest.int "nothing in doubt" 0 (Database.indoubt_count db);
+  Wal.iter_stable (Database.wal db) (fun r ->
+      match r.Log_record.body with
+      | Log_record.Decision _ -> Alcotest.fail "a participant logged a Decision"
+      | _ -> ());
+  List.iter
+    (fun (gtxn, committed) ->
+      Alcotest.(check bool)
+        (gtxn ^ " outcome remembered") true
+        (Database.gtxn_status db gtxn = `Decided committed);
+      Alcotest.(check bool)
+        (gtxn ^ " retransmit is a duplicate") true
+        (Database.decide_2pc db ~gtxn ~committed = `Duplicate))
+    [ ("g:commit", true); ("g:abort", false) ];
+  check Alcotest.int "only the committed row survived" 1
+    (List.length (rows (Sql.exec (Sql.session db) "SELECT k FROM t")))
 
 (* --- cluster observability: sys.gtxns, trace, wire catalogs ------------ *)
 
@@ -1310,8 +1558,12 @@ let () =
             `Slow test_coordinator_crash_sweep;
           Alcotest.test_case "participant crash at every force point" `Slow
             test_participant_crash_sweep;
+          Alcotest.test_case "coordinator crash at every action of an abort"
+            `Quick test_abort_round_crash_sweep;
           Alcotest.test_case "recovery is idempotent" `Quick
             test_recover_is_idempotent;
+          Alcotest.test_case "a restarted coordinator waits for recover"
+            `Quick test_restart_sends_nothing_before_recover;
           Alcotest.test_case "routing metadata survives a restart" `Quick
             test_routing_metadata_survives_restart;
         ] );
@@ -1325,6 +1577,10 @@ let () =
             `Quick test_prepare_loss_aborts;
           Alcotest.test_case "undelivered decisions re-deliver at next commit"
             `Quick test_decision_redelivery;
+          Alcotest.test_case "coordinators sharing a registry sum the gauge"
+            `Quick test_indoubt_gauge_is_shared;
+          Alcotest.test_case "a participant's Commit or Abort is its decision"
+            `Quick test_participant_outcomes_survive_restart;
         ] );
       ( "observability",
         [

@@ -1,5 +1,6 @@
 module B = Ivdb_util.Bytes_util
 module Page = Ivdb_storage.Page
+module W = Ivdb_storage.Page_writer
 
 let off_aux = Page.header_size
 let off_nkeys = off_aux + 4
@@ -7,21 +8,21 @@ let off_free_end = off_nkeys + 2
 let off_slots = off_free_end + 2
 let max_entry = (Page.size - off_slots) / 4
 
-let init kind p =
-  Page.set_ty p kind;
-  B.set_u32 p off_aux 0;
-  B.set_u16 p off_nkeys 0;
-  B.set_u16 p off_free_end Page.size
+let init kind w =
+  Page.set_ty w kind;
+  W.set_u32 w off_aux 0;
+  W.set_u16 w off_nkeys 0;
+  W.set_u16 w off_free_end Page.size
 
-let init_leaf p = init Page.Bt_leaf p
-let init_interior p = init Page.Bt_interior p
+let init_leaf w = init Page.Bt_leaf w
+let init_interior w = init Page.Bt_interior w
 let is_leaf p = Page.get_ty p = Page.Bt_leaf
 let nkeys p = B.get_u16 p off_nkeys
 let get_aux p = B.get_u32 p off_aux
-let set_aux p v = B.set_u32 p off_aux v
+let set_aux w v = W.set_u32 w off_aux v
 let free_end p = B.get_u16 p off_free_end
 let slot_off p i = B.get_u16 p (off_slots + (2 * i))
-let set_slot p i v = B.set_u16 p (off_slots + (2 * i)) v
+let set_slot w i v = W.set_u16 w (off_slots + (2 * i)) v
 
 (* cell accessors -------------------------------------------------------- *)
 
@@ -92,7 +93,8 @@ let raw_cell p i =
   let off = slot_off p i in
   Bytes.sub_string p off (cell_size p i)
 
-let compact p =
+let compact w =
+  let p = W.page w in
   let n = nkeys p in
   let cells = List.init n (fun i -> raw_cell p i) in
   let free = ref Page.size in
@@ -100,34 +102,36 @@ let compact p =
     (fun i c ->
       let len = String.length c in
       free := !free - len;
-      Bytes.blit_string c 0 p !free len;
-      set_slot p i !free)
+      W.blit_string c 0 w !free len;
+      set_slot w i !free)
     cells;
-  B.set_u16 p off_free_end !free
+  W.set_u16 w off_free_end !free
 
-let shift_slots_right p i =
-  let n = nkeys p in
-  for j = n downto i + 1 do
-    set_slot p j (slot_off p (j - 1))
-  done
+(* slots [i, nkeys) move up one, opening slot [i] *)
+let shift_slots_right w i =
+  let n = nkeys (W.page w) in
+  W.blit w (off_slots + (2 * i)) (off_slots + (2 * (i + 1))) (2 * (n - i))
 
-let shift_slots_left p i =
-  let n = nkeys p in
-  for j = i to n - 2 do
-    set_slot p j (slot_off p (j + 1))
-  done
+(* slots [i + 1, nkeys) move down one, over slot [i] *)
+let shift_slots_left w i =
+  let n = nkeys (W.page w) in
+  if i < n - 1 then
+    W.blit w (off_slots + (2 * (i + 1))) (off_slots + (2 * i)) (2 * (n - 1 - i))
 
-let insert_cell p i cell =
+let insert_cell w i cell =
+  let p = W.page w in
   let len = String.length cell in
-  if free_space p < len + 2 then false
+  (* the contiguous gap is part of the free space, so only a cell that
+     does not fit the gap pays for [free_space]'s walk over every slot *)
+  if contiguous p < len + 2 && free_space p < len + 2 then false
   else begin
-    if contiguous p < len + 2 then compact p;
-    shift_slots_right p i;
-    B.set_u16 p off_nkeys (nkeys p + 1);
+    if contiguous p < len + 2 then compact w;
+    shift_slots_right w i;
+    W.set_u16 w off_nkeys (nkeys p + 1);
     let off = free_end p - len in
-    B.set_u16 p off_free_end off;
-    Bytes.blit_string cell 0 p off len;
-    set_slot p i off;
+    W.set_u16 w off_free_end off;
+    W.blit_string cell 0 w off len;
+    set_slot w i off;
     true
   end
 
@@ -148,21 +152,22 @@ let interior_cell key child =
   Bytes.blit_string key 0 b 6 klen;
   Bytes.to_string b
 
-let leaf_insert p i key value = insert_cell p i (leaf_cell key value)
-let interior_insert p i key child = insert_cell p i (interior_cell key child)
+let leaf_insert w i key value = insert_cell w i (leaf_cell key value)
+let interior_insert w i key child = insert_cell w i (interior_cell key child)
 
-let delete_at p i =
-  shift_slots_left p i;
-  B.set_u16 p off_nkeys (nkeys p - 1)
+let delete_at w i =
+  shift_slots_left w i;
+  W.set_u16 w off_nkeys (nkeys (W.page w) - 1)
 
-let leaf_delete p i = delete_at p i
+let leaf_delete w i = delete_at w i
 
-let leaf_replace p i value =
+let leaf_replace w i value =
+  let p = W.page w in
   let off = slot_off p i in
   let klen = B.get_u16 p off in
   let vlen = B.get_u16 p (off + 2) in
   if String.length value = vlen then begin
-    Bytes.blit_string value 0 p (off + 4 + klen) (String.length value);
+    W.blit_string value 0 w (off + 4 + klen) (String.length value);
     true
   end
   else begin
@@ -173,8 +178,8 @@ let leaf_replace p i value =
     if free_space p + reclaimed < need then false
     else begin
       let key = key_at p i in
-      delete_at p i;
-      let ok = insert_cell p i (leaf_cell key value) in
+      delete_at w i;
+      let ok = insert_cell w i (leaf_cell key value) in
       assert ok;
       true
     end
@@ -184,25 +189,25 @@ let leaf_replace p i value =
 
 let leaf_cells p = List.init (nkeys p) (fun i -> (key_at p i, leaf_value_at p i))
 
-let leaf_rebuild p cells ~next =
-  init_leaf p;
-  set_aux p next;
+let leaf_rebuild w cells ~next =
+  init_leaf w;
+  set_aux w next;
   List.iteri
     (fun i (k, v) ->
-      if not (leaf_insert p i k v) then
+      if not (leaf_insert w i k v) then
         invalid_arg "Bt_node.leaf_rebuild: does not fit")
     cells
 
 let interior_cells p =
   (get_aux p, List.init (nkeys p) (fun i -> (key_at p i, cell_child p i)))
 
-let interior_rebuild p child0 seps =
-  init_interior p;
-  set_aux p child0;
+let interior_rebuild w child0 seps =
+  init_interior w;
+  set_aux w child0;
   List.iteri
     (fun i (k, c) ->
-      if not (interior_insert p i k c) then
+      if not (interior_insert w i k c) then
         invalid_arg "Bt_node.interior_rebuild: does not fit")
     seps
 
-let interior_delete p i = delete_at p i
+let interior_delete w i = delete_at w i

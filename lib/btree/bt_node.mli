@@ -9,16 +9,20 @@
     v}
     Leaf cell: klen u16 | vlen u16 | key | value.
     Interior cell: klen u16 | child u32 | key — the child holds keys
-    [>= key]; keys below the first separator live under the aux child. *)
+    [>= key]; keys below the first separator live under the aux child.
 
-val init_leaf : bytes -> unit
-val init_interior : bytes -> unit
+    Mutators write through an {!Ivdb_storage.Page_writer} (the one
+    [Bufpool.update] hands its callback), so the pool logs exactly the
+    bytes they change; readers take the page bytes. *)
+
+val init_leaf : Ivdb_storage.Page_writer.t -> unit
+val init_interior : Ivdb_storage.Page_writer.t -> unit
 
 val is_leaf : bytes -> bool
 val nkeys : bytes -> int
 
 val get_aux : bytes -> int
-val set_aux : bytes -> int -> unit
+val set_aux : Ivdb_storage.Page_writer.t -> int -> unit
 
 val key_at : bytes -> int -> string
 val leaf_value_at : bytes -> int -> string
@@ -33,17 +37,17 @@ val search : bytes -> string -> [ `Found of int | `Gap of int ]
 val child_for : bytes -> string -> int
 (** Interior: page id of the subtree that covers the key. *)
 
-val leaf_insert : bytes -> int -> string -> string -> bool
+val leaf_insert : Ivdb_storage.Page_writer.t -> int -> string -> string -> bool
 (** [leaf_insert p i key value] inserts at slot [i]; [false] if it cannot
     fit even after compaction. *)
 
-val leaf_delete : bytes -> int -> unit
+val leaf_delete : Ivdb_storage.Page_writer.t -> int -> unit
 
-val leaf_replace : bytes -> int -> string -> bool
+val leaf_replace : Ivdb_storage.Page_writer.t -> int -> string -> bool
 (** Replace the value of slot [i]; in place when sizes match, re-inserted
     within the page otherwise; [false] when it cannot fit. *)
 
-val interior_insert : bytes -> int -> string -> int -> bool
+val interior_insert : Ivdb_storage.Page_writer.t -> int -> string -> int -> bool
 (** [interior_insert p i key child]: separator at slot [i] pointing at
     [child]. *)
 
@@ -53,12 +57,12 @@ val max_entry : int
     quarter, guaranteeing splits always succeed). *)
 
 val leaf_cells : bytes -> (string * string) list
-val leaf_rebuild : bytes -> (string * string) list -> next:int -> unit
+val leaf_rebuild : Ivdb_storage.Page_writer.t -> (string * string) list -> next:int -> unit
 
 val interior_cells : bytes -> int * (string * int) list
 (** [(child0, separators)] in key order. *)
 
-val interior_rebuild : bytes -> int -> (string * int) list -> unit
+val interior_rebuild : Ivdb_storage.Page_writer.t -> int -> (string * int) list -> unit
 
-val interior_delete : bytes -> int -> unit
+val interior_delete : Ivdb_storage.Page_writer.t -> int -> unit
 (** Remove separator slot [i] (its subtree pointer goes with it). *)

@@ -1,6 +1,7 @@
 module Bufpool = Ivdb_storage.Bufpool
 module Page = Ivdb_storage.Page
 module Disk = Ivdb_storage.Disk
+module Page_writer = Ivdb_storage.Page_writer
 module Txn = Ivdb_txn.Txn
 module Log_record = Ivdb_wal.Log_record
 
@@ -39,7 +40,7 @@ let interior_full p = Bt_node.free_space p < Bt_node.max_entry + 8 + 2
 let create mgr ~index_id =
   let stx = Txn.begin_system mgr in
   let pid = Disk.alloc_page (Txn.disk mgr) in
-  let (), d = Bufpool.update (Txn.pool mgr) pid (fun p -> Bt_node.init_leaf p) in
+  let (), d = Bufpool.update (Txn.pool mgr) pid Bt_node.init_leaf in
   Txn.log_update mgr stx ~undo:Log_record.No_undo [ (pid, d) ];
   Txn.commit mgr stx;
   attach mgr ~index_id ~root:pid
@@ -79,17 +80,17 @@ let split_leaf t stx ~parent ~pid =
   let sep = fst (List.nth cells m) in
   let rpid = Disk.alloc_page disk in
   let (), d_right =
-    Bufpool.update pl rpid (fun p -> Bt_node.leaf_rebuild p right ~next)
+    Bufpool.update pl rpid (fun w -> Bt_node.leaf_rebuild w right ~next)
   in
   let (), d_left =
-    Bufpool.update pl pid (fun p -> Bt_node.leaf_rebuild p left ~next:rpid)
+    Bufpool.update pl pid (fun w -> Bt_node.leaf_rebuild w left ~next:rpid)
   in
   let (), d_parent =
-    Bufpool.update pl parent (fun p ->
-        match Bt_node.search p sep with
+    Bufpool.update pl parent (fun w ->
+        match Bt_node.search (Page_writer.page w) sep with
         | `Found _ -> invalid_arg "Btree.split_leaf: separator already present"
         | `Gap i ->
-            if not (Bt_node.interior_insert p i sep rpid) then
+            if not (Bt_node.interior_insert w i sep rpid) then
               invalid_arg "Btree.split_leaf: parent full")
   in
   Txn.log_update t.mgr stx ~undo:Log_record.No_undo
@@ -106,17 +107,17 @@ let split_interior t stx ~parent ~pid =
   let right = List.filteri (fun i _ -> i > m) seps in
   let rpid = Disk.alloc_page disk in
   let (), d_right =
-    Bufpool.update pl rpid (fun p -> Bt_node.interior_rebuild p right_child0 right)
+    Bufpool.update pl rpid (fun w -> Bt_node.interior_rebuild w right_child0 right)
   in
   let (), d_left =
-    Bufpool.update pl pid (fun p -> Bt_node.interior_rebuild p child0 left)
+    Bufpool.update pl pid (fun w -> Bt_node.interior_rebuild w child0 left)
   in
   let (), d_parent =
-    Bufpool.update pl parent (fun p ->
-        match Bt_node.search p sep_up with
+    Bufpool.update pl parent (fun w ->
+        match Bt_node.search (Page_writer.page w) sep_up with
         | `Found _ -> invalid_arg "Btree.split_interior: separator already present"
         | `Gap i ->
-            if not (Bt_node.interior_insert p i sep_up rpid) then
+            if not (Bt_node.interior_insert w i sep_up rpid) then
               invalid_arg "Btree.split_interior: parent full")
   in
   Txn.log_update t.mgr stx ~undo:Log_record.No_undo
@@ -139,10 +140,10 @@ let split_root t stx =
     let left = List.filteri (fun i _ -> i < m) cells in
     let right = List.filteri (fun i _ -> i >= m) cells in
     let sep = fst (List.nth cells m) in
-    let (), d_l = Bufpool.update pl lpid (fun p -> Bt_node.leaf_rebuild p left ~next:rpid) in
-    let (), d_r = Bufpool.update pl rpid (fun p -> Bt_node.leaf_rebuild p right ~next) in
+    let (), d_l = Bufpool.update pl lpid (fun w -> Bt_node.leaf_rebuild w left ~next:rpid) in
+    let (), d_r = Bufpool.update pl rpid (fun w -> Bt_node.leaf_rebuild w right ~next) in
     let (), d_root =
-      Bufpool.update pl t.root_pid (fun p -> Bt_node.interior_rebuild p lpid [ (sep, rpid) ])
+      Bufpool.update pl t.root_pid (fun w -> Bt_node.interior_rebuild w lpid [ (sep, rpid) ])
     in
     Txn.log_update t.mgr stx ~undo:Log_record.No_undo
       [ (lpid, d_l); (rpid, d_r); (t.root_pid, d_root) ]
@@ -154,12 +155,12 @@ let split_root t stx =
     let sep_up, right_child0 = List.nth seps m in
     let left = List.filteri (fun i _ -> i < m) seps in
     let right = List.filteri (fun i _ -> i > m) seps in
-    let (), d_l = Bufpool.update pl lpid (fun p -> Bt_node.interior_rebuild p child0 left) in
+    let (), d_l = Bufpool.update pl lpid (fun w -> Bt_node.interior_rebuild w child0 left) in
     let (), d_r =
-      Bufpool.update pl rpid (fun p -> Bt_node.interior_rebuild p right_child0 right)
+      Bufpool.update pl rpid (fun w -> Bt_node.interior_rebuild w right_child0 right)
     in
     let (), d_root =
-      Bufpool.update pl t.root_pid (fun p -> Bt_node.interior_rebuild p lpid [ (sep_up, rpid) ])
+      Bufpool.update pl t.root_pid (fun w -> Bt_node.interior_rebuild w lpid [ (sep_up, rpid) ])
     in
     Txn.log_update t.mgr stx ~undo:Log_record.No_undo
       [ (lpid, d_l); (rpid, d_r); (t.root_pid, d_root) ]
@@ -215,10 +216,10 @@ let check_entry key value =
 let rec insert_apply t ~key ~value =
   let leaf = leaf_for t key in
   let status, diff =
-    Bufpool.update (pool t) leaf (fun p ->
-        match Bt_node.search p key with
+    Bufpool.update (pool t) leaf (fun w ->
+        match Bt_node.search (Page_writer.page w) key with
         | `Found _ -> `Dup
-        | `Gap i -> if Bt_node.leaf_insert p i key value then `Ok else `Full)
+        | `Gap i -> if Bt_node.leaf_insert w i key value then `Ok else `Full)
   in
   match status with
   | `Ok -> [ (leaf, diff) ]
@@ -251,11 +252,12 @@ let insert_raw t ~key ~value =
 let delete_apply t ~key =
   let leaf = leaf_for t key in
   let status, diff =
-    Bufpool.update (pool t) leaf (fun p ->
+    Bufpool.update (pool t) leaf (fun w ->
+        let p = Page_writer.page w in
         match Bt_node.search p key with
         | `Found i ->
             let v = Bt_node.leaf_value_at p i in
-            Bt_node.leaf_delete p i;
+            Bt_node.leaf_delete w i;
             `Deleted v
         | `Gap _ -> `Missing)
   in
@@ -275,11 +277,12 @@ let delete_raw t ~key = snd (delete_apply t ~key)
 let rec update_apply t ~key ~value =
   let leaf = leaf_for t key in
   let status, diff =
-    Bufpool.update (pool t) leaf (fun p ->
+    Bufpool.update (pool t) leaf (fun w ->
+        let p = Page_writer.page w in
         match Bt_node.search p key with
         | `Found i ->
             let before = Bt_node.leaf_value_at p i in
-            if Bt_node.leaf_replace p i value then `Ok before else `Full
+            if Bt_node.leaf_replace w i value then `Ok before else `Full
         | `Gap _ -> `Missing)
   in
   match status with
@@ -444,7 +447,7 @@ let vacuum t =
   let pass stx =
     let changed = ref false in
     let free_page pid =
-      let (), d = Bufpool.update pl pid (fun p -> Page.set_ty p Page.Free) in
+      let (), d = Bufpool.update pl pid (fun w -> Page.set_ty w Page.Free) in
       Txn.log_update t.mgr stx ~undo:Log_record.No_undo [ (pid, d) ];
       incr freed;
       changed := true
@@ -462,7 +465,8 @@ let vacuum t =
           | `Forward c' -> `Forward c'
         in
         let (), d =
-          Bufpool.update pl pid (fun p ->
+          Bufpool.update pl pid (fun w ->
+              let p = Page_writer.page w in
               (* separators right-to-left so slot indexes stay valid *)
               let n = Bt_node.nkeys p in
               for i = n - 1 downto 0 do
@@ -470,13 +474,13 @@ let vacuum t =
                 match keep_or_forward c with
                 | `Keep _ -> ()
                 | `Drop ->
-                    Bt_node.interior_delete p i;
+                    Bt_node.interior_delete w i;
                     free_page c
                 | `Forward c' ->
                     (* replace the pointer in place: rebuild the separator *)
                     let k = Bt_node.key_at p i in
-                    Bt_node.interior_delete p i;
-                    ignore (Bt_node.interior_insert p i k c');
+                    Bt_node.interior_delete w i;
+                    ignore (Bt_node.interior_insert w i k c');
                     free_page c
               done;
               (* the aux (leftmost) child *)
@@ -484,14 +488,14 @@ let vacuum t =
               match keep_or_forward c0 with
               | `Keep _ -> ()
               | `Forward c' ->
-                  Bt_node.set_aux p c';
+                  Bt_node.set_aux w c';
                   free_page c0
               | `Drop ->
                   if Bt_node.nkeys p > 0 then begin
                     (* promote the first separator's child to aux *)
                     let c1 = Bt_node.child_at p 1 in
-                    Bt_node.interior_delete p 0;
-                    Bt_node.set_aux p c1;
+                    Bt_node.interior_delete w 0;
+                    Bt_node.set_aux w c1;
                     free_page c0
                   end
                   (* a node whose only child is an empty leaf keeps it: the
@@ -517,11 +521,11 @@ let vacuum t =
               else (false, [], 0, Bt_node.interior_cells p))
         in
         let (), d_root =
-          Bufpool.update pl t.root_pid (fun p ->
-              if child_is_leaf then Bt_node.leaf_rebuild p cells ~next:caux
+          Bufpool.update pl t.root_pid (fun w ->
+              if child_is_leaf then Bt_node.leaf_rebuild w cells ~next:caux
               else
                 let c0, seps = cseps in
-                Bt_node.interior_rebuild p c0 seps)
+                Bt_node.interior_rebuild w c0 seps)
         in
         Txn.log_update t.mgr stx ~undo:Log_record.No_undo [ (t.root_pid, d_root) ];
         free_page child
@@ -542,10 +546,10 @@ let vacuum t =
     let rec relink = function
       | [] -> ()
       | [ last ] ->
-          let (), d = Bufpool.update pl last (fun p -> Bt_node.set_aux p 0) in
+          let (), d = Bufpool.update pl last (fun w -> Bt_node.set_aux w 0) in
           Txn.log_update t.mgr stx ~undo:Log_record.No_undo [ (last, d) ]
       | a :: (b :: _ as rest) ->
-          let (), d = Bufpool.update pl a (fun p -> Bt_node.set_aux p b) in
+          let (), d = Bufpool.update pl a (fun w -> Bt_node.set_aux w b) in
           Txn.log_update t.mgr stx ~undo:Log_record.No_undo [ (a, d) ];
           relink rest
     in

@@ -1102,8 +1102,11 @@ let prepare_2pc t tx ~gtxn =
 
 (* 2PC phase 2: idempotent against retransmits. An unknown gtxn with an
    abort decision is presumed-abort (this shard never prepared it, or its
-   dedupe memory outlived the decision); an unknown commit is a protocol
-   violation — a coordinator never decides commit without every vote. *)
+   dedupe memory outlived the decision). An unknown gtxn with a commit
+   decision is one this shard already committed: a coordinator decides
+   commit only after every vote, so this shard forced a Prepare for it,
+   and that record leaves the log (and with it the dedupe memory a
+   restart rebuilds) only once the transaction has finished. *)
 let decide_2pc t ~gtxn ~committed =
   match Hashtbl.find_opt t.indoubt_2pc gtxn with
   | Some tx ->
@@ -1116,11 +1119,7 @@ let decide_2pc t ~gtxn ~committed =
   | None -> (
       match Hashtbl.find_opt t.decided_2pc gtxn with
       | Some _ -> `Duplicate
-      | None ->
-          if committed then
-            invalid_arg
-              ("Database.decide_2pc: commit decision for unknown gtxn " ^ gtxn)
-          else `Presumed_abort)
+      | None -> if committed then `Duplicate else `Presumed_abort)
 
 let indoubt_gtxns t =
   Hashtbl.fold (fun g tx acc -> (g, Txn.id tx) :: acc) t.indoubt_2pc []

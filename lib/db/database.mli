@@ -291,10 +291,13 @@ val gtxn_status : t -> string -> [ `Unknown | `Prepared | `Decided of bool ]
 val decide_2pc :
   t -> gtxn:string -> committed:bool -> [ `Applied | `Duplicate | `Presumed_abort ]
 (** 2PC phase 2: commit or roll back the prepared transaction; its
-    Commit or Abort record is the logged decision. Idempotent: a retransmit for an already-decided
-    gtxn returns [`Duplicate]; an unknown gtxn with an abort decision is
-    [`Presumed_abort] (no-op); an unknown commit raises
-    [Invalid_argument]. *)
+    Commit or Abort record is the logged decision. Idempotent: a
+    retransmit for an already-decided gtxn returns [`Duplicate]; an
+    unknown gtxn with an abort decision is [`Presumed_abort] (no-op). An
+    unknown gtxn with a commit decision is also [`Duplicate]: the
+    coordinator decides commit only after this shard's forced Prepare,
+    and a restart forgets the gtxn only once the checkpoint has truncated
+    that Prepare and its Commit, i.e. after the transaction finished. *)
 
 val indoubt_gtxns : t -> (string * int) list
 (** Prepared-but-undecided transactions: (gtxn, local txn id), sorted. *)

@@ -190,12 +190,14 @@ module Redo = struct
         List.iter
           (fun (pid, diff) ->
             let did_apply, _ =
-              Bufpool.update t.pool pid (fun p ->
+              Bufpool.update t.pool pid (fun w ->
                   if
                     Hashtbl.mem applied_here pid
-                    || Int64.to_int (Page.get_lsn p) < lsn
+                    || Int64.to_int
+                         (Page.get_lsn (Ivdb_storage.Page_writer.page w))
+                       < lsn
                   then begin
-                    Ivdb_storage.Page_diff.apply p diff;
+                    Ivdb_storage.Page_diff.apply w diff;
                     true
                   end
                   else false)

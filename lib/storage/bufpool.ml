@@ -29,9 +29,11 @@ type t = {
   mutable ring : frame array;
   mutable ring_len : int;
   mutable hand : int;
-  mutable spares : bytes list;
-      (* free [Page.size] buffers for [update]'s pre-images; a field of the
-         pool, not a global, so a dropped pool frees them *)
+  mutable writers : Page_writer.t list;
+      (* free writers for [update], each with its own buffer of
+         before-values; a stack because updates nest (vacuum frees a child
+         page inside its parent's update), a field of the pool, not a
+         global, so a dropped pool frees them *)
   mutable wal_force : int64 -> unit;
 }
 
@@ -54,7 +56,7 @@ let create disk ~capacity ?trace metrics =
     ring = [||];
     ring_len = 0;
     hand = 0;
-    spares = [];
+    writers = [];
     wal_force = (fun _ -> failwith "Bufpool: wal_force not set");
   }
 
@@ -188,47 +190,49 @@ let get_frame t page_id =
       ring_add t fr;
       fr
 
-let with_pin t page_id f =
+let read t page_id f =
   let fr = get_frame t page_id in
   fr.pins <- fr.pins + 1;
-  Fun.protect ~finally:(fun () -> fr.pins <- fr.pins - 1) (fun () -> f fr)
-
-let read t page_id f = with_pin t page_id (fun fr -> f fr.data)
+  match f fr.data with
+  | r ->
+      fr.pins <- fr.pins - 1;
+      r
+  | exception e ->
+      fr.pins <- fr.pins - 1;
+      raise e
 
 let update t page_id f =
-  with_pin t page_id (fun fr ->
-      (* the pre-image goes in a spare buffer, back on the stack once the
-         diff is taken: a fresh 8 KB copy per mutation would go straight
-         to the major heap *)
-      let before =
-        match t.spares with
-        | b :: rest ->
-            t.spares <- rest;
-            b
-        | [] -> Bytes.create Page.size
-      in
-      Bytes.blit fr.data 0 before 0 Page.size;
-      Fun.protect ~finally:(fun () -> t.spares <- before :: t.spares)
-        (fun () ->
-          let result =
-            try f fr.data
-            with e ->
-              (* the mutation callback died partway: restore the pre-image,
-                 or the frame would keep unlogged bytes while looking clean
-                 (dirty = false, no no-steal window) — evictable to disk
-                 with no covering log record, violating the WAL rule *)
-              Bytes.blit before 0 fr.data 0 Page.size;
-              raise e
-          in
-          let diff = Page_diff.compute ~before ~after:fr.data in
-          (* a real change opens a no-steal window until the caller logs
-             the diff and stamps the page; an empty diff leaves the frame
-             as-is *)
-          if not (Page_diff.is_empty diff) then begin
-            fr.dirty <- true;
-            fr.no_steal <- true
-          end;
-          (result, diff)))
+  let fr = get_frame t page_id in
+  fr.pins <- fr.pins + 1;
+  let w =
+    match t.writers with
+    | w :: rest ->
+        t.writers <- rest;
+        w
+    | [] -> Page_writer.on fr.data
+  in
+  Page_writer.reset w fr.data;
+  match f w with
+  | exception e ->
+      (* the mutation callback died partway: put back what it wrote, or
+         the frame would keep unlogged bytes while looking clean (dirty =
+         false, no no-steal window) — evictable to disk with no covering
+         log record, violating the WAL rule *)
+      Page_writer.restore w;
+      fr.pins <- fr.pins - 1;
+      t.writers <- w :: t.writers;
+      raise e
+  | result ->
+      let diff = Page_diff.recorded w in
+      fr.pins <- fr.pins - 1;
+      t.writers <- w :: t.writers;
+      (* a real change opens a no-steal window until the caller logs the
+         diff and stamps the page; an empty diff leaves the frame as-is *)
+      if not (Page_diff.is_empty diff) then begin
+        fr.dirty <- true;
+        fr.no_steal <- true
+      end;
+      (result, diff)
 
 let stamp t page_id lsn =
   match Hashtbl.find_opt t.frames page_id with

@@ -19,18 +19,23 @@ val read : t -> int -> (bytes -> 'a) -> 'a
 (** Pins the page for the duration of the callback. The callback must not
     mutate the page. *)
 
-val update : t -> int -> (bytes -> 'a) -> 'a * Page_diff.t
+val update : t -> int -> (Page_writer.t -> 'a) -> 'a * Page_diff.t
 (** Mutate the page in place; returns the callback result and the byte diff
-    against the pre-image. The caller is responsible for logging the diff
+    against the page as it was before the callback. The callback writes
+    through the {!Page_writer} it is given, which records the ranges it
+    writes and their before-values; the diff compares only those ranges
+    ({!Page_diff.recorded}), so an update costs what it writes, not the
+    page size. A byte written other than through the writer is neither
+    logged nor restored. The caller is responsible for logging the diff
     and then calling {!stamp} — the page is dirty-in-pool but carries its
-    old LSN until stamped. If the callback raises, the frame is restored to
-    its pre-image before the exception escapes (a half-mutated frame with
-    no covering log record must never reach disk).
+    old LSN until stamped. If the callback raises, the recorded ranges are
+    put back to their before-values before the exception escapes (a
+    half-mutated frame with no covering log record must never reach disk).
 
-    The pre-image is a pool-owned buffer, reused by the next [update]; the
-    page bytes the callback gets are the frame itself, whose buffer a
-    later miss may reuse for another page. The callback must keep neither:
-    copy out what it needs.
+    The writer is pool-owned, reused by the next [update]; the page bytes
+    it writes are the frame itself, whose buffer a later miss may reuse
+    for another page. The callback must keep neither: copy out what it
+    needs.
 
     Disk I/O performed on a frame miss or eviction retries transient
     {!Fault.Io_error}s with bounded tick-based backoff (counts

@@ -46,7 +46,7 @@ let alloc_page t =
 
 (* Stamp the checksum into a stable image. The pool-facing image always
    carries zero in the checksum field (see [read_into]), so the field never
-   shows up in page diffs or pre-images. *)
+   shows up in page diffs or saved before-values. *)
 let stamp_into s p =
   Bytes.blit p 0 s 0 Page.size;
   Page.set_checksum s 0;

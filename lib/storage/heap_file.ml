@@ -51,7 +51,7 @@ let push t pid =
 
 let create pool disk =
   let pid = Disk.alloc_page disk in
-  let (), diff = Bufpool.update pool pid (fun p -> Heap_page.init p) in
+  let (), diff = Bufpool.update pool pid Heap_page.init in
   let t = make pool disk ~first:pid [| pid |] in
   t.room <- Some Page_set.empty;
   (t, [ (pid, diff) ])
@@ -81,9 +81,9 @@ let first_page t = t.first
 
 let grow t =
   let pid = Disk.alloc_page t.disk in
-  let (), d_new = Bufpool.update t.pool pid (fun p -> Heap_page.init p) in
+  let (), d_new = Bufpool.update t.pool pid Heap_page.init in
   let old_tail = tail t in
-  let (), d_tail = Bufpool.update t.pool old_tail (fun p -> Heap_page.set_next p pid) in
+  let (), d_tail = Bufpool.update t.pool old_tail (fun w -> Heap_page.set_next w pid) in
   push t pid;
   Metrics.inc t.m_grow;
   (pid, [ (pid, d_new); (old_tail, d_tail) ])
@@ -108,7 +108,7 @@ let insert t record =
   let try_page pid =
     Metrics.inc t.m_probe;
     let slot_opt, diff =
-      Bufpool.update t.pool pid (fun p -> Heap_page.insert p record)
+      Bufpool.update t.pool pid (fun w -> Heap_page.insert w record)
     in
     match slot_opt with
     | Some slot -> Some ({ rpage = pid; rslot = slot }, [ (pid, diff) ])
@@ -138,21 +138,21 @@ let insert t record =
 
 let delete t rid =
   let ok, diff =
-    Bufpool.update t.pool rid.rpage (fun p -> Heap_page.delete p rid.rslot)
+    Bufpool.update t.pool rid.rpage (fun w -> Heap_page.delete w rid.rslot)
   in
   if not ok then raise Not_found;
   [ (rid.rpage, diff) ]
 
 let revive t rid =
   let ok, diff =
-    Bufpool.update t.pool rid.rpage (fun p -> Heap_page.revive p rid.rslot)
+    Bufpool.update t.pool rid.rpage (fun w -> Heap_page.revive w rid.rslot)
   in
   if not ok then raise Not_found;
   [ (rid.rpage, diff) ]
 
 let free_ghost t rid =
   let ok, diff =
-    Bufpool.update t.pool rid.rpage (fun p -> Heap_page.free_ghost p rid.rslot)
+    Bufpool.update t.pool rid.rpage (fun w -> Heap_page.free_ghost w rid.rslot)
   in
   if not ok then []
   else begin
@@ -164,13 +164,13 @@ let free_ghost t rid =
 
 let update t rid record =
   let status, diff =
-    Bufpool.update t.pool rid.rpage (fun p ->
-        match Heap_page.get p rid.rslot with
+    Bufpool.update t.pool rid.rpage (fun w ->
+        match Heap_page.get (Page_writer.page w) rid.rslot with
         | None -> `Missing
         | Some old ->
             if String.length old <> String.length record then `Size_change
             else begin
-              ignore (Heap_page.set p rid.rslot record);
+              ignore (Heap_page.set w rid.rslot record);
               `Ok
             end)
   in

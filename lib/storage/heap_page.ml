@@ -1,4 +1,5 @@
 module B = Ivdb_util.Bytes_util
+module W = Page_writer
 
 let off_next = Page.header_size
 let off_nslots = off_next + 4
@@ -6,18 +7,18 @@ let off_free_end = off_nslots + 2
 let off_slots = off_free_end + 2
 let ghost_bit = 0x8000
 
-let init p =
-  Page.set_ty p Page.Heap;
-  B.set_u32 p off_next 0;
-  B.set_u16 p off_nslots 0;
-  B.set_u16 p off_free_end Page.size
+let init w =
+  Page.set_ty w Page.Heap;
+  W.set_u32 w off_next 0;
+  W.set_u16 w off_nslots 0;
+  W.set_u16 w off_free_end Page.size
 
 let get_next p = B.get_u32 p off_next
-let set_next p v = B.set_u32 p off_next v
+let set_next w v = W.set_u32 w off_next v
 let nslots p = B.get_u16 p off_nslots
 let free_end p = B.get_u16 p off_free_end
 let raw_slot p i = B.get_u16 p (off_slots + (2 * i))
-let set_slot p i v = B.set_u16 p (off_slots + (2 * i)) v
+let set_slot w i v = W.set_u16 w (off_slots + (2 * i)) v
 let max_record = Page.size - off_slots - 2 - 2
 
 let slot_state p i =
@@ -59,27 +60,30 @@ let free_space p =
   let region = Page.size - free_end p in
   contiguous p + (region - live_bytes p)
 
-let compact p =
+(* Cells, live and ghost, move to the end of the page in slot order, slot
+   0's cell last, and keep their slots. The new slot directory and cell
+   area are assembled in the writer's scratch buffer at their page
+   offsets (they are disjoint), then written with one blit each. *)
+let compact w =
+  let p = W.page w in
+  let s = W.scratch w in
   let n = nslots p in
-  let cells =
-    List.filter_map
-      (fun i ->
-        match slot_state p i with
-        | `Live off -> Some (i, false, read_cell p off)
-        | `Ghost off -> Some (i, true, read_cell p off)
-        | `Empty -> None)
-      (List.init n Fun.id)
-  in
-  let free = ref Page.size in
-  List.iter
-    (fun (i, ghost, r) ->
-      let len = String.length r in
-      free := !free - (2 + len);
-      B.set_u16 p !free len;
-      Bytes.blit_string r 0 p (!free + 2) len;
-      set_slot p i (if ghost then !free lor ghost_bit else !free))
-    cells;
-  B.set_u16 p off_free_end !free
+  let free = Page.size - live_bytes p in
+  Bytes.blit p off_slots s off_slots (2 * n);
+  let pos = ref Page.size in
+  for i = 0 to n - 1 do
+    let v = raw_slot p i in
+    if v <> 0 then begin
+      let off = v land lnot ghost_bit in
+      let len = 2 + B.get_u16 p off in
+      pos := !pos - len;
+      Bytes.blit p off s !pos len;
+      B.set_u16 s (off_slots + (2 * i)) (!pos lor (v land ghost_bit))
+    end
+  done;
+  W.blit_bytes s off_slots w off_slots (2 * n);
+  W.blit_bytes s free w free (Page.size - free);
+  W.set_u16 w off_free_end free
 
 let find_empty_slot p =
   let n = nslots p in
@@ -88,50 +92,54 @@ let find_empty_slot p =
   in
   go 0
 
-let insert p record =
+let insert w record =
+  let p = W.page w in
   let len = String.length record in
   if len > max_record then invalid_arg "Heap_page.insert: record too large";
   let slot, slot_cost =
     match find_empty_slot p with Some s -> (s, 0) | None -> (nslots p, 2)
   in
   let need = 2 + len + slot_cost in
-  if free_space p < need then None
+  (* the contiguous gap is part of the free space, so only a record that
+     does not fit the gap pays for [free_space]'s walk over every slot *)
+  if contiguous p < need && free_space p < need then None
   else begin
-    if contiguous p < need then compact p;
-    if slot = nslots p then B.set_u16 p off_nslots (slot + 1);
+    if contiguous p < need then compact w;
+    if slot = nslots p then W.set_u16 w off_nslots (slot + 1);
     let off = free_end p - (2 + len) in
-    B.set_u16 p off_free_end off;
-    B.set_u16 p off len;
-    Bytes.blit_string record 0 p (off + 2) len;
-    set_slot p slot off;
+    W.set_u16 w off_free_end off;
+    W.set_u16 w off len;
+    W.blit_string record 0 w (off + 2) len;
+    set_slot w slot off;
     Some slot
   end
 
-let delete p i =
-  match slot_state p i with
+let delete w i =
+  match slot_state (W.page w) i with
   | `Live off ->
-      set_slot p i (off lor ghost_bit);
+      set_slot w i (off lor ghost_bit);
       true
   | `Ghost _ | `Empty -> false
 
-let revive p i =
-  match slot_state p i with
+let revive w i =
+  match slot_state (W.page w) i with
   | `Ghost off ->
-      set_slot p i off;
+      set_slot w i off;
       true
   | `Live _ | `Empty -> false
 
-let free_ghost p i =
-  match slot_state p i with
+let free_ghost w i =
+  match slot_state (W.page w) i with
   | `Ghost _ ->
-      set_slot p i 0;
+      set_slot w i 0;
       true
   | `Live _ | `Empty -> false
 
-let set p i record =
+let set w i record =
+  let p = W.page w in
   match slot_state p i with
   | `Live off when B.get_u16 p off = String.length record ->
-      Bytes.blit_string record 0 p (off + 2) (String.length record);
+      W.blit_string record 0 w (off + 2) (String.length record);
       true
   | `Live _ | `Ghost _ | `Empty -> false
 

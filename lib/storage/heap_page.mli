@@ -11,32 +11,36 @@
     Deletion turns a record into a {e ghost}: invisible to readers but
     still occupying its slot and bytes, so that transaction rollback can
     revive exactly the same rid. Ghosts are physically reclaimed later by a
-    system transaction ({!free_ghost}). *)
+    system transaction ({!free_ghost}).
 
-val init : bytes -> unit
+    Mutators write through a {!Page_writer} (the one {!Bufpool.update}
+    hands its callback), so the pool logs exactly the bytes they change;
+    readers take the page bytes. *)
+
+val init : Page_writer.t -> unit
 (** Format a fresh page as an empty heap page. *)
 
 val get_next : bytes -> int
-val set_next : bytes -> int -> unit
+val set_next : Page_writer.t -> int -> unit
 
 val nslots : bytes -> int
 
 val max_record : int
 (** Largest record this layout can store in an empty page. *)
 
-val insert : bytes -> string -> int option
+val insert : Page_writer.t -> string -> int option
 (** [insert page record] returns the slot, or [None] if the record does not
     fit even after compaction. Ghost slots are not reused. Raises
     [Invalid_argument] if the record can never fit a page. *)
 
-val delete : bytes -> int -> bool
+val delete : Page_writer.t -> int -> bool
 (** Mark the slot as a ghost; [false] if not live. *)
 
-val revive : bytes -> int -> bool
+val revive : Page_writer.t -> int -> bool
 (** Undo a deletion: clear the ghost flag; [false] if the slot is not a
     ghost. *)
 
-val free_ghost : bytes -> int -> bool
+val free_ghost : Page_writer.t -> int -> bool
 (** Physically reclaim a ghost slot; [false] if the slot is not a ghost. *)
 
 val is_ghost : bytes -> int -> bool
@@ -47,7 +51,7 @@ val get : bytes -> int -> string option
 val get_any : bytes -> int -> string option
 (** Live or ghost. *)
 
-val set : bytes -> int -> string -> bool
+val set : Page_writer.t -> int -> string -> bool
 (** In-place overwrite of a live record of the same length. *)
 
 val free_space : bytes -> int

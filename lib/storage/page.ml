@@ -20,7 +20,7 @@ let get_ty p =
   | 3 -> Bt_interior
   | n -> invalid_arg (Printf.sprintf "Page.get_ty: corrupt type byte %d" n)
 
-let set_ty p ty = Bytes.set_uint8 p 8 (ty_code ty)
+let set_ty w ty = Page_writer.set_u8 w 8 (ty_code ty)
 
 let get_checksum p = B.get_u32 p off_checksum
 let set_checksum p v = B.set_u32 p off_checksum v

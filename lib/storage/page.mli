@@ -12,7 +12,8 @@
     The checksum field is only meaningful on the disk's stable image: the
     disk stamps it on write and verifies it on read, and it reads back as
     zero into the buffer pool. In-pool frames therefore always carry zero
-    there, which keeps page diffs and pre-images free of checksum noise. *)
+    there, which keeps page diffs and saved before-values free of
+    checksum noise. *)
 
 val size : int
 (** 8192 bytes. *)
@@ -29,7 +30,7 @@ val get_lsn : bytes -> int64
 val set_lsn : bytes -> int64 -> unit
 
 val get_ty : bytes -> ty
-val set_ty : bytes -> ty -> unit
+val set_ty : Page_writer.t -> ty -> unit
 
 val get_checksum : bytes -> int
 val set_checksum : bytes -> int -> unit

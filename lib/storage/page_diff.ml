@@ -5,49 +5,79 @@ type t = (int * string) list
 let merge_gap = 8
 
 (* [Bytes.get_int64_ne] without the bounds check, which costs as much as
-   the comparison itself; [compute] reads a word only where [i + 8 <= n]
-   and both images are [n] bytes long *)
+   the comparison itself; [scan] reads words and bytes only inside its
+   range, which lies inside both images *)
 external unsafe_get_word : bytes -> int -> int64 = "%caml_bytes_get64u"
 
-let compute ~before ~after =
-  let n = Bytes.length before in
-  if Bytes.length after <> n then invalid_arg "Page_diff.compute: sizes differ";
-  let ranges = ref [] in
-  let i = ref 8 (* skip the LSN field, compare from the type byte on *) in
-  while !i < n do
-    (* skip equal 8-byte words, then the few equal bytes before the first
-       difference; the ranges come out as a byte-at-a-time scan makes them *)
+(* One scan over ranges in ascending order. Bytes outside them are equal
+   by assumption, so the open run ([start], [last] its latest changed
+   byte) carries across range boundaries: the next changed byte joins it
+   when it lies at most [merge_gap] bytes past [last], wherever it is.
+   Equal 8-byte words are skipped, then the equal bytes before the next
+   change; the ranges come out as a byte-at-a-time scan makes them. *)
+type scan = {
+  before : bytes;
+  after : bytes;
+  mutable start : int; (* the open run's first byte; -1 before any *)
+  mutable last : int;
+  mutable closed : t; (* newest first *)
+}
+
+let scan_start ~before ~after = { before; after; start = -1; last = -1; closed = [] }
+
+let close s =
+  if s.start >= 0 then
+    s.closed <-
+      (s.start, Bytes.sub_string s.after s.start (s.last - s.start + 1)) :: s.closed
+
+let scan s lo stop =
+  (* the pageLSN at 0..7 is stamped after logging, never diffed *)
+  let i = ref (if lo < 8 then 8 else lo) in
+  while !i < stop do
     while
-      !i + 8 <= n
-      && (unsafe_get_word before !i : int64) = unsafe_get_word after !i
+      !i + 8 <= stop
+      && (unsafe_get_word s.before !i : int64) = unsafe_get_word s.after !i
     do
       i := !i + 8
     done;
-    while !i < n && Bytes.get before !i = Bytes.get after !i do
+    while
+      !i < stop && Bytes.unsafe_get s.before !i = Bytes.unsafe_get s.after !i
+    do
       incr i
     done;
-    if !i < n then begin
-      let start = !i in
-      let last_diff = ref !i in
-      incr i;
-      let continue = ref true in
-      while !continue && !i < n do
-        if Bytes.get before !i <> Bytes.get after !i then begin
-          last_diff := !i;
-          incr i
-        end
-        else if !i - !last_diff < merge_gap then incr i
-        else continue := false
-      done;
-      let len = !last_diff - start + 1 in
-      ranges := (start, Bytes.sub_string after start len) :: !ranges
+    if !i < stop then begin
+      if s.start >= 0 && !i - s.last <= merge_gap then s.last <- !i
+      else begin
+        close s;
+        s.start <- !i;
+        s.last <- !i
+      end;
+      incr i
     end
-  done;
-  List.rev !ranges
+  done
 
-let apply page t =
+let scan_finish s =
+  close s;
+  List.rev s.closed
+
+(* the whole page is the one-range case *)
+let compute ~before ~after =
+  let n = Bytes.length before in
+  if Bytes.length after <> n then invalid_arg "Page_diff.compute: sizes differ";
+  let s = scan_start ~before ~after in
+  scan s 0 n;
+  scan_finish s
+
+let recorded w =
+  let s = scan_start ~before:(Page_writer.saved w) ~after:(Page_writer.page w) in
+  for i = 0 to Page_writer.range_count w - 1 do
+    scan s (Page_writer.range_start w i) (Page_writer.range_stop w i)
+  done;
+  scan_finish s
+
+let apply w t =
   List.iter
-    (fun (off, s) -> Bytes.blit_string s 0 page off (String.length s))
+    (fun (off, s) -> Page_writer.blit_string s 0 w off (String.length s))
     t
 
 let is_empty t = t = []
@@ -70,9 +100,9 @@ let decode s =
   if len < 2 then fail ();
   let n = (Char.code s.[0] lsl 8) lor Char.code s.[1] in
   let pos = ref 2 in
-  (* only shapes [compute] can produce: non-empty, ascending and disjoint
-     ranges inside [8, Page.size) — a range below 8 would overwrite the
-     pageLSN on [apply] *)
+  (* only shapes a diff can have: non-empty, ascending and disjoint ranges
+     inside [8, Page.size) — a range below 8 would overwrite the pageLSN
+     on [apply] *)
   let floor = ref 8 in
   let ranges =
     List.init n (fun _ ->

@@ -78,7 +78,8 @@ type event =
       outcome : string;
     }
       (** participant side of Decide: [outcome] is ["applied"],
-          ["duplicate"], or ["presumed_abort"] (unknown gtxn) *)
+          ["duplicate"] (already decided, or a commit for an unknown
+          gtxn), or ["presumed_abort"] (an abort for an unknown gtxn) *)
 
 type record = {
   seq : int;  (** emission order, dense from 0 *)

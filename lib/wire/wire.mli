@@ -128,8 +128,10 @@ type frame =
   | Prepared of { seq : int; gtxn : string }
   | Decide of { seq : int; rid : int; gtxn : string; committed : bool }
       (** 2PC phase 2: the coordinator's logged decision. Idempotent —
-          a retransmit for an already-decided gtxn just re-acks; an
-          unknown gtxn with [committed = false] is presumed-abort. [rid]
+          a retransmit for an already-decided gtxn just re-acks, as does
+          a commit for an unknown gtxn (one the shard already finished and
+          truncated); an unknown gtxn with [committed = false] is
+          presumed-abort. [rid]
           correlates like [Prepare.rid] (0 on recovery re-delivery). *)
   | Decided of { seq : int; gtxn : string; committed : bool }
   | Bye

@@ -1305,6 +1305,50 @@ let test_recover_is_idempotent () =
   check Alcotest.int "second recovery is a no-op too" 2 resolved;
   check Alcotest.string "still unchanged" before (digest_union cl)
 
+(* Every restart ends in a checkpoint that truncates a finished gtxn's
+   Prepare and Commit records, so after a second restart the shards no
+   longer know the gtxns a recovering coordinator re-delivers. A commit
+   for an unknown gtxn is one the shard already applied: it must answer
+   it as a duplicate, not a protocol error, or the coordinator keeps the
+   gtxn owed forever. *)
+let test_recover_after_second_restart () =
+  let shards = 2 in
+  let cl = fresh_cluster shards in
+  phase cl (fun c _ ->
+      run_setup c;
+      run_script c (script ~shards 2));
+  let before = digest_union cl in
+  crash_cluster cl;
+  check Alcotest.int "first recovery resolves both" 2
+    (phase cl (fun c _ -> Coord.recover c));
+  crash_cluster cl;
+  let outcomes = ref [] in
+  Array.iter
+    (fun db ->
+      let tr = Database.trace db in
+      Trace.add_sink tr (fun r ->
+          match r.Trace.event with
+          | Trace.Twopc_decide { outcome; _ } -> outcomes := outcome :: !outcomes
+          | _ -> ());
+      Trace.set_enabled tr true)
+    cl.dbs;
+  let resolved, indoubt =
+    phase cl (fun c _ ->
+        let r = Coord.recover c in
+        (r, Metrics.get (Coord.metrics c) "coord.indoubt"))
+  in
+  check Alcotest.int "second recovery resolves both" 2 resolved;
+  check Alcotest.int "nothing left owed" 0 indoubt;
+  Array.iter
+    (fun db ->
+      check Alcotest.(list (pair string int)) "nothing in doubt" []
+        (Database.indoubt_gtxns db))
+    cl.dbs;
+  check Alcotest.(list string) "every re-delivered commit acked as a duplicate"
+    [ "duplicate"; "duplicate"; "duplicate"; "duplicate" ]
+    !outcomes;
+  check Alcotest.string "re-delivery changed nothing" before (digest_union cl)
+
 (* Routing metadata is re-derived from the DDL in the coordinator's log:
    a restarted coordinator must keep refusing partition-column updates
    (silently broadcasting one would strand rows on the wrong shard) and
@@ -1562,6 +1606,8 @@ let () =
             `Quick test_abort_round_crash_sweep;
           Alcotest.test_case "recovery is idempotent" `Quick
             test_recover_is_idempotent;
+          Alcotest.test_case "a second restart's re-delivery is a duplicate"
+            `Quick test_recover_after_second_restart;
           Alcotest.test_case "a restarted coordinator waits for recover"
             `Quick test_restart_sends_nothing_before_recover;
           Alcotest.test_case "routing metadata survives a restart" `Quick

@@ -1,9 +1,11 @@
 module Page = Ivdb_storage.Page
 module Page_diff = Ivdb_storage.Page_diff
+module Page_writer = Ivdb_storage.Page_writer
 module Disk = Ivdb_storage.Disk
 module Bufpool = Ivdb_storage.Bufpool
 module Heap_page = Ivdb_storage.Heap_page
 module Heap_file = Ivdb_storage.Heap_file
+module Bt_node = Ivdb_btree.Bt_node
 module Metrics = Ivdb_util.Metrics
 module Rng = Ivdb_util.Rng
 
@@ -16,7 +18,7 @@ let test_page_header () =
   let p = Page.alloc () in
   check Alcotest.int "size" 8192 Page.size;
   Alcotest.(check bool) "starts free" true (Page.get_ty p = Page.Free);
-  Page.set_ty p Page.Heap;
+  Page.set_ty (Page_writer.on p) Page.Heap;
   Page.set_lsn p 123L;
   Alcotest.(check bool) "type" true (Page.get_ty p = Page.Heap);
   check Alcotest.int64 "lsn" 123L (Page.get_lsn p)
@@ -53,7 +55,7 @@ let prop_diff_apply =
       let d = Page_diff.compute ~before:a ~after:b in
       let d' = Page_diff.decode (Page_diff.encode d) in
       let restored = Bytes.copy a in
-      Page_diff.apply restored d';
+      Page_diff.apply (Page_writer.on restored) d';
       Bytes.sub restored 8 (Page.size - 8) = Bytes.sub b 8 (Page.size - 8))
 
 (* Oracle for [Page_diff.compute]: one byte at a time, no word skipping,
@@ -206,33 +208,35 @@ let test_disk_checksum_roundtrip () =
 
 let test_heap_page_insert_get_delete () =
   let p = Page.alloc () in
-  Heap_page.init p;
-  let s1 = Heap_page.insert p "hello" and s2 = Heap_page.insert p "world!" in
+  let w = Page_writer.on p in
+  Heap_page.init w;
+  let s1 = Heap_page.insert w "hello" and s2 = Heap_page.insert w "world!" in
   check Alcotest.(option int) "slot 0" (Some 0) s1;
   check Alcotest.(option int) "slot 1" (Some 1) s2;
   check Alcotest.(option string) "get 0" (Some "hello") (Heap_page.get p 0);
-  Alcotest.(check bool) "delete" true (Heap_page.delete p 0);
+  Alcotest.(check bool) "delete" true (Heap_page.delete w 0);
   check Alcotest.(option string) "ghosted" None (Heap_page.get p 0);
   check Alcotest.(option string) "ghost bytes retained" (Some "hello")
     (Heap_page.get_any p 0);
-  Alcotest.(check bool) "double delete" false (Heap_page.delete p 0);
+  Alcotest.(check bool) "double delete" false (Heap_page.delete w 0);
   (* a ghost slot is not reused... *)
-  check Alcotest.(option int) "ghost slot skipped" (Some 2) (Heap_page.insert p "again");
+  check Alcotest.(option int) "ghost slot skipped" (Some 2) (Heap_page.insert w "again");
   (* ...until revived or reclaimed *)
-  Alcotest.(check bool) "revive" true (Heap_page.revive p 0);
+  Alcotest.(check bool) "revive" true (Heap_page.revive w 0);
   check Alcotest.(option string) "revived" (Some "hello") (Heap_page.get p 0);
-  Alcotest.(check bool) "delete again" true (Heap_page.delete p 0);
-  Alcotest.(check bool) "free ghost" true (Heap_page.free_ghost p 0);
+  Alcotest.(check bool) "delete again" true (Heap_page.delete w 0);
+  Alcotest.(check bool) "free ghost" true (Heap_page.free_ghost w 0);
   check Alcotest.(option int) "slot reused after reclaim" (Some 0)
-    (Heap_page.insert p "reuse")
+    (Heap_page.insert w "reuse")
 
 let test_heap_page_fill_and_compact () =
   let p = Page.alloc () in
-  Heap_page.init p;
+  let w = Page_writer.on p in
+  Heap_page.init w;
   let record = String.make 100 'x' in
   let inserted = ref 0 in
   (try
-     while Heap_page.insert p record <> None do
+     while Heap_page.insert w record <> None do
        incr inserted
      done
    with _ -> ());
@@ -240,26 +244,28 @@ let test_heap_page_fill_and_compact () =
   (* ghost-delete then reclaim every other record; a large record must then
      fit via compaction *)
   for i = 0 to (!inserted - 1) / 2 do
-    ignore (Heap_page.delete p (2 * i));
-    ignore (Heap_page.free_ghost p (2 * i))
+    ignore (Heap_page.delete w (2 * i));
+    ignore (Heap_page.free_ghost w (2 * i))
   done;
   let big = String.make 2000 'y' in
-  Alcotest.(check bool) "compaction reclaims" true (Heap_page.insert p big <> None)
+  Alcotest.(check bool) "compaction reclaims" true (Heap_page.insert w big <> None)
 
 let test_heap_page_set_in_place () =
   let p = Page.alloc () in
-  Heap_page.init p;
-  ignore (Heap_page.insert p "abcde");
-  Alcotest.(check bool) "same-size set" true (Heap_page.set p 0 "vwxyz");
+  let w = Page_writer.on p in
+  Heap_page.init w;
+  ignore (Heap_page.insert w "abcde");
+  Alcotest.(check bool) "same-size set" true (Heap_page.set w 0 "vwxyz");
   check Alcotest.(option string) "updated" (Some "vwxyz") (Heap_page.get p 0);
-  Alcotest.(check bool) "size-change rejected" false (Heap_page.set p 0 "toolong!")
+  Alcotest.(check bool) "size-change rejected" false (Heap_page.set w 0 "toolong!")
 
 let test_heap_page_too_large () =
   let p = Page.alloc () in
-  Heap_page.init p;
+  let w = Page_writer.on p in
+  Heap_page.init w;
   Alcotest.check_raises "oversize record"
     (Invalid_argument "Heap_page.insert: record too large") (fun () ->
-      ignore (Heap_page.insert p (String.make 8300 'x')))
+      ignore (Heap_page.insert w (String.make 8300 'x')))
 
 (* model-based: page behaves like an int->string table *)
 let prop_heap_page_model =
@@ -268,14 +274,15 @@ let prop_heap_page_model =
     (fun seed ->
       let rng = Rng.create seed in
       let p = Page.alloc () in
-      Heap_page.init p;
+      let w = Page_writer.on p in
+      Heap_page.init w;
       let model = Hashtbl.create 32 in
       for _ = 1 to 300 do
         match Rng.int rng 3 with
         | 0 ->
             let len = 1 + Rng.int rng 50 in
             let r = String.make len (Char.chr (97 + Rng.int rng 26)) in
-            (match Heap_page.insert p r with
+            (match Heap_page.insert w r with
             | Some slot ->
                 assert (not (Hashtbl.mem model slot));
                 Hashtbl.replace model slot r
@@ -286,8 +293,8 @@ let prop_heap_page_model =
             | [] -> ()
             | _ ->
                 let s = List.nth slots (Rng.int rng (List.length slots)) in
-                assert (Heap_page.delete p s);
-                assert (Heap_page.free_ghost p s);
+                assert (Heap_page.delete w s);
+                assert (Heap_page.free_ghost w s);
                 Hashtbl.remove model s)
         | _ ->
             let n = Heap_page.nslots p in
@@ -300,6 +307,8 @@ let prop_heap_page_model =
       Hashtbl.fold (fun s r ok -> ok && Heap_page.get p s = Some r) model true)
 
 (* --- Bufpool ----------------------------------------------------------------- *)
+
+let set_char w off c = Page_writer.set_u8 w off (Char.code c)
 
 let make_pool ?(capacity = 4) () =
   let m = Metrics.create () in
@@ -320,7 +329,7 @@ let test_bufpool_hit_miss () =
 let test_bufpool_update_stamp_flush () =
   let _, d, pool, forced = make_pool () in
   let id = Disk.alloc_page d in
-  let (), diff = Bufpool.update pool id (fun p -> Bytes.set p 100 'A') in
+  let (), diff = Bufpool.update pool id (fun w -> set_char w 100 'A') in
   Alcotest.(check bool) "diff captured" false (Page_diff.is_empty diff);
   Bufpool.stamp pool id 7L;
   Bufpool.flush_page pool id;
@@ -358,7 +367,7 @@ let test_bufpool_dirty_churn_consistent () =
   let ids = Array.init 12 (fun _ -> Disk.alloc_page d) in
   Array.iteri
     (fun i id ->
-      let (), _ = Bufpool.update pool id (fun p -> Bytes.set p 80 (Char.chr (65 + i))) in
+      let (), _ = Bufpool.update pool id (fun w -> set_char w 80 (Char.chr (65 + i))) in
       Bufpool.stamp pool id (Int64.of_int (i + 1)))
     ids;
   Array.iteri
@@ -373,7 +382,7 @@ let test_bufpool_dirty_churn_consistent () =
 let test_bufpool_unstamped_not_evicted () =
   let _, d, pool, _ = make_pool ~capacity:2 () in
   let a = Disk.alloc_page d in
-  let (), _ = Bufpool.update pool a (fun p -> Bytes.set p 50 'U') in
+  let (), _ = Bufpool.update pool a (fun w -> set_char w 50 'U') in
   (* a is modified but unstamped: loading more pages must not evict it *)
   for _ = 1 to 4 do
     Bufpool.read pool (Disk.alloc_page d) (fun _ -> ())
@@ -386,9 +395,9 @@ let test_bufpool_unstamped_not_evicted () =
 let test_bufpool_dpt () =
   let _, d, pool, _ = make_pool () in
   let a = Disk.alloc_page d and b = Disk.alloc_page d in
-  let (), _ = Bufpool.update pool a (fun p -> Bytes.set p 60 'x') in
+  let (), _ = Bufpool.update pool a (fun w -> set_char w 60 'x') in
   Bufpool.stamp pool a 3L;
-  let (), _ = Bufpool.update pool b (fun p -> Bytes.set p 60 'y') in
+  let (), _ = Bufpool.update pool b (fun w -> set_char w 60 'y') in
   Bufpool.stamp pool b 5L;
   let dpt = List.sort compare (Bufpool.dirty_page_table pool) in
   check Alcotest.(list (pair int int64)) "dpt" [ (a, 3L); (b, 5L) ] dpt;
@@ -398,7 +407,7 @@ let test_bufpool_dpt () =
 let test_bufpool_drop_all () =
   let _, d, pool, _ = make_pool () in
   let a = Disk.alloc_page d in
-  let (), _ = Bufpool.update pool a (fun p -> Bytes.set p 60 'x') in
+  let (), _ = Bufpool.update pool a (fun w -> set_char w 60 'x') in
   Bufpool.stamp pool a 3L;
   Bufpool.drop_all pool;
   (* change was volatile-only: gone after the crash *)
@@ -412,26 +421,26 @@ let test_bufpool_update_raise_restores () =
      no-steal window) — evictable to disk with no covering log record *)
   let _, d, pool, _ = make_pool ~capacity:2 () in
   let a = Disk.alloc_page d in
-  let (), _ = Bufpool.update pool a (fun p -> Bytes.set p 200 'G') in
+  let (), _ = Bufpool.update pool a (fun w -> set_char w 200 'G') in
   Bufpool.stamp pool a 1L;
   (try
      ignore
-       (Bufpool.update pool a (fun p ->
-            Bytes.set p 200 'X';
-            Bytes.set p 300 'X';
+       (Bufpool.update pool a (fun w ->
+            set_char w 200 'X';
+            set_char w 300 'X';
             raise Boom))
    with Boom -> ());
   Bufpool.read pool a (fun p ->
       check Alcotest.char "mutation rolled back" 'G' (Bytes.get p 200);
       check Alcotest.char "second byte rolled back" '\000' (Bytes.get p 300));
-  (* the pre-image buffer goes back to the pool after the raise: the next
-     updates, on this page and another, diff against their own pages *)
+  (* the writer goes back to the pool after the raise: the next updates,
+     on this page and another, diff only their own writes *)
   let diff = Alcotest.(list (pair int string)) in
-  let (), da = Bufpool.update pool a (fun p -> Bytes.set p 400 'Q') in
+  let (), da = Bufpool.update pool a (fun w -> set_char w 400 'Q') in
   check diff "same page: only its change" [ (400, "Q") ] da;
   Bufpool.stamp pool a 2L;
   let b = Disk.alloc_page d in
-  let (), db = Bufpool.update pool b (fun p -> Bytes.set p 500 'R') in
+  let (), db = Bufpool.update pool b (fun w -> set_char w 500 'R') in
   check diff "other page: only its change" [ (500, "R") ] db;
   Bufpool.stamp pool b 3L;
   (* the frame is clean: evicting it must not write the poisoned bytes *)
@@ -439,7 +448,27 @@ let test_bufpool_update_raise_restores () =
     Bufpool.read pool (Disk.alloc_page d) (fun _ -> ())
   done;
   let stable = Disk.read d a in
-  check Alcotest.char "stable image intact" 'G' (Bytes.get stable 200)
+  check Alcotest.char "stable image intact" 'G' (Bytes.get stable 200);
+  (* a mutator that raises after partial writes: a leaf rebuild formats
+     the node, then runs out of room partway through its cells; the
+     frame must come back byte-identical to its pre-image *)
+  let c = Disk.alloc_page d in
+  let cells = List.init 40 (fun i -> (Printf.sprintf "k%03d" i, String.make 200 'v')) in
+  let (), _ =
+    Bufpool.update pool c (fun w ->
+        Bt_node.init_leaf w;
+        List.iteri
+          (fun i (k, v) -> if i < 20 then ignore (Bt_node.leaf_insert w i k v))
+          cells;
+        Bt_node.set_aux w 7)
+  in
+  Bufpool.stamp pool c 4L;
+  let pre = Bufpool.read pool c Bytes.copy in
+  Alcotest.check_raises "rebuild does not fit"
+    (Invalid_argument "Bt_node.leaf_rebuild: does not fit") (fun () ->
+      ignore (Bufpool.update pool c (fun w -> Bt_node.leaf_rebuild w cells ~next:9)));
+  Bufpool.read pool c (fun p ->
+      Alcotest.(check bool) "frame equals its pre-image" true (Bytes.equal p pre))
 
 let test_bufpool_reused_buffers () =
   (* a capacity-2 pool evicts dirty pages and reads misses into the
@@ -456,9 +485,9 @@ let test_bufpool_reused_buffers () =
     let before = Bytes.copy model.(i) in
     Bytes.blit_string run 0 model.(i) off (String.length run);
     let (), diff =
-      Bufpool.update pool ids.(i) (fun p -> Bytes.blit_string run 0 p off (String.length run))
+      Bufpool.update pool ids.(i) (fun w -> Page_writer.blit_string run 0 w off (String.length run))
     in
-    Page_diff.apply before diff;
+    Page_diff.apply (Page_writer.on before) diff;
     Alcotest.(check bool) "diff takes the old page to the new" true
       (Bytes.sub before 8 (Page.size - 8) = Bytes.sub model.(i) 8 (Page.size - 8));
     let lsn = Int64.of_int step in
@@ -484,7 +513,7 @@ let test_bufpool_capacity_zero () =
      pool degenerates to overflow-on-every-miss but stays functional *)
   let m, d, pool, _ = make_pool ~capacity:0 () in
   let a = Disk.alloc_page d and b = Disk.alloc_page d in
-  let (), _ = Bufpool.update pool a (fun p -> Bytes.set p 90 'z') in
+  let (), _ = Bufpool.update pool a (fun w -> set_char w 90 'z') in
   Bufpool.stamp pool a 1L;
   Bufpool.read pool b (fun _ -> ());
   Bufpool.read pool a (fun p -> check Alcotest.char "still readable" 'z' (Bytes.get p 90));
@@ -509,7 +538,7 @@ let test_bufpool_io_retry () =
   let pool = Bufpool.create d ~capacity:2 m in
   Bufpool.set_wal_force pool (fun _ -> ());
   let a = Disk.alloc_page d in
-  let (), _ = Bufpool.update pool a (fun p -> Bytes.set p 70 'R') in
+  let (), _ = Bufpool.update pool a (fun w -> set_char w 70 'R') in
   Bufpool.stamp pool a 1L;
   Bufpool.flush_page pool a;
   Bufpool.drop_all pool;
@@ -519,6 +548,136 @@ let test_bufpool_io_retry () =
   Alcotest.(check bool) "errors injected" true
     (Metrics.get m "fault.io_error_read" > 0
     && Metrics.get m "fault.io_error_write" > 0)
+
+(* --- Page_writer: recorded diffs against the byte-at-a-time oracle --------- *)
+
+let show_diff d =
+  String.concat " "
+    (List.map (fun (off, s) -> Printf.sprintf "%d+%d" off (String.length s)) d)
+
+(* An update whose recorded diff must equal [bytewise_diff] of full page
+   copies taken before and after it: a byte a mutator wrote around its
+   writer shows up as a change the recorded diff misses. *)
+let checked_update pool pid f =
+  let before = Bufpool.read pool pid Bytes.copy in
+  let r, diff = Bufpool.update pool pid f in
+  let after = Bufpool.read pool pid Bytes.copy in
+  let expect = bytewise_diff ~before ~after in
+  if diff <> expect then
+    QCheck.Test.fail_reportf "page %d: recorded [%s], bytewise [%s]" pid
+      (show_diff diff) (show_diff expect);
+  (r, diff)
+
+let random_string rng len =
+  String.init len (fun _ -> Char.chr (97 + Rng.int rng 6))
+
+(* One random mutation per page kind; [`Freed] asks for a reformat next.
+   Reformats are rare enough that pages fill, so inserts compact them
+   once deletes and ghost reclamation have left dead cells behind. *)
+let heap_op rng w =
+  let p = Page_writer.page w in
+  let slot () = Rng.int rng (max 1 (Heap_page.nslots p)) in
+  let x = Rng.int rng 200 in
+  if x < 80 then
+    ignore (Heap_page.insert w (random_string rng (1 + Rng.int rng 400)))
+  else if x < 100 then ignore (Heap_page.delete w (slot ()))
+  else if x < 110 then ignore (Heap_page.revive w (slot ()))
+  else if x < 150 then ignore (Heap_page.free_ghost w (slot ()))
+  else if x < 190 then begin
+    let s = slot () in
+    match Heap_page.get p s with
+    | Some r -> ignore (Heap_page.set w s (random_string rng (String.length r)))
+    | None -> ()
+  end
+  else if x < 199 then Heap_page.set_next w (Rng.int rng 1000)
+  else Page.set_ty w Page.Free;
+  if x < 199 then `Ok else `Freed
+
+(* a split's left or right half *)
+let half rng l =
+  let m = List.length l / 2 and left = Rng.bool rng in
+  List.filteri (fun j _ -> j < m = left) l
+
+let leaf_op rng w =
+  let p = Page_writer.page w in
+  let n = Bt_node.nkeys p in
+  let x = Rng.int rng 200 in
+  if x < 100 then begin
+    let key = random_string rng (1 + Rng.int rng 12) in
+    match Bt_node.search p key with
+    | `Gap i ->
+        ignore (Bt_node.leaf_insert w i key (random_string rng (Rng.int rng 120)))
+    | `Found _ -> ()
+  end
+  else if x < 130 then (if n > 0 then Bt_node.leaf_delete w (Rng.int rng n))
+  else if x < 180 then begin
+    (* same size in place, or a size change re-inserted in the page *)
+    if n > 0 then begin
+      let i = Rng.int rng n in
+      let len =
+        if Rng.bool rng then String.length (Bt_node.leaf_value_at p i)
+        else Rng.int rng 120
+      in
+      ignore (Bt_node.leaf_replace w i (random_string rng len))
+    end
+  end
+  else if x < 182 then
+    Bt_node.leaf_rebuild w (half rng (Bt_node.leaf_cells p)) ~next:(Rng.int rng 1000)
+  else if x < 199 then Bt_node.set_aux w (Rng.int rng 1000)
+  else Page.set_ty w Page.Free;
+  if x < 199 then `Ok else `Freed
+
+let interior_op rng w =
+  let p = Page_writer.page w in
+  let n = Bt_node.nkeys p in
+  let x = Rng.int rng 200 in
+  if x < 120 then begin
+    let key = random_string rng (1 + Rng.int rng 100) in
+    match Bt_node.search p key with
+    | `Gap i -> ignore (Bt_node.interior_insert w i key (Rng.int rng 100_000))
+    | `Found _ -> ()
+  end
+  else if x < 170 then (if n > 0 then Bt_node.interior_delete w (Rng.int rng n))
+  else if x < 172 then begin
+    let child0, seps = Bt_node.interior_cells p in
+    Bt_node.interior_rebuild w child0 (half rng seps)
+  end
+  else if x < 199 then Bt_node.set_aux w (Rng.int rng 100_000)
+  else Page.set_ty w Page.Free;
+  if x < 199 then `Ok else `Freed
+
+(* Random mutation sequences on a heap page, a B-tree leaf and a B-tree
+   interior node, each update checked against the oracle; every diff is
+   then replayed by redo's [Page_diff.apply] on a mirror page (itself a
+   checked update), which must end equal to the page. *)
+let prop_recorded_diff_is_bytewise =
+  QCheck.Test.make ~name:"recorded diff = bytewise reference" ~count:15
+    QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create seed in
+      let _, d, pool, _ = make_pool ~capacity:8 () in
+      let kinds =
+        [
+          (Heap_page.init, heap_op);
+          (Bt_node.init_leaf, leaf_op);
+          (Bt_node.init_interior, interior_op);
+        ]
+      in
+      List.for_all
+        (fun (init, op) ->
+          let pid = Disk.alloc_page d and mirror = Disk.alloc_page d in
+          let step f =
+            let r, diff = checked_update pool pid f in
+            let (), _ = checked_update pool mirror (fun w -> Page_diff.apply w diff) in
+            r
+          in
+          step init;
+          for _ = 1 to 400 do
+            match step (op rng) with `Ok -> () | `Freed -> step init
+          done;
+          let body id = Bufpool.read pool id (fun p -> Bytes.sub p 8 (Page.size - 8)) in
+          Bytes.equal (body pid) (body mirror))
+        kinds)
 
 (* --- Heap_file ----------------------------------------------------------------- *)
 
@@ -857,6 +1016,7 @@ let () =
           Alcotest.test_case "capacity zero" `Quick test_bufpool_capacity_zero;
           Alcotest.test_case "transient I/O retry" `Quick test_bufpool_io_retry;
         ] );
+      ("writer", [ qtest prop_recorded_diff_is_bytewise ]);
       ( "heap-file",
         [
           Alcotest.test_case "crud" `Quick test_heap_file_crud;

@@ -16,7 +16,7 @@ let rid_gen =
 
 let str_gen = QCheck.Gen.(string_size (int_bound 64))
 
-(* only diffs [Page_diff.compute] can produce, which is all that
+(* only shapes a page diff can have, which is all that
    [Page_diff.decode] accepts: non-empty, ascending, disjoint ranges from
    offset 8 on *)
 let diff_gen =
@@ -104,8 +104,8 @@ let test_decode_garbage () =
       ignore (LR.decode (ok ^ "x")))
 
 let test_decode_frames_stops_at_bad_diff () =
-  (* a shipped record whose page diff [Page_diff.compute] could never
-     produce (offset 0 would overwrite the pageLSN in redo) ends the
+  (* a shipped record whose page diff no update could produce (offset 0
+     would overwrite the pageLSN in redo) ends the
      batch at decode: the receiver keeps only the records before it *)
   let w = Wal.create (Metrics.create ()) in
   let update diff = LR.Update { redo = [ (3, diff) ]; undo = LR.No_undo } in
@@ -308,6 +308,41 @@ let prop_torn_tail_prefix =
       done;
       !ok)
 
+(* --- golden log bytes ------------------------------------------------------ *)
+
+(* A fixed-seed escrow run whose view B-tree splits 11 times and whose
+   heap pages are compacted 12 times (deletes, ghost reclamation by gc,
+   then inserts into the freed room). Its log, every record encoded, hashes to
+   the digest the engine produced when every page update still diffed a
+   whole-page pre-image: how diffs are taken must not change one byte of
+   any log payload. *)
+let golden_spec =
+  {
+    Ivdb.Workload.default with
+    seed = 5;
+    n_groups = 3000;
+    theta = 0.5;
+    mpl = 4;
+    txns_per_worker = 40;
+    delete_fraction = 0.3;
+    gc_every = Some 4;
+    initial_rows = 1500;
+  }
+
+let test_golden_log_bytes () =
+  let db, sales, views = Ivdb.Workload.setup golden_spec in
+  let r = Ivdb.Workload.run_on db sales views golden_spec in
+  check Alcotest.int "committed" 160 r.committed;
+  check Alcotest.int "view B-tree splits" 11
+    (Metrics.get (Ivdb.Database.metrics db) "btree.split");
+  let wal = Ivdb.Database.wal db in
+  Wal.force wal (Wal.last_lsn wal);
+  let buf = Buffer.create (1 lsl 20) in
+  Wal.iter_stable wal (fun rc -> Buffer.add_string buf (LR.encode rc));
+  check Alcotest.int "log bytes" 927142 (Buffer.length buf);
+  check Alcotest.string "log digest" "b6182bf237e952ad79800d538a680b16"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "wal"
     [
@@ -331,6 +366,11 @@ let () =
           Alcotest.test_case "truncation" `Quick test_truncation;
           Alcotest.test_case "truncation clamped" `Quick
             test_truncation_clamped_to_flushed;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "escrow run's log bytes are unchanged" `Quick
+            test_golden_log_bytes;
         ] );
       ( "torn tail",
         [

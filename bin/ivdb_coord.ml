@@ -133,7 +133,9 @@ let cmd =
       & info [ "name" ]
           ~doc:
             "Coordinator name: prefixes global transaction ids (NAME:n) and \
-             is the server string in Welcome.")
+             is the server string in Welcome. Every coordinator on one set \
+             of shards needs its own name: shards keep no memory of decided \
+             gtxns, so they tell transactions apart only by these ids.")
   in
   let metrics_port =
     Arg.(

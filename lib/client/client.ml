@@ -174,8 +174,9 @@ let msg_request t mk =
 
 (* 2PC round trips for the coordinator. Deliberately no transparent
    retry: whether to re-send is the coordinator's call (it re-sends a
-   Decide, which the server answers idempotently from its dedupe tables,
-   but never a Prepare, whose session transaction died with the line). *)
+   Decide, which the server answers idempotently from the in-doubt table
+   and the presumed-abort rule, but never a Prepare, whose session
+   transaction died with the line). *)
 let prepare_2pc ?(rid = 0) t ~gtxn =
   if t.closed then raise (Disconnected "client closed");
   match t.io with
@@ -185,8 +186,7 @@ let prepare_2pc ?(rid = 0) t ~gtxn =
       let seq = t.seq in
       Frame_io.send io (Wire.Prepare { seq; rid; gtxn });
       match Frame_io.recv io with
-      | Some (Wire.Prepared _) -> `Prepared
-      | Some (Wire.Decided { committed; _ }) -> `Already_decided committed
+      | Some (Wire.Prepared _) -> ()
       | Some (Wire.Err { code; text; txn_open; _ }) ->
           raise (Server_error { code; text; txn_open })
       | Some (Wire.Busy { retry_ticks }) -> raise (Server_busy { retry_ticks })

@@ -18,9 +18,10 @@
    before the first Decide message. An abort logs nothing: a begin record
    with no commit record after it reads as abort. Recovery therefore
    delivers, for every begin record in the log, commit if a commit record
-   follows it and abort otherwise; participants answer retransmits
-   idempotently from their dedupe tables, which is also what makes the
-   coordinator's reconnect-and-resend retry safe.
+   follows it and abort otherwise; participants answer a re-sent Decide
+   idempotently from their in-doubt table or by the presumed-abort rule,
+   which is also what makes the coordinator's reconnect-and-resend retry
+   safe.
 
    A global transaction lives in one table from its begin record until
    every participant has its decision, then moves to a short list of
@@ -88,7 +89,6 @@ type shard_health = {
   mutable sh_last_contact : int; (* tick of the last successful round trip *)
   mutable sh_prepares : int;
   mutable sh_decides : int;
-  mutable sh_dedupe_hits : int; (* Prepare answered from the dedupe tables *)
 }
 
 (* The coordinator proper: the decision log, the gtxn table and the
@@ -252,8 +252,7 @@ let coordinator ?(name = "coord") ?wal ?metrics ?trace dialers =
       health =
         Array.map
           (fun _ ->
-            { sh_last_contact = 0; sh_prepares = 0; sh_decides = 0;
-              sh_dedupe_hits = 0 })
+            { sh_last_contact = 0; sh_prepares = 0; sh_decides = 0 })
           dialers;
       pk_cols = Hashtbl.create 8;
       views = Hashtbl.create 8;
@@ -365,7 +364,8 @@ let deliver_decision ?(gated = true) c g ~committed shards =
       in
       try
         (* a dead line is retried once after the client's automatic
-           re-dial: the participant dedupes a Decide by gtxn *)
+           re-dial: a participant applies a Decide only to a gtxn it
+           holds in doubt *)
         (try send () with Client.Disconnected _ -> send ());
         c.co.health.(i).sh_decides <- c.co.health.(i).sh_decides + 1;
         touch c i
@@ -421,17 +421,16 @@ let two_phase c ~gtxn ~participants =
            shard safe: it stays in-doubt and the abort reaches it below,
            or via re-delivery). *)
         match
-          (try `Vote (Client.prepare_2pc ~rid:c.cur_rid c.clients.(i) ~gtxn) with
+          (try
+             Client.prepare_2pc ~rid:c.cur_rid c.clients.(i) ~gtxn;
+             `Yes
+           with
           | Client.Server_error { text; _ } -> `No text
           | Client.Disconnected m ->
               suspects := i :: !suspects;
               `Dead m)
         with
-        | `Vote v ->
-            (match v with
-            | `Already_decided _ ->
-                c.co.health.(i).sh_dedupe_hits <- c.co.health.(i).sh_dedupe_hits + 1
-            | `Prepared -> ());
+        | `Yes ->
             c.co.health.(i).sh_prepares <- c.co.health.(i).sh_prepares + 1;
             touch c i;
             Metrics.inc c.co.m_votes_yes;
@@ -734,7 +733,6 @@ let coord_shards_rows c =
       Value.Int h.sh_prepares;
       Value.Int h.sh_decides;
       Value.Int (outstanding i);
-      Value.Int h.sh_dedupe_hits;
       Value.Int (Client.reconnects c.clients.(i));
     |]
   in

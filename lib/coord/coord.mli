@@ -28,10 +28,13 @@
     abort logs nothing. {!recover} delivers, after a coordinator crash,
     commit for every logged begin record with a commit record after it
     and abort for every other one (presumed abort);
-    participants dedupe retransmits by global transaction id, which
-    makes Decide reconnect-and-resend retries safe. A Prepare is never
-    retried — the disconnect rolled that session's transaction back, so
-    a dead line is a No vote and the transaction aborts everywhere. For the same
+    participants answer a re-sent Decide from their in-doubt table or by
+    the presumed-abort rule, keeping no memory of decided gtxns, which
+    makes Decide reconnect-and-resend retries safe. That needs global
+    transaction ids unique across coordinators: give each its own
+    [name]. A Prepare is never retried — the disconnect rolled that
+    session's transaction back, so a dead line is a No vote and the
+    transaction aborts everywhere. For the same
     reason a statement that loses a shard's part of the transaction (a
     dead line, or the shard rolling back a deadlock victim) makes the
     transaction abort-only: every later statement but [ROLLBACK] is
@@ -128,8 +131,7 @@ val exec : t -> string -> Ivdb_sql.Sql.result
       set, per-shard votes ([yes] / [no] / [dead]), ticks in the current
       phase, undelivered-decision count;
     - [sys.coord_shards] — per-shard health: address, last-contact tick,
-      prepare/decide traffic, outstanding decisions, dedupe hits,
-      reconnects;
+      prepare/decide traffic, outstanding decisions, reconnects;
     - [sys.cluster_metrics] — the coordinator registry's counters tagged
       [coord] plus every reachable shard's [sys.metrics] rows tagged
       [shard<i>] (unreachable shards are skipped, not errors).
@@ -160,8 +162,9 @@ val recover : t -> int
 (** Resolve every global transaction with a begin record in the WAL:
     deliver commit if a commit record follows it, abort otherwise
     (presumed abort). Writes nothing to the log. Returns the number of
-    transactions resolved. Idempotent — participants answer retransmits
-    from their dedupe tables. *)
+    transactions resolved. Idempotent — a participant applies a Decide
+    only to a gtxn it holds in doubt and acknowledges any other by the
+    presumed-abort rule. *)
 
 val in_transaction : t -> bool
 
@@ -176,7 +179,7 @@ type stats = {
   single_shard_commits : int;  (** commits that skipped 2PC *)
   cross_shard_commits : int;
   aborts : int;
-  prepares_sent : int;  (** yes votes received, dedupe answers included *)
+  prepares_sent : int;  (** yes votes received *)
   decides_sent : int;  (** Decides a shard acknowledged *)
 }
 

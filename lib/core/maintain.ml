@@ -234,20 +234,6 @@ let apply_delta mgr txn rt ~key delta =
           rt.vstats.v_deferred <- rt.vstats.v_deferred + 1;
           Deferred.append txn q ~key delta)
 
-(* --- reads ------------------------------------------------------------------ *)
-
-let read_group mgr txn rt ~key =
-  (match txn with
-  | Some tx ->
-      Txn.lock mgr tx (Lock_name.Table rt.vid) Lock_mode.IS;
-      Txn.lock mgr tx (key_name rt key) Lock_mode.S
-  | None -> ());
-  match Btree.search rt.tree key with
-  | None -> None
-  | Some stored ->
-      let row = Row.decode stored in
-      if Aggregate.count_of row = 0 then None else Some row
-
 (* --- logical undo ------------------------------------------------------------ *)
 
 let undo_escrow _mgr rt ~key ~inverse =

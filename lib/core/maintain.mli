@@ -99,16 +99,6 @@ val apply_delta_exclusive :
 (** The exclusive protocol regardless of the runtime's strategy — used by
     the refresh transaction that drains a deferred queue. *)
 
-val read_group :
-  Ivdb_txn.Txn.mgr ->
-  Ivdb_txn.Txn.t option ->
-  runtime ->
-  key:string ->
-  Ivdb_relation.Row.t option
-(** The group's stored aggregate row; [None] for absent or zero-count
-    (logically absent) groups. With a transaction, takes an [S] key lock —
-    blocking behind in-flight escrow updates, as it must. *)
-
 val undo_escrow :
   Ivdb_txn.Txn.mgr -> runtime -> key:string -> inverse:string -> Ivdb_wal.Log_record.page_diffs
 (** Logical undo executor for escrow updates: apply the encoded inverse

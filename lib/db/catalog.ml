@@ -67,9 +67,6 @@ let table_named t name = List.find_opt (fun m -> m.tb_name = name) t.tbls
 let view_named t name = List.find_opt (fun m -> m.vw_name = name) t.vws
 let indexes_of_table t tid = List.filter (fun m -> m.ix_table = tid) t.idxs
 
-let index_on t ~table ~col =
-  List.find_opt (fun m -> m.ix_table = table && m.ix_col = col) t.idxs
-
 (* The catalog payloads travel only between a process and its own log, so
    Marshal (on plain data constructors: ints, strings, expression ASTs) is a
    safe, compact representation. A version byte guards future layouts. *)

@@ -50,7 +50,6 @@ val views : t -> view_meta list
 val table_named : t -> string -> table_meta option
 val view_named : t -> string -> view_meta option
 val indexes_of_table : t -> int -> index_meta list
-val index_on : t -> table:int -> col:int -> index_meta option
 
 val encode_op : op -> string
 val decode_op : string -> op

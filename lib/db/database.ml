@@ -116,11 +116,9 @@ type t = {
   (* --- sharding / 2PC participant state ---
      [shard] identifies this engine inside a hash-partitioned cluster.
      [indoubt_2pc] holds prepared transactions (still owning their locks)
-     keyed by the coordinator's global id until a decision arrives;
-     [decided_2pc] dedupes decision/prepare retransmits. *)
+     keyed by the coordinator's global id until a decision arrives. *)
   mutable shard : (int * int) option; (* (shard id, shard count) *)
   indoubt_2pc : (string, Txn.t) Hashtbl.t;
-  decided_2pc : (string, bool) Hashtbl.t;
   mutable last_decided : string option;
 }
 
@@ -479,25 +477,31 @@ let index_range_rids t txn ~table:tid ~col ~lo ~hi =
 
 let index_probe t txn ~table ~col v = Seq.map snd (index_probe_rids t txn ~table ~col v)
 
+(* Joins [left] and [right] on equal encoded keys (NULL keys match each
+   other). The right side is hashed; matches come in no particular order. *)
+let hash_join ~left_key ~right_key left right =
+  let tbl = Hashtbl.create 256 in
+  Seq.iter (fun r -> Hashtbl.add tbl (Row.encode (Row.project r right_key)) r) right;
+  Seq.concat_map
+    (fun l ->
+      let k = Row.encode (Row.project l left_key) in
+      List.to_seq (List.map (fun r -> Array.append l r) (Hashtbl.find_all tbl k)))
+    left
+
 let source_rows t txn (def : View_def.t) =
   match def.View_def.source with
   | View_def.Single { table; _ } -> heap_scan_seq t txn table
   | View_def.Join { left; right; left_col; right_col; _ } -> (
       match txn with
-      | None ->
-          Ivdb_exec.Iter.hash_join ~left_key:[| left_col |]
-            ~right_key:[| right_col |] (heap_scan_seq t None left)
-            (heap_scan_seq t None right)
-      | Some tx when Txn.snapshot_of tx <> None ->
-          (* both sides read lock-free at the snapshot; no index probing *)
-          Ivdb_exec.Iter.hash_join ~left_key:[| left_col |]
-            ~right_key:[| right_col |] (heap_scan_seq t txn left)
-            (heap_scan_seq t txn right)
-      | Some _ ->
+      | Some tx when Txn.snapshot_of tx = None ->
           heap_scan_seq t txn left
           |> Seq.concat_map (fun lrow ->
                  index_probe t txn ~table:right ~col:right_col lrow.(left_col)
-                 |> Seq.map (fun rrow -> Array.append lrow rrow)))
+                 |> Seq.map (fun rrow -> Array.append lrow rrow))
+      | _ ->
+          (* unlocked, or lock-free at the snapshot: no index probing *)
+          hash_join ~left_key:[| left_col |] ~right_key:[| right_col |]
+            (heap_scan_seq t txn left) (heap_scan_seq t txn right))
 
 (* --- runtime registration -------------------------------------------------- *)
 
@@ -656,7 +660,6 @@ let bare ?(config = default_config) ?(role = Primary) ?trace ~metrics ~disk ~wal
       row_lock_counts = Hashtbl.create 32;
       shard = None;
       indoubt_2pc = Hashtbl.create 8;
-      decided_2pc = Hashtbl.create 32;
       last_decided = None;
     }
   in
@@ -922,8 +925,6 @@ let view t name =
   | Some m -> m.Catalog.vw_id
   | None -> raise Not_found
 
-let table_name t tid = (table_rt t tid).meta.Catalog.tb_name
-
 let list_tables t =
   List.map (fun (m : Catalog.table_meta) -> m.Catalog.tb_name) (Catalog.tables t.catalog)
 
@@ -1079,12 +1080,7 @@ let set_shard t ~shard ~shards =
 
 let shard_info t = t.shard
 
-let gtxn_status t gtxn =
-  if Hashtbl.mem t.indoubt_2pc gtxn then `Prepared
-  else
-    match Hashtbl.find_opt t.decided_2pc gtxn with
-    | Some c -> `Decided c
-    | None -> `Unknown
+let gtxn_status t gtxn = if Hashtbl.mem t.indoubt_2pc gtxn then `Prepared else `Unknown
 
 (* 2PC phase 1 on a participant: force a Prepare record. The transaction
    keeps all its locks; its handle moves from the session into the
@@ -1092,34 +1088,28 @@ let gtxn_status t gtxn =
    after a crash, via recovery's in-doubt resurrection). *)
 let prepare_2pc t tx ~gtxn =
   reject_writes t;
-  (match gtxn_status t gtxn with
-  | `Unknown -> ()
-  | `Prepared | `Decided _ ->
-      invalid_arg ("Database.prepare_2pc: duplicate gtxn " ^ gtxn));
+  if gtxn_status t gtxn = `Prepared then
+    invalid_arg ("Database.prepare_2pc: duplicate gtxn " ^ gtxn);
   Txn.prepare t.tmgr tx ~gtxn;
   Hashtbl.replace t.indoubt_2pc gtxn tx;
   Metrics.inc t.m_prepared
 
-(* 2PC phase 2: idempotent against retransmits. An unknown gtxn with an
-   abort decision is presumed-abort (this shard never prepared it, or its
-   dedupe memory outlived the decision). An unknown gtxn with a commit
-   decision is one this shard already committed: a coordinator decides
-   commit only after every vote, so this shard forced a Prepare for it,
-   and that record leaves the log (and with it the dedupe memory a
-   restart rebuilds) only once the transaction has finished. *)
+(* 2PC phase 2: idempotent against retransmits without remembering any
+   decided gtxn. Only an in-doubt gtxn is acted on. An unknown gtxn with a
+   commit decision is one this shard already committed: a coordinator
+   decides commit only after every vote, so this shard prepared it, and it
+   leaves the in-doubt table only by being decided. An unknown gtxn with
+   an abort decision is presumed-abort: this shard never prepared it, or
+   already rolled it back. *)
 let decide_2pc t ~gtxn ~committed =
   match Hashtbl.find_opt t.indoubt_2pc gtxn with
   | Some tx ->
       Hashtbl.remove t.indoubt_2pc gtxn;
       if committed then Txn.commit t.tmgr tx else Txn.abort t.tmgr tx;
-      Hashtbl.replace t.decided_2pc gtxn committed;
       t.last_decided <- Some gtxn;
       Metrics.inc t.m_decided;
       `Applied
-  | None -> (
-      match Hashtbl.find_opt t.decided_2pc gtxn with
-      | Some _ -> `Duplicate
-      | None -> if committed then `Duplicate else `Presumed_abort)
+  | None -> if committed then `Duplicate else `Presumed_abort
 
 let indoubt_gtxns t =
   Hashtbl.fold (fun g tx acc -> (g, Txn.id tx) :: acc) t.indoubt_2pc []
@@ -1238,10 +1228,6 @@ let crash old =
           Hashtbl.replace t.indoubt_2pc d.Recovery.id_gtxn tx)
         analysis.Recovery.indoubt;
       Metrics.inc_by t.m_indoubt (List.length analysis.Recovery.indoubt);
-      (* every stable decision rebuilds the retransmit-dedupe memory *)
-      List.iter
-        (fun (gtxn, committed) -> Hashtbl.replace t.decided_2pc gtxn committed)
-        analysis.Recovery.decisions;
       checkpoint t
   | Follower ->
       (* "losers" here are the primary's transactions still in flight at
@@ -1521,13 +1507,11 @@ module Internal = struct
   let ix_unique ix = ix.imeta.Catalog.ix_unique
   let ix_tree ix = ix.itree
   let view_rt = view_rt
-  let view_rts t = Hashtbl.fold (fun _ rt acc -> rt :: acc) t.views_rt []
   let note_ghost = note_ghost
   let note_index_ghost = note_index_ghost
   let index_entry_live = index_entry_live
   let index_entry_ghost_of = index_entry_ghost_of
   let index_entry_is_ghost = index_entry_is_ghost
-  let index_entry_payload = index_entry_payload
   let encode_rid_payload = encode_rid_payload
   let index_key = index_key
   let inflight t = t.inflight

@@ -212,7 +212,6 @@ val join_schema : t -> table -> table -> Ivdb_relation.Schema.t
 (** Concatenated schema used by join-view expressions (right-side duplicate
     names get an ["r."] prefix). *)
 
-val table_name : t -> table -> string
 val list_tables : t -> string list
 
 val indexed_columns : t -> table -> (string * string) list
@@ -283,21 +282,24 @@ val shard_info : t -> (int * int) option
 val prepare_2pc : t -> Ivdb_txn.Txn.t -> gtxn:string -> unit
 (** 2PC phase 1: force a [Prepare] WAL record and move the transaction
     into the in-doubt table (it keeps all its locks; the caller must stop
-    using the handle). Raises [Invalid_argument] on a duplicate gtxn —
-    callers dedupe with {!gtxn_status} first. *)
+    using the handle). Raises [Invalid_argument] if [gtxn] is already in
+    doubt — callers check {!gtxn_status} first. *)
 
-val gtxn_status : t -> string -> [ `Unknown | `Prepared | `Decided of bool ]
+val gtxn_status : t -> string -> [ `Unknown | `Prepared ]
+(** [`Prepared] while [gtxn] is in the in-doubt table, else [`Unknown].
+    The shard keeps nothing about a gtxn once it is decided. *)
 
 val decide_2pc :
   t -> gtxn:string -> committed:bool -> [ `Applied | `Duplicate | `Presumed_abort ]
 (** 2PC phase 2: commit or roll back the prepared transaction; its
-    Commit or Abort record is the logged decision. Idempotent: a
-    retransmit for an already-decided gtxn returns [`Duplicate]; an
-    unknown gtxn with an abort decision is [`Presumed_abort] (no-op). An
-    unknown gtxn with a commit decision is also [`Duplicate]: the
-    coordinator decides commit only after this shard's forced Prepare,
-    and a restart forgets the gtxn only once the checkpoint has truncated
-    that Prepare and its Commit, i.e. after the transaction finished. *)
+    Commit or Abort record is the logged decision. Idempotent without a
+    per-gtxn memory: a gtxn that is not in doubt is answered by rule. A
+    commit is [`Duplicate] (no-op): the coordinator decides commit only
+    after this shard's forced Prepare, and a prepared gtxn leaves the
+    in-doubt table only by being decided. An abort is [`Presumed_abort]
+    (no-op): the shard never prepared it, or already rolled it back.
+    The rule assumes gtxn ids are unique across every coordinator that
+    uses this shard; the shard does not check it. *)
 
 val indoubt_gtxns : t -> (string * int) list
 (** Prepared-but-undecided transactions: (gtxn, local txn id), sorted. *)
@@ -382,14 +384,12 @@ module Internal : sig
   val lock_row :
     t -> Ivdb_txn.Txn.t -> int -> Ivdb_storage.Heap_file.rid -> Ivdb_lock.Lock_mode.t -> unit
 
-  val view_rts : t -> Ivdb_core.Maintain.runtime list
   val note_ghost : t -> Ivdb_txn.Txn.t -> int -> Ivdb_storage.Heap_file.rid -> unit
   val note_index_ghost : t -> Ivdb_txn.Txn.t -> int -> string -> unit
 
   val index_entry_live : string -> string
   val index_entry_ghost_of : string -> string
   val index_entry_is_ghost : string -> bool
-  val index_entry_payload : string -> string
   val encode_rid_payload : Ivdb_storage.Heap_file.rid -> string
 
   val index_key :

@@ -105,7 +105,6 @@ let sup a b =
     recompose (gap_sup ag bg, key_sup ak bk)
 
 let covers ~held ~req = sup held req = held
-let is_range m = match m with RangeS_S | RangeS_U | RangeI_N | RangeX_X -> true | _ -> false
 
 let to_string = function
   | N -> "N"

@@ -41,6 +41,5 @@ val sup : t -> t -> t
 val covers : held:t -> req:t -> bool
 (** [true] iff holding [held] already grants [req]. *)
 
-val is_range : t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

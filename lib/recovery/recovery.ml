@@ -20,7 +20,6 @@ type analysis = {
   max_txn_id : int;
   stable_records : int;
   indoubt : indoubt_txn list;
-  decisions : (string * bool) list;
 }
 
 let analyze wal =
@@ -43,20 +42,11 @@ let analyze wal =
      coordinator — it is in-doubt (locks held across restart) rather
      than a loser. Its own Commit or Abort record is the decision: a
      stable Commit makes it a winner, a stable Abort an ordinary loser
-     (the rollback may not have finished), and either one gives the
-     dedupe list its gtxn's outcome. *)
+     (the rollback may not have finished). *)
   let prepared : (int, string * Log_record.lsn) Hashtbl.t =
     Hashtbl.create 8
   in
   let first_lsn : (int, Log_record.lsn) Hashtbl.t = Hashtbl.create 16 in
-  let decisions = ref [] in
-  let decide txn committed =
-    match Hashtbl.find_opt prepared txn with
-    | Some (gtxn, _) ->
-        decisions := (gtxn, committed) :: !decisions;
-        if not committed then Hashtbl.remove prepared txn
-    | None -> ()
-  in
   (* seed from the governing checkpoint *)
   if ckpt_lsn <> Log_record.nil_lsn then begin
     match (Wal.get wal ckpt_lsn).Log_record.body with
@@ -72,10 +62,8 @@ let analyze wal =
       let txn = r.Log_record.txn in
       if txn > !max_txn then max_txn := txn;
       (match r.Log_record.body with
-      | Log_record.Commit ->
-          Hashtbl.replace committed txn ();
-          decide txn true
-      | Log_record.Abort -> decide txn false
+      | Log_record.Commit -> Hashtbl.replace committed txn ()
+      | Log_record.Abort -> Hashtbl.remove prepared txn
       | Log_record.Begin _ ->
           if not (Hashtbl.mem first_lsn txn) then
             Hashtbl.replace first_lsn txn lsn
@@ -142,7 +130,6 @@ let analyze wal =
     max_txn_id = !max_txn;
     stable_records = !nrec;
     indoubt;
-    decisions = List.rev !decisions;
   }
 
 type redo_result = { applied : int; torn_pages : int list }
@@ -161,7 +148,6 @@ module Redo = struct
   }
 
   let create pool ~next = { pool; next; applied = 0 }
-  let next_lsn t = t.next
   let applied t = t.applied
 
   let apply t r =

@@ -43,10 +43,6 @@ type analysis = {
           after it: these hold their locks across restart until a
           coordinator decision is (re-)delivered. A prepared transaction
           with a stable Abort is in [losers] instead. *)
-  decisions : (string * bool) list;
-      (** the outcomes of prepared transactions, for the retransmit
-          dedupe: (gtxn of the Prepare record, committed), one per stable
-          Commit or Abort record that follows a Prepare, in log order *)
 }
 
 val analyze : Ivdb_wal.Wal.t -> analysis
@@ -74,10 +70,8 @@ module Redo : sig
       exceeds the page's LSN are applied and stamped; other bodies only
       advance the position. Allocates pages the local disk has never
       seen. Raises [Invalid_argument] if the record's LSN is not exactly
-      {!next_lsn} — shipped batches must be dense and in order. *)
-
-  val next_lsn : t -> Ivdb_wal.Log_record.lsn
-  (** The LSN {!apply} expects next (= 1 + the last applied LSN). *)
+      the one after the last applied — shipped batches must be dense and
+      in order. *)
 
   val applied : t -> int
   (** Page diffs applied through this state since [create]. *)

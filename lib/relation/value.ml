@@ -45,11 +45,6 @@ let neg = function
   | Float x -> Float (-.x)
   | _ -> invalid_arg "Value.neg: non-numeric operand"
 
-let zero_of = function
-  | TInt -> Int 0
-  | TFloat -> Float 0.
-  | TStr | TBool -> invalid_arg "Value.zero_of: non-numeric type"
-
 let to_int = function Int x -> x | _ -> invalid_arg "Value.to_int"
 
 let to_float = function

@@ -30,9 +30,6 @@ val div : t -> t -> t
 (** Numeric division; always yields [Float] (or [Null] when either operand
     is [Null] or the divisor is zero — SQL-style rather than raising). *)
 
-val zero_of : ty -> t
-(** Additive identity for numeric types; raises on [TStr]/[TBool]. *)
-
 val to_int : t -> int
 (** Raises [Invalid_argument] unless [Int]. *)
 

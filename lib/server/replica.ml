@@ -73,8 +73,6 @@ let status t = t.status
 let batches t = t.batches
 let reconnects t = t.reconnects
 let last_error t = t.last_error
-let primary_flushed t = t.primary_flushed
-let primary_committed t = t.primary_committed
 let backoff t = t.backoff
 
 (* Lag is measured against the primary's *commit* horizon, not its raw

@@ -57,9 +57,6 @@ val lag : t -> int
     connected) — an open transaction on the primary does not count as
     lag, since its records are not readable anywhere yet. *)
 
-val primary_flushed : t -> int
-val primary_committed : t -> int
-
 val backoff : t -> int
 (** Current redial delay in scheduler ticks: doubles (capped at 64) after
     each session that delivered nothing, resets to 1 after a healthy

@@ -82,7 +82,6 @@ type t = {
   listener : Transport.listener;
   config : config;
   mutable inflight : int;
-  mutable started : int;
   mutable next_session : int;
   sessions : (int, sess) Hashtbl.t;
   slow : slow Queue.t; (* bounded ring, oldest first *)
@@ -91,7 +90,6 @@ type t = {
       (* on a follower's server: the local replication driver, so
          sys.replication shows the follower row before promotion and the
          Promote frame can stop the driver first *)
-  mutable sys_ext : (Sql.session -> unit) list; (* extra sys.* installers *)
   (* metric handles resolved once at create *)
   m_accepted : Metrics.counter;
   m_shed : Metrics.counter;
@@ -112,13 +110,11 @@ let make ?(config = default_config) ~metrics:m ~trace backend listener =
     listener;
     config;
     inflight = 0;
-    started = 0;
     next_session = 1;
     sessions = Hashtbl.create 16;
     slow = Queue.create ();
     replicas = Hashtbl.create 4;
     attached = None;
-    sys_ext = [];
     m_accepted = Metrics.counter m "server.accepted";
     m_shed = Metrics.counter m "server.shed";
     m_requests = Metrics.counter m "server.requests";
@@ -140,7 +136,6 @@ let create_sessions ?config ~metrics ~trace open_session listener =
 let drain t = t.listener.stop ()
 let draining t = t.listener.stopped ()
 let inflight t = t.inflight
-let sessions_started t = t.started
 
 let slow_queries t = List.of_seq (Queue.to_seq t.slow)
 
@@ -222,12 +217,10 @@ let replication_rows t db () =
 let register_sys t session =
   Sql.add_sys_provider session "sys.server_sessions" (sessions_rows t);
   Sql.add_sys_provider session "sys.slow_queries" (slow_rows t);
-  (match t.backend with
+  match t.backend with
   | Engine db -> Sql.add_sys_provider session "sys.replication" (replication_rows t db)
-  | Sessions _ -> ());
-  List.iter (fun install -> install session) (List.rev t.sys_ext)
+  | Sessions _ -> ()
 
-let add_sys t install = t.sys_ext <- install :: t.sys_ext
 let attach_replica t r = t.attached <- Some r
 
 let replicas t =
@@ -501,11 +494,10 @@ and engine_frame t io se frame =
   | Wire.Prepare { seq; rid; gtxn }, Some (db, session) ->
       Metrics.inc t.m_requests;
       let reply =
-        (* idempotence first: a coordinator retransmit after reconnect must
-           be answered from the dedupe tables, never re-executed *)
+        (* idempotence first: a resend for a gtxn already in doubt is
+           answered from the in-doubt table, never re-executed *)
         match Database.gtxn_status db gtxn with
         | `Prepared -> Wire.Prepared { seq; gtxn }
-        | `Decided committed -> Wire.Decided { seq; gtxn; committed }
         | `Unknown -> (
             (* a No vote rolls the participant back *)
             let no code text =
@@ -527,7 +519,6 @@ and engine_frame t io se frame =
       (let outcome =
          match reply with
          | Wire.Prepared _ -> "prepared"
-         | Wire.Decided _ -> "decided"
          | _ -> "no"
        in
        trace_emit t (Trace.Twopc_prepare { conn = conn.id; gtxn; rid; outcome }));
@@ -633,7 +624,6 @@ let admit t conn =
   end
   else begin
     t.inflight <- t.inflight + 1;
-    t.started <- t.started + 1;
     Metrics.inc t.m_accepted;
     Metrics.record t.h_inflight t.inflight;
     trace_emit t (Trace.Net_accept { conn = conn.Transport.id });

@@ -116,20 +116,11 @@ val draining : t -> bool
 val inflight : t -> int
 (** Sessions currently admitted and not yet closed. *)
 
-val sessions_started : t -> int
-(** Total sessions ever admitted (shed connections excluded). *)
-
 val register_sys : t -> Ivdb_sql.Sql.session -> unit
 (** Attach this server's live [sys.server_sessions] / [sys.slow_queries] /
-    [sys.replication] providers — plus any {!add_sys} extensions — to an
-    arbitrary SQL session, e.g. a local admin REPL sharing the server's
-    database in-process. Wire sessions get this automatically at
-    handshake. *)
-
-val add_sys : t -> (Ivdb_sql.Sql.session -> unit) -> unit
-(** [add_sys t install] registers an extra per-session installer run on
-    every subsequent handshake (and by {!register_sys}). Lets a binary
-    override or extend the sys.* catalog. *)
+    [sys.replication] providers to an arbitrary SQL session, e.g. a local
+    admin REPL sharing the server's database in-process. Wire sessions get
+    this automatically at handshake. *)
 
 val attach_replica : t -> Replica.t -> unit
 (** On a follower's server: register the local replication driver. While

@@ -93,31 +93,3 @@ and pp_agg ppf = function
   | Min e -> Format.fprintf ppf "MIN(%a)" pp_expr e
   | Max e -> Format.fprintf ppf "MAX(%a)" pp_expr e
   | Avg e -> Format.fprintf ppf "AVG(%a)" pp_expr e
-
-let rec pp_stmt ppf = function
-  | Create_table { t_name; cols } ->
-      Format.fprintf ppf "CREATE TABLE %s (%d cols)" t_name (List.length cols)
-  | Create_index { i_name; on_table; col; unique } ->
-      Format.fprintf ppf "CREATE %sINDEX %s ON %s(%s)"
-        (if unique then "UNIQUE " else "")
-        i_name on_table col
-  | Create_view { v_name; _ } -> Format.fprintf ppf "CREATE VIEW %s" v_name
-  | Insert { into; rows } ->
-      Format.fprintf ppf "INSERT INTO %s (%d rows)" into (List.length rows)
-  | Delete { from_t; _ } -> Format.fprintf ppf "DELETE FROM %s" from_t
-  | Update { table; _ } -> Format.fprintf ppf "UPDATE %s" table
-  | Select s -> Format.fprintf ppf "SELECT ... FROM %s" s.from
-  | Explain s -> Format.fprintf ppf "EXPLAIN SELECT ... FROM %s" s.from
-  | Explain_analyze s ->
-      Format.fprintf ppf "EXPLAIN ANALYZE SELECT ... FROM %s" s.from
-  | Explain_write w -> Format.fprintf ppf "EXPLAIN %a" pp_stmt w
-  | Begin { read_only } ->
-      Format.fprintf ppf "BEGIN%s" (if read_only then " READ ONLY" else "")
-  | Commit -> Format.fprintf ppf "COMMIT"
-  | Rollback -> Format.fprintf ppf "ROLLBACK"
-  | Savepoint n -> Format.fprintf ppf "SAVEPOINT %s" n
-  | Rollback_to n -> Format.fprintf ppf "ROLLBACK TO %s" n
-  | Checkpoint -> Format.fprintf ppf "CHECKPOINT"
-  | Show `Tables -> Format.fprintf ppf "SHOW TABLES"
-  | Show `Views -> Format.fprintf ppf "SHOW VIEWS"
-  | Show `Metrics -> Format.fprintf ppf "SHOW METRICS"

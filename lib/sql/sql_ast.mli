@@ -74,4 +74,3 @@ type stmt =
   | Show of [ `Tables | `Views | `Metrics ]
 
 val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit

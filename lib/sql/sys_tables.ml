@@ -273,7 +273,6 @@ let coord_shards_header =
     "prepares";
     "decides";
     "outstanding";
-    "dedupe_hits";
     "reconnects";
   ]
 

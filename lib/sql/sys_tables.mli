@@ -18,12 +18,6 @@ val server_sessions_header : string list
 val slow_queries_header : string list
 (** Likewise for [sys.slow_queries]. *)
 
-val shards_header : string list
-(** Column names of [sys.shards]. An unsharded engine resolves to zero
-    rows; a participant shard reports its own slot, in-doubt count and
-    last decided gtxn; the coordinator overrides the table per session
-    with one row per shard of the cluster. *)
-
 val replication_header : string list
 (** Column names of [sys.replication]. A standalone database is not
     replicating, so the built-in resolution returns zero rows; the
@@ -41,8 +35,7 @@ val gtxns_header : string list
 val coord_shards_header : string list
 (** Column names of [sys.coord_shards] — per-shard health as seen from
     the coordinator (last contact tick, prepare/decide traffic,
-    outstanding decisions, dedupe hits, reconnects). Zero rows on a
-    plain engine. *)
+    outstanding decisions, reconnects). Zero rows on a plain engine. *)
 
 val cluster_metrics_header : string list
 (** Column names of [sys.cluster_metrics] — every shard's [sys.metrics]

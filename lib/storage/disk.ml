@@ -122,6 +122,5 @@ let is_torn t id =
 let reset_page t id =
   Hashtbl.replace t.pages id (stamped (Page.alloc ()))
 
-let page_count t = Hashtbl.length t.pages
 let max_page_id t = Hashtbl.fold (fun id _ acc -> max id acc) t.pages 0
 let bump_alloc t id = if id >= t.next_id then t.next_id <- id + 1

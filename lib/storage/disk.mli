@@ -71,9 +71,6 @@ val reset_page : t -> int -> unit
     torn-page policy, sound because the retained log replays the page's
     full diff history. *)
 
-val page_count : t -> int
-(** Number of pages ever written. *)
-
 val max_page_id : t -> int
 
 val bump_alloc : t -> int -> unit

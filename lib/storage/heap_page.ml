@@ -40,8 +40,6 @@ let get_any p i =
   | `Live off | `Ghost off -> Some (read_cell p off)
   | `Empty -> None
 
-let is_ghost p i = match slot_state p i with `Ghost _ -> true | _ -> false
-
 let cell_bytes p i =
   match slot_state p i with
   | `Live off | `Ghost off -> 2 + B.get_u16 p off

@@ -25,9 +25,6 @@ val set_next : Page_writer.t -> int -> unit
 
 val nslots : bytes -> int
 
-val max_record : int
-(** Largest record this layout can store in an empty page. *)
-
 val insert : Page_writer.t -> string -> int option
 (** [insert page record] returns the slot, or [None] if the record does not
     fit even after compaction. Ghost slots are not reused. Raises
@@ -42,8 +39,6 @@ val revive : Page_writer.t -> int -> bool
 
 val free_ghost : Page_writer.t -> int -> bool
 (** Physically reclaim a ghost slot; [false] if the slot is not a ghost. *)
-
-val is_ghost : bytes -> int -> bool
 
 val get : bytes -> int -> string option
 (** Live records only. *)

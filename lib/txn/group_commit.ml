@@ -69,11 +69,6 @@ let create ~wal ~mode ?trace metrics =
 
 let set_mode t m = t.mode <- m
 
-let mode_to_string = function
-  | Sync -> "sync"
-  | Group _ -> "group"
-  | Async -> "async"
-
 (* Force once up to the highest pending LSN and wake the whole batch. Runs
    inside the coordinator fiber; nothing yields between draining the queue
    and waking, so a batch is a consistent snapshot of the waiters. *)

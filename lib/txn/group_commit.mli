@@ -36,7 +36,6 @@ val create :
     force emits one [commit.batch_flush] event. *)
 
 val set_mode : t -> mode -> unit
-val mode_to_string : mode -> string
 
 val commit_durable : t -> lsn:Ivdb_wal.Log_record.lsn -> unit
 (** Make the log stable up to [lsn] according to the configured mode. In

@@ -169,7 +169,6 @@ let begin_snapshot mgr =
 
 let id t = t.tid
 let status t = t.tstatus
-let is_system t = t.system
 let last_lsn t = t.tlast_lsn
 let first_lsn t = t.tfirst_lsn
 let snapshot_of t = t.tsnapshot
@@ -203,7 +202,6 @@ let lock_instant mgr t name mode =
     raise (Conflict { txn = victim; reason = "deadlock victim" })
 
 let note_delta t = t.tdeltas <- t.tdeltas + 1
-let set_abort_reason t reason = t.tabort_reason <- Some reason
 
 let stamp_pages mgr lsn diffs =
   List.iter (fun (pid, _) -> Bufpool.stamp mgr.mpool pid (Int64.of_int lsn)) diffs

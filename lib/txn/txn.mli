@@ -74,7 +74,6 @@ val mvcc : mgr -> Mvcc.t
 
 val id : t -> int
 val status : t -> status
-val is_system : t -> bool
 val last_lsn : t -> Ivdb_wal.Log_record.lsn
 val first_lsn : t -> Ivdb_wal.Log_record.lsn
 
@@ -150,8 +149,6 @@ val checkpoint : mgr -> catalog:string -> unit
 (** Fuzzy checkpoint: logs the transaction table, the dirty-page table, and
     the catalog snapshot, then forces the log. *)
 
-val active_txns : mgr -> (int * Ivdb_wal.Log_record.lsn) list
-
 (** {1 Introspection}
 
     Point-in-time transaction descriptions for [sys.transactions]. Active
@@ -181,10 +178,6 @@ val recent_info : mgr -> info list
 val note_delta : t -> unit
 (** Count one view-maintenance delta against the transaction (called by
     the maintenance layer). *)
-
-val set_abort_reason : t -> string -> unit
-(** Record why the transaction is being aborted, surfaced in
-    [sys.transactions]. Deadlock victims get this set automatically. *)
 
 (** First LSN of every active transaction — a lower bound on how far undo
     may have to walk, hence on log truncation. *)

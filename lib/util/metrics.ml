@@ -109,9 +109,6 @@ let hist_mean t name =
   let n = hist_count t name in
   if n = 0 then 0. else float_of_int (hist_total t name) /. float_of_int n
 
-let hist_max t name =
-  List.fold_left (fun acc (v, _) -> max acc v) 0 (hist_snapshot t name)
-
 let percentile_cells cells p =
   let total = List.fold_left (fun acc (_, c) -> acc + c) 0 cells in
   if total = 0 then 0

@@ -68,14 +68,8 @@ val hist_diff :
 val hist_count : t -> string -> int
 (** Total observations. *)
 
-val hist_total : t -> string -> int
-(** Sum of observed values. *)
-
 val hist_mean : t -> string -> float
 (** 0. when empty. *)
-
-val hist_max : t -> string -> int
-(** Largest observed value; 0 when empty. *)
 
 val percentile_cells : (int * int) list -> float -> int
 (** Nearest-rank percentile over (value, count) cells, e.g. from

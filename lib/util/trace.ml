@@ -197,10 +197,6 @@ let to_json r =
   Printf.sprintf {|{"seq": %d, "tick": %d, "fiber": %d, "ev": "%s", %s}|} r.seq
     r.tick r.fiber (event_name r.event) (event_fields r.event)
 
-let pp_record ppf r =
-  Format.fprintf ppf "[%6d] t=%-6d f=%-3d %-20s %s" r.seq r.tick r.fiber
-    (event_name r.event) (event_fields r.event)
-
 (* --- ring-buffer sink ----------------------------------------------------- *)
 
 module Ring = struct

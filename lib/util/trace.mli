@@ -67,9 +67,9 @@ type event =
   | Coord_decide of { gtxn : string; rid : int; shard : int; committed : bool }
       (** Decide delivered to [shard] *)
   | Twopc_prepare of { conn : int; gtxn : string; rid : int; outcome : string }
-      (** participant side of Prepare: [outcome] is ["prepared"],
-          ["duplicate"] (dedupe hit), ["decided"] (already decided), or
-          ["no"]; [rid] is the coordinator correlation id off the frame *)
+      (** participant side of Prepare: [outcome] is ["prepared"]
+          (a resend for a gtxn already in doubt included) or ["no"];
+          [rid] is the coordinator correlation id off the frame *)
   | Twopc_decide of {
       conn : int;
       gtxn : string;
@@ -78,8 +78,8 @@ type event =
       outcome : string;
     }
       (** participant side of Decide: [outcome] is ["applied"],
-          ["duplicate"] (already decided, or a commit for an unknown
-          gtxn), or ["presumed_abort"] (an abort for an unknown gtxn) *)
+          ["duplicate"] (a commit for a gtxn not in doubt), or
+          ["presumed_abort"] (an abort for a gtxn not in doubt) *)
 
 type record = {
   seq : int;  (** emission order, dense from 0 *)
@@ -115,8 +115,6 @@ val to_json : record -> string
 (** One JSON object (no trailing newline), pure 7-bit ASCII: binary lock
     and group keys are [\uXXXX]-escaped, so the rendering is deterministic
     byte-for-byte. *)
-
-val pp_record : Format.formatter -> record -> unit
 
 (** Bounded in-memory sink: keeps the most recent [capacity] records,
     counting everything it ever saw. *)

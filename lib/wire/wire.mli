@@ -122,17 +122,17 @@ type frame =
           this round, echoed into the participant's [Twopc_prepare] trace
           event so shard-side activity joins the coordinator's stream.
           Answered with [Prepared] (vote yes) or [Err] (vote no — the
-          transaction was rolled back, or the session had none open). Re-sending a [Prepare] for a gtxn the shard has
-          already prepared or decided is answered idempotently from the
-          participant's dedupe tables, never re-executed. *)
+          transaction was rolled back, or the session had none open).
+          Re-sending a [Prepare] for a gtxn the shard holds in doubt is
+          answered [Prepared] from its in-doubt table, never re-executed. *)
   | Prepared of { seq : int; gtxn : string }
   | Decide of { seq : int; rid : int; gtxn : string; committed : bool }
       (** 2PC phase 2: the coordinator's logged decision. Idempotent —
-          a retransmit for an already-decided gtxn just re-acks, as does
-          a commit for an unknown gtxn (one the shard already finished and
-          truncated); an unknown gtxn with [committed = false] is
-          presumed-abort. [rid]
-          correlates like [Prepare.rid] (0 on recovery re-delivery). *)
+          the shard keeps no memory of decided gtxns, so a gtxn not in
+          doubt is answered by rule: a commit just re-acks (the shard
+          already committed it), and [committed = false] is
+          presumed-abort. [rid] correlates like [Prepare.rid] (0 on
+          recovery re-delivery). *)
   | Decided of { seq : int; gtxn : string; committed : bool }
   | Bye
 
@@ -155,10 +155,8 @@ val decode : string -> frame
 
 (** {1 Framing} *)
 
-val write_framed : Buffer.t -> frame -> unit
-(** Append [u32 length | u32 checksum | payload]. *)
-
 val to_framed : frame -> string
+(** [u32 length | u32 checksum | payload]. *)
 
 type decode_result =
   | Frame of frame * int

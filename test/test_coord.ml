@@ -4,7 +4,8 @@
    views included; join views must be co-partitioned), sys.shards
    through both paths, the coordinator-crash-at-every-action sweep, the
    participant-crash-at-every-force-point sweep (clean and torn tail),
-   and the prepare/decide retransmit dedupe regression.
+   and the prepare/decide retransmit regressions: a shard answers a
+   re-sent frame exactly once while keeping no memory of decided gtxns.
 
    The crash sweeps follow the repo's standard shape: run a scripted
    workload once unarmed to size the sweep, then re-run it once per
@@ -616,7 +617,7 @@ let test_participant_crash_sweep () =
       (Printf.sprintf "torn participant crash at force %d" k)
   done
 
-(* --- retransmit dedupe -------------------------------------------------- *)
+(* --- retransmits ------------------------------------------------------- *)
 
 (* A dialer whose connections can be told to die right before
    delivering the next reply: the request reaches the server, the
@@ -663,11 +664,9 @@ let test_retransmit_dedupe () =
          ignore (Client.prepare_2pc cl ~gtxn:"g:1");
          Alcotest.fail "expected Disconnected"
        with Client.Disconnected _ -> ());
-      (* the coordinator-style resend is answered from the dedupe
+      (* the coordinator-style resend is answered from the in-doubt
          table on a fresh session — not re-executed *)
-      (match Client.prepare_2pc cl ~gtxn:"g:1" with
-      | `Prepared -> ()
-      | `Already_decided _ -> Alcotest.fail "not decided yet");
+      Client.prepare_2pc cl ~gtxn:"g:1";
       check Alcotest.int "prepared exactly once" 1
         (Metrics.get (Database.metrics db) "shard.prepared");
       (* same for the decision: the ack dies, the resend is a no-op *)
@@ -680,8 +679,16 @@ let test_retransmit_dedupe () =
       check Alcotest.int "committed exactly once" 1
         (List.length (rows (Client.exec cl "SELECT k FROM t")));
       check Alcotest.int "nothing left in doubt" 0 (Database.indoubt_count db);
-      Alcotest.(check bool) "decision remembered" true
-        (Database.gtxn_status db "g:1" = `Decided true);
+      (* the shard keeps nothing once the gtxn is decided: a third commit
+         Decide is a duplicate by rule and changes nothing *)
+      Alcotest.(check bool) "decided gtxn forgotten" true
+        (Database.gtxn_status db "g:1" = `Unknown);
+      Alcotest.(check bool) "third commit Decide is a duplicate" true
+        (Database.decide_2pc db ~gtxn:"g:1" ~committed:true = `Duplicate);
+      check Alcotest.int "the duplicate changed no rows" 1
+        (List.length (rows (Client.exec cl "SELECT k FROM t")));
+      check Alcotest.int "decided exactly once" 1
+        (Metrics.get (Database.metrics db) "shard.decided");
       Alcotest.(check bool) "two reconnects behind the retries" true
         (Client.reconnects cl = 2);
       Client.close cl;
@@ -1006,8 +1013,10 @@ let test_indoubt_gauge_is_shared () =
 (* A participant's decision is its own Commit or Abort record. One
    prepared transaction is decided commit and the crash lands after its
    Commit force; another is decided abort and the crash lands with its
-   Abort record stable but its rollback not. Both restart settled, not
-   in doubt, and answer a retransmitted Decide as a duplicate. *)
+   Abort record stable but its rollback not. Both restart settled and not
+   in doubt. The shard remembers neither gtxn: a re-sent commit is a
+   duplicate and a re-sent abort is presumed-abort, and neither appends a
+   log record or changes a row. *)
 let test_participant_outcomes_survive_restart () =
   let db = Database.create () in
   let s = Sql.session db in
@@ -1049,17 +1058,18 @@ let test_participant_outcomes_survive_restart () =
       match r.Log_record.body with
       | Log_record.Decision _ -> Alcotest.fail "a participant logged a Decision"
       | _ -> ());
+  let appends () = Metrics.get (Database.metrics db) "log.append" in
+  let count () = List.length (rows (Sql.exec (Sql.session db) "SELECT k FROM t")) in
+  check Alcotest.int "only the committed row survived" 1 (count ());
+  let a0 = appends () in
   List.iter
-    (fun (gtxn, committed) ->
+    (fun (gtxn, committed, answer) ->
       Alcotest.(check bool)
-        (gtxn ^ " outcome remembered") true
-        (Database.gtxn_status db gtxn = `Decided committed);
-      Alcotest.(check bool)
-        (gtxn ^ " retransmit is a duplicate") true
-        (Database.decide_2pc db ~gtxn ~committed = `Duplicate))
-    [ ("g:commit", true); ("g:abort", false) ];
-  check Alcotest.int "only the committed row survived" 1
-    (List.length (rows (Sql.exec (Sql.session db) "SELECT k FROM t")))
+        (gtxn ^ " re-sent is answered by rule") true
+        (Database.decide_2pc db ~gtxn ~committed = answer))
+    [ ("g:commit", true, `Duplicate); ("g:abort", false, `Presumed_abort) ];
+  check Alcotest.int "the re-sends appended nothing" 0 (appends () - a0);
+  check Alcotest.int "the re-sends changed no rows" 1 (count ())
 
 (* --- cluster observability: sys.gtxns, trace, wire catalogs ------------ *)
 
@@ -1236,8 +1246,8 @@ let test_catalogs_over_wire () =
           (* sys.coord_shards: one health row per shard, traffic counted *)
           (match rows (Client.exec cl "SELECT * FROM sys.coord_shards") with
           | [
-              [| Value.Int 0; Value.Str _; _; Value.Int p0; Value.Int d0; _; _; _ |];
-              [| Value.Int 1; Value.Str _; _; Value.Int p1; Value.Int d1; _; _; _ |];
+              [| Value.Int 0; Value.Str _; _; Value.Int p0; Value.Int d0; _; _ |];
+              [| Value.Int 1; Value.Str _; _; Value.Int p1; Value.Int d1; _; _ |];
             ] ->
               check Alcotest.int "prepares counted" 2 (p0 + p1);
               check Alcotest.int "decides counted" 2 (d0 + d1)
@@ -1296,7 +1306,7 @@ let test_recover_is_idempotent () =
       run_script c txns);
   let before = digest_union cl in
   (* a clean restart re-delivers every decision; participants answer
-     from their dedupe tables and nothing changes *)
+     a gtxn no longer in doubt by rule and nothing changes *)
   crash_cluster cl;
   let resolved = phase cl (fun c _ -> Coord.recover c) in
   check Alcotest.int "every started txn resolved" 2 resolved;

@@ -9,6 +9,7 @@ module Expr = Ivdb_relation.Expr
 module View_def = Ivdb_core.View_def
 module Maintain = Ivdb_core.Maintain
 module Txn = Ivdb_txn.Txn
+module Rng = Ivdb_util.Rng
 
 let check = Alcotest.check
 
@@ -541,6 +542,65 @@ let test_join_view_maintenance () =
   | None -> Alcotest.fail "customer 100 missing after delete");
   Alcotest.(check bool) "V1 join after delete" true (Workload.check_consistency db v)
 
+(* The reference test for the hash join that recomputes join views (V1's
+   oracle): [source_rows] reads a join view's rows by hash join with no
+   transaction and under a snapshot transaction. After random inserts and
+   deletes, each read must equal, as a multiset, a nested-loop join of the
+   base rows on [Value.equal]. Both sides repeat join keys, and some join
+   values are NULL (which the engine joins to NULL). *)
+let prop_join_source_rows =
+  QCheck.Test.make ~name:"join source rows = nested-loop join" ~count:40
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create seed in
+      let db = Database.create ~config () in
+      let col name = { Schema.name; ty = Value.TInt; nullable = true } in
+      let l = Database.create_table db ~name:"l" ~cols:[ col "lk"; col "a" ] in
+      let r = Database.create_table db ~name:"r" ~cols:[ col "rk"; col "b" ] in
+      Database.create_index db l ~col:"lk" ~name:"ix_l";
+      Database.create_index db r ~col:"rk" ~name:"ix_r";
+      let v =
+        Database.create_view db ~name:"jv" ~group_by:[ "a" ]
+          ~aggs:[ View_def.Sum (Expr.col (Database.join_schema db l r) "b") ]
+          ~source:
+            (Database.From_join
+               { left = l; right = r; left_col = "lk"; right_col = "rk"; where = None })
+          ~strategy:Maintain.Escrow ()
+      in
+      (* the base rows as the test wrote them: (table, rid, row) *)
+      let live = ref [] in
+      let key () = if Rng.int rng 4 = 0 then Value.Null else Value.Int (Rng.int rng 4) in
+      for _ = 1 to 30 do
+        Database.transact db (fun tx ->
+            if !live <> [] && Rng.int rng 3 = 0 then begin
+              let ((tbl, rid, _) as gone) = List.nth !live (Rng.int rng (List.length !live)) in
+              Table.delete db tx tbl rid;
+              live := List.filter (fun e -> e != gone) !live
+            end
+            else
+              let tbl = if Rng.bool rng then l else r in
+              let row = [| key (); Value.Int (Rng.int rng 3) |] in
+              live := (tbl, Table.insert db tx tbl row, row) :: !live)
+      done;
+      let side tbl = List.filter_map (fun (t, _, row) -> if t == tbl then Some row else None) !live in
+      let expect =
+        List.concat_map
+          (fun lr ->
+            List.filter_map
+              (fun rr -> if Value.equal lr.(0) rr.(0) then Some (Array.append lr rr) else None)
+              (side r))
+          (side l)
+      in
+      let multiset rows = List.sort Row.compare rows in
+      let same rows = List.equal Row.equal (multiset rows) (multiset expect) in
+      let def = Database.view_def db v in
+      let unlocked = List.of_seq (Database.Internal.source_rows db None def) in
+      let snapshot =
+        Database.transact db ~read_only:true (fun tx ->
+            if Txn.snapshot_of tx = None then Alcotest.fail "not a snapshot transaction";
+            List.of_seq (Database.Internal.source_rows db (Some tx) def))
+      in
+      same unlocked && same snapshot && Workload.check_consistency db v)
+
 (* --- baseline ------------------------------------------------------------------ *)
 
 let test_on_demand_matches_view () =
@@ -701,7 +761,11 @@ let () =
           Alcotest.test_case "NULL aggregation semantics" `Quick
             test_null_aggregation_semantics;
         ] );
-      ("join-views", [ Alcotest.test_case "maintenance" `Quick test_join_view_maintenance ]);
+      ( "join-views",
+        [
+          Alcotest.test_case "maintenance" `Quick test_join_view_maintenance;
+          QCheck_alcotest.to_alcotest prop_join_source_rows;
+        ] );
       ("baseline", [ Alcotest.test_case "on-demand matches view" `Quick test_on_demand_matches_view ]);
       ( "crash",
         [

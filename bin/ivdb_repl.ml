@@ -260,9 +260,10 @@ let () =
                        (Wire.error_code_name code) text
                  | Client.Disconnected m -> Printf.printf "disconnected: %s\n" m)
          end
-         else if Ivdb_sql.Sql_lexer.tokenize line = [ Ivdb_sql.Sql_lexer.Eof ] then
-           () (* comment-only line *)
-         else exec_line line);
+         else
+           match Ivdb_sql.Sql_lexer.tokenize line with
+           | [ Ivdb_sql.Sql_lexer.Eof ] -> () (* comment-only line *)
+           | _ | (exception Ivdb_sql.Sql_lexer.Lex_error _) -> exec_line line);
         loop ()
   in
   loop ()

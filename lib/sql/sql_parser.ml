@@ -11,14 +11,25 @@ let peek st = match st.toks with [] -> L.Eof | t :: _ -> t
 
 let advance st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
 
+(* [=] on tokens without the polymorphic compare: [eat] and [accept] run it
+   at nearly every step of a parse. *)
+let same_token (a : L.token) (b : L.token) =
+  match (a, b) with
+  | L.Kw x, L.Kw y | L.Ident x, L.Ident y | L.String x, L.String y | L.Sym x, L.Sym y ->
+      String.equal x y
+  | L.Int x, L.Int y -> Int.equal x y
+  | L.Float x, L.Float y -> x = y
+  | L.Eof, L.Eof -> true
+  | _ -> false
+
 let eat st t =
-  if peek st = t then advance st
+  if same_token (peek st) t then advance st
   else fail "expected %a, found %a" L.pp_token t L.pp_token (peek st)
 
 let eat_kw st k = eat st (L.Kw k)
 
 let accept st t =
-  if peek st = t then begin
+  if same_token (peek st) t then begin
     advance st;
     true
   end
@@ -31,12 +42,14 @@ let ident st =
       i
   | t -> fail "expected identifier, found %a" L.pp_token t
 
+let lparen_next st = match st.toks with _ :: L.Sym "(" :: _ -> true | _ -> false
+
 (* A column reference. An aggregate word not followed by "(" names the
    column a view labels with it ("sum", "min", ...). *)
 let column st =
   match peek st with
   | L.Kw ("COUNT" | "SUM" | "MIN" | "MAX" | "AVG" as k)
-    when List.nth_opt st.toks 1 <> Some (L.Sym "(") ->
+    when not (lparen_next st) ->
       advance st;
       String.lowercase_ascii k
   | _ -> ident st
@@ -73,21 +86,18 @@ and cmp_expr st =
     | L.Sym "<=" -> Some Le
     | L.Sym ">" -> Some Gt
     | L.Sym ">=" -> Some Ge
-    | L.Kw "IS" -> None (* handled below *)
     | _ -> None
   in
-  match op with
-  | Some op ->
+  match (op, peek st) with
+  | Some op, _ ->
       advance st;
       Binop (op, a, add_expr st)
-  | None ->
-      if peek st = L.Kw "IS" then begin
-        advance st;
-        let negated = accept st (L.Kw "NOT") in
-        eat_kw st "NULL";
-        if negated then Unop (Not, Is_null a) else Is_null a
-      end
-      else a
+  | None, L.Kw "IS" ->
+      advance st;
+      let negated = accept st (L.Kw "NOT") in
+      eat_kw st "NULL";
+      if negated then Unop (Not, Is_null a) else Is_null a
+  | None, _ -> a
 
 and add_expr st =
   let rec go a =
@@ -148,7 +158,7 @@ and atom st =
       eat st (L.Sym ")");
       e
   | L.Kw ("COUNT" | "SUM" | "MIN" | "MAX" | "AVG")
-    when List.nth_opt st.toks 1 = Some (L.Sym "(") ->
+    when lparen_next st ->
       Agg_ref (agg_atom st)
   | L.Ident _ | L.Kw ("COUNT" | "SUM" | "MIN" | "MAX" | "AVG") -> Column (column st)
   | t -> fail "expected expression, found %a" L.pp_token t

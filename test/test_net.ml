@@ -127,6 +127,25 @@ let test_parse_error_over_wire () =
       ignore (Client.exec cl "CREATE TABLE t (a INT NOT NULL)");
       Client.close cl)
 
+(* A number the lexer cannot read is a parse error like any other: the
+   session answers it and serves the next statement. *)
+let test_malformed_number_over_wire () =
+  let db = Database.create () in
+  with_loopback_server db (fun _srv dial ->
+      let cl = Client.connect dial in
+      ignore (Client.exec cl "CREATE TABLE t (k INT NOT NULL)");
+      List.iter
+        (fun lit ->
+          (try
+             ignore (Client.exec cl ("SELECT * FROM t WHERE k = " ^ lit));
+             Alcotest.fail "expected Server_error"
+           with Client.Server_error { code; _ } ->
+             check Alcotest.string lit "parse" (Wire.error_code_name code));
+          ignore (Client.exec cl "INSERT INTO t VALUES (1)"))
+        [ "1.2.3"; "1..2"; "99999999999999999999" ];
+      check Alcotest.int "rows" 3 (List.length (rows (Client.exec cl "SELECT k FROM t")));
+      Client.close cl)
+
 (* --- admission control ----------------------------------------------------- *)
 
 let test_admission_sheds_with_busy () =
@@ -341,6 +360,8 @@ let () =
             test_error_keeps_txn_over_wire;
           Alcotest.test_case "parse error over wire" `Quick
             test_parse_error_over_wire;
+          Alcotest.test_case "malformed number over wire" `Quick
+            test_malformed_number_over_wire;
         ] );
       ( "admission",
         [

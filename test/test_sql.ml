@@ -42,6 +42,191 @@ let test_lexer () =
   Alcotest.check_raises "bad char" (Lexer.Lex_error "unexpected character '@'")
     (fun () -> ignore (Lexer.tokenize "a @ b"))
 
+(* --- lexer vs oracle ------------------------------------------------------------ *)
+
+(* The lexer as it was before the keyword table, kept unchanged as the
+   reference the table-driven one must agree with. *)
+module Oracle = struct
+  type token = Lexer.token =
+    | Kw of string
+    | Ident of string
+    | Int of int
+    | Float of float
+    | String of string
+    | Sym of string
+    | Eof
+
+  exception Lex_error = Lexer.Lex_error
+
+  let keywords =
+    [
+      "CREATE"; "TABLE"; "INDEX"; "VIEW"; "ON"; "AS"; "SELECT"; "FROM"; "WHERE";
+      "GROUP"; "BY"; "ORDER"; "LIMIT"; "DESC"; "ASC"; "JOIN"; "INSERT"; "INTO";
+      "VALUES"; "DELETE"; "UPDATE"; "SET"; "AND"; "OR"; "NOT"; "NULL"; "IS";
+      "TRUE"; "FALSE"; "COUNT"; "SUM"; "MIN"; "MAX"; "INT"; "FLOAT"; "TEXT";
+      "BOOL"; "USING"; "ESCROW"; "EXCLUSIVE"; "DEFERRED"; "REFRESH"; "THRESHOLD";
+      "BEGIN"; "COMMIT"; "ROLLBACK"; "CHECKPOINT"; "SHOW"; "TABLES"; "VIEWS";
+      "METRICS"; "EXPLAIN"; "ANALYZE"; "AVG"; "HAVING"; "SAVEPOINT"; "TO";
+      "UNIQUE"; "READ"; "ONLY";
+    ]
+
+  let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+  let is_ident c = is_ident_start c || (c >= '0' && c <= '9')
+  let is_digit c = c >= '0' && c <= '9'
+
+  let tokenize src =
+    let n = String.length src in
+    let pos = ref 0 in
+    let toks = ref [] in
+    let push t = toks := t :: !toks in
+    while !pos < n do
+      let c = src.[!pos] in
+      if c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = ';' then incr pos
+      else if c = '-' && !pos + 1 < n && src.[!pos + 1] = '-' then begin
+        (* line comment *)
+        while !pos < n && src.[!pos] <> '\n' do
+          incr pos
+        done
+      end
+      else if is_ident_start c then begin
+        let start = !pos in
+        while !pos < n && is_ident src.[!pos] do
+          incr pos
+        done;
+        let word = String.sub src start (!pos - start) in
+        let upper = String.uppercase_ascii word in
+        if List.mem upper keywords then push (Kw upper)
+        else push (Ident (String.lowercase_ascii word))
+      end
+      else if is_digit c then begin
+        let start = !pos in
+        while !pos < n && (is_digit src.[!pos] || src.[!pos] = '.') do
+          incr pos
+        done;
+        let num = String.sub src start (!pos - start) in
+        if String.contains num '.' then push (Float (float_of_string num))
+        else push (Int (int_of_string num))
+      end
+      else if c = '\'' then begin
+        incr pos;
+        let buf = Buffer.create 16 in
+        let rec go () =
+          if !pos >= n then raise (Lex_error "unterminated string literal")
+          else if src.[!pos] = '\'' then
+            if !pos + 1 < n && src.[!pos + 1] = '\'' then begin
+              Buffer.add_char buf '\'';
+              pos := !pos + 2;
+              go ()
+            end
+            else incr pos
+          else begin
+            Buffer.add_char buf src.[!pos];
+            incr pos;
+            go ()
+          end
+        in
+        go ();
+        push (String (Buffer.contents buf))
+      end
+      else begin
+        let two = if !pos + 1 < n then String.sub src !pos 2 else "" in
+        match two with
+        | "<>" | "<=" | ">=" | "!=" ->
+            push (Sym (if two = "!=" then "<>" else two));
+            pos := !pos + 2
+        | _ -> (
+            match c with
+            | '(' | ')' | ',' | '*' | '=' | '<' | '>' | '+' | '-' | '.' | '/' ->
+                push (Sym (String.make 1 c));
+                incr pos
+            | _ -> raise (Lex_error (Printf.sprintf "unexpected character %C" c)))
+      end
+    done;
+    List.rev (Eof :: !toks)
+end
+
+let qtest = QCheck_alcotest.to_alcotest
+
+let keywords =
+  [ "CREATE"; "TABLE"; "SELECT"; "FROM"; "WHERE"; "IS"; "NULL"; "COUNT"; "AVG";
+    "CHECKPOINT"; "EXCLUSIVE"; "TO"; "ONLY"; "USING"; "ESCROW"; "LIMIT" ]
+
+(* One lexeme of random text, including the ones the lexer rejects. *)
+let gen_piece =
+  let open QCheck.Gen in
+  let mixed_case w =
+    map
+      (fun flips ->
+        String.mapi
+          (fun i c ->
+            if List.nth flips (i mod List.length flips) then Char.lowercase_ascii c else c)
+          w)
+      (list_size (int_range 1 4) bool)
+  in
+  let word_char = oneofl [ 'a'; 'q'; 'Z'; '_'; '0'; '9' ] in
+  let digits = string_size ~gen:(char_range '0' '9') (int_range 1 4) in
+  frequency
+    [
+      (4, oneofl keywords >>= mixed_case);
+      (* near misses: a keyword's prefix, or the keyword run on *)
+      ( 2,
+        oneofl keywords >>= fun k ->
+        oneof
+          [ map (fun i -> String.sub k 0 i) (int_range 1 (String.length k)); return (k ^ "_1") ]
+        >>= mixed_case );
+      ( 3,
+        map2
+          (fun c rest -> String.make 1 c ^ rest)
+          (oneofl [ 'a'; 'T'; '_' ])
+          (string_size ~gen:word_char (int_bound 4)) );
+      (2, digits);
+      (1, map2 (fun a b -> a ^ "." ^ b) digits (oneofl [ ""; "5"; "25" ]));
+      ( 1,
+        oneofl
+          [ "1.2.3"; "1..2"; "99999999999999999999"; "4611686018427387903";
+            "4611686018427387904" ] );
+      (2, map (fun s -> "'" ^ s ^ "'") (oneofl [ ""; "x"; "it''s"; "''"; "a b"; "--"; "SELECT" ]));
+      (1, oneofl [ "'unterminated"; "'x''"; "-- note\n"; "--" ]);
+      ( 3,
+        oneofl
+          [ "("; ")"; ","; "*"; "="; "<"; ">"; "+"; "-"; "."; "/"; "<>"; "<="; ">="; "!="; "!"; ";" ]
+      );
+      (1, map (String.make 1) char);
+    ]
+
+let gen_text =
+  let open QCheck.Gen in
+  map
+    (fun parts -> String.concat "" (List.concat_map (fun (p, sep) -> [ p; sep ]) parts))
+    (list_size (int_bound 12) (pair gen_piece (oneofl [ " "; ""; "\n"; "\t" ])))
+
+let lex f src =
+  match f src with
+  | toks -> `Toks toks
+  | exception Lexer.Lex_error m -> `Lex_error m
+  | exception Failure _ -> `Failure
+
+let prop_lexer_matches_oracle =
+  QCheck.Test.make ~name:"lexer matches the oracle" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_text)
+    (fun src ->
+      match (lex Oracle.tokenize src, lex Lexer.tokenize src) with
+      | `Toks a, `Toks b -> a = b
+      | `Lex_error a, `Lex_error b -> String.equal a b
+      (* the oracle lets a malformed number escape as Failure *)
+      | `Failure, `Lex_error m -> String.starts_with ~prefix:"malformed number" m
+      | _ -> false)
+
+let test_malformed_numbers () =
+  List.iter
+    (fun lit ->
+      Alcotest.check_raises lit
+        (Lexer.Lex_error (Printf.sprintf "malformed number %S" lit))
+        (fun () -> ignore (Parser.parse ("SELECT * FROM t WHERE k = " ^ lit))))
+    [ "1.2.3"; "1..2"; "99999999999999999999" ];
+  check Alcotest.bool "max_int still lexes" true
+    (Lexer.tokenize "4611686018427387903" = [ Lexer.Int max_int; Lexer.Eof ])
+
 (* --- parser ------------------------------------------------------------------ *)
 
 let test_parse_select () =
@@ -94,6 +279,62 @@ let test_parse_errors () =
     (match Parser.parse "SELECT a" with
     | exception Parser.Parse_error _ -> true
     | _ -> false)
+
+(* --- adversarial input --------------------------------------------------------- *)
+
+let valid_statements =
+  [
+    "SELECT a, b FROM t WHERE a = 1 AND b > 2 ORDER BY b DESC LIMIT 3";
+    "SELECT grp, COUNT ( * ) , SUM ( qty ) FROM t GROUP BY grp HAVING SUM ( qty ) > 1";
+    "SELECT * FROM sys.views WHERE x IS NOT NULL OR y <> -2.5";
+    "SELECT grp FROM v JOIN u ON a = b WHERE count > 0 ORDER BY sum ASC";
+    "UPDATE sales SET qty = qty + 1 , note = 'it''s' WHERE id = 1234";
+    "DELETE FROM t WHERE NOT ( a <= 1 ) AND b / 2 >= 3 * c";
+    "INSERT INTO t VALUES ( 1 , 'x' , TRUE , NULL ) , ( -2 , 'y' , FALSE , 1.5 )";
+    "CREATE TABLE t ( id INT NOT NULL , v FLOAT , s TEXT NULL , b BOOL )";
+    "CREATE UNIQUE INDEX t_id ON t ( id )";
+    "CREATE VIEW v AS SELECT grp , MIN ( x ) , AVG ( x ) FROM t GROUP BY grp USING DEFERRED \
+     REFRESH THRESHOLD 10";
+    "EXPLAIN ANALYZE SELECT * FROM t WHERE id = 7";
+    "EXPLAIN UPDATE t SET qty = 1 WHERE id = 7";
+    "BEGIN READ ONLY"; "ROLLBACK TO sp"; "SAVEPOINT sp"; "SHOW METRICS"; "CHECKPOINT";
+  ]
+
+(* A valid statement broken at the token level (its tokens are
+   space-separated): truncated, two tokens swapped, or one doubled. *)
+let gen_mutated =
+  let open QCheck.Gen in
+  oneofl valid_statements >>= fun stmt ->
+  let toks = Array.of_list (String.split_on_char ' ' stmt) in
+  let n = Array.length toks in
+  let joined a = String.concat " " (Array.to_list a) in
+  oneof
+    [
+      map (fun k -> String.sub stmt 0 k) (int_bound (String.length stmt));
+      map (fun k -> joined (Array.sub toks 0 k)) (int_bound n);
+      map2
+        (fun i j ->
+          let a = Array.copy toks in
+          a.(i) <- toks.(j);
+          a.(j) <- toks.(i);
+          joined a)
+        (int_bound (n - 1)) (int_bound (n - 1));
+      map
+        (fun i -> joined (Array.concat [ Array.sub toks 0 (i + 1); Array.sub toks i (n - i) ]))
+        (int_bound (n - 1));
+    ]
+
+let test_corpus_parses () =
+  List.iter (fun src -> ignore (Parser.parse src)) valid_statements
+
+let prop_parse_errors_only =
+  QCheck.Test.make ~name:"bad input raises only Parse_error or Lex_error" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(oneof [ string_size (int_bound 40); gen_mutated; gen_text ]))
+    (fun src ->
+      match Parser.parse src with
+      | _ -> true
+      | exception (Parser.Parse_error _ | Lexer.Lex_error _) -> true)
 
 (* --- end to end ---------------------------------------------------------------- *)
 
@@ -635,7 +876,12 @@ let test_explain_write () =
 let () =
   Alcotest.run "sql"
     [
-      ("lexer", [ Alcotest.test_case "tokens" `Quick test_lexer ]);
+      ( "lexer",
+        [
+          Alcotest.test_case "tokens" `Quick test_lexer;
+          Alcotest.test_case "malformed numbers" `Quick test_malformed_numbers;
+          qtest prop_lexer_matches_oracle;
+        ] );
       ( "parser",
         [
           Alcotest.test_case "select" `Quick test_parse_select;
@@ -643,6 +889,8 @@ let () =
           Alcotest.test_case "arith precedence" `Quick test_parse_arith_precedence;
           Alcotest.test_case "create view" `Quick test_parse_view;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "mutation corpus parses" `Quick test_corpus_parses;
+          qtest prop_parse_errors_only;
         ] );
       ( "execution",
         [

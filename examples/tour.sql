@@ -1,5 +1,6 @@
 -- A guided tour of ivdb's SQL surface. Run with:
 --   dune exec bin/ivdb_repl.exe < examples/tour.sql
+-- `dune runtest` compares its output with examples/tour.expected.
 
 -- Schema: an order-entry table with a secondary index and a uniqueness
 -- constraint.
@@ -16,6 +17,10 @@ INSERT INTO sales VALUES (1, 'apple', 3), (2, 'pear', 2), (3, 'apple', 4), (4, '
 -- The view is read directly: no aggregation at query time.
 SELECT * FROM by_product
 
+-- A view reads like any relation: project, filter and sort its columns,
+-- named by their labels.
+SELECT product, sum FROM by_product WHERE sum > 3 ORDER BY sum DESC
+
 -- The optimizer also answers matching ad-hoc aggregations from the view:
 EXPLAIN SELECT product, SUM(qty) FROM sales GROUP BY product
 SELECT product, SUM(qty) FROM sales GROUP BY product
@@ -23,6 +28,14 @@ SELECT product, SUM(qty) FROM sales GROUP BY product
 -- Aggregates the view cannot store fall back to on-demand aggregation:
 EXPLAIN SELECT product, MIN(qty) FROM sales GROUP BY product
 SELECT product, AVG(qty) FROM sales GROUP BY product HAVING COUNT(*) > 1
+
+-- HAVING follows WHERE's NULL rules: a group whose MAX is NULL satisfies
+-- neither a comparison nor its negation, only IS NULL.
+CREATE TABLE returns (id INT NOT NULL, product TEXT NOT NULL, refund INT)
+INSERT INTO returns VALUES (1, 'apple', 2), (2, 'pear', NULL)
+SELECT product, MAX(refund) FROM returns GROUP BY product HAVING MAX(refund) < 5
+SELECT product, MAX(refund) FROM returns GROUP BY product HAVING NOT MAX(refund) < 5
+SELECT product, MAX(refund) FROM returns GROUP BY product HAVING MAX(refund) IS NULL
 
 -- Predicates use indexes where they can:
 EXPLAIN SELECT id FROM sales WHERE qty > 2 AND qty <= 5

@@ -604,14 +604,7 @@ let render_lit = function
 
 let render_row lits = "(" ^ String.concat ", " (List.map render_lit lits) ^ ")"
 
-let value_of_lit = function
-  | A.L_int i -> Value.Int i
-  | A.L_float f -> Value.Float f
-  | A.L_string s -> Value.Str s
-  | A.L_bool b -> Value.Bool b
-  | A.L_null -> Value.Null
-
-let route_lit c l = route_value ~shards:(shard_count c) (value_of_lit l)
+let route_lit c l = route_value ~shards:(shard_count c) (Sql.value_of_lit l)
 
 let ensure_open c i =
   if not (List.mem i c.open_on) then begin
@@ -641,10 +634,6 @@ let affected = function
   | Sql.Rows { rows; _ } -> List.length rows
   | Sql.Message _ -> 0
 
-let rec conjuncts = function
-  | A.Binop (A.And, a, b) -> conjuncts a @ conjuncts b
-  | e -> [ e ]
-
 (* WHERE pins the statement to one shard iff it has a top-level
    pk = literal conjunct for the table's partition column. *)
 let pk_eq c table where =
@@ -657,42 +646,20 @@ let pk_eq c table where =
             when col = pk ->
               Some l
           | _ -> None)
-        (conjuncts w)
+        (Sql.conjuncts w)
   | _ -> None
 
-let merge_rows (q : A.select) replies =
-  let header = match replies with (h, _) :: _ -> h | [] -> [] in
-  let rows = List.concat_map snd replies in
-  let rows =
-    match q.A.order with
-    | Some { A.ob_col; ob_desc } -> (
-        match List.find_index (fun h -> h = ob_col) header with
-        | Some idx ->
-            List.stable_sort
-              (fun (a : Row.t) (b : Row.t) ->
-                let cmp = Value.compare a.(idx) b.(idx) in
-                if ob_desc then -cmp else cmp)
-              rows
-        | None -> rows)
-    | None -> rows
+(* One statement's rows from each of [targets], concatenated. *)
+let gather c sql targets =
+  let replies =
+    List.map
+      (fun i ->
+        match exec_shard ~kind:"broadcast" c i sql with
+        | Sql.Rows { header; rows } -> (header, rows)
+        | _ -> fail "expected rows")
+      targets
   in
-  let rows =
-    match q.A.limit with
-    | Some n -> List.filteri (fun i _ -> i < n) rows
-    | None -> rows
-  in
-  Sql.Rows { header; rows }
-
-let rows_of = function
-  | Sql.Rows { header; rows } -> (header, rows)
-  | _ -> fail "expected rows"
-
-let broadcast_rows c q sql targets =
-  merge_rows q
-    (List.map (fun i -> rows_of (exec_shard ~kind:"broadcast" c i sql)) targets)
-
-let is_sys_name from =
-  String.length from > 4 && String.sub from 0 4 = "sys."
+  ((match replies with (h, _) :: _ -> h | [] -> []), List.concat_map snd replies)
 
 (* --- coordinator-resident sys.* catalogs ------------------------------ *)
 
@@ -770,35 +737,22 @@ let coord_sys c name =
    WHERE is applied only after the merge, because a filter on an
    aggregate column can hold for the combined row and for no partial one. *)
 let select_view c (q : A.select) ~groups =
-  let replies =
-    List.map
-      (fun i ->
-        rows_of (exec_shard ~kind:"broadcast" c i ("SELECT * FROM " ^ q.A.from)))
-      (all_shards c)
-  in
-  let header = match replies with (h, _) :: _ -> h | [] -> [] in
-  Sql.select_over q
-    (header, Sql.combine_view_rows ~groups header (List.concat_map snd replies))
+  let header, rows = gather c ("SELECT * FROM " ^ q.A.from) (all_shards c) in
+  Sql.select_over q (header, Sql.combine_view_rows ~groups header rows)
 
 let route_select c (q : A.select) sql =
-  if is_sys_name q.A.from then (
+  if Sql.is_sys_name q.A.from then (
     match coord_sys c q.A.from with
     | Some rows -> Sql.select_over q (rows ())
     | None ->
-        if q.A.from = "sys.shards" then broadcast_rows c q sql (all_shards c)
+        if q.A.from = "sys.shards" then Sql.order_limit q (gather c sql (all_shards c))
         else exec_shard ~kind:"sys" c 0 sql)
   else
     match (Hashtbl.find_opt c.co.views q.A.from, pk_eq c q.A.from q.A.where) with
     | Some groups, _ -> select_view c q ~groups
     | None, Some l -> exec_shard c (route_lit c l) sql
     | None, None ->
-        let grouped =
-          q.A.group_by <> []
-          || List.exists
-               (function A.Agg_item _ -> true | A.Star | A.Col_item _ -> false)
-               q.A.items
-        in
-        if grouped then
+        if Sql.is_grouped q then
           fail
             "cross-shard aggregation over %s is not supported: create an \
              indexed view (the coordinator combines its shards' partial \
@@ -807,7 +761,7 @@ let route_select c (q : A.select) sql =
             (match Hashtbl.find_opt c.co.pk_cols q.A.from with
             | Some pk -> pk
             | None -> "<pk>")
-        else broadcast_rows c q sql (all_shards c)
+        else Sql.order_limit q (gather c sql (all_shards c))
 
 let route_insert c into rows =
   let n = shard_count c in

@@ -27,7 +27,7 @@ let arith name fi ff a b =
   | Value.Float x, Value.Float y -> Value.Float (ff x y)
   | Value.Int x, Value.Float y -> Value.Float (ff (float_of_int x) y)
   | Value.Float x, Value.Int y -> Value.Float (ff x (float_of_int y))
-  | _ -> invalid_arg ("Expr: non-numeric operand to " ^ name)
+  | _ -> raise (Value.Type_error ("non-numeric operand to " ^ name))
 
 let rec eval e row =
   match e with
@@ -58,18 +58,18 @@ let rec eval e row =
       | Value.Bool false, _ | _, Value.Bool false -> Value.Bool false
       | Value.Bool true, Value.Bool true -> Value.Bool true
       | (Value.Bool _ | Value.Null), (Value.Bool _ | Value.Null) -> Value.Null
-      | _ -> invalid_arg "Expr: non-boolean operand to AND")
+      | _ -> raise (Value.Type_error "non-boolean operand to AND"))
   | Or (a, b) -> (
       match (eval a row, eval b row) with
       | Value.Bool true, _ | _, Value.Bool true -> Value.Bool true
       | Value.Bool false, Value.Bool false -> Value.Bool false
       | (Value.Bool _ | Value.Null), (Value.Bool _ | Value.Null) -> Value.Null
-      | _ -> invalid_arg "Expr: non-boolean operand to OR")
+      | _ -> raise (Value.Type_error "non-boolean operand to OR"))
   | Not a -> (
       match eval a row with
       | Value.Bool b -> Value.Bool (not b)
       | Value.Null -> Value.Null
-      | _ -> invalid_arg "Expr: non-boolean operand to NOT")
+      | _ -> raise (Value.Type_error "non-boolean operand to NOT"))
   | Is_null a -> Value.Bool (eval a row = Value.Null)
 
 let eval_bool e row = match eval e row with Value.Bool b -> b | _ -> false

@@ -27,7 +27,8 @@ val bool : bool -> t
 
 val eval : t -> Row.t -> Value.t
 (** Comparisons involving NULL yield NULL (three-valued logic); [And]/[Or]
-    follow Kleene semantics. *)
+    follow Kleene semantics. An operand of the wrong type raises
+    {!Value.Type_error}. *)
 
 val eval_bool : t -> Row.t -> bool
 (** Predicate evaluation: NULL counts as false (SQL WHERE semantics). *)

@@ -7,6 +7,8 @@ type t =
   | Bool of bool
   | Null
 
+exception Type_error of string
+
 let type_of = function
   | Int _ -> Some TInt
   | Float _ -> Some TFloat
@@ -26,7 +28,7 @@ let compare a b =
   | Str x, Str y -> String.compare x y
   | Bool x, Bool y -> Stdlib.compare x y
   | (Int _ | Float _ | Str _ | Bool _), _ ->
-      invalid_arg "Value.compare: incompatible types"
+      raise (Type_error "cannot compare values of different types")
 
 let equal a b = compare a b = 0
 
@@ -37,20 +39,20 @@ let add a b =
   | Float x, Float y -> Float (x +. y)
   | Int x, Float y -> Float (float_of_int x +. y)
   | Float x, Int y -> Float (x +. float_of_int y)
-  | _ -> invalid_arg "Value.add: non-numeric operand"
+  | _ -> raise (Type_error "non-numeric operand to +")
 
 let neg = function
   | Null -> Null
   | Int x -> Int (-x)
   | Float x -> Float (-.x)
-  | _ -> invalid_arg "Value.neg: non-numeric operand"
+  | _ -> raise (Type_error "non-numeric operand to unary -")
 
 let to_int = function Int x -> x | _ -> invalid_arg "Value.to_int"
 
 let to_float = function
   | Int x -> float_of_int x
   | Float x -> x
-  | _ -> invalid_arg "Value.to_float"
+  | _ -> raise (Type_error "non-numeric operand")
 
 let div a b =
   match (a, b) with

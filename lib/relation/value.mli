@@ -9,18 +9,24 @@ type t =
   | Bool of bool
   | Null
 
+exception Type_error of string
+(** An operand of the wrong type: comparing a string with a number,
+    adding booleans, and the like. Raised by {!compare}, {!add}, {!neg},
+    {!div}, {!to_float} and {!Expr.eval}; the SQL layer reports it as a
+    statement error. *)
+
 val type_of : t -> ty option
 (** [None] for [Null]. *)
 
 val compare : t -> t -> int
 (** SQL-flavoured total order with [Null] smallest; [Int] and [Float]
     compare numerically against each other; comparing other cross-type pairs
-    raises [Invalid_argument] — it indicates a schema violation upstream. *)
+    raises {!Type_error}. *)
 
 val equal : t -> t -> bool
 
 val add : t -> t -> t
-(** Numeric addition; [Null] absorbs. Raises [Invalid_argument] on
+(** Numeric addition; [Null] absorbs. Raises {!Type_error} on
     non-numeric operands. *)
 
 val neg : t -> t
@@ -34,7 +40,7 @@ val to_int : t -> int
 (** Raises [Invalid_argument] unless [Int]. *)
 
 val to_float : t -> float
-(** Numeric coercion of [Int]/[Float]; raises otherwise. *)
+(** Numeric coercion of [Int]/[Float]; raises {!Type_error} otherwise. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_ty : Format.formatter -> ty -> unit

@@ -80,37 +80,49 @@ let value_of_lit = function
   | A.L_bool b -> Value.Bool b
   | A.L_null -> Value.Null
 
-let rec bind_expr schema (e : A.expr) : Expr.t =
-  match e with
-  | A.Lit l -> Expr.Const (value_of_lit l)
-  | A.Column c -> (
-      try Expr.col schema c with Not_found -> fail "unknown column %s" c)
-  | A.Binop (op, a, b) -> (
-      let a = bind_expr schema a and b = bind_expr schema b in
-      match op with
-      | A.Add -> Expr.Add (a, b)
-      | A.Sub -> Expr.Sub (a, b)
-      | A.Mul -> Expr.Mul (a, b)
-      | A.Div -> Expr.Div (a, b)
-      | A.Eq -> Expr.Cmp (Expr.Eq, a, b)
-      | A.Ne -> Expr.Cmp (Expr.Ne, a, b)
-      | A.Lt -> Expr.Cmp (Expr.Lt, a, b)
-      | A.Le -> Expr.Cmp (Expr.Le, a, b)
-      | A.Gt -> Expr.Cmp (Expr.Gt, a, b)
-      | A.Ge -> Expr.Cmp (Expr.Ge, a, b)
-      | A.And -> Expr.And (a, b)
-      | A.Or -> Expr.Or (a, b))
-  | A.Unop (A.Neg, a) -> Expr.Neg (bind_expr schema a)
-  | A.Unop (A.Not, a) -> Expr.Not (bind_expr schema a)
-  | A.Is_null a -> Expr.Is_null (bind_expr schema a)
-  | A.Agg_ref _ -> fail "aggregates are only allowed in the select list and HAVING"
+(* The one binder. [col] resolves a column name to its position in the
+   row the expression is evaluated over; [agg] does the same for an
+   aggregate, which only HAVING's row carries. *)
+let bind_expr
+    ?(agg = fun _ -> fail "aggregates are only allowed in the select list and HAVING")
+    col (e : A.expr) : Expr.t =
+  let rec bind (e : A.expr) : Expr.t =
+    match e with
+    | A.Lit l -> Expr.Const (value_of_lit l)
+    | A.Column c -> Expr.Col (col c)
+    | A.Agg_ref a -> Expr.Col (agg a)
+    | A.Binop (op, a, b) -> (
+        let a = bind a and b = bind b in
+        match op with
+        | A.Add -> Expr.Add (a, b)
+        | A.Sub -> Expr.Sub (a, b)
+        | A.Mul -> Expr.Mul (a, b)
+        | A.Div -> Expr.Div (a, b)
+        | A.Eq -> Expr.Cmp (Expr.Eq, a, b)
+        | A.Ne -> Expr.Cmp (Expr.Ne, a, b)
+        | A.Lt -> Expr.Cmp (Expr.Lt, a, b)
+        | A.Le -> Expr.Cmp (Expr.Le, a, b)
+        | A.Gt -> Expr.Cmp (Expr.Gt, a, b)
+        | A.Ge -> Expr.Cmp (Expr.Ge, a, b)
+        | A.And -> Expr.And (a, b)
+        | A.Or -> Expr.Or (a, b))
+    | A.Unop (A.Neg, a) -> Expr.Neg (bind a)
+    | A.Unop (A.Not, a) -> Expr.Not (bind a)
+    | A.Is_null a -> Expr.Is_null (bind a)
+  in
+  bind e
+
+let schema_col schema c =
+  try Schema.index_of schema c with Not_found -> fail "unknown column %s" c
+
+let bind_schema schema = bind_expr (schema_col schema)
 
 let bind_agg schema = function
   | A.Count_star -> View_def.Count_star
-  | A.Count e -> View_def.Count (bind_expr schema e)
-  | A.Sum e -> View_def.Sum (bind_expr schema e)
-  | A.Min e -> View_def.Min (bind_expr schema e)
-  | A.Max e -> View_def.Max (bind_expr schema e)
+  | A.Count e -> View_def.Count (bind_schema schema e)
+  | A.Sum e -> View_def.Sum (bind_schema schema e)
+  | A.Min e -> View_def.Min (bind_schema schema e)
+  | A.Max e -> View_def.Max (bind_schema schema e)
   | A.Avg _ ->
       fail
         "AVG cannot be stored in an indexed view: store SUM and COUNT instead          (AVG works in ad-hoc GROUP BY queries)"
@@ -122,6 +134,12 @@ let agg_label = function
   | A.Min _ -> "min"
   | A.Max _ -> "max"
   | A.Avg _ -> "avg"
+
+let is_sys_name from = String.length from > 4 && String.sub from 0 4 = "sys."
+
+let is_grouped (q : A.select) =
+  q.A.group_by <> []
+  || List.exists (function A.Agg_item _ -> true | A.Star | A.Col_item _ -> false) q.A.items
 
 let find_table s name =
   try Some (Database.table s.sdb name) with Not_found -> None
@@ -287,13 +305,12 @@ let op_count (stats : op_stats option) label seq =
 let op_note (stats : op_stats option) label n =
   match stats with None -> () | Some st -> st := !st @ [ (label, ref n) ]
 
-let apply_order_limit ?(already_ordered_by = None) (q : A.select) header rows =
+let order_limit (q : A.select) (header, rows) =
   let rows =
     match q.A.order with
-    | Some { A.ob_col; ob_desc = false } when already_ordered_by = Some ob_col -> rows
     | None -> rows
     | Some { A.ob_col; ob_desc } -> (
-        match List.find_index (fun h -> h = ob_col) header with
+        match List.find_index (String.equal ob_col) header with
         | None -> fail "ORDER BY column %s is not in the select list" ob_col
         | Some idx ->
             List.stable_sort
@@ -302,42 +319,19 @@ let apply_order_limit ?(already_ordered_by = None) (q : A.select) header rows =
                 if ob_desc then -c else c)
               rows)
   in
-  match q.A.limit with
-  | None -> rows
-  | Some n -> List.filteri (fun i _ -> i < n) rows
-
-(* Bind a WHERE expression against a materialized row set whose columns
-   are identified only by header name (view output, sys.* tables). *)
-let bind_by_header ~what header (w : A.expr) : Expr.t =
-  let positions = List.mapi (fun i n -> (n, i)) header in
-  let rec rewrite (e : A.expr) : Expr.t =
-    match e with
-    | A.Lit l -> Expr.Const (value_of_lit l)
-    | A.Column c -> (
-        match List.assoc_opt c positions with
-        | Some i -> Expr.Col i
-        | None -> fail "unknown %s column %s" what c)
-    | A.Agg_ref _ -> fail "aggregates are not allowed in a %s WHERE" what
-    | A.Binop (op, a, b) -> (
-        let a = rewrite a and b = rewrite b in
-        match op with
-        | A.Add -> Expr.Add (a, b)
-        | A.Sub -> Expr.Sub (a, b)
-        | A.Mul -> Expr.Mul (a, b)
-        | A.Div -> Expr.Div (a, b)
-        | A.Eq -> Expr.Cmp (Expr.Eq, a, b)
-        | A.Ne -> Expr.Cmp (Expr.Ne, a, b)
-        | A.Lt -> Expr.Cmp (Expr.Lt, a, b)
-        | A.Le -> Expr.Cmp (Expr.Le, a, b)
-        | A.Gt -> Expr.Cmp (Expr.Gt, a, b)
-        | A.Ge -> Expr.Cmp (Expr.Ge, a, b)
-        | A.And -> Expr.And (a, b)
-        | A.Or -> Expr.Or (a, b))
-    | A.Unop (A.Neg, a) -> Expr.Neg (rewrite a)
-    | A.Unop (A.Not, a) -> Expr.Not (rewrite a)
-    | A.Is_null a -> Expr.Is_null (rewrite a)
+  let rows =
+    match q.A.limit with
+    | None -> rows
+    | Some n -> List.filteri (fun i _ -> i < n) rows
   in
-  rewrite w
+  Rows { header; rows }
+
+(* EXPLAIN ANALYZE's count of the rows a SELECT returns *)
+let returned stats r =
+  (match r with
+  | Rows { rows; _ } -> op_note stats "rows returned" (List.length rows)
+  | Affected _ | Message _ -> ());
+  r
 
 (* The rows, with their rids, that a single-table statement reads through
    the plan [plan_table_access] chose: an index probe or range (key-range
@@ -349,7 +343,7 @@ let plan_rows ?stats s txn t schema plan =
     match where with
     | None -> rows
     | Some w ->
-        let pred = bind_expr schema w in
+        let pred = bind_schema schema w in
         op_count stats label (Seq.filter (fun (_, row) -> Expr.eval_bool pred row) rows)
   in
   let tid = Database.Internal.table_id t in
@@ -407,7 +401,7 @@ let select_rows ?stats s txn (q : A.select) src =
           match q.A.where with
           | None -> rows
           | Some w ->
-              let pred = bind_expr schema w in
+              let pred = bind_schema schema w in
               op_count stats "rows after filter" (Seq.filter (Expr.eval_bool pred) rows)
         )
     | Src_view _ -> assert false
@@ -417,18 +411,14 @@ let select_rows ?stats s txn (q : A.select) src =
     let all = Array.to_list (Array.mapi (fun i c -> (i, c.Schema.name)) cols) in
     let of_item = function
       | A.Star -> all
-      | A.Col_item c -> (
-          try [ (Schema.index_of schema c, c) ]
-          with Not_found -> fail "unknown column %s" c)
+      | A.Col_item c -> [ (schema_col schema c, c) ]
       | A.Agg_item _ -> fail "aggregates require GROUP BY"
     in
     let pairs = List.concat_map of_item q.A.items in
     (Array.of_list (List.map fst pairs), List.map snd pairs)
   in
-  let rows = List.of_seq (Seq.map (fun r -> Row.project r positions) seq) in
-  let rows = apply_order_limit q header rows in
-  op_note stats "rows returned" (List.length rows);
-  Rows { header; rows }
+  order_limit q (header, List.of_seq (Seq.map (fun r -> Row.project r positions) seq))
+  |> returned stats
 
 (* View matching: a grouped query whose source, WHERE and GROUP BY equal
    an existing immediate-maintenance indexed view — and whose aggregates
@@ -465,8 +455,10 @@ let find_matching_view s (def : View_def.t) =
 
 (* grouped select over base data: build a view definition on the fly and
    aggregate on demand. AVG is computed at read time from SUM and COUNT
-   (exactly the restriction real indexed views have); HAVING filters the
-   grouped result and may mention aggregates not in the select list. *)
+   (exactly the restriction real indexed views have). Returns the
+   definition and each aggregate the query needs — the select list's,
+   then those only HAVING mentions — with its evaluator over a stored row
+   ([| count; slots... |]). *)
 let plan_grouped s (q : A.select) src =
   let schema, source =
     match src with
@@ -484,17 +476,11 @@ let plan_grouped s (q : A.select) src =
             } )
     | Src_view _ -> assert false
   in
-  let where = Option.map (bind_expr schema) q.A.where in
+  let where = Option.map (bind_schema schema) q.A.where in
   let source =
     match (source, where) with
     | View_def.Single x, w -> View_def.Single { x with where = w }
     | View_def.Join x, w -> View_def.Join { x with where = w }
-  in
-  (* aggregates needed: those in the select list plus those HAVING uses *)
-  let select_aggs =
-    List.filter_map
-      (function A.Agg_item a -> Some a | A.Star | A.Col_item _ -> None)
-      q.A.items
   in
   let rec having_aggs (e : A.expr) =
     match e with
@@ -504,11 +490,15 @@ let plan_grouped s (q : A.select) src =
     | A.Lit _ | A.Column _ -> []
   in
   let needed =
-    let all = select_aggs @ Option.fold ~none:[] ~some:having_aggs q.A.having in
+    let all =
+      List.filter_map
+        (function A.Agg_item a -> Some a | A.Star | A.Col_item _ -> None)
+        q.A.items
+      @ Option.fold ~none:[] ~some:having_aggs q.A.having
+    in
     List.fold_left (fun acc a -> if List.mem a acc then acc else acc @ [ a ]) [] all
   in
-  (* expand each requested aggregate into stored slots and an evaluator over
-     the stored row ([| count; slots... |]) *)
+  (* expand each needed aggregate into stored slots *)
   let internal = ref [] in
   let alloc agg_def =
     internal := !internal @ [ agg_def ];
@@ -521,28 +511,25 @@ let plan_grouped s (q : A.select) src =
           match a with
           | A.Count_star -> fun (stored : Row.t) -> stored.(0)
           | A.Count e ->
-              let i = alloc (View_def.Count (bind_expr schema e)) in
+              let i = alloc (View_def.Count (bind_schema schema e)) in
               fun stored -> stored.(i)
           | A.Sum e ->
-              let i = alloc (View_def.Sum (bind_expr schema e)) in
+              let i = alloc (View_def.Sum (bind_schema schema e)) in
               fun stored -> stored.(i)
           | A.Min e ->
-              let i = alloc (View_def.Min (bind_expr schema e)) in
+              let i = alloc (View_def.Min (bind_schema schema e)) in
               fun stored -> stored.(i)
           | A.Max e ->
-              let i = alloc (View_def.Max (bind_expr schema e)) in
+              let i = alloc (View_def.Max (bind_schema schema e)) in
               fun stored -> stored.(i)
           | A.Avg e ->
-              let be = bind_expr schema e in
+              let be = bind_schema schema e in
               let si = alloc (View_def.Sum be) in
               let ci = alloc (View_def.Count be) in
               fun stored -> Value.div stored.(si) stored.(ci)
         in
         (a, eval))
       needed
-  in
-  let eval_of a =
-    match List.assoc_opt a evals with Some f -> f | None -> assert false
   in
   let def =
     {
@@ -558,10 +545,14 @@ let plan_grouped s (q : A.select) src =
       source;
     }
   in
-  (schema, def, select_aggs, eval_of)
+  (def, evals)
 
+(* Each group becomes one row — its GROUP BY values, then every needed
+   aggregate — and HAVING and the select list are bound over that row:
+   HAVING filters it with WHERE's three-valued logic, the items project
+   it. *)
 let select_grouped ?stats s txn (q : A.select) src =
-  let _schema, def, select_aggs, eval_of = plan_grouped s q src in
+  let def, evals = plan_grouped s q src in
   let results =
     match find_matching_view s def with
     | Some (_, v, mapping) ->
@@ -579,90 +570,43 @@ let select_grouped ?stats s txn (q : A.select) src =
         op_note stats "groups aggregated" (List.length results);
         results
   in
-  let group_index c =
-    match List.find_index (fun g -> g = c) q.A.group_by with
+  let groups = List.length q.A.group_by in
+  let col c =
+    match List.find_index (String.equal c) q.A.group_by with
     | Some i -> i
     | None -> fail "column %s is not in GROUP BY" c
   in
-  (* HAVING over (group, stored) *)
-  let results =
+  let agg a = groups + Option.get (List.find_index (fun (b, _) -> b = a) evals) in
+  let rows =
+    List.map
+      (fun (group, stored) ->
+        Array.append group (Array.of_list (List.map (fun (_, f) -> f stored) evals)))
+      results
+  in
+  let rows =
     match q.A.having with
-    | None -> results
-    | Some h ->
-        let rec heval (e : A.expr) group stored : Value.t =
-          match e with
-          | A.Lit l -> value_of_lit l
-          | A.Column c -> group.(group_index c)
-          | A.Agg_ref a -> eval_of a stored
-          | A.Is_null a -> Value.Bool (heval a group stored = Value.Null)
-          | A.Unop (A.Neg, a) -> Value.neg (heval a group stored)
-          | A.Unop (A.Not, a) -> (
-              match heval a group stored with
-              | Value.Bool b -> Value.Bool (not b)
-              | v -> v)
-          | A.Binop (op, a, b) -> (
-              let va = heval a group stored and vb = heval b group stored in
-              let cmp c = Value.Bool c in
-              match op with
-              | A.Add -> Value.add va vb
-              | A.Sub -> Value.add va (Value.neg vb)
-              | A.Mul -> (
-                  match (va, vb) with
-                  | Value.Null, _ | _, Value.Null -> Value.Null
-                  | _ -> Value.Float (Value.to_float va *. Value.to_float vb))
-              | A.Div -> Value.div va vb
-              | A.Eq -> cmp (Value.compare va vb = 0)
-              | A.Ne -> cmp (Value.compare va vb <> 0)
-              | A.Lt -> cmp (Value.compare va vb < 0)
-              | A.Le -> cmp (Value.compare va vb <= 0)
-              | A.Gt -> cmp (Value.compare va vb > 0)
-              | A.Ge -> cmp (Value.compare va vb >= 0)
-              | A.And -> (
-                  match (va, vb) with
-                  | Value.Bool x, Value.Bool y -> Value.Bool (x && y)
-                  | _ -> Value.Null)
-              | A.Or -> (
-                  match (va, vb) with
-                  | Value.Bool x, Value.Bool y -> Value.Bool (x || y)
-                  | _ -> Value.Null))
-        in
-        List.filter
-          (fun (group, stored) -> heval h group stored = Value.Bool true)
-          results
+    | None -> rows
+    | Some h -> List.filter (Expr.eval_bool (bind_expr ~agg col h)) rows
   in
   let items =
     match q.A.items with
     | [ A.Star ] ->
         List.map (fun c -> A.Col_item c) q.A.group_by
-        @ List.map (fun a -> A.Agg_item a) select_aggs
+        @ List.map (fun (a, _) -> A.Agg_item a) evals
     | items -> items
   in
-  let header =
-    List.map
-      (function
-        | A.Star -> fail "SELECT * mixed with other items is not supported"
-        | A.Col_item c -> c
-        | A.Agg_item a -> agg_label a)
-      items
+  let positions, header =
+    List.split
+      (List.map
+         (function
+           | A.Star -> fail "SELECT * mixed with other items is not supported"
+           | A.Col_item c -> (col c, c)
+           | A.Agg_item a -> (agg a, agg_label a))
+         items)
   in
-  let rows =
-    List.map
-      (fun (group, stored) ->
-        Array.of_list
-          (List.map
-             (function
-               | A.Star -> assert false
-               | A.Col_item c -> group.(group_index c)
-               | A.Agg_item a -> eval_of a stored)
-             items))
-      results
-  in
-  let rows = apply_order_limit q header rows in
-  op_note stats "rows returned" (List.length rows);
-  Rows { header; rows }
-
-let is_sys_name from =
-  String.length from > 4 && String.sub from 0 4 = "sys."
+  let positions = Array.of_list positions in
+  order_limit q (header, List.map (fun r -> Row.project r positions) rows)
+  |> returned stats
 
 (* The access-plan line EXPLAIN prints for a single-table SELECT, UPDATE
    or DELETE. *)
@@ -685,76 +629,49 @@ let describe_access from plan =
         r_index (bound r_lo) (bound r_hi) (residual r_residual)
 
 let describe_plan s (q : A.select) =
-  let b = Buffer.create 128 in
-  let line fmt = Format.kasprintf (fun str -> Buffer.add_string b (str ^ "\n")) fmt in
-  if is_sys_name q.A.from then begin
-    let line_sys =
-      Printf.sprintf "system table scan on %s (engine state snapshot, no locks)"
-        q.A.from
-    in
-    Buffer.add_string b (line_sys ^ "\n");
-    (match q.A.order with
-    | Some o ->
-        Buffer.add_string b
-          (Printf.sprintf "sort by %s%s\n" o.A.ob_col
-             (if o.A.ob_desc then " desc" else ""))
-    | None -> ());
-    (match q.A.limit with
-    | Some n -> Buffer.add_string b (Printf.sprintf "limit %d\n" n)
-    | None -> ())
-  end
-  else begin
-  (match resolve_source s q with
-  | Src_view _ -> line "view scan on %s (stored groups, no recomputation)" q.A.from
-  | Src_join (_, _, lcol, rcol, _) ->
-      let has_aggs =
-        q.A.group_by <> []
-        || List.exists (function A.Agg_item _ -> true | _ -> false) q.A.items
-      in
-      if has_aggs then
-        match find_matching_view s (let _, d, _, _ = plan_grouped s q (resolve_source s q) in d) with
+  let src = if is_sys_name q.A.from then None else Some (resolve_source s q) in
+  let join_text lcol rcol =
+    Printf.sprintf "%s JOIN %s ON %s = %s" q.A.from
+      (match q.A.join with Some (t2, _, _) -> t2 | None -> "?")
+      lcol rcol
+  in
+  let access =
+    match src with
+    | None ->
+        Printf.sprintf "system table scan on %s (engine state snapshot, no locks)"
+          q.A.from
+    | Some (Src_view _) ->
+        Printf.sprintf "view scan on %s (stored groups, no recomputation)" q.A.from
+    | Some ((Src_table _ | Src_join _) as src) when is_grouped q -> (
+        match find_matching_view s (fst (plan_grouped s q src)) with
         | Some (vname, _, _) ->
-            line "answered from indexed view %s (stored groups)" vname
-        | None ->
-            line "on-demand aggregation over %s JOIN %s ON %s = %s" q.A.from
-              (match q.A.join with Some (t2, _, _) -> t2 | None -> "?")
-              lcol rcol
-      else
-        line "hash join %s JOIN %s ON %s = %s" q.A.from
-          (match q.A.join with Some (t2, _, _) -> t2 | None -> "?")
-          lcol rcol
-  | Src_table (t, _) ->
-      let has_aggs =
-        q.A.group_by <> []
-        || List.exists (function A.Agg_item _ -> true | _ -> false) q.A.items
-      in
-      if has_aggs then (
-        match find_matching_view s (let _, d, _, _ = plan_grouped s q (resolve_source s q) in d) with
-        | Some (vname, _, _) ->
-            line "answered from indexed view %s (stored groups)" vname
-        | None -> line "on-demand aggregation over seq scan on %s" q.A.from)
-      else line "%s" (describe_access q.A.from (plan_table_access s t q.A.where)));
-  (match q.A.order with
-  | Some o ->
-      let preserved =
-        (not o.A.ob_desc)
-        && (match resolve_source s q with
-           | Src_table (t, _) -> (
-               match plan_table_access s t q.A.where with
-               | Plan_index_range { r_col; _ } -> r_col = o.A.ob_col
-               | Plan_index_probe _ | Plan_scan _ -> false)
-           | Src_join _ | Src_view _ -> false)
-      in
-      if preserved then line "order by %s satisfied by index order" o.A.ob_col
-      else line "sort by %s%s" o.A.ob_col (if o.A.ob_desc then " desc" else "")
-  | None -> ());
-  (match q.A.limit with Some n -> line "limit %d" n | None -> ())
-  end;
-  String.trim (Buffer.contents b)
+            Printf.sprintf "answered from indexed view %s (stored groups)" vname
+        | None -> (
+            match src with
+            | Src_join (_, _, lcol, rcol, _) ->
+                "on-demand aggregation over " ^ join_text lcol rcol
+            | _ -> Printf.sprintf "on-demand aggregation over seq scan on %s" q.A.from))
+    | Some (Src_join (_, _, lcol, rcol, _)) -> "hash join " ^ join_text lcol rcol
+    | Some (Src_table (t, _)) -> describe_access q.A.from (plan_table_access s t q.A.where)
+  in
+  let order =
+    match (q.A.order, src) with
+    | None, _ -> []
+    | Some { A.ob_col; ob_desc = false }, Some (Src_table (t, _))
+      when (match plan_table_access s t q.A.where with
+           | Plan_index_range { r_col; _ } -> r_col = ob_col
+           | Plan_index_probe _ | Plan_scan _ -> false) ->
+        [ Printf.sprintf "order by %s satisfied by index order" ob_col ]
+    | Some o, _ ->
+        [ Printf.sprintf "sort by %s%s" o.A.ob_col (if o.A.ob_desc then " desc" else "") ]
+  in
+  let limit = Option.to_list (Option.map (Printf.sprintf "limit %d") q.A.limit) in
+  String.concat "\n" ((access :: order) @ limit)
 
-(* select over an indexed view: the stored groups and aggregates *)
-let select_view ?stats s txn (q : A.select) v =
-  if q.A.group_by <> [] then fail "GROUP BY over a view is not supported";
+(* An indexed view's stored groups as a relation: the GROUP BY columns,
+   the implicit COUNT( * ) unless the definition lists it explicitly, then
+   each aggregate under its label. *)
+let view_relation ?stats s txn v =
   let def = Database.view_def s.sdb v in
   let src_schema =
     match def.View_def.source with
@@ -771,8 +688,6 @@ let select_view ?stats s txn (q : A.select) v =
          (fun pos -> (Schema.col_at src_schema pos).Schema.name)
          def.View_def.group_cols)
   in
-  (* the implicit COUNT( * ) column is shown unless the definition already
-     lists it explicitly *)
   let explicit_count =
     Array.exists (function View_def.Count_star -> true | _ -> false) def.View_def.aggs
   in
@@ -792,29 +707,16 @@ let select_view ?stats s txn (q : A.select) v =
   let project_aggs stored =
     if explicit_count then Array.sub stored 1 (Array.length stored - 1) else stored
   in
-  (match q.A.items with
-  | [ A.Star ] -> ()
-  | _ -> fail "only SELECT * FROM <view> is supported (views are pre-projected)");
   let locking = if txn = None then Query.Dirty else Query.Serializable in
-  let scan = op_count stats "stored groups read" (Query.view_scan s.sdb txn v locking) in
-  let header = group_names @ agg_names in
-  let rows =
-    List.of_seq (Seq.map (fun (g, a) -> Array.append g (project_aggs a)) scan)
-  in
-  let rows =
-    match q.A.where with
-    | None -> rows
-    | Some w ->
-        let pred = bind_by_header ~what:"view" header w in
-        List.filter (Expr.eval_bool pred) rows
-  in
-  let rows = apply_order_limit q header rows in
-  op_note stats "rows returned" (List.length rows);
-  Rows { header; rows }
+  ( group_names @ agg_names,
+    Query.view_scan s.sdb txn v locking
+    |> op_count stats "stored groups read"
+    |> Seq.map (fun (g, a) -> Array.append g (project_aggs a))
+    |> List.of_seq )
 
 (* One view's rows from several partitions, combined by group key: the
    aggregates distribute over a union of partitions under the labels
-   select_view gives them, with NULL as the identity. *)
+   view_relation gives them, with NULL as the identity. *)
 let combine_view_rows ~groups header rows =
   let labels = Array.of_list header in
   let combine j a b =
@@ -854,77 +756,58 @@ let resolve_sys s name =
   | None ->
       Sys_tables.builtin s.sdb ~self_txn:(Option.map Txn.id s.txn) name
 
-let sys_restrictions (q : A.select) =
-  if q.A.join <> None then fail "joins over sys.* tables are not supported";
-  if q.A.group_by <> [] then fail "GROUP BY over sys.* tables is not supported";
-  if List.exists (function A.Agg_item _ -> true | _ -> false) q.A.items then
-    fail "aggregates over sys.* tables are not supported"
+(* An operand of the wrong type anywhere in a statement is the
+   statement's error, reported like any other. *)
+let type_errors f x = try f x with Value.Type_error m -> fail "type error: %s" m
 
-(* Evaluate a SELECT over an already-materialized (header, rows) relation:
-   WHERE, projection by column name, ORDER BY / LIMIT. This is the whole
-   post-resolution half of select_sys, exported so the shard coordinator
-   can answer its own sys.* catalogs (sys.gtxns, sys.coord_shards,
-   sys.cluster_metrics) with the exact same query semantics. *)
+(* A SELECT over an already-materialized (header, rows) relation — an
+   indexed view's groups, a sys.* table, the coordinator's catalogs and
+   combined views: WHERE, projection by column name, ORDER BY / LIMIT.
+   Columns are identified only by header name. *)
 let select_over (q : A.select) (header, rows) =
-  sys_restrictions q;
+  let what = if is_sys_name q.A.from then "system table" else "view" in
+  if q.A.join <> None then fail "joins over a %s are not supported" what;
+  if is_grouped q then fail "GROUP BY and aggregates over a %s are not supported" what;
+  let col c =
+    match List.find_index (String.equal c) header with
+    | Some i -> i
+    | None -> fail "unknown %s column %s" what c
+  in
   let rows =
     match q.A.where with
     | None -> rows
     | Some w ->
-        let pred = bind_by_header ~what:"system table" header w in
-        List.filter (Expr.eval_bool pred) rows
+        let agg _ = fail "aggregates are not allowed in a %s WHERE" what in
+        type_errors (List.filter (Expr.eval_bool (bind_expr ~agg col w))) rows
   in
-  (* project by column name *)
-  let header, rows =
-    match q.A.items with
-    | [ A.Star ] -> (header, rows)
-    | items ->
-        let positions = List.mapi (fun i n -> (n, i)) header in
-        let cols =
-          List.map
-            (function
-              | A.Star -> fail "SELECT * mixed with other items is not supported"
-              | A.Agg_item _ -> assert false
-              | A.Col_item c -> (
-                  match List.assoc_opt c positions with
-                  | Some i -> (c, i)
-                  | None -> fail "unknown system table column %s" c))
-            items
-        in
-        ( List.map fst cols,
-          List.map
-            (fun r -> Array.of_list (List.map (fun (_, i) -> r.(i)) cols))
-            rows )
-  in
-  let rows = apply_order_limit q header rows in
-  Rows { header; rows }
-
-let select_sys ?stats s (q : A.select) =
-  sys_restrictions q;
-  match resolve_sys s q.A.from with
-  | None ->
-      fail "unknown system table %s (available: %s)" q.A.from
-        (String.concat ", " Sys_tables.names)
-  | Some (header, rows) ->
-      op_note stats "sys rows materialized" (List.length rows);
-      let r = select_over q (header, rows) in
-      (match r with
-      | Rows { rows; _ } -> op_note stats "rows returned" (List.length rows)
-      | _ -> ());
-      r
+  match q.A.items with
+  | [ A.Star ] -> order_limit q (header, rows)
+  | items ->
+      let names =
+        List.map
+          (function
+            | A.Col_item c -> c
+            | A.Star | A.Agg_item _ ->
+                fail "SELECT * mixed with other items is not supported")
+          items
+      in
+      let positions = Array.of_list (List.map col names) in
+      order_limit q (names, List.map (fun r -> Row.project r positions) rows)
 
 let run_select ?stats s txn q =
-  if is_sys_name q.A.from then select_sys ?stats s q
+  if is_sys_name q.A.from then (
+    match resolve_sys s q.A.from with
+    | None ->
+        fail "unknown system table %s (available: %s)" q.A.from
+          (String.concat ", " Sys_tables.names)
+    | Some (header, rows) ->
+        op_note stats "sys rows materialized" (List.length rows);
+        returned stats (select_over q (header, rows)))
   else
-    let src = resolve_source s q in
-    match src with
-    | Src_view v -> select_view ?stats s txn q v
-    | Src_table _ | Src_join _ ->
-        let has_aggs =
-          List.exists (function A.Agg_item _ -> true | _ -> false) q.A.items
-        in
-        if q.A.group_by <> [] || has_aggs then select_grouped ?stats s txn q src
-        else select_rows ?stats s txn q src
+    match resolve_source s q with
+    | Src_view v -> returned stats (select_over q (view_relation ?stats s txn v))
+    | src when is_grouped q -> select_grouped ?stats s txn q src
+    | src -> select_rows ?stats s txn q src
 
 (* A bare SELECT outside a transaction runs as an auto-snapshot: a
    lock-free read-only transaction resolving against version chains, so it
@@ -932,7 +815,7 @@ let run_select ?stats s txn q =
    dirty). Results are materialized lists, safe to return after the
    snapshot is released. sys.* tables read engine state directly. *)
 let run_select_auto ?stats s q =
-  if is_sys_name q.A.from then select_sys ?stats s q
+  if is_sys_name q.A.from then run_select ?stats s None q
   else
     match s.txn with
     | Some _ as txn -> run_select ?stats s txn q
@@ -996,7 +879,7 @@ let dml_target s name where =
   | None -> fail "unknown table %s" name
   | Some t ->
       let schema = Database.schema s.sdb t in
-      let pred = match where with Some w -> bind_expr schema w | None -> Expr.bool true in
+      let pred = match where with Some w -> bind_schema schema w | None -> Expr.bool true in
       (t, schema, pred)
 
 (* A write statement's victims, read through the SELECT planner — an index
@@ -1024,17 +907,23 @@ let run_update s ~table ~sets ~where =
         let pos =
           try Schema.index_of schema c with Not_found -> fail "unknown column %s" c
         in
-        (pos, bind_expr schema e))
+        (pos, bind_schema schema e))
       sets
   in
   with_txn s (fun tx ->
       let victims = dml_victims s tx t schema where pred in
-      List.iter
-        (fun (rid, row) ->
-          let row' = Array.copy row in
-          List.iter (fun (pos, e) -> row'.(pos) <- Expr.eval e row) sets;
-          ignore (Table.update s.sdb tx t rid row'))
-        victims;
+      (* every new row is computed and checked before the first write: a
+         SET of the wrong type fails the statement with no row touched *)
+      let updates =
+        List.map
+          (fun (rid, row) ->
+            let row' = Array.copy row in
+            List.iter (fun (pos, e) -> row'.(pos) <- Expr.eval e row) sets;
+            (match Schema.validate schema row' with Ok () -> () | Error m -> fail "%s" m);
+            (rid, row'))
+          victims
+      in
+      List.iter (fun (rid, row') -> ignore (Table.update s.sdb tx t rid row')) updates;
       Affected (List.length victims))
 
 (* EXPLAIN UPDATE / EXPLAIN DELETE: the access plan the statement's
@@ -1087,9 +976,9 @@ let run_create_view s ~v_name ~(query : A.select) ~strat =
   in
   let source =
     match (source, query.A.where) with
-    | Database.From (t, None), Some w -> Database.From (t, Some (bind_expr schema w))
+    | Database.From (t, None), Some w -> Database.From (t, Some (bind_schema schema w))
     | Database.From_join j, Some w ->
-        Database.From_join { j with where = Some (bind_expr schema w) }
+        Database.From_join { j with where = Some (bind_schema schema w) }
     | src, _ -> src
   in
   let v =
@@ -1106,8 +995,7 @@ let run_create_view s ~v_name ~(query : A.select) ~strat =
 
 (* --- driver ------------------------------------------------------------------- *)
 
-let exec s input =
-  let stmt = Sql_parser.parse input in
+let exec_stmt s (stmt : A.stmt) =
   match stmt with
   | A.Create_table { t_name; cols } ->
       let cols =
@@ -1221,6 +1109,8 @@ let exec s input =
               (fun (k, v) -> [| Value.Str k; Value.Int v |])
               (Ivdb_util.Metrics.snapshot (Database.metrics s.sdb));
         }
+
+let exec s input = type_errors (exec_stmt s) (Sql_parser.parse input)
 
 let render = function
   | Affected n -> Printf.sprintf "%d row(s) affected" n

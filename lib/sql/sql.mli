@@ -18,10 +18,16 @@
       UPDATE t SET c = c + 1 WHERE b = 'x'
       SELECT a, b FROM t WHERE c > 2 ORDER BY a DESC LIMIT 10
       SELECT * FROM v                         -- an indexed view, instantly
+      SELECT a, sum FROM v WHERE sum > 3      -- a view's columns are its
+        ORDER BY sum DESC LIMIT 5             -- GROUP BY columns and its
+                                              -- aggregates' labels (count( * ),
+                                              -- count, sum, min, max)
       SELECT b, COUNT( * ), AVG(c) FROM t
         GROUP BY b HAVING SUM(c) > 10         -- on-demand aggregation; a
                                               -- matching view is used
-                                              -- automatically
+                                              -- automatically. HAVING follows
+                                              -- WHERE's NULL rules: a NULL
+                                              -- aggregate passes no comparison
       EXPLAIN SELECT ...                      -- access-path and view plans
       EXPLAIN ANALYZE SELECT ...              -- runs the query: per-operator
                                               -- row counts, index probes,
@@ -40,6 +46,10 @@
     v} *)
 
 exception Sql_error of string
+(** A statement the session cannot run: an unknown name, an unsupported
+    shape, a value that does not fit its column, or an operand of the
+    wrong type ({!Ivdb_relation.Value.Type_error}, reported as
+    ["type error: ..."]). *)
 
 type session
 
@@ -75,13 +85,30 @@ type result =
 
 val select_over :
   Sql_ast.select -> string list * Ivdb_relation.Row.t list -> result
-(** [select_over q (header, rows)] evaluates a parsed SELECT against an
-    already-materialized relation with [sys.*] semantics: WHERE filtering
-    bound by column name, projection by name, ORDER BY / LIMIT; joins,
-    GROUP BY and aggregates are refused with {!Sql_error}. This is the
-    evaluation half of the [sys.*] path, exported so the shard
-    coordinator can answer coordinator-resident catalogs ([sys.gtxns],
-    [sys.coord_shards], [sys.cluster_metrics]) without a database. *)
+(** [select_over q (header, rows)] evaluates a parsed SELECT over an
+    already-materialized relation, its columns named by [header]: WHERE,
+    projection by name, ORDER BY / LIMIT. It is the evaluator for every
+    such relation: an indexed view's stored groups (on one engine, and
+    combined from a cluster's shards by the coordinator), the [sys.*]
+    tables, and the coordinator's own catalogs ([sys.gtxns],
+    [sys.coord_shards], [sys.cluster_metrics]). Joins, GROUP BY and
+    aggregates are refused with {!Sql_error}, as is an operand of the
+    wrong type. *)
+
+val order_limit : Sql_ast.select -> string list * Ivdb_relation.Row.t list -> result
+(** ORDER BY and LIMIT alone, over rows already filtered and projected:
+    the coordinator's merge of a statement fanned out to its shards. *)
+
+val value_of_lit : Sql_ast.lit -> Ivdb_relation.Value.t
+
+val conjuncts : Sql_ast.expr -> Sql_ast.expr list
+(** The top-level [AND] terms of a WHERE. *)
+
+val is_sys_name : string -> bool
+(** [sys.]-prefixed relation names, the introspection tables. *)
+
+val is_grouped : Sql_ast.select -> bool
+(** Has GROUP BY or an aggregate in its select list. *)
 
 val combine_view_rows :
   groups:int -> string list -> Ivdb_relation.Row.t list -> Ivdb_relation.Row.t list
@@ -95,7 +122,8 @@ val combine_view_rows :
 val exec : session -> string -> result
 (** Parse and execute one statement. Raises {!Sql_error} (or
     {!Sql_parser.Parse_error} / {!Sql_lexer.Lex_error}) on bad input; an
-    error inside an open transaction leaves the transaction open. *)
+    error inside an open transaction leaves the transaction open. An
+    expression nested more than 1,000 levels deep is a parse error. *)
 
 val render : result -> string
 (** Plain-text table, for REPLs and tests. *)

@@ -3,7 +3,7 @@ module L = Sql_lexer
 
 exception Parse_error of string
 
-type state = { mutable toks : L.token list }
+type state = { mutable toks : L.token list; mutable depth : int }
 
 let fail fmt = Format.kasprintf (fun s -> raise (Parse_error s)) fmt
 
@@ -63,18 +63,36 @@ let int_lit st =
 
 (* --- expressions: precedence OR < AND < NOT < cmp < add < mul < unary --- *)
 
+(* How deep an expression may nest. Each parenthesis, aggregate argument,
+   NOT, unary minus and each further term of an AND, OR or arithmetic
+   chain is one level. The parser and every evaluator recurse over the
+   tree, so deeper input is refused here rather than overflowing a stack
+   later. *)
+let max_depth = 1_000
+
+let deepen st =
+  if st.depth >= max_depth then
+    fail "expression nested more than %d levels deep" max_depth;
+  st.depth <- st.depth + 1
+
+let nested st f =
+  deepen st;
+  let e = f st in
+  st.depth <- st.depth - 1;
+  e
+
 let rec expr st = or_expr st
 
 and or_expr st =
   let a = and_expr st in
-  if accept st (L.Kw "OR") then Binop (Or, a, or_expr st) else a
+  if accept st (L.Kw "OR") then Binop (Or, a, nested st or_expr) else a
 
 and and_expr st =
   let a = not_expr st in
-  if accept st (L.Kw "AND") then Binop (And, a, and_expr st) else a
+  if accept st (L.Kw "AND") then Binop (And, a, nested st and_expr) else a
 
 and not_expr st =
-  if accept st (L.Kw "NOT") then Unop (Not, not_expr st) else cmp_expr st
+  if accept st (L.Kw "NOT") then Unop (Not, nested st not_expr) else cmp_expr st
 
 and cmp_expr st =
   let a = add_expr st in
@@ -99,29 +117,40 @@ and cmp_expr st =
       if negated then Unop (Not, Is_null a) else Is_null a
   | None, _ -> a
 
+(* a left-deep chain is as deep as it is long *)
 and add_expr st =
+  let base = st.depth in
   let rec go a =
     match peek st with
     | L.Sym "+" ->
         advance st;
+        deepen st;
         go (Binop (Add, a, mul_expr st))
     | L.Sym "-" ->
         advance st;
+        deepen st;
         go (Binop (Sub, a, mul_expr st))
-    | _ -> a
+    | _ ->
+        st.depth <- base;
+        a
   in
   go (mul_expr st)
 
 and mul_expr st =
+  let base = st.depth in
   let rec go a =
     match peek st with
     | L.Sym "*" ->
         advance st;
+        deepen st;
         go (Binop (Mul, a, unary_expr st))
     | L.Sym "/" ->
         advance st;
+        deepen st;
         go (Binop (Div, a, unary_expr st))
-    | _ -> a
+    | _ ->
+        st.depth <- base;
+        a
   in
   go (unary_expr st)
 
@@ -129,7 +158,7 @@ and unary_expr st =
   match peek st with
   | L.Sym "-" ->
       advance st;
-      Unop (Neg, unary_expr st)
+      Unop (Neg, nested st unary_expr)
   | _ -> atom st
 
 and atom st =
@@ -154,7 +183,7 @@ and atom st =
       Lit L_null
   | L.Sym "(" ->
       advance st;
-      let e = expr st in
+      let e = nested st expr in
       eat st (L.Sym ")");
       e
   | L.Kw ("COUNT" | "SUM" | "MIN" | "MAX" | "AVG")
@@ -173,32 +202,32 @@ and agg_atom st =
         Count_star
       end
       else begin
-        let e = expr st in
+        let e = nested st expr in
         eat st (L.Sym ")");
         Count e
       end
   | L.Kw "SUM" ->
       advance st;
       eat st (L.Sym "(");
-      let e = expr st in
+      let e = nested st expr in
       eat st (L.Sym ")");
       Sum e
   | L.Kw "MIN" ->
       advance st;
       eat st (L.Sym "(");
-      let e = expr st in
+      let e = nested st expr in
       eat st (L.Sym ")");
       Min e
   | L.Kw "MAX" ->
       advance st;
       eat st (L.Sym "(");
-      let e = expr st in
+      let e = nested st expr in
       eat st (L.Sym ")");
       Max e
   | L.Kw "AVG" ->
       advance st;
       eat st (L.Sym "(");
-      let e = expr st in
+      let e = nested st expr in
       eat st (L.Sym ")");
       Avg e
   | t -> fail "expected aggregate, found %a" L.pp_token t
@@ -251,8 +280,9 @@ let select_item st =
   | L.Sym "*" ->
       advance st;
       Star
-  | L.Kw ("COUNT" | "SUM" | "MIN" | "MAX" | "AVG") -> Agg_item (agg_atom st)
-  | _ -> Col_item (ident st)
+  | L.Kw ("COUNT" | "SUM" | "MIN" | "MAX" | "AVG") when lparen_next st ->
+      Agg_item (agg_atom st)
+  | _ -> Col_item (column st)
 
 let select_body st =
   let items = comma_sep st select_item in
@@ -471,7 +501,7 @@ let rec statement st =
   | t -> fail "expected a statement, found %a" L.pp_token t
 
 let parse src =
-  let st = { toks = L.tokenize src } in
+  let st = { toks = L.tokenize src; depth = 0 } in
   let s = statement st in
   (match peek st with
   | L.Eof -> ()
@@ -479,7 +509,7 @@ let parse src =
   s
 
 let parse_expr src =
-  let st = { toks = L.tokenize src } in
+  let st = { toks = L.tokenize src; depth = 0 } in
   let e = expr st in
   (match peek st with
   | L.Eof -> ()

@@ -751,6 +751,99 @@ let cross_shard_cluster seed f =
   Sched.run ~seed (fun () ->
       Coord.loopback_cluster ~config:Server.default_config dbs (f dbs))
 
+(* The coordinator answers a view SELECT — projection, WHERE, ORDER BY,
+   LIMIT, NULL aggregates — exactly as one engine holding all the rows
+   does. *)
+let test_views_match_one_engine () =
+  let engine = Sql.session (Database.create ()) in
+  cross_shard_cluster 43 (fun _ dialers ->
+      let c = Coord.create dialers in
+      let both sql =
+        ignore (Sql.exec engine sql);
+        ignore (Coord.exec c sql)
+      in
+      both "CREATE TABLE t (k INT NOT NULL, grp TEXT NOT NULL, qty INT)";
+      both
+        "CREATE VIEW ve AS SELECT grp, COUNT(*), SUM(qty) FROM t GROUP BY grp \
+         USING ESCROW";
+      both
+        "CREATE VIEW vm AS SELECT grp, COUNT(qty), MIN(qty), MAX(qty) FROM t \
+         GROUP BY grp USING EXCLUSIVE";
+      let rng = Random.State.make [| 5 |] in
+      for k = 0 to 39 do
+        let qty =
+          if Random.State.int rng 4 = 0 then "NULL"
+          else string_of_int (Random.State.int rng 30)
+        in
+        both
+          (Printf.sprintf "INSERT INTO t VALUES (%d, 'g%d', %s)" k
+             (Random.State.int rng 6) qty)
+      done;
+      for k = 0 to 9 do
+        both (Printf.sprintf "DELETE FROM t WHERE k = %d" (k * 3))
+      done;
+      both "UPDATE t SET qty = NULL WHERE grp = 'g4'";
+      (* a group every row has left *)
+      both "DELETE FROM t WHERE grp = 'g5'";
+      List.iter
+        (fun sql ->
+          check Alcotest.string sql
+            (Sql.render (Sql.exec engine sql))
+            (Sql.render (Coord.exec c sql)))
+        [
+          "SELECT * FROM ve";
+          "SELECT * FROM vm";
+          "SELECT grp FROM ve";
+          "SELECT sum, grp FROM ve WHERE sum > 20 ORDER BY sum DESC";
+          "SELECT grp, count FROM vm WHERE min IS NULL OR max < 20 ORDER BY count LIMIT 3";
+          "SELECT max, min FROM vm WHERE grp <> 'g1' ORDER BY max DESC LIMIT 2";
+          "SELECT * FROM ve WHERE sum IS NULL";
+          "SELECT grp FROM vm WHERE NOT (max >= 10) ORDER BY grp DESC";
+          "SELECT * FROM ve ORDER BY sum LIMIT 1";
+        ];
+      Coord.close c)
+
+(* An operand of the wrong type — evaluated on a shard, or by the
+   coordinator over a combined view — is answered E_sql; the connection
+   and its transaction carry on. *)
+let test_ill_typed_through_coord () =
+  cross_shard_cluster 47 (fun _ dialers ->
+      let c = Coord.create dialers in
+      let cnet = Transport.Loopback.create ~backlog:16 () in
+      let csrv = Coord.server c (Transport.Loopback.listener cnet) in
+      Server.serve csrv;
+      let cl = Client.connect (Transport.Loopback.dialer cnet) in
+      ignore (Client.exec cl "CREATE TABLE t (k INT NOT NULL, grp TEXT NOT NULL, x INT)");
+      ignore
+        (Client.exec cl
+           "CREATE VIEW v AS SELECT grp, COUNT(*), SUM(x) FROM t GROUP BY grp USING ESCROW");
+      ignore (Client.exec cl "INSERT INTO t VALUES (0, 'a', 1), (1, 'b', 1)");
+      List.iter
+        (fun in_txn ->
+          if in_txn then ignore (Client.exec cl "BEGIN");
+          List.iter
+            (fun sql ->
+              (try
+                 ignore (Client.exec cl sql);
+                 Alcotest.failf "expected Server_error for %s" sql
+               with Client.Server_error { code; txn_open; _ } ->
+                 check Alcotest.string sql "sql" (Ivdb_wire.Wire.error_code_name code);
+                 Alcotest.(check bool) (sql ^ ": txn_open") in_txn txn_open);
+              check Alcotest.int (sql ^ ": the connection serves the next statement") 2
+                (List.length (rows (Client.exec cl "SELECT * FROM t WHERE x = 1"))))
+            [
+              "SELECT * FROM t WHERE k AND 1";
+              "SELECT * FROM t WHERE grp + 1 > 2";
+              "UPDATE t SET x = grp + 1";
+              "SELECT * FROM v WHERE grp + 1 > 0";
+              "SELECT grp FROM v WHERE sum AND TRUE";
+            ];
+          if in_txn then ignore (Client.exec cl "COMMIT"))
+        [ false; true ];
+      Client.close cl;
+      Coord.close c;
+      Server.drain csrv)
+
 let test_prepare_loss_aborts () =
   let shards = 2 in
   cross_shard_cluster 13 (fun dbs dialers ->
@@ -1603,6 +1696,10 @@ let () =
             test_single_shard_write_skips_2pc;
           Alcotest.test_case "V1 across the cluster, MIN/MAX and deferred too"
             `Quick test_partial_views_v1;
+          Alcotest.test_case "view SELECTs match one engine" `Quick
+            test_views_match_one_engine;
+          Alcotest.test_case "ill-typed expressions answer E_sql" `Quick
+            test_ill_typed_through_coord;
           Alcotest.test_case "join views must be co-partitioned" `Quick
             test_join_views_must_be_copartitioned;
         ] );

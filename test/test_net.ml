@@ -127,6 +127,40 @@ let test_parse_error_over_wire () =
       ignore (Client.exec cl "CREATE TABLE t (a INT NOT NULL)");
       Client.close cl)
 
+(* An operand of the wrong type is a statement error like any other: the
+   server answers E_sql, keeps the transaction, and serves the next
+   statement on the same connection. *)
+let test_ill_typed_over_wire () =
+  let db = Database.create () in
+  with_loopback_server db (fun _srv dial ->
+      let cl = Client.connect dial in
+      ignore (Client.exec cl "CREATE TABLE t (k INT NOT NULL, g TEXT NOT NULL, x INT)");
+      ignore (Client.exec cl "INSERT INTO t VALUES (1, 'a', 1)");
+      List.iter
+        (fun in_txn ->
+          if in_txn then ignore (Client.exec cl "BEGIN");
+          List.iter
+            (fun sql ->
+              (try
+                 ignore (Client.exec cl sql);
+                 Alcotest.failf "expected Server_error for %s" sql
+               with Client.Server_error { code; txn_open; _ } ->
+                 check Alcotest.string sql "sql" (Wire.error_code_name code);
+                 Alcotest.(check bool) (sql ^ ": txn_open") in_txn txn_open);
+              check Alcotest.int (sql ^ ": the session serves the next statement") 1
+                (List.length (rows (Client.exec cl "SELECT * FROM t WHERE x = 1"))))
+            [
+              "SELECT * FROM t WHERE k AND 1";
+              "SELECT * FROM t WHERE g + 1 > 2";
+              "SELECT * FROM t WHERE g = 1";
+              "UPDATE t SET x = g + 1";
+              "UPDATE t SET x = 'text'";
+              "SELECT g, COUNT(*) FROM t GROUP BY g HAVING g + 1 > 0";
+            ];
+          if in_txn then ignore (Client.exec cl "COMMIT"))
+        [ false; true ];
+      Client.close cl)
+
 (* A number the lexer cannot read is a parse error like any other: the
    session answers it and serves the next statement. *)
 let test_malformed_number_over_wire () =
@@ -362,6 +396,8 @@ let () =
             test_parse_error_over_wire;
           Alcotest.test_case "malformed number over wire" `Quick
             test_malformed_number_over_wire;
+          Alcotest.test_case "ill-typed expression over wire" `Quick
+            test_ill_typed_over_wire;
         ] );
       ( "admission",
         [

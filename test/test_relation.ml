@@ -13,7 +13,8 @@ let test_value_compare () =
   Alcotest.(check bool) "null smallest" true (Value.compare Value.Null (Value.Int min_int) < 0);
   Alcotest.(check bool) "int/float mix" true (Value.compare (Value.Int 2) (Value.Float 2.5) < 0);
   Alcotest.(check bool) "strings" true (Value.compare (Value.Str "a") (Value.Str "b") < 0);
-  Alcotest.check_raises "cross-type" (Invalid_argument "Value.compare: incompatible types")
+  Alcotest.check_raises "cross-type"
+    (Value.Type_error "cannot compare values of different types")
     (fun () -> ignore (Value.compare (Value.Int 1) (Value.Str "x")))
 
 let test_value_arith () =

@@ -30,6 +30,21 @@ let affected s sql =
 
 let ints row = Array.to_list (Array.map Value.to_int row)
 
+(* Statements over [t (k INT, g TEXT, x INT)] whose operands have the
+   wrong type. *)
+let ill_typed =
+  [
+    "SELECT * FROM t WHERE k AND 1";
+    "SELECT * FROM t WHERE g + 1 > 2";
+    "SELECT * FROM t WHERE g = 1";
+    "SELECT * FROM t WHERE NOT x";
+    "SELECT * FROM t WHERE -g = 'a'";
+    "UPDATE t SET x = g + 1";
+    "UPDATE t SET x = 'text'";
+    "SELECT g, COUNT(*) FROM t GROUP BY g HAVING g + 1 > 0";
+    "SELECT g, SUM(g) FROM t GROUP BY g";
+  ]
+
 (* --- lexer ------------------------------------------------------------------ *)
 
 let test_lexer () =
@@ -279,6 +294,34 @@ let test_parse_errors () =
     (match Parser.parse "SELECT a" with
     | exception Parser.Parse_error _ -> true
     | _ -> false)
+
+(* Nesting deeper than the parser's bound is a parse error, not a stack
+   overflow; nesting within it parses. *)
+let test_parse_depth () =
+  let refused what sql =
+    Alcotest.(check bool) what true
+      (match Parser.parse sql with
+      | exception Parser.Parse_error _ -> true
+      | _ -> false)
+  in
+  let n = 200_000 in
+  let where body = "SELECT * FROM t WHERE " ^ body in
+  refused "200,000 parentheses"
+    (where (String.make n '(' ^ "k = 1" ^ String.make n ')'));
+  refused "200,000-term OR chain"
+    (where (String.concat " OR " (List.init n (Printf.sprintf "k = %d"))));
+  refused "200,000-term AND chain"
+    (where (String.concat " AND " (List.init n (Printf.sprintf "k = %d"))));
+  refused "200,000 NOTs" (where (String.concat "" (List.init n (fun _ -> "NOT ")) ^ "k"));
+  refused "200,000 unary minuses" (where (String.make n '-' ^ "k > 0"));
+  refused "200,000-term sum" (where ("k" ^ String.concat "" (List.init n (fun _ -> " + 1")) ^ " > 0"));
+  let deep = 900 in
+  match
+    Parser.parse
+      (where (String.make deep '(' ^ "k = 1" ^ String.make deep ')'))
+  with
+  | A.Select _ -> ()
+  | _ -> Alcotest.fail "900 parentheses should parse"
 
 (* --- adversarial input --------------------------------------------------------- *)
 
@@ -567,6 +610,161 @@ let test_avg_and_having () =
       Alcotest.(check bool) "helpful error" true
         (String.length m > 0 && String.exists (fun c -> c = 'S') m)
   | _ -> Alcotest.fail "AVG view should be rejected")
+
+(* HAVING uses WHERE's three-valued logic: a NULL aggregate satisfies
+   neither a comparison nor its negation. *)
+let test_having_null () =
+  let s = fresh () in
+  ignore (exec s "CREATE TABLE t (k INT NOT NULL, g TEXT NOT NULL, x INT)");
+  ignore (exec s "INSERT INTO t VALUES (1, 'a', 1), (2, 'a', 5), (3, 'b', NULL), (4, 'c', 2)");
+  let groups sql = List.map (fun (r : Value.t array) -> Value.to_string r.(0)) (rows_of s sql) in
+  let q h = "SELECT g, MAX(x) FROM t GROUP BY g HAVING " ^ h ^ " ORDER BY g" in
+  check Alcotest.(list string) "MAX(x) < 3" [ "\"c\"" ] (groups (q "MAX(x) < 3"));
+  check Alcotest.(list string) "NOT MAX(x) < 3" [ "\"a\"" ] (groups (q "NOT MAX(x) < 3"));
+  check Alcotest.(list string) "MAX(x) IS NULL" [ "\"b\"" ] (groups (q "MAX(x) IS NULL"));
+  check Alcotest.(list string) "WHERE agrees" [ "\"c\"" ]
+    (groups "SELECT g, MAX(x) FROM t WHERE x < 3 AND g <> 'a' GROUP BY g");
+  check Alcotest.(list string) "arithmetic over aggregates" [ "\"a\"" ]
+    (groups (q "SUM(x) * 2 - MIN(x) > 10 OR MIN(x) = 0"))
+
+(* A view on one engine answers projection, WHERE, ORDER BY and LIMIT
+   like any relation. *)
+let test_view_projection () =
+  let s = fresh () in
+  ignore (exec s "CREATE TABLE t (k INT NOT NULL, g TEXT NOT NULL, x INT)");
+  ignore
+    (exec s
+       "CREATE VIEW v AS SELECT g, COUNT(*), SUM(x), MAX(x) FROM t GROUP BY g \
+        USING EXCLUSIVE");
+  ignore (exec s "INSERT INTO t VALUES (1, 'a', 1), (2, 'a', 5), (3, 'b', NULL), (4, 'c', 2)");
+  check Alcotest.(list string) "SELECT g FROM v" [ "g" ] (header_of s "SELECT g FROM v");
+  check Alcotest.(list string) "groups" [ "\"a\""; "\"b\""; "\"c\"" ]
+    (List.map (fun (r : Value.t array) -> Value.to_string r.(0)) (rows_of s "SELECT g FROM v"));
+  check Alcotest.(list string) "labels project" [ "max"; "g" ]
+    (header_of s "SELECT max, g FROM v");
+  check
+    Alcotest.(list (list string))
+    "WHERE, ORDER BY, LIMIT"
+    [ [ "6"; "\"a\"" ] ]
+    (List.map
+       (fun r -> Array.to_list (Array.map Value.to_string r))
+       (rows_of s "SELECT sum, g FROM v WHERE sum > 1 ORDER BY sum DESC LIMIT 1"));
+  let refused sql =
+    match exec s sql with
+    | exception Sql.Sql_error m ->
+        Alcotest.(check bool) (sql ^ ": " ^ m) false (contains m "sys.")
+    | _ -> Alcotest.failf "expected an error for %s" sql
+  in
+  refused "SELECT g, COUNT(*) FROM v GROUP BY g";
+  refused "SELECT nope FROM v";
+  refused "SELECT * FROM v WHERE SUM(x) > 1"
+
+(* An operand of the wrong type is the statement's error; the session
+   and its transaction carry on. *)
+let test_type_errors () =
+  let s = fresh () in
+  ignore (exec s "CREATE TABLE t (k INT NOT NULL, g TEXT NOT NULL, x INT)");
+  ignore (exec s "INSERT INTO t VALUES (1, 'a', 1)");
+  ignore (exec s "BEGIN");
+  List.iter
+    (fun sql ->
+      (match exec s sql with
+      | exception Sql.Sql_error _ -> ()
+      | _ -> Alcotest.failf "expected an error for %s" sql);
+      Alcotest.(check bool) (sql ^ ": txn still open") true (Sql.in_transaction s))
+    ill_typed;
+  ignore (exec s "COMMIT");
+  check Alcotest.int "rows intact" 1 (List.length (rows_of s "SELECT * FROM t WHERE x = 1"))
+
+(* The same predicate as HAVING over the base table and as WHERE over a
+   view holding the same aggregates gives the same groups, NULL
+   aggregates included: one evaluator behind both. [u] has no view, so
+   its GROUP BY aggregates on demand; [v] is maintained over [t], which
+   holds the same rows. *)
+let gen_having_where =
+  let open QCheck.Gen in
+  let pair f (a, b) (c, d) = (f a c, f b d) in
+  let term =
+    oneofl
+      [ ("SUM(x)", "sum"); ("MIN(x)", "min"); ("MAX(x)", "max"); ("COUNT(x)", "count"); ("g", "g") ]
+  in
+  let const = map (fun i -> (string_of_int i, string_of_int i)) (int_range (-5) 40) in
+  let operand = frequency [ (3, term); (2, const); (1, return ("NULL", "NULL")) ] in
+  let arith =
+    frequency [ (3, operand); (1, map2 (pair (Printf.sprintf "%s + %s")) operand operand) ]
+  in
+  let cmp =
+    oneofl [ "<"; "<="; "="; "<>"; ">"; ">=" ] >>= fun op ->
+    map2 (pair (fun a b -> Printf.sprintf "%s %s %s" a op b)) arith arith
+  in
+  let atom =
+    frequency
+      [ (4, cmp); (1, map (fun (a, b) -> (a ^ " IS NULL", b ^ " IS NULL")) term) ]
+  in
+  fix
+    (fun self n ->
+      if n = 0 then atom
+      else
+        frequency
+          [
+            (3, atom);
+            (1, map (fun (a, b) -> ("NOT (" ^ a ^ ")", "NOT (" ^ b ^ ")")) (self (n - 1)));
+            ( 2,
+              oneofl [ "AND"; "OR" ] >>= fun op ->
+              map2
+                (pair (fun a b -> Printf.sprintf "(%s %s %s)" a op b))
+                (self (n - 1)) (self (n - 1)) );
+          ])
+    3
+
+let gen_null_rows =
+  let open QCheck.Gen in
+  list_size (int_bound 24)
+    (triple (int_bound 3) (opt ~ratio:0.7 (int_range (-5) 20)) bool)
+
+let prop_having_matches_view =
+  QCheck.Test.make ~name:"GROUP BY ... HAVING p = SELECT * FROM view WHERE p" ~count:300
+    (QCheck.make
+       ~print:(fun (rows, (h, w)) ->
+         Printf.sprintf "%d rows; HAVING %s; WHERE %s" (List.length rows) h w)
+       QCheck.Gen.(pair gen_null_rows gen_having_where))
+    (fun (rows, (having, where)) ->
+      let s = fresh () in
+      let aggs = "g, COUNT(*), COUNT(x), SUM(x), MIN(x), MAX(x)" in
+      List.iter
+        (fun sql -> ignore (exec s sql))
+        [
+          "CREATE TABLE t (k INT NOT NULL, g INT NOT NULL, x INT)";
+          "CREATE TABLE u (k INT NOT NULL, g INT NOT NULL, x INT)";
+          "CREATE VIEW v AS SELECT " ^ aggs ^ " FROM t GROUP BY g USING EXCLUSIVE";
+        ];
+      List.iteri
+        (fun k (g, x, _) ->
+          let x = Option.fold ~none:"NULL" ~some:string_of_int x in
+          List.iter
+            (fun tbl ->
+              ignore (exec s (Printf.sprintf "INSERT INTO %s VALUES (%d, %d, %s)" tbl k g x)))
+            [ "t"; "u" ])
+        rows;
+      (* a deleted row exercises MIN/MAX retirement in the view *)
+      List.iteri
+        (fun k (_, _, gone) ->
+          if gone then
+            List.iter
+              (fun tbl -> ignore (exec s (Printf.sprintf "DELETE FROM %s WHERE k = %d" tbl k)))
+              [ "t"; "u" ])
+        rows;
+      let base =
+        Sql.render
+          (exec s
+             (Printf.sprintf "SELECT %s FROM u GROUP BY g HAVING %s ORDER BY g" aggs having))
+      in
+      let view =
+        Sql.render (exec s (Printf.sprintf "SELECT * FROM v WHERE %s ORDER BY g" where))
+      in
+      if base <> view then
+        QCheck.Test.fail_reportf "HAVING gave\n%s\nthe view gave\n%s" base view;
+      true)
 
 let test_division () =
   let s = setup_sales () in
@@ -889,6 +1087,7 @@ let () =
           Alcotest.test_case "arith precedence" `Quick test_parse_arith_precedence;
           Alcotest.test_case "create view" `Quick test_parse_view;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "nesting depth is bounded" `Quick test_parse_depth;
           Alcotest.test_case "mutation corpus parses" `Quick test_corpus_parses;
           qtest prop_parse_errors_only;
         ] );
@@ -909,6 +1108,10 @@ let () =
           Alcotest.test_case "explain + index probe" `Quick test_explain_and_probe;
           Alcotest.test_case "explain analyze" `Quick test_explain_analyze;
           Alcotest.test_case "avg + having" `Quick test_avg_and_having;
+          Alcotest.test_case "having follows WHERE's NULL rules" `Quick test_having_null;
+          Alcotest.test_case "view projection" `Quick test_view_projection;
+          Alcotest.test_case "ill-typed expressions are errors" `Quick test_type_errors;
+          qtest prop_having_matches_view;
           Alcotest.test_case "division" `Quick test_division;
           Alcotest.test_case "savepoints" `Quick test_sql_savepoints;
           Alcotest.test_case "unique index" `Quick test_unique_index_sql;

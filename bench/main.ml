@@ -22,7 +22,6 @@ module Txn = Ivdb_txn.Txn
 module Wal = Ivdb_wal.Wal
 module Metrics = Ivdb_util.Metrics
 module Rng = Ivdb_util.Rng
-module Stats = Ivdb_util.Stats
 module Fault = Ivdb_storage.Fault
 module Sched = Ivdb_sched.Sched
 module Coord = Ivdb_coord.Coord
@@ -112,8 +111,7 @@ let write_json ~quick path =
 
 let strategy_name s = S (Maintain.strategy_to_string s)
 
-let metric r name =
-  match List.assoc_opt name r.Workload.metrics with Some v -> v | None -> 0
+let metric r name = Metrics.window_get r.Workload.window name
 
 let group_commit = Txn.Group { max_batch = 32; max_wait_ticks = 50 }
 
@@ -202,9 +200,9 @@ let e2 () =
       i mpl;
       i r.Workload.committed;
       f2 r.Workload.throughput;
-      f2 (per_txn r.Workload.lock_waits);
-      i r.Workload.deadlocks;
-      i r.Workload.retries;
+      f2 (per_txn (metric r "lock.wait"));
+      i (metric r "lock.deadlock");
+      i (metric r "txn.retry");
       f1 r.Workload.mean_latency;
       f1 r.Workload.p95_latency;
     ]
@@ -244,9 +242,9 @@ let e3 () =
       strategy_name strategy;
       f2 theta;
       i r.Workload.committed;
-      f2 (per100 r.Workload.deadlocks);
-      f2 (per100 r.Workload.retries);
-      f2 (per100 r.Workload.lock_waits);
+      f2 (per100 (metric r "lock.deadlock"));
+      f2 (per100 (metric r "txn.retry"));
+      f2 (per100 (metric r "lock.wait"));
       f1 r.Workload.p95_latency;
     ]
   in
@@ -428,8 +426,8 @@ let e7 () =
       i r.Workload.committed;
       i r.Workload.committed_readers;
       i writers;
-      i r.Workload.lock_waits;
-      i r.Workload.deadlocks;
+      i (metric r "lock.wait");
+      i (metric r "lock.deadlock");
       f1 r.Workload.mean_latency;
       f1 r.Workload.p95_latency;
     ]
@@ -479,8 +477,8 @@ let e8 () =
       i (metric r "view.group_create" + metric r "view.group_create_user");
       i (metric r "view.gc_removed" + removed);
       i zero_left;
-      i r.Workload.lock_waits;
-      i r.Workload.deadlocks;
+      i (metric r "lock.wait");
+      i (metric r "lock.deadlock");
       f1 r.Workload.p95_latency;
     ]
   in
@@ -546,8 +544,9 @@ let e9 () =
 let e10 () =
   let run mode =
     let db, t, v = sales_db [ [| Value.Int 0; Value.Int 1; Value.Int 1 |] ] in
-    let lat = Stats.create () in
-    let widths = Stats.create () in
+    let m = Metrics.create () in
+    let lat = Metrics.hist m "read_ticks" in
+    let widths = ref [] in
     let reads = 60 in
     Sched.run ~seed:10 (fun () ->
         (* writers hammer group 1, holding E locks across yields *)
@@ -575,21 +574,23 @@ let e10 () =
                  | `Bounds -> (
                      match Query.view_lookup_bounds db v [| Value.Int 1 |] with
                      | Some (lo, hi) ->
-                         Stats.add widths (Value.to_float hi.(1) -. Value.to_float lo.(1))
+                         widths := (Value.to_float hi.(1) -. Value.to_float lo.(1)) :: !widths
                      | None -> ()));
-                 Stats.add lat (float_of_int (Sched.now () - t0));
+                 Metrics.record lat (Sched.now () - t0);
                  Sched.yield ()
                done)))
     ;
-    let mean = Stats.mean lat in
-    let p95 = if Stats.count lat = 0 then 0. else Stats.percentile lat 95. in
-    let width = if Stats.count widths = 0 then 0. else Stats.mean widths in
+    let cells = Metrics.hist_snapshot m "read_ticks" in
+    (* summed in the order the widths were read *)
+    let n, sum =
+      List.fold_left (fun (n, sum) w -> (n + 1, sum +. w)) (0, 0.) (List.rev !widths)
+    in
     [
       S (match mode with `Blocking -> "serializable lookup" | `Bounds -> "escrow bounds");
       i reads;
-      f1 mean;
-      f1 p95;
-      f2 width;
+      f1 (Metrics.cells_mean cells);
+      f1 (float_of_int (Metrics.percentile_cells cells 95.));
+      f2 (if n = 0 then 0. else sum /. float_of_int n);
     ]
   in
   print_table
@@ -615,8 +616,8 @@ let e11 ~quick =
       i mpl;
       i r.Workload.committed;
       f2 r.Workload.throughput;
-      i r.Workload.forces;
-      f2 (per_commit r.Workload.forces);
+      i (metric r "log.force");
+      f2 (per_commit (metric r "log.force"));
       f2 r.Workload.mean_batch;
       f1 (per_commit (metric r "commit.stall_ticks"));
     ]
@@ -747,7 +748,7 @@ let e13 ~quick =
     [
       S tname; S mode_name; i mpl; i max_inflight; i r.Workload.committed;
       f2 r.Workload.throughput; f1 r.Workload.p95_latency;
-      f2 (per_commit r.Workload.forces); f2 r.Workload.mean_batch;
+      f2 (per_commit (metric r "log.force")); f2 r.Workload.mean_batch;
       i (metric r "server.shed");
     ]
   in
@@ -888,7 +889,7 @@ let e15 ~quick =
       i writers;
       f2 (per_1k r.Workload.committed_readers);
       f2 (per_1k writers);
-      i r.Workload.lock_waits;
+      i (metric r "lock.wait");
       f1 r.Workload.mean_latency;
       f1 r.Workload.p95_latency;
     ]

@@ -87,26 +87,37 @@ let net_conv =
           | Ivdb_client.Net_workload.Loopback -> "loopback"
           | Ivdb_client.Net_workload.Tcp -> "tcp") )
 
+(* The result block every shape prints: the loop's own figures and the
+   counters of the run's registry window. *)
 let print_result strategy create_mode r =
+  let get = Metrics.window_get r.Workload.window in
+  let forces = get "log.force" in
   Printf.printf "strategy          %s (create: %s)\n"
     (Maintain.strategy_to_string strategy)
     (match create_mode with Maintain.System_txn -> "system txn" | Maintain.User_txn -> "user txn");
   Printf.printf "committed         %d (%d readers)\n" r.Workload.committed
     r.Workload.committed_readers;
   Printf.printf "gave up           %d\n" r.Workload.given_up;
-  Printf.printf "retries           %d\n" r.Workload.retries;
-  Printf.printf "deadlocks         %d\n" r.Workload.deadlocks;
-  Printf.printf "lock waits        %d\n" r.Workload.lock_waits;
+  Printf.printf "retries           %d\n" (get "txn.retry");
+  Printf.printf "deadlocks         %d\n" (get "lock.deadlock");
+  Printf.printf "lock waits        %d\n" (get "lock.wait");
   Printf.printf "simulated ticks   %d\n" r.Workload.ticks;
   Printf.printf "throughput        %.2f txns / 1k ticks\n" r.Workload.throughput;
-  Printf.printf "log forces        %d (%.2f per commit)\n" r.Workload.forces
+  Printf.printf "log forces        %d (%.2f per commit)\n" forces
     (if r.Workload.committed = 0 then 0.
-     else float_of_int r.Workload.forces /. float_of_int r.Workload.committed);
+     else float_of_int forces /. float_of_int r.Workload.committed);
   if r.Workload.mean_batch > 0. then
     Printf.printf "mean batch        %.2f commits per group force\n" r.Workload.mean_batch;
   Printf.printf "latency           mean %.1f, p95 %.1f ticks\n" r.Workload.mean_latency
     r.Workload.p95_latency;
   Printf.printf "wall time         %.3f s\n" r.Workload.wall_s
+
+(* --verbose: every counter the run moved. *)
+let print_counters r =
+  Printf.printf "\ncounters:\n";
+  List.iter
+    (fun (k, v) -> if v <> 0 then Printf.printf "  %-28s %d\n" k v)
+    r.Workload.window.Metrics.counters
 
 (* The groups whose escrow view row disagrees with a fold of the base
    rows into per-group (count, sum), both read through coordinator
@@ -260,9 +271,7 @@ let run_sharded ~shards ~cross_pct spec verbose =
 let run_net net max_inflight spec strategy create_mode verbose check =
   let server_config = { Ivdb_server.Server.default_config with max_inflight } in
   let r, db = Ivdb_client.Net_workload.run_net ~transport:net ~server_config spec in
-  let get name =
-    match List.assoc_opt name r.Workload.metrics with Some v -> v | None -> 0
-  in
+  let get = Metrics.window_get r.Workload.window in
   Printf.printf "transport         %s (%d client connections)\n"
     (match net with
     | Ivdb_client.Net_workload.Loopback -> "loopback"
@@ -271,12 +280,7 @@ let run_net net max_inflight spec strategy create_mode verbose check =
   print_result strategy create_mode r;
   Printf.printf "server            accepted %d, shed %d, requests %d\n"
     (get "server.accepted") (get "server.shed") (get "server.requests");
-  if verbose then begin
-    Printf.printf "\ncounters:\n";
-    List.iter
-      (fun (k, v) -> if v <> 0 then Printf.printf "  %-28s %d\n" k v)
-      r.Workload.metrics
-  end;
+  if verbose then print_counters r;
   if check then
     List.iter
       (fun (name, _) ->
@@ -296,9 +300,7 @@ let run_replicated max_inflight spec strategy create_mode verbose =
   let r, db, fdb, rr =
     Ivdb_client.Net_workload.run_replicated ~server_config spec
   in
-  let get name =
-    match List.assoc_opt name r.Workload.metrics with Some v -> v | None -> 0
-  in
+  let get = Metrics.window_get r.Workload.window in
   Printf.printf "transport         loopback + follower (%d client connections)\n"
     spec.Workload.mpl;
   print_result strategy create_mode r;
@@ -313,12 +315,7 @@ let run_replicated max_inflight spec strategy create_mode verbose =
   Printf.printf "follower          lsn %d, state digest %s\n"
     (Database.replicated_lsn fdb)
     (if dp = df then "MATCHES primary" else "DIVERGED from primary");
-  if verbose then begin
-    Printf.printf "\ncounters:\n";
-    List.iter
-      (fun (k, v) -> if v <> 0 then Printf.printf "  %-28s %d\n" k v)
-      r.Workload.metrics
-  end;
+  if verbose then print_counters r;
   if dp <> df then exit 1
 
 let run seed groups theta mpl txns ops deletes reads scan coarse
@@ -419,12 +416,7 @@ let run seed groups theta mpl txns ops deletes reads scan coarse
   | None -> ()
   | Some path ->
       Printf.printf "\ntrace written to %s\n%s\n" path (Trace.Profile.render profile));
-  if verbose then begin
-    Printf.printf "\ncounters:\n";
-    List.iter
-      (fun (k, v) -> if v <> 0 then Printf.printf "  %-28s %d\n" k v)
-      r.Workload.metrics
-  end;
+  if verbose then print_counters r;
   if check then begin
     List.iter
       (fun v ->

@@ -9,7 +9,7 @@
     capped backoff); readers issue autocommitted view SELECTs. The
     returned {!Ivdb.Workload.result} is directly comparable with
     in-process runs — server counters ([server.accepted],
-    [server.shed], …) ride along in [result.metrics].
+    [server.shed], …) ride along in [result.window].
 
     Over [Loopback] the run is fully deterministic in [spec.seed]; over
     [Tcp] byte timing comes from the kernel and only aggregate invariants
@@ -36,7 +36,7 @@ val run_net :
     the last client closes, so the run exits with zero live fibers.
     Deliberately under-provisioned [server_config.max_inflight] turns
     this into the overload/shed experiment: refused clients back off and
-    retry, and the shed count lands in [result.metrics]. The database is
+    retry, and the shed count lands in [result.window]. The database is
     returned so callers can check view consistency after the run. *)
 
 val run_replicated :

@@ -139,3 +139,21 @@ let fold_rows def rows =
     (zero_row def) rows
 
 let count_of stored = Value.to_int stored.(0)
+
+let fold_groups def rows =
+  let groups = Hashtbl.create 64 in
+  Seq.iter
+    (fun row ->
+      match delta_of_row def ~sign:1 row with
+      | None -> ()
+      | Some (key, delta) -> (
+          let cur =
+            match Hashtbl.find_opt groups key with
+            | Some r -> r
+            | None -> zero_row def
+          in
+          match apply def cur delta with
+          | `Ok r -> Hashtbl.replace groups key r
+          | `Recompute -> assert false (* inserts never retire *)))
+    rows;
+  groups

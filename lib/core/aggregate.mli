@@ -45,8 +45,15 @@ val decode : string -> delta
 (** Additive deltas only (escrow log records, deferred queues). *)
 
 val fold_rows : View_def.t -> Ivdb_relation.Row.t Seq.t -> Ivdb_relation.Row.t
-(** Aggregate a group's source rows from scratch: initial materialization,
-    MIN/MAX recompute, and the no-view query baseline. *)
+(** Aggregate one group's source rows from scratch (MIN/MAX recompute). *)
+
+val fold_groups :
+  View_def.t ->
+  Ivdb_relation.Row.t Seq.t ->
+  (string, Ivdb_relation.Row.t) Hashtbl.t
+(** Aggregate source rows from scratch into their groups, by group key:
+    initial materialization and the no-view query baseline. Rows the
+    view's WHERE rejects contribute nothing. *)
 
 val count_of : Ivdb_relation.Row.t -> int
 (** COUNT( * ) cell of a stored aggregate row. *)

@@ -30,7 +30,6 @@ type config = {
   read_cost : int;
   write_cost : int;
   txn_retries : int;
-  auto_ghost_gc : bool;
   escalation_threshold : int option;
   commit_mode : Txn.commit_mode;
   fault : Fault.config;
@@ -42,7 +41,6 @@ let default_config =
     read_cost = 100;
     write_cost = 100;
     txn_retries = 10;
-    auto_ghost_gc = true;
     escalation_threshold = None;
     commit_mode = Txn.Sync;
     fault = Fault.no_faults;
@@ -872,24 +870,7 @@ let create_view t ?(create_mode = Maintain.System_txn) ?refresh_threshold ~name
     | Maintain.Exclusive | Maintain.Escrow -> (None, None)
   in
   (* initial materialization *)
-  let groups : (string, Row.t) Hashtbl.t = Hashtbl.create 64 in
-  Seq.iter
-    (fun row ->
-      match Aggregate.delta_of_row def ~sign:1 row with
-      | None -> ()
-      | Some (key, delta) ->
-          let cur =
-            match Hashtbl.find_opt groups key with
-            | Some r -> r
-            | None -> Aggregate.zero_row def
-          in
-          let next =
-            match Aggregate.apply def cur delta with
-            | `Ok r -> r
-            | `Recompute -> assert false
-          in
-          Hashtbl.replace groups key next)
-    (source_rows t None def);
+  let groups = Aggregate.fold_groups def (source_rows t None def) in
   Hashtbl.iter
     (fun key row ->
       if Aggregate.count_of row > 0 then
@@ -994,7 +975,7 @@ let transact_exn t ?retries f =
       | None -> ()
       | Some l ->
           Hashtbl.remove t.ghosts (Txn.id tx);
-          if committed && t.cfg.auto_ghost_gc then reclaim_ghosts t !l
+          if committed then reclaim_ghosts t !l
     in
     match f tx with
     | v ->

@@ -31,7 +31,6 @@ type config = {
   read_cost : int;  (** simulated ticks per disk read (default 100) *)
   write_cost : int;  (** simulated ticks per disk write (default 100) *)
   txn_retries : int;  (** automatic retries after deadlock (default 10) *)
-  auto_ghost_gc : bool;  (** reclaim ghosts after commit (default true) *)
   escalation_threshold : int option;
       (** escalate a transaction's row locks on a table to one table lock
           after this many (default [None]: never) *)

@@ -12,29 +12,18 @@ module Deferred = Ivdb_core.Deferred
 module Mvcc = Ivdb_txn.Mvcc
 module I = Database.Internal
 
-type locking = Serializable | Read_committed | Dirty
+type locking = Serializable | Dirty
 
 let table_scan db txn tbl ?where locking =
-  let rows =
+  (* a dirty read goes unlocked, but snapshot readers resolve against
+     version chains regardless of the requested locking level —
+     heap_scan_rows dispatches on the txn *)
+  let reader =
     match (locking, txn) with
-    (* snapshot readers resolve against version chains regardless of the
-       requested locking level — heap_scan_rows dispatches on the txn *)
-    | _, Some tx when Txn.snapshot_of tx <> None ->
-        Seq.map snd (I.heap_scan_rows db txn tbl)
-    | Serializable, Some _ -> Seq.map snd (I.heap_scan_rows db txn tbl)
-    | Read_committed, Some tx ->
-        (* block behind uncommitted writers, retain nothing: instant S per
-           row, then read *)
-        let heap = I.rt_heap (I.table_rt db (I.table_id tbl)) in
-        Seq.filter_map
-          (fun (rid, _) ->
-            Txn.lock_instant (Database.mgr db) tx (Lock_name.Row (I.table_id tbl, rid))
-              Lock_mode.S;
-            Option.map Row.decode (Ivdb_storage.Heap_file.get heap rid))
-          (I.heap_scan_rows db None tbl)
-    | (Serializable | Read_committed | Dirty), _ ->
-        Seq.map snd (I.heap_scan_rows db None tbl)
+    | Dirty, Some tx when Txn.snapshot_of tx = None -> None
+    | (Serializable | Dirty), _ -> txn
   in
+  let rows = Seq.map snd (I.heap_scan_rows db reader tbl) in
   match where with None -> rows | Some pred -> Seq.filter (Expr.eval_bool pred) rows
 
 let lock_view_key db txn vid key locking =
@@ -42,9 +31,6 @@ let lock_view_key db txn vid key locking =
   | Some tx, Serializable ->
       Txn.lock (Database.mgr db) tx (Lock_name.Table vid) Lock_mode.IS;
       Txn.lock (Database.mgr db) tx (Lock_name.Key (vid, key)) Lock_mode.RangeS_S
-  | Some tx, Read_committed ->
-      Txn.lock (Database.mgr db) tx (Lock_name.Table vid) Lock_mode.IS;
-      Txn.lock_instant (Database.mgr db) tx (Lock_name.Key (vid, key)) Lock_mode.S
   | _, _ -> ()
 
 (* deferred views with a refresh threshold: a transactional reader drains
@@ -103,11 +89,11 @@ let snapshot_view_keys db rt vid =
        (Mvcc.keys_of_obj (Txn.mvcc (Database.mgr db)) ~obj:vid)
        (Btree.seek tree ""))
 
-let snapshot_view_scan db tx rt vid ?lo ?hi () =
+let snapshot_view_scan db tx rt vid ~lo ?hi () =
   let snap = Option.get (Txn.snapshot_of tx) in
   snapshot_view_keys db rt vid
   |> List.filter (fun k ->
-         (match lo with None -> true | Some l -> String.compare k l >= 0)
+         String.compare k lo >= 0
          && match hi with None -> true | Some h -> String.compare k h < 0)
   |> List.filter_map (fun key ->
          match snapshot_view_row db rt vid key snap with
@@ -140,20 +126,37 @@ let view_lookup db txn v group =
           let row = Row.decode stored in
           if Aggregate.count_of row = 0 then None else Some row)
 
-let view_scan_locked db txn v locking =
+(* A view's groups with keys in [lo_key, hi_key), or to the end of the
+   index when there is no [hi_key]. A snapshot reader resolves against
+   version chains. Otherwise, under [Serializable], the cursor RangeS_S-
+   locks every key it passes before trusting its value, and the first key
+   at-or-past [hi_key] (or EOF) guards the final gap. *)
+let scan_view db txn v ~lo_key ?hi_key locking =
   let vid = I.view_id v in
   let rt = I.view_rt db vid in
+  maybe_auto_refresh db txn v rt;
   let tree = rt.Maintain.tree in
-  let lock_eof () =
+  let seal key =
     match (txn, locking) with
     | Some tx, Serializable ->
-        Txn.lock (Database.mgr db) tx (Lock_name.Eof vid) Lock_mode.RangeS_S
+        let name =
+          match key with
+          | Some k -> Lock_name.Key (vid, k)
+          | None -> Lock_name.Eof vid
+        in
+        Txn.lock (Database.mgr db) tx name Lock_mode.RangeS_S
     | _, _ -> ()
+  in
+  let past_hi key =
+    match hi_key with Some h -> String.compare key h >= 0 | None -> false
   in
   let rec step cursor () =
     match cursor with
     | None ->
-        lock_eof ();
+        seal None;
+        Seq.Nil
+    | Some (key, _, _) when past_hi key ->
+        seal (Some key);
         Seq.Nil
     | Some (key, value, c) ->
         lock_view_key db txn vid key locking;
@@ -167,65 +170,16 @@ let view_scan_locked db txn v locking =
         if Aggregate.count_of row = 0 then step next ()
         else Seq.Cons ((Key_codec.decode key, row), step next)
   in
-  fun () -> step (Btree.seek tree "") ()
-
-let view_scan db txn v locking =
-  let vid = I.view_id v in
-  let rt = I.view_rt db vid in
-  maybe_auto_refresh db txn v rt;
-  match txn with
-  | Some tx when Txn.snapshot_of tx <> None -> snapshot_view_scan db tx rt vid ()
-  | _ -> view_scan_locked db txn v locking
-
-let view_scan_range_locked db txn v ~lo ~hi locking =
-  let vid = I.view_id v in
-  let rt = I.view_rt db vid in
-  let tree = rt.Maintain.tree in
-  let lo_key = Key_codec.encode lo and hi_key = Key_codec.encode hi in
-  let seal key =
-    (* the first key at-or-past hi (or EOF) guards the final gap *)
-    match (txn, locking) with
-    | Some tx, Serializable ->
-        let name =
-          match key with
-          | Some k -> Lock_name.Key (vid, k)
-          | None -> Lock_name.Eof vid
-        in
-        Txn.lock (Database.mgr db) tx name Lock_mode.RangeS_S
-    | _, _ -> ()
-  in
-  let rec step cursor () =
-    match cursor with
-    | None ->
-        seal None;
-        Seq.Nil
-    | Some (key, value, c) ->
-        if String.compare key hi_key >= 0 then begin
-          seal (Some key);
-          Seq.Nil
-        end
-        else begin
-          lock_view_key db txn vid key locking;
-          let value =
-            match Btree.search tree key with Some v -> v | None -> value
-          in
-          let row = Row.decode value in
-          let next = Btree.cursor_next tree c in
-          if Aggregate.count_of row = 0 then step next ()
-          else Seq.Cons ((Key_codec.decode key, row), step next)
-        end
-  in
-  fun () -> step (Btree.seek tree lo_key) ()
-
-let view_scan_range db txn v ~lo ~hi locking =
-  let vid = I.view_id v in
-  let rt = I.view_rt db vid in
-  maybe_auto_refresh db txn v rt;
   match txn with
   | Some tx when Txn.snapshot_of tx <> None ->
-      snapshot_view_scan db tx rt vid ~lo:(Key_codec.encode lo)
-        ~hi:(Key_codec.encode hi) ()
-  | _ -> view_scan_range_locked db txn v ~lo ~hi locking
+      snapshot_view_scan db tx rt vid ~lo:lo_key ?hi:hi_key ()
+  | _ -> fun () -> step (Btree.seek tree lo_key) ()
+
+let view_scan db txn v locking = scan_view db txn v ~lo_key:"" locking
+
+let view_scan_range db txn v ~lo ~hi locking =
+  scan_view db txn v ~lo_key:(Key_codec.encode lo) ~hi_key:(Key_codec.encode hi)
+    locking
 
 let view_count db v =
   let n = ref 0 in
@@ -234,24 +188,7 @@ let view_count db v =
 
 let on_demand_aggregate db txn def =
   I.note_on_demand_aggregate db;
-  let groups : (string, Row.t) Hashtbl.t = Hashtbl.create 64 in
-  Seq.iter
-    (fun row ->
-      match Aggregate.delta_of_row def ~sign:1 row with
-      | None -> ()
-      | Some (key, delta) ->
-          let cur =
-            match Hashtbl.find_opt groups key with
-            | Some r -> r
-            | None -> Aggregate.zero_row def
-          in
-          let next =
-            match Aggregate.apply def cur delta with
-            | `Ok r -> r
-            | `Recompute -> assert false
-          in
-          Hashtbl.replace groups key next)
-    (I.source_rows db txn def);
+  let groups = Aggregate.fold_groups def (I.source_rows db txn def) in
   Hashtbl.fold
     (fun key row acc ->
       if Aggregate.count_of row > 0 then (key, row) :: acc else acc)

@@ -5,9 +5,6 @@ type locking =
   | Serializable
       (** views: key-range locks (RangeS_S per key + end of range); tables:
           IS + S row locks *)
-  | Read_committed
-      (** short read locks modelled as instant-duration: the read still
-          blocks behind uncommitted writers (E/X) but retains nothing *)
   | Dirty  (** no locks at all (internal tooling, statistics) *)
 
 val table_scan :

@@ -60,18 +60,13 @@ type result = {
   crashed : bool;
   committed_readers : int;
   given_up : int;
-  retries : int;
-  deadlocks : int;
-  lock_waits : int;
   ticks : int;
   wall_s : float;
   throughput : float;
   mean_latency : float;
   p95_latency : float;
-  forces : int;
   mean_batch : float;
-  batch_hist : (int * int) list;
-  metrics : (string * int) list;
+  window : Metrics.window;
 }
 
 let sales_cols =
@@ -118,71 +113,39 @@ let setup spec =
 
 (* --- live stats reporting ---------------------------------------------------
 
-   A periodic one-line summary of the last interval, computed purely from
-   Metrics.diff between registry snapshots — the same data sys.metrics
-   exposes — so the reporter works identically for in-process fibers and
-   network clients. *)
-
-type stats_probe = {
-  sp_metrics : Metrics.t;
-  mutable sp_counters : (string * int) list;
-  mutable sp_commit : (int * int) list;
-  mutable sp_wait : (int * int) list;
-  mutable sp_tick : int;
-}
-
-let probe_start m =
-  {
-    sp_metrics = m;
-    sp_counters = Metrics.snapshot m;
-    sp_commit = Metrics.hist_snapshot m "txn.commit_ticks";
-    sp_wait = Metrics.hist_snapshot m "lock.wait_ticks";
-    sp_tick = Sched.now ();
-  }
-
-let probe_line p =
-  let m = p.sp_metrics in
-  let now = Sched.now () in
-  let counters = Metrics.snapshot m in
-  let commit = Metrics.hist_snapshot m "txn.commit_ticks" in
-  let wait = Metrics.hist_snapshot m "lock.wait_ticks" in
-  let dc = Metrics.diff ~before:p.sp_counters ~after:counters in
-  let dcommit = Metrics.hist_diff ~before:p.sp_commit ~after:commit in
-  let dwait = Metrics.hist_diff ~before:p.sp_wait ~after:wait in
-  let dticks = max 1 (now - p.sp_tick) in
-  let get name =
-    match List.assoc_opt name dc with Some v -> v | None -> 0
-  in
-  let commits = get "txn.commit" in
-  p.sp_counters <- counters;
-  p.sp_commit <- commit;
-  p.sp_wait <- wait;
-  p.sp_tick <- now;
-  Printf.sprintf
-    "[stats] tick=%d commits=%d txn/ktick=%.1f commit_p95=%d lock_waits=%d \
-     wait_p95=%d deadlocks=%d"
-    now commits
-    (float_of_int commits *. 1000. /. float_of_int dticks)
-    (Metrics.percentile_cells dcommit 95.)
-    (get "lock.wait")
-    (Metrics.percentile_cells dwait 95.)
-    (get "lock.deadlock")
-
-(* Spawn the reporter fiber: prints a line every [interval] ticks while
-   [running ()] holds, and a final line for any partial last interval. *)
+   A periodic one-line summary of the last interval: a registry window
+   rolled forward each interval — the same data sys.metrics exposes — so
+   the reporter works identically for in-process fibers and network
+   clients. Prints a line every [interval] ticks while [running ()]
+   holds, and a final line for any partial last interval. *)
 let spawn_reporter m ~interval ~running =
   ignore
     (Sched.spawn (fun () ->
-         let probe = probe_start m in
+         let mark = ref (Metrics.capture m) and since = ref (Sched.now ()) in
+         let report () =
+           let now = Sched.now () and here = Metrics.capture m in
+           let w = Metrics.window_diff ~before:!mark ~after:here in
+           let dticks = max 1 (now - !since) in
+           let commits = Metrics.window_get w "txn.commit" in
+           mark := here;
+           since := now;
+           Printf.printf
+             "[stats] tick=%d commits=%d txn/ktick=%.1f commit_p95=%d \
+              lock_waits=%d wait_p95=%d deadlocks=%d\n%!"
+             now commits
+             (float_of_int commits *. 1000. /. float_of_int dticks)
+             (Metrics.percentile_cells (Metrics.window_cells w "txn.commit_ticks") 95.)
+             (Metrics.window_get w "lock.wait")
+             (Metrics.percentile_cells (Metrics.window_cells w "lock.wait_ticks") 95.)
+             (Metrics.window_get w "lock.deadlock")
+         in
          let rec loop () =
            if running () then begin
              Sched.yield ();
-             if Sched.now () - probe.sp_tick >= interval then
-               print_endline (probe_line probe);
+             if Sched.now () - !since >= interval then report ();
              loop ()
            end
-           else if Sched.now () > probe.sp_tick then
-             print_endline (probe_line probe)
+           else if Sched.now () > !since then report ()
          in
          loop ()))
 
@@ -190,16 +153,13 @@ let spawn_reporter m ~interval ~running =
 
 type client = { txn : reader:bool -> bool; close : unit -> unit }
 
-(* The loop owns the bookkeeping of the measured window: the registry and
-   commit-batch histogram are snapshotted before the run and diffed after
-   it (robust to counters first registered mid-run, e.g. [server.*]). *)
+(* The loop owns the bookkeeping of the measured window: the registry is
+   captured before the run and diffed after it (robust to counters first
+   registered mid-run, e.g. [server.*]), and every commit latency goes
+   into [txn.commit_ticks], which the live reporter reads too. *)
 let closed_loop spec metrics ~on_commit body =
-  let before = Metrics.snapshot metrics in
-  let batch_before = Metrics.hist_snapshot metrics "commit.batch" in
+  let before = Metrics.capture metrics in
   let wall0 = Unix.gettimeofday () in
-  let lat = Ivdb_util.Stats.create () in
-  (* feeds the live stats reporter and sys.metrics_hist; [lat] stays the
-     source of the end-of-run figures *)
   let commit_hist = Metrics.hist metrics "txn.commit_ticks" in
   let committed = ref 0 and readers = ref 0 and given_up = ref 0 in
   let start_ticks = ref 0 and end_ticks = ref 0 in
@@ -220,11 +180,9 @@ let closed_loop spec metrics ~on_commit body =
                 in
                 let t_begin = Sched.now () in
                 if c.txn ~reader then begin
-                  let latency = Sched.now () - t_begin in
                   incr committed;
                   if reader then incr readers;
-                  Metrics.record commit_hist latency;
-                  Ivdb_util.Stats.add lat (float_of_int latency);
+                  Metrics.record commit_hist (Sched.now () - t_begin);
                   on_commit !committed
                 end
                 else incr given_up;
@@ -250,38 +208,21 @@ let closed_loop spec metrics ~on_commit body =
         power loss would. The caller recovers with [Database.crash]. *)
      crashed := true);
   let wall_s = Unix.gettimeofday () -. wall0 in
-  let diff = Metrics.diff ~before ~after:(Metrics.snapshot metrics) in
-  let get name = match List.assoc_opt name diff with Some v -> v | None -> 0 in
+  let window = Metrics.window_diff ~before ~after:(Metrics.capture metrics) in
   let ticks = max 1 (!end_ticks - !start_ticks) in
-  let batch_hist =
-    Metrics.hist_diff ~before:batch_before
-      ~after:(Metrics.hist_snapshot metrics "commit.batch")
-  in
-  let batch_count = List.fold_left (fun acc (_, c) -> acc + c) 0 batch_hist in
-  let batch_total =
-    List.fold_left (fun acc (v, c) -> acc + (v * c)) 0 batch_hist
-  in
+  let latency = Metrics.window_cells window "txn.commit_ticks" in
   {
     committed = !committed;
     crashed = !crashed;
     committed_readers = !readers;
     given_up = !given_up;
-    retries = get "txn.retry";
-    deadlocks = get "lock.deadlock";
-    lock_waits = get "lock.wait";
     ticks;
     wall_s;
     throughput = float_of_int !committed *. 1000. /. float_of_int ticks;
-    mean_latency = Ivdb_util.Stats.mean lat;
-    p95_latency =
-      (if Ivdb_util.Stats.count lat = 0 then 0.
-       else Ivdb_util.Stats.percentile lat 95.);
-    forces = get "log.force";
-    mean_batch =
-      (if batch_count = 0 then 0.
-       else float_of_int batch_total /. float_of_int batch_count);
-    batch_hist;
-    metrics = diff;
+    mean_latency = Metrics.cells_mean latency;
+    p95_latency = float_of_int (Metrics.percentile_cells latency 95.);
+    mean_batch = Metrics.cells_mean (Metrics.window_cells window "commit.batch");
+    window;
   }
 
 (* The engine shape: each worker calls the database directly. *)

@@ -37,8 +37,8 @@ type spec = {
   stats_interval : int option;
       (** print a one-line summary of the last interval (commits,
           throughput, commit p95, lock waits and wait p95, deadlocks,
-          all diffed from the registry) every n simulated ticks;
-          [None] = silent *)
+          all from a registry window rolled forward each interval) every
+          n simulated ticks; [None] = silent *)
   config : Database.config;
 }
 
@@ -53,21 +53,21 @@ type result = {
           tick/latency figures cover the truncated run *)
   committed_readers : int;  (** of which reader transactions *)
   given_up : int;  (** transactions that exhausted their deadlock retries *)
-  retries : int;
-  deadlocks : int;
-  lock_waits : int;
   ticks : int;  (** simulated time consumed by the measured phase *)
   wall_s : float;
   throughput : float;  (** committed transactions per 1000 ticks *)
-  mean_latency : float;  (** ticks from transaction start to commit *)
-  p95_latency : float;
-  forces : int;  (** log forces during the measured phase *)
+  mean_latency : float;
+      (** ticks from transaction start to commit: the mean of [window]'s
+          [txn.commit_ticks] cells *)
+  p95_latency : float;  (** their nearest-rank 95th percentile *)
   mean_batch : float;
-      (** mean commits per group-commit force (0 outside [Group]/[Async]) *)
-  batch_hist : (int * int) list;
-      (** (batch size, occurrences) for the measured phase — deterministic
-          for a fixed seed, which the determinism tests rely on *)
-  metrics : (string * int) list;  (** full counter diff of the run *)
+      (** mean of [window]'s [commit.batch] cells: commits per group-commit
+          force (0 outside [Group]/[Async]) *)
+  window : Ivdb_util.Metrics.window;
+      (** everything the run did to the registry: every counter's delta
+          ([txn.retry], [lock.deadlock], [lock.wait], [log.force], …) and
+          every histogram's new observations — deterministic for a fixed
+          seed, which the determinism tests rely on *)
 }
 
 val setup : spec -> Database.t * Database.table * Database.view list
@@ -80,13 +80,14 @@ val setup : spec -> Database.t * Database.table * Database.view list
     seeded [seed * 7919 + w] and Zipf sampler over [n_groups], runs
     [txns_per_worker] transactions, drawing each one's reader flag from
     [read_fraction] (never a reader when [n_views = 0]) and yielding
-    after it. The loop times each
-    transaction, counts commits, readers and give-ups, runs the
-    [stats_interval] reporter, and brackets the whole run: it snapshots
-    the registry before the scheduler starts and diffs it at the end, so
-    [result.metrics] holds everything the run did to that registry. A
-    shape supplies only how a worker reaches its engine(s) — a {!client}
-    — and its own set-up and tear-down inside the run. *)
+    after it. The loop times each transaction, counts commits, readers
+    and give-ups, runs the [stats_interval] reporter, and brackets the
+    whole run with one registry window: it captures the registry before
+    the scheduler starts and diffs it at the end, so [result.window]
+    holds everything the run did to that registry. Each commit's latency
+    is recorded once, into the registry's [txn.commit_ticks] histogram.
+    A shape supplies only how a worker reaches its engine(s) — a
+    {!client} — and its own set-up and tear-down inside the run. *)
 
 type client = {
   txn : reader:bool -> bool;

@@ -831,13 +831,15 @@ let run_select_auto ?stats s q =
 let explain_analyze s (q : A.select) =
   let metrics = Database.metrics s.sdb in
   let plan = describe_plan s q in
-  let before = Ivdb_util.Metrics.snapshot metrics in
+  let before = Ivdb_util.Metrics.capture metrics in
   let t0 = Sched.now () in
   let stats : op_stats = ref [] in
   ignore (run_select_auto ~stats s q);
   let ticks = Sched.now () - t0 in
-  let diff = Ivdb_util.Metrics.diff ~before ~after:(Ivdb_util.Metrics.snapshot metrics) in
-  let get n = match List.assoc_opt n diff with Some v -> v | None -> 0 in
+  let get =
+    Ivdb_util.Metrics.window_get
+      (Ivdb_util.Metrics.window_diff ~before ~after:(Ivdb_util.Metrics.capture metrics))
+  in
   let b = Buffer.create 256 in
   let line fmt = Format.kasprintf (fun str -> Buffer.add_string b (str ^ "\n")) fmt in
   Buffer.add_string b plan;
@@ -852,11 +854,23 @@ let explain_analyze s (q : A.select) =
 
 (* --- DML --------------------------------------------------------------------- *)
 
+(* A write statement is atomic. In an open transaction it runs behind a
+   savepoint, and an error rolls it back to there, so a statement that
+   fails part-way (a unique violation on its second row) leaves nothing
+   behind while the statements before it stand. A lock conflict is left
+   to the caller, which aborts the whole transaction, and so is an
+   injected crash, after which nothing may run. *)
 let with_txn s f =
   match s.txn with
   | Some tx when Txn.snapshot_of tx <> None ->
       fail "cannot write in a READ ONLY transaction"
-  | Some tx -> f tx
+  | Some tx -> (
+      let sp = Txn.savepoint tx in
+      try f tx with
+      | (Txn.Conflict _ | Ivdb_storage.Fault.Crash_point _) as e -> raise e
+      | e ->
+          Txn.rollback_to (Database.mgr s.sdb) tx sp;
+          raise e)
   | None -> Database.transact s.sdb f
 
 let run_insert s ~into ~rows =

@@ -301,12 +301,13 @@ let commit mgr t =
   if t.tsnapshot <> None then commit_snapshot mgr t else commit_rw mgr t
 
 
-(* Walk the undo chain from [cursor], executing logical undo and logging a
-   CLR per undone update. CLRs are skipped over via their undo_next pointer,
-   so a rollback interrupted by a crash resumes where it stopped. *)
-let undo_chain mgr t ~cursor =
+(* Walk the undo chain from [cursor] back to [stop] (exclusive; nil_lsn
+   for the whole chain), executing logical undo and logging a CLR per
+   undone update. CLRs are skipped over via their undo_next pointer, so a
+   rollback interrupted by a crash resumes where it stopped. *)
+let undo_chain mgr t ~cursor ~stop =
   let rec go lsn =
-    if lsn <> Log_record.nil_lsn then begin
+    if lsn > stop then begin
       let r = Wal.get mgr.mwal lsn in
       match r.Log_record.body with
       | Log_record.Update { undo; _ } ->
@@ -335,29 +336,12 @@ let savepoint t =
    crash recovery) skip the already-compensated section. *)
 let rollback_to mgr t sp =
   check_active t;
-  let rec go lsn =
-    if lsn > sp && lsn <> Log_record.nil_lsn then begin
-      let r = Wal.get mgr.mwal lsn in
-      match r.Log_record.body with
-      | Log_record.Update { undo; _ } ->
-          let diffs = mgr.undo_exec t undo in
-          log_clr mgr t ~undo_next:r.Log_record.prev diffs;
-          go r.Log_record.prev
-      | Log_record.Clr { undo_next; _ } -> go undo_next
-      | Log_record.Begin _ -> ()
-      | Log_record.Commit | Log_record.End ->
-          invalid_arg "Txn: rollback_to reached a commit record"
-      | Log_record.Abort | Log_record.Checkpoint _ | Log_record.Ddl _
-      | Log_record.Prepare _ | Log_record.Decision _ ->
-          go r.Log_record.prev
-    end
-  in
-  go t.tlast_lsn;
+  undo_chain mgr t ~cursor:t.tlast_lsn ~stop:sp;
   Metrics.inc mgr.m_partial_rollback
 
 let abort_rw mgr t =
   t.tlast_lsn <- Wal.append mgr.mwal ~txn:t.tid ~prev:t.tlast_lsn Log_record.Abort;
-  undo_chain mgr t ~cursor:t.tlast_lsn;
+  undo_chain mgr t ~cursor:t.tlast_lsn ~stop:Log_record.nil_lsn;
   ignore (Wal.append mgr.mwal ~txn:t.tid ~prev:t.tlast_lsn Log_record.End);
   finish mgr t Aborted;
   Metrics.inc mgr.m_abort;
@@ -391,7 +375,7 @@ let abort mgr t =
 let rollback_tail mgr t ~from =
   check_active t;
   t.tlast_lsn <- max t.tlast_lsn from;
-  undo_chain mgr t ~cursor:from;
+  undo_chain mgr t ~cursor:from ~stop:Log_record.nil_lsn;
   ignore (Wal.append mgr.mwal ~txn:t.tid ~prev:t.tlast_lsn Log_record.End);
   finish mgr t Aborted;
   Metrics.inc mgr.m_recovery_undo

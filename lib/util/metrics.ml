@@ -41,26 +41,34 @@ let snapshot t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* Sorted merge over the two snapshots. Counters registered after the
-   [before] snapshot was taken (a --net run creates the first server
-   counters mid-run) appear only on the [after] side and must still
-   report their full value; symmetrically a counter absent from [after]
-   (instance swapped out) counts down to zero. Inputs from [snapshot]
-   are name-sorted; sort defensively in case a caller hand-builds one. *)
-let diff ~before ~after =
-  let sorted l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
-  let rec merge acc before after =
+(* Sorted merge of two key-sorted association lists into per-key
+   [sub after before], a key missing on one side standing at [zero]. *)
+let merge_by cmp ~zero sub before after =
+  let rec go acc before after =
     match (before, after) with
     | [], [] -> List.rev acc
-    | (n, v) :: rest, [] -> merge ((n, -v) :: acc) rest []
-    | [], (n, v) :: rest -> merge ((n, v) :: acc) [] rest
-    | (nb, vb) :: rb, (na, va) :: ra -> (
-        match String.compare nb na with
-        | 0 -> merge ((nb, va - vb) :: acc) rb ra
-        | c when c < 0 -> merge ((nb, -vb) :: acc) rb after
-        | _ -> merge ((na, va) :: acc) before ra)
+    | (k, b) :: rest, [] -> go ((k, sub zero b) :: acc) rest []
+    | [], (k, a) :: rest -> go ((k, sub a zero) :: acc) [] rest
+    | (kb, b) :: rb, (ka, a) :: ra ->
+        let c = cmp kb ka in
+        if c = 0 then go ((kb, sub a b) :: acc) rb ra
+        else if c < 0 then go ((kb, sub zero b) :: acc) rb after
+        else go ((ka, sub a zero) :: acc) before ra
   in
-  merge [] (sorted before) (sorted after)
+  go [] before after
+
+let by_key cmp l = List.sort (fun (a, _) (b, _) -> cmp a b) l
+
+(* Counters registered after the [before] snapshot was taken (a --net run
+   creates the first server counters mid-run) appear only on the [after]
+   side and must still report their full value; symmetrically a counter
+   absent from [after] (instance swapped out) counts down to zero. Inputs
+   from [snapshot] are name-sorted; sort defensively in case a caller
+   hand-builds one. *)
+let diff ~before ~after =
+  merge_by String.compare ~zero:0 ( - )
+    (by_key String.compare before)
+    (by_key String.compare after)
 
 (* --- histograms ---------------------------------------------------------- *)
 
@@ -89,25 +97,20 @@ let hists t =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let hist_diff ~before ~after =
-  let values =
-    List.sort_uniq compare (List.map fst before @ List.map fst after)
-  in
-  let find l v = match List.assoc_opt v l with Some c -> c | None -> 0 in
-  List.filter_map
-    (fun v ->
-      let d = find after v - find before v in
-      if d = 0 then None else Some (v, d))
-    values
+  merge_by Int.compare ~zero:0 ( - ) (by_key Int.compare before)
+    (by_key Int.compare after)
+  |> List.filter (fun (_, d) -> d <> 0)
 
 let hist_count t name =
   List.fold_left (fun acc (_, c) -> acc + c) 0 (hist_snapshot t name)
 
-let hist_total t name =
-  List.fold_left (fun acc (v, c) -> acc + (v * c)) 0 (hist_snapshot t name)
+let cells_mean cells =
+  let n, total =
+    List.fold_left (fun (n, total) (v, c) -> (n + c, total + (v * c))) (0, 0) cells
+  in
+  if n = 0 then 0. else float_of_int total /. float_of_int n
 
-let hist_mean t name =
-  let n = hist_count t name in
-  if n = 0 then 0. else float_of_int (hist_total t name) /. float_of_int n
+let hist_mean t name = cells_mean (hist_snapshot t name)
 
 let percentile_cells cells p =
   let total = List.fold_left (fun acc (_, c) -> acc + c) 0 cells in
@@ -122,6 +125,30 @@ let percentile_cells cells p =
       | (v, c) :: rest -> if seen + c >= rank then v else go (seen + c) rest
     in
     go 0 (List.sort (fun (a, _) (b, _) -> compare a b) cells)
+
+(* --- windows ------------------------------------------------------------- *)
+
+type window = {
+  counters : (string * int) list;
+  hists : (string * (int * int) list) list;
+}
+
+let capture t = { counters = snapshot t; hists = hists t }
+
+let window_diff ~before ~after =
+  {
+    counters = diff ~before:before.counters ~after:after.counters;
+    hists =
+      merge_by String.compare ~zero:[]
+        (fun a b -> hist_diff ~before:b ~after:a)
+        before.hists after.hists;
+  }
+
+let window_get w name =
+  match List.assoc_opt name w.counters with Some v -> v | None -> 0
+
+let window_cells w name =
+  match List.assoc_opt name w.hists with Some cells -> cells | None -> []
 
 (* Prometheus text exposition (version 0.0.4). Exact-value histograms
    render as cumulative buckets: one le="v" bucket per distinct observed

@@ -9,7 +9,8 @@
     Every writer resolves a typed {!counter} or {!hist} handle once at
     subsystem-create time and bumps it with {!inc} / {!record}: the
     steady-state cost is a ref increment, not a per-event hashtable
-    lookup. Reads go by name ({!get}, {!snapshot}, {!hist_snapshot}). *)
+    lookup. Reads go by name ({!get}, {!snapshot}, {!hist_snapshot}) or
+    over a {!window}. *)
 
 type t
 
@@ -68,14 +69,40 @@ val hist_diff :
 val hist_count : t -> string -> int
 (** Total observations. *)
 
+val cells_mean : (int * int) list -> float
+(** Mean observed value over (value, count) cells; 0. when empty. *)
+
 val hist_mean : t -> string -> float
-(** 0. when empty. *)
+(** {!cells_mean} of the histogram's snapshot. *)
 
 val percentile_cells : (int * int) list -> float -> int
 (** Nearest-rank percentile over (value, count) cells, e.g. from
     {!hist_snapshot} or {!hist_diff}. [percentile_cells cells 95.] is the
     smallest value whose cumulative count covers 95% of observations;
     0 when the cells are empty. Cells need not be sorted. *)
+
+(** {1 Windows}
+
+    What a stretch of work did to a registry: take a {!capture} before
+    it and another after, and diff the two. *)
+
+type window = {
+  counters : (string * int) list;  (** per-counter delta, sorted by name *)
+  hists : (string * (int * int) list) list;
+      (** per-histogram {!hist_diff}, sorted by name *)
+}
+
+val capture : t -> window
+(** Every counter and histogram as it stands now. *)
+
+val window_diff : before:window -> after:window -> window
+(** {!diff} of the counters and {!hist_diff} of each histogram. *)
+
+val window_get : window -> string -> int
+(** A counter's delta; 0 for counters the window does not name. *)
+
+val window_cells : window -> string -> (int * int) list
+(** A histogram's cells; [] for histograms the window does not name. *)
 
 val to_prometheus : ?namespace:string -> t -> string
 (** Prometheus text exposition (format 0.0.4). Counters render as

@@ -9,6 +9,7 @@ module Workload = Ivdb.Workload
 module Maintain = Ivdb_core.Maintain
 module Txn = Ivdb_txn.Txn
 module Wal = Ivdb_wal.Wal
+module Metrics = Ivdb_util.Metrics
 module Value = Ivdb_relation.Value
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -163,9 +164,11 @@ let prop_batch_boundaries_deterministic =
       let spec = with_mode (spec_of (seed + 1111) strategy) mode in
       let r1 = Workload.run spec in
       let r2 = Workload.run spec in
-      r1.Workload.batch_hist = r2.Workload.batch_hist
+      Metrics.window_cells r1.Workload.window "commit.batch"
+      = Metrics.window_cells r2.Workload.window "commit.batch"
       && r1.Workload.committed = r2.Workload.committed
-      && r1.Workload.forces = r2.Workload.forces)
+      && Metrics.window_get r1.Workload.window "log.force"
+         = Metrics.window_get r2.Workload.window "log.force")
 
 let () =
   Alcotest.run "crash-props"

@@ -292,11 +292,7 @@ let check_net_result spec result db =
     (result.Workload.committed + result.Workload.given_up
     >= spec.Workload.mpl * spec.Workload.txns_per_worker);
   Alcotest.(check bool) "made progress" true (result.Workload.committed > 0);
-  let get name =
-    match List.assoc_opt name result.Workload.metrics with
-    | Some v -> v
-    | None -> 0
-  in
+  let get = Metrics.window_get result.Workload.window in
   Alcotest.(check bool)
     "all clients admitted eventually" true
     (get "server.accepted" >= spec.Workload.mpl);
@@ -317,7 +313,9 @@ let test_net_workload_loopback_deterministic () =
   check Alcotest.int "same ticks" r1.Workload.ticks r2.Workload.ticks;
   check
     Alcotest.(list (pair int int))
-    "same batch histogram" r1.Workload.batch_hist r2.Workload.batch_hist
+    "same batch histogram"
+    (Metrics.window_cells r1.Workload.window "commit.batch")
+    (Metrics.window_cells r2.Workload.window "commit.batch")
 
 let test_net_workload_group_commit_batches () =
   let spec =
@@ -339,7 +337,8 @@ let test_net_workload_group_commit_batches () =
     (result.Workload.mean_batch >= 1.0);
   Alcotest.(check bool)
     "fewer forces than commits" true
-    (result.Workload.forces < result.Workload.committed)
+    (Metrics.window_get result.Workload.window "log.force"
+    < result.Workload.committed)
 
 let test_net_workload_overload_sheds () =
   let config =
@@ -348,11 +347,7 @@ let test_net_workload_overload_sheds () =
   let result, db =
     Net_workload.run_net ~transport:Loopback ~server_config:config small_spec
   in
-  let get name =
-    match List.assoc_opt name result.Workload.metrics with
-    | Some v -> v
-    | None -> 0
-  in
+  let get = Metrics.window_get result.Workload.window in
   Alcotest.(check bool) "sheds under overload" true (get "server.shed" > 0);
   Alcotest.(check bool) "still commits" true (result.Workload.committed > 0);
   check Alcotest.int "zero leaked connections" (get "server.accepted")

@@ -794,6 +794,39 @@ let test_sql_savepoints () =
   | exception Sql.Sql_error _ -> ()
   | _ -> Alcotest.fail "expected error"
 
+(* A write statement that fails inside BEGIN leaves nothing behind, not
+   even the rows it wrote before failing, and the statements before it
+   survive COMMIT. *)
+let test_statement_atomic_in_txn () =
+  let s = fresh () in
+  List.iter
+    (fun q -> ignore (exec s q))
+    [
+      "CREATE TABLE t (id INT NOT NULL, v INT NOT NULL)";
+      "CREATE UNIQUE INDEX t_id ON t (id)";
+      "CREATE VIEW tv AS SELECT v, COUNT(*), SUM(id) FROM t GROUP BY v USING ESCROW";
+      "INSERT INTO t VALUES (1, 10), (2, 20)";
+      "BEGIN";
+      "INSERT INTO t VALUES (5, 50)";
+    ];
+  let fails sql =
+    match exec s sql with
+    | exception (Database.Constraint_violation _ | Sql.Sql_error _) -> ()
+    | _ -> Alcotest.failf "expected %S to fail" sql
+  in
+  fails "INSERT INTO t VALUES (3, 30), (2, 40)";
+  fails "UPDATE t SET id = 2 WHERE id = 1";
+  Alcotest.(check bool) "transaction still open" true (Sql.in_transaction s);
+  ignore (exec s "COMMIT");
+  check
+    Alcotest.(list (list int))
+    "only the statements that succeeded" [ [ 1; 10 ]; [ 2; 20 ]; [ 5; 50 ] ]
+    (List.map ints (rows_of s "SELECT id, v FROM t ORDER BY id"));
+  check Alcotest.int "one id-2 row through the index" 1
+    (List.length (rows_of s "SELECT * FROM t WHERE id = 2"));
+  Alcotest.(check bool) "view matches the base" true
+    (Ivdb.Workload.check_consistency (Sql.db s) (Database.view (Sql.db s) "tv"))
+
 let test_unique_index_sql () =
   let s = setup_sales () in
   ignore (exec s "CREATE UNIQUE INDEX pk ON sales (id)");
@@ -1115,6 +1148,8 @@ let () =
           Alcotest.test_case "division" `Quick test_division;
           Alcotest.test_case "savepoints" `Quick test_sql_savepoints;
           Alcotest.test_case "unique index" `Quick test_unique_index_sql;
+          Alcotest.test_case "statement atomic in txn" `Quick
+            test_statement_atomic_in_txn;
           Alcotest.test_case "view matching" `Quick test_view_matching;
           Alcotest.test_case "index range plan" `Quick test_index_range_plan;
           Alcotest.test_case "concurrent sessions" `Quick test_concurrent_sessions;

@@ -1,6 +1,5 @@
 module Rng = Ivdb_util.Rng
 module Zipf = Ivdb_util.Zipf
-module Stats = Ivdb_util.Stats
 module Metrics = Ivdb_util.Metrics
 module B = Ivdb_util.Bytes_util
 
@@ -89,40 +88,39 @@ let test_zipf_bounds () =
     Alcotest.(check bool) "in range" true (k >= 0 && k < 7)
   done
 
-(* --- Stats -------------------------------------------------------------- *)
+(* --- Summary statistics over histogram cells ---------------------------- *)
+
+(* The (value, count) cells of a histogram fed [values]. *)
+let cells_of values =
+  let m = Metrics.create () in
+  let h = Metrics.hist m "h" in
+  List.iter (Metrics.record h) values;
+  Metrics.hist_snapshot m "h"
 
 let test_stats_basic () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 1.; 2.; 3.; 4.; 5. ];
-  check (Alcotest.float 1e-9) "mean" 3. (Stats.mean s);
-  check Alcotest.int "count" 5 (Stats.count s);
-  check (Alcotest.float 1e-9) "min" 1. (Stats.min s);
-  check (Alcotest.float 1e-9) "max" 5. (Stats.max s);
-  check (Alcotest.float 1e-6) "stddev" (sqrt 2.5) (Stats.stddev s)
+  let cells = cells_of [ 1; 2; 3; 4; 5 ] in
+  check (Alcotest.float 1e-9) "mean" 3. (Metrics.cells_mean cells);
+  check Alcotest.int "count" 5 (List.fold_left (fun n (_, c) -> n + c) 0 cells);
+  check Alcotest.int "min" 1 (Metrics.percentile_cells cells 0.);
+  check Alcotest.int "max" 5 (Metrics.percentile_cells cells 100.)
 
 let test_stats_percentile () =
-  let s = Stats.create () in
-  for i = 1 to 100 do
-    Stats.add s (float_of_int i)
-  done;
-  check (Alcotest.float 1e-9) "p50" 50. (Stats.percentile s 50.);
-  check (Alcotest.float 1e-9) "p99" 99. (Stats.percentile s 99.);
-  check (Alcotest.float 1e-9) "p100" 100. (Stats.percentile s 100.)
+  let cells = cells_of (List.init 100 (fun i -> i + 1)) in
+  check Alcotest.int "p50" 50 (Metrics.percentile_cells cells 50.);
+  check Alcotest.int "p99" 99 (Metrics.percentile_cells cells 99.);
+  check Alcotest.int "p100" 100 (Metrics.percentile_cells cells 100.)
 
 let test_stats_empty () =
-  let s = Stats.create () in
-  check (Alcotest.float 1e-9) "mean of empty" 0. (Stats.mean s);
-  Alcotest.check_raises "min of empty" (Invalid_argument "Stats.min: empty")
-    (fun () -> ignore (Stats.min s))
+  let cells = cells_of [] in
+  check (Alcotest.float 1e-9) "mean of empty" 0. (Metrics.cells_mean cells);
+  check Alcotest.int "percentile of empty" 0 (Metrics.percentile_cells cells 50.)
 
+(* Two populations summarised together: their cells concatenated. *)
 let test_stats_merge () =
-  let a = Stats.create () and b = Stats.create () in
-  List.iter (Stats.add a) [ 1.; 2. ];
-  List.iter (Stats.add b) [ 3.; 4. ];
-  let m = Stats.merge a b in
-  check Alcotest.int "count" 4 (Stats.count m);
-  check (Alcotest.float 1e-9) "mean" 2.5 (Stats.mean m);
-  check (Alcotest.float 1e-9) "p25 uses both" 1. (Stats.percentile m 25.)
+  let cells = cells_of [ 1; 2 ] @ cells_of [ 3; 4 ] in
+  check Alcotest.int "count" 4 (List.fold_left (fun n (_, c) -> n + c) 0 cells);
+  check (Alcotest.float 1e-9) "mean" 2.5 (Metrics.cells_mean cells);
+  check Alcotest.int "p25 uses both" 1 (Metrics.percentile_cells cells 25.)
 
 (* --- Metrics ------------------------------------------------------------ *)
 
@@ -226,6 +224,33 @@ let test_metrics_hists_and_pp_deterministic () =
   check Alcotest.string "pp deterministic"
     (Format.asprintf "%a" Metrics.pp m)
     (Format.asprintf "%a" Metrics.pp m2)
+
+let test_metrics_window () =
+  let m = Metrics.create () in
+  let c = Metrics.counter m "n" and h = Metrics.hist m "h" in
+  Metrics.inc c;
+  Metrics.record h 1;
+  let before = Metrics.capture m in
+  Metrics.inc_by c 2;
+  Metrics.record h 1;
+  Metrics.record h 3;
+  (* registered inside the window: reported in full *)
+  Metrics.record (Metrics.hist m "late") 7;
+  Metrics.inc (Metrics.counter m "late_n");
+  let w = Metrics.window_diff ~before ~after:(Metrics.capture m) in
+  check Alcotest.int "counter delta" 2 (Metrics.window_get w "n");
+  check Alcotest.int "late counter" 1 (Metrics.window_get w "late_n");
+  check Alcotest.int "absent counter" 0 (Metrics.window_get w "nope");
+  check Alcotest.(list (pair int int)) "hist delta" [ (1, 1); (3, 1) ]
+    (Metrics.window_cells w "h");
+  check Alcotest.(list (pair int int)) "late hist" [ (7, 1) ]
+    (Metrics.window_cells w "late");
+  check Alcotest.(list (pair int int)) "absent hist" [] (Metrics.window_cells w "nope");
+  check
+    Alcotest.(list (pair string int))
+    "counters are the counter diff"
+    (Metrics.diff ~before:before.Metrics.counters ~after:(Metrics.snapshot m))
+    w.Metrics.counters
 
 let test_metrics_hist_mean_empty () =
   let m = Metrics.create () in
@@ -346,6 +371,7 @@ let () =
             test_metrics_reset_keeps_handles;
           Alcotest.test_case "hists + deterministic pp" `Quick
             test_metrics_hists_and_pp_deterministic;
+          Alcotest.test_case "window" `Quick test_metrics_window;
           Alcotest.test_case "hist mean guards empty" `Quick
             test_metrics_hist_mean_empty;
           Alcotest.test_case "percentile over cells" `Quick

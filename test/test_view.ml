@@ -555,8 +555,44 @@ let test_workload_deterministic () =
   let r1 = Workload.run spec and r2 = Workload.run spec in
   check Alcotest.int "same commits" r1.Workload.committed r2.Workload.committed;
   check Alcotest.int "same ticks" r1.Workload.ticks r2.Workload.ticks;
-  Alcotest.(check bool) "same metric diffs" true
-    (r1.Workload.metrics = r2.Workload.metrics)
+  Alcotest.(check bool) "same registry windows" true
+    (r1.Workload.window = r2.Workload.window)
+
+(* Each commit's latency lands once in the run's window, and the mean and
+   p95 that ivdb_workload and the bench print are the plain mean and
+   nearest-rank percentile of those observations. *)
+let test_workload_latency_window () =
+  let spec =
+    {
+      (consistency_spec Maintain.Escrow) with
+      read_fraction = 0.3;
+      config =
+        {
+          Workload.default.Workload.config with
+          commit_mode = Txn.Group { max_batch = 8; max_wait_ticks = 50 };
+        };
+    }
+  in
+  let r = Workload.run spec in
+  let cells = Metrics.window_cells r.Workload.window "txn.commit_ticks" in
+  let latencies =
+    List.concat_map (fun (v, c) -> List.init c (fun _ -> v)) cells
+    |> List.sort compare |> Array.of_list
+  in
+  let n = Array.length latencies in
+  Alcotest.(check bool) "some commits" true (r.Workload.committed > 0);
+  check Alcotest.int "one observation per commit" r.Workload.committed n;
+  check (Alcotest.float 1e-9) "mean"
+    (float_of_int (Array.fold_left ( + ) 0 latencies) /. float_of_int n)
+    r.Workload.mean_latency;
+  let rank = int_of_float (ceil (0.95 *. float_of_int n)) in
+  check (Alcotest.float 0.) "nearest-rank p95"
+    (float_of_int latencies.(rank - 1))
+    r.Workload.p95_latency;
+  Alcotest.(check bool) "group commit batched" true (r.Workload.mean_batch > 0.);
+  check (Alcotest.float 1e-9) "mean batch"
+    (Metrics.cells_mean (Metrics.window_cells r.Workload.window "commit.batch"))
+    r.Workload.mean_batch
 
 let test_checkpoint_under_concurrency () =
   (* sharp checkpoints interleave with active transactions: stealing
@@ -678,6 +714,8 @@ let () =
           Alcotest.test_case "V1 under concurrency, all strategies" `Quick
             test_workload_consistency_all_strategies;
           Alcotest.test_case "deterministic by seed" `Quick test_workload_deterministic;
+          Alcotest.test_case "latency figures come from the window" `Quick
+            test_workload_latency_window;
           Alcotest.test_case "gc under churn" `Quick test_workload_gc_under_churn;
           Alcotest.test_case "checkpoint under concurrency" `Quick
             test_checkpoint_under_concurrency;

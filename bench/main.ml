@@ -1394,12 +1394,11 @@ let micro () =
   let locks = Ivdb_lock.Lock_mgr.create h_metrics in
   let mgr = Txn.create_mgr ~wal ~locks ~pool h_metrics in
   let tree = Ivdb_btree.Btree.create mgr ~index_id:1 in
-  let stx = Txn.begin_system mgr in
   let key k = Ivdb_relation.Key_codec.encode [| Value.Int k |] in
-  for k = 1 to 10_000 do
-    Ivdb_btree.Btree.insert stx tree ~key:(key k) ~value:(Printf.sprintf "v%06d" k)
-  done;
-  Txn.commit mgr stx;
+  Txn.system mgr (fun stx ->
+      for k = 1 to 10_000 do
+        Ivdb_btree.Btree.insert stx tree ~key:(key k) ~value:(Printf.sprintf "v%06d" k)
+      done);
   let rng = Rng.create 99 in
   let sample_row =
     [| Value.Int 42; Value.Str "payload"; Value.Float 3.14; Value.Bool true |]

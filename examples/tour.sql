@@ -57,6 +57,19 @@ INSERT INTO sales VALUES (1, 'dup', 1)
 .crash
 SELECT * FROM by_product
 
+-- A DDL statement that fails rolls back in full; recovery still works.
+CREATE TABLE tags (id INT NOT NULL, tag TEXT NOT NULL)
+INSERT INTO tags VALUES (1, 'red'), (2, 'red')
+CREATE UNIQUE INDEX tags_tag ON tags (tag)
+INSERT INTO tags VALUES (3, 'blue')
+.crash
+SELECT * FROM tags
+
+-- Two aggregates of one kind get a column each, named by argument.
+CREATE VIEW sums AS SELECT product, SUM(qty), SUM(id) FROM sales GROUP BY product
+SELECT * FROM sums
+SELECT product, sum_id FROM sums WHERE sum_id > 4
+
 CHECKPOINT
 SHOW TABLES
 SHOW VIEWS

@@ -38,11 +38,13 @@ let pool t = Txn.pool t.mgr
 let interior_full p = Bt_node.free_space p < Bt_node.max_entry + 8 + 2
 
 let create mgr ~index_id =
-  let stx = Txn.begin_system mgr in
-  let pid = Disk.alloc_page (Txn.disk mgr) in
-  let (), d = Bufpool.update (Txn.pool mgr) pid Bt_node.init_leaf in
-  Txn.log_update mgr stx ~undo:Log_record.No_undo [ (pid, d) ];
-  Txn.commit mgr stx;
+  let pid =
+    Txn.system mgr (fun stx ->
+        let pid = Disk.alloc_page (Txn.disk mgr) in
+        let (), d = Bufpool.update (Txn.pool mgr) pid Bt_node.init_leaf in
+        Txn.log_update mgr stx ~undo:Log_record.No_undo [ (pid, d) ];
+        pid)
+  in
   attach mgr ~index_id ~root:pid
 
 (* --- descent ------------------------------------------------------------ *)
@@ -170,39 +172,38 @@ let split_root t stx =
    be inserted: one system transaction, splitting top-down. *)
 let make_room t ~key ~need =
   let pl = pool t in
-  let stx = Txn.begin_system t.mgr in
-  let root_needs_split =
-    Bufpool.read pl t.root_pid (fun p ->
-        if Bt_node.is_leaf p then Bt_node.free_space p < need + 2
-        else interior_full p)
-  in
-  if root_needs_split then split_root t stx;
-  let rec descend pid =
-    let action =
-      Bufpool.read pl pid (fun p ->
-          if Bt_node.is_leaf p then `Done
-          else
-            let child = Bt_node.child_for p key in
-            let child_full =
-              Bufpool.read pl child (fun c ->
-                  if Bt_node.is_leaf c then Bt_node.free_space c < need + 2
-                  else interior_full c)
-            in
-            let child_is_leaf = Bufpool.read pl child (fun c -> Bt_node.is_leaf c) in
-            if child_full then `Split (child, child_is_leaf) else `Descend child)
-    in
-    match action with
-    | `Done -> ()
-    | `Descend child -> descend child
-    | `Split (child, child_is_leaf) ->
-        if child_is_leaf then split_leaf t stx ~parent:pid ~pid:child
-        else split_interior t stx ~parent:pid ~pid:child;
-        (* re-route: the child for [key] may now be the new sibling *)
-        let child' = Bufpool.read pl pid (fun p -> Bt_node.child_for p key) in
-        descend child'
-  in
-  descend t.root_pid;
-  Txn.commit t.mgr stx;
+  Txn.system t.mgr (fun stx ->
+      let root_needs_split =
+        Bufpool.read pl t.root_pid (fun p ->
+            if Bt_node.is_leaf p then Bt_node.free_space p < need + 2
+            else interior_full p)
+      in
+      if root_needs_split then split_root t stx;
+      let rec descend pid =
+        let action =
+          Bufpool.read pl pid (fun p ->
+              if Bt_node.is_leaf p then `Done
+              else
+                let child = Bt_node.child_for p key in
+                let child_full =
+                  Bufpool.read pl child (fun c ->
+                      if Bt_node.is_leaf c then Bt_node.free_space c < need + 2
+                      else interior_full c)
+                in
+                let child_is_leaf = Bufpool.read pl child (fun c -> Bt_node.is_leaf c) in
+                if child_full then `Split (child, child_is_leaf) else `Descend child)
+        in
+        match action with
+        | `Done -> ()
+        | `Descend child -> descend child
+        | `Split (child, child_is_leaf) ->
+            if child_is_leaf then split_leaf t stx ~parent:pid ~pid:child
+            else split_interior t stx ~parent:pid ~pid:child;
+            (* re-route: the child for [key] may now be the new sibling *)
+            let child' = Bufpool.read pl pid (fun p -> Bt_node.child_for p key) in
+            descend child'
+      in
+      descend t.root_pid);
   Metrics.inc t.m_split
 
 (* --- point operations ---------------------------------------------------- *)
@@ -555,11 +556,10 @@ let vacuum t =
     in
     relink ordered
   in
-  let stx = Txn.begin_system t.mgr in
-  let rec fixpoint n = if n > 0 && pass stx then fixpoint (n - 1) in
-  fixpoint 32;
-  relink_chain stx;
-  Txn.commit t.mgr stx;
+  Txn.system t.mgr (fun stx ->
+      let rec fixpoint n = if n > 0 && pass stx then fixpoint (n - 1) in
+      fixpoint 32;
+      relink_chain stx);
   if !freed > 0 then
     Metrics.inc_by t.m_vacuum_freed !freed;
   !freed

@@ -127,50 +127,49 @@ let broken t msg =
    with _ -> ());
   raise (Disconnected msg)
 
-let exec ?rid t sql =
+(* The one request skeleton: send the frame [make seq] on a live
+   session and decode the reply; [decode] answers [None] for a frame
+   that is no reply to this request. Errors, sheds, a closing server and
+   a dead line map the same way for every request. *)
+let request t make decode =
   if t.closed then raise (Disconnected "client closed");
   match t.io with
   | None -> broken t "not connected"
   | Some io -> (
       t.seq <- t.seq + 1;
-      let seq = t.seq in
+      Frame_io.send io (make t.seq);
+      match Frame_io.recv io with
+      | Some (Wire.Err { code; text; txn_open; _ }) ->
+          raise (Server_error { code; text; txn_open })
+      | Some (Wire.Busy { retry_ticks }) -> raise (Server_busy { retry_ticks })
+      | Some Wire.Bye -> broken t "server closed the session"
+      | Some frame -> (
+          match decode frame with
+          | Some v -> v
+          | None -> broken t "protocol violation from server")
+      | None -> broken t "connection closed"
+      | exception Transport.Corrupt m -> broken t m)
+
+let exec ?rid t sql =
+  request t
+    (fun seq ->
       let rid =
         match rid with
         | Some r -> r
         | None -> rid_of ~session:t.session ~seq
       in
       t.last_rid <- rid;
-      Frame_io.send io (Wire.Exec { seq; rid; sql });
-      match Frame_io.recv io with
-      | Some (Wire.Rows { header; rows; _ }) -> Sql.Rows { header; rows }
-      | Some (Wire.Affected { n; _ }) -> Sql.Affected n
-      | Some (Wire.Msg { text; _ }) -> Sql.Message text
-      | Some (Wire.Err { code; text; txn_open; _ }) ->
-          raise (Server_error { code; text; txn_open })
-      | Some (Wire.Busy { retry_ticks }) -> raise (Server_busy { retry_ticks })
-      | Some Wire.Bye -> broken t "server closed the session"
-      | Some _ -> broken t "protocol violation from server"
-      | None -> broken t "connection closed"
-      | exception Transport.Corrupt m -> broken t m)
+      Wire.Exec { seq; rid; sql })
+    (function
+      | Wire.Rows { header; rows; _ } -> Some (Sql.Rows { header; rows })
+      | Wire.Affected { n; _ } -> Some (Sql.Affected n)
+      | Wire.Msg { text; _ } -> Some (Sql.Message text)
+      | _ -> None)
 
 (* Admin round trips answered with a Msg frame (metrics, promote,
    drop_slot) share one request shape. *)
-let msg_request t mk =
-  if t.closed then raise (Disconnected "client closed");
-  match t.io with
-  | None -> broken t "not connected"
-  | Some io -> (
-      t.seq <- t.seq + 1;
-      let seq = t.seq in
-      Frame_io.send io (mk seq);
-      match Frame_io.recv io with
-      | Some (Wire.Msg { text; _ }) -> text
-      | Some (Wire.Err { code; text; txn_open; _ }) ->
-          raise (Server_error { code; text; txn_open })
-      | Some Wire.Bye -> broken t "server closed the session"
-      | Some _ -> broken t "protocol violation from server"
-      | None -> broken t "connection closed"
-      | exception Transport.Corrupt m -> broken t m)
+let msg_request t make =
+  request t make (function Wire.Msg { text; _ } -> Some text | _ -> None)
 
 (* 2PC round trips for the coordinator. Deliberately no transparent
    retry: whether to re-send is the coordinator's call (it re-sends a
@@ -178,40 +177,14 @@ let msg_request t mk =
    and the presumed-abort rule, but never a Prepare, whose session
    transaction died with the line). *)
 let prepare_2pc ?(rid = 0) t ~gtxn =
-  if t.closed then raise (Disconnected "client closed");
-  match t.io with
-  | None -> broken t "not connected"
-  | Some io -> (
-      t.seq <- t.seq + 1;
-      let seq = t.seq in
-      Frame_io.send io (Wire.Prepare { seq; rid; gtxn });
-      match Frame_io.recv io with
-      | Some (Wire.Prepared _) -> ()
-      | Some (Wire.Err { code; text; txn_open; _ }) ->
-          raise (Server_error { code; text; txn_open })
-      | Some (Wire.Busy { retry_ticks }) -> raise (Server_busy { retry_ticks })
-      | Some Wire.Bye -> broken t "server closed the session"
-      | Some _ -> broken t "protocol violation from server"
-      | None -> broken t "connection closed"
-      | exception Transport.Corrupt m -> broken t m)
+  request t
+    (fun seq -> Wire.Prepare { seq; rid; gtxn })
+    (function Wire.Prepared _ -> Some () | _ -> None)
 
 let decide_2pc ?(rid = 0) t ~gtxn ~committed =
-  if t.closed then raise (Disconnected "client closed");
-  match t.io with
-  | None -> broken t "not connected"
-  | Some io -> (
-      t.seq <- t.seq + 1;
-      let seq = t.seq in
-      Frame_io.send io (Wire.Decide { seq; rid; gtxn; committed });
-      match Frame_io.recv io with
-      | Some (Wire.Decided _) -> ()
-      | Some (Wire.Err { code; text; txn_open; _ }) ->
-          raise (Server_error { code; text; txn_open })
-      | Some (Wire.Busy { retry_ticks }) -> raise (Server_busy { retry_ticks })
-      | Some Wire.Bye -> broken t "server closed the session"
-      | Some _ -> broken t "protocol violation from server"
-      | None -> broken t "connection closed"
-      | exception Transport.Corrupt m -> broken t m)
+  request t
+    (fun seq -> Wire.Decide { seq; rid; gtxn; committed })
+    (function Wire.Decided _ -> Some () | _ -> None)
 
 let metrics t = msg_request t (fun seq -> Wire.Metrics_req { seq })
 let promote t = msg_request t (fun seq -> Wire.Promote { seq })

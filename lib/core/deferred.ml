@@ -73,31 +73,3 @@ let drain txn t ~apply =
         diffs)
     entries;
   List.length entries
-
-let vacuum t =
-  (* a ghost may belong to an in-flight drain or appender: reclaim only when
-     nobody holds any lock on the queue table *)
-  if not (Ivdb_lock.Lock_mgr.unlocked (Txn.locks t.mgr) (Lock_name.Table t.qid)) then 0
-  else begin
-  let ghosts = ref [] in
-  List.iter
-    (fun pid ->
-      Ivdb_storage.Bufpool.read (Txn.pool t.mgr) pid (fun p ->
-          Ivdb_storage.Heap_page.iter_ghosts p (fun slot ->
-              ghosts := { Heap_file.rpage = pid; rslot = slot } :: !ghosts)))
-    (Heap_file.page_ids t.qheap);
-  let reclaimed = ref 0 in
-  if !ghosts <> [] then begin
-    let stx = Txn.begin_system t.mgr in
-    List.iter
-      (fun rid ->
-        match Heap_file.free_ghost t.qheap rid with
-        | [] -> ()
-        | diffs ->
-            incr reclaimed;
-            Txn.log_update t.mgr stx ~undo:Log_record.No_undo diffs)
-      !ghosts;
-    Txn.commit t.mgr stx
-  end;
-  !reclaimed
-  end

@@ -33,8 +33,4 @@ val drain :
     them from the queue, all under the caller's transaction. Returns the
     number of raw deltas consumed. *)
 
-val vacuum : t -> int
-(** Physically reclaim ghost queue entries left by committed drains, as a
-    system transaction. Returns slots reclaimed. *)
-
 val heap : t -> Ivdb_storage.Heap_file.t

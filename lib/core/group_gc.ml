@@ -22,9 +22,7 @@ let run mgr rt =
       if Lock_mgr.unlocked locks (Lock_name.Key (rt.Maintain.vid, key)) then begin
         match Btree.search rt.Maintain.tree key with
         | Some value when Aggregate.count_of (Row.decode value) = 0 ->
-            let stx = Txn.begin_system mgr in
-            Btree.delete stx rt.Maintain.tree ~key;
-            Txn.commit mgr stx;
+            Txn.system mgr (fun stx -> Btree.delete stx rt.Maintain.tree ~key);
             incr removed;
             rt.Maintain.vstats.Maintain.v_gc_zero <-
               rt.Maintain.vstats.Maintain.v_gc_zero + 1;

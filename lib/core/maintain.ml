@@ -108,14 +108,11 @@ let gap_name rt key =
    The instant RangeI_N on the gap keeps serializable scans phantom-safe. *)
 let create_zero_group mgr txn rt ~key =
   Txn.lock_instant mgr txn (gap_name rt key) Lock_mode.RangeI_N;
-  let stx = Txn.begin_system mgr in
-  (match
-     Btree.insert stx rt.tree ~key ~value:(Row.encode (Aggregate.zero_row rt.def))
-   with
-  | () -> Txn.commit mgr stx
-  | exception Btree.Duplicate_key _ ->
-      (* another transaction created it first: fine, it exists *)
-      Txn.commit mgr stx);
+  Txn.system mgr (fun stx ->
+      try Btree.insert stx rt.tree ~key ~value:(Row.encode (Aggregate.zero_row rt.def))
+      with Btree.Duplicate_key _ ->
+        (* another transaction created it first: fine, it exists *)
+        ());
   Metrics.inc rt.stats.s_group_create;
   rt.vstats.v_group_creates <- rt.vstats.v_group_creates + 1;
   rt.vstats.v_system_txns <- rt.vstats.v_system_txns + 1;

@@ -4,7 +4,6 @@ module Disk = Ivdb_storage.Disk
 module Fault = Ivdb_storage.Fault
 module Bufpool = Ivdb_storage.Bufpool
 module Heap_file = Ivdb_storage.Heap_file
-module Heap_page = Ivdb_storage.Heap_page
 module Wal = Ivdb_wal.Wal
 module Log_record = Ivdb_wal.Log_record
 module Lock_mgr = Ivdb_lock.Lock_mgr
@@ -696,6 +695,7 @@ let bare ?(config = default_config) ?(role = Primary) ?trace ~metrics ~disk ~wal
             (Ivdb_core.Inflight.keys_of_txn t.inflight ~txn:(Txn.id txn))
       | _ -> ());
       Ivdb_core.Inflight.drop_txn t.inflight ~txn:(Txn.id txn);
+      Hashtbl.remove t.ghosts (Txn.id txn);
       Hashtbl.filter_map_inplace
         (fun (tid, _) v -> if tid = Txn.id txn then None else Some v)
         t.row_lock_counts);
@@ -746,21 +746,23 @@ let create_table t ~name ~cols =
   | Some _ -> invalid_arg ("Database.create_table: duplicate table " ^ name)
   | None -> ());
   let id = Catalog.fresh_id t.catalog in
-  let stx = Txn.begin_system t.tmgr in
-  let heap, diffs = Heap_file.create t.dpool t.disk in
-  Txn.log_update t.tmgr stx ~undo:Log_record.No_undo diffs;
-  let meta =
-    {
-      Catalog.tb_id = id;
-      tb_name = name;
-      tb_cols =
-        Array.of_list
-          (List.map (fun c -> (c.Schema.name, c.Schema.ty, c.Schema.nullable)) cols);
-      tb_first_page = Heap_file.first_page heap;
-    }
+  let heap, meta =
+    Txn.system t.tmgr (fun stx ->
+        let heap, diffs = Heap_file.create t.dpool t.disk in
+        Txn.log_update t.tmgr stx ~undo:Log_record.No_undo diffs;
+        let meta =
+          {
+            Catalog.tb_id = id;
+            tb_name = name;
+            tb_cols =
+              Array.of_list
+                (List.map (fun c -> (c.Schema.name, c.Schema.ty, c.Schema.nullable)) cols);
+            tb_first_page = Heap_file.first_page heap;
+          }
+        in
+        log_ddl_op t stx (Catalog.Add_table meta);
+        (heap, meta))
   in
-  log_ddl_op t stx (Catalog.Add_table meta);
-  Txn.commit t.tmgr stx;
   Catalog.apply_op t.catalog (Catalog.Add_table meta);
   register_table t meta ~heap:(Some heap);
   id
@@ -772,25 +774,23 @@ let index_key ~unique v (rid : Heap_file.rid) =
 
 exception Constraint_violation of string
 
+(* A DDL statement fills its new tree inside its system transaction with
+   undoable inserts, before the catalog knows the tree: register it with
+   the undo executor for the statement's run, so a failed statement rolls
+   back like any other and leaves nothing behind. *)
+let with_new_tree t id tree f =
+  Hashtbl.replace t.trees id tree;
+  try Txn.system t.tmgr f
+  with e ->
+    Hashtbl.remove t.trees id;
+    raise e
+
 let create_index t ?(unique = false) tid ~col ~name =
   reject_writes t;
   let rt = table_rt t tid in
   let col_pos = Schema.index_of rt.tschema col in
   let id = Catalog.fresh_id t.catalog in
   let tree = Btree.create t.tmgr ~index_id:id in
-  (* backfill in a system transaction *)
-  let stx = Txn.begin_system t.tmgr in
-  Heap_file.iter rt.heap (fun rid record ->
-      let row = Row.decode record in
-      let payload = if unique then encode_rid_payload rid else "" in
-      try
-        Btree.insert stx tree
-          ~key:(index_key ~unique row.(col_pos) rid)
-          ~value:(index_entry_live payload)
-      with Btree.Duplicate_key _ ->
-        raise
-          (Constraint_violation
-             (Printf.sprintf "unique index %s: duplicate value in column %s" name col)));
   let meta =
     {
       Catalog.ix_id = id;
@@ -801,8 +801,20 @@ let create_index t ?(unique = false) tid ~col ~name =
       ix_root = Btree.root tree;
     }
   in
-  log_ddl_op t stx (Catalog.Add_index meta);
-  Txn.commit t.tmgr stx;
+  (* backfill in a system transaction *)
+  with_new_tree t id tree (fun stx ->
+      Heap_file.iter rt.heap (fun rid record ->
+          let row = Row.decode record in
+          let payload = if unique then encode_rid_payload rid else "" in
+          try
+            Btree.insert stx tree
+              ~key:(index_key ~unique row.(col_pos) rid)
+              ~value:(index_entry_live payload)
+          with Btree.Duplicate_key _ ->
+            raise
+              (Constraint_violation
+                 (Printf.sprintf "unique index %s: duplicate value in column %s" name col)));
+      log_ddl_op t stx (Catalog.Add_index meta));
   Catalog.apply_op t.catalog (Catalog.Add_index meta);
   register_index t meta ~tree:(Some tree)
 
@@ -859,37 +871,39 @@ let create_view t ?(create_mode = Maintain.System_txn) ?refresh_threshold ~name
   | Maintain.Exclusive -> ());
   let id = Catalog.fresh_id t.catalog in
   let tree = Btree.create t.tmgr ~index_id:id in
-  let stx = Txn.begin_system t.tmgr in
-  let queue, vw_queue =
-    match strategy with
-    | Maintain.Deferred ->
-        let qid = Catalog.fresh_id t.catalog in
-        let q, diffs = Deferred.create t.tmgr ~queue_id:qid in
-        Txn.log_update t.tmgr stx ~undo:Log_record.No_undo diffs;
-        (Some q, Some (qid, Deferred.first_page q))
-    | Maintain.Exclusive | Maintain.Escrow -> (None, None)
+  let queue, meta =
+    with_new_tree t id tree (fun stx ->
+        let queue, vw_queue =
+          match strategy with
+          | Maintain.Deferred ->
+              let qid = Catalog.fresh_id t.catalog in
+              let q, diffs = Deferred.create t.tmgr ~queue_id:qid in
+              Txn.log_update t.tmgr stx ~undo:Log_record.No_undo diffs;
+              (Some q, Some (qid, Deferred.first_page q))
+          | Maintain.Exclusive | Maintain.Escrow -> (None, None)
+        in
+        (* initial materialization *)
+        let groups = Aggregate.fold_groups def (source_rows t None def) in
+        Hashtbl.iter
+          (fun key row ->
+            if Aggregate.count_of row > 0 then
+              Btree.insert stx tree ~key ~value:(Row.encode row))
+          groups;
+        let meta =
+          {
+            Catalog.vw_id = id;
+            vw_name = name;
+            vw_def = def;
+            vw_root = Btree.root tree;
+            vw_strategy = strategy;
+            vw_create_mode = create_mode;
+            vw_refresh_threshold = refresh_threshold;
+            vw_queue;
+          }
+        in
+        log_ddl_op t stx (Catalog.Add_view meta);
+        (queue, meta))
   in
-  (* initial materialization *)
-  let groups = Aggregate.fold_groups def (source_rows t None def) in
-  Hashtbl.iter
-    (fun key row ->
-      if Aggregate.count_of row > 0 then
-        Btree.insert stx tree ~key ~value:(Row.encode row))
-    groups;
-  let meta =
-    {
-      Catalog.vw_id = id;
-      vw_name = name;
-      vw_def = def;
-      vw_root = Btree.root tree;
-      vw_strategy = strategy;
-      vw_create_mode = create_mode;
-      vw_refresh_threshold = refresh_threshold;
-      vw_queue;
-    }
-  in
-  log_ddl_op t stx (Catalog.Add_view meta);
-  Txn.commit t.tmgr stx;
   Catalog.apply_op t.catalog (Catalog.Add_view meta);
   register_view t meta ~tree:(Some tree) ~queue;
   id
@@ -936,29 +950,34 @@ let note_ghost_entry t txn entry =
 let note_ghost t txn tid rid = note_ghost_entry t txn (Ghost_row (tid, rid))
 let note_index_ghost t txn ixid key = note_ghost_entry t txn (Ghost_index_entry (ixid, key))
 
+(* The one ghost reclaimer, in one system transaction: the committed
+   ghosts a transaction leaves, and those [gc] sweeps up. Returns how many
+   it removed. *)
 let reclaim_ghosts t entries =
-  if entries <> [] then begin
-    let stx = Txn.begin_system t.tmgr in
-    List.iter
-      (fun entry ->
-        match entry with
-        | Ghost_row (tid, rid) -> (
-            match Heap_file.free_ghost (heap_of t tid) rid with
-            | [] -> ()
-            | diffs -> Txn.log_update t.tmgr stx ~undo:Log_record.No_undo diffs)
-        | Ghost_index_entry (ixid, key) -> (
-            (* remove only if still a ghost and no reader still speaks for
-               the key; otherwise the gc sweep picks it up later *)
-            let tree = tree_of t ixid in
-            match Btree.search tree key with
-            | Some v
-              when index_entry_is_ghost v
-                   && Lock_mgr.unlocked t.dlocks (Lock_name.Key (ixid, key)) ->
-                Btree.delete stx tree ~key
-            | Some _ | None -> ()))
-      entries;
-    Txn.commit t.tmgr stx
-  end
+  if entries = [] then 0
+  else
+    Txn.system t.tmgr (fun stx ->
+        List.fold_left
+          (fun n entry ->
+            match entry with
+            | Ghost_row (tid, rid) -> (
+                match Heap_file.free_ghost (heap_of t tid) rid with
+                | [] -> n
+                | diffs ->
+                    Txn.log_update t.tmgr stx ~undo:Log_record.No_undo diffs;
+                    n + 1)
+            | Ghost_index_entry (ixid, key) -> (
+                (* remove only if still a ghost and no reader still speaks for
+                   the key; otherwise the gc sweep picks it up later *)
+                let tree = tree_of t ixid in
+                match Btree.search tree key with
+                | Some v
+                  when index_entry_is_ghost v
+                       && Lock_mgr.unlocked t.dlocks (Lock_name.Key (ixid, key)) ->
+                    Btree.delete stx tree ~key;
+                    n + 1
+                | Some _ | None -> n))
+          0 entries)
 
 type abort_reason = Deadlock_victim | User_abort of exn
 
@@ -970,21 +989,17 @@ let transact_exn t ?retries f =
   let retries = match retries with Some r -> r | None -> t.cfg.txn_retries in
   let rec go attempts_left =
     let tx = Txn.begin_txn t.tmgr in
-    let finish_ghosts committed =
-      match Hashtbl.find_opt t.ghosts (Txn.id tx) with
-      | None -> ()
-      | Some l ->
-          Hashtbl.remove t.ghosts (Txn.id tx);
-          if committed then reclaim_ghosts t !l
-    in
     match f tx with
     | v ->
+        (* the end hook drops the ghost entry: read it first, reclaim after *)
+        let ghosts =
+          match Hashtbl.find_opt t.ghosts (Txn.id tx) with Some l -> !l | None -> []
+        in
         Txn.commit t.tmgr tx;
-        finish_ghosts true;
+        ignore (reclaim_ghosts t ghosts);
         Ok v
     | exception Txn.Conflict _ when attempts_left > 0 ->
         Txn.abort t.tmgr tx;
-        finish_ghosts false;
         Metrics.inc t.m_retry;
         Sched.yield ();
         go (attempts_left - 1)
@@ -994,7 +1009,6 @@ let transact_exn t ?retries f =
         raise e
     | exception e ->
         Txn.abort t.tmgr tx;
-        finish_ghosts false;
         (match e with Txn.Conflict _ -> Metrics.inc t.m_give_up | _ -> ());
         Error e
   in
@@ -1146,6 +1160,15 @@ let rebuild_runtime t =
   List.iter (fun m -> register_index t m ~tree:None) (Catalog.indexes t.catalog);
   List.iter (fun m -> register_view t m ~tree:None ~queue:None) (Catalog.views t.catalog)
 
+(* Roll back every recovery loser through the logical-undo executor,
+   writing CLRs: the restart path and promotion share it. *)
+let rollback_losers t analysis =
+  List.iter
+    (fun (tid, last) ->
+      let loser = Txn.resurrect t.tmgr ~id:tid ~last_lsn:last () in
+      Txn.rollback_tail t.tmgr loser ~from:last)
+    analysis.Recovery.losers
+
 let crash old =
   let metrics = Metrics.create () in
   let trace = make_trace () in
@@ -1190,11 +1213,7 @@ let crash old =
   rebuild_runtime t;
   (match t.role with
   | Primary ->
-      List.iter
-        (fun (tid, last) ->
-          let loser = Txn.resurrect t.tmgr ~id:tid ~last_lsn:last () in
-          Txn.rollback_tail t.tmgr loser ~from:last)
-        analysis.Recovery.losers;
+      rollback_losers t analysis;
       (* Resurrect in-doubt (prepared) transactions with their locks and
          in-flight escrow state: they block conflicting access until the
          coordinator re-delivers its decision. [first_lsn] pins the log-
@@ -1351,11 +1370,7 @@ let promote t =
   t.received <- Wal.flushed_lsn t.dwal;
   Txn.bump_txn_id t.tmgr analysis.Recovery.max_txn_id;
   let undo_before = Metrics.get t.dmetrics "txn.recovery_undo" in
-  List.iter
-    (fun (tid, last) ->
-      let loser = Txn.resurrect t.tmgr ~id:tid ~last_lsn:last () in
-      Txn.rollback_tail t.tmgr loser ~from:last)
-    analysis.Recovery.losers;
+  rollback_losers t analysis;
   checkpoint_gen t ~truncate:false;
   Metrics.inc t.m_promotions;
   {
@@ -1401,6 +1416,7 @@ let gc t =
   if t.role = Follower then 0
   else begin
   let reclaimed = ref 0 in
+  let reclaim entries = reclaimed := !reclaimed + reclaim_ghosts t entries in
   (* MVCC version chains whose entries no live snapshot can still see *)
   reclaimed := !reclaimed + Ivdb_txn.Mvcc.gc (Txn.mvcc t.tmgr);
   Hashtbl.iter
@@ -1408,7 +1424,15 @@ let gc t =
       reclaimed := !reclaimed + Group_gc.run t.tmgr rt;
       reclaimed := !reclaimed + Btree.vacuum rt.Maintain.tree;
       match rt.Maintain.deferred with
-      | Some q -> reclaimed := !reclaimed + Deferred.vacuum q
+      | Some q ->
+          (* a queue ghost may belong to an in-flight drain or appender:
+             reclaim only when nobody holds any lock on the queue table *)
+          let qid = Deferred.queue_id q in
+          if Lock_mgr.unlocked t.dlocks (Lock_name.Table qid) then
+            reclaim
+              (List.map
+                 (fun rid -> Ghost_row (qid, rid))
+                 (Heap_file.ghosts (Deferred.heap q)))
       | None -> ())
     t.views_rt;
   (* index-entry ghosts left by a crash or skipped reclaims *)
@@ -1417,56 +1441,25 @@ let gc t =
       List.iter
         (fun ix ->
           let ixid = ix.imeta.Catalog.ix_id in
-          let ghost_keys = ref [] in
+          let ghosts = ref [] in
           Btree.iter ix.itree (fun k v ->
-              if index_entry_is_ghost v then ghost_keys := k :: !ghost_keys);
-          let free =
-            List.filter
-              (fun k -> Lock_mgr.unlocked t.dlocks (Lock_name.Key (ixid, k)))
-              !ghost_keys
-          in
-          if free <> [] then begin
-            let stx = Txn.begin_system t.tmgr in
-            List.iter
-              (fun k ->
-                match Btree.search ix.itree k with
-                | Some v when index_entry_is_ghost v ->
-                    Btree.delete stx ix.itree ~key:k;
-                    incr reclaimed
-                | Some _ | None -> ())
-              free;
-            Txn.commit t.tmgr stx
-          end;
+              if index_entry_is_ghost v
+                 && Lock_mgr.unlocked t.dlocks (Lock_name.Key (ixid, k))
+              then ghosts := Ghost_index_entry (ixid, k) :: !ghosts);
+          reclaim !ghosts;
           reclaimed := !reclaimed + Btree.vacuum ix.itree)
         rt.indexes)
     t.dtables;
-  (* base-table ghosts left by a crash (normal commits reclaim their own) *)
+  (* base-table ghosts left by a crash or by explicit commits *)
   Hashtbl.iter
     (fun tid rt ->
-      let ghost_rids = ref [] in
-      List.iter
-        (fun pid ->
-          Bufpool.read t.dpool pid (fun p ->
-              Heap_page.iter_ghosts p (fun slot ->
-                  ghost_rids := { Heap_file.rpage = pid; rslot = slot } :: !ghost_rids)))
-        (Heap_file.page_ids rt.heap);
-      let free =
-        List.filter
-          (fun rid -> Lock_mgr.unlocked t.dlocks (Lock_name.Row (tid, rid)))
-          !ghost_rids
-      in
-      if free <> [] then begin
-        let stx = Txn.begin_system t.tmgr in
-        List.iter
-          (fun rid ->
-            match Heap_file.free_ghost rt.heap rid with
-            | [] -> ()
-            | diffs ->
-                incr reclaimed;
-                Txn.log_update t.tmgr stx ~undo:Log_record.No_undo diffs)
-          free;
-        Txn.commit t.tmgr stx
-      end)
+      reclaim
+        (List.filter_map
+           (fun rid ->
+             if Lock_mgr.unlocked t.dlocks (Lock_name.Row (tid, rid)) then
+               Some (Ghost_row (tid, rid))
+             else None)
+           (Heap_file.ghosts rt.heap)))
     t.dtables;
   !reclaimed
   end
@@ -1496,6 +1489,7 @@ module Internal = struct
   let encode_rid_payload = encode_rid_payload
   let index_key = index_key
   let inflight t = t.inflight
+  let ghost_entries t = Hashtbl.length t.ghosts
   let note_insert t = Metrics.inc t.m_table_insert
   let note_delete t = Metrics.inc t.m_table_delete
   let note_on_demand_aggregate t = Metrics.inc t.m_on_demand_aggregate

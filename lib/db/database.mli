@@ -373,6 +373,10 @@ module Internal : sig
   val view_rt : t -> int -> Ivdb_core.Maintain.runtime
   val inflight : t -> Ivdb_core.Inflight.t
 
+  val ghost_entries : t -> int
+  (** Transactions with ghosts noted: an entry ends with its transaction,
+      so this is 0 whenever no transaction is open. *)
+
   (** Bump [table.insert] / [table.delete] / [query.on_demand_aggregate]. *)
   val note_insert : t -> unit
   val note_delete : t -> unit

@@ -182,7 +182,10 @@ let closed_loop spec metrics ~on_commit body =
                 if c.txn ~reader then begin
                   incr committed;
                   if reader then incr readers;
-                  Metrics.record commit_hist (Sched.now () - t_begin);
+                  (* a crash ends the run with no later reading of the
+                     clock, so each commit marks how far the run got *)
+                  end_ticks := Sched.now ();
+                  Metrics.record commit_hist (!end_ticks - t_begin);
                   on_commit !committed
                 end
                 else incr given_up;

@@ -117,8 +117,9 @@ val closed_loop :
     between [start] and [wait] keeps its place in the run queue.
     [on_commit n] runs after the [n]-th commit of the run, before the
     worker's yield. An injected {!Ivdb_storage.Fault.Crash_point}
-    stops the run with [result.crashed] set. The measured window spans
-    the whole run, set-up and tear-down included. *)
+    stops the run with [result.crashed] set; its [ticks] then run to the
+    last commit before the crash. The measured window spans the whole
+    run, set-up and tear-down included. *)
 
 val run_on : Database.t -> Database.table -> Database.view list -> spec -> result
 (** The engine shape: workers call the database directly, writers insert

@@ -670,7 +670,11 @@ let describe_plan s (q : A.select) =
 
 (* An indexed view's stored groups as a relation: the GROUP BY columns,
    the implicit COUNT( * ) unless the definition lists it explicitly, then
-   each aggregate under its label. *)
+   each aggregate under its label. A label that occurs once names its
+   column. A repeated one is qualified, so every column has a name of its
+   own: by the aggregate's argument column when no other aggregate of the
+   label has the same one (sum_a, sum_b), else by its position among the
+   aggregate columns (count_1, count_2). *)
 let view_relation ?stats s txn v =
   let def = Database.view_def s.sdb v in
   let src_schema =
@@ -691,18 +695,31 @@ let view_relation ?stats s txn v =
   let explicit_count =
     Array.exists (function View_def.Count_star -> true | _ -> false) def.View_def.aggs
   in
+  let aggs =
+    (if explicit_count then [] else [ View_def.Count_star ])
+    @ Array.to_list def.View_def.aggs
+  in
+  let label_arg (a : View_def.agg) =
+    match a with
+    | View_def.Count_star -> ("count(*)", None)
+    | View_def.Count e -> ("count", Some e)
+    | View_def.Sum e -> ("sum", Some e)
+    | View_def.Min e -> ("min", Some e)
+    | View_def.Max e -> ("max", Some e)
+  in
+  let labelled = List.map label_arg aggs in
+  let occurrences p = List.length (List.filter p labelled) in
   let agg_names =
-    (if explicit_count then [] else [ "count(*)" ])
-    @ Array.to_list
-        (Array.map
-           (fun (a : View_def.agg) ->
-             match a with
-             | View_def.Count_star -> "count(*)"
-             | View_def.Count _ -> "count"
-             | View_def.Sum _ -> "sum"
-             | View_def.Min _ -> "min"
-             | View_def.Max _ -> "max")
-           def.View_def.aggs)
+    List.mapi
+      (fun i (label, arg) ->
+        if occurrences (fun (l, _) -> l = label) = 1 then label
+        else
+          match arg with
+          | Some (Expr.Col pos) when occurrences (( = ) (label, arg)) = 1 ->
+              label ^ "_" ^ (Schema.col_at src_schema pos).Schema.name
+          | Some _ -> label ^ "_" ^ string_of_int (i + 1)
+          | None -> "count_" ^ string_of_int (i + 1))
+      labelled
   in
   let project_aggs stored =
     if explicit_count then Array.sub stored 1 (Array.length stored - 1) else stored
@@ -715,17 +732,19 @@ let view_relation ?stats s txn v =
     |> List.of_seq )
 
 (* One view's rows from several partitions, combined by group key: the
-   aggregates distribute over a union of partitions under the labels
-   view_relation gives them, with NULL as the identity. *)
+   aggregates distribute over a union of partitions by the kind that
+   begins the name view_relation gives each column, with NULL as the
+   identity. *)
 let combine_view_rows ~groups header rows =
-  let labels = Array.of_list header in
+  let kind l = match String.index_opt l '_' with Some i -> String.sub l 0 i | None -> l in
+  let kinds = Array.of_list (List.map kind header) in
   let combine j a b =
-    match (labels.(j), a, b) with
+    match (kinds.(j), a, b) with
     | _, Value.Null, v | _, v, Value.Null -> v
     | ("count(*)" | "count" | "sum"), a, b -> Value.add a b
     | "min", a, b -> if Value.compare a b <= 0 then a else b
     | "max", a, b -> if Value.compare a b >= 0 then a else b
-    | l, _, _ -> fail "cannot combine view column %s" l
+    | _, _, _ -> fail "cannot combine view column %s" (List.nth header j)
   in
   let by_key (a : Row.t) (b : Row.t) =
     let rec from i =

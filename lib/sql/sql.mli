@@ -115,9 +115,10 @@ val combine_view_rows :
 (** [combine_view_rows ~groups header rows] merges an indexed view's rows
     read from several partitions (the shards of a cluster) into one row
     per group, ordered by group key. The first [groups] columns are the
-    group key; each later column combines by its [SELECT * FROM <view>]
-    label: [count( * )], [count] and [sum] add, [min] and [max] take the
-    least and greatest, and [NULL] is the identity. *)
+    group key; each later column combines by the aggregate kind that
+    begins its [SELECT * FROM <view>] name (up to the first [_], so
+    [sum_a] is a [sum]): [count( * )], [count] and [sum] add, [min] and
+    [max] take the least and greatest, and [NULL] is the identity. *)
 
 val exec : session -> string -> result
 (** Parse and execute one statement. Raises {!Sql_error} (or

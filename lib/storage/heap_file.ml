@@ -212,4 +212,11 @@ let iter_all t f =
         (fun (slot, r, ghost) -> f { rpage = pid; rslot = slot } r ~ghost)
         records)
 
+let ghosts t =
+  let acc = ref [] in
+  iter_pages t (fun pid ->
+      Bufpool.read t.pool pid (fun p ->
+          Heap_page.iter_ghosts p (fun slot -> acc := { rpage = pid; rslot = slot } :: !acc)));
+  !acc
+
 let page_ids t = Array.to_list (Array.sub t.pages 0 t.npages)

@@ -64,6 +64,9 @@ val iter_all : t -> (rid -> string -> ghost:bool -> unit) -> unit
     Serializable scans use this so an uncommitted delete still blocks the
     reader (via the row lock) instead of being silently invisible. *)
 
+val ghosts : t -> rid list
+(** Every ghost slot, descending rid order (the chain's tail first). *)
+
 val page_ids : t -> int list
 (** The chain, first page to tail. *)
 

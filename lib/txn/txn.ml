@@ -138,7 +138,6 @@ let fresh mgr ~system =
   t
 
 let begin_txn mgr = fresh mgr ~system:false
-let begin_system mgr = fresh mgr ~system:true
 
 (* A snapshot transaction touches neither the WAL (it can have no effects
    to log or undo) nor the lock manager — it is registered in the active
@@ -371,6 +370,21 @@ let abort mgr t =
         Trace.emit mgr.mtrace (Trace.Txn_abort { txn = t.tid })
     end
     else abort_rw mgr t
+
+(* The one bracket of a system transaction. A crash point is power loss,
+   not a failure: nothing may run after it, so it passes untouched and
+   recovery rolls the transaction back from the stable log. *)
+let system mgr f =
+  let stx = fresh mgr ~system:true in
+  match f stx with
+  | v ->
+      commit mgr stx;
+      v
+  | exception (Ivdb_storage.Fault.Crash_point _ as e) -> raise e
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      abort mgr stx;
+      Printexc.raise_with_backtrace e bt
 
 let rollback_tail mgr t ~from =
   check_active t;

@@ -59,7 +59,13 @@ val metrics : mgr -> Ivdb_util.Metrics.t
 val trace : mgr -> Ivdb_util.Trace.t
 
 val begin_txn : mgr -> t
-val begin_system : mgr -> t
+
+val system : mgr -> (t -> 'a) -> 'a
+(** [system mgr f] runs [f] in a fresh system transaction and commits it
+    when [f] returns. On any exception but
+    {!Ivdb_storage.Fault.Crash_point} it aborts the transaction (undoing
+    what [f] logged with undo) and re-raises; a crash point propagates
+    untouched, since nothing may run after it. *)
 
 val begin_snapshot : mgr -> t
 (** A lock-free read-only transaction: records the current MVCC commit

@@ -458,6 +458,44 @@ let test_partial_views_v1 () =
         |> List.filteri (fun i _ -> i < 2))
         top2)
 
+(* Two aggregates of one kind get a column each (sum_a, sum_b), and the
+   coordinator combines both by kind across the shards. *)
+let test_two_sums_combine () =
+  let cl = fresh_cluster 2 in
+  phase cl (fun c dialers ->
+      List.iter
+        (fun s -> ignore (Coord.exec c s))
+        [
+          "CREATE TABLE t (k INT NOT NULL, grp TEXT NOT NULL, a INT NOT NULL, b INT NOT NULL)";
+          "CREATE VIEW v AS SELECT grp, SUM(a), SUM(b) FROM t GROUP BY grp USING ESCROW";
+        ];
+      for k = 0 to 9 do
+        ignore
+          (Coord.exec c
+             (Printf.sprintf "INSERT INTO t VALUES (%d, '%s', %d, %d)" k
+                (if k < 8 then "x" else "y") k (10 * k)))
+      done;
+      Array.iter
+        (fun d ->
+          let cl = Client.connect d in
+          Alcotest.(check bool) "each shard holds part of group x" true
+            (rows (Client.exec cl "SELECT * FROM t WHERE grp = 'x'") <> []);
+          Client.close cl)
+        dialers;
+      (match Coord.exec c "SELECT * FROM v" with
+      | Sql.Rows { header; rows } ->
+          check Alcotest.(list string) "one name per column"
+            [ "grp"; "count(*)"; "sum_a"; "sum_b" ] header;
+          check
+            Alcotest.(list (pair string (list int)))
+            "both sums combined" [ ("x", [ 8; 28; 280 ]); ("y", [ 2; 17; 170 ]) ]
+            (view_groups rows)
+      | _ -> Alcotest.fail "expected Rows");
+      check
+        Alcotest.(list (pair string (list int)))
+        "WHERE reads the second sum by name" [ ("x", [ 280 ]) ]
+        (view_groups (rows (Coord.exec c "SELECT grp, sum_b FROM v WHERE sum_b > 200"))))
+
 (* A shard joins only the rows it holds, so a join view is accepted only
    when both sides join on their partition columns. *)
 let test_join_views_must_be_copartitioned () =
@@ -1702,6 +1740,7 @@ let () =
             test_ill_typed_through_coord;
           Alcotest.test_case "join views must be co-partitioned" `Quick
             test_join_views_must_be_copartitioned;
+          Alcotest.test_case "two sums combine by kind" `Quick test_two_sums_combine;
         ] );
       ( "crash",
         [

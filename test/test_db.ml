@@ -10,6 +10,7 @@ module View_def = Ivdb_core.View_def
 module Maintain = Ivdb_core.Maintain
 module Txn = Ivdb_txn.Txn
 module Rng = Ivdb_util.Rng
+module Sql = Ivdb_sql.Sql
 
 let check = Alcotest.check
 
@@ -710,6 +711,74 @@ let test_checkpoint_respects_active_txn () =
   Txn.abort mgr tx;
   check Alcotest.int "rolled back" 39 (Table.row_count db t)
 
+(* A transaction's ghost bookkeeping ends with it, whatever ends it:
+   explicit COMMIT and ROLLBACK, a 2PC decision either way, a deadlock
+   victim's abort, and transact's commit and abort. *)
+let test_ghost_entries_end_with_txn () =
+  let db = Database.create ~config () in
+  let s = Sql.session db in
+  let sql q = ignore (Sql.exec s q) in
+  sql "CREATE TABLE t (k INT NOT NULL, x INT NOT NULL)";
+  sql "CREATE UNIQUE INDEX t_k ON t (k)";
+  for k = 1 to 20 do
+    sql (Printf.sprintf "INSERT INTO t VALUES (%d, 0)" k)
+  done;
+  let t = Database.table db "t" in
+  let rid k =
+    Database.Internal.heap_scan_rows db None t
+    |> Seq.find (fun (_, r) -> r.(0) = Value.Int k)
+    |> Option.get |> fst
+  in
+  let entries what n = check Alcotest.int what n (Database.Internal.ghost_entries db) in
+  let explicit k last =
+    sql "BEGIN";
+    sql (Printf.sprintf "DELETE FROM t WHERE k = %d" k);
+    entries "open transaction" 1;
+    last ()
+  in
+  explicit 1 (fun () -> sql "COMMIT");
+  entries "after COMMIT" 0;
+  explicit 2 (fun () -> sql "ROLLBACK");
+  entries "after ROLLBACK" 0;
+  let decide k committed =
+    let gtxn = Printf.sprintf "g:%d" k in
+    explicit k (fun () -> Sql.prepare_2pc s ~gtxn);
+    ignore (Database.decide_2pc db ~gtxn ~committed)
+  in
+  decide 3 true;
+  entries "after a 2PC commit" 0;
+  decide 4 false;
+  entries "after a 2PC abort" 0;
+  let delete tx k =
+    Table.delete db tx t (rid k);
+    entries "inside transact" 1
+  in
+  Database.transact db (fun tx -> delete tx 5);
+  entries "after transact's commit" 0;
+  (match Database.transact_result db (fun tx -> delete tx 6; raise Exit) with
+  | Error (Database.User_abort Exit) -> ()
+  | _ -> Alcotest.fail "the body's exception aborts");
+  entries "after transact's abort" 0;
+  (* each deletes one row, then the other's: one is the deadlock victim *)
+  let victims = ref 0 in
+  let r10 = rid 10 and r15 = rid 15 in
+  Ivdb_sched.Sched.run ~policy:Ivdb_sched.Sched.Fifo (fun () ->
+      List.iter
+        (fun (a, b) ->
+          ignore
+            (Ivdb_sched.Sched.spawn (fun () ->
+                 match
+                   Database.transact_result db ~retries:0 (fun tx ->
+                       Table.delete db tx t a;
+                       Ivdb_sched.Sched.yield ();
+                       Table.delete db tx t b)
+                 with
+                 | Error Database.Deadlock_victim -> incr victims
+                 | Ok () | Error _ -> ())))
+        [ (r10, r15); (r15, r10) ]);
+  check Alcotest.int "one deadlock victim" 1 !victims;
+  entries "after a deadlock victim's abort" 0
+
 let test_double_crash () =
   let db, t = make_db () in
   let _ = sum_qty db t ~strategy:Maintain.Escrow () in
@@ -776,6 +845,8 @@ let () =
           Alcotest.test_case "deferred queue recovered" `Quick
             test_crash_deferred_queue_recovered;
           Alcotest.test_case "double crash" `Quick test_double_crash;
+          Alcotest.test_case "ghost entries end with their transaction" `Quick
+            test_ghost_entries_end_with_txn;
           Alcotest.test_case "checkpoint truncates log" `Quick
             test_checkpoint_truncates_log;
           Alcotest.test_case "truncation respects active txn" `Quick

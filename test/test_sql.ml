@@ -839,6 +839,39 @@ let test_unique_index_sql () =
   check Alcotest.int "row count" 5
     (List.length (rows_of s "SELECT id FROM sales"))
 
+(* A DDL statement that fails part-way ends its system transaction: none
+   stays active, the next checkpoint truncates the log past the
+   statement's records, and a restart after later committed work
+   recovers every row. *)
+let test_failed_ddl_leaves_nothing () =
+  List.iter
+    (fun ddl ->
+      let s = fresh () in
+      ignore (exec s "CREATE TABLE t (g INT NOT NULL, s TEXT)");
+      ignore (exec s "INSERT INTO t VALUES (1, 'x'), (1, 'y')");
+      (match exec s ddl with
+      | exception Sql.Sql_error _ -> ()
+      | _ -> Alcotest.failf "%s succeeded" ddl);
+      let wal col =
+        match rows_of s ("SELECT " ^ col ^ " FROM sys.wal") with
+        | [ [| v |] ] -> Value.to_int v
+        | _ -> Alcotest.fail "sys.wal: one row"
+      in
+      let failed_upto = wal "last_lsn" in
+      check Alcotest.int (ddl ^ ": no active transaction") 0
+        (List.length (rows_of s "SELECT txn FROM sys.transactions WHERE state = 'active'"));
+      ignore (exec s "INSERT INTO t VALUES (2, 'z')");
+      ignore (exec s "CHECKPOINT");
+      Alcotest.(check bool) (ddl ^ ": log truncated past it") true
+        (wal "first_lsn" > failed_upto);
+      let s' = Sql.session (Database.crash (Sql.db s)) in
+      check Alcotest.int (ddl ^ ": rows recovered") 3
+        (List.length (rows_of s' "SELECT * FROM t")))
+    [
+      "CREATE UNIQUE INDEX t_g ON t (g)";
+      "CREATE VIEW v AS SELECT g, SUM(s) FROM t GROUP BY g";
+    ]
+
 let test_view_matching () =
   let s = setup_sales () in
   ignore
@@ -1148,6 +1181,8 @@ let () =
           Alcotest.test_case "division" `Quick test_division;
           Alcotest.test_case "savepoints" `Quick test_sql_savepoints;
           Alcotest.test_case "unique index" `Quick test_unique_index_sql;
+          Alcotest.test_case "failed DDL leaves nothing" `Quick
+            test_failed_ddl_leaves_nothing;
           Alcotest.test_case "statement atomic in txn" `Quick
             test_statement_atomic_in_txn;
           Alcotest.test_case "view matching" `Quick test_view_matching;

@@ -36,10 +36,12 @@ let install_undo h ~heap ~tree =
 
 let make_env () =
   let h = Harness.make ~pool_capacity:64 () in
-  let stx = Txn.begin_system h.Harness.mgr in
-  let heap, diffs = Heap_file.create h.Harness.pool h.Harness.disk in
-  Txn.log_update h.Harness.mgr stx ~undo:Log_record.No_undo diffs;
-  Txn.commit h.Harness.mgr stx;
+  let heap =
+    Txn.system h.Harness.mgr (fun stx ->
+        let heap, diffs = Heap_file.create h.Harness.pool h.Harness.disk in
+        Txn.log_update h.Harness.mgr stx ~undo:Log_record.No_undo diffs;
+        heap)
+  in
   let tree = Btree.create h.Harness.mgr ~index_id:1 in
   install_undo h ~heap ~tree;
   { h; heap; tree }
@@ -102,10 +104,30 @@ let test_commit_forces_log () =
 let test_system_txn_no_force () =
   let env = make_env () in
   let flushed = Wal.flushed_lsn env.h.Harness.wal in
-  let stx = Txn.begin_system env.h.Harness.mgr in
-  Txn.commit env.h.Harness.mgr stx;
+  Txn.system env.h.Harness.mgr ignore;
   check Alcotest.int "no force on system commit" flushed
     (Wal.flushed_lsn env.h.Harness.wal)
+
+(* The bracket aborts and re-raises on a failure, undoing what the body
+   logged; a crash point passes untouched, leaving the rollback to
+   recovery. *)
+let test_system_txn_failure () =
+  let env = make_env () in
+  let mgr = env.h.Harness.mgr in
+  let run exn =
+    let stx = ref None in
+    (try
+       Txn.system mgr (fun tx ->
+           stx := Some tx;
+           ignore (heap_insert env tx "undone");
+           raise exn)
+     with e when e == exn -> ());
+    Txn.status (Option.get !stx)
+  in
+  Alcotest.(check bool) "a failure aborts" true (run Exit = Txn.Aborted);
+  check Alcotest.(list string) "its insert is undone" [] (heap_contents env);
+  Alcotest.(check bool) "a crash point leaves it active" true
+    (run (Ivdb_storage.Fault.Crash_point "test") = Txn.Active)
 
 let test_abort_rolls_back_heap () =
   let env = make_env () in
@@ -558,6 +580,8 @@ let () =
         [
           Alcotest.test_case "commit forces log" `Quick test_commit_forces_log;
           Alcotest.test_case "system txn no force" `Quick test_system_txn_no_force;
+          Alcotest.test_case "system txn failure aborts, crash passes" `Quick
+            test_system_txn_failure;
           Alcotest.test_case "abort rolls back heap" `Quick test_abort_rolls_back_heap;
           Alcotest.test_case "abort rolls back btree" `Quick test_abort_rolls_back_btree;
           Alcotest.test_case "abort idempotent" `Quick test_abort_idempotent;

@@ -594,6 +594,30 @@ let test_workload_latency_window () =
     (Metrics.cells_mean (Metrics.window_cells r.Workload.window "commit.batch"))
     r.Workload.mean_batch
 
+(* A run that an injected crash stops still reports the ticks it ran, at
+   least to its last commit. The run's clock reads 1 when it starts. *)
+let test_crashed_run_reports_ticks () =
+  let spec =
+    { Workload.default with mpl = 4; txns_per_worker = 10; checkpoint_every = Some 5 }
+  in
+  let db, sales, views = Workload.setup spec in
+  let last_commit = ref 0 in
+  let tr = Database.trace db in
+  Ivdb_util.Trace.add_sink tr (fun r ->
+      match r.Ivdb_util.Trace.event with
+      | Ivdb_util.Trace.Txn_commit { system = false; _ } -> last_commit := r.Ivdb_util.Trace.tick
+      | _ -> ());
+  Ivdb_util.Trace.set_enabled tr true;
+  Database.install_fault db
+    { Ivdb_storage.Fault.no_faults with crash_at_write = Some 6; torn_writes = true };
+  let r = Workload.run_on db sales views spec in
+  Alcotest.(check bool) "crashed" true r.Workload.crashed;
+  Alcotest.(check bool) "committed before the crash" true (r.Workload.committed > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "ticks %d reach the last commit at %d" r.Workload.ticks !last_commit)
+    true
+    (r.Workload.ticks >= !last_commit - 1)
+
 let test_checkpoint_under_concurrency () =
   (* sharp checkpoints interleave with active transactions: stealing
      uncommitted pages is fine (undo is logical), truncation respects
@@ -716,6 +740,8 @@ let () =
           Alcotest.test_case "deterministic by seed" `Quick test_workload_deterministic;
           Alcotest.test_case "latency figures come from the window" `Quick
             test_workload_latency_window;
+          Alcotest.test_case "a crashed run reports its ticks" `Quick
+            test_crashed_run_reports_ticks;
           Alcotest.test_case "gc under churn" `Quick test_workload_gc_under_churn;
           Alcotest.test_case "checkpoint under concurrency" `Quick
             test_checkpoint_under_concurrency;

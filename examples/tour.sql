@@ -12,6 +12,10 @@ CREATE INDEX ix_qty ON sales (qty)
 -- (increment) locks so concurrent writers to the same product never block.
 CREATE VIEW by_product AS SELECT product, COUNT(*), SUM(qty) FROM sales GROUP BY product USING ESCROW
 
+-- Tables, indexes and views share one namespace: a used name is refused.
+CREATE INDEX ix_qty ON sales (qty)
+CREATE TABLE by_product (product TEXT NOT NULL)
+
 INSERT INTO sales VALUES (1, 'apple', 3), (2, 'pear', 2), (3, 'apple', 4), (4, 'fig', 9)
 
 -- The view is read directly: no aggregation at query time.

@@ -238,12 +238,12 @@ let record_version txn t ~key before =
   Ivdb_txn.Mvcc.record_write (Txn.mvcc t.mgr) ~txn:(Txn.id txn) ~obj:t.idx ~key
     ~before
 
-let insert txn t ~key ~value =
+let insert ?undo txn t ~key ~value =
   check_entry key value;
   let diffs = insert_apply t ~key ~value in
   record_version txn t ~key None;
   Txn.log_update t.mgr txn
-    ~undo:(Log_record.Undo_bt_insert { index = t.idx; key })
+    ~undo:(Option.value undo ~default:(Log_record.Undo_bt_insert { index = t.idx; key }))
     diffs
 
 let insert_raw t ~key ~value =

@@ -29,10 +29,17 @@ val index_id : t -> int
 
 val search : t -> string -> string option
 
-val insert : Ivdb_txn.Txn.t -> t -> key:string -> value:string -> unit
-(** Logged under the transaction with logical undo (delete). Raises
-    {!Duplicate_key}. Raises [Invalid_argument] when the entry exceeds
-    {!Bt_node.max_entry}. *)
+val insert :
+  ?undo:Ivdb_wal.Log_record.logical_undo ->
+  Ivdb_txn.Txn.t ->
+  t ->
+  key:string ->
+  value:string ->
+  unit
+(** Logged under the transaction. Default undo deletes the entry; a DDL
+    statement filling a tree no catalog entry reaches yet passes
+    [No_undo]. Raises {!Duplicate_key}. Raises [Invalid_argument] when the
+    entry exceeds {!Bt_node.max_entry}. *)
 
 val delete : Ivdb_txn.Txn.t -> t -> key:string -> unit
 (** Logical undo: re-insert the deleted value. Raises [Not_found]. *)

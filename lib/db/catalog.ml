@@ -67,6 +67,13 @@ let table_named t name = List.find_opt (fun m -> m.tb_name = name) t.tbls
 let view_named t name = List.find_opt (fun m -> m.vw_name = name) t.vws
 let indexes_of_table t tid = List.filter (fun m -> m.ix_table = tid) t.idxs
 
+let check_name t name =
+  if
+    List.exists (fun m -> m.tb_name = name) t.tbls
+    || List.exists (fun m -> m.ix_name = name) t.idxs
+    || List.exists (fun m -> m.vw_name = name) t.vws
+  then invalid_arg (Printf.sprintf "name %s is already in use" name)
+
 (* The catalog payloads travel only between a process and its own log, so
    Marshal (on plain data constructors: ints, strings, expression ASTs) is a
    safe, compact representation. A version byte guards future layouts. *)

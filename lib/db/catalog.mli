@@ -3,7 +3,7 @@
     The catalog is volatile state rebuilt on restart: every DDL statement
     logs an opaque {!op} payload, and each checkpoint embeds a full
     {!encode_snapshot}. Recovery restores the snapshot from the governing
-    checkpoint and replays the DDL records that follow it. *)
+    checkpoint and replays the committed DDL records that follow it. *)
 
 type table_meta = {
   tb_id : int;
@@ -50,6 +50,10 @@ val views : t -> view_meta list
 val table_named : t -> string -> table_meta option
 val view_named : t -> string -> view_meta option
 val indexes_of_table : t -> int -> index_meta list
+
+val check_name : t -> string -> unit
+(** Tables, indexes and views share one namespace: raises
+    [Invalid_argument] if [name] already names one of them. *)
 
 val encode_op : op -> string
 val decode_op : string -> op

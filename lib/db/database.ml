@@ -76,6 +76,7 @@ type t = {
   pending_tail : Log_record.t Queue.t;
   pending_open : (int, unit) Hashtbl.t;
   mutable received : Log_record.lsn;
+  ddl_waiting : (int, string list) Hashtbl.t; (* follower: txn -> Ddl payloads *)
   mutable fplan : Fault.t;
   dmetrics : Metrics.t;
   dtrace : Trace.t;
@@ -500,74 +501,78 @@ let source_rows t txn (def : View_def.t) =
           hash_join ~left_key:[| left_col |] ~right_key:[| right_col |]
             (heap_scan_seq t txn left) (heap_scan_seq t txn right))
 
-(* --- runtime registration -------------------------------------------------- *)
+(* --- installing catalog objects --------------------------------------------- *)
 
-let register_table t (meta : Catalog.table_meta) ~heap =
-  let heap =
-    match heap with
-    | Some h -> h
-    | None -> Heap_file.attach t.dpool t.disk ~first_page:meta.Catalog.tb_first_page
-  in
-  let rt =
-    { meta; tschema = Catalog.schema_of meta; heap; indexes = []; dep_views = [] }
-  in
-  Hashtbl.replace t.dtables meta.Catalog.tb_id rt;
-  Hashtbl.replace t.heaps meta.Catalog.tb_id heap
-
-let register_index t (meta : Catalog.index_meta) ~tree =
-  let tree =
-    match tree with
-    | Some b -> b
-    | None -> Btree.attach t.tmgr ~index_id:meta.Catalog.ix_id ~root:meta.Catalog.ix_root
-  in
-  let rt = table_rt t meta.Catalog.ix_table in
-  rt.indexes <- rt.indexes @ [ { imeta = meta; itree = tree } ];
-  Hashtbl.replace t.trees meta.Catalog.ix_id tree
-
-let register_view t (meta : Catalog.view_meta) ~tree ~queue =
-  let tree =
-    match tree with
-    | Some b -> b
-    | None -> Btree.attach t.tmgr ~index_id:meta.Catalog.vw_id ~root:meta.Catalog.vw_root
-  in
-  let queue =
-    match (queue, meta.Catalog.vw_queue) with
-    | Some q, _ -> Some q
-    | None, Some (qid, first_page) ->
-        Some (Deferred.attach t.tmgr ~queue_id:qid ~first_page)
-    | None, None -> None
-  in
-  (match queue with
-  | Some q -> Hashtbl.replace t.heaps (Deferred.queue_id q) (Deferred.heap q)
-  | None -> ());
-  let def = meta.Catalog.vw_def in
-  let rt =
-    {
-      Maintain.vid = meta.Catalog.vw_id;
-      def;
-      tree;
-      strategy = meta.Catalog.vw_strategy;
-      create_mode = meta.Catalog.vw_create_mode;
-      inflight = t.inflight;
-      deferred = queue;
-      recompute_group =
-        (fun txn key ->
-          Aggregate.fold_rows def
-            (Seq.filter
-               (fun row -> View_def.group_key def row = key)
-               (source_rows t (Some txn) def)));
-      stats = Maintain.make_stats t.dmetrics;
-      vstats = Maintain.make_vstats ();
-    }
-  in
-  Hashtbl.replace t.views_rt meta.Catalog.vw_id rt;
-  Hashtbl.replace t.views_meta meta.Catalog.vw_id meta;
-  Hashtbl.replace t.trees meta.Catalog.vw_id tree;
-  List.iter
-    (fun tid -> let trt = table_rt t tid in
-      if not (List.mem meta.Catalog.vw_id trt.dep_views) then
-        trt.dep_views <- trt.dep_views @ [ meta.Catalog.vw_id ])
-    (View_def.tables_of def)
+(* The one way a table, index or view enters the running engine: the
+   catalog learns it and its runtime (heap, tree, view machinery) is
+   attached. Only a committed Ddl record leads here: a live DDL statement
+   once its system transaction has returned, restart for the checkpoint
+   snapshot and the committed Ddl records after it, a follower at the
+   DDL's Commit record. A live statement passes the heap or queue it
+   formatted. *)
+let install ?heap ?queue t op =
+  Catalog.apply_op t.catalog op;
+  match op with
+  | Catalog.Add_table meta ->
+      let heap =
+        match heap with
+        | Some h -> h
+        | None -> Heap_file.attach t.dpool t.disk ~first_page:meta.Catalog.tb_first_page
+      in
+      let rt =
+        { meta; tschema = Catalog.schema_of meta; heap; indexes = []; dep_views = [] }
+      in
+      Hashtbl.replace t.dtables meta.Catalog.tb_id rt;
+      Hashtbl.replace t.heaps meta.Catalog.tb_id heap
+  | Catalog.Add_index imeta ->
+      let itree =
+        Btree.attach t.tmgr ~index_id:imeta.Catalog.ix_id ~root:imeta.Catalog.ix_root
+      in
+      let rt = table_rt t imeta.Catalog.ix_table in
+      rt.indexes <- rt.indexes @ [ { imeta; itree } ];
+      Hashtbl.replace t.trees imeta.Catalog.ix_id itree
+  | Catalog.Add_view meta ->
+      let tree =
+        Btree.attach t.tmgr ~index_id:meta.Catalog.vw_id ~root:meta.Catalog.vw_root
+      in
+      let queue =
+        match (queue, meta.Catalog.vw_queue) with
+        | Some q, _ -> Some q
+        | None, Some (qid, first_page) ->
+            Some (Deferred.attach t.tmgr ~queue_id:qid ~first_page)
+        | None, None -> None
+      in
+      (match queue with
+      | Some q -> Hashtbl.replace t.heaps (Deferred.queue_id q) (Deferred.heap q)
+      | None -> ());
+      let def = meta.Catalog.vw_def in
+      let rt =
+        {
+          Maintain.vid = meta.Catalog.vw_id;
+          def;
+          tree;
+          strategy = meta.Catalog.vw_strategy;
+          create_mode = meta.Catalog.vw_create_mode;
+          inflight = t.inflight;
+          deferred = queue;
+          recompute_group =
+            (fun txn key ->
+              Aggregate.fold_rows def
+                (Seq.filter
+                   (fun row -> View_def.group_key def row = key)
+                   (source_rows t (Some txn) def)));
+          stats = Maintain.make_stats t.dmetrics;
+          vstats = Maintain.make_vstats ();
+        }
+      in
+      Hashtbl.replace t.views_rt meta.Catalog.vw_id rt;
+      Hashtbl.replace t.views_meta meta.Catalog.vw_id meta;
+      Hashtbl.replace t.trees meta.Catalog.vw_id tree;
+      List.iter
+        (fun tid -> let trt = table_rt t tid in
+          if not (List.mem meta.Catalog.vw_id trt.dep_views) then
+            trt.dep_views <- trt.dep_views @ [ meta.Catalog.vw_id ])
+        (View_def.tables_of def)
 
 let install_undo t =
   Txn.set_undo_exec t.tmgr (fun _txn undo ->
@@ -621,6 +626,7 @@ let bare ?(config = default_config) ?(role = Primary) ?trace ~metrics ~disk ~wal
       pending_tail = Queue.create ();
       pending_open = Hashtbl.create 16;
       received = Wal.flushed_lsn wal;
+      ddl_waiting = Hashtbl.create 4;
       fplan;
       dmetrics = metrics;
       dtrace = trace;
@@ -738,13 +744,16 @@ let fault_plan t = t.fplan
 
 (* --- DDL -------------------------------------------------------------------- *)
 
+(* A DDL statement is one system transaction that logs only redo and ends
+   with its Ddl record; the statement installs the object after the
+   transaction commits. Until then no catalog entry reaches the new pages,
+   so a statement that fails or crashes leaves only unreachable pages and
+   nothing to undo. *)
 let log_ddl_op t stx op = Txn.log_ddl t.tmgr stx (Catalog.encode_op op)
 
 let create_table t ~name ~cols =
   reject_writes t;
-  (match Catalog.table_named t.catalog name with
-  | Some _ -> invalid_arg ("Database.create_table: duplicate table " ^ name)
-  | None -> ());
+  Catalog.check_name t.catalog name;
   let id = Catalog.fresh_id t.catalog in
   let heap, meta =
     Txn.system t.tmgr (fun stx ->
@@ -763,8 +772,7 @@ let create_table t ~name ~cols =
         log_ddl_op t stx (Catalog.Add_table meta);
         (heap, meta))
   in
-  Catalog.apply_op t.catalog (Catalog.Add_table meta);
-  register_table t meta ~heap:(Some heap);
+  install ~heap t (Catalog.Add_table meta);
   id
 
 let index_key ~unique v (rid : Heap_file.rid) =
@@ -774,19 +782,9 @@ let index_key ~unique v (rid : Heap_file.rid) =
 
 exception Constraint_violation of string
 
-(* A DDL statement fills its new tree inside its system transaction with
-   undoable inserts, before the catalog knows the tree: register it with
-   the undo executor for the statement's run, so a failed statement rolls
-   back like any other and leaves nothing behind. *)
-let with_new_tree t id tree f =
-  Hashtbl.replace t.trees id tree;
-  try Txn.system t.tmgr f
-  with e ->
-    Hashtbl.remove t.trees id;
-    raise e
-
 let create_index t ?(unique = false) tid ~col ~name =
   reject_writes t;
+  Catalog.check_name t.catalog name;
   let rt = table_rt t tid in
   let col_pos = Schema.index_of rt.tschema col in
   let id = Catalog.fresh_id t.catalog in
@@ -801,13 +799,12 @@ let create_index t ?(unique = false) tid ~col ~name =
       ix_root = Btree.root tree;
     }
   in
-  (* backfill in a system transaction *)
-  with_new_tree t id tree (fun stx ->
+  Txn.system t.tmgr (fun stx ->
       Heap_file.iter rt.heap (fun rid record ->
           let row = Row.decode record in
           let payload = if unique then encode_rid_payload rid else "" in
           try
-            Btree.insert stx tree
+            Btree.insert ~undo:Log_record.No_undo stx tree
               ~key:(index_key ~unique row.(col_pos) rid)
               ~value:(index_entry_live payload)
           with Btree.Duplicate_key _ ->
@@ -815,8 +812,7 @@ let create_index t ?(unique = false) tid ~col ~name =
               (Constraint_violation
                  (Printf.sprintf "unique index %s: duplicate value in column %s" name col)));
       log_ddl_op t stx (Catalog.Add_index meta));
-  Catalog.apply_op t.catalog (Catalog.Add_index meta);
-  register_index t meta ~tree:(Some tree)
+  install t (Catalog.Add_index meta)
 
 type view_source =
   | From of table * Expr.t option
@@ -836,9 +832,7 @@ let join_schema t left right =
 let create_view t ?(create_mode = Maintain.System_txn) ?refresh_threshold ~name
     ~group_by ~aggs ~source ~strategy () =
   reject_writes t;
-  (match Catalog.view_named t.catalog name with
-  | Some _ -> invalid_arg ("Database.create_view: duplicate view " ^ name)
-  | None -> ());
+  Catalog.check_name t.catalog name;
   let src, src_schema =
     match source with
     | From (tid, where) -> (View_def.Single { table = tid; where }, schema t tid)
@@ -872,7 +866,7 @@ let create_view t ?(create_mode = Maintain.System_txn) ?refresh_threshold ~name
   let id = Catalog.fresh_id t.catalog in
   let tree = Btree.create t.tmgr ~index_id:id in
   let queue, meta =
-    with_new_tree t id tree (fun stx ->
+    Txn.system t.tmgr (fun stx ->
         let queue, vw_queue =
           match strategy with
           | Maintain.Deferred ->
@@ -887,7 +881,7 @@ let create_view t ?(create_mode = Maintain.System_txn) ?refresh_threshold ~name
         Hashtbl.iter
           (fun key row ->
             if Aggregate.count_of row > 0 then
-              Btree.insert stx tree ~key ~value:(Row.encode row))
+              Btree.insert ~undo:Log_record.No_undo stx tree ~key ~value:(Row.encode row))
           groups;
         let meta =
           {
@@ -904,8 +898,7 @@ let create_view t ?(create_mode = Maintain.System_txn) ?refresh_threshold ~name
         log_ddl_op t stx (Catalog.Add_view meta);
         (queue, meta))
   in
-  Catalog.apply_op t.catalog (Catalog.Add_view meta);
-  register_view t meta ~tree:(Some tree) ~queue;
+  install ?queue t (Catalog.Add_view meta);
   id
 
 (* --- handles ------------------------------------------------------------------ *)
@@ -1155,11 +1148,6 @@ let relock_indoubt t tx =
 
 (* --- crash / recovery ------------------------------------------------------------- *)
 
-let rebuild_runtime t =
-  List.iter (fun m -> register_table t m ~heap:None) (Catalog.tables t.catalog);
-  List.iter (fun m -> register_index t m ~tree:None) (Catalog.indexes t.catalog);
-  List.iter (fun m -> register_view t m ~tree:None ~queue:None) (Catalog.views t.catalog)
-
 (* Roll back every recovery loser through the logical-undo executor,
    writing CLRs: the restart path and promotion share it. *)
 let rollback_losers t analysis =
@@ -1204,13 +1192,11 @@ let crash old =
   (match analysis.Recovery.catalog with
   | Some snap ->
       let c = Catalog.decode_snapshot snap in
-      List.iter (fun m -> Catalog.apply_op t.catalog (Catalog.Add_table m)) (Catalog.tables c);
-      List.iter (fun m -> Catalog.apply_op t.catalog (Catalog.Add_index m)) (Catalog.indexes c);
-      List.iter (fun m -> Catalog.apply_op t.catalog (Catalog.Add_view m)) (Catalog.views c)
+      List.iter (fun m -> install t (Catalog.Add_table m)) (Catalog.tables c);
+      List.iter (fun m -> install t (Catalog.Add_index m)) (Catalog.indexes c);
+      List.iter (fun m -> install t (Catalog.Add_view m)) (Catalog.views c)
   | None -> ());
-  List.iter (fun payload -> Catalog.apply_op t.catalog (Catalog.decode_op payload))
-    analysis.Recovery.ddl;
-  rebuild_runtime t;
+  List.iter (fun payload -> install t (Catalog.decode_op payload)) analysis.Recovery.ddl;
   (match t.role with
   | Primary ->
       rollback_losers t analysis;
@@ -1239,30 +1225,27 @@ let crash old =
 
 (* --- replication (follower side) --------------------------------------------------- *)
 
-let register_op t = function
-  | Catalog.Add_table m -> register_table t m ~heap:None
-  | Catalog.Add_index m -> register_index t m ~tree:None
-  | Catalog.Add_view m -> register_view t m ~tree:None ~queue:None
-
-(* Install one shipped batch: each record is ingested into the local log
-   (keeping the primary's LSN), its page diffs are replayed through the
-   persistent redo state, and DDL payloads are folded into the catalog so
-   the runtime (heaps, trees, view machinery) grows in step with the
-   stream. Checkpoint records flow through untouched — their catalog
-   snapshot and dirty-page table describe the primary, and the follower
-   only ever consults them during its own restart recovery. The records
-   the system transaction logged *before* its Ddl record (page formats,
-   backfills) are replayed first because LSN order says so, which is what
-   makes the attach-from-meta in [register_op] always find formatted
-   pages. *)
+(* Install one shipped record: it is ingested into the local log (keeping
+   the primary's LSN) and its page diffs are replayed through the
+   persistent redo state. A Ddl payload waits in [ddl_waiting] until its
+   transaction's Commit record, where [install] attaches the object from
+   pages redo has already formatted and filled; an End without a Commit
+   drops it. So an uncommitted DDL in the tail that promotion installs
+   never reaches the catalog. Checkpoint records flow through untouched —
+   their catalog snapshot and dirty-page table describe the primary, and
+   the follower only ever consults them during its own restart
+   recovery. *)
 let apply_one t redo (r : Log_record.t) =
   Wal.ingest t.dwal r;
   Recovery.Redo.apply redo r;
+  let txn = r.Log_record.txn in
+  let waiting () = Option.value (Hashtbl.find_opt t.ddl_waiting txn) ~default:[] in
   match r.Log_record.body with
-  | Log_record.Ddl payload ->
-      let op = Catalog.decode_op payload in
-      Catalog.apply_op t.catalog op;
-      register_op t op
+  | Log_record.Ddl payload -> Hashtbl.replace t.ddl_waiting txn (payload :: waiting ())
+  | Log_record.Commit ->
+      List.iter (fun p -> install t (Catalog.decode_op p)) (List.rev (waiting ()));
+      Hashtbl.remove t.ddl_waiting txn
+  | Log_record.End -> Hashtbl.remove t.ddl_waiting txn
   | _ -> ()
 
 let drain_pending t redo =
@@ -1363,6 +1346,7 @@ let promote t =
   let redo = match t.redo_state with Some s -> s | None -> assert false in
   let tail = drain_pending t redo in
   Hashtbl.reset t.pending_open;
+  Hashtbl.reset t.ddl_waiting;
   if tail > 0 then Hashtbl.iter (fun _ heap -> Heap_file.refresh heap) t.heaps;
   let analysis = Recovery.analyze t.dwal in
   t.role <- Primary;

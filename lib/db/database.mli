@@ -150,9 +150,12 @@ val fault_plan : t -> Ivdb_storage.Fault.t
 
 (** {1 DDL}
 
-    DDL statements are autocommitted (logged as redo-only system
-    transactions plus catalog records); they are not safe to run
-    concurrently with DML. *)
+    DDL statements are autocommitted: each is one system transaction
+    that logs only redo and ends with its catalog record, and the catalog
+    learns the object only once that transaction commits, so a statement
+    that fails or crashes leaves nothing reachable. Tables, indexes and
+    views share one namespace: a used name raises [Invalid_argument].
+    DDL is not safe to run concurrently with DML. *)
 
 val create_table :
   t -> name:string -> cols:Ivdb_relation.Schema.col list -> table

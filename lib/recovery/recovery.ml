@@ -79,7 +79,7 @@ let analyze wal =
         | Log_record.Abort | Log_record.Prepare _ | Log_record.Decision _ ->
             Hashtbl.replace att txn lsn
         | Log_record.Commit | Log_record.End -> Hashtbl.remove att txn
-        | Log_record.Ddl payload -> ddl := payload :: !ddl
+        | Log_record.Ddl payload -> ddl := (txn, payload) :: !ddl
         | Log_record.Checkpoint _ -> ());
         List.iter
           (fun pid -> if not (Hashtbl.mem dpt pid) then Hashtbl.replace dpt pid lsn)
@@ -125,7 +125,9 @@ let analyze wal =
     dirty_pages;
     redo_start = max 1 redo_start;
     catalog = !catalog;
-    ddl = List.rev !ddl;
+    ddl =
+      List.rev !ddl
+      |> List.filter_map (fun (txn, p) -> if Hashtbl.mem committed txn then Some p else None);
     max_page_id = !max_page;
     max_txn_id = !max_txn;
     stable_records = !nrec;

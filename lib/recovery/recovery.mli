@@ -3,7 +3,8 @@
     Three phases:
     + {b analysis} — scan from the last stable checkpoint: rebuild the
       transaction table (losers), the dirty-page table, the latest catalog
-      snapshot plus subsequent DDL, and the id high-water marks;
+      snapshot plus the committed DDL after it, and the id high-water
+      marks;
     + {b redo} — repeat history from the redo point: every logged page diff
       whose LSN exceeds the page's LSN is re-applied, winners and losers
       alike (escrow increments included);
@@ -34,7 +35,10 @@ type analysis = {
   dirty_pages : (int * Ivdb_wal.Log_record.lsn) list;  (** (page, recLSN) *)
   redo_start : Ivdb_wal.Log_record.lsn;
   catalog : string option;  (** snapshot from the governing checkpoint *)
-  ddl : string list;  (** DDL payloads after the snapshot, in log order *)
+  ddl : string list;
+      (** payloads of the Ddl records after the snapshot whose transaction
+          has a stable Commit, in log order: an uncommitted DDL logged
+          only redo, so the catalog never learns of it *)
   max_page_id : int;
   max_txn_id : int;
   stable_records : int;

@@ -1049,7 +1049,7 @@ let exec_stmt s (stmt : A.stmt) =
       | Some t ->
           (try Database.create_index s.sdb ~unique t ~col ~name:i_name with
           | Not_found -> fail "unknown column %s" col
-          | Database.Constraint_violation m -> fail "%s" m);
+          | Database.Constraint_violation m | Invalid_argument m -> fail "%s" m);
           Message
             (Printf.sprintf "%sindex %s created"
                (if unique then "unique " else "")

@@ -39,7 +39,7 @@ type t = {
   h_batch : Metrics.hist;
   m_sync_fallback : Metrics.counter;
   m_async : Metrics.counter;
-  mutable mode : mode;
+  mode : mode;
   mutable waiters : (unit -> unit) list; (* wake callbacks, newest first *)
   mutable n_pending : int; (* commits (waiting or async) since last force *)
   mutable pending_hi : Ivdb_wal.Log_record.lsn; (* highest LSN awaiting flush *)
@@ -66,8 +66,6 @@ let create ~wal ~mode ?trace metrics =
     pending_hi = 0;
     coordinator_active = false;
   }
-
-let set_mode t m = t.mode <- m
 
 (* Force once up to the highest pending LSN and wake the whole batch. Runs
    inside the coordinator fiber; nothing yields between draining the queue

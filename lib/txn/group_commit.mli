@@ -35,8 +35,6 @@ val create :
 (** [trace] defaults to a fresh disabled trace; when enabled each batched
     force emits one [commit.batch_flush] event. *)
 
-val set_mode : t -> mode -> unit
-
 val commit_durable : t -> lsn:Ivdb_wal.Log_record.lsn -> unit
 (** Make the log stable up to [lsn] according to the configured mode. In
     [Group] mode inside a scheduler run this suspends the calling fiber

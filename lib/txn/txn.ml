@@ -100,8 +100,6 @@ let create_mgr ?(commit_mode = Sync) ?trace ~wal ~locks ~pool metrics =
     end_hooks = [];
   }
 
-let set_commit_mode mgr m = Group_commit.set_mode mgr.mgc m
-
 let set_undo_exec mgr f = mgr.undo_exec <- f
 let add_end_hook mgr f = mgr.end_hooks <- f :: mgr.end_hooks
 let wal mgr = mgr.mwal
@@ -302,13 +300,15 @@ let commit mgr t =
 
 (* Walk the undo chain from [cursor] back to [stop] (exclusive; nil_lsn
    for the whole chain), executing logical undo and logging a CLR per
-   undone update. CLRs are skipped over via their undo_next pointer, so a
-   rollback interrupted by a crash resumes where it stopped. *)
+   undone update; a redo-only update has nothing to undo and gets none.
+   CLRs are skipped over via their undo_next pointer, so a rollback
+   interrupted by a crash resumes where it stopped. *)
 let undo_chain mgr t ~cursor ~stop =
   let rec go lsn =
     if lsn > stop then begin
       let r = Wal.get mgr.mwal lsn in
       match r.Log_record.body with
+      | Log_record.Update { undo = Log_record.No_undo; _ } -> go r.Log_record.prev
       | Log_record.Update { undo; _ } ->
           let diffs = mgr.undo_exec t undo in
           log_clr mgr t ~undo_next:r.Log_record.prev diffs;

@@ -39,8 +39,6 @@ val create_mgr :
     Transaction begin/commit/abort and batched commit flushes emit trace
     events when enabled. *)
 
-val set_commit_mode : mgr -> commit_mode -> unit
-
 val set_undo_exec : mgr -> (t -> Ivdb_wal.Log_record.logical_undo -> Ivdb_wal.Log_record.page_diffs) -> unit
 (** Install the logical-undo executor (supplied by the access layer). It
     performs the inverse operation and returns the page diffs it produced;

@@ -101,16 +101,11 @@ let hist_diff ~before ~after =
     (by_key Int.compare after)
   |> List.filter (fun (_, d) -> d <> 0)
 
-let hist_count t name =
-  List.fold_left (fun acc (_, c) -> acc + c) 0 (hist_snapshot t name)
-
 let cells_mean cells =
   let n, total =
     List.fold_left (fun (n, total) (v, c) -> (n + c, total + (v * c))) (0, 0) cells
   in
   if n = 0 then 0. else float_of_int total /. float_of_int n
-
-let hist_mean t name = cells_mean (hist_snapshot t name)
 
 let percentile_cells cells p =
   let total = List.fold_left (fun acc (_, c) -> acc + c) 0 cells in

@@ -66,14 +66,8 @@ val hist_diff :
 (** Per-value count delta between two [hist_snapshot]s; zero-delta values
     are dropped. *)
 
-val hist_count : t -> string -> int
-(** Total observations. *)
-
 val cells_mean : (int * int) list -> float
 (** Mean observed value over (value, count) cells; 0. when empty. *)
-
-val hist_mean : t -> string -> float
-(** {!cells_mean} of the histogram's snapshot. *)
 
 val percentile_cells : (int * int) list -> float -> int
 (** Nearest-rank percentile over (value, count) cells, e.g. from

@@ -17,18 +17,18 @@ type t = {
   mgr : Txn.mgr;
 }
 
-let wire ~metrics ~disk ~pool_capacity =
+let wire ?commit_mode ~metrics ~disk ~pool_capacity () =
   let pool = Bufpool.create disk ~capacity:pool_capacity metrics in
   let wal = Wal.create metrics in
   Bufpool.set_wal_force pool (fun lsn -> Wal.force wal (Int64.to_int lsn));
   let locks = Lock_mgr.create metrics in
-  let mgr = Txn.create_mgr ~wal ~locks ~pool metrics in
+  let mgr = Txn.create_mgr ?commit_mode ~wal ~locks ~pool metrics in
   { metrics; disk; pool; wal; locks; mgr }
 
-let make ?(pool_capacity = 64) ?(read_cost = 0) ?(write_cost = 0) () =
+let make ?commit_mode ?(pool_capacity = 64) ?(read_cost = 0) ?(write_cost = 0) () =
   let metrics = Metrics.create () in
   let disk = Disk.create ~read_cost ~write_cost metrics in
-  wire ~metrics ~disk ~pool_capacity
+  wire ?commit_mode ~metrics ~disk ~pool_capacity ()
 
 (* Simulated crash: keep the disk and the stable log, lose the pool. *)
 let crash t ~pool_capacity =

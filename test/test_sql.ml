@@ -872,6 +872,42 @@ let test_failed_ddl_leaves_nothing () =
       "CREATE VIEW v AS SELECT g, SUM(s) FROM t GROUP BY g";
     ]
 
+(* Tables, indexes and views share one namespace: a second object under a
+   used name is refused, so no column gets two trees and no table shadows
+   a view. *)
+let test_one_namespace () =
+  let s = fresh () in
+  ignore (exec s "CREATE TABLE t (k INT NOT NULL, g INT NOT NULL)");
+  ignore (exec s "CREATE INDEX ix ON t (k)");
+  ignore (exec s "CREATE VIEW v AS SELECT g, COUNT(*) FROM t GROUP BY g");
+  let refused s sql =
+    match exec s sql with
+    | exception Sql.Sql_error m ->
+        check Alcotest.bool (sql ^ ": names the clash") true
+          (List.exists (fun n -> m = Printf.sprintf "name %s is already in use" n) [ "t"; "ix"; "v" ])
+    | _ -> Alcotest.failf "%s succeeded" sql
+  in
+  List.iter (refused s)
+    [
+      "CREATE INDEX ix ON t (k)";
+      "CREATE INDEX ix ON t (g)";
+      "CREATE TABLE v (k INT NOT NULL)";
+      "CREATE TABLE t (k INT NOT NULL)";
+      "CREATE TABLE ix (k INT NOT NULL)";
+      "CREATE INDEX v ON t (g)";
+      "CREATE VIEW t AS SELECT g, COUNT(*) FROM t GROUP BY g";
+      "CREATE VIEW ix AS SELECT g, COUNT(*) FROM t GROUP BY g";
+    ];
+  let db = Sql.db s in
+  check Alcotest.(list (pair string string)) "one tree on k" [ ("k", "ix") ]
+    (Database.indexed_columns db (Database.table db "t"));
+  ignore (exec s "INSERT INTO t VALUES (1, 7), (2, 7)");
+  check Alcotest.(list (list int)) "v is the view" [ [ 7; 2 ] ]
+    (List.map ints (rows_of s "SELECT * FROM v"));
+  (* restart rebuilds the same namespace *)
+  let s' = Sql.session (Database.crash db) in
+  List.iter (refused s') [ "CREATE INDEX ix ON t (k)"; "CREATE TABLE v (k INT NOT NULL)" ]
+
 let test_view_matching () =
   let s = setup_sales () in
   ignore
@@ -1183,6 +1219,7 @@ let () =
           Alcotest.test_case "unique index" `Quick test_unique_index_sql;
           Alcotest.test_case "failed DDL leaves nothing" `Quick
             test_failed_ddl_leaves_nothing;
+          Alcotest.test_case "one namespace" `Quick test_one_namespace;
           Alcotest.test_case "statement atomic in txn" `Quick
             test_statement_atomic_in_txn;
           Alcotest.test_case "view matching" `Quick test_view_matching;

@@ -34,8 +34,8 @@ let install_undo h ~heap ~tree =
       | Log_record.Undo_bt_update { key; before; _ } -> Btree.update_raw tree ~key ~value:before
       | Log_record.Undo_escrow _ -> failwith "no escrow in this suite")
 
-let make_env () =
-  let h = Harness.make ~pool_capacity:64 () in
+let make_env ?commit_mode () =
+  let h = Harness.make ?commit_mode ~pool_capacity:64 () in
   let heap =
     Txn.system h.Harness.mgr (fun stx ->
         let heap, diffs = Heap_file.create h.Harness.pool h.Harness.disk in
@@ -128,6 +128,27 @@ let test_system_txn_failure () =
   check Alcotest.(list string) "its insert is undone" [] (heap_contents env);
   Alcotest.(check bool) "a crash point leaves it active" true
     (run (Ivdb_storage.Fault.Crash_point "test") = Txn.Active)
+
+(* A redo-only update has nothing to undo: abort writes a CLR for the
+   undoable insert alone and leaves the redo-only entry in place. *)
+let test_redo_only_gets_no_clr () =
+  let env = make_env () in
+  let mgr = env.h.Harness.mgr in
+  let tx = Txn.begin_txn mgr in
+  Btree.insert ~undo:Log_record.No_undo tx env.tree ~key:"r" ~value:"redo-only";
+  Btree.insert tx env.tree ~key:"u" ~value:"undoable";
+  Txn.abort mgr tx;
+  let wal = env.h.Harness.wal and clrs = ref 0 in
+  for lsn = Wal.first_lsn wal to Wal.last_lsn wal do
+    let r = Wal.get wal lsn in
+    match r.Log_record.body with
+    | Log_record.Clr _ when r.Log_record.txn = Txn.id tx -> incr clrs
+    | _ -> ()
+  done;
+  check Alcotest.int "one CLR" 1 !clrs;
+  check Alcotest.(option string) "redo-only entry stays" (Some "redo-only")
+    (Btree.search env.tree "r");
+  check Alcotest.(option string) "undoable entry undone" None (Btree.search env.tree "u")
 
 let test_abort_rolls_back_heap () =
   let env = make_env () in
@@ -304,9 +325,8 @@ let test_savepoint_crash_after_partial_rollback () =
 let group_mode = Txn.Group { max_batch = 4; max_wait_ticks = 10 }
 
 let test_group_commit_batches_forces () =
-  let env = make_env () in
+  let env = make_env ~commit_mode:group_mode () in
   let mgr = env.h.Harness.mgr in
-  Txn.set_commit_mode mgr group_mode;
   let forces_before = Metrics.get env.h.Harness.metrics "log.force" in
   Sched.run ~policy:Sched.Fifo (fun () ->
       for w = 1 to 4 do
@@ -333,9 +353,8 @@ let test_group_commit_batches_forces () =
 let test_group_commit_deadline_fires () =
   (* a single committer must not wait forever for a batch that never
      fills: the coordinator's tick deadline flushes it *)
-  let env = make_env () in
+  let env = make_env ~commit_mode:group_mode () in
   let mgr = env.h.Harness.mgr in
-  Txn.set_commit_mode mgr group_mode;
   Sched.run ~policy:Sched.Fifo (fun () ->
       let tx = Txn.begin_txn mgr in
       ignore (heap_insert env tx "solo");
@@ -348,9 +367,8 @@ let test_group_commit_deadline_fires () =
 
 let test_group_commit_outside_run_falls_back () =
   (* no scheduler, no fibers: Group mode degrades to a private force *)
-  let env = make_env () in
+  let env = make_env ~commit_mode:group_mode () in
   let mgr = env.h.Harness.mgr in
-  Txn.set_commit_mode mgr group_mode;
   let tx = Txn.begin_txn mgr in
   ignore (heap_insert env tx "solo");
   Txn.commit mgr tx;
@@ -413,9 +431,8 @@ let test_group_commit_checkpoint_during_wait () =
 let test_async_commit_outside_run_lost_on_crash () =
   (* Async acknowledges before any force; outside a scheduler run nothing
      flushes in the background either, so a crash loses the transaction *)
-  let env = make_env () in
+  let env = make_env ~commit_mode:Txn.Async () in
   let mgr = env.h.Harness.mgr in
-  Txn.set_commit_mode mgr Txn.Async;
   let tx = Txn.begin_txn mgr in
   ignore (heap_insert env tx "volatile");
   Txn.commit mgr tx;
@@ -430,9 +447,8 @@ let test_async_commit_outside_run_lost_on_crash () =
 let test_async_commit_in_run_flushed_by_coordinator () =
   (* inside a run the background coordinator drains the pending commits
      before the scheduler can go idle *)
-  let env = make_env () in
+  let env = make_env ~commit_mode:Txn.Async () in
   let mgr = env.h.Harness.mgr in
-  Txn.set_commit_mode mgr Txn.Async;
   Sched.run ~policy:Sched.Fifo (fun () ->
       for w = 1 to 3 do
         ignore
@@ -580,6 +596,7 @@ let () =
         [
           Alcotest.test_case "commit forces log" `Quick test_commit_forces_log;
           Alcotest.test_case "system txn no force" `Quick test_system_txn_no_force;
+          Alcotest.test_case "redo-only update gets no CLR" `Quick test_redo_only_gets_no_clr;
           Alcotest.test_case "system txn failure aborts, crash passes" `Quick
             test_system_txn_failure;
           Alcotest.test_case "abort rolls back heap" `Quick test_abort_rolls_back_heap;

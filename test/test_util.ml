@@ -203,7 +203,7 @@ let test_metrics_reset_keeps_handles () =
   Metrics.inc c;
   Metrics.record h 9;
   check Alcotest.int "counter live" 1 (Metrics.get m "n");
-  check Alcotest.int "hist live" 1 (Metrics.hist_count m "h")
+  check Alcotest.(list (pair int int)) "hist live" [ (9, 1) ] (Metrics.hist_snapshot m "h")
 
 let test_metrics_hists_and_pp_deterministic () =
   let m = Metrics.create () in
@@ -256,11 +256,12 @@ let test_metrics_hist_mean_empty () =
   let m = Metrics.create () in
   let h = Metrics.hist m "empty" in
   (* the guard: a histogram nobody recorded into means 0., not NaN *)
-  check (Alcotest.float 1e-9) "empty mean" 0. (Metrics.hist_mean m "empty");
-  check (Alcotest.float 1e-9) "absent mean" 0. (Metrics.hist_mean m "nope");
+  let mean name = Metrics.cells_mean (Metrics.hist_snapshot m name) in
+  check (Alcotest.float 1e-9) "empty mean" 0. (mean "empty");
+  check (Alcotest.float 1e-9) "absent mean" 0. (mean "nope");
   Metrics.record h 4;
   Metrics.record h 8;
-  check (Alcotest.float 1e-9) "mean" 6. (Metrics.hist_mean m "empty")
+  check (Alcotest.float 1e-9) "mean" 6. (mean "empty")
 
 let test_metrics_percentile_cells () =
   check Alcotest.int "empty" 0 (Metrics.percentile_cells [] 95.);

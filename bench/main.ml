@@ -1,11 +1,12 @@
 (* Benchmark harness: regenerates every experiment table of the
    reproduction (E1-E19, see DESIGN.md / EXPERIMENTS.md) plus the bechamel
-   micro-benchmarks (M0). Each experiment builds one typed table; the text
-   table and the machine-readable record (BENCH.json, written to the
-   current directory at exit) are both rendered from it.
+   micro-benchmarks (M0). Each experiment builds one typed table, whose
+   wall-clock cells are marked as such.
 
-   Usage: main.exe [e1|e2|...|e19|micro|commit-quick]...; no arguments runs
-   e1-e19 and micro. commit-quick runs E11-E19 at smoke size. *)
+   Usage: main.exe [e1|e2|...|e19|micro|golden]...; no arguments runs
+   e1-e19 and micro. golden runs e1-e19 with every wall-clock cell shown
+   as [~]: the rest is deterministic, and `dune runtest` diffs it against
+   golden.expected. *)
 
 module Database = Ivdb.Database
 module Table = Ivdb.Table
@@ -30,8 +31,10 @@ module Net_workload = Ivdb_client.Net_workload
 
 (* --- tables ---------------------------------------------------------------- *)
 
-(* One table cell; [F (d, x)] prints [x] with [d] decimals. *)
-type cell = I of int | F of int * float | S of string
+(* One table cell; [F (d, x)] prints [x] with [d] decimals. [W (d, x)] is
+   a wall-clock figure (or one that depends on kernel timing), printed
+   like [F (d, x)] except in the golden run, which shows it as [~]. *)
+type cell = I of int | F of int * float | S of string | W of int * float
 
 type table = { title : string; header : string list; rows : cell list list }
 
@@ -39,13 +42,14 @@ let i n = I n
 let f1 x = F (1, x)
 let f2 x = F (2, x)
 
+(* Set by the golden run. *)
+let golden = ref false
+
 let text = function
   | I n -> string_of_int n
-  | F (d, x) -> Printf.sprintf "%.*f" d x
+  | W _ when !golden -> "~"
+  | F (d, x) | W (d, x) -> Printf.sprintf "%.*f" d x
   | S s -> s
-
-(* Every table printed so far, newest first; written to BENCH.json at exit. *)
-let printed = ref []
 
 let print_table t =
   let ncols = List.length t.header in
@@ -68,44 +72,7 @@ let print_table t =
   print_endline (line t.header);
   print_endline (String.make (String.length (line t.header)) '-');
   List.iter (fun r -> print_endline (line r)) (List.tl all);
-  flush stdout;
-  printed := t :: !printed
-
-(* The run's record: {"quick": b, "tables": [{"title", "columns", "rows"}]}
-   with the tables in print order. Titles, headers and string cells are
-   fixed identifiers from this file, so they need no escaping. Floats are
-   written unrounded; a non-finite one (M0 without an estimate) as null. *)
-let write_json ~quick path =
-  let b = Buffer.create 4096 in
-  let add = Buffer.add_string b in
-  let str s = Printf.bprintf b "\"%s\"" s in
-  let list sep f xs =
-    List.iteri (fun k x -> if k > 0 then add sep; f x) xs
-  in
-  let cell = function
-    | I n -> add (string_of_int n)
-    | F (_, x) when Float.is_finite x -> Printf.bprintf b "%.17g" x
-    | F _ -> add "null"
-    | S s -> str s
-  in
-  Printf.bprintf b "{\"quick\": %b, \"tables\": [\n" quick;
-  list ",\n"
-    (fun t ->
-      add "  {\"title\": ";
-      str t.title;
-      add ",\n   \"columns\": [";
-      list ", " str t.header;
-      add "],\n   \"rows\": [";
-      list ","
-        (fun r ->
-          add "\n    [";
-          list ", " cell r;
-          add "]")
-        t.rows;
-      add "]}")
-    (List.rev !printed);
-  add "\n]}\n";
-  Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc b)
+  flush stdout
 
 (* --- shared fixtures ----------------------------------------------------------- *)
 
@@ -180,7 +147,7 @@ let e1 () =
       time_it (max 3 (20000 / n)) (fun () ->
           ignore (Query.on_demand_aggregate db None (Database.view_def db v)))
     in
-    [ i n; f2 lookup_us; f2 ondemand_us; f1 (ondemand_us /. lookup_us) ]
+    [ i n; W (2, lookup_us); W (2, ondemand_us); W (1, ondemand_us /. lookup_us) ]
   in
   print_table
     {
@@ -333,8 +300,8 @@ let e5 () =
       i pending;
       i applied;
       i touched;
-      f1 us;
-      f2 (us /. float_of_int (max 1 applied));
+      W (1, us);
+      W (2, us /. float_of_int (max 1 applied));
     ]
   in
   print_table
@@ -384,7 +351,7 @@ let e6 () =
       i (Metrics.get m "recovery.stable_records");
       i (Metrics.get m "recovery.redo_applied");
       i (Metrics.get m "recovery.losers");
-      f2 ms;
+      W (2, ms);
       i rows_after;
       S
         (string_of_bool
@@ -526,7 +493,7 @@ let e9 () =
       i rows_n;
       i (Metrics.get m "lock.acquire");
       i (Metrics.get m "lock.escalation");
-      f2 ms;
+      W (2, ms);
     ]
   in
   print_table
@@ -605,9 +572,9 @@ let e10 () =
 (* Escrow removes the lock bottleneck on the hot aggregate rows, so with a
    private force per commit the 100-tick log force is the throughput
    ceiling; batching commits behind the coordinator amortizes it. *)
-let e11 ~quick =
-  let mpls = if quick then [ 8; 16 ] else [ 1; 4; 8; 16; 32 ] in
-  let budget = if quick then 128 else 512 in
+let e11 () =
+  let mpls = [ 1; 4; 8; 16; 32 ] in
+  let budget = 512 in
   let cell (mode_name, commit_mode) mpl =
     let r = Workload.run (closed_loop ~seed:11 ~budget ~commit_mode mpl) in
     let per_commit x = float_of_int x /. float_of_int (max 1 r.Workload.committed) in
@@ -625,9 +592,7 @@ let e11 ~quick =
   print_table
     {
       title =
-        Printf.sprintf
-          "E11  Commit path: per-commit force vs group commit vs async (escrow, zipf 0.99, ~%d txns)"
-          budget;
+        "E11  Commit path: per-commit force vs group commit vs async (escrow, zipf 0.99, ~512 txns)";
       header =
         [ "commit mode"; "mpl"; "commits"; "tput/1k ticks"; "forces";
           "forces/commit"; "mean batch"; "stall/commit" ];
@@ -657,9 +622,13 @@ let e11 ~quick =
   let r_off, _ = traced false in
   let r_on, events = traced true in
   Printf.printf
-    "\ntracing overhead (group, mpl %d): off %.2f tput / %.3fs wall, on %.2f tput / %.3fs wall (%d events)\n"
-    mpl r_off.Workload.throughput r_off.Workload.wall_s
-    r_on.Workload.throughput r_on.Workload.wall_s events
+    "\ntracing overhead (group, mpl %d): off %s tput / %ss wall, on %s tput / %ss wall (%d events)\n"
+    mpl
+    (text (f2 r_off.Workload.throughput))
+    (text (W (3, r_off.Workload.wall_s)))
+    (text (f2 r_on.Workload.throughput))
+    (text (W (3, r_on.Workload.wall_s)))
+    events
 
 (* --- E12: recovery under injected faults ------------------------------------------------ *)
 
@@ -667,10 +636,10 @@ let e11 ~quick =
    end-of-run) crash, and measure what recovery had to do. "rate" is the
    transient-error probability for the error rows, 0 for the crash rows;
    recovery time is wall clock. Every cell also re-checks invariant V1. *)
-let e12 ~quick =
+let e12 () =
   let spec =
     {
-      (closed_loop ~seed:23 ~budget:(if quick then 96 else 384) 8) with
+      (closed_loop ~seed:23 ~budget:384 8) with
       checkpoint_every = Some 10;
       config =
         { Workload.default.Workload.config with Database.pool_capacity = 64 };
@@ -693,7 +662,7 @@ let e12 ~quick =
       f2 rate;
       i r.Workload.committed;
       S (if r.Workload.crashed then "yes" else "no");
-      f2 recov_ms;
+      W (2, recov_ms);
       i (get "recovery.redo_applied");
       i (get "recovery.torn_pages");
       i (get "wal.torn_tail_dropped");
@@ -732,8 +701,8 @@ let e12 ~quick =
    vs group commit, plus an overloaded cell where admission control sheds
    with Busy frames. Group commit finally earns its keep here: the batches
    come from genuinely independent client connections. *)
-let e13 ~quick =
-  let budget = if quick then 64 else 256 in
+let e13 () =
+  let budget = 256 in
   let cell (tname, transport) (mode_name, commit_mode) ~mpl ~max_inflight =
     let server_config =
       { Server.default_config with max_inflight; busy_retry_ticks = 50 }
@@ -745,18 +714,20 @@ let e13 ~quick =
     let per_commit x =
       float_of_int x /. float_of_int (max 1 r.Workload.committed)
     in
+    (* over real sockets every measured cell depends on kernel timing *)
+    let measured d x = if transport = Net_workload.Tcp then W (d, x) else F (d, x) in
+    let count n = if transport = Net_workload.Tcp then W (0, float_of_int n) else I n in
     [
-      S tname; S mode_name; i mpl; i max_inflight; i r.Workload.committed;
-      f2 r.Workload.throughput; f1 r.Workload.p95_latency;
-      f2 (per_commit (metric r "log.force")); f2 r.Workload.mean_batch;
-      i (metric r "server.shed");
+      S tname; S mode_name; i mpl; i max_inflight; count r.Workload.committed;
+      measured 2 r.Workload.throughput; measured 1 r.Workload.p95_latency;
+      measured 2 (per_commit (metric r "log.force")); measured 2 r.Workload.mean_batch;
+      count (metric r "server.shed");
     ]
   in
   let sync = ("sync", Txn.Sync) in
   let group = ("group", group_commit) in
   let loopback = ("loopback", Net_workload.Loopback) in
   let tcp = ("tcp", Net_workload.Tcp) in
-  let mpls = if quick then [ 4; 8 ] else [ 2; 4; 8; 16 ] in
   let scaling =
     List.concat_map
       (fun mpl ->
@@ -764,13 +735,12 @@ let e13 ~quick =
           cell loopback sync ~mpl ~max_inflight:64;
           cell loopback group ~mpl ~max_inflight:64;
         ])
-      mpls
+      [ 2; 4; 8; 16 ]
   in
-  let tcp_mpl = if quick then 4 else 8 in
   let tcp_cells =
     [
-      cell tcp sync ~mpl:tcp_mpl ~max_inflight:64;
-      cell tcp group ~mpl:tcp_mpl ~max_inflight:64;
+      cell tcp sync ~mpl:8 ~max_inflight:64;
+      cell tcp group ~mpl:8 ~max_inflight:64;
     ]
   in
   (* overload: twice as many clients as admission slots; shed > 0 and the
@@ -795,9 +765,9 @@ let e13 ~quick =
    bounded-queue push + a Slow_query trace event per statement). The
    interesting result is the ticks column: the log does no yields, so the
    simulated schedule is identical and the overhead is wall-clock only. *)
-let e14 ~quick =
-  let budget = if quick then 64 else 256 in
-  let mpl = if quick then 4 else 8 in
+let e14 () =
+  let budget = 256 in
+  let mpl = 8 in
   let cell name threshold =
     let server_config =
       { Server.default_config with slow_query_ticks = threshold }
@@ -812,7 +782,7 @@ let e14 ~quick =
       i mpl; i r.Workload.committed; i r.Workload.ticks;
       f2 r.Workload.throughput;
       i (Metrics.get (Database.metrics db) "server.slow_queries");
-      F (4, r.Workload.wall_s);
+      W (4, r.Workload.wall_s);
     ]
   in
   print_table
@@ -832,9 +802,9 @@ let e14 ~quick =
 
 (* --- E15: MVCC snapshot readers vs S-lock readers ---------------------------------------- *)
 
-(* Build-breaking guard for the smoke run: a read-only transaction must
-   never enter the lock manager or the WAL. Asserted on metric deltas
-   across a snapshot that exercises every read path. *)
+(* Build-breaking guard: a read-only transaction must never enter the
+   lock manager or the WAL. Asserted on metric deltas across a snapshot
+   that exercises every read path. *)
 let assert_snapshot_lock_free () =
   let db, t, v =
     sales_db
@@ -863,11 +833,11 @@ let assert_snapshot_lock_free () =
    as lock-free MVCC snapshots. Snapshot readers never enter the lock
    manager, so reader throughput climbs with MPL instead of queueing
    behind writers' E locks, while writer commit throughput stays within
-   noise of the locked baseline. The smoke run starts with the zero-lock
-   guard above. *)
-let e15 ~quick =
-  if quick then assert_snapshot_lock_free ();
-  let budget = if quick then 128 else 768 in
+   noise of the locked baseline. Every run starts with the zero-lock guard
+   above. *)
+let e15 () =
+  assert_snapshot_lock_free ();
+  let budget = 768 in
   let cell reader_locking mpl =
     let r =
       Workload.run
@@ -894,7 +864,6 @@ let e15 ~quick =
       f1 r.Workload.p95_latency;
     ]
   in
-  let mpls = if quick then [ 8; 16 ] else [ 8; 16; 32 ] in
   print_table
     {
       title =
@@ -905,7 +874,7 @@ let e15 ~quick =
       rows =
         List.concat_map
           (fun mpl -> [ cell Workload.Key_range mpl; cell Workload.Snapshot mpl ])
-          mpls;
+          [ 8; 16; 32 ];
     }
 
 (* --- E16: read replicas via WAL shipping ------------------------------------------------ *)
@@ -918,9 +887,8 @@ let e15 ~quick =
    commit the replica takes to drain the residual lag. Every replicated
    cell ends with a bit-identical state-digest comparison against the
    primary — divergence is a correctness bug and kills the run. *)
-let e16 ~quick =
-  let budget = if quick then 64 else 256 in
-  let spec_for = closed_loop ~seed:16 ~budget ~commit_mode:group_commit in
+let e16 () =
+  let spec_for = closed_loop ~seed:16 ~budget:256 ~commit_mode:group_commit in
   let solo mpl =
     let r, _db =
       Net_workload.run_net ~transport:Net_workload.Loopback (spec_for mpl)
@@ -945,7 +913,6 @@ let e16 ~quick =
       i rep.Net_workload.ship_batches; i rep.Net_workload.reconnects;
       i rep.Net_workload.catchup_ticks; S "match" ]
   in
-  let mpls = if quick then [ 8 ] else [ 8; 16 ] in
   print_table
     {
       title =
@@ -953,7 +920,7 @@ let e16 ~quick =
       header =
         [ "follower"; "mpl"; "commits"; "tput/1k ticks"; "lag max"; "lag mean";
           "batches"; "reconnects"; "catchup"; "digest" ];
-      rows = List.concat_map (fun mpl -> [ solo mpl; replicated mpl ]) mpls;
+      rows = List.concat_map (fun mpl -> [ solo mpl; replicated mpl ]) [ 8; 16 ];
     }
 
 (* --- E17: failover — follower promotion under a primary crash --------------------------- *)
@@ -966,13 +933,13 @@ let e16 ~quick =
    and the promotion latency in simulated ticks. Every cell ends with the
    zero-loss check — the promoted digest must equal single-node recovery
    of the same log — and a mismatch kills the run. *)
-let e17 ~quick =
+let e17 () =
   let spec =
     {
       Workload.default with
       seed = 7;
       mpl = 3;
-      txns_per_worker = (if quick then 3 else 6);
+      txns_per_worker = 6;
       ops_per_txn = 3;
       delete_fraction = 0.;
       n_groups = 5;
@@ -1030,15 +997,12 @@ let e17 ~quick =
   let n = Fault.no_faults in
   let mid = max 1 (n_forces / 2) in
   let points =
-    if quick then [ ("clean-mid", { n with crash_at_force = Some mid }) ]
-    else
-      [
-        ("clean-early", { n with crash_at_force = Some 1 });
-        ("clean-mid", { n with crash_at_force = Some mid });
-        ("clean-late", { n with crash_at_force = Some n_forces });
-        ("torn-mid",
-         { n with crash_at_force = Some mid; torn_tail = true });
-      ]
+    [
+      ("clean-early", { n with crash_at_force = Some 1 });
+      ("clean-mid", { n with crash_at_force = Some mid });
+      ("clean-late", { n with crash_at_force = Some n_forces });
+      ("torn-mid", { n with crash_at_force = Some mid; torn_tail = true });
+    ]
   in
   print_table
     {
@@ -1130,9 +1094,11 @@ let with_cluster ?metrics ?trace ~wal dbs f =
 let indoubt dbs =
   Array.fold_left (fun acc db -> acc + Database.indoubt_count db) 0 dbs
 
-let e18_cell ~quick shards mix =
-  let txns = if quick then 12 else 60 in
-  let script = e18_script ~shards ~txns (fun _ -> mix = "cross") in
+(* Transactions per E18/E19 cell: enough that one is under 1% of it. *)
+let cell_txns = 200
+
+let e18_cell shards mix =
+  let script = e18_script ~shards ~txns:cell_txns (fun _ -> mix = "cross") in
   let dbs = Array.init shards (fun _ -> Database.create ()) in
   let (committed, ticks), stats =
     with_cluster ~wal:(Wal.create (Metrics.create ())) dbs (fun c ->
@@ -1242,7 +1208,7 @@ let e18_crash_smoke () =
      in-doubt at crash, all resolved, 0 lost / 0 duplicated\n"
     crash_action total !committed_txns indoubt_at_crash
 
-let e18 ~quick =
+let e18 () =
   print_table
     {
       title =
@@ -1253,8 +1219,8 @@ let e18 ~quick =
       rows =
         List.concat_map
           (fun s ->
-            if s = 1 then [ e18_cell ~quick s "single" ]
-            else [ e18_cell ~quick s "single"; e18_cell ~quick s "cross" ])
+            if s = 1 then [ e18_cell s "single" ]
+            else [ e18_cell s "single"; e18_cell s "cross" ])
           [ 1; 2; 4 ];
     };
   e18_crash_smoke ()
@@ -1269,9 +1235,8 @@ let e18 ~quick =
    interesting columns are event volume, wall-time delta, and the
    per-phase tick histograms the registry collected. *)
 
-let e19_cell ~quick shards traced =
-  let txns = if quick then 12 else 60 in
-  let script = e18_script ~shards ~txns (fun _ -> shards > 1) in
+let e19_cell shards traced =
+  let script = e18_script ~shards ~txns:cell_txns (fun _ -> shards > 1) in
   let dbs = Array.init shards (fun _ -> Database.create ()) in
   let metrics = Metrics.create () in
   let cwal = Wal.create metrics in
@@ -1301,7 +1266,7 @@ let e19_cell ~quick shards traced =
   let tput = 1000. *. float_of_int committed /. float_of_int (max 1 ticks) in
   [
     i shards; S (if traced then "on" else "off"); i committed; f2 tput; i !events;
-    pcts "coord.prepare.ticks"; pcts "coord.decide.ticks"; F (4, wall);
+    pcts "coord.prepare.ticks"; pcts "coord.decide.ticks"; W (4, wall);
   ]
 
 let e19_contains s needle =
@@ -1365,7 +1330,7 @@ let e19_exporter_smoke () =
      present\n"
     (String.length body) (List.length required)
 
-let e19 ~quick =
+let e19 () =
   print_table
     {
       title =
@@ -1375,7 +1340,7 @@ let e19 ~quick =
           "prepare p50/p95"; "decide p50/p95"; "wall s" ];
       rows =
         List.concat_map
-          (fun s -> [ e19_cell ~quick s false; e19_cell ~quick s true ])
+          (fun s -> [ e19_cell s false; e19_cell s true ])
           [ 1; 2; 4 ];
     };
   e19_exporter_smoke ()
@@ -1526,7 +1491,7 @@ let micro () =
               | Some (x :: _) -> x
               | _ -> nan
             in
-            [ S name; f1 ns ] :: acc)
+            [ S name; W (1, ns) ] :: acc)
           results []
         |> List.hd)
       tests
@@ -1540,43 +1505,35 @@ let micro () =
 
 (* --- driver ------------------------------------------------------------------------------- *)
 
-(* E11-E19 take [~quick]: full size for a named run, smoke size (each
-   doubling as a build-breaking check) for commit-quick. *)
-let commit_series =
-  [
-    ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
-    ("e16", e16); ("e17", e17); ("e18", e18); ("e19", e19);
-  ]
-
-let experiments =
+let series =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-    ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
+    ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
+    ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
+    ("e17", e17); ("e18", e18); ("e19", e19);
   ]
-  @ List.map (fun (n, e) -> (n, fun () -> e ~quick:false)) commit_series
-  @ [ ("micro", micro) ]
 
-(* "commit-quick" is the smoke run invoked from the dune test runner; it
-   is not part of the run-everything default. *)
-let extra =
-  [ ("commit-quick", fun () -> List.iter (fun (_, e) -> e ~quick:true) commit_series) ]
+let run_series () = List.iter (fun (_, e) -> e ()) series
+
+(* "golden" is the run `dune runtest` diffs; it is not part of the
+   run-everything default. *)
+let modes =
+  series
+  @ [ ("micro", micro); ("golden", fun () -> golden := true; run_series ()) ]
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
   let chosen =
-    match args with
-    | [] -> experiments
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> [ run_series; micro ]
     | names ->
         List.map
           (fun n ->
-            match List.assoc_opt n (experiments @ extra) with
-            | Some f -> (n, f)
+            match List.assoc_opt n modes with
+            | Some f -> f
             | None ->
                 Printf.eprintf "unknown experiment %s (known: %s)\n" n
-                  (String.concat ", "
-                     (List.map fst experiments @ List.map fst extra));
+                  (String.concat ", " (List.map fst modes));
                 exit 2)
           names
   in
-  List.iter (fun (_, f) -> f ()) chosen;
-  write_json ~quick:(List.mem "commit-quick" args) "BENCH.json"
+  List.iter (fun f -> f ()) chosen

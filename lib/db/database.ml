@@ -1271,19 +1271,9 @@ let apply_replicated t records =
              r.Log_record.lsn (t.received + 1));
       t.received <- r.Log_record.lsn;
       Queue.push r t.pending_tail;
-      (* the same boundary rule as Wal.commit_horizon: Commit/End retire a
-         transaction, checkpoints are transparent, anything else stamped
-         with a transaction opens one *)
-      (match r.Log_record.body with
-      | Log_record.Commit | Log_record.End ->
-          Hashtbl.remove t.pending_open r.Log_record.txn
-      | Log_record.Checkpoint _ -> ()
-      | _ ->
-          if r.Log_record.txn <> 0 then
-            Hashtbl.replace t.pending_open r.Log_record.txn ());
       (* a commit boundary: everything buffered forms a transaction-
          consistent extension of the applied prefix — install it *)
-      if Hashtbl.length t.pending_open = 0 then
+      if Wal.track_open_txns t.pending_open r then
         applied := !applied + drain_pending t redo)
     records;
   if !applied > 0 then begin

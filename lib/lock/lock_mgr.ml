@@ -263,7 +263,7 @@ let wait t lk req =
         req.cancel <- Some cancel);
   Metrics.record t.h_wait_ticks (Sched.now () - req.since)
 
-let request t ~txn name mode ~instant ~block =
+let request t ~txn name mode ~instant =
   Metrics.inc t.m_acquire;
   if Trace.enabled t.trace then
     Trace.emit t.trace
@@ -272,8 +272,7 @@ let request t ~txn name mode ~instant ~block =
   let lk = get_lock t name in
   match owner_of lk txn with
   | Some o when Lock_mode.covers ~held:o.mode ~req:mode ->
-      if not instant then o.count <- o.count + 1;
-      true
+      if not instant then o.count <- o.count + 1
   | existing -> (
       let convert = existing <> None in
       let target =
@@ -295,25 +294,15 @@ let request t ~txn name mode ~instant ~block =
       in
       if grantable_fresh lk req then begin
         apply_grant t lk req;
-        drop_if_idle t lk;
-        true
+        drop_if_idle t lk
       end
-      else if not block then begin
-        drop_if_idle t lk;
-        false
-      end
-      else begin
-        wait t lk req;
-        true
-      end)
+      else wait t lk req)
 
-let acquire t ~txn name mode = ignore (request t ~txn name mode ~instant:false ~block:true)
+let acquire t ~txn name mode = request t ~txn name mode ~instant:false
 
 let acquire_instant t ~txn name mode =
   Metrics.inc t.m_instant;
-  ignore (request t ~txn name mode ~instant:true ~block:true)
-
-let try_acquire t ~txn name mode = request t ~txn name mode ~instant:false ~block:false
+  request t ~txn name mode ~instant:true
 
 let release_all t ~txn =
   (match Hashtbl.find_opt t.blocked txn with

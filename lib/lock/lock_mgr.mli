@@ -30,9 +30,6 @@ val acquire_instant : t -> txn:int -> Lock_name.t -> Lock_mode.t -> unit
 (** Instant-duration acquisition (the RangeI_N protocol): waits until the
     mode could be granted, but does not retain it. *)
 
-val try_acquire : t -> txn:int -> Lock_name.t -> Lock_mode.t -> bool
-(** Non-blocking variant: [false] instead of waiting. *)
-
 val release_all : t -> txn:int -> unit
 (** End-of-transaction release (strict two-phase locking releases nothing
     earlier, except instant-duration locks). *)

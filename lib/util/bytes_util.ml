@@ -18,9 +18,6 @@ let get_u32 b pos =
   lor (Bytes.get_uint8 b (pos + 2) lsl 8)
   lor Bytes.get_uint8 b (pos + 3)
 
-let set_i64 b pos v = Bytes.set_int64_be b pos v
-let get_i64 b pos = Bytes.get_int64_be b pos
-
 (* FNV-1a, 32-bit. Not cryptographic — it only has to make a torn or
    corrupted image fail verification with overwhelming probability, and it
    must be deterministic across runs (no keyed hashing). *)

@@ -9,9 +9,6 @@ val get_u16 : bytes -> int -> int
 val set_u32 : bytes -> int -> int -> unit
 val get_u32 : bytes -> int -> int
 
-val set_i64 : bytes -> int -> int64 -> unit
-val get_i64 : bytes -> int -> int64
-
 val fnv1a32 : ?h:int -> bytes -> int -> int -> int
 (** [fnv1a32 b pos len] FNV-1a hash of the byte range, 32-bit. Pass the
     previous result as [?h] to chain discontiguous ranges into one digest.

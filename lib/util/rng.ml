@@ -16,10 +16,6 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
-let int_in t lo hi =
-  assert (lo <= hi);
-  lo + int t (hi - lo + 1)
-
 let float t =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   v /. 9007199254740992.0 (* 2^53 *)

@@ -18,9 +18,6 @@ val next : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in [\[lo, hi\]]. Requires [lo <= hi]. *)
-
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
 

@@ -71,14 +71,17 @@ let create ?trace metrics =
    transaction-stamped record opens one, and checkpoints are transparent.
    The prefix up to a boundary is transaction-consistent — the property a
    replica needs to serve reads at the commit horizon. *)
-let track_boundary t (r : Log_record.t) =
+let track_open_txns open_txns (r : Log_record.t) =
   (match r.Log_record.body with
   | Log_record.Commit | Log_record.End ->
-      Hashtbl.remove t.open_txns r.Log_record.txn
+      Hashtbl.remove open_txns r.Log_record.txn
   | Log_record.Checkpoint _ -> ()
   | _ ->
-      if r.Log_record.txn <> 0 then Hashtbl.replace t.open_txns r.Log_record.txn ());
-  if Hashtbl.length t.open_txns = 0 then
+      if r.Log_record.txn <> 0 then Hashtbl.replace open_txns r.Log_record.txn ());
+  Hashtbl.length open_txns = 0
+
+let track_boundary t (r : Log_record.t) =
+  if track_open_txns t.open_txns r then
     t.boundaries <- r.Log_record.lsn :: t.boundaries
 
 let commit_horizon_upto t ~upto =

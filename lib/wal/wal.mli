@@ -59,8 +59,8 @@ val iter_from : t -> from:Log_record.lsn -> (Log_record.t -> unit) -> unit
 val serialize_range : t -> from:Log_record.lsn -> upto:Log_record.lsn -> string
 (** The stable records in [[from, upto]] as a framed byte stream — each
     record [u32 length | u32 FNV-1a checksum | payload]
-    (payload = {!Log_record.encode}), exactly the on-device format of
-    {!serialize_stable}. Empty when [from > upto]. Raises
+    (payload = {!Log_record.encode}), exactly the on-device format {!crash}
+    reads back. Empty when [from > upto]. Raises
     [Invalid_argument] when [from < first_lsn t] or
     [upto > flushed_lsn t]. *)
 
@@ -104,6 +104,13 @@ val commit_horizon_upto : t -> upto:Log_record.lsn -> Log_record.lsn
     records only up to the horizon and never expose a split transaction.
     Returns 0 when no boundary lies in the retained window. *)
 
+val track_open_txns : (int, unit) Hashtbl.t -> Log_record.t -> bool
+(** The commit-boundary rule behind {!commit_horizon_upto}, applied to a
+    caller-held set of open transactions: a Commit or End retires the
+    record's transaction, a Checkpoint is transparent, and any other
+    record stamped with a transaction opens it. True when no transaction
+    is open once the record is applied, i.e. its LSN is a boundary. *)
+
 val commit_horizon : t -> Log_record.lsn
 (** [commit_horizon_upto t ~upto:(flushed_lsn t)]: the newest stable
     transaction-consistent prefix end — what a primary advertises to
@@ -112,22 +119,19 @@ val commit_horizon : t -> Log_record.lsn
 val crash : t -> ?trace:Ivdb_util.Trace.t -> Ivdb_util.Metrics.t -> t
 (** The log as found after a crash: the stable prefix, round-tripped
     through the binary codec. The stable records are serialized with
-    length+checksum framing ({!serialize_stable}), a pending tear (from a
-    torn force or {!set_torn_tail}) cuts the stream at byte granularity,
-    and deserialization keeps only the longest prefix of complete,
+    length+checksum framing (as {!serialize_range} from {!first_lsn} to
+    {!flushed_lsn}), a pending tear (from a torn force or
+    {!set_torn_tail}) cuts the stream at byte granularity, and
+    deserialization keeps only the longest prefix of complete,
     checksum-valid, densely-chained frames — a partial record and
     everything after it are discarded (counted as
     [wal.torn_tail_dropped]). The copy reports into the given
     metrics/trace (the pre-crash instances are dead). *)
 
-val serialize_stable : t -> string
-(** The stable prefix as the byte stream a device would hold: each record
-    framed as [u32 length | u32 FNV-1a checksum | payload]
-    (payload = {!Log_record.encode}). *)
-
 val set_torn_tail : t -> int -> unit
-(** Declare that the device stopped after the first [n] bytes of
-    {!serialize_stable}'s stream; the next {!crash} applies the cut.
+(** Declare that the device stopped after the first [n] bytes of the
+    stable prefix's stream ({!serialize_range} from {!first_lsn} to
+    {!flushed_lsn}); the next {!crash} applies the cut.
     Test hook — fault plans set this themselves on a torn force. *)
 
 val truncate_before : t -> Log_record.lsn -> unit

@@ -87,8 +87,18 @@ let test_escrow_group () =
       Mgr.acquire mgr ~txn:3 k Mode.E;
       check Alcotest.int "three concurrent escrow holders" 3
         (List.length (Mgr.holders mgr k));
-      Alcotest.(check bool) "reader would block" false
-        (Mgr.try_acquire mgr ~txn:4 k Mode.S))
+      Sched.run ~policy:Sched.Fifo (fun () ->
+          ignore (Sched.spawn (fun () -> Mgr.acquire mgr ~txn:4 k Mode.S));
+          Sched.yield ();
+          (match Mgr.waits mgr with
+          | [ w ] ->
+              check Alcotest.int "reader would block" 4 w.Mgr.w_txn;
+              check Alcotest.(list int) "behind every escrow holder" [ 1; 2; 3 ]
+                w.Mgr.w_blockers
+          | ws -> Alcotest.failf "expected one wait, got %d" (List.length ws));
+          List.iter (fun txn -> Mgr.release_all mgr ~txn) [ 1; 2; 3 ]);
+      check Alcotest.(list int) "reader granted after release" [ 4 ]
+        (List.map fst (Mgr.holders mgr k)))
 
 let test_blocking_and_wakeup () =
   with_mgr (fun mgr m ->

@@ -27,10 +27,6 @@ let test_rng_int_bounds () =
   for _ = 1 to 1000 do
     let v = Rng.int r 10 in
     Alcotest.(check bool) "in [0,10)" true (v >= 0 && v < 10)
-  done;
-  for _ = 1 to 1000 do
-    let v = Rng.int_in r (-5) 5 in
-    Alcotest.(check bool) "in [-5,5]" true (v >= -5 && v <= 5)
   done
 
 let test_rng_float_range () =
@@ -318,9 +314,7 @@ let test_bytes_roundtrip () =
   B.set_u16 b 0 0xBEEF;
   check Alcotest.int "u16" 0xBEEF (B.get_u16 b 0);
   B.set_u32 b 2 0xDEADBEEF;
-  check Alcotest.int "u32" 0xDEADBEEF (B.get_u32 b 2);
-  B.set_i64 b 6 (-42L);
-  check Alcotest.int64 "i64" (-42L) (B.get_i64 b 6)
+  check Alcotest.int "u32" 0xDEADBEEF (B.get_u32 b 2)
 
 let test_compare_sub () =
   let a = Bytes.of_string "abcdef" and b = Bytes.of_string "abcxyz" in

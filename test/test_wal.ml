@@ -229,7 +229,7 @@ let ckpt_lsn = 4
 
 let test_torn_tail_sweep () =
   let w = torn_fixture () in
-  let stream = Wal.serialize_stable w in
+  let stream = Wal.serialize_range w ~from:(Wal.first_lsn w) ~upto:(Wal.flushed_lsn w) in
   let n = Wal.last_lsn w in
   (* bounds.(l) = byte offset at which record l's frame ends *)
   let bounds = Array.make (n + 1) 0 in
@@ -291,7 +291,7 @@ let prop_torn_tail_prefix =
       let w = make () in
       List.iteri (fun i b -> ignore (Wal.append w ~txn:(i + 1) ~prev:0 b)) bodies;
       Wal.force w (Wal.last_lsn w);
-      let stream = Wal.serialize_stable w in
+      let stream = Wal.serialize_range w ~from:(Wal.first_lsn w) ~upto:(Wal.flushed_lsn w) in
       let cut = cut_raw mod (String.length stream + 1) in
       Wal.set_torn_tail w cut;
       let w' = Wal.crash w (Metrics.create ()) in

@@ -1,12 +1,12 @@
 (* Benchmark harness: regenerates every experiment table of the
    reproduction (E1-E19, see DESIGN.md / EXPERIMENTS.md) plus the bechamel
-   micro-benchmarks (M0). Each experiment builds one typed table, whose
-   wall-clock cells are marked as such.
+   micro-benchmarks (M0). Every E-series cell is a simulated-tick figure
+   or a count, so the E-series output is deterministic; wall-clock cost is
+   perfbench's, measured over repeats.
 
-   Usage: main.exe [e1|e2|...|e19|micro|golden]...; no arguments runs
-   e1-e19 and micro. golden runs e1-e19 with every wall-clock cell shown
-   as [~]: the rest is deterministic, and `dune runtest` diffs it against
-   golden.expected. *)
+   Usage: main.exe [e1|e2|...|e19|micro]...; no arguments runs e1-e19,
+   the output `dune runtest` diffs against golden.expected. micro (M0) is
+   wall-clock and runs only when named. *)
 
 module Database = Ivdb.Database
 module Table = Ivdb.Table
@@ -31,10 +31,8 @@ module Net_workload = Ivdb_client.Net_workload
 
 (* --- tables ---------------------------------------------------------------- *)
 
-(* One table cell; [F (d, x)] prints [x] with [d] decimals. [W (d, x)] is
-   a wall-clock figure (or one that depends on kernel timing), printed
-   like [F (d, x)] except in the golden run, which shows it as [~]. *)
-type cell = I of int | F of int * float | S of string | W of int * float
+(* One table cell; [F (d, x)] prints [x] with [d] decimals. *)
+type cell = I of int | F of int * float | S of string
 
 type table = { title : string; header : string list; rows : cell list list }
 
@@ -42,13 +40,9 @@ let i n = I n
 let f1 x = F (1, x)
 let f2 x = F (2, x)
 
-(* Set by the golden run. *)
-let golden = ref false
-
 let text = function
   | I n -> string_of_int n
-  | W _ when !golden -> "~"
-  | F (d, x) | W (d, x) -> Printf.sprintf "%.*f" d x
+  | F (d, x) -> Printf.sprintf "%.*f" d x
   | S s -> s
 
 let print_table t =
@@ -73,6 +67,28 @@ let print_table t =
   print_endline (String.make (String.length (line t.header)) '-');
   List.iter (fun r -> print_endline (line r)) (List.tl all);
   flush stdout
+
+(* Build-breaking guard of E11, E14 and E19: instrumentation must leave
+   the simulated schedule alone. Each [(off, on)] pair of rows under
+   [header] holds one run with the instrumentation off and one with it
+   on; their [cols] cells must be equal. *)
+let assert_same_schedule exp header cols pairs =
+  let cell row c = List.assoc c (List.combine header row) in
+  (* exact: a float cell may move below its printed decimals *)
+  let show = function F (_, x) -> Printf.sprintf "%.17g" x | c -> text c in
+  List.iter
+    (fun (off, on) ->
+      List.iter
+        (fun c ->
+          if cell off c <> cell on c then begin
+            Printf.eprintf "FATAL: %s: instrumentation moved %s (off %s, on %s)\n"
+              exp c (show (cell off c)) (show (cell on c));
+            exit 1
+          end)
+        cols)
+    pairs;
+  Printf.printf "%s instrumentation guard: ok (%s identical off and on)\n%!" exp
+    (String.concat ", " cols)
 
 (* --- shared fixtures ----------------------------------------------------------- *)
 
@@ -120,11 +136,22 @@ let sales_db ?(config = Workload.default.Workload.config) rows =
 
 (* --- E1: read benefit of indexed views -------------------------------------- *)
 
-(* Query latency: indexed-view point lookup vs aggregation on demand,
-   growing the base table. The paper's motivation: the view turns an O(N)
-   aggregation into an O(log N) lookup. *)
+(* Buffer fixes (hits plus misses) [f ()] makes in [db]'s pool. *)
+let fixes db f =
+  let m = Database.metrics db in
+  let count () = Metrics.get m "buffer.hit" + Metrics.get m "buffer.miss" in
+  let before = count () in
+  f ();
+  count () - before
+
+(* Pages a query touches: indexed-view point lookup vs aggregation on
+   demand, growing the base table. The paper's motivation: the view turns
+   an O(N) aggregation into an O(log N) lookup. A lookup's figure is the
+   most any of the 100 groups' lookups fixes. The guard after the table
+   fails the run unless that figure is the same at every size and the
+   on-demand figure grows with the base rows. *)
 let e1 () =
-  let rows_of n =
+  let measure n =
     let rng = Rng.create 7 in
     let db, _t, v =
       sales_db
@@ -132,29 +159,40 @@ let e1 () =
         (List.init n (fun k ->
              [| Value.Int (k + 1); Value.Int (Rng.int rng 100); Value.Int (1 + Rng.int rng 9) |]))
     in
-    let time_it iters f =
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to iters do
-        f ()
-      done;
-      (Unix.gettimeofday () -. t0) /. float_of_int iters *. 1e6
+    let lookup =
+      List.fold_left max 0
+        (List.init 100 (fun g ->
+             fixes db (fun () -> ignore (Query.view_lookup db None v [| Value.Int g |]))))
     in
-    let lookup_us =
-      time_it 2000 (fun () ->
-          ignore (Query.view_lookup db None v [| Value.Int (Rng.int rng 100) |]))
-    in
-    let ondemand_us =
-      time_it (max 3 (20000 / n)) (fun () ->
+    let ondemand =
+      fixes db (fun () ->
           ignore (Query.on_demand_aggregate db None (Database.view_def db v)))
     in
-    [ i n; W (2, lookup_us); W (2, ondemand_us); W (1, ondemand_us /. lookup_us) ]
+    (lookup, ondemand)
   in
+  let sizes = [ 1_000; 5_000; 20_000; 50_000 ] in
+  let results = List.map measure sizes in
   print_table
     {
       title = "E1  Indexed view vs on-demand aggregation (100 groups, point query)";
-      header = [ "base rows"; "view lookup (us)"; "on-demand agg (us)"; "speedup" ];
-      rows = List.map rows_of [ 1_000; 5_000; 20_000; 50_000 ];
-    }
+      header = [ "base rows"; "view lookup (fixes)"; "on-demand agg (fixes)"; "ratio" ];
+      rows =
+        List.map2
+          (fun n (l, o) -> [ i n; i l; i o; f1 (float_of_int o /. float_of_int l) ])
+          sizes results;
+    };
+  let lookups, ondemands = List.split results in
+  let lookup = List.hd lookups in
+  if List.exists (( <> ) lookup) lookups || List.sort_uniq compare ondemands <> ondemands
+  then begin
+    let show l = String.concat "/" (List.map string_of_int l) in
+    Printf.eprintf "FATAL: e1: view lookup fixes %s, on-demand fixes %s over base rows %s\n"
+      (show lookups) (show ondemands) (show sizes);
+    exit 1
+  end;
+  Printf.printf
+    "e1 read-shape guard: ok (%d fixes per view lookup at every size, on-demand fixes grow with base rows)\n%!"
+    lookup
 
 (* --- E2: writer throughput under contention ---------------------------------- *)
 
@@ -291,25 +329,14 @@ let e5 () =
     let pending = Query.staleness db v in
     let m = Database.metrics db in
     let touched_before = Metrics.get m "view.exclusive_update" in
-    let t0 = Unix.gettimeofday () in
     let applied = Database.transact db (fun tx -> Query.refresh db tx v) in
-    let us = (Unix.gettimeofday () -. t0) *. 1e6 in
     let touched = Metrics.get m "view.exclusive_update" - touched_before in
-    [
-      i batch;
-      i pending;
-      i applied;
-      i touched;
-      W (1, us);
-      W (2, us /. float_of_int (max 1 applied));
-    ]
+    [ i batch; i pending; i applied; i touched ]
   in
   print_table
     {
       title = "E5  Deferred maintenance: refresh cost amortizes with batch size (20 groups)";
-      header =
-        [ "batch"; "staleness"; "deltas applied"; "view rows touched"; "refresh us";
-          "us/delta" ];
+      header = [ "batch"; "staleness"; "deltas applied"; "view rows touched" ];
       rows = List.map cell [ 1; 10; 100; 1000 ];
     }
 
@@ -341,9 +368,7 @@ let e6 () =
     in
     ignore losers;
     Wal.force (Database.wal db) (Wal.last_lsn (Database.wal db));
-    let t0 = Unix.gettimeofday () in
     let db' = Database.crash db in
-    let ms = (Unix.gettimeofday () -. t0) *. 1000. in
     let m = Database.metrics db' in
     let rows_after = Table.row_count db' (Database.table db' "sales") in
     [
@@ -351,7 +376,6 @@ let e6 () =
       i (Metrics.get m "recovery.stable_records");
       i (Metrics.get m "recovery.redo_applied");
       i (Metrics.get m "recovery.losers");
-      W (2, ms);
       i rows_after;
       S
         (string_of_bool
@@ -362,8 +386,8 @@ let e6 () =
     {
       title = "E6  Restart recovery vs log length (crash with 5 in-flight losers)";
       header =
-        [ "txns"; "stable log recs"; "redo applied"; "losers undone"; "recovery ms";
-          "rows after"; "view consistent" ];
+        [ "txns"; "stable log recs"; "redo applied"; "losers undone"; "rows after";
+          "view consistent" ];
       rows = List.concat_map (fun n -> [ cell n; cell ~ckpt:true n ]) [ 200; 1000; 3000 ];
     }
 
@@ -481,25 +505,22 @@ let e9 () =
             { Schema.name = "v"; ty = Value.TInt; nullable = false };
           ]
     in
-    let t0 = Unix.gettimeofday () in
     Database.transact db (fun tx ->
         for k = 1 to rows_n do
           ignore (Table.insert db tx t [| Value.Int k; Value.Int k |])
         done);
-    let ms = (Unix.gettimeofday () -. t0) *. 1000. in
     let m = Database.metrics db in
     [
       (match threshold with None -> S "off" | Some n -> i n);
       i rows_n;
       i (Metrics.get m "lock.acquire");
       i (Metrics.get m "lock.escalation");
-      W (2, ms);
     ]
   in
   print_table
     {
       title = "E9  Lock escalation: bulk-load lock footprint (single transaction)";
-      header = [ "threshold"; "rows"; "lock acquisitions"; "escalations"; "wall ms" ];
+      header = [ "threshold"; "rows"; "lock acquisitions"; "escalations" ];
       rows =
         List.concat_map
           (fun n -> [ cell None n; cell (Some 100) n ])
@@ -602,10 +623,10 @@ let e11 () =
           [ ("sync", Txn.Sync); ("group", group_commit); ("async", Txn.Async) ];
     };
   (* tracing overhead: the group-commit cell at the highest mpl, structured
-     trace off vs on (events counted, then discarded). Tick throughput is
-     deterministic and must be identical either way — tracing never touches
-     the simulated clock — so the interesting deltas are event volume and
-     wall time. *)
+     trace off vs on (events counted, then discarded). Tracing never touches
+     the simulated clock, so tick throughput must be identical either way
+     (the guard) and the cost is the event volume; its wall-clock cost is
+     perfbench's bench.trace_overhead_frac. *)
   let mpl = List.fold_left max 1 mpls in
   let traced enabled =
     let spec = closed_loop ~seed:11 ~budget ~commit_mode:group_commit mpl in
@@ -621,21 +642,17 @@ let e11 () =
   in
   let r_off, _ = traced false in
   let r_on, events = traced true in
-  Printf.printf
-    "\ntracing overhead (group, mpl %d): off %s tput / %ss wall, on %s tput / %ss wall (%d events)\n"
-    mpl
-    (text (f2 r_off.Workload.throughput))
-    (text (W (3, r_off.Workload.wall_s)))
-    (text (f2 r_on.Workload.throughput))
-    (text (W (3, r_on.Workload.wall_s)))
-    events
+  let off = f2 r_off.Workload.throughput and on = f2 r_on.Workload.throughput in
+  Printf.printf "\ntracing overhead (group, mpl %d): off %s tput, on %s tput (%d events)\n"
+    mpl (text off) (text on) events;
+  assert_same_schedule "e11" [ "tput" ] [ "tput" ] [ ([ off ], [ on ]) ]
 
 (* --- E12: recovery under injected faults ------------------------------------------------ *)
 
 (* Run the workload under each fault mode, recover from the (injected or
    end-of-run) crash, and measure what recovery had to do. "rate" is the
-   transient-error probability for the error rows, 0 for the crash rows;
-   recovery time is wall clock. Every cell also re-checks invariant V1. *)
+   transient-error probability for the error rows, 0 for the crash rows.
+   Every cell also re-checks invariant V1. *)
 let e12 () =
   let spec =
     {
@@ -650,9 +667,7 @@ let e12 () =
     (* armed after setup: the preload is never the victim *)
     if Fault.enabled_in fcfg then Database.install_fault db fcfg;
     let r = Workload.run_on db sales views spec in
-    let t0 = Unix.gettimeofday () in
     let db' = Database.crash db in
-    let recov_ms = (Unix.gettimeofday () -. t0) *. 1000. in
     let get n = Metrics.get (Database.metrics db') n in
     let consistent =
       Workload.check_consistency db' (Database.view db' "sales_by_product_0")
@@ -662,7 +677,6 @@ let e12 () =
       f2 rate;
       i r.Workload.committed;
       S (if r.Workload.crashed then "yes" else "no");
-      W (2, recov_ms);
       i (get "recovery.redo_applied");
       i (get "recovery.torn_pages");
       i (get "wal.torn_tail_dropped");
@@ -676,8 +690,8 @@ let e12 () =
     {
       title = "E12  Recovery under injected faults (escrow, mpl 8, ckpt every 10)";
       header =
-        [ "fault"; "rate"; "commits"; "crashed"; "recov ms"; "redo"; "torn pg";
-          "tail drop"; "losers"; "io retry"; "consistent" ];
+        [ "fault"; "rate"; "commits"; "crashed"; "redo"; "torn pg"; "tail drop";
+          "losers"; "io retry"; "consistent" ];
       rows =
         List.map cell
           [
@@ -697,55 +711,42 @@ let e12 () =
 (* --- E13: network serving layer ---------------------------------------------------------- *)
 
 (* Throughput/latency of the wire-protocol server under a closed loop of
-   client connections: loopback (deterministic) vs real TCP sockets, sync
-   vs group commit, plus an overloaded cell where admission control sheds
-   with Busy frames. Group commit finally earns its keep here: the batches
-   come from genuinely independent client connections. *)
+   loopback client connections, sync vs group commit, plus an overloaded
+   cell where admission control sheds with Busy frames. Group commit
+   finally earns its keep here: the batches come from genuinely
+   independent client connections. Real TCP sockets are test_net's and
+   perfbench sql-served's: their figures depend on kernel timing. *)
 let e13 () =
   let budget = 256 in
-  let cell (tname, transport) (mode_name, commit_mode) ~mpl ~max_inflight =
+  let cell (mode_name, commit_mode) ~mpl ~max_inflight =
     let server_config =
       { Server.default_config with max_inflight; busy_retry_ticks = 50 }
     in
     let r, _db =
-      Net_workload.run_net ~transport ~server_config
+      Net_workload.run_net ~transport:Net_workload.Loopback ~server_config
         (closed_loop ~seed:11 ~budget ~commit_mode mpl)
     in
     let per_commit x =
       float_of_int x /. float_of_int (max 1 r.Workload.committed)
     in
-    (* over real sockets every measured cell depends on kernel timing *)
-    let measured d x = if transport = Net_workload.Tcp then W (d, x) else F (d, x) in
-    let count n = if transport = Net_workload.Tcp then W (0, float_of_int n) else I n in
     [
-      S tname; S mode_name; i mpl; i max_inflight; count r.Workload.committed;
-      measured 2 r.Workload.throughput; measured 1 r.Workload.p95_latency;
-      measured 2 (per_commit (metric r "log.force")); measured 2 r.Workload.mean_batch;
-      count (metric r "server.shed");
+      S "loopback"; S mode_name; i mpl; i max_inflight; i r.Workload.committed;
+      f2 r.Workload.throughput; f1 r.Workload.p95_latency;
+      f2 (per_commit (metric r "log.force")); f2 r.Workload.mean_batch;
+      i (metric r "server.shed");
     ]
   in
   let sync = ("sync", Txn.Sync) in
   let group = ("group", group_commit) in
-  let loopback = ("loopback", Net_workload.Loopback) in
-  let tcp = ("tcp", Net_workload.Tcp) in
   let scaling =
     List.concat_map
       (fun mpl ->
-        [
-          cell loopback sync ~mpl ~max_inflight:64;
-          cell loopback group ~mpl ~max_inflight:64;
-        ])
+        [ cell sync ~mpl ~max_inflight:64; cell group ~mpl ~max_inflight:64 ])
       [ 2; 4; 8; 16 ]
-  in
-  let tcp_cells =
-    [
-      cell tcp sync ~mpl:8 ~max_inflight:64;
-      cell tcp group ~mpl:8 ~max_inflight:64;
-    ]
   in
   (* overload: twice as many clients as admission slots; shed > 0 and the
      run still completes because refused clients back off and retry *)
-  let overload = [ cell loopback group ~mpl:16 ~max_inflight:4 ] in
+  let overload = [ cell group ~mpl:16 ~max_inflight:4 ] in
   print_table
     {
       title =
@@ -753,7 +754,7 @@ let e13 () =
       header =
         [ "transport"; "commit mode"; "clients"; "cap"; "commits"; "tput/1k ticks";
           "p95 lat"; "forces/commit"; "mean batch"; "shed" ];
-      rows = scaling @ tcp_cells @ overload;
+      rows = scaling @ overload;
     }
 
 (* --- E14: introspection overhead --------------------------------------------------------- *)
@@ -762,9 +763,9 @@ let e13 () =
    correlation ids ride in every Exec frame unconditionally (wire v2), so
    the measurable knob is the slow-query log. threshold = None turns it
    off entirely; Some 0 is the worst case (every request is "slow": a
-   bounded-queue push + a Slow_query trace event per statement). The
-   interesting result is the ticks column: the log does no yields, so the
-   simulated schedule is identical and the overhead is wall-clock only. *)
+   bounded-queue push + a Slow_query trace event per statement). The log
+   does no yields, so the simulated schedule must be identical (the guard
+   after the table); its wall-clock cost is perfbench's. *)
 let e14 () =
   let budget = 256 in
   let mpl = 8 in
@@ -782,23 +783,23 @@ let e14 () =
       i mpl; i r.Workload.committed; i r.Workload.ticks;
       f2 r.Workload.throughput;
       i (Metrics.get (Database.metrics db) "server.slow_queries");
-      W (4, r.Workload.wall_s);
     ]
   in
+  let header =
+    [ "slow log"; "threshold"; "clients"; "commits"; "ticks"; "tput/1k ticks";
+      "slow entries" ]
+  in
+  let on = [ cell "on (idle)" (Some 1_000_000); cell "on (worst)" (Some 0) ] in
+  let off = cell "off" None in
   print_table
     {
       title =
         "E14  Introspection overhead: slow-query log on the E13 closed loop (loopback, group commit, escrow)";
-      header =
-        [ "slow log"; "threshold"; "clients"; "commits"; "ticks"; "tput/1k ticks";
-          "slow entries"; "wall_s" ];
-      rows =
-        [
-          cell "off" None;
-          cell "on (idle)" (Some 1_000_000);
-          cell "on (worst)" (Some 0);
-        ];
-    }
+      header;
+      rows = off :: on;
+    };
+  assert_same_schedule "e14" header [ "ticks"; "tput/1k ticks" ]
+    (List.map (fun r -> (off, r)) on)
 
 (* --- E15: MVCC snapshot readers vs S-lock readers ---------------------------------------- *)
 
@@ -1230,10 +1231,11 @@ let e18 () =
 (* The e18 cross-shard closed loop again, now with the coordinator's
    typed 2PC registry attached and — in the "on" cells — the
    gtxn-correlated trace streams (coordinator + every shard engine)
-   enabled into a counting sink. Simulated-tick throughput must be
-   identical off/on (tracing never touches the virtual clock), so the
-   interesting columns are event volume, wall-time delta, and the
-   per-phase tick histograms the registry collected. *)
+   enabled into a counting sink. Tracing never touches the virtual clock,
+   so commits, throughput and the per-phase tick histograms the registry
+   collected must be identical off/on (the guard after the table), and
+   the cost is the event volume; its wall-clock cost is perfbench's
+   bench.trace_overhead_frac. *)
 
 let e19_cell shards traced =
   let script = e18_script ~shards ~txns:cell_txns (fun _ -> shards > 1) in
@@ -1252,11 +1254,9 @@ let e19_cell shards traced =
         Ivdb_util.Trace.set_enabled tr true)
       dbs
   end;
-  let wall0 = Unix.gettimeofday () in
   let committed, ticks =
     with_cluster ~metrics ~trace ~wal:cwal dbs (fun c -> e18_timed c script)
   in
-  let wall = Unix.gettimeofday () -. wall0 in
   let pcts name =
     let cells = Metrics.hist_snapshot metrics name in
     S
@@ -1266,7 +1266,7 @@ let e19_cell shards traced =
   let tput = 1000. *. float_of_int committed /. float_of_int (max 1 ticks) in
   [
     i shards; S (if traced then "on" else "off"); i committed; f2 tput; i !events;
-    pcts "coord.prepare.ticks"; pcts "coord.decide.ticks"; W (4, wall);
+    pcts "coord.prepare.ticks"; pcts "coord.decide.ticks";
   ]
 
 let e19_contains s needle =
@@ -1331,18 +1331,21 @@ let e19_exporter_smoke () =
     (String.length body) (List.length required)
 
 let e19 () =
+  let header =
+    [ "shards"; "trace"; "commits"; "tput/1k ticks"; "events"; "prepare p50/p95";
+      "decide p50/p95" ]
+  in
+  let pairs = List.map (fun s -> (e19_cell s false, e19_cell s true)) [ 1; 2; 4 ] in
   print_table
     {
       title =
         "E19  Cluster observability: per-phase 2PC metrics, trace on/off (loopback)";
-      header =
-        [ "shards"; "trace"; "commits"; "tput/1k ticks"; "events";
-          "prepare p50/p95"; "decide p50/p95"; "wall s" ];
-      rows =
-        List.concat_map
-          (fun s -> [ e19_cell s false; e19_cell s true ])
-          [ 1; 2; 4 ];
+      header;
+      rows = List.concat_map (fun (off, on) -> [ off; on ]) pairs;
     };
+  assert_same_schedule "e19" header
+    [ "commits"; "tput/1k ticks"; "prepare p50/p95"; "decide p50/p95" ]
+    pairs;
   e19_exporter_smoke ()
 
 (* --- M0: bechamel micro-benchmarks ------------------------------------------------------ *)
@@ -1491,7 +1494,7 @@ let micro () =
               | Some (x :: _) -> x
               | _ -> nan
             in
-            [ S name; W (1, ns) ] :: acc)
+            [ S name; f1 ns ] :: acc)
           results []
         |> List.hd)
       tests
@@ -1513,18 +1516,12 @@ let series =
     ("e17", e17); ("e18", e18); ("e19", e19);
   ]
 
-let run_series () = List.iter (fun (_, e) -> e ()) series
-
-(* "golden" is the run `dune runtest` diffs; it is not part of the
-   run-everything default. *)
-let modes =
-  series
-  @ [ ("micro", micro); ("golden", fun () -> golden := true; run_series ()) ]
+let modes = series @ [ ("micro", micro) ]
 
 let () =
   let chosen =
     match List.tl (Array.to_list Sys.argv) with
-    | [] -> [ run_series; micro ]
+    | [] -> List.map snd series
     | names ->
         List.map
           (fun n ->

@@ -87,9 +87,15 @@ let net_conv =
           | Ivdb_client.Net_workload.Loopback -> "loopback"
           | Ivdb_client.Net_workload.Tcp -> "tcp") )
 
-(* The result block every shape prints: the loop's own figures and the
-   counters of the run's registry window. *)
-let print_result strategy create_mode r =
+(* [f ()] and the wall-clock seconds it took. *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let x = f () in
+  (x, Unix.gettimeofday () -. t0)
+
+(* The result block every shape prints: the loop's own figures, the
+   counters of the run's registry window, and the run's [wall_s]. *)
+let print_result strategy create_mode ~wall_s r =
   let get = Metrics.window_get r.Workload.window in
   let forces = get "log.force" in
   Printf.printf "strategy          %s (create: %s)\n"
@@ -110,7 +116,7 @@ let print_result strategy create_mode r =
     Printf.printf "mean batch        %.2f commits per group force\n" r.Workload.mean_batch;
   Printf.printf "latency           mean %.1f, p95 %.1f ticks\n" r.Workload.mean_latency
     r.Workload.p95_latency;
-  Printf.printf "wall time         %.3f s\n" r.Workload.wall_s
+  Printf.printf "wall time         %.3f s\n" wall_s
 
 (* --verbose: every counter the run moved. *)
 let print_counters r =
@@ -220,7 +226,8 @@ let run_sharded ~shards ~cross_pct spec verbose =
      are the result's log forces *)
   let metrics = Metrics.create () in
   let diverged = ref 0 and stats = ref None in
-  let r =
+  let r, wall_s =
+    timed @@ fun () ->
     Workload.closed_loop spec metrics ~on_commit:ignore (fun start ->
         Coord.loopback_cluster ~config:Server.default_config dbs (fun dialers ->
             let c0 = Coord.create ~metrics dialers in
@@ -246,7 +253,7 @@ let run_sharded ~shards ~cross_pct spec verbose =
                  sessions)\n"
     shards spec.Workload.mpl;
   Printf.printf "cross-shard mix   %d%% of writer transactions\n" cross_pct;
-  print_result Maintain.Escrow Maintain.System_txn r;
+  print_result Maintain.Escrow Maintain.System_txn ~wall_s r;
   Printf.printf "2pc               %d cross-shard, %d local fast path; %d \
                  prepares, %d decides\n"
     st.Coord.cross_shard_commits st.Coord.single_shard_commits
@@ -270,14 +277,16 @@ let run_sharded ~shards ~cross_pct spec verbose =
    drive a server over the wire instead of in-process fibers. *)
 let run_net net max_inflight spec strategy create_mode verbose check =
   let server_config = { Ivdb_server.Server.default_config with max_inflight } in
-  let r, db = Ivdb_client.Net_workload.run_net ~transport:net ~server_config spec in
+  let (r, db), wall_s =
+    timed (fun () -> Ivdb_client.Net_workload.run_net ~transport:net ~server_config spec)
+  in
   let get = Metrics.window_get r.Workload.window in
   Printf.printf "transport         %s (%d client connections)\n"
     (match net with
     | Ivdb_client.Net_workload.Loopback -> "loopback"
     | Ivdb_client.Net_workload.Tcp -> "tcp")
     spec.Workload.mpl;
-  print_result strategy create_mode r;
+  print_result strategy create_mode ~wall_s r;
   Printf.printf "server            accepted %d, shed %d, requests %d\n"
     (get "server.accepted") (get "server.shed") (get "server.requests");
   if verbose then print_counters r;
@@ -297,13 +306,13 @@ let run_net net max_inflight spec strategy create_mode verbose check =
    follower applying the shipped WAL for the whole run. *)
 let run_replicated max_inflight spec strategy create_mode verbose =
   let server_config = { Ivdb_server.Server.default_config with max_inflight } in
-  let r, db, fdb, rr =
-    Ivdb_client.Net_workload.run_replicated ~server_config spec
+  let (r, db, fdb, rr), wall_s =
+    timed (fun () -> Ivdb_client.Net_workload.run_replicated ~server_config spec)
   in
   let get = Metrics.window_get r.Workload.window in
   Printf.printf "transport         loopback + follower (%d client connections)\n"
     spec.Workload.mpl;
-  print_result strategy create_mode r;
+  print_result strategy create_mode ~wall_s r;
   Printf.printf "server            accepted %d, shed %d, requests %d\n"
     (get "server.accepted") (get "server.shed") (get "server.requests");
   Printf.printf "replication       %d batch(es), %d record(s) shipped, %d reconnect(s)\n"
@@ -390,7 +399,7 @@ let run seed groups theta mpl txns ops deletes reads scan coarse
           Trace.set_enabled tr false;
           close_out oc
   in
-  let r = Workload.run_on db sales views_l spec in
+  let r, wall_s = timed (fun () -> Workload.run_on db sales views_l spec) in
   close_trace ();
   (* an injected crash point stopped the run: recover before reporting, as
      an operator would restart the server *)
@@ -398,9 +407,7 @@ let run seed groups theta mpl txns ops deletes reads scan coarse
     if not r.Workload.crashed then (db, views_l)
     else begin
       let names = List.map (Database.view_name db) views_l in
-      let t0 = Unix.gettimeofday () in
-      let db' = Database.crash db in
-      let recov_s = Unix.gettimeofday () -. t0 in
+      let db', recov_s = timed (fun () -> Database.crash db) in
       let m = Database.metrics db' in
       Printf.printf "injected crash fired; recovered in %.3f ms\n" (recov_s *. 1000.);
       Printf.printf "  stable records     %d\n" (Metrics.get m "recovery.stable_records");
@@ -411,7 +418,7 @@ let run seed groups theta mpl txns ops deletes reads scan coarse
       (db', List.map (Database.view db') names)
     end
   in
-  print_result strategy create_mode r;
+  print_result strategy create_mode ~wall_s r;
   (match trace_out with
   | None -> ()
   | Some path ->

@@ -249,9 +249,9 @@ let snapshot_heap_rows t ~snap tid =
   List.sort (fun (a, _) (b, _) -> Heap_file.rid_compare a b) !out
 
 (* Rows of a table, read in rid order. Without a transaction: live rows,
-   unlocked. With one: IS on the table and S on every rid, live and ghost
-   (an uncommitted delete must block the reader on its row lock, not be
-   silently invisible). Acquiring a lock can block, and while blocked a
+   unlocked, decoded from one heap walk. With one: IS on the table and S
+   on every rid, live and ghost (an uncommitted delete must block the
+   reader on its row lock, not be silently invisible). Acquiring a lock can block, and while blocked a
    writer may move a row to a new rid ([Table.update] deletes and
    re-inserts), so the rid set is collected to a fixpoint: walk the heap,
    S-lock every rid not seen before, walk again, until a walk finds no new
@@ -260,35 +260,33 @@ let snapshot_heap_rows t ~snap tid =
    instead. *)
 let heap_scan_rows_locked t txn tid =
   let rt = table_rt t tid in
-  let rids =
-    match txn with
-    | None ->
-        let rids = ref [] in
-        Heap_file.iter rt.heap (fun rid _ -> rids := rid :: !rids);
-        List.rev !rids
-    | Some tx ->
-        Txn.lock t.tmgr tx (Lock_name.Table tid) Lock_mode.IS;
-        let locked = Hashtbl.create 64 in
-        let rec grow () =
-          let fresh = ref [] in
-          Heap_file.iter_all rt.heap (fun rid _ ~ghost:_ ->
-              if not (Hashtbl.mem locked rid) then fresh := rid :: !fresh);
-          if !fresh <> [] then begin
-            List.iter
-              (fun rid ->
-                Hashtbl.replace locked rid ();
-                lock_row t tx tid rid Lock_mode.S)
-              (List.rev !fresh);
-            grow ()
-          end
-        in
-        grow ();
-        Hashtbl.fold (fun rid () acc -> rid :: acc) locked []
-        |> List.sort Heap_file.rid_compare
-  in
-  List.to_seq rids
-  |> Seq.filter_map (fun rid ->
-         Option.map (fun r -> (rid, Row.decode r)) (Heap_file.get rt.heap rid))
+  match txn with
+  | None ->
+      let rows = ref [] in
+      Heap_file.iter rt.heap (fun rid payload -> rows := (rid, payload) :: !rows);
+      List.to_seq (List.rev !rows) |> Seq.map (fun (rid, r) -> (rid, Row.decode r))
+  | Some tx ->
+      Txn.lock t.tmgr tx (Lock_name.Table tid) Lock_mode.IS;
+      let locked = Hashtbl.create 64 in
+      let rec grow () =
+        let fresh = ref [] in
+        Heap_file.iter_all rt.heap (fun rid _ ~ghost:_ ->
+            if not (Hashtbl.mem locked rid) then fresh := rid :: !fresh);
+        if !fresh <> [] then begin
+          List.iter
+            (fun rid ->
+              Hashtbl.replace locked rid ();
+              lock_row t tx tid rid Lock_mode.S)
+            (List.rev !fresh);
+          grow ()
+        end
+      in
+      grow ();
+      Hashtbl.fold (fun rid () acc -> rid :: acc) locked []
+      |> List.sort Heap_file.rid_compare
+      |> List.to_seq
+      |> Seq.filter_map (fun rid ->
+             Option.map (fun r -> (rid, Row.decode r)) (Heap_file.get rt.heap rid))
 
 let heap_scan_rows t txn tid =
   match txn with

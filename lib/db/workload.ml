@@ -61,7 +61,6 @@ type result = {
   committed_readers : int;
   given_up : int;
   ticks : int;
-  wall_s : float;
   throughput : float;
   mean_latency : float;
   p95_latency : float;
@@ -159,7 +158,6 @@ type client = { txn : reader:bool -> bool; close : unit -> unit }
    into [txn.commit_ticks], which the live reporter reads too. *)
 let closed_loop spec metrics ~on_commit body =
   let before = Metrics.capture metrics in
-  let wall0 = Unix.gettimeofday () in
   let commit_hist = Metrics.hist metrics "txn.commit_ticks" in
   let committed = ref 0 and readers = ref 0 and given_up = ref 0 in
   let start_ticks = ref 0 and end_ticks = ref 0 in
@@ -210,7 +208,6 @@ let closed_loop spec metrics ~on_commit body =
      (* an injected crash point fired: the whole run stopped mid-step, as a
         power loss would. The caller recovers with [Database.crash]. *)
      crashed := true);
-  let wall_s = Unix.gettimeofday () -. wall0 in
   let window = Metrics.window_diff ~before ~after:(Metrics.capture metrics) in
   let ticks = max 1 (!end_ticks - !start_ticks) in
   let latency = Metrics.window_cells window "txn.commit_ticks" in
@@ -220,7 +217,6 @@ let closed_loop spec metrics ~on_commit body =
     committed_readers = !readers;
     given_up = !given_up;
     ticks;
-    wall_s;
     throughput = float_of_int !committed *. 1000. /. float_of_int ticks;
     mean_latency = Metrics.cells_mean latency;
     p95_latency = float_of_int (Metrics.percentile_cells latency 95.);
@@ -293,17 +289,19 @@ let engine_client db sales views spec next_id rng zipf =
   in
   { txn; close = ignore }
 
+(* The [on_commit] of the engine's drivers: [gc_every] and
+   [checkpoint_every] count the run's commits. *)
+let maintain db spec committed =
+  (match spec.gc_every with
+  | Some n when committed mod n = 0 -> ignore (Database.gc db)
+  | Some _ | None -> ());
+  match spec.checkpoint_every with
+  | Some n when committed mod n = 0 -> Database.checkpoint db
+  | Some _ | None -> ()
+
 let run_on db sales views spec =
   let next_id = ref 0 in
-  let maintain committed =
-    (match spec.gc_every with
-    | Some n when committed mod n = 0 -> ignore (Database.gc db)
-    | Some _ | None -> ());
-    match spec.checkpoint_every with
-    | Some n when committed mod n = 0 -> Database.checkpoint db
-    | Some _ | None -> ()
-  in
-  closed_loop spec (Database.metrics db) ~on_commit:maintain (fun start ->
+  closed_loop spec (Database.metrics db) ~on_commit:(maintain db spec) (fun start ->
       let wait, _running =
         start (fun _ rng zipf ->
             Some (engine_client db sales views spec next_id rng zipf))
@@ -342,49 +340,47 @@ let run_replicated_until_crash spec fcfg =
   Wal.set_retain_floor wal (Some 1);
   (* installed even for no_faults: a counting run needs forces_seen *)
   Database.install_fault db fcfg;
-  let committed = ref 0 in
-  let crashed = ref false in
-  (try
-     Sched.run ~seed:spec.seed (fun () ->
-         let running = ref (fun () -> true) in
-         ignore
-           (Sched.spawn (fun () ->
-                while !running () do
-                  ignore (ship_wal ~batch:16 wal f);
-                  Wal.set_retain_floor wal (Some (Database.replicated_lsn f + 1));
-                  Sched.yield ()
-                done));
-         let wait, workers_running =
-           Sched.spawn_group spec.mpl (fun w ->
-               let rng = Rng.create ((spec.seed * 131) + w) in
-               let next = ref (1000 * w) in
-               for _ = 1 to spec.txns_per_worker do
-                 (try
-                    Database.transact db (fun tx ->
-                        for _ = 1 to spec.ops_per_txn do
-                          incr next;
-                          ignore
-                            (Table.insert db tx sales
-                               [|
-                                 Value.Int !next;
-                                 Value.Int (1 + Rng.int rng 5);
-                                 Value.Int (1 + Rng.int rng 10);
-                                 Value.Float 1.;
-                               |]);
-                          Sched.yield ()
-                        done);
-                    incr committed;
-                    match spec.checkpoint_every with
-                    | Some n when !committed mod n = 0 -> Database.checkpoint db
-                    | Some _ | None -> ()
-                  with Txn.Conflict _ -> ());
+  (* an insert-only writer with its own RNG: the loop's draws stay off the
+     rows it writes *)
+  let client w _ _ =
+    let rng = Rng.create ((spec.seed * 131) + w) in
+    let next = ref (1000 * w) in
+    let write tx =
+      for _ = 1 to spec.ops_per_txn do
+        incr next;
+        ignore
+          (Table.insert db tx sales
+             [|
+               Value.Int !next;
+               Value.Int (1 + Rng.int rng 5);
+               Value.Int (1 + Rng.int rng 10);
+               Value.Float 1.;
+             |]);
+        Sched.yield ()
+      done
+    in
+    let txn ~reader:_ =
+      match Database.transact db write with
+      | () -> true
+      | exception Txn.Conflict _ -> false
+    in
+    Some { txn; close = ignore }
+  in
+  let r =
+    closed_loop spec (Database.metrics db) ~on_commit:(maintain db spec) (fun start ->
+        let running = ref (fun () -> true) in
+        ignore
+          (Sched.spawn (fun () ->
+               while !running () do
+                 ignore (ship_wal ~batch:16 wal f);
+                 Wal.set_retain_floor wal (Some (Database.replicated_lsn f + 1));
                  Sched.yield ()
-               done)
-         in
-         running := workers_running;
-         wait ())
-   with Ivdb_storage.Fault.Crash_point _ -> crashed := true);
-  (db, f, !committed, !crashed)
+               done));
+        let wait, workers_running = start client in
+        running := workers_running;
+        wait ())
+  in
+  (db, f, r.committed, r.crashed)
 
 (* Incremental maintenance and the from-scratch fold add floats in different
    orders, so SUM(float) may differ in the last ulps; compare with a relative

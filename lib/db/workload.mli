@@ -7,8 +7,8 @@
     product groups. {!closed_loop} is the one driver every deployment
     shape runs it through — the engine here ({!run_on}), the server and
     replica in [Ivdb_client.Net_workload], the sharded cluster in
-    [ivdb_workload --shards] — and {!run_replicated_until_crash} the one
-    crash driver for a primary with a streaming follower. *)
+    [ivdb_workload --shards], and the crashed replicated primary of
+    {!run_replicated_until_crash}. *)
 
 type reader_locking = Key_range | Coarse_table | Snapshot
 (** How reader transactions read a view: per-key RangeS_S (the paper's
@@ -54,7 +54,6 @@ type result = {
   committed_readers : int;  (** of which reader transactions *)
   given_up : int;  (** transactions that exhausted their deadlock retries *)
   ticks : int;  (** simulated time consumed by the measured phase *)
-  wall_s : float;
   throughput : float;  (** committed transactions per 1000 ticks *)
   mean_latency : float;
       (** ticks from transaction start to commit: the mean of [window]'s
@@ -149,14 +148,15 @@ val run_replicated_until_crash :
   spec -> Ivdb_storage.Fault.config -> Database.t * Database.t * int * bool
 (** Set up [spec]'s primary, attach a fresh follower, install the fault
     plan (even {!Ivdb_storage.Fault.no_faults}, so a counting run can
-    read [forces_seen]), and run [spec.mpl] insert-only workers ([ops_per_txn] rows per
-    transaction, a sharp checkpoint every [checkpoint_every] commits)
-    while a shipper fiber streams the stable tail with {!ship_wal} and
-    advances the slot's retention floor to the follower's ack, until the
-    workers finish or an armed crash point fires. Returns
-    [(primary, follower, committed, crashed)]. Deterministic per
-    [spec.seed]: a counting run and every armed re-run interleave
-    identically up to the trigger. *)
+    read [forces_seen]), and run {!closed_loop} with insert-only clients
+    ([ops_per_txn] rows per transaction from the client's own RNG, seeded
+    [seed * 131 + w]; [gc_every] and [checkpoint_every] as in {!run_on})
+    while a shipper fiber, spawned before the workers, streams
+    the stable tail with {!ship_wal} and advances the slot's retention
+    floor to the follower's ack, until the workers finish or an armed
+    crash point fires. Returns [(primary, follower, committed, crashed)].
+    Deterministic per [spec.seed]: a counting run and every armed re-run
+    interleave identically up to the trigger. *)
 
 val check_consistency : Database.t -> Database.view -> bool
 (** Invariant V1: the view's visible contents equal a from-scratch

@@ -152,9 +152,9 @@ let prop_async_runs_consistent =
       let v' = Database.view db' "sales_by_product_0" in
       consistent_after db' v')
 
-(* the scheduler's seeded RNG fully determines the interleaving, so batch
-   boundaries — an emergent property of who reaches commit when — must be
-   reproducible run over run *)
+(* the scheduler's seeded RNG fully determines the interleaving, so the
+   whole result, batch boundaries included — an emergent property of who
+   reaches commit when — must be reproducible run over run *)
 let prop_batch_boundaries_deterministic =
   QCheck.Test.make ~name:"same seed => same batch boundaries" ~count:10
     QCheck.(int_bound 10000)
@@ -164,11 +164,7 @@ let prop_batch_boundaries_deterministic =
       let spec = with_mode (spec_of (seed + 1111) strategy) mode in
       let r1 = Workload.run spec in
       let r2 = Workload.run spec in
-      Metrics.window_cells r1.Workload.window "commit.batch"
-      = Metrics.window_cells r2.Workload.window "commit.batch"
-      && r1.Workload.committed = r2.Workload.committed
-      && Metrics.window_get r1.Workload.window "log.force"
-         = Metrics.window_get r2.Workload.window "log.force")
+      r1 = r2)
 
 let () =
   Alcotest.run "crash-props"

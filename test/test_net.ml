@@ -309,13 +309,7 @@ let test_net_workload_loopback () =
 let test_net_workload_loopback_deterministic () =
   let r1, _ = Net_workload.run_net ~transport:Loopback small_spec in
   let r2, _ = Net_workload.run_net ~transport:Loopback small_spec in
-  check Alcotest.int "same commits" r1.Workload.committed r2.Workload.committed;
-  check Alcotest.int "same ticks" r1.Workload.ticks r2.Workload.ticks;
-  check
-    Alcotest.(list (pair int int))
-    "same batch histogram"
-    (Metrics.window_cells r1.Workload.window "commit.batch")
-    (Metrics.window_cells r2.Workload.window "commit.batch")
+  Alcotest.(check bool) "same result" true (r1 = r2)
 
 let test_net_workload_group_commit_batches () =
   let spec =

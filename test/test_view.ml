@@ -553,10 +553,7 @@ let test_workload_consistency_all_strategies () =
 let test_workload_deterministic () =
   let spec = consistency_spec Maintain.Escrow in
   let r1 = Workload.run spec and r2 = Workload.run spec in
-  check Alcotest.int "same commits" r1.Workload.committed r2.Workload.committed;
-  check Alcotest.int "same ticks" r1.Workload.ticks r2.Workload.ticks;
-  Alcotest.(check bool) "same registry windows" true
-    (r1.Workload.window = r2.Workload.window)
+  Alcotest.(check bool) "same result" true (r1 = r2)
 
 (* Each commit's latency lands once in the run's window, and the mean and
    p95 that ivdb_workload and the bench print are the plain mean and

@@ -255,9 +255,9 @@ let snapshot_heap_rows t ~snap tid =
    writer may move a row to a new rid ([Table.update] deletes and
    re-inserts), so the rid set is collected to a fixpoint: walk the heap,
    S-lock every rid not seen before, walk again, until a walk finds no new
-   rid. Only locked rids are then read — a final unlocked walk would see
-   uncommitted inserts. Snapshot transactions take the lock-free MVCC path
-   instead. *)
+   rid. That last walk saw only rids locked before it began, so the live
+   rows it read are the scan's result. Snapshot transactions take the
+   lock-free MVCC path instead. *)
 let heap_scan_rows_locked t txn tid =
   let rt = table_rt t tid in
   match txn with
@@ -269,10 +269,12 @@ let heap_scan_rows_locked t txn tid =
       Txn.lock t.tmgr tx (Lock_name.Table tid) Lock_mode.IS;
       let locked = Hashtbl.create 64 in
       let rec grow () =
-        let fresh = ref [] in
-        Heap_file.iter_all rt.heap (fun rid _ ~ghost:_ ->
-            if not (Hashtbl.mem locked rid) then fresh := rid :: !fresh);
-        if !fresh <> [] then begin
+        let fresh = ref [] and live = ref [] in
+        Heap_file.iter_all rt.heap (fun rid payload ~ghost ->
+            if not (Hashtbl.mem locked rid) then fresh := rid :: !fresh
+            else if not ghost then live := (rid, payload) :: !live);
+        if !fresh = [] then !live
+        else begin
           List.iter
             (fun rid ->
               Hashtbl.replace locked rid ();
@@ -281,12 +283,10 @@ let heap_scan_rows_locked t txn tid =
           grow ()
         end
       in
-      grow ();
-      Hashtbl.fold (fun rid () acc -> rid :: acc) locked []
-      |> List.sort Heap_file.rid_compare
+      grow ()
+      |> List.sort (fun (a, _) (b, _) -> Heap_file.rid_compare a b)
       |> List.to_seq
-      |> Seq.filter_map (fun rid ->
-             Option.map (fun r -> (rid, Row.decode r)) (Heap_file.get rt.heap rid))
+      |> Seq.map (fun (rid, r) -> (rid, Row.decode r))
 
 let heap_scan_rows t txn tid =
   match txn with

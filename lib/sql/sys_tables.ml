@@ -172,8 +172,8 @@ let wal db =
   let w = Database.wal db in
   let m = Database.metrics db in
   ( [
-      "first_lsn"; "last_lsn"; "flushed_lsn"; "records"; "stable_bytes";
-      "appends"; "forces";
+      "first_lsn"; "last_lsn"; "flushed_lsn"; "records"; "retained_bytes";
+      "stable_bytes"; "appends"; "forces";
     ],
     [
       [|
@@ -181,6 +181,7 @@ let wal db =
         vint (Wal.last_lsn w);
         vint (Wal.flushed_lsn w);
         vint (Wal.record_count w);
+        vint (Wal.retained_byte_size w);
         vint (Wal.stable_byte_size w);
         vint (Metrics.get m "log.append");
         vint (Metrics.get m "log.force");

@@ -81,41 +81,56 @@ let apply w t =
     t
 
 let is_empty t = t = []
-let byte_size t = List.fold_left (fun acc (_, s) -> acc + 6 + String.length s) 0 t
+
+(* Encoding: u16 range count, then per range u16 offset | u16 length |
+   bytes. *)
+let byte_size t = List.fold_left (fun acc (_, s) -> acc + 4 + String.length s) 2 t
+
+let encode_into t b pos =
+  Bytes.set_uint16_be b pos (List.length t);
+  List.fold_left
+    (fun pos (off, s) ->
+      let n = String.length s in
+      Bytes.set_uint16_be b pos off;
+      Bytes.set_uint16_be b (pos + 2) n;
+      Bytes.blit_string s 0 b (pos + 4) n;
+      pos + 4 + n)
+    (pos + 2) t
 
 let encode t =
-  let buf = Buffer.create 64 in
-  Buffer.add_uint16_be buf (List.length t);
-  List.iter
-    (fun (off, s) ->
-      Buffer.add_uint16_be buf off;
-      Buffer.add_uint16_be buf (String.length s);
-      Buffer.add_string buf s)
-    t;
-  Buffer.contents buf
+  let b = Bytes.create (byte_size t) in
+  ignore (encode_into t b 0);
+  Bytes.unsafe_to_string b
 
-let decode s =
+(* only shapes a diff can have: non-empty, ascending and disjoint ranges
+   inside [8, Page.size) — a range below 8 would overwrite the pageLSN on
+   [apply] *)
+let well_formed t =
+  let rec from floor = function
+    | [] -> true
+    | (off, s) :: rest ->
+        let n = String.length s in
+        off >= floor && n > 0 && off + n <= Page.size && from (off + n) rest
+  in
+  from 8 t
+
+let decode_sub b pos len =
   let fail () = invalid_arg "Page_diff.decode: malformed diff" in
-  let len = String.length s in
+  let stop = pos + len in
   if len < 2 then fail ();
-  let n = (Char.code s.[0] lsl 8) lor Char.code s.[1] in
-  let pos = ref 2 in
-  (* only shapes a diff can have: non-empty, ascending and disjoint ranges
-     inside [8, Page.size) — a range below 8 would overwrite the pageLSN
-     on [apply] *)
-  let floor = ref 8 in
+  let n = Bytes.get_uint16_be b pos in
+  let pos = ref (pos + 2) in
   let ranges =
     List.init n (fun _ ->
-        if !pos + 4 > len then fail ();
-        let off = (Char.code s.[!pos] lsl 8) lor Char.code s.[!pos + 1] in
-        let l = (Char.code s.[!pos + 2] lsl 8) lor Char.code s.[!pos + 3] in
-        pos := !pos + 4;
-        if off < !floor || l = 0 || off + l > Page.size then fail ();
-        floor := off + l;
-        if !pos + l > len then fail ();
-        let bytes = String.sub s !pos l in
-        pos := !pos + l;
+        if !pos + 4 > stop then fail ();
+        let off = Bytes.get_uint16_be b !pos in
+        let l = Bytes.get_uint16_be b (!pos + 2) in
+        if !pos + 4 + l > stop then fail ();
+        let bytes = Bytes.sub_string b (!pos + 4) l in
+        pos := !pos + 4 + l;
         (off, bytes))
   in
-  if !pos <> len then fail ();
+  if !pos <> stop || not (well_formed ranges) then fail ();
   ranges
+
+let decode s = decode_sub (Bytes.unsafe_of_string s) 0 (String.length s)

@@ -33,10 +33,20 @@ val apply : Page_writer.t -> t -> unit
     {!Bufpool.update}, which logs nothing for it but stamps the page). *)
 
 val is_empty : t -> bool
+
 val byte_size : t -> int
-(** Log-volume accounting: payload bytes plus per-range framing. *)
+(** Length of {!encode}'s output. *)
 
 val encode : t -> string
+
+val encode_into : t -> bytes -> int -> int
+(** [encode_into d b pos] writes {!encode}'s bytes for [d] at [pos] and
+    returns the position after them; [b] must have {!byte_size}[ d]
+    bytes of room there. *)
+
+val well_formed : t -> bool
+(** Whether {!decode} accepts {!encode}'s output: every range non-empty,
+    in ascending order, disjoint and inside [\[8, Page.size)]. *)
 
 val decode : string -> t
 (** Inverse of {!encode}. Raises [Invalid_argument] on a malformed
@@ -45,3 +55,6 @@ val decode : string -> t
     {!Page.size}, or ranges out of order or overlapping. Log records
     shipped to a replica are decoded here, so a bad range stops at
     decode, not inside redo. *)
+
+val decode_sub : bytes -> int -> int -> t
+(** [decode_sub b pos len] is {!decode} of the [len] bytes at [pos]. *)

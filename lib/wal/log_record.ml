@@ -37,143 +37,176 @@ type t = { lsn : lsn; txn : int; prev : lsn; body : body }
 (* --- binary serialization ----------------------------------------------
 
    Layout: i32 lsn | i32 txn | i32 prev | u8 body tag | body. Strings are
-   u32-length-framed; integers big-endian. The same writer functions drive
-   both [encode] (emitting into a Buffer) and [byte_size] (summing), so the
-   accounting is exact by construction. *)
+   u32-length-framed; integers big-endian. [size] sums the layout from
+   field lengths; the writers put each field straight into the caller's
+   bytes and return the position after it. [encode_into] checks that the
+   writers end where [size] said. *)
 
-let add_i32 buf v =
-  let b = Bytes.create 4 in
-  Ivdb_util.Bytes_util.set_u32 b 0 v;
-  Buffer.add_bytes buf b
+module B = Ivdb_util.Bytes_util
+module Page_diff = Ivdb_storage.Page_diff
 
-let add_str buf s =
-  add_i32 buf (String.length s);
-  Buffer.add_string buf s
+let str_size s = 4 + String.length s
 
-let add_rid buf (rid : rid) =
-  add_i32 buf rid.Ivdb_storage.Heap_file.rpage;
-  add_i32 buf rid.Ivdb_storage.Heap_file.rslot
+let undo_size = function
+  | No_undo -> 1
+  | Undo_heap_insert _ | Undo_heap_delete _ -> 13
+  | Undo_heap_update u -> 13 + str_size u.before
+  | Undo_bt_insert u -> 5 + str_size u.key
+  | Undo_bt_delete u -> 5 + str_size u.key + str_size u.value
+  | Undo_bt_update u -> 5 + str_size u.key + str_size u.before
+  | Undo_escrow u -> 5 + str_size u.key + str_size u.inverse
 
-let add_undo buf = function
-  | No_undo -> Buffer.add_char buf '\000'
+let redo_size redo =
+  List.fold_left (fun acc (_, d) -> acc + 8 + Page_diff.byte_size d) 4 redo
+
+let pairs_size pairs = 4 + (8 * List.length pairs)
+
+let body_size = function
+  | Begin _ -> 2
+  | Commit | Abort | End -> 1
+  | Update u -> 1 + redo_size u.redo + undo_size u.undo
+  | Clr c -> 1 + redo_size c.redo + 4
+  | Checkpoint c ->
+      1 + pairs_size c.active + pairs_size c.dpt + str_size c.catalog
+  | Ddl s -> 1 + str_size s
+  | Prepare p -> 1 + str_size p.gtxn + str_size p.participants
+  | Decision d -> 1 + str_size d.gtxn + 1
+
+let size t = 12 + body_size t.body
+
+let put_u8 b pos c =
+  Bytes.set b pos c;
+  pos + 1
+
+let put_i32 b pos v =
+  B.set_u32 b pos v;
+  pos + 4
+
+let put_str b pos s =
+  let n = String.length s in
+  let pos = put_i32 b pos n in
+  Bytes.blit_string s 0 b pos n;
+  pos + n
+
+let put_rid b pos (rid : rid) =
+  let pos = put_i32 b pos rid.Ivdb_storage.Heap_file.rpage in
+  put_i32 b pos rid.Ivdb_storage.Heap_file.rslot
+
+let put_undo b pos = function
+  | No_undo -> put_u8 b pos '\000'
   | Undo_heap_insert u ->
-      Buffer.add_char buf '\001';
-      add_i32 buf u.table;
-      add_rid buf u.rid
+      let pos = put_i32 b (put_u8 b pos '\001') u.table in
+      put_rid b pos u.rid
   | Undo_heap_delete u ->
-      Buffer.add_char buf '\002';
-      add_i32 buf u.table;
-      add_rid buf u.rid
+      let pos = put_i32 b (put_u8 b pos '\002') u.table in
+      put_rid b pos u.rid
   | Undo_heap_update u ->
-      Buffer.add_char buf '\003';
-      add_i32 buf u.table;
-      add_rid buf u.rid;
-      add_str buf u.before
+      let pos = put_i32 b (put_u8 b pos '\003') u.table in
+      put_str b (put_rid b pos u.rid) u.before
   | Undo_bt_insert u ->
-      Buffer.add_char buf '\004';
-      add_i32 buf u.index;
-      add_str buf u.key
+      let pos = put_i32 b (put_u8 b pos '\004') u.index in
+      put_str b pos u.key
   | Undo_bt_delete u ->
-      Buffer.add_char buf '\005';
-      add_i32 buf u.index;
-      add_str buf u.key;
-      add_str buf u.value
+      let pos = put_i32 b (put_u8 b pos '\005') u.index in
+      put_str b (put_str b pos u.key) u.value
   | Undo_bt_update u ->
-      Buffer.add_char buf '\006';
-      add_i32 buf u.index;
-      add_str buf u.key;
-      add_str buf u.before
+      let pos = put_i32 b (put_u8 b pos '\006') u.index in
+      put_str b (put_str b pos u.key) u.before
   | Undo_escrow u ->
-      Buffer.add_char buf '\007';
-      add_i32 buf u.view;
-      add_str buf u.key;
-      add_str buf u.inverse
+      let pos = put_i32 b (put_u8 b pos '\007') u.view in
+      put_str b (put_str b pos u.key) u.inverse
 
-let add_redo buf redo =
-  add_i32 buf (List.length redo);
-  List.iter
-    (fun (pid, diff) ->
-      add_i32 buf pid;
-      add_str buf (Ivdb_storage.Page_diff.encode diff))
+(* each diff is a u32-framed string holding [Page_diff.encode]'s bytes *)
+let put_redo b pos redo =
+  List.fold_left
+    (fun pos (pid, diff) ->
+      let pos = put_i32 b pos pid in
+      let pos = put_i32 b pos (Page_diff.byte_size diff) in
+      Page_diff.encode_into diff b pos)
+    (put_i32 b pos (List.length redo))
     redo
 
-let add_pairs buf pairs =
-  add_i32 buf (List.length pairs);
-  List.iter
-    (fun (a, b) ->
-      add_i32 buf a;
-      add_i32 buf b)
+let put_pairs b pos pairs =
+  List.fold_left
+    (fun pos (x, y) -> put_i32 b (put_i32 b pos x) y)
+    (put_i32 b pos (List.length pairs))
     pairs
 
-let add_body buf = function
-  | Begin b ->
-      Buffer.add_char buf 'B';
-      Buffer.add_char buf (if b.system then '\001' else '\000')
-  | Commit -> Buffer.add_char buf 'C'
-  | Abort -> Buffer.add_char buf 'A'
-  | End -> Buffer.add_char buf 'E'
-  | Update u ->
-      Buffer.add_char buf 'U';
-      add_redo buf u.redo;
-      add_undo buf u.undo
-  | Clr c ->
-      Buffer.add_char buf 'R';
-      add_redo buf c.redo;
-      add_i32 buf c.undo_next
+let put_body b pos = function
+  | Begin x -> put_u8 b (put_u8 b pos 'B') (if x.system then '\001' else '\000')
+  | Commit -> put_u8 b pos 'C'
+  | Abort -> put_u8 b pos 'A'
+  | End -> put_u8 b pos 'E'
+  | Update u -> put_undo b (put_redo b (put_u8 b pos 'U') u.redo) u.undo
+  | Clr c -> put_i32 b (put_redo b (put_u8 b pos 'R') c.redo) c.undo_next
   | Checkpoint c ->
-      Buffer.add_char buf 'K';
-      add_pairs buf c.active;
-      add_pairs buf c.dpt;
-      add_str buf c.catalog
-  | Ddl s ->
-      Buffer.add_char buf 'D';
-      add_str buf s
-  | Prepare p ->
-      Buffer.add_char buf 'P';
-      add_str buf p.gtxn;
-      add_str buf p.participants
+      let pos = put_pairs b (put_u8 b pos 'K') c.active in
+      put_str b (put_pairs b pos c.dpt) c.catalog
+  | Ddl s -> put_str b (put_u8 b pos 'D') s
+  | Prepare p -> put_str b (put_str b (put_u8 b pos 'P') p.gtxn) p.participants
   | Decision d ->
-      Buffer.add_char buf 'V';
-      add_str buf d.gtxn;
-      Buffer.add_char buf (if d.committed then '\001' else '\000')
+      put_u8 b (put_str b (put_u8 b pos 'V') d.gtxn)
+        (if d.committed then '\001' else '\000')
+
+let encode_into t room =
+  let n = size t in
+  let b, pos = room n in
+  let pos' = put_i32 b pos t.lsn in
+  let pos' = put_i32 b pos' t.txn in
+  let pos' = put_i32 b pos' t.prev in
+  if put_body b pos' t.body <> pos + n then
+    invalid_arg "Log_record.encode_into: size and writers disagree";
+  n
 
 let encode t =
-  let buf = Buffer.create 64 in
-  add_i32 buf t.lsn;
-  add_i32 buf t.txn;
-  add_i32 buf t.prev;
-  add_body buf t.body;
-  Buffer.contents buf
+  let out = ref Bytes.empty in
+  ignore
+    (encode_into t (fun n ->
+         out := Bytes.create n;
+         (!out, 0)));
+  Bytes.unsafe_to_string !out
 
-let byte_size t = String.length (encode t)
+let decodable t =
+  match t.body with
+  | Update { redo; _ } | Clr { redo; _ } ->
+      List.for_all (fun (_, d) -> Page_diff.well_formed d) redo
+  | Begin _ | Commit | Abort | End | Checkpoint _ | Ddl _ | Prepare _
+  | Decision _ ->
+      true
+
+(* the fixed header, read in place *)
+
+let txn_at b pos = B.get_u32 b (pos + 4)
+let tag_at b pos = Bytes.get b (pos + 12)
+let ends_txn_at b pos = match tag_at b pos with 'C' | 'E' -> true | _ -> false
+let checkpoint_at b pos = tag_at b pos = 'K'
 
 (* decoding *)
 
-type reader = { src : string; mutable pos : int }
+type reader = { src : bytes; mutable pos : int; stop : int }
 
 let fail () = invalid_arg "Log_record.decode: malformed record"
 
 let rd_u8 r =
-  if r.pos >= String.length r.src then fail ();
-  let c = Char.code r.src.[r.pos] in
+  if r.pos >= r.stop then fail ();
+  let c = Bytes.get_uint8 r.src r.pos in
   r.pos <- r.pos + 1;
   c
 
 let rd_i32 r =
-  if r.pos + 4 > String.length r.src then fail ();
-  let v =
-    (Char.code r.src.[r.pos] lsl 24)
-    lor (Char.code r.src.[r.pos + 1] lsl 16)
-    lor (Char.code r.src.[r.pos + 2] lsl 8)
-    lor Char.code r.src.[r.pos + 3]
-  in
+  if r.pos + 4 > r.stop then fail ();
+  let v = B.get_u32 r.src r.pos in
   r.pos <- r.pos + 4;
   v
 
-let rd_str r =
+let rd_len r =
   let len = rd_i32 r in
-  if r.pos + len > String.length r.src then fail ();
-  let s = String.sub r.src r.pos len in
+  if r.pos + len > r.stop then fail ();
+  len
+
+let rd_str r =
+  let len = rd_len r in
+  let s = Bytes.sub_string r.src r.pos len in
   r.pos <- r.pos + len;
   s
 
@@ -216,7 +249,10 @@ let rd_redo r =
   let n = rd_i32 r in
   List.init n (fun _ ->
       let pid = rd_i32 r in
-      (pid, Ivdb_storage.Page_diff.decode (rd_str r)))
+      let len = rd_len r in
+      let diff = Page_diff.decode_sub r.src r.pos len in
+      r.pos <- r.pos + len;
+      (pid, diff))
 
 let rd_pairs r =
   let n = rd_i32 r in
@@ -250,14 +286,16 @@ let rd_body r =
       Decision { gtxn; committed = rd_u8 r = 1 }
   | _ -> fail ()
 
-let decode s =
-  let r = { src = s; pos = 0 } in
+let decode_sub b pos len =
+  let r = { src = b; pos; stop = pos + len } in
   let lsn = rd_i32 r in
   let txn = rd_i32 r in
   let prev = rd_i32 r in
   let body = rd_body r in
-  if r.pos <> String.length s then fail ();
+  if r.pos <> r.stop then fail ();
   { lsn; txn; prev; body }
+
+let decode s = decode_sub (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let pages_touched t =
   match t.body with

@@ -61,11 +61,33 @@ type t = { lsn : lsn; txn : int; prev : lsn; body : body }
 val encode : t -> string
 (** Binary serialization: length-framed fields, big-endian integers. *)
 
+val encode_into : t -> (int -> bytes * int) -> int
+(** [encode_into r room] writes {!encode}'s bytes for [r] in place and
+    returns their length [n]: [room n] names the bytes and the offset
+    with [n] free bytes to write them at. *)
+
+val decodable : t -> bool
+(** Whether {!decode} accepts {!encode}'s output. It does not only when
+    a page diff is not {!Ivdb_storage.Page_diff.well_formed}. *)
+
 val decode : string -> t
 (** Inverse of [encode]; raises [Invalid_argument] on malformed input. *)
 
-val byte_size : t -> int
-(** Exact size of {!encode}'s output (computed without materializing it). *)
+val decode_sub : bytes -> int -> int -> t
+(** [decode_sub b pos len] is {!decode} of the [len] bytes at [pos]. *)
+
+(** {2 The fixed header}
+
+    Every encoding starts [i32 lsn | i32 txn | i32 prev | u8 body tag].
+    These read it in place, given the bytes and the encoding's offset,
+    without decoding the body. *)
+
+val txn_at : bytes -> int -> int
+
+val ends_txn_at : bytes -> int -> bool
+(** A [Commit] or an [End]. *)
+
+val checkpoint_at : bytes -> int -> bool
 
 val pages_touched : t -> int list
 val pp : Format.formatter -> t -> unit

@@ -1,5 +1,6 @@
 (** The write-ahead log: an append-only record sequence with a stable
-    (forced) prefix.
+    (forced) prefix. Each retained record is held once, as the payload
+    bytes {!Log_record.encode} gives; reads decode it.
 
     LSNs are dense indices into the log, starting at 1. A simulated crash
     keeps only the forced prefix — records past [flushed_lsn] are lost,
@@ -13,10 +14,13 @@ val create : ?trace:Ivdb_util.Trace.t -> Ivdb_util.Metrics.t -> t
 (** [trace] defaults to a fresh disabled trace (no events observable). *)
 
 val append : t -> txn:int -> prev:Log_record.lsn -> Log_record.body -> Log_record.lsn
-(** Counts [log.append] and [log.bytes]; traces [wal.append]. *)
+(** Encodes the record once, into the log's store. Counts [log.append]
+    and [log.bytes] (the payload length); traces [wal.append]. *)
 
 val get : t -> Log_record.lsn -> Log_record.t
-(** Raises [Invalid_argument] for LSN 0 or beyond the end. *)
+(** Decodes the stored record. Raises [Invalid_argument] for LSN 0, a
+    truncated LSN or one beyond the end, and for a record that is not
+    {!Log_record.decodable}. *)
 
 val last_lsn : t -> Log_record.lsn
 (** 0 when empty. *)
@@ -117,15 +121,14 @@ val commit_horizon : t -> Log_record.lsn
     followers as the last-committed LSN. *)
 
 val crash : t -> ?trace:Ivdb_util.Trace.t -> Ivdb_util.Metrics.t -> t
-(** The log as found after a crash: the stable prefix, round-tripped
-    through the binary codec. The stable records are serialized with
-    length+checksum framing (as {!serialize_range} from {!first_lsn} to
-    {!flushed_lsn}), a pending tear (from a torn force or
-    {!set_torn_tail}) cuts the stream at byte granularity, and
-    deserialization keeps only the longest prefix of complete,
-    checksum-valid, densely-chained frames — a partial record and
+(** The log as found after a crash: the stable prefix as a device holds
+    it, framed as {!serialize_range} from {!first_lsn} to {!flushed_lsn}.
+    A pending tear (from a torn force or {!set_torn_tail}) cuts that
+    stream at byte granularity, and a reader keeps only the longest
+    prefix of complete frames that decode — a partial record and
     everything after it are discarded (counted as
-    [wal.torn_tail_dropped]). The copy reports into the given
+    [wal.torn_tail_dropped]). The copy holds those records' stored bytes,
+    copied, without re-encoding them. It reports into the given
     metrics/trace (the pre-crash instances are dead). *)
 
 val set_torn_tail : t -> int -> unit
@@ -150,3 +153,10 @@ val record_count : t -> int
 (** Retained records. *)
 
 val stable_byte_size : t -> int
+(** Payload bytes made stable over the log's life: every force and
+    ingest adds the records it makes stable, and truncation takes nothing
+    away. A {!crash} copy starts from the bytes of the records it keeps. *)
+
+val retained_byte_size : t -> int
+(** Payload bytes of the retained records, stable or not: what the log
+    holds now. Falls at {!truncate_before}. *)

@@ -11,6 +11,7 @@ module Maintain = Ivdb_core.Maintain
 module Txn = Ivdb_txn.Txn
 module Rng = Ivdb_util.Rng
 module Sql = Ivdb_sql.Sql
+module Metrics = Ivdb_util.Metrics
 
 let check = Alcotest.check
 
@@ -107,6 +108,39 @@ let test_secondary_index_probe () =
       ~table:(Database.Internal.table_id t) ~col:1 (Value.Int 1)
   in
   check Alcotest.int "probe empty" 0 (Seq.length rows)
+
+(* A serializable scan reads each page, not each row: its lock fixpoint
+   walks the heap twice (the second walk finds no new rid and its live
+   rows are the result), so its buffer fixes stay within twice the
+   table's pages, which an unlocked scan fixes once each. Ghosts of
+   committed deletes are locked but not returned. *)
+let test_locked_scan_fixes_pages () =
+  let db, t = make_db () in
+  let rids =
+    Database.transact db (fun tx ->
+        List.init 2000 (fun i -> Table.insert db tx t (row i (i mod 7) i)))
+  in
+  Database.transact db (fun tx ->
+      List.iteri (fun i rid -> if i mod 5 = 0 then Table.delete db tx t rid) rids);
+  let m = Database.metrics db in
+  let fixes f =
+    let count () = Metrics.get m "buffer.hit" + Metrics.get m "buffer.miss" in
+    let before = count () in
+    let v = f () in
+    (count () - before, v)
+  in
+  let scan txn = List.of_seq (Query.table_scan db txn t Query.Serializable) in
+  let pages, unlocked = fixes (fun () -> scan None) in
+  let locked_fixes, locked =
+    fixes (fun () -> Database.transact db (fun tx -> scan (Some tx)))
+  in
+  check Alcotest.int "live rows" 1600 (List.length locked);
+  Alcotest.(check bool) "same rows in rid order" true
+    (List.equal Row.equal unlocked locked);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d fixes within twice the %d pages" locked_fixes pages)
+    true
+    (locked_fixes <= 2 * pages)
 
 let test_lock_escalation () =
   let config = { config with Database.escalation_threshold = Some 5 } in
@@ -797,6 +831,8 @@ let () =
           Alcotest.test_case "scan where" `Quick test_table_scan_where;
           Alcotest.test_case "update moves row" `Quick test_update_moves_row;
           Alcotest.test_case "secondary index" `Quick test_secondary_index_probe;
+          Alcotest.test_case "locked scan fixes pages, not rows" `Quick
+            test_locked_scan_fixes_pages;
           Alcotest.test_case "lock escalation" `Quick test_lock_escalation;
           Alcotest.test_case "escalated lock blocks writers" `Quick
             test_escalated_table_blocks_writers;

@@ -270,7 +270,20 @@ let test_quiesced_snapshot_consistent () =
   match rows_of (Sql.exec s "SELECT * FROM sys.wal") with
   | [ row ] ->
       Alcotest.(check bool) "flushed <= last" true
-        (int_cell wh "flushed_lsn" row <= int_cell wh "last_lsn" row)
+        (int_cell wh "flushed_lsn" row <= int_cell wh "last_lsn" row);
+      check Alcotest.int "retained_bytes = the log's retained payloads"
+        (Ivdb_wal.Wal.retained_byte_size (Database.wal db2))
+        (int_cell wh "retained_bytes" row);
+      (* a checkpoint truncates: what the log holds falls, what it has
+         flushed over its life does not *)
+      ignore (Sql.exec s "CHECKPOINT");
+      (match rows_of (Sql.exec s "SELECT * FROM sys.wal") with
+      | [ after ] ->
+          Alcotest.(check bool) "retained_bytes falls at a checkpoint" true
+            (int_cell wh "retained_bytes" after < int_cell wh "retained_bytes" row);
+          Alcotest.(check bool) "stable_bytes does not" true
+            (int_cell wh "stable_bytes" after >= int_cell wh "stable_bytes" row)
+      | _ -> Alcotest.fail "expected one wal row")
   | _ -> Alcotest.fail "expected one wal row"
 
 (* --- determinism over loopback --------------------------------------------- *)

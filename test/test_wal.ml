@@ -91,9 +91,23 @@ let prop_codec_roundtrip =
   QCheck.Test.make ~name:"log record encode/decode roundtrip" ~count:500 record_arb
     (fun r -> LR.decode (LR.encode r) = r)
 
+(* the length the log stores, counts and frames for a record is that of
+   [encode]'s output *)
 let prop_byte_size_exact =
   QCheck.Test.make ~name:"byte_size equals encoded length" ~count:200 record_arb
-    (fun r -> LR.byte_size r = String.length (LR.encode r))
+    (fun r ->
+      let m = Metrics.create () in
+      let w = Wal.create m in
+      let r = { r with LR.lsn = 1 } in
+      ignore (Wal.append w ~txn:r.LR.txn ~prev:r.LR.prev r.LR.body);
+      Wal.force w 1;
+      let n = String.length (LR.encode r) in
+      let frame = Wal.serialize_range w ~from:1 ~upto:1 in
+      Metrics.get m "log.bytes" = n
+      && Wal.stable_byte_size w = n
+      && Wal.retained_byte_size w = n
+      && String.length frame = 8 + n
+      && Ivdb_util.Bytes_util.get_u32 (Bytes.of_string frame) 0 = n)
 
 let test_decode_garbage () =
   Alcotest.check_raises "garbage" (Invalid_argument "Log_record.decode: malformed record")
@@ -207,7 +221,7 @@ let test_stable_bytes_accounting () =
   let l1 = Wal.append w ~txn:1 ~prev:0 LR.Commit in
   Wal.force w l1;
   check Alcotest.int "exact byte accounting"
-    (LR.byte_size (Wal.get w l1))
+    (String.length (LR.encode (Wal.get w l1)))
     (Wal.stable_byte_size w)
 
 (* --- torn tail --------------------------------------------------------------- *)
@@ -234,7 +248,7 @@ let test_torn_tail_sweep () =
   (* bounds.(l) = byte offset at which record l's frame ends *)
   let bounds = Array.make (n + 1) 0 in
   for l = 1 to n do
-    bounds.(l) <- bounds.(l - 1) + 8 + LR.byte_size (Wal.get w l)
+    bounds.(l) <- bounds.(l - 1) + 8 + String.length (LR.encode (Wal.get w l))
   done;
   check Alcotest.int "stream length = sum of frames" bounds.(n)
     (String.length stream);
@@ -299,7 +313,7 @@ let prop_torn_tail_prefix =
       let off = ref 0 in
       let expected = ref 0 in
       for l = 1 to Wal.last_lsn w do
-        off := !off + 8 + LR.byte_size (Wal.get w l);
+        off := !off + 8 + String.length (LR.encode (Wal.get w l));
         if !off <= cut then expected := l
       done;
       ok := Wal.last_lsn w' = !expected;
@@ -307,6 +321,296 @@ let prop_torn_tail_prefix =
         if Wal.get w' l <> Wal.get w l then ok := false
       done;
       !ok)
+
+(* --- the store against a model ----------------------------------------- *)
+
+(* The log is checked against a plain list of the records it should
+   retain, with the stable prefix, retain floor, checkpoint, byte counts
+   and commit boundaries kept beside it by the rules [wal.mli] states.
+   Commit boundaries come from [Wal.track_open_txns] on the typed
+   records; the log finds them from the stored bytes. *)
+
+type op =
+  | Append of int * LR.body (* txn, body *)
+  | Ingest of int * LR.body
+  | Force of int (* to [flushed + k] *)
+  | Truncate of int (* before [first + k] *)
+  | Floor of int option (* at [first + k] *)
+  | Crash of int option (* tear at [k] modulo the stream's length + 1 *)
+
+(* larger than a store chunk *)
+let big_checkpoint_gen =
+  QCheck.Gen.(
+    map
+      (fun (n, c) ->
+        LR.Checkpoint { active = [ (1, 2) ]; dpt = []; catalog = String.make n c })
+      (pair (int_range 20_000 40_000) printable))
+
+let any_body_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (12, body_gen);
+        ( 2,
+          map2
+            (fun g p -> LR.Prepare { gtxn = g; participants = p })
+            str_gen str_gen );
+        (2, map2 (fun g c -> LR.Decision { gtxn = g; committed = c }) str_gen bool);
+        (1, big_checkpoint_gen);
+      ])
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (10, map2 (fun txn b -> Append (txn, b)) (int_bound 4) any_body_gen);
+        (2, map2 (fun txn b -> Ingest (txn, b)) (int_bound 4) any_body_gen);
+        (4, map (fun k -> Force k) (int_range (-2) 6));
+        (2, map (fun k -> Truncate k) (int_range (-1) 8));
+        (1, map (fun k -> Floor k) (opt (int_bound 6)));
+        (1, map (fun k -> Crash k) (opt (int_bound 100_000)));
+      ])
+
+let pp_op = function
+  | Append (txn, b) ->
+      Format.asprintf "append txn=%d %a" txn LR.pp { LR.lsn = 0; txn; prev = 0; body = b }
+  | Ingest (txn, b) ->
+      Format.asprintf "ingest txn=%d %a" txn LR.pp { LR.lsn = 0; txn; prev = 0; body = b }
+  | Force k -> Printf.sprintf "force +%d" k
+  | Truncate k -> Printf.sprintf "truncate first+%d" k
+  | Floor None -> "floor none"
+  | Floor (Some k) -> Printf.sprintf "floor first+%d" k
+  | Crash None -> "crash"
+  | Crash (Some k) -> Printf.sprintf "crash torn at %d" k
+
+type model = {
+  mutable recs : LR.t list; (* retained, ascending *)
+  mutable base : int;
+  mutable flushed : int;
+  mutable floor : int option;
+  mutable ckpt : int;
+  mutable stable : int;
+  open_txns : (int, unit) Hashtbl.t;
+  mutable bounds : int list; (* ascending *)
+}
+
+let fresh_model () =
+  {
+    recs = [];
+    base = 0;
+    flushed = 0;
+    floor = None;
+    ckpt = 0;
+    stable = 0;
+    open_txns = Hashtbl.create 8;
+    bounds = [];
+  }
+
+let m_last m = m.base + List.length m.recs
+let size r = String.length (LR.encode r)
+let m_stable m = List.filter (fun r -> r.LR.lsn <= m.flushed) m.recs
+
+let m_add m r =
+  m.recs <- m.recs @ [ r ];
+  if Wal.track_open_txns m.open_txns r then m.bounds <- m.bounds @ [ r.LR.lsn ]
+
+let m_flush m lsn =
+  List.iter
+    (fun r ->
+      if r.LR.lsn > m.flushed && r.LR.lsn <= lsn then begin
+        m.stable <- m.stable + size r;
+        match r.LR.body with LR.Checkpoint _ -> m.ckpt <- r.LR.lsn | _ -> ()
+      end)
+    m.recs;
+  m.flushed <- max m.flushed lsn
+
+let m_truncate m lsn =
+  let lsn = min lsn (m.flushed + 1) in
+  let lsn = match m.floor with Some f -> min lsn f | None -> lsn in
+  if lsn - 1 > m.base then begin
+    m.base <- lsn - 1;
+    m.recs <- List.filter (fun r -> r.LR.lsn > m.base) m.recs;
+    m.bounds <- List.filter (fun b -> b > m.base) m.bounds
+  end
+
+let m_horizon m upto =
+  List.fold_left (fun acc b -> if b <= upto then b else acc) 0 m.bounds
+
+let frame r =
+  let p = LR.encode r in
+  let hdr = Bytes.create 8 in
+  Ivdb_util.Bytes_util.set_u32 hdr 0 (String.length p);
+  Ivdb_util.Bytes_util.set_u32 hdr 4
+    (Ivdb_util.Bytes_util.fnv1a32_string p 0 (String.length p));
+  Bytes.to_string hdr ^ p
+
+(* a reader of the stable stream cut at [cut] keeps the records whose
+   frames end by then *)
+let m_crash m cut =
+  let c = fresh_model () in
+  c.base <- m.base;
+  let off = ref 0 in
+  List.iter
+    (fun r ->
+      off := !off + 8 + size r;
+      if !off <= cut then m_add c r)
+    (m_stable m);
+  m_flush c (m_last c);
+  c
+
+let agree w m =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let first = m.base + 1 in
+  if Wal.first_lsn w <> first || Wal.last_lsn w <> m_last m
+     || Wal.flushed_lsn w <> m.flushed
+     || Wal.record_count w <> List.length m.recs
+  then
+    fail "window: first %d/%d last %d/%d flushed %d/%d" (Wal.first_lsn w) first
+      (Wal.last_lsn w) (m_last m) (Wal.flushed_lsn w) m.flushed;
+  List.iter
+    (fun r ->
+      if Wal.get w r.LR.lsn <> r then fail "get %d differs" r.LR.lsn)
+    m.recs;
+  List.iter
+    (fun lsn ->
+      match Wal.get w lsn with
+      | _ -> fail "get %d should raise" lsn
+      | exception Invalid_argument _ -> ())
+    ((if m.base > 0 then [ m.base ] else []) @ [ m_last m + 1 ]);
+  let stable = m_stable m in
+  let seen = ref [] in
+  Wal.iter_from w ~from:first (fun r -> seen := r :: !seen);
+  if List.rev !seen <> stable then fail "iter_from %d differs" first;
+  let mid = (first + m.flushed + 1) / 2 in
+  let seen = ref [] in
+  Wal.iter_from w ~from:mid (fun r -> seen := r :: !seen);
+  if List.rev !seen <> List.filter (fun r -> r.LR.lsn >= mid) stable then
+    fail "iter_from %d differs" mid;
+  if Wal.serialize_range w ~from:first ~upto:m.flushed
+     <> String.concat "" (List.map frame stable)
+  then fail "serialize_range [%d, %d] differs" first m.flushed;
+  if Wal.serialize_range w ~from:mid ~upto:m.flushed
+     <> String.concat "" (List.map frame (List.filter (fun r -> r.LR.lsn >= mid) stable))
+  then fail "serialize_range [%d, %d] differs" mid m.flushed;
+  for upto = m.base to m_last m do
+    if Wal.commit_horizon_upto w ~upto <> m_horizon m upto then
+      fail "commit_horizon_upto %d: %d, model %d" upto
+        (Wal.commit_horizon_upto w ~upto) (m_horizon m upto)
+  done;
+  if Wal.commit_horizon w <> m_horizon m m.flushed then fail "commit_horizon";
+  if Wal.last_checkpoint_lsn w <> m.ckpt then
+    fail "last_checkpoint_lsn %d, model %d" (Wal.last_checkpoint_lsn w) m.ckpt;
+  if Wal.stable_byte_size w <> m.stable then
+    fail "stable_byte_size %d, model %d" (Wal.stable_byte_size w) m.stable;
+  let retained = List.fold_left (fun a r -> a + size r) 0 m.recs in
+  if Wal.retained_byte_size w <> retained then
+    fail "retained_byte_size %d, model %d" (Wal.retained_byte_size w) retained
+
+let run_ops ops =
+  let w = ref (make ()) and m = ref (fresh_model ()) in
+  List.iter
+    (fun op ->
+      (match op with
+      | Append (txn, body) ->
+          let prev = m_last !m in
+          let lsn = Wal.append !w ~txn ~prev body in
+          m_add !m { LR.lsn; txn; prev; body }
+      | Ingest (txn, body) ->
+          let r = { LR.lsn = m_last !m + 1; txn; prev = 0; body } in
+          Wal.ingest !w r;
+          m_add !m r;
+          m_flush !m r.LR.lsn
+      | Force k ->
+          let lsn = !m.flushed + k in
+          Wal.force !w lsn;
+          m_flush !m (min lsn (m_last !m))
+      | Truncate k ->
+          Wal.truncate_before !w (!m.base + 1 + k);
+          m_truncate !m (!m.base + 1 + k)
+      | Floor k ->
+          let f = Option.map (fun k -> !m.base + 1 + k) k in
+          Wal.set_retain_floor !w f;
+          !m.floor <- f
+      | Crash tear ->
+          let len =
+            String.length
+              (Wal.serialize_range !w ~from:(Wal.first_lsn !w)
+                 ~upto:(Wal.flushed_lsn !w))
+          in
+          let cut = match tear with Some k -> k mod (len + 1) | None -> len in
+          Option.iter (fun _ -> Wal.set_torn_tail !w cut) tear;
+          let metrics = Metrics.create () in
+          let w' = Wal.crash !w metrics in
+          let m' = m_crash !m cut in
+          let dropped = !m.flushed - m'.flushed in
+          if Metrics.get metrics "wal.torn_tail_dropped" <> dropped then
+            QCheck.Test.fail_reportf "torn_tail_dropped %d, model %d"
+              (Metrics.get metrics "wal.torn_tail_dropped")
+              dropped;
+          w := w';
+          m := m');
+      agree !w !m)
+    ops;
+  true
+
+let prop_store_model =
+  QCheck.Test.make ~name:"store agrees with a list of records" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "\n" (List.map pp_op ops))
+        Gen.(list_size (int_range 1 40) op_gen))
+    run_ops
+
+(* --- memory ------------------------------------------------------------- *)
+
+(* The log holds each record once, as its encoded bytes: its heap is at
+   most those bytes in words, plus 2 words a record (its offset's slot in
+   an array that grows by doubling, and a 3-word list cell per commit
+   boundary, here one record in four), plus two chunks of room (the open
+   chunk's free bytes, and the bytes before the cut in the chunk a
+   truncation lands in), over what an empty log holds. A typed copy of
+   the records does not fit: the Update below is 106 bytes encoded, 14
+   words, and 40-odd words decoded. *)
+
+let words x = Obj.reachable_words (Obj.repr x)
+let chunk_bytes = 16384 (* the log's chunk size *)
+
+(* the log's own words: without the metrics registry it reports into *)
+let log_words w m = words w - words m
+
+let typical_txn w txn =
+  let update page =
+    LR.Update
+      {
+        redo = [ (page, [ (100, String.make 8 'a'); (4000, String.make 24 'b') ]) ];
+        undo = LR.Undo_escrow { view = 3; key = String.make 9 'k'; inverse = String.make 17 'i' };
+      }
+  in
+  let l = Wal.append w ~txn ~prev:0 (LR.Begin { system = false }) in
+  let l = Wal.append w ~txn ~prev:l (update txn) in
+  let l = Wal.append w ~txn ~prev:l (update (txn + 1)) in
+  ignore (Wal.append w ~txn ~prev:l LR.Commit)
+
+let test_memory_bound () =
+  let m0 = Metrics.create () in
+  let empty = log_words (Wal.create m0) m0 in
+  let m = Metrics.create () in
+  let w = Wal.create m in
+  for txn = 1 to 1000 do
+    typical_txn w txn
+  done;
+  Wal.force w (Wal.last_lsn w);
+  let within what =
+    let bytes = Wal.retained_byte_size w and n = Wal.record_count w in
+    let bound = empty + ((bytes + 7) / 8) + (2 * n) + (2 * chunk_bytes / 8) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d words within %d" what (log_words w m) bound)
+      true
+      (log_words w m <= bound)
+  in
+  within "4,000 records";
+  Wal.truncate_before w 3_001;
+  within "after truncation"
 
 (* --- golden log bytes ------------------------------------------------------ *)
 
@@ -380,4 +684,7 @@ let () =
             test_crash_roundtrips_codec;
           qtest prop_torn_tail_prefix;
         ] );
+      ("store", [ qtest prop_store_model ]);
+      ( "memory",
+        [ Alcotest.test_case "a record costs its bytes" `Quick test_memory_bound ] );
     ]

@@ -1036,8 +1036,11 @@ let e18_keys ~shards shard n =
 (* [cross i] decides whether scripted transaction [i] spans two shards
    (an insert on each) or stays a single pinned insert. Every
    transaction that reaches COMMIT gets global id [i+1], and the keys it
-   inserts are recorded so the crash smoke can audit decisions. *)
-let e18_script ~shards ~txns cross =
+   inserts are recorded so the crash smoke can audit decisions. With
+   [read], a cross-shard transaction first reads, on a third shard, the
+   row transaction [i - (shards - 2)] inserted there (a key no one
+   inserts before that one exists): a read-only participant. *)
+let e18_script ?(read = false) ~shards ~txns cross =
   let per_shard = Array.init shards (fun s -> e18_keys ~shards s (2 * txns)) in
   List.init txns (fun i ->
       let a = i mod shards in
@@ -1047,8 +1050,15 @@ let e18_script ~shards ~txns cross =
           Printf.sprintf "INSERT INTO t VALUES (%d, 'g%d', %d)" k (i mod 5) qty
         )
       in
+      let reads =
+        if read && shards > 2 then
+          let j = i - (shards - 2) in
+          let k = per_shard.((a + 2) mod shards).(2 * if j >= 0 then j else i) in
+          [ (k, Printf.sprintf "SELECT * FROM t WHERE k = %d" k) ]
+        else []
+      in
       if cross i && shards > 1 then
-        [ stmt a 0 (i + 1); stmt ((a + 1) mod shards) 1 (10 * (i + 1)) ]
+        reads @ [ stmt a 0 (i + 1); stmt ((a + 1) mod shards) 1 (10 * (i + 1)) ]
       else [ stmt a 0 (i + 1) ])
 
 let e18_setup c =
@@ -1099,7 +1109,10 @@ let indoubt dbs =
 let cell_txns = 200
 
 let e18_cell shards mix =
-  let script = e18_script ~shards ~txns:cell_txns (fun _ -> mix = "cross") in
+  let script =
+    e18_script ~read:(mix = "cross+read") ~shards ~txns:cell_txns (fun _ ->
+        mix <> "single")
+  in
   let dbs = Array.init shards (fun _ -> Database.create ()) in
   let (committed, ticks), stats =
     with_cluster ~wal:(Wal.create (Metrics.create ())) dbs (fun c ->
@@ -1109,8 +1122,8 @@ let e18_cell shards mix =
   let tput = 1000. *. float_of_int committed /. float_of_int (max 1 ticks) in
   [
     i shards; S mix; i committed; f2 tput; i stats.Coord.prepares_sent;
-    i stats.Coord.cross_shard_commits; i stats.Coord.single_shard_commits;
-    i (indoubt dbs);
+    i stats.Coord.decides_sent; i stats.Coord.cross_shard_commits;
+    i stats.Coord.single_shard_commits; i (indoubt dbs);
   ]
 
 (* The decision audit: arm a coordinator crash mid-2PC on a 2-shard
@@ -1152,7 +1165,17 @@ let e18_crash_smoke () =
   let dbs = Array.map Database.crash dbs in
   let cwal = Wal.crash cwal (Metrics.create ()) in
   let indoubt_at_crash = indoubt dbs in
-  with_cluster ~wal:cwal dbs (fun c -> ignore (Coord.recover c));
+  let listed =
+    Array.to_list dbs
+    |> List.concat_map (fun db ->
+           match
+             Ivdb_sql.Sql.exec (Ivdb_sql.Sql.session db) "SELECT gtxn FROM sys.indoubt"
+           with
+           | Ivdb_sql.Sql.Rows { rows; _ } -> rows
+           | _ -> [])
+    |> List.sort_uniq compare
+  in
+  let resolved = with_cluster ~wal:cwal dbs Coord.recover in
   let indoubt_after = indoubt dbs in
   if indoubt_after <> 0 then begin
     Printf.eprintf "FATAL: e18 smoke: %d transaction(s) left in doubt\n"
@@ -1160,23 +1183,19 @@ let e18_crash_smoke () =
     exit 1
   end;
   (* presumed abort logs only what recovery needs: a decision record is
-     a commit, and follows its gtxn's begin record *)
-  let decided = Hashtbl.create 8 and begun = Hashtbl.create 8 in
+     a commit (the key audit below fails on a logged decision whose keys
+     are gone), and recovery resolves exactly the gtxns the shards listed
+     in sys.indoubt after the crash *)
+  let decided = Hashtbl.create 8 in
   Wal.iter_stable cwal (fun r ->
       match r.Ivdb_wal.Log_record.body with
-      | Ivdb_wal.Log_record.Prepare { gtxn; _ } -> Hashtbl.replace begun gtxn ()
-      | Ivdb_wal.Log_record.Decision { gtxn; committed } ->
-          if not committed then begin
-            Printf.eprintf "FATAL: e18 smoke: abort decision logged for %s\n" gtxn;
-            exit 1
-          end;
-          if not (Hashtbl.mem begun gtxn) then begin
-            Printf.eprintf "FATAL: e18 smoke: decision for %s has no begin record\n"
-              gtxn;
-            exit 1
-          end;
-          Hashtbl.replace decided gtxn ()
+      | Ivdb_wal.Log_record.Decision { gtxn } -> Hashtbl.replace decided gtxn ()
       | _ -> ());
+  if resolved <> List.length listed then begin
+    Printf.eprintf "FATAL: e18 smoke: recover resolved %d gtxn(s), sys.indoubt listed %d\n"
+      resolved (List.length listed);
+    exit 1
+  end;
   (* one multiset of surviving keys across the cluster *)
   let count k =
     Array.fold_left
@@ -1206,8 +1225,8 @@ let e18_crash_smoke () =
   end;
   Printf.printf
     "e18 coordinator-crash smoke: crash at action %d/%d, %d committed, %d \
-     in-doubt at crash, all resolved, 0 lost / 0 duplicated\n"
-    crash_action total !committed_txns indoubt_at_crash
+     in-doubt at crash, %d gtxn(s) listed and resolved, 0 lost / 0 duplicated\n"
+    crash_action total !committed_txns indoubt_at_crash resolved
 
 let e18 () =
   print_table
@@ -1215,13 +1234,14 @@ let e18 () =
       title =
         "E18  Sharding: 2PC cross-shard commit over hash partitions (escrow view, loopback)";
       header =
-        [ "shards"; "mix"; "commits"; "tput/1k ticks"; "prepares"; "2pc"; "local";
-          "in-doubt" ];
+        [ "shards"; "mix"; "commits"; "tput/1k ticks"; "prepares"; "decides";
+          "2pc"; "local"; "in-doubt" ];
       rows =
         List.concat_map
           (fun s ->
             if s = 1 then [ e18_cell s "single" ]
-            else [ e18_cell s "single"; e18_cell s "cross" ])
+            else if s = 2 then [ e18_cell s "single"; e18_cell s "cross" ]
+            else [ e18_cell s "single"; e18_cell s "cross"; e18_cell s "cross+read" ])
           [ 1; 2; 4 ];
     };
   e18_crash_smoke ()

@@ -179,7 +179,10 @@ let msg_request t make =
 let prepare_2pc ?(rid = 0) t ~gtxn =
   request t
     (fun seq -> Wire.Prepare { seq; rid; gtxn })
-    (function Wire.Prepared _ -> Some () | _ -> None)
+    (function
+      | Wire.Prepared { read_only; _ } ->
+          Some (if read_only then `Read_only else `Prepared)
+      | _ -> None)
 
 let decide_2pc ?(rid = 0) t ~gtxn ~committed =
   request t

@@ -68,15 +68,18 @@ val last_rid : t -> int
     [sys.slow_queries.rid] or the [rid] field of [net.request] /
     [net.response] / [net.slow_query] trace events. *)
 
-val prepare_2pc : ?rid:int -> t -> gtxn:string -> unit
+val prepare_2pc :
+  ?rid:int -> t -> gtxn:string -> [ `Prepared | `Read_only ]
 (** 2PC phase 1: ask the server to prepare its session's open transaction
-    under global id [gtxn]; returning is a yes vote. A resend for a gtxn
-    the shard already holds in doubt is answered yes from its in-doubt
-    table, not re-executed. Raises {!Server_error} on a no vote (the
-    participant rolled back, or its session had no open transaction) and
-    {!Disconnected} on a dead connection. There is no transparent retry:
-    the server rolls a dead session's transaction back, so a resend on a
-    fresh session finds nothing to prepare. *)
+    under global id [gtxn]; returning is a yes vote. [`Read_only]: the
+    transaction logged nothing there, so the shard committed it and
+    released its locks, and it needs no decision. A resend for a gtxn
+    the shard already holds in doubt is answered [`Prepared] from its
+    in-doubt table, not re-executed. Raises {!Server_error} on a no vote
+    (the participant rolled back, or its session had no open
+    transaction) and {!Disconnected} on a dead connection. There is no
+    transparent retry: the server rolls a dead session's transaction
+    back, so a resend on a fresh session finds nothing to prepare. *)
 
 val decide_2pc : ?rid:int -> t -> gtxn:string -> committed:bool -> unit
 (** 2PC phase 2: deliver the coordinator's logged decision. Idempotent on

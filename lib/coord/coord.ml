@@ -11,19 +11,20 @@
    the coordinator combines the shards' partial rows by group key
    (COUNT/SUM/MIN/MAX distribute over a union of partitions).
 
-   Durability follows presumed abort with a forced begin record: before
-   the first Prepare message the participant set is forced to the
-   coordinator's own WAL (a Log_record.Prepare with the ids in the
-   payload), and a commit decision (a Log_record.Decision) is forced
-   before the first Decide message. An abort logs nothing: a begin record
-   with no commit record after it reads as abort. Recovery therefore
-   delivers, for every begin record in the log, commit if a commit record
-   follows it and abort otherwise; participants answer a re-sent Decide
-   idempotently from their in-doubt table or by the presumed-abort rule,
-   which is also what makes the coordinator's reconnect-and-resend retry
-   safe.
+   Durability follows presumed abort as R* defines it: a commit forces
+   one record, its Log_record.Decision, before the first Decide message,
+   and an abort logs nothing. A participant whose part logged nothing
+   votes read-only: it has committed already, so it gets no Decide, and a
+   gtxn every participant read only forces nothing at all. Recovery asks
+   every shard which of this coordinator's gtxns it holds in doubt and
+   sends commit for each one with a logged Decision, abort for the rest;
+   participants answer a re-sent Decide idempotently from their in-doubt
+   table or by the presumed-abort rule, which is also what makes the
+   coordinator's reconnect-and-resend retry safe. Gids are reserved a
+   block at a time by one forced record, so a restart never hands out a
+   gid a shard may still hold in doubt.
 
-   A global transaction lives in one table from its begin record until
+   A global transaction lives in one table from its first Prepare until
    every participant has its decision, then moves to a short list of
    recent ones; nothing else about it is kept. *)
 
@@ -76,7 +77,7 @@ type gtxn = {
   g_id : string;
   g_participants : int list;
   mutable g_phase : string; (* preparing | deciding | committed | aborted *)
-  mutable g_votes : (int * string) list; (* shard -> yes / no / dead *)
+  mutable g_votes : (int * string) list; (* shard -> yes / read-only / no / dead *)
   mutable g_phase_tick : int; (* tick the current phase was entered *)
   mutable g_decision : bool option; (* committed?, once decided *)
   mutable g_owed : int list; (* shards the decision has not reached *)
@@ -100,26 +101,27 @@ type coordinator = {
   metrics : Metrics.t;
   ctrace : Trace.t;
   mutable next_gid : int;
+  mutable reserved : int; (* the last gid a forced Gid_block covers *)
   (* coordinator-assigned correlation id: one per routed statement,
      stamped on every shard-bound frame that statement causes *)
   mutable next_rid : int;
   gtxns : (string, gtxn) Hashtbl.t; (* undecided or owed to some shard *)
   mutable recent : gtxn list; (* newest first, capped at recent_cap *)
   health : shard_health array;
+  mutable unpolled : int list; (* shards [recover] could not ask *)
   pk_cols : (string, string) Hashtbl.t; (* table -> partition column *)
   views : (string, int) Hashtbl.t; (* view -> its GROUP BY column count *)
-  (* deterministic crash injection: every 2PC protocol action (log force,
-     Prepare send, Decide send) bumps the counter; reaching the armed
-     value raises Fault.Crash_point before the action happens *)
+  (* deterministic crash injection: every 2PC protocol action (gid-block
+     or decision force, Prepare send, Decide send) bumps the counter;
+     reaching the armed value raises Fault.Crash_point before the action
+     happens *)
   mutable actions : int;
   mutable crash_at : int option;
   mutable s_single : int;
   mutable s_cross : int;
   mutable s_aborts : int;
   (* typed per-phase 2PC metric handles, resolved once at create *)
-  m_votes_yes : Metrics.counter;
-  m_votes_no : Metrics.counter;
-  m_votes_dead : Metrics.counter;
+  m_votes : (string * Metrics.counter) list; (* by vote *)
   m_fast : Metrics.counter;
   m_2pc : Metrics.counter;
   m_abort_vote : Metrics.counter;
@@ -189,8 +191,6 @@ let gtxn_phase g phase =
   g.g_phase <- phase;
   g.g_phase_tick <- Sched.now ()
 
-let gtxn_vote g shard vote = g.g_votes <- g.g_votes @ [ (shard, vote) ]
-
 (* The in-doubt gauge counts gtxns that owe some shard their decision. It
    moves by one as an entry gains or loses its last owed shard, so
    coordinators sharing a registry add up instead of overwriting. *)
@@ -212,25 +212,25 @@ let gtxn_done co g committed =
     co.recent <- List.filteri (fun i _ -> i < recent_cap) (g :: rest)
   end
 
-(* A restarted coordinator re-derives its routing metadata and gtxn
-   counter from the log; outcomes are read again only by [recover]. *)
+(* A restarted coordinator re-derives its routing metadata from the log
+   and resumes above its last reserved gid block; outcomes are read again
+   only by [recover]. *)
 let scan_wal co =
   Wal.iter_stable co.cwal (fun r ->
       match r.Log_record.body with
       | Log_record.Ddl sql -> register_ddl co sql
-      | Log_record.Prepare { gtxn; _ } -> (
-          match parse_gid co.cname gtxn with
-          | Some n -> co.next_gid <- max co.next_gid (n + 1)
+      | Log_record.Gid_block { last } -> (
+          match parse_gid co.cname last with
+          | Some n -> co.reserved <- max co.reserved n
           | None -> ())
-      | _ -> ())
+      | _ -> ());
+  co.next_gid <- co.reserved + 1
 
 let coordinator ?(name = "coord") ?wal ?metrics ?trace dialers =
   if Array.length dialers = 0 then invalid_arg "Coord.create: no shards";
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   let ctrace =
-    match trace with
-    | Some tr -> tr
-    | None -> Trace.create ~clock:Sched.now ~fiber:Sched.self ()
+    Option.value trace ~default:(Trace.create ~clock:Sched.now ~fiber:Sched.self ())
   in
   (* the decision log shares the coordinator's registry (and trace), so
      its force/append counters are visible instead of vanishing into a
@@ -246,14 +246,15 @@ let coordinator ?(name = "coord") ?wal ?metrics ?trace dialers =
       metrics;
       ctrace;
       next_gid = 1;
+      reserved = 0;
       next_rid = 1;
       gtxns = Hashtbl.create 8;
       recent = [];
       health =
         Array.map
-          (fun _ ->
-            { sh_last_contact = 0; sh_prepares = 0; sh_decides = 0 })
+          (fun _ -> { sh_last_contact = 0; sh_prepares = 0; sh_decides = 0 })
           dialers;
+      unpolled = [];
       pk_cols = Hashtbl.create 8;
       views = Hashtbl.create 8;
       actions = 0;
@@ -261,9 +262,13 @@ let coordinator ?(name = "coord") ?wal ?metrics ?trace dialers =
       s_single = 0;
       s_cross = 0;
       s_aborts = 0;
-      m_votes_yes = Metrics.counter metrics "coord.votes.yes";
-      m_votes_no = Metrics.counter metrics "coord.votes.no";
-      m_votes_dead = Metrics.counter metrics "coord.votes.dead_line";
+      m_votes =
+        List.map
+          (fun (v, name) -> (v, Metrics.counter metrics ("coord.votes." ^ name)))
+          [
+            ("yes", "yes"); ("read-only", "read_only"); ("no", "no");
+            ("dead", "dead_line");
+          ];
       m_fast = Metrics.counter metrics "coord.commit.fast_path";
       m_2pc = Metrics.counter metrics "coord.commit.2pc";
       m_abort_vote = Metrics.counter metrics "coord.abort.vote_no";
@@ -302,6 +307,7 @@ let metrics c = c.co.metrics
 let trace c = c.co.ctrace
 let last_rid c = c.co.next_rid - 1
 let shard_count c = Array.length c.clients
+let all_shards c = List.init (shard_count c) Fun.id
 let in_transaction c = c.in_txn
 
 let temit c ev = if Trace.enabled c.co.ctrace then Trace.emit c.co.ctrace ev
@@ -336,6 +342,32 @@ let log_force c body =
   let lsn = Wal.append c.co.cwal ~txn:0 ~prev:Log_record.nil_lsn body in
   Wal.force c.co.cwal lsn
 
+let timed h f =
+  let t0 = Sched.now () in
+  let r = f () in
+  Metrics.record h (Sched.now () - t0);
+  r
+
+(* Gids are reserved [gid_block] at a time, each block by one forced
+   record before its first gid reaches a shard, so a restart resumes
+   above every gid a shard may hold in doubt. A reused gid would be
+   answered from that shard's in-doubt table: a yes vote for work it
+   never ran. The gid is claimed before the force yields, so sessions
+   never share one. *)
+let gid_block = 1024
+
+let fresh_gid c =
+  let gid n = Printf.sprintf "%s:%d" c.co.cname n in
+  let n = c.co.next_gid in
+  c.co.next_gid <- n + 1;
+  if n > c.co.reserved then begin
+    let last = n + gid_block - 1 in
+    gate c "log_gids";
+    log_force c (Log_record.Gid_block { last = gid last });
+    c.co.reserved <- max c.co.reserved last
+  end;
+  gid n
+
 (* One statement to one shard, stamped with the coordinator's current
    correlation id; a successful round trip refreshes the shard's
    last-contact tick. Every shard-bound statement goes through here. *)
@@ -351,7 +383,8 @@ let rollback_ops c ops =
       with Client.Disconnected _ | Client.Server_error _ -> ())
     ops
 
-(* Send [g]'s decision to [shards]; the ones it cannot reach stay owed. *)
+(* Send [g]'s decision to [shards]; the ones it cannot reach stay owed,
+   and so do the shards outside [shards] that were owed already. *)
 let deliver_decision ?(gated = true) c g ~committed shards =
   let failed = ref [] in
   List.iter
@@ -374,17 +407,66 @@ let deliver_decision ?(gated = true) c g ~committed shards =
            re-delivery reaches it *)
         failed := i :: !failed)
     shards;
-  set_owed c.co g (List.rev !failed)
+  set_owed c.co g
+    (List.rev !failed @ List.filter (fun i -> not (List.mem i shards)) g.g_owed)
+
+(* --- recovery --------------------------------------------------------- *)
+
+(* Ask [shards] which of this coordinator's gtxns they hold in doubt and
+   send each its outcome: commit iff its Decision is logged (presumed
+   abort). A gtxn still undecided here is some session's round in flight
+   and is left to it. A shard that cannot be asked is asked again before
+   the next commit. Returns the number of gtxns resolved. *)
+let resolve_indoubt ?gated c shards =
+  let held = Hashtbl.create 8 in
+  let ask i =
+    match shard_exec c i "SELECT gtxn FROM sys.indoubt" with
+    | Sql.Rows { rows; _ } ->
+        List.iter
+          (function
+            | [| Value.Str g |] when parse_gid c.co.cname g <> None ->
+                Hashtbl.add held g i
+            | _ -> ())
+          rows;
+        true
+    | _ -> true
+    | exception (Client.Disconnected _ | Client.Server_error _) -> false
+  in
+  c.co.unpolled <- List.filter (fun i -> not (ask i)) shards;
+  let commits = Hashtbl.create 16 in
+  Wal.iter_stable c.co.cwal (fun r ->
+      match r.Log_record.body with
+      | Log_record.Decision { gtxn } -> Hashtbl.replace commits gtxn ()
+      | _ -> ());
+  List.sort_uniq compare (List.of_seq (Hashtbl.to_seq_keys held))
+  |> List.filter (fun gtxn ->
+         let on = List.sort compare (Hashtbl.find_all held gtxn) in
+         match Hashtbl.find_opt c.co.gtxns gtxn with
+         | Some { g_decision = None; _ } -> false
+         | found ->
+             let g =
+               match found with
+               | Some g -> g
+               | None -> gtxn_begin c.co ~gtxn ~participants:on
+             in
+             let committed = Hashtbl.mem commits gtxn in
+             g.g_decision <- Some committed;
+             deliver_decision ?gated c g ~committed on;
+             gtxn_done c.co g committed;
+             true)
+  |> List.length
+
+let recover c = resolve_indoubt c (all_shards c)
 
 (* A shard that missed its decision keeps the in-doubt transaction's
    locks, blocking conflicting work there; rather than waiting for an
-   operator's [recover], retry the outcome before the next commit.
-   Ungated: re-delivery is not a protocol action of the current
-   transaction, so it must not shift the crash-sweep numbering. *)
+   operator's [recover], retry the outcome before the next commit, and
+   ask again the shards [recover] could not reach. Ungated: re-delivery
+   is not a protocol action of the current transaction, so it must not
+   shift the crash-sweep numbering. *)
 let redeliver_pending c =
-  Hashtbl.fold
-    (fun _ g acc -> if g.g_owed <> [] then g :: acc else acc)
-    c.co.gtxns []
+  List.of_seq (Hashtbl.to_seq_values c.co.gtxns)
+  |> List.filter (fun g -> g.g_owed <> [])
   |> List.sort (fun a b -> compare a.g_id b.g_id)
   |> List.iter (fun g ->
          match g.g_decision with
@@ -392,22 +474,19 @@ let redeliver_pending c =
              Metrics.inc c.co.m_redeliver;
              deliver_decision ~gated:false c g ~committed g.g_owed;
              gtxn_done c.co g committed
-         | None -> ())
+         | None -> ());
+  if c.co.unpolled <> [] then
+    ignore (resolve_indoubt ~gated:false c c.co.unpolled)
 
 let two_phase c ~gtxn ~participants =
   let g = gtxn_begin c.co ~gtxn ~participants in
-  gate c "log_start";
-  log_force c
-    (Log_record.Prepare
-       {
-         gtxn;
-         participants = String.concat "," (List.map string_of_int participants);
-       });
+  (* shards that forced a Prepare: a read-only one has committed already *)
   let prepared = ref [] in
-  (* shards whose line died around a Prepare: their vote is unknown — the
-     frame (or only its ack) may have been lost, so they may hold a
-     prepared transaction we never heard about *)
-  let suspects = ref [] in
+  let vote i v =
+    Metrics.inc (List.assoc v c.co.m_votes);
+    g.g_votes <- g.g_votes @ [ (i, v) ];
+    temit c (Trace.Coord_vote { gtxn; shard = i; vote = v })
+  in
   let rec prep = function
     | [] -> None
     | i :: rest -> (
@@ -420,71 +499,56 @@ let two_phase c ~gtxn ~participants =
            line is a No vote (presumed abort keeps an actually-prepared
            shard safe: it stays in-doubt and the abort reaches it below,
            or via re-delivery). *)
-        match
-          (try
-             Client.prepare_2pc ~rid:c.cur_rid c.clients.(i) ~gtxn;
-             `Yes
-           with
-          | Client.Server_error { text; _ } -> `No text
-          | Client.Disconnected m ->
-              suspects := i :: !suspects;
-              `Dead m)
-        with
-        | `Yes ->
+        match Client.prepare_2pc ~rid:c.cur_rid c.clients.(i) ~gtxn with
+        | v ->
             c.co.health.(i).sh_prepares <- c.co.health.(i).sh_prepares + 1;
             touch c i;
-            Metrics.inc c.co.m_votes_yes;
-            gtxn_vote g i "yes";
-            temit c (Trace.Coord_vote { gtxn; shard = i; vote = "yes" });
-            prepared := i :: !prepared;
+            if v = `Prepared then prepared := !prepared @ [ i ];
+            vote i (if v = `Prepared then "yes" else "read-only");
             prep rest
-        | `No reason ->
-            Metrics.inc c.co.m_votes_no;
-            gtxn_vote g i "no";
-            temit c (Trace.Coord_vote { gtxn; shard = i; vote = "no" });
-            Some (reason, c.co.m_abort_vote)
-        | `Dead reason ->
-            Metrics.inc c.co.m_votes_dead;
-            gtxn_vote g i "dead";
-            temit c (Trace.Coord_vote { gtxn; shard = i; vote = "dead" });
-            Some (reason, c.co.m_abort_dead))
+        | exception Client.Server_error { text; _ } ->
+            vote i "no";
+            Some (text, c.co.m_abort_vote, [], rest)
+        | exception Client.Disconnected reason ->
+            (* a suspect: the frame, or only its ack, may have been lost,
+               so it may hold a prepared transaction we never heard of *)
+            vote i "dead";
+            Some (reason, c.co.m_abort_dead, [ i ], rest))
   in
-  let t_prep = Sched.now () in
-  let outcome = prep participants in
-  Metrics.record c.co.h_prepare (Sched.now () - t_prep);
+  let outcome = timed c.co.h_prepare (fun () -> prep participants) in
   gtxn_phase g "deciding";
   match outcome with
   | None ->
-      gate c "log_decision";
-      let t_force = Sched.now () in
-      log_force c (Log_record.Decision { gtxn; committed = true });
-      Metrics.record c.co.h_force (Sched.now () - t_force);
+      (* only the prepared shards wait for the decision; with none there
+         is nothing to log or send *)
+      if !prepared <> [] then begin
+        gate c "log_decision";
+        timed c.co.h_force (fun () -> log_force c (Log_record.Decision { gtxn }))
+      end;
       temit c (Trace.Coord_decision { gtxn; committed = true });
       g.g_decision <- Some true;
-      let t_dec = Sched.now () in
-      deliver_decision c g ~committed:true participants;
-      Metrics.record c.co.h_decide (Sched.now () - t_dec);
+      if !prepared <> [] then
+        timed c.co.h_decide (fun () ->
+            deliver_decision c g ~committed:true !prepared);
       gtxn_done c.co g true;
       c.co.s_cross <- c.co.s_cross + 1;
       Metrics.inc c.co.m_2pc;
       Sql.Message
         (Printf.sprintf "committed (%s, %d participants)" gtxn
            (List.length participants))
-  | Some (reason, abort_cause) ->
-      (* presumed abort: nothing is logged — a begin record without a
-         commit record already reads as abort *)
+  | Some (reason, abort_cause, suspect, unasked) ->
+      (* presumed abort: nothing is logged *)
       temit c (Trace.Coord_decision { gtxn; committed = false });
       g.g_decision <- Some false;
       (* prepared shards get the abort decision now, and so does every
          suspect — it may have prepared without us seeing the ack, and a
          shard that never saw the Prepare answers presumed-abort; a
-         participant that never prepared still holds an ordinary session
+         participant never asked still holds an ordinary session
          transaction, rolled back explicitly *)
-      let informed = List.sort_uniq compare (!prepared @ !suspects) in
-      let t_dec = Sched.now () in
-      deliver_decision c g ~committed:false informed;
-      Metrics.record c.co.h_decide (Sched.now () - t_dec);
-      rollback_ops c (List.filter (fun i -> not (List.mem i informed)) participants);
+      let informed = List.sort_uniq compare (!prepared @ suspect) in
+      timed c.co.h_decide (fun () ->
+          deliver_decision c g ~committed:false informed);
+      rollback_ops c unasked;
       gtxn_done c.co g false;
       c.co.s_aborts <- c.co.s_aborts + 1;
       Metrics.inc abort_cause;
@@ -522,10 +586,7 @@ let commit_txn c =
       Metrics.inc c.co.m_fast;
       temit c (Trace.Coord_fast_path { rid = c.cur_rid; shard = i });
       Sql.Message "committed"
-  | _ ->
-      let gtxn = Printf.sprintf "%s:%d" c.co.cname c.co.next_gid in
-      c.co.next_gid <- c.co.next_gid + 1;
-      two_phase c ~gtxn ~participants:(List.sort compare ops)
+  | _ -> two_phase c ~gtxn:(fresh_gid c) ~participants:(List.sort compare ops)
 
 let abort_txn c =
   if not c.in_txn then fail "no open transaction";
@@ -535,50 +596,6 @@ let abort_txn c =
   c.poisoned <- false;
   rollback_ops c ops;
   Sql.Message "rolled back"
-
-(* --- recovery --------------------------------------------------------- *)
-
-(* Every begin record in the log with its outcome: committed iff a commit
-   record follows (presumed abort), sorted by gtxn. *)
-let logged_outcomes co =
-  let begun = Hashtbl.create 16 and committed = Hashtbl.create 16 in
-  Wal.iter_stable co.cwal (fun r ->
-      match r.Log_record.body with
-      | Log_record.Prepare { gtxn; participants } ->
-          let participants =
-            try List.map int_of_string (String.split_on_char ',' participants)
-            with Failure _ -> fail "corrupt participant list for %s" gtxn
-          in
-          Hashtbl.replace begun gtxn participants
-      | Log_record.Decision { gtxn; committed = true } ->
-          Hashtbl.replace committed gtxn ()
-      | _ -> ());
-  Hashtbl.fold
-    (fun g ps acc -> (g, ps, Hashtbl.mem committed g) :: acc)
-    begun []
-  |> List.sort compare
-
-let recover c =
-  let outcomes = logged_outcomes c.co in
-  List.iter
-    (fun (gtxn, participants, committed) ->
-      let g =
-        match Hashtbl.find_opt c.co.gtxns gtxn with
-        | Some g -> g
-        | None -> gtxn_begin c.co ~gtxn ~participants
-      in
-      g.g_decision <- Some committed;
-      deliver_decision c g ~committed participants;
-      gtxn_done c.co g committed)
-    outcomes;
-  (* entries never logged (crashed before the begin-record force): no
-     shard ever heard of them, so they abort locally *)
-  Hashtbl.fold
-    (fun _ g acc -> if g.g_decision = None then g :: acc else acc)
-    c.co.gtxns []
-  |> List.sort (fun a b -> compare a.g_id b.g_id)
-  |> List.iter (fun g -> gtxn_done c.co g false);
-  List.length outcomes
 
 (* --- statement routing ------------------------------------------------ *)
 
@@ -590,15 +607,7 @@ let render_lit = function
         Printf.sprintf "%f" f
       else if String.contains s '.' then s
       else s ^ ".0"
-  | A.L_string s ->
-      let b = Buffer.create (String.length s + 2) in
-      Buffer.add_char b '\'';
-      String.iter
-        (fun ch ->
-          if ch = '\'' then Buffer.add_string b "''" else Buffer.add_char b ch)
-        s;
-      Buffer.add_char b '\'';
-      Buffer.contents b
+  | A.L_string s -> "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
   | A.L_bool b -> if b then "TRUE" else "FALSE"
   | A.L_null -> "NULL"
 
@@ -626,8 +635,6 @@ let exec_shard ?(kind = "pin") c i sql =
       c.poisoned <- true;
       raise e)
   else shard_exec c i sql
-
-let all_shards c = List.init (shard_count c) Fun.id
 
 let affected = function
   | Sql.Affected n -> n
@@ -666,16 +673,13 @@ let gather c sql targets =
 let gtxns_rows c =
   let now = Sched.now () in
   let row g =
+    let votes = List.sort compare g.g_votes in
+    let votes = List.map (fun (s, v) -> Printf.sprintf "%d:%s" s v) votes in
     [|
       Value.Str g.g_id;
       Value.Str g.g_phase;
-      Value.Str
-        (String.concat "," (List.map string_of_int g.g_participants));
-      Value.Str
-        (String.concat ","
-           (List.map
-              (fun (s, v) -> Printf.sprintf "%d:%s" s v)
-              (List.sort compare g.g_votes)));
+      Value.Str (String.concat "," (List.map string_of_int g.g_participants));
+      Value.Str (String.concat "," votes);
       Value.Int (now - g.g_phase_tick);
       Value.Int (List.length g.g_owed);
     |]
@@ -812,13 +816,11 @@ let with_write c f =
   end
 
 let broadcast_ddl c sql =
-  let last = ref (Sql.Message "ok") in
-  List.iter
-    (fun i ->
+  List.fold_left
+    (fun _ i ->
       temit c (Trace.Coord_route { rid = c.cur_rid; shard = i; kind = "ddl" });
-      last := shard_exec c i sql)
-    (all_shards c);
-  !last
+      shard_exec c i sql)
+    (Sql.Message "ok") (all_shards c)
 
 (* a plan is per-shard: pin it when the statement pins, else shard 0 *)
 let explain_on c table where sql =
@@ -918,9 +920,7 @@ let server ?config c listener =
 let loopback_cluster ~config dbs f =
   let shards = Array.length dbs in
   Array.iteri (fun i db -> configure_shard db ~shard:i ~shards) dbs;
-  let nets =
-    Array.map (fun _ -> Transport.Loopback.create ~backlog:64 ()) dbs
-  in
+  let nets = Array.map (fun _ -> Transport.Loopback.create ~backlog:64 ()) dbs in
   let servers =
     Array.mapi
       (fun i net ->

@@ -23,16 +23,21 @@
     on each shard a statement lands on; those shards are its
     participants. At [COMMIT] a transaction with one participant commits
     locally (no 2PC); one with several runs presumed-abort two-phase
-    commit: participant set forced to the coordinator's WAL, Prepare to
-    every participant, commit decision forced, Decide fanned out; an
-    abort logs nothing. {!recover} delivers, after a coordinator crash,
-    commit for every logged begin record with a commit record after it
-    and abort for every other one (presumed abort);
+    commit: Prepare to every participant, the commit decision forced,
+    Decide fanned out to the participants that prepared. A participant
+    whose part logged nothing votes read-only: it commits on the spot,
+    releases its locks and gets no Decide, and a transaction every
+    participant only read forces nothing. An abort logs nothing.
+    {!recover} asks every shard which of this coordinator's transactions
+    it holds in doubt and delivers commit for each one with a logged
+    decision, abort for the rest (presumed abort);
     participants answer a re-sent Decide from their in-doubt table or by
     the presumed-abort rule, keeping no memory of decided gtxns, which
     makes Decide reconnect-and-resend retries safe. That needs global
-    transaction ids unique across coordinators: give each its own
-    [name]. A Prepare is never retried — the disconnect rolled that
+    transaction ids unique across coordinators — give each its own
+    [name] — and across restarts: ids are reserved in blocks of 1,024,
+    one forced record per block, and a restart resumes above the last
+    block. A Prepare is never retried — the disconnect rolled that
     session's transaction back, so a dead line is a No vote and the
     transaction aborts everywhere. For the same
     reason a statement that loses a shard's part of the transaction (a
@@ -73,10 +78,10 @@ val create :
     global transaction ids ([name:n]). [wal] is the coordinator's
     decision log; pass the previous incarnation's log (round-tripped
     through {!Ivdb_wal.Wal.crash}) to restart after a crash — the gtxn
-    counter and the routing metadata (partition columns and each view's
-    group-key width, logged as DDL records) are rebuilt by scanning it.
-    A coordinator over an existing log sends no decision until
-    {!recover} delivers the logged outcomes. [metrics] is the coordinator's registry (fresh by
+    counter (above the last reserved block) and the routing metadata
+    (partition columns and each view's group-key width, logged as DDL
+    records) are rebuilt by scanning it. A coordinator over an existing
+    log sends no decision until {!recover} resolves the in-doubt ones. [metrics] is the coordinator's registry (fresh by
     default): the typed per-phase 2PC counters and histograms live
     there, and — when no [wal] is passed — so do the decision log's
     own append/force counters instead of a private throwaway registry.
@@ -128,7 +133,8 @@ val exec : t -> string -> Ivdb_sql.Sql.result
     - [sys.gtxns] — live global transactions (undecided, or owing some
       shard its decision), then the most recent finished ones: phase
       ([preparing] / [deciding] / [committed] / [aborted]), participant
-      set, per-shard votes ([yes] / [no] / [dead]), ticks in the current
+      set, per-shard votes ([yes] / [read-only] / [no] / [dead]), ticks
+      in the current
       phase, undelivered-decision count;
     - [sys.coord_shards] — per-shard health: address, last-contact tick,
       prepare/decide traffic, outstanding decisions, reconnects;
@@ -148,7 +154,8 @@ val last_rid : t -> int
 val metrics : t -> Ivdb_util.Metrics.t
 (** The coordinator's metrics registry (2PC phase histograms
     [coord.prepare.ticks] / [coord.decision_force.ticks] /
-    [coord.decide.ticks], vote and abort-cause counters, fast-path vs
+    [coord.decide.ticks], vote counters ([coord.votes.read_only]
+    included) and abort-cause counters, fast-path vs
     2PC commits, in-doubt gauge, re-delivery attempts — plus the
     decision log's counters when the WAL was created here). Feed it to
     {!Ivdb_util.Metrics.to_prometheus} or serve it with
@@ -159,12 +166,15 @@ val trace : t -> Ivdb_util.Trace.t
     event stream). *)
 
 val recover : t -> int
-(** Resolve every global transaction with a begin record in the WAL:
-    deliver commit if a commit record follows it, abort otherwise
-    (presumed abort). Writes nothing to the log. Returns the number of
-    transactions resolved. Idempotent — a participant applies a Decide
-    only to a gtxn it holds in doubt and acknowledges any other by the
-    presumed-abort rule. *)
+(** Ask every shard ([sys.indoubt]) which of this coordinator's global
+    transactions it holds in doubt, and deliver commit to each one whose
+    commit decision is in the WAL, abort to the others (presumed abort).
+    A transaction this coordinator still has undecided is a round in
+    flight and is left to it. A shard that cannot be reached is asked
+    again before the next commit. Writes nothing to the log. Returns the
+    number of transactions resolved: 0 after a clean restart.
+    Idempotent — a participant applies a Decide only to a gtxn it holds
+    in doubt and acknowledges any other by the presumed-abort rule. *)
 
 val in_transaction : t -> bool
 
@@ -179,7 +189,7 @@ type stats = {
   single_shard_commits : int;  (** commits that skipped 2PC *)
   cross_shard_commits : int;
   aborts : int;
-  prepares_sent : int;  (** yes votes received *)
+  prepares_sent : int;  (** yes and read-only votes received *)
   decides_sent : int;  (** Decides a shard acknowledged *)
 }
 
@@ -191,10 +201,11 @@ val close : t -> unit
 
 (** {1 Deterministic crash injection}
 
-    Every 2PC protocol action — the begin-record force, each Prepare
-    send, the commit-decision force, each Decide send (from a commit,
-    an abort or {!recover}) — bumps a counter. An abort has no decision
-    force. Arming
+    Every 2PC protocol action — the force of a gid block (the first
+    commit of each 1,024), each Prepare send, the commit-decision force,
+    each Decide send (from a commit, an abort or {!recover}) — bumps a
+    counter. An abort and an all-read-only commit have no decision force,
+    and a read-only participant gets no Decide. Arming
     {!set_crash_at_action} [n] makes the [n]-th action raise
     {!Ivdb_storage.Fault.Crash_point} instead of happening, so a sweep
     over [n] crashes the coordinator at every message boundary of a

@@ -1071,14 +1071,18 @@ let gtxn_status t gtxn = if Hashtbl.mem t.indoubt_2pc gtxn then `Prepared else `
 (* 2PC phase 1 on a participant: force a Prepare record. The transaction
    keeps all its locks; its handle moves from the session into the
    in-doubt table, where it survives until a decision arrives (possibly
-   after a crash, via recovery's in-doubt resurrection). *)
+   after a crash, via recovery's in-doubt resurrection). A read-only
+   transaction commits instead and never enters the table. *)
 let prepare_2pc t tx ~gtxn =
   reject_writes t;
   if gtxn_status t gtxn = `Prepared then
     invalid_arg ("Database.prepare_2pc: duplicate gtxn " ^ gtxn);
-  Txn.prepare t.tmgr tx ~gtxn;
-  Hashtbl.replace t.indoubt_2pc gtxn tx;
-  Metrics.inc t.m_prepared
+  match Txn.prepare t.tmgr tx ~gtxn with
+  | `Read_only -> `Read_only
+  | `Prepared ->
+      Hashtbl.replace t.indoubt_2pc gtxn tx;
+      Metrics.inc t.m_prepared;
+      `Prepared
 
 (* 2PC phase 2: idempotent against retransmits without remembering any
    decided gtxn. Only an in-doubt gtxn is acted on. An unknown gtxn with a
@@ -1138,7 +1142,8 @@ let relock_indoubt t tx =
       | Log_record.Clr { undo_next; _ } -> go undo_next
       | Log_record.Begin _ | Log_record.Commit | Log_record.End -> ()
       | Log_record.Abort | Log_record.Checkpoint _ | Log_record.Ddl _
-      | Log_record.Prepare _ | Log_record.Decision _ ->
+      | Log_record.Prepare _ | Log_record.Decision _
+      | Log_record.Gid_block _ ->
           go r.Log_record.prev
     end
   in

@@ -281,11 +281,14 @@ val shard_info : t -> (int * int) option
 (** [(shard id, shard count)] once {!set_shard} ran; [None] on an
     unsharded engine. *)
 
-val prepare_2pc : t -> Ivdb_txn.Txn.t -> gtxn:string -> unit
+val prepare_2pc :
+  t -> Ivdb_txn.Txn.t -> gtxn:string -> [ `Prepared | `Read_only ]
 (** 2PC phase 1: force a [Prepare] WAL record and move the transaction
     into the in-doubt table (it keeps all its locks; the caller must stop
-    using the handle). Raises [Invalid_argument] if [gtxn] is already in
-    doubt — callers check {!gtxn_status} first. *)
+    using the handle). A transaction that logged nothing commits instead,
+    with no force, and answers [`Read_only] ({!Ivdb_txn.Txn.prepare}).
+    Raises [Invalid_argument] if [gtxn] is already in doubt — callers
+    check {!gtxn_status} first. *)
 
 val gtxn_status : t -> string -> [ `Unknown | `Prepared ]
 (** [`Prepared] while [gtxn] is in the in-doubt table, else [`Unknown].
@@ -304,7 +307,8 @@ val decide_2pc :
     uses this shard; the shard does not check it. *)
 
 val indoubt_gtxns : t -> (string * int) list
-(** Prepared-but-undecided transactions: (gtxn, local txn id), sorted. *)
+(** Prepared-but-undecided transactions: (gtxn, local txn id), sorted —
+    the rows of [sys.indoubt]. *)
 
 val indoubt_count : t -> int
 

@@ -76,7 +76,8 @@ let analyze wal =
       if lsn > ckpt_lsn then begin
         (match r.Log_record.body with
         | Log_record.Begin _ | Log_record.Update _ | Log_record.Clr _
-        | Log_record.Abort | Log_record.Prepare _ | Log_record.Decision _ ->
+        | Log_record.Abort | Log_record.Prepare _ | Log_record.Decision _
+        | Log_record.Gid_block _ ->
             Hashtbl.replace att txn lsn
         | Log_record.Commit | Log_record.End -> Hashtbl.remove att txn
         | Log_record.Ddl payload -> ddl := (txn, payload) :: !ddl
@@ -198,7 +199,8 @@ module Redo = struct
           diffs
     | Log_record.Begin _ | Log_record.Commit | Log_record.Abort
     | Log_record.End | Log_record.Checkpoint _ | Log_record.Ddl _
-    | Log_record.Prepare _ | Log_record.Decision _ ->
+    | Log_record.Prepare _ | Log_record.Decision _
+    | Log_record.Gid_block _ ->
         ()
 end
 

@@ -497,7 +497,7 @@ and engine_frame t io se frame =
         (* idempotence first: a resend for a gtxn already in doubt is
            answered from the in-doubt table, never re-executed *)
         match Database.gtxn_status db gtxn with
-        | `Prepared -> Wire.Prepared { seq; gtxn }
+        | `Prepared -> Wire.Prepared { seq; gtxn; read_only = false }
         | `Unknown -> (
             (* a No vote rolls the participant back *)
             let no code text =
@@ -506,8 +506,8 @@ and engine_frame t io se frame =
               err ~seq code text
             in
             try
-              Sql.prepare_2pc session ~gtxn;
-              Wire.Prepared { seq; gtxn }
+              let read_only = Sql.prepare_2pc session ~gtxn = `Read_only in
+              Wire.Prepared { seq; gtxn; read_only }
             with
             | Sql.Sql_error text | Invalid_argument text -> no E_sql text
             | Ivdb_txn.Txn.Conflict { reason; _ } -> no E_deadlock reason
@@ -518,6 +518,7 @@ and engine_frame t io se frame =
          this to its Coord_prepare on the other side of the wire *)
       (let outcome =
          match reply with
+         | Wire.Prepared { read_only = true; _ } -> "read-only"
          | Wire.Prepared _ -> "prepared"
          | _ -> "no"
        in

@@ -53,16 +53,17 @@ let add_sys_provider s name f =
    the transaction handle from the session: it now belongs to the
    engine's in-doubt table, so a session death's rollback must not touch
    it — only the coordinator's decision (possibly after a crash and
-   recovery) finishes it. *)
+   recovery) finishes it. A read-only transaction is already committed. *)
 let prepare_2pc s ~gtxn =
   match s.txn with
   | None -> fail "prepare: no open transaction"
   | Some tx when Txn.snapshot_of tx <> None ->
       fail "prepare: cannot prepare a READ ONLY transaction"
   | Some tx ->
-      Database.prepare_2pc s.sdb tx ~gtxn;
+      let vote = Database.prepare_2pc s.sdb tx ~gtxn in
       s.txn <- None;
-      s.savepoints <- []
+      s.savepoints <- [];
+      vote
 
 let decide_2pc s ~gtxn ~committed = Database.decide_2pc s.sdb ~gtxn ~committed
 

@@ -57,14 +57,15 @@ val session : Ivdb.Database.t -> session
 val db : session -> Ivdb.Database.t
 val in_transaction : session -> bool
 
-val prepare_2pc : session -> gtxn:string -> unit
+val prepare_2pc : session -> gtxn:string -> [ `Prepared | `Read_only ]
 (** 2PC phase 1 on the session's open transaction (see
     {!Ivdb.Database.prepare_2pc}): force-writes the Prepare record and
     detaches the transaction from the session — after this the handle
     lives in the engine's in-doubt table and only a decision (possibly
     after crash recovery) finishes it; a session disconnect no longer
-    rolls it back. Raises {!Sql_error}
-    if no read-write transaction is open. *)
+    rolls it back. A transaction that logged nothing commits on the spot
+    and answers [`Read_only]. Raises {!Sql_error} if no read-write
+    transaction is open. *)
 
 val decide_2pc :
   session -> gtxn:string -> committed:bool -> [ `Applied | `Duplicate | `Presumed_abort ]

@@ -239,6 +239,13 @@ let shards db =
   in
   (shards_header, rows)
 
+(* One row per in-doubt global transaction: prepared here, still holding
+   its locks until its coordinator's decision arrives. [txn] is the local
+   transaction id, which joins to sys.locks and sys.transactions. *)
+let indoubt db =
+  ( [ "gtxn"; "txn" ],
+    List.map (fun (g, txn) -> [| vstr g; vint txn |]) (Database.indoubt_gtxns db) )
+
 (* Placeholders for the serving layer's tables: a local (non-networked)
    session has no server, so these resolve to their schema with zero rows;
    the server overrides them per session with live providers. *)
@@ -285,6 +292,7 @@ let names =
     "sys.cluster_metrics";
     "sys.coord_shards";
     "sys.gtxns";
+    "sys.indoubt";
     "sys.lock_waits";
     "sys.locks";
     "sys.metrics";
@@ -312,6 +320,7 @@ let builtin db ~self_txn name =
   | "sys.slow_queries" -> Some (slow_queries_header, [])
   | "sys.replication" -> Some (replication_header, [])
   | "sys.shards" -> Some (shards db)
+  | "sys.indoubt" -> Some (indoubt db)
   | "sys.gtxns" -> Some (gtxns_header, [])
   | "sys.coord_shards" -> Some (coord_shards_header, [])
   | "sys.cluster_metrics" -> Some (cluster_metrics_header, [])

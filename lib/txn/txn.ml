@@ -318,7 +318,8 @@ let undo_chain mgr t ~cursor ~stop =
       | Log_record.Commit | Log_record.End ->
           invalid_arg "Txn: undo reached a commit record"
       | Log_record.Abort | Log_record.Checkpoint _ | Log_record.Ddl _
-      | Log_record.Prepare _ | Log_record.Decision _ ->
+      | Log_record.Prepare _ | Log_record.Decision _
+      | Log_record.Gid_block _ ->
           go r.Log_record.prev
     end
   in
@@ -347,20 +348,30 @@ let abort_rw mgr t =
   if Trace.enabled mgr.mtrace then
     Trace.emit mgr.mtrace (Trace.Txn_abort { txn = t.tid })
 
-(* 2PC phase 1: append a Prepare record and force it stable. The
-   transaction stays Active and keeps every lock — its fate now belongs to
-   the coordinator, and recovery classifies it as in-doubt rather than a
-   loser until its Commit or Abort record settles it. *)
+(* 2PC phase 1. A transaction that logged nothing past its Begin record
+   has nothing to make durable and no outcome to wait for: it commits on
+   the spot, with no force, and releases its locks — serializable,
+   because the global transaction has reached its lock point. Any other
+   appends a Prepare record and forces it stable. It stays Active and
+   keeps every lock — its fate now belongs to the coordinator, and
+   recovery classifies it as in-doubt rather than a loser until its
+   Commit or Abort record settles it. *)
 let prepare mgr t ~gtxn =
   check_active t;
   check_not_snapshot t "prepare";
-  let lsn =
-    Wal.append mgr.mwal ~txn:t.tid ~prev:t.tlast_lsn
-      (Log_record.Prepare { gtxn; participants = "" })
-  in
-  t.tlast_lsn <- lsn;
-  Group_commit.commit_durable mgr.mgc ~lsn;
-  Metrics.inc mgr.m_prepare
+  if t.tlast_lsn = t.tfirst_lsn then begin
+    commit_rw mgr t;
+    `Read_only
+  end
+  else begin
+    let lsn =
+      Wal.append mgr.mwal ~txn:t.tid ~prev:t.tlast_lsn (Log_record.Prepare { gtxn })
+    in
+    t.tlast_lsn <- lsn;
+    Group_commit.commit_durable mgr.mgc ~lsn;
+    Metrics.inc mgr.m_prepare;
+    `Prepared
+  end
 
 let abort mgr t =
   if t.tstatus = Active then

@@ -114,13 +114,15 @@ val abort : mgr -> t -> unit
 (** Roll back by walking the undo chain, logging compensation records;
     idempotent on already-finished transactions. *)
 
-val prepare : mgr -> t -> gtxn:string -> unit
-(** 2PC phase 1: append a [Prepare] record carrying the coordinator's
-    global id and force the log through it. The transaction stays active and keeps
-    all its locks; recovery classifies it as in-doubt, not a loser, until
-    a decision settles it. The decision needs no record of its own:
-    {!commit} or {!abort} writes the Commit or Abort record that states
-    it. *)
+val prepare : mgr -> t -> gtxn:string -> [ `Prepared | `Read_only ]
+(** 2PC phase 1. A transaction that logged nothing past its Begin record
+    commits on the spot, with no force, releasing its locks, and answers
+    [`Read_only]: it has no outcome left to wait for. Any other appends a
+    [Prepare] record carrying the coordinator's global id and forces the
+    log through it. It stays active and keeps all its locks; recovery
+    classifies it as in-doubt, not a loser, until a decision settles it.
+    The decision needs no record of its own: {!commit} or {!abort} writes
+    the Commit or Abort record that states it. *)
 
 type savepoint
 

@@ -60,15 +60,18 @@ type event =
   | Coord_prepare of { gtxn : string; rid : int; shard : int }
       (** Prepare sent to [shard] for global transaction [gtxn] *)
   | Coord_vote of { gtxn : string; shard : int; vote : string }
-      (** [shard]'s prepare outcome: ["yes"], ["no"] (shard voted to
-          abort), or ["dead"] (line down — presumed No) *)
+      (** [shard]'s prepare outcome: ["yes"], ["read-only"] (the shard
+          committed its read-only part and needs no decision), ["no"]
+          (shard voted to abort), or ["dead"] (line down — presumed No) *)
   | Coord_decision of { gtxn : string; committed : bool }
-      (** decision record forced to the coordinator WAL *)
+      (** the outcome: a commit is forced to the coordinator WAL first,
+          unless every participant voted read-only *)
   | Coord_decide of { gtxn : string; rid : int; shard : int; committed : bool }
       (** Decide delivered to [shard] *)
   | Twopc_prepare of { conn : int; gtxn : string; rid : int; outcome : string }
       (** participant side of Prepare: [outcome] is ["prepared"]
-          (a resend for a gtxn already in doubt included) or ["no"];
+          (a resend for a gtxn already in doubt included), ["read-only"]
+          (committed on the spot) or ["no"];
           [rid] is the coordinator correlation id off the frame *)
   | Twopc_decide of {
       conn : int;

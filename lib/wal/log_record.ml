@@ -29,8 +29,9 @@ type body =
       catalog : string;
     }
   | Ddl of string
-  | Prepare of { gtxn : string; participants : string }
-  | Decision of { gtxn : string; committed : bool }
+  | Prepare of { gtxn : string }
+  | Decision of { gtxn : string }
+  | Gid_block of { last : string }
 
 type t = { lsn : lsn; txn : int; prev : lsn; body : body }
 
@@ -69,8 +70,8 @@ let body_size = function
   | Checkpoint c ->
       1 + pairs_size c.active + pairs_size c.dpt + str_size c.catalog
   | Ddl s -> 1 + str_size s
-  | Prepare p -> 1 + str_size p.gtxn + str_size p.participants
-  | Decision d -> 1 + str_size d.gtxn + 1
+  | Prepare { gtxn } | Decision { gtxn } | Gid_block { last = gtxn } ->
+      1 + str_size gtxn
 
 let size t = 12 + body_size t.body
 
@@ -143,10 +144,9 @@ let put_body b pos = function
       let pos = put_pairs b (put_u8 b pos 'K') c.active in
       put_str b (put_pairs b pos c.dpt) c.catalog
   | Ddl s -> put_str b (put_u8 b pos 'D') s
-  | Prepare p -> put_str b (put_str b (put_u8 b pos 'P') p.gtxn) p.participants
-  | Decision d ->
-      put_u8 b (put_str b (put_u8 b pos 'V') d.gtxn)
-        (if d.committed then '\001' else '\000')
+  | Prepare p -> put_str b (put_u8 b pos 'P') p.gtxn
+  | Decision d -> put_str b (put_u8 b pos 'V') d.gtxn
+  | Gid_block g -> put_str b (put_u8 b pos 'G') g.last
 
 let encode_into t room =
   let n = size t in
@@ -171,7 +171,7 @@ let decodable t =
   | Update { redo; _ } | Clr { redo; _ } ->
       List.for_all (fun (_, d) -> Page_diff.well_formed d) redo
   | Begin _ | Commit | Abort | End | Checkpoint _ | Ddl _ | Prepare _
-  | Decision _ ->
+  | Decision _ | Gid_block _ ->
       true
 
 (* the fixed header, read in place *)
@@ -278,12 +278,9 @@ let rd_body r =
       let dpt = rd_pairs r in
       Checkpoint { active; dpt; catalog = rd_str r }
   | 'D' -> Ddl (rd_str r)
-  | 'P' ->
-      let gtxn = rd_str r in
-      Prepare { gtxn; participants = rd_str r }
-  | 'V' ->
-      let gtxn = rd_str r in
-      Decision { gtxn; committed = rd_u8 r = 1 }
+  | 'P' -> Prepare { gtxn = rd_str r }
+  | 'V' -> Decision { gtxn = rd_str r }
+  | 'G' -> Gid_block { last = rd_str r }
   | _ -> fail ()
 
 let decode_sub b pos len =
@@ -301,7 +298,7 @@ let pages_touched t =
   match t.body with
   | Update { redo; _ } | Clr { redo; _ } -> List.map fst redo
   | Begin _ | Commit | Abort | End | Checkpoint _ | Ddl _ | Prepare _
-  | Decision _ ->
+  | Decision _ | Gid_block _ ->
       []
 
 let pp_undo ppf = function
@@ -334,8 +331,7 @@ let pp ppf t =
           (List.length c.dpt)
     | Ddl _ -> Format.fprintf ppf "DDL"
     | Prepare p -> Format.fprintf ppf "PREPARE %s" p.gtxn
-    | Decision d ->
-        Format.fprintf ppf "DECISION %s %s" d.gtxn
-          (if d.committed then "commit" else "abort")
+    | Decision d -> Format.fprintf ppf "DECISION %s" d.gtxn
+    | Gid_block g -> Format.fprintf ppf "GIDS up to %s" g.last
   in
   Format.fprintf ppf "[%d] txn=%d prev=%d %a" t.lsn t.txn t.prev body t.body

@@ -45,16 +45,17 @@ type body =
       catalog : string;  (** opaque catalog snapshot, restored by the owner *)
     }
   | Ddl of string  (** opaque catalog delta, replayed by the owner in order *)
-  | Prepare of { gtxn : string; participants : string }
-      (** 2PC phase 1: the transaction is fully forced and holds its locks
-          until a decision arrives. [gtxn] is the coordinator's global id.
-          In the coordinator's decision log, [participants] is the
-          comma-separated list of participant shards; a participant logs it
-          empty. *)
-  | Decision of { gtxn : string; committed : bool }
-      (** A coordinator's forced commit decision for a gtxn whose begin
-          record ([Prepare]) precedes it. Aborts are never logged, and a
-          participant's decision is its own [Commit] or [Abort] record. *)
+  | Prepare of { gtxn : string }
+      (** 2PC phase 1 on a participant: the transaction is fully forced
+          and holds its locks until a decision arrives. [gtxn] is the
+          coordinator's global id. *)
+  | Decision of { gtxn : string }
+      (** A coordinator's forced commit decision. Aborts are never
+          logged (presumed abort), and a participant's decision is its
+          own [Commit] or [Abort] record. *)
+  | Gid_block of { last : string }
+      (** A coordinator's forced reservation of global ids up to and
+          including [last] ([name:n]); a restart resumes above it. *)
 
 type t = { lsn : lsn; txn : int; prev : lsn; body : body }
 

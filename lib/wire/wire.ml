@@ -12,7 +12,7 @@ module B = Ivdb_util.Bytes_util
 module Row = Ivdb_relation.Row
 module Log_record = Ivdb_wal.Log_record
 
-let version = 6
+let version = 7
 
 (* A length prefix beyond this is corruption, not a real frame: it caps
    the allocation a hostile or damaged stream can request. *)
@@ -52,7 +52,7 @@ type frame =
   | Promote of { seq : int }
   | DropSlot of { seq : int; name : string }
   | Prepare of { seq : int; rid : int; gtxn : string }
-  | Prepared of { seq : int; gtxn : string }
+  | Prepared of { seq : int; gtxn : string; read_only : bool }
   | Decide of { seq : int; rid : int; gtxn : string; committed : bool }
   | Decided of { seq : int; gtxn : string; committed : bool }
   | Bye
@@ -116,7 +116,9 @@ let pp ppf f =
   | DropSlot { seq; name } -> Format.fprintf ppf "DropSlot{#%d %S}" seq name
   | Prepare { seq; rid; gtxn } ->
       Format.fprintf ppf "Prepare{#%d r%d %s}" seq rid gtxn
-  | Prepared { seq; gtxn } -> Format.fprintf ppf "Prepared{#%d %s}" seq gtxn
+  | Prepared { seq; gtxn; read_only } ->
+      Format.fprintf ppf "Prepared{#%d %s%s}" seq gtxn
+        (if read_only then " read-only" else "")
   | Decide { seq; rid; gtxn; committed } ->
       Format.fprintf ppf "Decide{#%d r%d %s %s}" seq rid gtxn
         (if committed then "commit" else "abort")
@@ -224,10 +226,11 @@ let encode f =
       add_u32 buf seq;
       add_u32 buf rid;
       add_str buf gtxn
-  | Prepared { seq; gtxn } ->
+  | Prepared { seq; gtxn; read_only } ->
       Buffer.add_char buf '2';
       add_u32 buf seq;
-      add_str buf gtxn
+      add_str buf gtxn;
+      Buffer.add_char buf (if read_only then '\001' else '\000')
   | Decide { seq; rid; gtxn; committed } ->
       Buffer.add_char buf '3';
       add_u32 buf seq;
@@ -350,7 +353,8 @@ let decode s =
         Prepare { seq; rid; gtxn = rd_str r }
     | '2' ->
         let seq = rd_u32 r in
-        Prepared { seq; gtxn = rd_str r }
+        let gtxn = rd_str r in
+        Prepared { seq; gtxn; read_only = rd_bool r }
     | '3' ->
         let seq = rd_u32 r in
         let rid = rd_u32 r in

@@ -121,11 +121,16 @@ type frame =
           coordinator's correlation id for the commit statement driving
           this round, echoed into the participant's [Twopc_prepare] trace
           event so shard-side activity joins the coordinator's stream.
-          Answered with [Prepared] (vote yes) or [Err] (vote no — the
+          Answered with [Prepared] (a vote) or [Err] (vote no — the
           transaction was rolled back, or the session had none open).
           Re-sending a [Prepare] for a gtxn the shard holds in doubt is
           answered [Prepared] from its in-doubt table, never re-executed. *)
-  | Prepared of { seq : int; gtxn : string }
+  | Prepared of { seq : int; gtxn : string; read_only : bool }
+      (** A yes vote. [read_only]: the transaction logged nothing on this
+          shard, so the shard committed it on the spot, without a force,
+          and released its locks; it is not in doubt and expects no
+          [Decide]. Otherwise the transaction is forced prepared and
+          waits, locks held, for the decision. *)
   | Decide of { seq : int; rid : int; gtxn : string; committed : bool }
       (** 2PC phase 2: the coordinator's logged decision. Idempotent —
           the shard keeps no memory of decided gtxns, so a gtxn not in

@@ -2,10 +2,12 @@
    transport: statement routing, cross-shard 2PC, shard-local partial
    views combined on read (V1 across the cluster, MIN/MAX and deferred
    views included; join views must be co-partitioned), sys.shards
-   through both paths, the coordinator-crash-at-every-action sweep, the
+   through both paths, read-only participants, gids never reused across
+   a restart, the coordinator-crash-at-every-action sweep, the
    participant-crash-at-every-force-point sweep (clean and torn tail),
-   and the prepare/decide retransmit regressions: a shard answers a
-   re-sent frame exactly once while keeping no memory of decided gtxns.
+   both over writers only and with a read-only participant, and the
+   prepare/decide retransmit regressions: a shard answers a re-sent
+   frame exactly once while keeping no memory of decided gtxns.
 
    The crash sweeps follow the repo's standard shape: run a scripted
    workload once unarmed to size the sweep, then re-run it once per
@@ -123,6 +125,26 @@ let script ~shards n =
           (10 * (i + 1));
       ])
 
+(* [n] transactions on a 3-shard cluster, each inserting a row on two
+   shards and reading one on the third, a participant that votes
+   read-only. The read finds the row transaction [i-1] inserted there;
+   the first one's read finds nothing. Global transaction [i+1] is script
+   transaction [i]. *)
+let read_script n =
+  let shards = 3 in
+  let keys = Array.init shards (fun s -> keys_owned_by ~shards s (2 * n)) in
+  let key i slot = keys.((i + slot) mod shards).((2 * i) + slot) in
+  List.init n (fun i ->
+      let read = if i = 0 then keys.(2).(0) else key (i - 1) 0 in
+      [
+        Printf.sprintf "SELECT * FROM t WHERE k = %d" read;
+        Printf.sprintf "INSERT INTO t VALUES (%d, 'g%d', %d)" (key i 0) (i mod 3)
+          (i + 1);
+        Printf.sprintf "INSERT INTO t VALUES (%d, 'g%d', %d)" (key i 1)
+          ((i + 1) mod 3)
+          (10 * (i + 1));
+      ])
+
 let run_txn c stmts =
   ignore (Coord.exec c "BEGIN");
   List.iter (fun s -> ignore (Coord.exec c s)) stmts;
@@ -134,36 +156,37 @@ let run_script c txns = List.iter (run_txn c) txns
    ("coord:N" -> N), i.e. the transactions recovery is bound to
    preserve. *)
 let committed_gids cwal =
-  let h = Hashtbl.create 8 in
+  let acc = ref [] in
   Wal.iter_stable cwal (fun r ->
       match r.Log_record.body with
-      | Log_record.Decision { gtxn; committed } ->
-          Hashtbl.replace h gtxn committed
+      | Log_record.Decision { gtxn } -> (
+          match String.rindex_opt gtxn ':' with
+          | Some i -> (
+              match
+                int_of_string_opt
+                  (String.sub gtxn (i + 1) (String.length gtxn - i - 1))
+              with
+              | Some n -> acc := n :: !acc
+              | None -> ())
+          | None -> ())
       | _ -> ());
-  Hashtbl.fold
-    (fun g c acc ->
-      match String.rindex_opt g ':' with
-      | Some i when c -> (
-          match
-            int_of_string_opt (String.sub g (i + 1) (String.length g - i - 1))
-          with
-          | Some n -> n :: acc
-          | None -> acc)
-      | _ -> acc)
-    h []
-  |> List.sort compare
+  List.sort_uniq compare !acc
 
-(* The coordinator log's 2PC records, in log order: "begin g" for a begin
-   record, "commit g" / "abort g" for a decision record. *)
+(* The coordinator log's 2PC records, in log order: "gids g" for a gid
+   block reserved up to g, "commit g" for a decision record. *)
 let coord_log cwal =
   let acc = ref [] in
   Wal.iter_stable cwal (fun r ->
       match r.Log_record.body with
-      | Log_record.Prepare { gtxn; _ } -> acc := ("begin " ^ gtxn) :: !acc
-      | Log_record.Decision { gtxn; committed } ->
-          acc := ((if committed then "commit " else "abort ") ^ gtxn) :: !acc
+      | Log_record.Gid_block { last } -> acc := ("gids " ^ last) :: !acc
+      | Log_record.Decision { gtxn } -> acc := ("commit " ^ gtxn) :: !acc
       | _ -> ());
   List.rev !acc
+
+(* A shard's in-doubt gtxns, read as an operator would: sys.indoubt. *)
+let indoubt_gtxns db =
+  rows (Sql.exec (Sql.session db) "SELECT gtxn FROM sys.indoubt")
+  |> List.map (function [| Value.Str g |] -> g | _ -> Alcotest.fail "gtxn row")
 
 (* Serial reference: execute exactly [gids] of [txns], in order, on a
    fresh cluster — the state every recovery must land on. Memoised per
@@ -540,9 +563,7 @@ let test_join_views_must_be_copartitioned () =
 
 (* --- coordinator crash at every protocol action ------------------------ *)
 
-let test_coordinator_crash_sweep () =
-  let shards = 2 in
-  let txns = script ~shards 4 in
+let coordinator_crash_sweep ~shards txns () =
   let total =
     let cl = fresh_cluster shards in
     phase cl (fun c _ ->
@@ -588,8 +609,7 @@ let test_coordinator_crash_sweep () =
 
 (* --- participant crash at every WAL force ------------------------------ *)
 
-let participant_run ~txns fcfg =
-  let shards = 2 in
+let participant_run ~shards ~txns fcfg =
   let cl = fresh_cluster shards in
   (* setup is not part of the sweep: its DDL forces are counted first
      and the armed trigger aimed past them, so every point lands inside
@@ -605,9 +625,7 @@ let participant_run ~txns fcfg =
   in
   (cl, crashed)
 
-let test_participant_crash_sweep () =
-  let shards = 2 in
-  let txns = script ~shards 3 in
+let participant_crash_sweep ~shards txns () =
   (* unarmed counting runs: forces during setup alone, then in total *)
   let setup_forces =
     let cl = fresh_cluster shards in
@@ -616,7 +634,7 @@ let test_participant_crash_sweep () =
     Fault.forces_seen (Database.fault_plan cl.dbs.(0))
   in
   let total_forces =
-    let cl, crashed = participant_run ~txns Fault.no_faults in
+    let cl, crashed = participant_run ~shards ~txns Fault.no_faults in
     Alcotest.(check bool) "counting run survived" false crashed;
     Fault.forces_seen (Database.fault_plan cl.dbs.(0))
   in
@@ -624,7 +642,7 @@ let test_participant_crash_sweep () =
     (total_forces > setup_forces);
   let cache = Hashtbl.create 8 in
   let sweep_point fcfg desc =
-    let cl, crashed = participant_run ~txns fcfg in
+    let cl, crashed = participant_run ~shards ~txns fcfg in
     if not crashed then Alcotest.failf "%s: armed trigger did not fire" desc;
     crash_cluster cl;
     phase cl (fun c _ -> ignore (Coord.recover c));
@@ -704,7 +722,8 @@ let test_retransmit_dedupe () =
        with Client.Disconnected _ -> ());
       (* the coordinator-style resend is answered from the in-doubt
          table on a fresh session — not re-executed *)
-      Client.prepare_2pc cl ~gtxn:"g:1";
+      Alcotest.(check bool) "the resend votes yes from the table" true
+        (Client.prepare_2pc cl ~gtxn:"g:1" = `Prepared);
       check Alcotest.int "prepared exactly once" 1
         (Metrics.get (Database.metrics db) "shard.prepared");
       (* same for the decision: the ack dies, the resend is a no-op *)
@@ -885,10 +904,13 @@ let test_ill_typed_through_coord () =
 let test_prepare_loss_aborts () =
   let shards = 2 in
   cross_shard_cluster 13 (fun dbs dialers ->
-      let drops = ref [] in
+      let drops = ref [] and drops3 = ref [] in
       let dialers =
         Array.mapi
-          (fun i d -> if i = 0 then black_hole_dialer d "coord:1" drops else d)
+          (fun i d ->
+            if i = 0 then
+              black_hole_dialer (black_hole_dialer d "coord:1" drops) "coord:3" drops3
+            else d)
           dialers
       in
       let c = Coord.create dialers in
@@ -912,12 +934,12 @@ let test_prepare_loss_aborts () =
          ignore (Coord.exec c "COMMIT");
          Alcotest.fail "expected the transaction to abort"
        with Coord.Coord_error _ -> ());
-      (* presumed abort: the begin record is the round's one force, and
-         no decision record follows it *)
+      (* presumed abort: the round's one force reserves the first gid
+         block; there is no begin record and no decision record *)
       check Alcotest.int "one coordinator force" 1 (forces () - forces0);
       check
         Alcotest.(list string)
-        "the coordinator log" [ "begin coord:1" ] (coord_log (Coord.wal c));
+        "the coordinator log" [ "gids coord:1024" ] (coord_log (Coord.wal c));
       (* atomicity: no leg survived anywhere, nothing left in doubt *)
       check Alcotest.int "no partial commit" 0
         (List.length (rows (Coord.exec c "SELECT k FROM t")));
@@ -930,16 +952,33 @@ let test_prepare_loss_aborts () =
         dbs;
       check Alcotest.int "the abort was counted" 1 (Coord.stats c).Coord.aborts;
       (* the coordinator session survives: the same work then commits,
-         forcing its begin and commit records *)
+         forcing its commit record and nothing else *)
       let forces0 = forces () in
       run_txn c legs;
-      check Alcotest.int "two coordinator forces" 2 (forces () - forces0);
+      check Alcotest.int "a commit forces one coordinator record" 1
+        (forces () - forces0);
       check
         Alcotest.(list string)
         "the coordinator log after the commit"
-        [ "begin coord:1"; "begin coord:2"; "commit coord:2" ]
+        [ "gids coord:1024"; "commit coord:2" ]
         (coord_log (Coord.wal c));
       check Alcotest.int "retried transaction landed both legs" 2
+        (List.length (rows (Coord.exec c "SELECT k FROM t")));
+      (* with the gid block reserved, an abort forces nothing at all *)
+      let k0' = (keys_owned_by ~shards 0 2).(1)
+      and k1' = (keys_owned_by ~shards 1 2).(1) in
+      ignore (Coord.exec c "BEGIN");
+      ignore (Coord.exec c (Printf.sprintf "INSERT INTO t VALUES (%d, 3)" k0'));
+      ignore (Coord.exec c (Printf.sprintf "INSERT INTO t VALUES (%d, 4)" k1'));
+      drops3 := [ 1 ];
+      let forces0 = forces () in
+      (try
+         ignore (Coord.exec c "COMMIT");
+         Alcotest.fail "expected the transaction to abort"
+       with Coord.Coord_error _ -> ());
+      check Alcotest.int "an abort forces no coordinator record" 0
+        (forces () - forces0);
+      check Alcotest.int "the aborted legs are gone" 2
         (List.length (rows (Coord.exec c "SELECT k FROM t")));
       Coord.close c)
 
@@ -979,10 +1018,10 @@ let test_decision_redelivery () =
       Coord.close c)
 
 (* An aborting round — shard 0's Prepare is lost, as in
-   test_prepare_loss_aborts — crashed at each of its actions: the begin
-   force, the Prepare, the Decide. After a power cycle and recovery no
-   shard is in doubt, no leg survives anywhere, and the coordinator log
-   holds no decision record: recovery reads the lone begin record as
+   test_prepare_loss_aborts — crashed at each of its actions: the gid
+   block force, the Prepare, the Decide. After a power cycle and recovery
+   no shard is in doubt, no leg survives anywhere, and the coordinator
+   log holds no decision record: recovery reads the missing decision as
    abort and writes nothing. *)
 let test_abort_round_crash_sweep () =
   let shards = 2 in
@@ -1021,7 +1060,7 @@ let test_abort_round_crash_sweep () =
             Coord.close c;
             n))
   in
-  check Alcotest.int "begin force, Prepare, Decide" 3
+  check Alcotest.int "gid block force, Prepare, Decide" 3
     (round (fresh_cluster shards) None);
   for n = 1 to 3 do
     let cl = fresh_cluster shards in
@@ -1044,7 +1083,7 @@ let test_abort_round_crash_sweep () =
       (Printf.sprintf "action %d: no decision record" n)
       true
       (List.for_all
-         (fun r -> String.starts_with ~prefix:"begin " r)
+         (fun r -> not (String.starts_with ~prefix:"commit " r))
          (coord_log cl.cwal))
   done
 
@@ -1059,7 +1098,7 @@ let test_restart_sends_nothing_before_recover () =
       run_setup c;
       run_script c (script ~shards 2));
   check Alcotest.(list string) "two committed gtxns"
-    [ "begin coord:1"; "commit coord:1"; "begin coord:2"; "commit coord:2" ]
+    [ "gids coord:1024"; "commit coord:1"; "commit coord:2" ]
     (coord_log cl.cwal);
   let decides = ref [] in
   Array.iter
@@ -1156,7 +1195,7 @@ let test_participant_outcomes_survive_restart () =
   let prepare gtxn k =
     ignore (Sql.exec s "BEGIN");
     ignore (Sql.exec s (Printf.sprintf "INSERT INTO t VALUES (%d, 0)" k));
-    Sql.prepare_2pc s ~gtxn
+    if Sql.prepare_2pc s ~gtxn <> `Prepared then Alcotest.failf "%s: not prepared" gtxn
   in
   prepare "g:commit" 1;
   prepare "g:abort" 2;
@@ -1202,13 +1241,198 @@ let test_participant_outcomes_survive_restart () =
   check Alcotest.int "the re-sends appended nothing" 0 (appends () - a0);
   check Alcotest.int "the re-sends changed no rows" 1 (count ())
 
+(* --- read-only participants ----------------------------------------------- *)
+
+let has_prepare_record db =
+  let w = Database.wal db in
+  let rec go l =
+    l <= Wal.last_lsn w
+    && (match (Wal.get w l).Log_record.body with
+       | Log_record.Prepare _ -> true
+       | _ -> go (l + 1))
+  in
+  go (Wal.first_lsn w)
+
+(* A gtxn that reads on shard 0 and writes on shards 1 and 2. Shard 0
+   votes read-only: its part commits at Prepare, so a conflicting writer
+   there proceeds while the writers still wait for the decision, and it
+   gets no Decide and logs no Prepare record. A gtxn that only reads
+   forces no coordinator record. *)
+let test_read_only_participant () =
+  let shards = 3 in
+  let dbs = Array.init shards (fun _ -> Database.create ()) in
+  let decides = Array.make shards 0 in
+  Array.iteri
+    (fun i db ->
+      let tr = Database.trace db in
+      Trace.add_sink tr (fun r ->
+          match r.Trace.event with
+          | Trace.Twopc_decide _ -> decides.(i) <- decides.(i) + 1
+          | _ -> ());
+      Trace.set_enabled tr true)
+    dbs;
+  let k s n = (keys_owned_by ~shards s (n + 1)).(n) in
+  Sched.run ~seed:53 (fun () ->
+      Coord.loopback_cluster ~config:Server.default_config dbs (fun dialers ->
+          (* each writer's Decide for ro:1 and its one retry vanish, so the
+             decision reaches neither writer until the next commit *)
+          let drops = ref [] in
+          let dialers =
+            Array.mapi
+              (fun i d -> if i > 0 then black_hole_dialer d "ro:1" drops else d)
+              dialers
+          in
+          let c = Coord.create ~name:"ro" dialers in
+          let exec sql = ignore (Coord.exec c sql) in
+          exec "CREATE TABLE t (k INT NOT NULL, x INT)";
+          exec (Printf.sprintf "INSERT INTO t VALUES (%d, 0)" (k 0 0));
+          exec (Printf.sprintf "INSERT INTO t VALUES (%d, 0)" (k 1 0));
+          drops := [ 2; 3 ];
+          run_txn c
+            [
+              Printf.sprintf "SELECT * FROM t WHERE k = %d" (k 0 0);
+              Printf.sprintf "INSERT INTO t VALUES (%d, 1)" (k 1 1);
+              Printf.sprintf "INSERT INTO t VALUES (%d, 2)" (k 2 0);
+            ];
+          (match rows (Coord.exec c "SELECT votes, undelivered FROM sys.gtxns") with
+          | [ [| Value.Str "0:read-only,1:yes,2:yes"; Value.Int 2 |] ] -> ()
+          | _ -> Alcotest.fail "sys.gtxns: shard 0 voted read-only");
+          check Alcotest.(list (list string)) "only the writers are in doubt"
+            [ []; [ "ro:1" ]; [ "ro:1" ] ]
+            (Array.to_list (Array.map indoubt_gtxns dbs));
+          (* a writer on the row the gtxn read is not blocked *)
+          let w = Coord.session c in
+          ignore (Coord.exec w "BEGIN");
+          check Alcotest.int "the conflicting UPDATE ran" 1
+            (affected
+               (Coord.exec w (Printf.sprintf "UPDATE t SET x = 9 WHERE k = %d" (k 0 0))));
+          check Alcotest.int "while both writers wait for the decision" 2
+            (Database.indoubt_count dbs.(1) + Database.indoubt_count dbs.(2));
+          (* its commit re-delivers the decision to the writers only *)
+          ignore (Coord.exec w "COMMIT");
+          Coord.close w;
+          check Alcotest.(list int) "Decides: none for the reader" [ 0; 1; 1 ]
+            (Array.to_list decides);
+          Alcotest.(check (list bool)) "Prepare records: none on the reader"
+            [ false; true; true ]
+            (Array.to_list (Array.map has_prepare_record dbs));
+          check Alcotest.int "the gtxn's writes landed" 4
+            (List.length (rows (Coord.exec c "SELECT k FROM t")));
+          (* a gtxn that only reads: every participant votes read-only,
+             and the coordinator forces nothing and sends no Decide *)
+          let forces () = Metrics.get (Coord.metrics c) "log.force" in
+          let forces0 = forces () in
+          run_txn c
+            [
+              Printf.sprintf "SELECT * FROM t WHERE k = %d" (k 0 0);
+              Printf.sprintf "SELECT * FROM t WHERE k = %d" (k 1 0);
+            ];
+          check Alcotest.int "an all-read-only commit forces nothing" 0
+            (forces () - forces0);
+          (match rows (Coord.exec c "SELECT gtxn, phase, votes FROM sys.gtxns") with
+          | [| Value.Str "ro:2"; Value.Str "committed"; Value.Str "0:read-only,1:read-only" |]
+            :: _ -> ()
+          | _ -> Alcotest.fail "sys.gtxns: an all-read-only gtxn");
+          check Alcotest.(list int) "and sent no Decide" [ 0; 1; 1 ]
+            (Array.to_list decides);
+          Coord.close c))
+
+(* A restarted coordinator never hands out a gid a shard may still hold
+   in doubt. The coordinator crashes after shard 0 prepared coord:1 and
+   before shard 1 did. Shard 0 is down while the restarted coordinator
+   recovers and commits new gtxns on shards 1 and 2. Once shard 0 is
+   back, the next commit asks it again: coord:1 aborts there, and a new
+   gtxn on shard 0 is prepared for real, not answered from the in-doubt
+   table. A reused gid would have read the new gtxn's commit record as
+   coord:1's. *)
+let test_gids_never_reused () =
+  let shards = 3 in
+  let cl = fresh_cluster shards in
+  let keys = Array.init shards (fun s -> keys_owned_by ~shards s 4) in
+  let ins s n = Printf.sprintf "INSERT INTO t VALUES (%d, %d)" keys.(s).(n) n in
+  (match
+     phase cl (fun c _ ->
+         ignore (Coord.exec c "CREATE TABLE t (k INT NOT NULL, x INT)");
+         ignore (Coord.exec c "CHECKPOINT");
+         (* actions: the gid block (1), Prepare to shard 0 (2), then the
+            crash at the Prepare to shard 1 *)
+         Coord.set_crash_at_action c (Some (Coord.actions c + 3));
+         run_txn c [ ins 0 0; ins 1 0 ])
+   with
+  | () -> Alcotest.fail "armed trigger did not fire"
+  | exception Fault.Crash_point _ -> ());
+  crash_cluster cl;
+  check Alcotest.(list string) "shard 0 holds coord:1 in doubt" [ "coord:1" ]
+    (indoubt_gtxns cl.dbs.(0));
+  let down = ref false in
+  let prepared () = Metrics.get (Database.metrics cl.dbs.(0)) "shard.prepared" in
+  let prepared0 = prepared () in
+  let gids =
+    Sched.run ~seed:11 (fun () ->
+        Coord.loopback_cluster ~config:Server.default_config cl.dbs
+          (fun dialers ->
+            let dialers =
+              Array.mapi
+                (fun i (d : Transport.dialer) ->
+                  if i > 0 then d
+                  else
+                    {
+                      d with
+                      Transport.dial =
+                        (fun () ->
+                          let conn = d.Transport.dial () in
+                          {
+                            conn with
+                            Transport.write =
+                              (fun s ->
+                                if !down then conn.Transport.close ()
+                                else conn.Transport.write s);
+                          });
+                    })
+                dialers
+            in
+            let c = Coord.create ~wal:cl.cwal dialers in
+            down := true;
+            check Alcotest.int "recovery cannot reach shard 0" 0 (Coord.recover c);
+            run_txn c [ ins 1 1; ins 2 1 ];
+            down := false;
+            (* this commit's retry meets the re-dial, the next one asks *)
+            run_txn c [ ins 1 2; ins 2 2 ];
+            check Alcotest.(list string) "still in doubt until asked" [ "coord:1" ]
+              (indoubt_gtxns cl.dbs.(0));
+            run_txn c [ ins 0 3; ins 1 3 ];
+            let gids =
+              rows (Coord.exec c "SELECT gtxn, phase FROM sys.gtxns")
+              |> List.map (function
+                   | [| Value.Str g; Value.Str p |] -> g ^ " " ^ p
+                   | _ -> Alcotest.fail "sys.gtxns row")
+            in
+            Coord.close c;
+            gids))
+  in
+  check Alcotest.(list string) "coord:1 aborted; new gids above its block"
+    [
+      "coord:1027 committed"; "coord:1 aborted"; "coord:1026 committed";
+      "coord:1025 committed";
+    ]
+    gids;
+  check Alcotest.(list string) "shard 0 no longer in doubt" [] (indoubt_gtxns cl.dbs.(0));
+  check Alcotest.int "shard 0 prepared the new gtxn itself" 1 (prepared () - prepared0);
+  let on_shard0 =
+    rows (Sql.exec (Sql.session cl.dbs.(0)) "SELECT k FROM t")
+    |> List.map (function [| Value.Int k |] -> k | _ -> Alcotest.fail "key row")
+  in
+  check Alcotest.(list int) "coord:1's row is gone, the new one landed"
+    [ keys.(0).(3) ] on_shard0
+
 (* --- cluster observability: sys.gtxns, trace, wire catalogs ------------ *)
 
 (* An armed crash at action 4 stops the protocol at the decision force:
-   log_start (1) and both Prepares (2, 3) have happened, so the global
-   transaction is mid-flight with two yes votes — exactly the moment
-   sys.gtxns must show one "deciding" row. Recovery then presume-aborts
-   it and the row drains into the recent list. *)
+   the gid block force (1) and both Prepares (2, 3) have happened, so the
+   global transaction is mid-flight with two yes votes — exactly the
+   moment sys.gtxns must show one "deciding" row. After a power cycle,
+   recovery finds it in doubt on both shards with no decision logged,
+   aborts it, and the row drains into the recent list. *)
 let test_gtxns_inflight () =
   let shards = 2 in
   let cl = fresh_cluster shards in
@@ -1233,36 +1457,38 @@ let test_gtxns_inflight () =
         ] -> ()
       | rs -> Alcotest.failf "in-flight sys.gtxns: %d row(s)" (List.length rs));
       (* the catalog answers with full sys.* semantics: WHERE/projection *)
-      (match
-         rows
-           (Coord.exec c
-              "SELECT gtxn FROM sys.gtxns WHERE phase = 'deciding'")
-       with
+      match
+        rows
+          (Coord.exec c
+             "SELECT gtxn FROM sys.gtxns WHERE phase = 'deciding'")
+      with
       | [ [| Value.Str "coord:1" |] ] -> ()
       | _ -> Alcotest.fail "WHERE/projection over sys.gtxns");
+  crash_cluster cl;
+  phase cl (fun c _ ->
       (* recovery resolves it (presumed abort) and the row drains *)
       check Alcotest.int "one txn resolved" 1 (Coord.recover c);
-      (match rows (Coord.exec c "SELECT gtxn, phase FROM sys.gtxns") with
-      | [ [| Value.Str "coord:1"; Value.Str "aborted" |] ] -> ()
+      (match rows (Coord.exec c "SELECT gtxn, phase, participants FROM sys.gtxns") with
+      | [ [| Value.Str "coord:1"; Value.Str "aborted"; Value.Str "0,1" |] ] -> ()
       | _ -> Alcotest.fail "sys.gtxns after recovery");
       Array.iteri
         (fun i db ->
-          check Alcotest.int
+          check Alcotest.(list string)
             (Printf.sprintf "shard %d not in doubt" i)
-            0
-            (Database.indoubt_count db))
+            [] (indoubt_gtxns db))
         cl.dbs;
-      (* a clean cross-shard commit lands newest-first ahead of it *)
+      (* a clean cross-shard commit lands newest-first ahead of it, with
+         a gid above the block reserved before the crash *)
       run_txn c (List.hd (script ~shards 2 |> List.tl));
       (match rows (Coord.exec c "SELECT gtxn, phase FROM sys.gtxns") with
       | [
-          [| Value.Str "coord:2"; Value.Str "committed" |];
+          [| Value.Str "coord:1025"; Value.Str "committed" |];
           [| Value.Str "coord:1"; Value.Str "aborted" |];
         ] -> ()
       | _ -> Alcotest.fail "recent gtxns after a clean commit");
-      (* the typed 2PC metrics saw both rounds *)
+      (* the typed 2PC metrics saw the commit *)
       let m = Coord.metrics c in
-      check Alcotest.int "four yes votes" 4 (Metrics.get m "coord.votes.yes");
+      check Alcotest.int "two yes votes" 2 (Metrics.get m "coord.votes.yes");
       check Alcotest.int "one 2PC commit" 1 (Metrics.get m "coord.commit.2pc");
       check Alcotest.int "nothing in doubt" 0 (Metrics.get m "coord.indoubt"))
 
@@ -1436,22 +1662,28 @@ let test_recover_is_idempotent () =
       run_setup c;
       run_script c txns);
   let before = digest_union cl in
-  (* a clean restart re-delivers every decision; participants answer
-     a gtxn no longer in doubt by rule and nothing changes *)
+  (* after a clean restart no shard holds anything in doubt, so recovery
+     has nothing to resolve and changes nothing *)
   crash_cluster cl;
+  let resolved, owed =
+    phase cl (fun c _ ->
+        let r = Coord.recover c in
+        (r, Metrics.get (Coord.metrics c) "coord.indoubt"))
+  in
+  check Alcotest.int "nothing to resolve" 0 resolved;
+  check Alcotest.int "nothing left owed" 0 owed;
+  check Alcotest.string "recovery changed nothing" before (digest_union cl);
   let resolved = phase cl (fun c _ -> Coord.recover c) in
-  check Alcotest.int "every started txn resolved" 2 resolved;
-  check Alcotest.string "re-delivery changed nothing" before (digest_union cl);
-  let resolved = phase cl (fun c _ -> Coord.recover c) in
-  check Alcotest.int "second recovery is a no-op too" 2 resolved;
+  check Alcotest.int "second recovery is a no-op too" 0 resolved;
   check Alcotest.string "still unchanged" before (digest_union cl)
 
 (* Every restart ends in a checkpoint that truncates a finished gtxn's
    Prepare and Commit records, so after a second restart the shards no
-   longer know the gtxns a recovering coordinator re-delivers. A commit
-   for an unknown gtxn is one the shard already applied: it must answer
-   it as a duplicate, not a protocol error, or the coordinator keeps the
-   gtxn owed forever. *)
+   longer know the gtxns the coordinator committed. Recovery must send
+   them nothing — it asks the shards what they hold in doubt — and a
+   commit re-sent for such a gtxn (a Decide whose ack was lost) must be
+   answered as a duplicate, not a protocol error, or the coordinator
+   keeps the gtxn owed forever. *)
 let test_recover_after_second_restart () =
   let shards = 2 in
   let cl = fresh_cluster shards in
@@ -1460,7 +1692,7 @@ let test_recover_after_second_restart () =
       run_script c (script ~shards 2));
   let before = digest_union cl in
   crash_cluster cl;
-  check Alcotest.int "first recovery resolves both" 2
+  check Alcotest.int "first recovery resolves nothing" 0
     (phase cl (fun c _ -> Coord.recover c));
   crash_cluster cl;
   let outcomes = ref [] in
@@ -1478,17 +1710,20 @@ let test_recover_after_second_restart () =
         let r = Coord.recover c in
         (r, Metrics.get (Coord.metrics c) "coord.indoubt"))
   in
-  check Alcotest.int "second recovery resolves both" 2 resolved;
+  check Alcotest.int "second recovery resolves nothing" 0 resolved;
   check Alcotest.int "nothing left owed" 0 indoubt;
+  check Alcotest.(list string) "recovery sent no Decide" [] !outcomes;
   Array.iter
     (fun db ->
-      check Alcotest.(list (pair string int)) "nothing in doubt" []
-        (Database.indoubt_gtxns db))
+      check Alcotest.(list string) "nothing in doubt" [] (indoubt_gtxns db);
+      List.iter
+        (fun gtxn ->
+          Alcotest.(check bool)
+            (gtxn ^ ": a re-sent commit is a duplicate") true
+            (Database.decide_2pc db ~gtxn ~committed:true = `Duplicate))
+        [ "coord:1"; "coord:2" ])
     cl.dbs;
-  check Alcotest.(list string) "every re-delivered commit acked as a duplicate"
-    [ "duplicate"; "duplicate"; "duplicate"; "duplicate" ]
-    !outcomes;
-  check Alcotest.string "re-delivery changed nothing" before (digest_union cl)
+  check Alcotest.string "nothing changed" before (digest_union cl)
 
 (* Routing metadata is re-derived from the DDL in the coordinator's log:
    a restarted coordinator must keep refusing partition-column updates
@@ -1707,8 +1942,7 @@ let test_sessions_share_the_coordinator () =
   let decided = ref [] in
   Wal.iter_stable cl.cwal (fun r ->
       match r.Log_record.body with
-      | Log_record.Decision { gtxn; committed = true } ->
-          decided := gtxn :: !decided
+      | Log_record.Decision { gtxn } -> decided := gtxn :: !decided
       | _ -> ());
   check Alcotest.int "four decisions logged" 4 (List.length !decided);
   check Alcotest.int "distinct gtxn ids" 4
@@ -1745,9 +1979,15 @@ let () =
       ( "crash",
         [
           Alcotest.test_case "coordinator crash at every protocol action"
-            `Slow test_coordinator_crash_sweep;
+            `Slow (coordinator_crash_sweep ~shards:2 (script ~shards:2 4));
           Alcotest.test_case "participant crash at every force point" `Slow
-            test_participant_crash_sweep;
+            (participant_crash_sweep ~shards:2 (script ~shards:2 3));
+          Alcotest.test_case
+            "coordinator crash at every action, with a read-only participant"
+            `Slow (coordinator_crash_sweep ~shards:3 (read_script 3));
+          Alcotest.test_case
+            "participant crash at every force, with a read-only participant"
+            `Slow (participant_crash_sweep ~shards:3 (read_script 3));
           Alcotest.test_case "coordinator crash at every action of an abort"
             `Quick test_abort_round_crash_sweep;
           Alcotest.test_case "recovery is idempotent" `Quick
@@ -1758,6 +1998,8 @@ let () =
             `Quick test_restart_sends_nothing_before_recover;
           Alcotest.test_case "routing metadata survives a restart" `Quick
             test_routing_metadata_survives_restart;
+          Alcotest.test_case "a restart never reuses a gid" `Quick
+            test_gids_never_reused;
         ] );
       ( "dedupe",
         [
@@ -1773,6 +2015,11 @@ let () =
             `Quick test_indoubt_gauge_is_shared;
           Alcotest.test_case "a participant's Commit or Abort is its decision"
             `Quick test_participant_outcomes_survive_restart;
+        ] );
+      ( "read-only",
+        [
+          Alcotest.test_case "a read-only participant leaves at Prepare" `Quick
+            test_read_only_participant;
         ] );
       ( "observability",
         [

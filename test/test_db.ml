@@ -776,7 +776,7 @@ let test_ghost_entries_end_with_txn () =
   entries "after ROLLBACK" 0;
   let decide k committed =
     let gtxn = Printf.sprintf "g:%d" k in
-    explicit k (fun () -> Sql.prepare_2pc s ~gtxn);
+    explicit k (fun () -> ignore (Sql.prepare_2pc s ~gtxn));
     ignore (Database.decide_2pc db ~gtxn ~committed)
   in
   decide 3 true;

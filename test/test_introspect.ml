@@ -142,6 +142,38 @@ let test_sys_transactions_self () =
   let r = Sql.exec s "SELECT * FROM sys.transactions WHERE state = 'committed'" in
   Alcotest.(check bool) "recent committed visible" true (rows_of r <> [])
 
+(* sys.indoubt: one row per prepared global transaction, its [txn] joining
+   to the locks it still holds in sys.locks; a read-only part commits at
+   Prepare and never shows up. *)
+let test_sys_indoubt () =
+  let db = Database.create () in
+  let s = Sql.session db in
+  setup_sales s;
+  let other = Sql.session db in
+  ignore (Sql.exec other "BEGIN");
+  ignore (Sql.exec other "SELECT * FROM sales WHERE id = 1");
+  Alcotest.(check bool) "a read-only part votes read-only" true
+    (Sql.prepare_2pc other ~gtxn:"c:1" = `Read_only);
+  ignore (Sql.exec s "BEGIN");
+  ignore (Sql.exec s "INSERT INTO sales VALUES (3, 1, 2)");
+  Alcotest.(check bool) "a writing part prepares" true
+    (Sql.prepare_2pc s ~gtxn:"c:2" = `Prepared);
+  let r = Sql.exec s "SELECT * FROM sys.indoubt" in
+  let h = header_of r in
+  let txn =
+    match rows_of r with
+    | [ row ] ->
+        check Alcotest.string "gtxn" "c:2" (str_cell h "gtxn" row);
+        int_cell h "txn" row
+    | l -> Alcotest.failf "expected 1 in-doubt row, got %d" (List.length l)
+  in
+  Alcotest.(check bool) "txn joins to the locks it holds" true
+    (rows_of (Sql.exec s (Printf.sprintf "SELECT * FROM sys.locks WHERE txn = %d" txn))
+    <> []);
+  ignore (Database.decide_2pc db ~gtxn:"c:2" ~committed:true);
+  check Alcotest.int "decided: no longer in doubt" 0
+    (List.length (rows_of (Sql.exec s "SELECT * FROM sys.indoubt")))
+
 (* --- induced escrow conflict: E holder vs S waiter ------------------------- *)
 
 let test_lock_waits_conflict () =
@@ -552,6 +584,8 @@ let () =
           Alcotest.test_case "sys basics" `Quick test_sys_basics;
           Alcotest.test_case "sys.transactions self" `Quick
             test_sys_transactions_self;
+          Alcotest.test_case "sys.indoubt joins to sys.locks" `Quick
+            test_sys_indoubt;
           Alcotest.test_case "escrow conflict in sys.lock_waits" `Quick
             test_lock_waits_conflict;
           Alcotest.test_case "quiesced snapshot consistent" `Quick

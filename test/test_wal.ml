@@ -351,11 +351,9 @@ let any_body_gen =
     frequency
       [
         (12, body_gen);
-        ( 2,
-          map2
-            (fun g p -> LR.Prepare { gtxn = g; participants = p })
-            str_gen str_gen );
-        (2, map2 (fun g c -> LR.Decision { gtxn = g; committed = c }) str_gen bool);
+        (2, map (fun g -> LR.Prepare { gtxn = g }) str_gen);
+        (2, map (fun g -> LR.Decision { gtxn = g }) str_gen);
+        (1, map (fun g -> LR.Gid_block { last = g }) str_gen);
         (1, big_checkpoint_gen);
       ])
 

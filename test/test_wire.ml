@@ -98,9 +98,9 @@ let frame_gen =
         map3
           (fun seq rid gtxn -> Wire.Prepare { seq; rid; gtxn })
           (int_bound 100000) (int_bound 100000) str_gen;
-        map2
-          (fun seq gtxn -> Wire.Prepared { seq; gtxn })
-          (int_bound 100000) str_gen;
+        map3
+          (fun seq gtxn read_only -> Wire.Prepared { seq; gtxn; read_only })
+          (int_bound 100000) str_gen bool;
         map3
           (fun (seq, rid) gtxn committed -> Wire.Decide { seq; rid; gtxn; committed })
           (pair (int_bound 100000) (int_bound 100000))
@@ -154,7 +154,8 @@ let sample_frames =
     Wire.DropSlot { seq = 11; name = "follower-1" };
     Wire.Prepare { seq = 13; rid = 2; gtxn = "coord:7" };
     Wire.Prepare { seq = 14; rid = 0; gtxn = "" };
-    Wire.Prepared { seq = 15; gtxn = "coord:7" };
+    Wire.Prepared { seq = 15; gtxn = "coord:7"; read_only = false };
+    Wire.Prepared { seq = 15; gtxn = "coord:8"; read_only = true };
     Wire.Decide { seq = 16; rid = 2; gtxn = "coord:7"; committed = true };
     Wire.Decide { seq = 17; rid = 0; gtxn = "c:1"; committed = false };
     Wire.Decided { seq = 18; gtxn = "coord:7"; committed = true };

@@ -702,7 +702,7 @@ let e12 () =
               { n with fault_seed = 3; read_error_p = 0.2; write_error_p = 0.2 } );
             ("crash-write", 0., { n with crash_at_write = Some 5 });
             ( "torn-write", 0.,
-              { n with fault_seed = 1; crash_at_write = Some 5; torn_writes = true } );
+              { n with fault_seed = 6; crash_at_write = Some 5; torn_writes = true } );
             ( "torn-tail", 0.,
               { n with fault_seed = 9; crash_at_force = Some 25; torn_tail = true } );
           ];

@@ -56,6 +56,8 @@ val max_entry : int
 (** Maximum encoded key + value size accepted by the tree (fits a page
     quarter, guaranteeing splits always succeed). *)
 
+(** Splits read a node's cells, and rebuild its two halves from the split
+    point [Btree] chooses. *)
 val leaf_cells : bytes -> (string * string) list
 val leaf_rebuild : Ivdb_storage.Page_writer.t -> (string * string) list -> next:int -> unit
 

@@ -60,26 +60,50 @@ let leaf_for t key = find_leaf t t.root_pid key
 
 (* --- structure modifications (system transactions) ---------------------- *)
 
-(* Split point by accumulated cell bytes, clamped so both halves are
-   non-empty. *)
-let split_point sizes =
-  let total = List.fold_left ( + ) 0 sizes in
-  let n = List.length sizes in
-  let rec go i acc = function
-    | [] -> i
-    | s :: rest -> if acc + s >= total / 2 then i else go (i + 1) (acc + s) rest
+(* Where a full node splits: the cells that stay left, and the rest. [key]
+   is the key the split makes room for. When it sorts after every cell, the
+   new right sibling takes only the last cell, so an ascending load leaves
+   full nodes behind it. Otherwise a rightmost leaf keeps about 90% of its
+   bytes on the left (PostgreSQL's rule, for the nearly ascending keys that
+   concurrent writers insert out of order), and any other node splits at
+   half its bytes. Both halves keep a cell. *)
+let split ~key ~rightmost size cells =
+  let n = List.length cells in
+  let m =
+    if String.compare key (fst (List.nth cells (n - 1))) > 0 then n - 1
+    else
+      let total = List.fold_left (fun acc c -> acc + size c) 0 cells in
+      let target = if rightmost then total * 9 / 10 else total / 2 in
+      let rec go i acc = function
+        | [] -> i
+        | c :: rest ->
+            let acc = acc + size c in
+            if acc >= target then i else go (i + 1) acc rest
+      in
+      go 0 0 cells
   in
-  max 1 (min (n - 1) (go 0 0 sizes))
+  let m = max 1 (min (n - 1) m) in
+  (List.filteri (fun i _ -> i < m) cells, List.filteri (fun i _ -> i >= m) cells)
 
-let split_leaf t stx ~parent ~pid =
+(* A leaf's halves and the separator the parent gets: the right half's
+   first key. A leaf is rightmost when it has no next leaf. *)
+let split_leaf_cells ~key cells ~next =
+  let size (k, v) = 4 + String.length k + String.length v in
+  let left, right = split ~key ~rightmost:(next = 0) size cells in
+  (left, right, fst (List.hd right))
+
+(* An interior node's halves: the right half's first separator moves up,
+   and its child becomes the right node's leftmost child. *)
+let split_interior_cells ~key seps =
+  match split ~key ~rightmost:false (fun (k, _) -> 6 + String.length k) seps with
+  | left, (sep_up, right_child0) :: right -> (left, sep_up, right_child0, right)
+  | _, [] -> assert false
+
+let split_leaf t stx ~key ~parent ~pid =
   let pl = pool t in
   let disk = Txn.disk t.mgr in
   let cells, next = Bufpool.read pl pid (fun p -> (Bt_node.leaf_cells p, Bt_node.get_aux p)) in
-  let sizes = List.map (fun (k, v) -> 4 + String.length k + String.length v) cells in
-  let m = split_point sizes in
-  let left = List.filteri (fun i _ -> i < m) cells in
-  let right = List.filteri (fun i _ -> i >= m) cells in
-  let sep = fst (List.nth cells m) in
+  let left, right, sep = split_leaf_cells ~key cells ~next in
   let rpid = Disk.alloc_page disk in
   let (), d_right =
     Bufpool.update pl rpid (fun w -> Bt_node.leaf_rebuild w right ~next)
@@ -98,15 +122,11 @@ let split_leaf t stx ~parent ~pid =
   Txn.log_update t.mgr stx ~undo:Log_record.No_undo
     [ (rpid, d_right); (pid, d_left); (parent, d_parent) ]
 
-let split_interior t stx ~parent ~pid =
+let split_interior t stx ~key ~parent ~pid =
   let pl = pool t in
   let disk = Txn.disk t.mgr in
   let child0, seps = Bufpool.read pl pid (fun p -> Bt_node.interior_cells p) in
-  let sizes = List.map (fun (k, _) -> 6 + String.length k) seps in
-  let m = split_point sizes in
-  let sep_up, right_child0 = List.nth seps m in
-  let left = List.filteri (fun i _ -> i < m) seps in
-  let right = List.filteri (fun i _ -> i > m) seps in
+  let left, sep_up, right_child0, right = split_interior_cells ~key seps in
   let rpid = Disk.alloc_page disk in
   let (), d_right =
     Bufpool.update pl rpid (fun w -> Bt_node.interior_rebuild w right_child0 right)
@@ -127,7 +147,7 @@ let split_interior t stx ~parent ~pid =
 
 (* The root's page id is pinned: splitting it moves both halves into fresh
    children and turns the root into a one-separator interior node. *)
-let split_root t stx =
+let split_root t stx ~key =
   let pl = pool t in
   let disk = Txn.disk t.mgr in
   let is_leaf = Bufpool.read pl t.root_pid (fun p -> Bt_node.is_leaf p) in
@@ -137,11 +157,7 @@ let split_root t stx =
     let cells, next =
       Bufpool.read pl t.root_pid (fun p -> (Bt_node.leaf_cells p, Bt_node.get_aux p))
     in
-    let sizes = List.map (fun (k, v) -> 4 + String.length k + String.length v) cells in
-    let m = split_point sizes in
-    let left = List.filteri (fun i _ -> i < m) cells in
-    let right = List.filteri (fun i _ -> i >= m) cells in
-    let sep = fst (List.nth cells m) in
+    let left, right, sep = split_leaf_cells ~key cells ~next in
     let (), d_l = Bufpool.update pl lpid (fun w -> Bt_node.leaf_rebuild w left ~next:rpid) in
     let (), d_r = Bufpool.update pl rpid (fun w -> Bt_node.leaf_rebuild w right ~next) in
     let (), d_root =
@@ -152,11 +168,7 @@ let split_root t stx =
   end
   else begin
     let child0, seps = Bufpool.read pl t.root_pid (fun p -> Bt_node.interior_cells p) in
-    let sizes = List.map (fun (k, _) -> 6 + String.length k) seps in
-    let m = split_point sizes in
-    let sep_up, right_child0 = List.nth seps m in
-    let left = List.filteri (fun i _ -> i < m) seps in
-    let right = List.filteri (fun i _ -> i > m) seps in
+    let left, sep_up, right_child0, right = split_interior_cells ~key seps in
     let (), d_l = Bufpool.update pl lpid (fun w -> Bt_node.interior_rebuild w child0 left) in
     let (), d_r =
       Bufpool.update pl rpid (fun w -> Bt_node.interior_rebuild w right_child0 right)
@@ -178,7 +190,7 @@ let make_room t ~key ~need =
             if Bt_node.is_leaf p then Bt_node.free_space p < need + 2
             else interior_full p)
       in
-      if root_needs_split then split_root t stx;
+      if root_needs_split then split_root t stx ~key;
       let rec descend pid =
         let action =
           Bufpool.read pl pid (fun p ->
@@ -197,8 +209,8 @@ let make_room t ~key ~need =
         | `Done -> ()
         | `Descend child -> descend child
         | `Split (child, child_is_leaf) ->
-            if child_is_leaf then split_leaf t stx ~parent:pid ~pid:child
-            else split_interior t stx ~parent:pid ~pid:child;
+            if child_is_leaf then split_leaf t stx ~key ~parent:pid ~pid:child
+            else split_interior t stx ~key ~parent:pid ~pid:child;
             (* re-route: the child for [key] may now be the new sibling *)
             let child' = Bufpool.read pl pid (fun p -> Bt_node.child_for p key) in
             descend child'

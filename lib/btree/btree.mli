@@ -11,6 +11,11 @@
     makes their body atomic. User-level insert/delete/update log physical
     redo plus logical undo under the user's transaction.
 
+    A split makes room for one key. When that key sorts after every entry
+    of the full node, the new right sibling takes only the last entry, so
+    ascending inserts leave full nodes behind them; otherwise a rightmost
+    leaf keeps about 90% of its bytes, and any other node splits at half.
+
     Concurrency note: cursors survive yields (lock waits) by key-based
     repositioning — a cursor remembers its last key and re-descends when the
     leaf changed under it. *)

@@ -128,23 +128,12 @@ and ghost_entry =
    probing reader conflicts with the deleter's key lock instead of reading
    around an uncommitted delete. Entry values are a one-byte liveness flag
    followed by a payload: empty for ordinary indexes (the rid lives in the
-   key), the rid for unique indexes (whose key is the column value alone). *)
+   key), the rid's six bytes ({!Heap_file.encode_rid}) for unique indexes
+   (whose key is the column value alone). *)
 let index_entry_live payload = "\000" ^ payload
 let index_entry_ghost_of v = "\001" ^ String.sub v 1 (String.length v - 1)
 let index_entry_is_ghost v = String.length v > 0 && v.[0] = '\001'
 let index_entry_payload v = String.sub v 1 (String.length v - 1)
-
-let encode_rid_payload (rid : Heap_file.rid) =
-  let b = Bytes.create 8 in
-  Ivdb_util.Bytes_util.set_u32 b 0 rid.Heap_file.rpage;
-  Ivdb_util.Bytes_util.set_u32 b 4 rid.Heap_file.rslot;
-  Bytes.to_string b
-
-let decode_rid_payload s =
-  {
-    Heap_file.rpage = Ivdb_util.Bytes_util.get_u32 (Bytes.of_string s) 0;
-    rslot = Ivdb_util.Bytes_util.get_u32 (Bytes.of_string s) 4;
-  }
 
 let metrics t = t.dmetrics
 let trace t = t.dtrace
@@ -231,7 +220,7 @@ let snapshot_heap_rows t ~snap tid =
   let seen = Hashtbl.create 64 in
   let emit rid bytes = out := (rid, Row.decode bytes) :: !out in
   Heap_file.iter_all rt.heap (fun rid payload ~ghost ->
-      let key = encode_rid_payload rid in
+      let key = Heap_file.encode_rid rid in
       Hashtbl.replace seen key ();
       match Ivdb_txn.Mvcc.resolve mv ~obj:tid ~key ~snap with
       | Ivdb_txn.Mvcc.Committed v | Ivdb_txn.Mvcc.Pending v -> (
@@ -243,7 +232,7 @@ let snapshot_heap_rows t ~snap tid =
         match Ivdb_txn.Mvcc.resolve mv ~obj:tid ~key ~snap with
         | Ivdb_txn.Mvcc.Committed (Some bytes) | Ivdb_txn.Mvcc.Pending (Some bytes)
           ->
-            emit (decode_rid_payload key) bytes
+            emit (Heap_file.decode_rid key) bytes
         | _ -> ())
     (Ivdb_txn.Mvcc.keys_of_obj mv ~obj:tid);
   List.sort (fun (a, _) (b, _) -> Heap_file.rid_compare a b) !out
@@ -300,7 +289,7 @@ let heap_scan_seq t txn tid = Seq.map snd (heap_scan_rows t txn tid)
    entry's payload (a ghost keeps its payload), ordinary ones in the key,
    which is (value, rpage, rslot). *)
 let entry_rid (ix : index_rt) k v =
-  if ix.imeta.Catalog.ix_unique then decode_rid_payload (index_entry_payload v)
+  if ix.imeta.Catalog.ix_unique then Heap_file.decode_rid (index_entry_payload v)
   else
     match Key_codec.decode k with
     | [| _; Value.Int rpage; Value.Int rslot |] -> { Heap_file.rpage; rslot }
@@ -383,7 +372,7 @@ let snapshot_index_rids t ~snap (ix : index_rt) ~table:tid ~lo_key ~hi_key pred 
   let cands = Hashtbl.create 16 in
   let rec walk = function
     | Some (k, v, c) when String.compare k hi_key < 0 ->
-        Hashtbl.replace cands (encode_rid_payload (entry_rid ix k v)) ();
+        Hashtbl.replace cands (Heap_file.encode_rid (entry_rid ix k v)) ();
         walk (Btree.cursor_next ix.itree c)
     | Some _ | None -> ()
   in
@@ -394,7 +383,7 @@ let snapshot_index_rids t ~snap (ix : index_rt) ~table:tid ~lo_key ~hi_key pred 
   let col = ix.imeta.Catalog.ix_col in
   Hashtbl.fold
     (fun key () acc ->
-      let rid = decode_rid_payload key in
+      let rid = Heap_file.decode_rid key in
       let bytes =
         match Ivdb_txn.Mvcc.resolve mv ~obj:tid ~key ~snap with
         | Ivdb_txn.Mvcc.Committed v | Ivdb_txn.Mvcc.Pending v -> v
@@ -800,7 +789,7 @@ let create_index t ?(unique = false) tid ~col ~name =
   Txn.system t.tmgr (fun stx ->
       Heap_file.iter rt.heap (fun rid record ->
           let row = Row.decode record in
-          let payload = if unique then encode_rid_payload rid else "" in
+          let payload = if unique then Heap_file.encode_rid rid else "" in
           try
             Btree.insert ~undo:Log_record.No_undo stx tree
               ~key:(index_key ~unique row.(col_pos) rid)
@@ -1463,7 +1452,6 @@ module Internal = struct
   let index_entry_live = index_entry_live
   let index_entry_ghost_of = index_entry_ghost_of
   let index_entry_is_ghost = index_entry_is_ghost
-  let encode_rid_payload = encode_rid_payload
   let index_key = index_key
   let inflight t = t.inflight
   let ghost_entries t = Hashtbl.length t.ghosts

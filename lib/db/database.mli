@@ -400,7 +400,6 @@ module Internal : sig
   val index_entry_live : string -> string
   val index_entry_ghost_of : string -> string
   val index_entry_is_ghost : string -> bool
-  val encode_rid_payload : Ivdb_storage.Heap_file.rid -> string
 
   val index_key :
     unique:bool -> Ivdb_relation.Value.t -> Ivdb_storage.Heap_file.rid -> string

@@ -20,7 +20,7 @@ module I = Database.Internal
 let record_heap_version db tx tid rid before =
   Mvcc.record_write
     (Txn.mvcc (Database.mgr db))
-    ~txn:(Txn.id tx) ~obj:tid ~key:(I.encode_rid_payload rid) ~before
+    ~txn:(Txn.id tx) ~obj:tid ~key:(Heap_file.encode_rid rid) ~before
 
 (* Index maintenance. Ordinary indexes key on (value, rid): inserts guard
    the gap with an instant RangeI_N, then hold X on the new key; deletes
@@ -36,7 +36,7 @@ let index_insert db tx ix v rid =
   let key = I.index_key ~unique v rid in
   let tree = I.ix_tree ix in
   Txn.lock (Database.mgr db) tx (Lock_name.Key (ixid, key)) Lock_mode.X;
-  let payload = if unique then I.encode_rid_payload rid else "" in
+  let payload = if unique then Heap_file.encode_rid rid else "" in
   let fresh_insert () =
     let gap =
       match Btree.next_key tree key with
@@ -163,7 +163,7 @@ let get db txn tbl rid =
       let snap = Option.get (Txn.snapshot_of tx) in
       (match
          Mvcc.resolve (Txn.mvcc mgr) ~obj:tid
-           ~key:(I.encode_rid_payload rid) ~snap
+           ~key:(Heap_file.encode_rid rid) ~snap
        with
       | Mvcc.Committed v | Mvcc.Pending v -> Option.map Row.decode v
       | Mvcc.Current -> stored ())

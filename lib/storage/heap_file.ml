@@ -3,6 +3,17 @@ type rid = { rpage : int; rslot : int }
 let pp_rid ppf r = Format.fprintf ppf "(%d,%d)" r.rpage r.rslot
 let rid_compare a b = Stdlib.compare (a.rpage, a.rslot) (b.rpage, b.rslot)
 
+let encode_rid r =
+  let b = Bytes.create 6 in
+  Ivdb_util.Bytes_util.set_u32 b 0 r.rpage;
+  Ivdb_util.Bytes_util.set_u16 b 4 r.rslot;
+  Bytes.unsafe_to_string b
+
+let decode_rid s =
+  if String.length s <> 6 then invalid_arg "Heap_file.decode_rid";
+  let b = Bytes.unsafe_of_string s in
+  { rpage = Ivdb_util.Bytes_util.get_u32 b 0; rslot = Ivdb_util.Bytes_util.get_u16 b 4 }
+
 module Metrics = Ivdb_util.Metrics
 
 (* Page ids of one heap ascend along its chain (the disk allocator is

@@ -22,6 +22,13 @@ type rid = { rpage : int; rslot : int }
 val pp_rid : Format.formatter -> rid -> unit
 val rid_compare : rid -> rid -> int
 
+val encode_rid : rid -> string
+(** Six bytes: the page as a u32 and the slot as a u16, big-endian, so
+    byte order is rid order. No page holds 65,536 slots. *)
+
+val decode_rid : string -> rid
+(** Inverse of {!encode_rid}; [Invalid_argument] unless given six bytes. *)
+
 type t
 
 type diffs = (int * Page_diff.t) list

@@ -4,19 +4,23 @@ module W = Page_writer
 let off_next = Page.header_size
 let off_nslots = off_next + 4
 let off_free_end = off_nslots + 2
-let off_slots = off_free_end + 2
+let off_first_empty = off_free_end + 2
+let off_slots = off_first_empty + 2
 let ghost_bit = 0x8000
+let no_empty = 0xFFFF
 
 let init w =
   Page.set_ty w Page.Heap;
   W.set_u32 w off_next 0;
   W.set_u16 w off_nslots 0;
-  W.set_u16 w off_free_end Page.size
+  W.set_u16 w off_free_end Page.size;
+  W.set_u16 w off_first_empty no_empty
 
 let get_next p = B.get_u32 p off_next
 let set_next w v = W.set_u32 w off_next v
 let nslots p = B.get_u16 p off_nslots
 let free_end p = B.get_u16 p off_free_end
+let first_empty p = B.get_u16 p off_first_empty
 let raw_slot p i = B.get_u16 p (off_slots + (2 * i))
 let set_slot w i v = W.set_u16 w (off_slots + (2 * i)) v
 let max_record = Page.size - off_slots - 2 - 2
@@ -83,19 +87,16 @@ let compact w =
   W.blit_bytes s free w free (Page.size - free);
   W.set_u16 w off_free_end free
 
-let find_empty_slot p =
-  let n = nslots p in
-  let rec go i =
-    if i >= n then None else if raw_slot p i = 0 then Some i else go (i + 1)
-  in
-  go 0
+(* The lowest empty slot at or above [i], or [no_empty]. *)
+let rec empty_from p i =
+  if i >= nslots p then no_empty else if raw_slot p i = 0 then i else empty_from p (i + 1)
 
 let insert w record =
   let p = W.page w in
   let len = String.length record in
   if len > max_record then invalid_arg "Heap_page.insert: record too large";
   let slot, slot_cost =
-    match find_empty_slot p with Some s -> (s, 0) | None -> (nslots p, 2)
+    match first_empty p with e when e = no_empty -> (nslots p, 2) | e -> (e, 0)
   in
   let need = 2 + len + slot_cost in
   (* the contiguous gap is part of the free space, so only a record that
@@ -109,6 +110,7 @@ let insert w record =
     W.set_u16 w off len;
     W.blit_string record 0 w (off + 2) len;
     set_slot w slot off;
+    if slot_cost = 0 then W.set_u16 w off_first_empty (empty_from p (slot + 1));
     Some slot
   end
 
@@ -130,6 +132,7 @@ let free_ghost w i =
   match slot_state (W.page w) i with
   | `Ghost _ ->
       set_slot w i 0;
+      if i < first_empty (W.page w) then W.set_u16 w off_first_empty i;
       true
   | `Live _ | `Empty -> false
 

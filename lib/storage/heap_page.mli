@@ -1,9 +1,11 @@
 (** Slotted heap-page layout (record storage with stable slot numbers).
 
     {v
-      0..7    pageLSN        8     type (Heap)
-      9..12   next_page      13..14 nslots      15..16 free_end
-      17..    slot directory (u16 per slot: 0 = empty, else cell offset,
+      0..12   common header (pageLSN, type Heap, checksum)
+      13..16  next_page      17..18 nslots      19..20 free_end
+      21..22  lowest empty slot (0xFFFF: none), so an insert finds its
+              slot without walking the directory
+      23..    slot directory (u16 per slot: 0 = empty, else cell offset,
               high bit set = ghost)
       cells grow downward from the page end: u16 length + record bytes
     v}
@@ -27,7 +29,8 @@ val nslots : bytes -> int
 
 val insert : Page_writer.t -> string -> int option
 (** [insert page record] returns the slot, or [None] if the record does not
-    fit even after compaction. Ghost slots are not reused. Raises
+    fit even after compaction. The slot is the lowest empty one, else a new
+    one past the directory's end. Ghost slots are not reused. Raises
     [Invalid_argument] if the record can never fit a page. *)
 
 val delete : Page_writer.t -> int -> bool

@@ -12,7 +12,7 @@ module B = Ivdb_util.Bytes_util
 module Row = Ivdb_relation.Row
 module Log_record = Ivdb_wal.Log_record
 
-let version = 7
+let version = 8
 
 (* A length prefix beyond this is corruption, not a real frame: it caps
    the allocation a hostile or damaged stream can request. *)

@@ -5,6 +5,7 @@ module Key_codec = Ivdb_relation.Key_codec
 module Value = Ivdb_relation.Value
 module Rng = Ivdb_util.Rng
 module Harness = Ivdb_test_support.Harness
+module Bufpool = Ivdb_storage.Bufpool
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -236,9 +237,122 @@ let test_vacuum_survives_crash () =
   check Alcotest.int "entries after crash" 10 (Btree.entry_count t');
   assert (Btree.search t' (ikey 1995) = Some "x")
 
-(* --- model-based property ----------------------------------------------------- *)
-
 module SM = Map.Make (String)
+
+(* --- split points ------------------------------------------------------------ *)
+
+let read h pid f = Bufpool.read h.Harness.pool pid f
+
+let rec leftmost_leaf h pid =
+  match read h pid (fun p -> if Bt_node.is_leaf p then None else Some (Bt_node.child_at p 0)) with
+  | None -> pid
+  | Some c -> leftmost_leaf h c
+
+(* The leaves in chain order, from the leftmost. *)
+let leaf_chain h t =
+  let rec go pid acc =
+    let next = read h pid Bt_node.get_aux in
+    if next = 0 then List.rev (pid :: acc) else go next (pid :: acc)
+  in
+  go (leftmost_leaf h (Btree.root t)) []
+
+(* The tree's shape agrees with [expect], its entries in key order: keys
+   sorted within each node, every separator bounding its children, and a
+   leaf chain that visits the leaves of a left-to-right walk, each once. *)
+let well_formed h t expect =
+  let rec sorted = function
+    | a :: (b :: _ as rest) -> String.compare a b < 0 && sorted rest
+    | _ -> true
+  in
+  let within lo hi k = String.compare lo k <= 0 && (hi = None || String.compare k (Option.get hi) < 0) in
+  let rec walk pid lo hi =
+    if read h pid Bt_node.is_leaf then begin
+      let cells = read h pid Bt_node.leaf_cells in
+      let keys = List.map fst cells in
+      if not (sorted keys && List.for_all (within lo hi) keys) then
+        QCheck.Test.fail_reportf "leaf %d out of order or bounds" pid;
+      [ (pid, cells) ]
+    end
+    else begin
+      let child0, seps = read h pid Bt_node.interior_cells in
+      let keys = List.map fst seps in
+      if not (sorted keys && List.for_all (within lo hi) keys) then
+        QCheck.Test.fail_reportf "interior %d out of order or bounds" pid;
+      let rec children lo c = function
+        | [] -> walk c lo hi
+        | (k, c') :: rest -> walk c lo (Some k) @ children k c' rest
+      in
+      children lo child0 seps
+    end
+  in
+  let leaves = walk (Btree.root t) "" None in
+  List.map fst leaves = leaf_chain h t && List.concat_map snd leaves = expect
+
+(* Ascending keys leave every leaf but the last at least 90% full. *)
+let test_ascending_fill () =
+  let h, t = make_tree () in
+  let capacity = read h (Btree.root t) Bt_node.free_space in
+  let tx = Txn.begin_txn h.Harness.mgr in
+  for i = 1 to 5000 do
+    Btree.insert tx t ~key:(ikey i) ~value:(Printf.sprintf "v%d" i)
+  done;
+  Txn.commit h.Harness.mgr tx;
+  let leaves = leaf_chain h t in
+  Alcotest.(check bool) "several leaves" true (List.length leaves > 5);
+  List.iteri
+    (fun i pid ->
+      let fill = 1. -. (float (read h pid Bt_node.free_space) /. float capacity) in
+      if i < List.length leaves - 1 && fill < 0.9 then
+        Alcotest.failf "leaf %d of %d is %.0f%% full" i (List.length leaves) (100. *. fill))
+    leaves
+
+(* Insert orders that meet each split rule: ascending, descending, random,
+   and ids drawn in order by eight writers that insert them out of order.
+   Values vary in size, and some updates grow them, so a split can also
+   make room for a key already in its node. *)
+let prop_split_orders =
+  QCheck.Test.make ~name:"split orders keep the tree well formed" ~count:24
+    QCheck.(pair small_int (int_bound 3))
+    (fun (seed, order) ->
+      let h, t = make_tree () in
+      let rng = Rng.create seed in
+      let n = 1500 in
+      let ids =
+        match order with
+        | 0 -> Array.init n (fun i -> i)
+        | 1 -> Array.init n (fun i -> n - i)
+        | 2 ->
+            let a = Array.init n (fun i -> i) in
+            Rng.shuffle rng a;
+            a
+        | _ ->
+            let a = Array.init n (fun i -> i) in
+            for i = 0 to n - 2 do
+              let j = min (n - 1) (i + Rng.int rng 8) in
+              let x = a.(i) in
+              a.(i) <- a.(j);
+              a.(j) <- x
+            done;
+            a
+      in
+      let tx = Txn.begin_txn h.Harness.mgr in
+      let model = ref SM.empty in
+      Array.iter
+        (fun i ->
+          let v = String.make (1 + Rng.int rng 60) 'v' in
+          Btree.insert tx t ~key:(ikey i) ~value:v;
+          model := SM.add (ikey i) v !model;
+          if Rng.int rng 10 = 0 then begin
+            let k, _ = SM.choose !model in
+            let v = String.make (1 + Rng.int rng 200) 'u' in
+            Btree.update tx t ~key:k ~value:v;
+            model := SM.add k v !model
+          end)
+        ids;
+      Txn.commit h.Harness.mgr tx;
+      well_formed h t (SM.bindings !model))
+
+(* --- model-based property ----------------------------------------------------- *)
 
 let prop_model =
   QCheck.Test.make ~name:"btree vs Map model" ~count:60 QCheck.small_int (fun seed ->
@@ -310,6 +424,11 @@ let () =
           Alcotest.test_case "reclaims empty tree" `Quick test_vacuum_reclaims_empty_tree;
           Alcotest.test_case "preserves contents" `Quick test_vacuum_preserves_contents;
           Alcotest.test_case "survives crash" `Quick test_vacuum_survives_crash;
+        ] );
+      ( "splits",
+        [
+          Alcotest.test_case "ascending inserts fill leaves" `Quick test_ascending_fill;
+          qtest prop_split_orders;
         ] );
       ("model", [ qtest prop_model ]);
     ]

@@ -813,6 +813,43 @@ let test_ghost_entries_end_with_txn () =
   check Alcotest.int "one deadlock victim" 1 !victims;
   entries "after a deadlock victim's abort" 0
 
+(* Page density: the shape of perfbench's view-read table, 20,000 rows
+   of (id, product, qty, amount) with a unique index on id, loaded in
+   ascending id order, must fit in at most 1.1 times the pages it took
+   when B-tree leaves first filled on ascending inserts, integer cells
+   first took only the bytes they need and unique-index entries first
+   carried six-byte rids: 110 pages, against 223 before. A format change
+   that bloats pages fails here, not only as a slower benchmark. *)
+let density_pages = 110
+
+let test_view_read_shape_density () =
+  let db = Database.create ~config () in
+  let t =
+    Database.create_table db ~name:"sales"
+      ~cols:(cols @ [ { Schema.name = "amount"; ty = Value.TFloat; nullable = false } ])
+  in
+  Database.create_index db ~unique:true t ~col:"id" ~name:"sales_id";
+  let rng = Rng.create 1 in
+  for b = 0 to 199 do
+    Database.transact db (fun tx ->
+        for id = (b * 100) + 1 to (b + 1) * 100 do
+          ignore
+            (Table.insert db tx t
+               [|
+                 Value.Int id;
+                 Value.Int (Rng.int rng 20);
+                 Value.Int (1 + Rng.int rng 10);
+                 Value.Float (100. *. Rng.float rng);
+               |])
+        done)
+  done;
+  Database.checkpoint db;
+  let pages = Ivdb_storage.Disk.max_page_id (Ivdb_storage.Bufpool.disk (Database.pool db)) in
+  let bound = density_pages * 11 / 10 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d pages within %d" pages bound)
+    true (pages <= bound)
+
 let test_double_crash () =
   let db, t = make_db () in
   let _ = sum_qty db t ~strategy:Maintain.Escrow () in
@@ -846,6 +883,8 @@ let () =
             test_unique_backfill_rejects_duplicates;
           Alcotest.test_case "blocks on in-flight delete" `Quick
             test_unique_insert_blocks_on_inflight_delete;
+          Alcotest.test_case "view-read shape fits its pages" `Quick
+            test_view_read_shape_density;
         ] );
       ( "views",
         [

@@ -69,11 +69,20 @@ let test_schema_concat_renames () =
 
 (* --- Row codec ------------------------------------------------------------ *)
 
+(* Each integer width's boundaries and their neighbours. *)
+let int_edges =
+  List.concat_map
+    (fun b -> [ b - 1; b; b + 1; -b - 1; -b; -b + 1 ])
+    [ 0; 127; 128; 32_767; 32_768; 1 lsl 31; (1 lsl 31) - 1 ]
+  @ [ min_int; min_int + 1; max_int; max_int - 1 ]
+
 let value_gen =
   QCheck.Gen.(
     oneof
       [
         map (fun i -> Value.Int i) small_signed_int;
+        map (fun i -> Value.Int i) (oneofl int_edges);
+        map (fun i -> Value.Int i) int;
         map (fun f -> Value.Float f) (float_bound_inclusive 1e6);
         map (fun s -> Value.Str s) (string_size (int_bound 40));
         map (fun b -> Value.Bool b) bool;
@@ -94,9 +103,40 @@ let test_row_project () =
   Alcotest.(check bool) "projection" true
     (Row.equal (Row.project r [| 2; 0 |]) [| Value.Bool true; Value.Int 1 |])
 
+let prop_row_canonical =
+  QCheck.Test.make ~name:"row encoding is canonical" ~count:500 row_arb (fun row ->
+      let s = Row.encode row in
+      Row.encode (Row.decode s) = s)
+
+(* An integer cell takes the narrowest of 1, 2, 4 or 8 bytes. *)
+let test_row_int_widths () =
+  List.iter
+    (fun (v, bytes) ->
+      check Alcotest.int (Printf.sprintf "%d" v) (2 + 1 + bytes)
+        (String.length (Row.encode [| Value.Int v |])))
+    [
+      (0, 1); (127, 1); (-128, 1); (128, 2); (-129, 2); (32_767, 2); (-32_768, 2);
+      (32_768, 4); (-32_769, 4); ((1 lsl 31) - 1, 4); (-(1 lsl 31), 4);
+      (1 lsl 31, 8); (-(1 lsl 31) - 1, 8); (max_int, 8); (min_int, 8);
+    ]
+
 let test_row_decode_garbage () =
-  Alcotest.check_raises "garbage" (Invalid_argument "Row.decode: malformed row")
-    (fun () -> ignore (Row.decode "\001\002zzz"))
+  let malformed what s =
+    Alcotest.check_raises what (Invalid_argument "Row.decode: malformed row") (fun () ->
+        ignore (Row.decode s))
+  in
+  malformed "garbage" "\001\002zzz";
+  let s = Row.encode [| Value.Int 300; Value.Str "ab"; Value.Float 1.5 |] in
+  for n = 0 to String.length s - 1 do
+    malformed (Printf.sprintf "truncated to %d" n) (String.sub s 0 n)
+  done;
+  malformed "trailing byte" (s ^ "\000");
+  malformed "unknown tag" "\000\001i\000\000\000\000\000\000\000\005";
+  malformed "5 in two bytes" "\000\0012\000\005";
+  malformed "-1 in four bytes" "\000\0014\255\255\255\255";
+  malformed "300 in eight bytes" "\000\0018\000\000\000\000\000\000\001\044";
+  malformed "past the int range" "\000\0018\127\255\255\255\255\255\255\255";
+  malformed "bool byte 2" "\000\001b\002"
 
 (* --- Key codec ------------------------------------------------------------ *)
 
@@ -205,6 +245,8 @@ let () =
       ( "row",
         [
           qtest prop_row_roundtrip;
+          qtest prop_row_canonical;
+          Alcotest.test_case "int widths" `Quick test_row_int_widths;
           Alcotest.test_case "project" `Quick test_row_project;
           Alcotest.test_case "decode garbage" `Quick test_row_decode_garbage;
         ] );

@@ -306,6 +306,54 @@ let prop_heap_page_model =
       done;
       Hashtbl.fold (fun s r ok -> ok && Heap_page.get p s = Some r) model true)
 
+(* [insert] takes the lowest empty slot from the page header instead of
+   walking the directory; the walk stays here as the oracle. Every step's
+   recorded diff is also applied to a replica page, and the two swap
+   roles now and then, so the header survives redo as well: random
+   inserts (of sizes that force compaction once deletes and ghost
+   reclamation leave dead cells), deletes, revivals and reclamations. *)
+let lowest_empty p =
+  let n = Heap_page.nslots p in
+  let rec go i = if i >= n || Heap_page.get_any p i = None then i else go (i + 1) in
+  go 0
+
+let prop_heap_page_lowest_empty =
+  QCheck.Test.make ~name:"insert takes the lowest empty slot" ~count:100
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create seed in
+      let fresh () =
+        let p = Page.alloc () in
+        let w = Page_writer.on p in
+        Heap_page.init w;
+        (p, w)
+      in
+      let (p, w), (r, wr) = (fresh (), fresh ()) in
+      let cur = ref (p, w) and other = ref (r, wr) in
+      for step = 1 to 400 do
+        let p, w = !cur and r, wr = !other in
+        Page_writer.reset w p;
+        let slot () = Rng.int rng (max 1 (Heap_page.nslots p)) in
+        (match Rng.int rng 10 with
+        | 0 | 1 | 2 | 3 -> (
+            let expect = lowest_empty p in
+            match Heap_page.insert w (String.make (Rng.int rng 300) (Char.chr (97 + step mod 26))) with
+            | Some s when s <> expect ->
+                QCheck.Test.fail_reportf "step %d: slot %d, lowest empty %d" step s expect
+            | Some _ | None -> ())
+        | 4 | 5 -> ignore (Heap_page.delete w (slot ()))
+        | 6 -> ignore (Heap_page.revive w (slot ()))
+        | _ -> ignore (Heap_page.free_ghost w (slot ())));
+        Page_writer.reset wr r;
+        Page_diff.apply wr (Page_diff.recorded w);
+        if not (Bytes.equal (Bytes.sub p 8 (Page.size - 8)) (Bytes.sub r 8 (Page.size - 8)))
+        then QCheck.Test.fail_reportf "step %d: replica differs" step;
+        if Rng.int rng 8 = 0 then begin
+          cur := (r, wr);
+          other := (p, w)
+        end
+      done;
+      true)
+
 (* --- Bufpool ----------------------------------------------------------------- *)
 
 let set_char w off c = Page_writer.set_u8 w off (Char.code c)
@@ -883,6 +931,26 @@ let disk_chain pool heap =
   in
   walk (Heap_file.first_page heap) []
 
+(* A unique index entry's rid is six bytes, and the largest slot a heap
+   page can hold survives the round trip. *)
+let test_rid_roundtrip () =
+  let p = Page.alloc () in
+  let w = Page_writer.on p in
+  Heap_page.init w;
+  let rec fill last = match Heap_page.insert w "" with Some s -> fill s | None -> last in
+  let largest = fill 0 in
+  Alcotest.(check bool) "many slots" true (largest > 1000);
+  List.iter
+    (fun rid ->
+      let s = Heap_file.encode_rid rid in
+      check Alcotest.int "six bytes" 6 (String.length s);
+      Alcotest.(check bool) "round trip" true (Heap_file.decode_rid s = rid))
+    [
+      { Heap_file.rpage = 0; rslot = 0 };
+      { rpage = 1; rslot = largest };
+      { rpage = 0xFFFF_FFFF; rslot = largest };
+    ]
+
 (* Model-based: random insert / delete / revive / free_ghost / same-size
    update / reopen against a rid -> (record, ghost) map, through a small
    pool so pages are evicted and re-read. *)
@@ -995,6 +1063,7 @@ let () =
           Alcotest.test_case "set in place" `Quick test_heap_page_set_in_place;
           Alcotest.test_case "too large" `Quick test_heap_page_too_large;
           qtest prop_heap_page_model;
+          qtest prop_heap_page_lowest_empty;
         ] );
       ( "bufpool",
         [
@@ -1026,6 +1095,7 @@ let () =
           Alcotest.test_case "churn reuses freed slots" `Quick test_heap_churn_reuses_space;
           Alcotest.test_case "attach and refresh find an old hole" `Quick
             test_heap_rebuilt_map_finds_hole;
+          Alcotest.test_case "six-byte rid round trip" `Quick test_rid_roundtrip;
           qtest prop_heap_file_model;
         ] );
     ]

@@ -612,12 +612,16 @@ let test_memory_bound () =
 
 (* --- golden log bytes ------------------------------------------------------ *)
 
-(* A fixed-seed escrow run whose view B-tree splits 11 times and whose
-   heap pages are compacted 12 times (deletes, ghost reclamation by gc,
-   then inserts into the freed room). Its log, every record encoded, hashes to
-   the digest the engine produced when every page update still diffed a
-   whole-page pre-image: how diffs are taken must not change one byte of
-   any log payload. *)
+(* A fixed-seed escrow run whose view B-tree splits 7 times and whose heap
+   pages are compacted after deletes and ghost reclamation by gc leave
+   room for inserts. Its log, every record encoded, is pinned by length
+   and digest, so any change to what the engine logs shows here. The
+   values were last re-pinned when splits began to follow ascending keys,
+   integer cells shrank to the bytes they need and unique-index rids to
+   six bytes (11 splits and 927,142 bytes before; the log grew because
+   fuller leaves shift more of their slot directory per insert). That how
+   diffs are taken never changes a payload byte is checked directly by
+   test_storage's "recorded diff = bytewise reference" property. *)
 let golden_spec =
   {
     Ivdb.Workload.default with
@@ -635,14 +639,14 @@ let test_golden_log_bytes () =
   let db, sales, views = Ivdb.Workload.setup golden_spec in
   let r = Ivdb.Workload.run_on db sales views golden_spec in
   check Alcotest.int "committed" 160 r.committed;
-  check Alcotest.int "view B-tree splits" 11
+  check Alcotest.int "view B-tree splits" 7
     (Metrics.get (Ivdb.Database.metrics db) "btree.split");
   let wal = Ivdb.Database.wal db in
   Wal.force wal (Wal.last_lsn wal);
   let buf = Buffer.create (1 lsl 20) in
   Wal.iter_stable wal (fun rc -> Buffer.add_string buf (LR.encode rc));
-  check Alcotest.int "log bytes" 927142 (Buffer.length buf);
-  check Alcotest.string "log digest" "b6182bf237e952ad79800d538a680b16"
+  check Alcotest.int "log bytes" 1077595 (Buffer.length buf);
+  check Alcotest.string "log digest" "63201f9b1a53833f254ab826542b353d"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let () =

@@ -887,8 +887,12 @@ let e15 () =
    (commit throughput with vs without it), and how long after the last
    commit the replica takes to drain the residual lag. Every replicated
    cell ends with a bit-identical state-digest comparison against the
-   primary — divergence is a correctness bug and kills the run. *)
+   primary — divergence is a correctness bug and kills the run. The guard
+   after the table fails the run when a follower's mean lag reaches one
+   ship batch: a follower applies each record as it arrives, so it should
+   trail by less than the batch in flight. *)
 let e16 () =
+  let lags = ref [] in
   let spec_for = closed_loop ~seed:16 ~budget:256 ~commit_mode:group_commit in
   let solo mpl =
     let r, _db =
@@ -909,6 +913,7 @@ let e16 () =
         (Database.state_digest db) (Database.state_digest fdb);
       exit 1
     end;
+    lags := (mpl, rep.Net_workload.lag_mean) :: !lags;
     [ S "yes"; i mpl; i r.Workload.committed; f2 r.Workload.throughput;
       i rep.Net_workload.lag_max; f2 rep.Net_workload.lag_mean;
       i rep.Net_workload.ship_batches; i rep.Net_workload.reconnects;
@@ -922,18 +927,29 @@ let e16 () =
         [ "follower"; "mpl"; "commits"; "tput/1k ticks"; "lag max"; "lag mean";
           "batches"; "reconnects"; "catchup"; "digest" ];
       rows = List.concat_map (fun mpl -> [ solo mpl; replicated mpl ]) [ 8; 16 ];
-    }
+    };
+  List.iter
+    (fun (mpl, lag) ->
+      if lag >= float_of_int Server.repl_batch_limit then begin
+        Printf.eprintf
+          "FATAL: e16: follower lag mean %.2f at mpl %d reaches one ship batch (%d records)\n"
+          lag mpl Server.repl_batch_limit;
+        exit 1
+      end)
+    (List.rev !lags);
+  Printf.printf
+    "e16 lag guard: ok (lag mean below one ship batch, %d records, in every follower row)\n%!"
+    Server.repl_batch_limit
 
 (* --- E17: failover — follower promotion under a primary crash --------------------------- *)
 
 (* The replicated workload crashed at a chosen force point: the follower
    final-ships the dead primary's SURVIVING log image (Wal.crash applies
-   any pending tear first), then promotes. Reported per crash point: the
-   log suffix past the follower's commit horizon, the buffered in-flight
-   tail the promotion drained, losers rolled back, undo records appended,
-   and the promotion latency in simulated ticks. Every cell ends with the
-   zero-loss check — the promoted digest must equal single-node recovery
-   of the same log — and a mismatch kills the run. *)
+   any pending tear first), then promotes. Reported per crash point:
+   losers rolled back, undo records appended, and the promotion latency
+   in simulated ticks. Every cell ends with the zero-loss check — the
+   promoted digest must equal single-node recovery of the same log — and
+   a mismatch kills the run. *)
 let e17 () =
   let spec =
     {
@@ -970,7 +986,6 @@ let e17 () =
       exit 1
     end;
     let dead = Wal.crash (Database.wal db) (Metrics.create ()) in
-    let suffix = Wal.flushed_lsn dead - Database.replicated_lsn f in
     let ticks = ref 0 in
     let promo = ref None in
     Sched.run ~seed:1 (fun () ->
@@ -990,9 +1005,8 @@ let e17 () =
       exit 1
     end;
     [
-      S name; i committed; i suffix; i p.Database.tail_records;
-      i p.Database.losers_undone; i p.Database.undo_records; i !ticks;
-      S "match";
+      S name; i committed; i p.Database.losers_undone; i p.Database.undo_records;
+      i !ticks; S "match";
     ]
   in
   let n = Fault.no_faults in
@@ -1010,8 +1024,7 @@ let e17 () =
       title =
         "E17  Failover: follower promotion under primary crash (escrow, mpl 3, zipf 0.8)";
       header =
-        [ "crash"; "commits"; "suffix"; "tail"; "losers"; "undo"; "promote ticks";
-          "digest" ];
+        [ "crash"; "commits"; "losers"; "undo"; "promote ticks"; "digest" ];
       rows = List.map cell points;
     }
 

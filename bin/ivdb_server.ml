@@ -14,7 +14,8 @@
    With --follow the engine starts as a read-only follower: a replica
    driver subscribes to the primary at HOST:PORT and applies its WAL
    continuously, while this server answers snapshot SELECTs (writes get
-   E_read_only) at the commit horizon. A follower is promoted to primary
+   E_read_only) that see every transaction committed in what it has
+   applied. A follower is promoted to primary
    either by SIGUSR1 or by a Promote admin frame over the wire (the REPL
    .promote command): the driver stops, the replayed in-flight suffix is
    rolled back, and writes open. Stop with Ctrl-C (SIGINT): the server
@@ -172,9 +173,8 @@ let run port max_inflight busy_retry commit_mode slow_query_ticks metrics_port
               let p = Database.promote db in
               Printf.printf
                 "promoted to primary: %d in-flight transaction(s) rolled \
-                 back (%d undo record(s)), %d buffered record(s) applied\n"
-                p.Database.losers_undone p.Database.undo_records
-                p.Database.tail_records;
+                 back (%d undo record(s))\n"
+                p.Database.losers_undone p.Database.undo_records;
               flush stdout
           | _ ->
               prerr_endline "SIGUSR1 ignored: not a follower";

@@ -94,7 +94,7 @@ val metrics : t -> string
 val promote : t -> string
 (** Admin: ask a follower server to promote itself to primary (a
     [Promote] frame). Returns the server's [Msg] text describing the
-    promotion (losers rolled back, undo records, buffered tail applied).
+    promotion (losers rolled back, undo records).
     Raises {!Server_error} with [E_repl] if the server is not a
     follower. *)
 

@@ -420,7 +420,10 @@ let deliver_decision ?(gated = true) c g ~committed shards =
 let resolve_indoubt ?gated c shards =
   let held = Hashtbl.create 8 in
   let ask i =
-    match shard_exec c i "SELECT gtxn FROM sys.indoubt" with
+    let poll () = shard_exec c i "SELECT gtxn FROM sys.indoubt" in
+    (* the poll is idempotent: a dead line is retried once after the
+       client's automatic re-dial, as a Decide is *)
+    match (try poll () with Client.Disconnected _ -> poll ()) with
     | Sql.Rows { rows; _ } ->
         List.iter
           (function

@@ -66,16 +66,6 @@ type t = {
   cfg : config;
   mutable role : role; (* flips Follower -> Primary on [promote] *)
   mutable redo_state : Recovery.Redo.t option; (* Some iff role = Follower *)
-  (* Commit-horizon gating (follower only): shipped records past the last
-     commit boundary sit in [pending_tail] — received but not ingested —
-     until the records that close every open transaction arrive, so the
-     applied log prefix is always transaction-consistent and snapshot
-     reads never observe a split transaction. [pending_open] tracks the
-     transactions left open by the buffered suffix; [received] is the
-     LSN of the last record accepted (applied or buffered). *)
-  pending_tail : Log_record.t Queue.t;
-  pending_open : (int, unit) Hashtbl.t;
-  mutable received : Log_record.lsn;
   ddl_waiting : (int, string list) Hashtbl.t; (* follower: txn -> Ddl payloads *)
   mutable fplan : Fault.t;
   dmetrics : Metrics.t;
@@ -577,6 +567,43 @@ let install_undo t =
       | Log_record.Undo_escrow { view; key; inverse } ->
           Maintain.undo_escrow t.tmgr (view_rt t view) ~key ~inverse)
 
+(* The end of transaction [txn] on every node, once [Mvcc] has settled
+   its before-images: [stamp] is its commit stamp, [None] if it aborted.
+   Escrow increments never record before-images (their stored before
+   includes other transactions' uncommitted deltas), so a committing
+   escrow writer pushes its versions here instead: the in-flight registry
+   still holds every pending delta, this transaction's included, making
+   [stored ⊖ Σ pending] the last fully-committed value, the before-image
+   of this commit's stamp. On a primary the [Txn] end hook runs it, before
+   lock release; on a follower the transaction's Commit or End record. *)
+let end_txn t ~txn stamp =
+  (match stamp with
+  | Some stamp when Ivdb_txn.Mvcc.snapshot_count (mvcc t) > 0 ->
+      List.iter
+        (fun (vid, key) ->
+          let rt = view_rt t vid in
+          match Btree.search rt.Maintain.tree key with
+          | None -> ()
+          | Some stored ->
+              let before =
+                List.fold_left
+                  (fun r d ->
+                    match Aggregate.apply rt.Maintain.def r (Aggregate.negate d) with
+                    | `Ok r' -> r'
+                    | `Recompute -> r)
+                  (Row.decode stored)
+                  (Ivdb_core.Inflight.pending t.inflight ~vid ~key)
+              in
+              Ivdb_txn.Mvcc.push_committed (mvcc t) ~obj:vid ~key ~stamp
+                (Some (Row.encode before)))
+        (Ivdb_core.Inflight.keys_of_txn t.inflight ~txn)
+  | _ -> ());
+  Ivdb_core.Inflight.drop_txn t.inflight ~txn;
+  Hashtbl.remove t.ghosts txn;
+  Hashtbl.filter_map_inplace
+    (fun (tid, _) v -> if tid = txn then None else Some v)
+    t.row_lock_counts
+
 (* The trace is wired to the deterministic scheduler's clock and fiber id,
    so under Sched.run the same seed yields a byte-identical event stream. *)
 let make_trace () = Trace.create ~clock:Sched.now ~fiber:Sched.self ()
@@ -610,9 +637,6 @@ let bare ?(config = default_config) ?(role = Primary) ?trace ~metrics ~disk ~wal
         | Primary -> None
         | Follower ->
             Some (Recovery.Redo.create dpool ~next:(Wal.flushed_lsn wal + 1)));
-      pending_tail = Queue.create ();
-      pending_open = Hashtbl.create 16;
-      received = Wal.flushed_lsn wal;
       ddl_waiting = Hashtbl.create 4;
       fplan;
       dmetrics = metrics;
@@ -654,44 +678,9 @@ let bare ?(config = default_config) ?(role = Primary) ?trace ~metrics ~disk ~wal
     }
   in
   install_undo t;
-  Txn.add_end_hook tmgr (fun txn status ->
-      (* Escrow increments never record MVCC before-images (their stored
-         before includes other transactions' uncommitted deltas), so a
-         committing escrow writer pushes its versions here instead — the
-         in-flight registry still holds every pending delta, this
-         transaction's included, making [stored ⊖ Σ pending] the last
-         fully-committed value: exactly the before-image of this commit's
-         stamp. Runs before [drop_txn] and before lock release. *)
-      (match (status, Txn.commit_stamp txn) with
-      | Txn.Committed, Some stamp
-        when Ivdb_txn.Mvcc.snapshot_count (Txn.mvcc tmgr) > 0 ->
-          List.iter
-            (fun (vid, key) ->
-              let rt = view_rt t vid in
-              match Btree.search rt.Maintain.tree key with
-              | None -> ()
-              | Some stored ->
-                  let before =
-                    List.fold_left
-                      (fun r d ->
-                        match
-                          Aggregate.apply rt.Maintain.def r (Aggregate.negate d)
-                        with
-                        | `Ok r' -> r'
-                        | `Recompute -> r)
-                      (Row.decode stored)
-                      (Ivdb_core.Inflight.pending t.inflight ~vid ~key)
-                  in
-                  Ivdb_txn.Mvcc.push_committed (Txn.mvcc tmgr) ~obj:vid ~key
-                    ~stamp
-                    (Some (Row.encode before)))
-            (Ivdb_core.Inflight.keys_of_txn t.inflight ~txn:(Txn.id txn))
-      | _ -> ());
-      Ivdb_core.Inflight.drop_txn t.inflight ~txn:(Txn.id txn);
-      Hashtbl.remove t.ghosts (Txn.id txn);
-      Hashtbl.filter_map_inplace
-        (fun (tid, _) v -> if tid = Txn.id txn then None else Some v)
-        t.row_lock_counts);
+  Txn.add_end_hook tmgr (fun txn _ ->
+      if Txn.snapshot_of txn = None then
+        end_txn t ~txn:(Txn.id txn) (Txn.commit_stamp txn));
   t
 
 let create ?(config = default_config) () =
@@ -1097,46 +1086,79 @@ let indoubt_gtxns t =
 let indoubt_count t = Hashtbl.length t.indoubt_2pc
 let last_decided t = t.last_decided
 
-(* Re-acquire an in-doubt transaction's write locks from its log chain —
-   the logical-undo information in each Update record names every object
-   it touched — and re-record its escrow deltas in the in-flight registry
-   so escrow bounds checks and the commit-time MVCC push see them again.
-   CLR sections are skipped via undo_next: their work is already undone,
-   so nothing conflicts on it. *)
-let relock_indoubt t tx =
+(* What one Update of open transaction [txn] leaves for a snapshot to
+   see past, as the primary's write path recorded it: the before-image
+   its logical undo carries (a deleted heap row's ghost still holds its
+   bytes; an insert had none), or an escrow increment's delta. *)
+let note_update t ~txn undo =
+  let image obj key before = Ivdb_txn.Mvcc.record_write (mvcc t) ~txn ~obj ~key ~before in
+  let rid_key = Heap_file.encode_rid in
+  match undo with
+  | Log_record.No_undo -> ()
+  | Log_record.Undo_heap_insert { table; rid } -> image table (rid_key rid) None
+  | Log_record.Undo_heap_delete { table; rid } ->
+      image table (rid_key rid) (Heap_file.get_any (heap_of t table) rid)
+  | Log_record.Undo_heap_update { table; rid; before } ->
+      image table (rid_key rid) (Some before)
+  | Log_record.Undo_bt_insert { index; key } -> image index key None
+  | Log_record.Undo_bt_delete { index; key; value } -> image index key (Some value)
+  | Log_record.Undo_bt_update { index; key; before } -> image index key (Some before)
+  | Log_record.Undo_escrow { view; key; inverse } ->
+      Ivdb_core.Inflight.record t.inflight ~txn ~vid:view ~key
+        (Aggregate.negate (Aggregate.decode inverse))
+
+let note_ddl t ~txn payload =
+  let waiting = Option.value (Hashtbl.find_opt t.ddl_waiting txn) ~default:[] in
+  Hashtbl.replace t.ddl_waiting txn (payload :: waiting)
+
+(* The write locks an Update's logical undo names. *)
+let relock t tx undo =
   let lock name mode = Txn.lock t.tmgr tx name mode in
-  let rec go lsn =
-    if lsn <> Log_record.nil_lsn then begin
+  match undo with
+  | Log_record.No_undo -> ()
+  | Log_record.Undo_heap_insert { table; rid }
+  | Log_record.Undo_heap_delete { table; rid }
+  | Log_record.Undo_heap_update { table; rid; _ } ->
+      lock (Lock_name.Table table) Lock_mode.IX;
+      lock (Lock_name.Row (table, rid)) Lock_mode.X
+  | Log_record.Undo_bt_insert { index; key }
+  | Log_record.Undo_bt_delete { index; key; _ }
+  | Log_record.Undo_bt_update { index; key; _ } ->
+      lock (Lock_name.Key (index, key)) Lock_mode.X
+  | Log_record.Undo_escrow { view; key; _ } ->
+      lock (Lock_name.Table view) Lock_mode.IX;
+      lock (Lock_name.Key (view, key)) Lock_mode.E
+
+(* Rebuild open transaction [txn]'s state on this node from its log, the
+   chain from [last] back to its Begin: before-images (walked oldest
+   first, so the oldest image of a key wins), escrow deltas and Ddl
+   payloads waiting for its Commit. A CLR's section is already undone, so
+   the walk skips it through undo_next. With [tx], the transaction's
+   handle, it also re-acquires its write locks. Three callers: in-doubt
+   resurrection on a restarted primary (with [tx]), a restarted
+   follower's open transactions, and a follower receiving a CLR, so that
+   a compensated escrow delta is no longer subtracted. *)
+let restore_open t ?tx ~txn last =
+  let rec live lsn acc =
+    if lsn = Log_record.nil_lsn then acc
+    else
       let r = Wal.get t.dwal lsn in
       match r.Log_record.body with
-      | Log_record.Update { undo; _ } ->
-          (match undo with
-          | Log_record.No_undo -> ()
-          | Log_record.Undo_heap_insert { table; rid }
-          | Log_record.Undo_heap_delete { table; rid }
-          | Log_record.Undo_heap_update { table; rid; _ } ->
-              lock (Lock_name.Table table) Lock_mode.IX;
-              lock (Lock_name.Row (table, rid)) Lock_mode.X
-          | Log_record.Undo_bt_insert { index; key }
-          | Log_record.Undo_bt_delete { index; key; _ }
-          | Log_record.Undo_bt_update { index; key; _ } ->
-              lock (Lock_name.Key (index, key)) Lock_mode.X
-          | Log_record.Undo_escrow { view; key; inverse } ->
-              lock (Lock_name.Table view) Lock_mode.IX;
-              lock (Lock_name.Key (view, key)) Lock_mode.E;
-              let delta = Aggregate.negate (Aggregate.decode inverse) in
-              Ivdb_core.Inflight.record t.inflight ~txn:(Txn.id tx) ~vid:view
-                ~key delta);
-          go r.Log_record.prev
-      | Log_record.Clr { undo_next; _ } -> go undo_next
-      | Log_record.Begin _ | Log_record.Commit | Log_record.End -> ()
-      | Log_record.Abort | Log_record.Checkpoint _ | Log_record.Ddl _
-      | Log_record.Prepare _ | Log_record.Decision _
-      | Log_record.Gid_block _ ->
-          go r.Log_record.prev
-    end
+      | Log_record.Clr { undo_next; _ } -> live undo_next acc
+      | Log_record.Begin _ | Log_record.Commit | Log_record.End -> acc
+      | _ -> live r.Log_record.prev (r :: acc)
   in
-  go (Txn.last_lsn tx)
+  Ivdb_core.Inflight.drop_txn t.inflight ~txn;
+  Hashtbl.remove t.ddl_waiting txn;
+  List.iter
+    (fun (r : Log_record.t) ->
+      match r.Log_record.body with
+      | Log_record.Update { undo; _ } ->
+          Option.iter (fun tx -> relock t tx undo) tx;
+          note_update t ~txn undo
+      | Log_record.Ddl payload -> note_ddl t ~txn payload
+      | _ -> ())
+    (live last [])
 
 (* --- crash / recovery ------------------------------------------------------------- *)
 
@@ -1202,100 +1224,92 @@ let crash old =
             Txn.resurrect t.tmgr ~first_lsn:d.Recovery.id_first_lsn
               ~id:d.Recovery.id_txn ~last_lsn:d.Recovery.id_last_lsn ()
           in
-          relock_indoubt t tx;
+          restore_open t ~tx ~txn:d.Recovery.id_txn d.Recovery.id_last_lsn;
           Hashtbl.replace t.indoubt_2pc d.Recovery.id_gtxn tx)
         analysis.Recovery.indoubt;
       Metrics.inc_by t.m_indoubt (List.length analysis.Recovery.indoubt);
       checkpoint t
   | Follower ->
-      (* "losers" here are the primary's transactions still in flight at
-         the end of the shipped prefix — their CLRs (or commits) arrive
-         later in the stream, so rolling them back locally would diverge.
-         No checkpoint either: a follower appends nothing. *)
-      ());
+      (* "losers" here are the primary's transactions still open at the
+         end of the shipped log: their CLRs or commits arrive later in the
+         stream, so rolling them back locally would diverge. A snapshot
+         must not see them, so their state is rebuilt from the log. No
+         checkpoint either: a follower appends nothing. *)
+      List.iter
+        (fun (txn, last) -> restore_open t ~txn last)
+        (analysis.Recovery.losers
+        @ List.map
+            (fun (d : Recovery.indoubt_txn) -> (d.Recovery.id_txn, d.Recovery.id_last_lsn))
+            analysis.Recovery.indoubt));
   t
 
 (* --- replication (follower side) --------------------------------------------------- *)
 
-(* Install one shipped record: it is ingested into the local log (keeping
-   the primary's LSN) and its page diffs are replayed through the
-   persistent redo state. A Ddl payload waits in [ddl_waiting] until its
-   transaction's Commit record, where [install] attaches the object from
-   pages redo has already formatted and filled; an End without a Commit
-   drops it. So an uncommitted DDL in the tail that promotion installs
-   never reaches the catalog. Checkpoint records flow through untouched —
-   their catalog snapshot and dirty-page table describe the primary, and
-   the follower only ever consults them during its own restart
-   recovery. *)
-let apply_one t redo (r : Log_record.t) =
-  Wal.ingest t.dwal r;
-  Recovery.Redo.apply redo r;
-  let txn = r.Log_record.txn in
-  let waiting () = Option.value (Hashtbl.find_opt t.ddl_waiting txn) ~default:[] in
-  match r.Log_record.body with
-  | Log_record.Ddl payload -> Hashtbl.replace t.ddl_waiting txn (payload :: waiting ())
-  | Log_record.Commit ->
-      List.iter (fun p -> install t (Catalog.decode_op p)) (List.rev (waiting ()));
-      Hashtbl.remove t.ddl_waiting txn
-  | Log_record.End -> Hashtbl.remove t.ddl_waiting txn
-  | _ -> ()
-
-let drain_pending t redo =
-  let n = Queue.length t.pending_tail in
-  while not (Queue.is_empty t.pending_tail) do
-    apply_one t redo (Queue.pop t.pending_tail)
-  done;
-  n
-
+(* Apply each shipped record as it arrives: it is ingested into the
+   local log (keeping the primary's LSN) and its page diffs are replayed
+   through the persistent redo state, so the follower's pages hold its
+   open transactions' effects, as the primary's do. Snapshots see past
+   them the way they do on the primary: each Update records its
+   before-image in [Mvcc] or its escrow delta in the in-flight registry,
+   and the transaction's Commit or End record ends it through [end_txn]
+   (an End after a Commit finds nothing left). A Ddl payload waits in
+   [ddl_waiting] until its transaction's Commit record, where [install]
+   attaches the object from pages redo has already formatted and filled.
+   Checkpoint records flow through untouched: their catalog snapshot and
+   dirty-page table describe the primary, and the follower only consults
+   them during its own restart recovery. *)
 let apply_replicated t records =
   let redo =
     match t.redo_state with
     | Some s -> s
     | None -> invalid_arg "Database.apply_replicated: not a follower"
   in
-  let applied = ref 0 in
+  let finish ~txn committed =
+    let mv = mvcc t in
+    end_txn t ~txn
+      (if committed then Some (Ivdb_txn.Mvcc.commit_txn mv ~txn)
+       else (Ivdb_txn.Mvcc.abort_txn mv ~txn; None))
+  in
   List.iter
     (fun (r : Log_record.t) ->
-      if r.Log_record.lsn <> t.received + 1 then
-        invalid_arg
-          (Printf.sprintf
-             "Database.apply_replicated: LSN %d breaks the chain (expected %d)"
-             r.Log_record.lsn (t.received + 1));
-      t.received <- r.Log_record.lsn;
-      Queue.push r t.pending_tail;
-      (* a commit boundary: everything buffered forms a transaction-
-         consistent extension of the applied prefix — install it *)
-      if Wal.track_open_txns t.pending_open r then
-        applied := !applied + drain_pending t redo)
+      Wal.ingest t.dwal r;
+      Recovery.Redo.apply redo r;
+      let txn = r.Log_record.txn in
+      match r.Log_record.body with
+      | Log_record.Update { undo; _ } -> note_update t ~txn undo
+      (* only escrow deltas go stale under compensation: a before-image
+         still holds the committed value, so a transaction without
+         deltas needs no walk *)
+      | Log_record.Clr _ when Ivdb_core.Inflight.keys_of_txn t.inflight ~txn <> [] ->
+          restore_open t ~txn r.Log_record.lsn
+      | Log_record.Ddl payload -> note_ddl t ~txn payload
+      | Log_record.Commit ->
+          let waiting = Option.value (Hashtbl.find_opt t.ddl_waiting txn) ~default:[] in
+          List.iter (fun p -> install t (Catalog.decode_op p)) (List.rev waiting);
+          Hashtbl.remove t.ddl_waiting txn;
+          finish ~txn true
+      | Log_record.End ->
+          Hashtbl.remove t.ddl_waiting txn;
+          finish ~txn false
+      | _ -> ())
     records;
-  if !applied > 0 then begin
+  if records <> [] then begin
     (* physical redo grows heap chains on disk without going through the
        Heap_file handle: adopt any pages appended behind the caches so
        scans and digests see the full chain *)
     Hashtbl.iter (fun _ heap -> Heap_file.refresh heap) t.heaps;
-    Metrics.inc_by t.m_repl_applied !applied
+    Metrics.inc_by t.m_repl_applied (List.length records)
   end
 
-(* On a follower every *applied* record is stable (ingest forces nothing
+(* On a follower every ingested record is stable (ingest forces nothing
    but marks immediately), so the flushed horizon *is* the replication
-   position — and with commit-horizon gating it is always a commit
-   boundary of the primary's log; on a primary the same expression is
+   position and the resume point; on a primary the same expression is
    simply its durable horizon. *)
 let replicated_lsn t = Wal.flushed_lsn t.dwal
-
-let received_lsn t = if t.role = Follower then t.received else Wal.flushed_lsn t.dwal
-
-let discard_pending_tail t =
-  let n = Queue.length t.pending_tail in
-  Queue.clear t.pending_tail;
-  Hashtbl.reset t.pending_open;
-  t.received <- Wal.flushed_lsn t.dwal;
-  n
 
 (* --- promotion (follower -> primary) ----------------------------------------------- *)
 
 type promotion = {
-  tail_records : int;
   losers_undone : int;
   undo_records : int;
 }
@@ -1304,20 +1318,16 @@ type promotion = {
    replication driver (the old primary is dead or demoted), so nothing
    else touches the engine concurrently.
 
-   1. Install the buffered tail unconditionally: a transaction whose
-      Commit record sits past the last commit boundary IS committed on
-      the primary's durable log, and losing it would violate zero-loss.
-      The in-flight suffix this exposes is cleaned up by undo below —
-      exactly what single-node recovery does with its own stable tail.
-   2. Reconstruct the in-flight transaction table by running recovery
+   1. Reconstruct the in-flight transaction table by running recovery
       analysis over the retained log (a follower never truncates, so the
       governing checkpoint — the primary's — is always present if one was
       ever shipped).
-   3. Open the write paths (the undo pass appends CLRs to our own log,
+   2. Open the write paths (the undo pass appends CLRs to our own log,
       which Read_only_replica would otherwise veto) and roll back every
       loser through the logical-undo executor, oldest first, mirroring
-      the crash path.
-   4. Checkpoint — without truncating: existing replicas of the old
+      the crash path; each rollback ends its transaction's before-images
+      and escrow deltas through the end hook.
+   3. Checkpoint — without truncating: existing replicas of the old
       primary repoint here and resume from their applied horizon, so the
       full log must stay until they resubscribe and pin slots of their
       own. The next ordinary checkpoint resumes truncation. *)
@@ -1325,22 +1335,16 @@ let promote t =
   (match t.role with
   | Follower -> ()
   | Primary -> invalid_arg "Database.promote: already a primary");
-  let redo = match t.redo_state with Some s -> s | None -> assert false in
-  let tail = drain_pending t redo in
-  Hashtbl.reset t.pending_open;
   Hashtbl.reset t.ddl_waiting;
-  if tail > 0 then Hashtbl.iter (fun _ heap -> Heap_file.refresh heap) t.heaps;
   let analysis = Recovery.analyze t.dwal in
   t.role <- Primary;
   t.redo_state <- None;
-  t.received <- Wal.flushed_lsn t.dwal;
   Txn.bump_txn_id t.tmgr analysis.Recovery.max_txn_id;
   let undo_before = Metrics.get t.dmetrics "txn.recovery_undo" in
   rollback_losers t analysis;
   checkpoint_gen t ~truncate:false;
   Metrics.inc t.m_promotions;
   {
-    tail_records = tail;
     losers_undone = List.length analysis.Recovery.losers;
     undo_records = Metrics.get t.dmetrics "txn.recovery_undo" - undo_before;
   }

@@ -76,50 +76,34 @@ val role : t -> role
 val is_follower : t -> bool
 
 val apply_replicated : t -> Ivdb_wal.Log_record.t list -> unit
-(** Accept one shipped batch on a follower. Records are *applied* —
-    ingested into the local log under the primary's LSN, page diffs
-    replayed through the persistent {!Ivdb_recovery.Recovery.Redo} state,
-    DDL folded into the catalog and runtime — only up to the last commit
-    boundary in the accepted stream; records past it are buffered in
-    memory until the boundary-closing records arrive. The applied prefix
-    is therefore always transaction-consistent: a concurrent snapshot
-    reader on this follower never observes a split primary transaction
-    (commit-horizon reads). Records must chain densely from
-    [{!received_lsn} + 1] — [Invalid_argument] otherwise, and on a
+(** Accept one shipped batch on a follower. Each record is applied as it
+    arrives: ingested into the local log under the primary's LSN, its
+    page diffs replayed through the persistent
+    {!Ivdb_recovery.Recovery.Redo} state, and committed DDL folded into
+    the catalog and runtime at its Commit record. Open primary
+    transactions are hidden the way the primary hides them: each Update
+    records its before-image in [Mvcc] (or its escrow delta in the
+    in-flight registry), and the transaction's Commit or End ends it, so
+    a snapshot reader on this follower sees exactly the transactions
+    whose Commit record it has applied. Records must chain densely from
+    [{!replicated_lsn} + 1] — [Invalid_argument] otherwise, and on a
     [Primary]. *)
 
 val replicated_lsn : t -> Ivdb_wal.Log_record.lsn
 (** The follower's applied (and durable) horizon: the LSN of the last
-    record it ingested, always a commit boundary of the primary's log;
-    0 when empty. On a primary, its flushed LSN. *)
-
-val received_lsn : t -> Ivdb_wal.Log_record.lsn
-(** The follower's receive horizon: the last record accepted by
-    {!apply_replicated}, applied or still buffered
-    ([received_lsn >= replicated_lsn]; the gap is the buffered tail of
-    in-flight primary transactions). The resume position for the next
-    batch. Equals {!replicated_lsn} on a primary. *)
-
-val discard_pending_tail : t -> int
-(** Drop the buffered (received-but-unapplied) tail and rewind
-    {!received_lsn} to the applied horizon, returning the number of
-    records discarded. Called when a replication session breaks: the
-    driver renegotiates from the applied horizon, so the primary re-ships
-    what the buffer held. The buffer is volatile anyway — a follower
-    restart loses it harmlessly for the same reason. *)
+    record it ingested, and the resume position for the next batch; 0
+    when empty. On a primary, its flushed LSN. *)
 
 type promotion = {
-  tail_records : int;  (** buffered records installed before undo *)
   losers_undone : int;  (** in-flight primary transactions rolled back *)
   undo_records : int;  (** undo operations (CLRs) the rollbacks executed *)
 }
 
 val promote : t -> promotion
-(** Failover: turn this follower into a primary, in place. Installs the
-    buffered tail (a Commit past the horizon is durable on the dead
-    primary and must not be lost), reconstructs the in-flight transaction
-    table by recovery analysis over the retained log, flips the role so
-    write paths open, rolls every loser back through the logical-undo
+(** Failover: turn this follower into a primary, in place. Reconstructs
+    the in-flight transaction table by recovery analysis over the
+    retained log, flips the role so write paths open, rolls every loser
+    back through the logical-undo
     executor (appending CLRs to what is now this engine's own log), and
     takes a checkpoint — deliberately without truncating, so surviving
     replicas of the old primary can repoint here and resume from their
@@ -271,7 +255,9 @@ val checkpoint : t -> unit
     view is read. {!prepare_2pc} / {!decide_2pc} implement the participant
     half of 2PC: a prepared transaction's handle moves into an in-doubt
     table where it keeps every lock (across crashes, via recovery's
-    in-doubt resurrection) until the coordinator's decision arrives. *)
+    in-doubt resurrection, which also restores its before-images so
+    snapshots keep reading past its writes) until the coordinator's
+    decision arrives. *)
 
 val set_shard : t -> shard:int -> shards:int -> unit
 (** Declare this engine shard [shard] of [shards]. [Invalid_argument] if
@@ -328,9 +314,12 @@ val crash : t -> t
     restarts from the replica's own first retained LSN (the governing
     checkpoint's dirty-page table describes the {e primary's} disk, not
     this one's), in-flight primary transactions are {e not} rolled back
-    (their CLRs or commits arrive later in the stream), and no final
+    (their CLRs or commits arrive later in the stream) but their
+    before-images, escrow deltas and waiting DDL are rebuilt from their
+    log chains, so snapshots still see only committed state, and no final
     checkpoint is taken (a follower appends nothing). The recovered
-    follower resumes streaming at [{!replicated_lsn} + 1].
+    follower resumes streaming at [{!replicated_lsn} + 1], the horizon it
+    had ingested.
 
     On either role the WAL's replication retain floor
     ({!Ivdb_wal.Wal.set_retain_floor}) survives the restart — slots are

@@ -319,7 +319,7 @@ let ship_wal ?(batch = 64) ?upto wal follower =
   let shipped = ref 0 in
   let continue_ = ref true in
   while !continue_ do
-    let from = Database.received_lsn follower + 1 in
+    let from = Database.replicated_lsn follower + 1 in
     let hi = min upto (from + batch - 1) in
     if hi < from then continue_ := false
     else begin

@@ -135,14 +135,13 @@ val run : spec -> result
     the E17 failover bench) share this driver. *)
 
 val ship_wal : ?batch:int -> ?upto:int -> Ivdb_wal.Wal.t -> Database.t -> int
-(** Stream stable records [received_lsn follower + 1 .. upto] (default
-    the log's flushed horizon) to the follower in batches of [batch]
-    (default 64), through the wire's framing: serialize, decode, apply.
-    The follower applies up to the last commit boundary it received and
-    buffers the rest, so the resume position is its receive horizon.
-    Takes a bare log so a caller can ship a crashed primary's surviving
-    image. Returns the number of records shipped; fails if a batch
-    decodes short. *)
+(** Stream stable records [replicated_lsn follower + 1 .. upto]
+    (default the log's flushed horizon) to the follower in batches of
+    [batch] (default 64), through the wire's framing: serialize, decode,
+    apply. The follower applies every record as it arrives, so the next
+    batch resumes at its applied horizon. Takes a bare log so a caller
+    can ship a crashed primary's surviving image. Returns the number of
+    records shipped; fails if a batch decodes short. *)
 
 val run_replicated_until_crash :
   spec -> Ivdb_storage.Fault.config -> Database.t * Database.t * int * bool

@@ -80,7 +80,9 @@ let analyze wal =
         | Log_record.Gid_block _ ->
             Hashtbl.replace att txn lsn
         | Log_record.Commit | Log_record.End -> Hashtbl.remove att txn
-        | Log_record.Ddl payload -> ddl := (txn, payload) :: !ddl
+        | Log_record.Ddl payload ->
+            Hashtbl.replace att txn lsn;
+            ddl := (txn, payload) :: !ddl
         | Log_record.Checkpoint _ -> ());
         List.iter
           (fun pid -> if not (Hashtbl.mem dpt pid) then Hashtbl.replace dpt pid lsn)

@@ -1,17 +1,15 @@
 (* Follower-side replication driver: dials the primary, subscribes from
-   the follower's receive horizon, and pumps ReplRecords batches into
-   Database.apply_replicated, acking each one at the applied (commit)
-   horizon.
+   the follower's applied horizon, and pumps ReplRecords batches into
+   Database.apply_replicated, acking each one at the applied horizon.
 
    Failure handling is uniform: anything that breaks the stream — EOF,
    corrupt frame, a torn batch (decode_frames returned a short dense
-   prefix), a protocol violation — drops the connection, discards the
-   buffered in-flight tail, and redials, resubscribing from whatever the
-   follower has durably applied. The primary re-ships from the subscribe
-   position, so the stream always restarts exactly where the follower
-   left off. An Err frame from the primary is fatal (refused subscribe,
-   draining): the driver stops rather than spin against a server that
-   said no. *)
+   prefix), a protocol violation — drops the connection and redials,
+   resubscribing from whatever the follower has durably applied. The
+   primary re-ships from the subscribe position, so the stream always
+   restarts exactly where the follower left off. An Err frame from the
+   primary is fatal (refused subscribe, draining): the driver stops
+   rather than spin against a server that said no. *)
 
 module Sched = Ivdb_sched.Sched
 module Wire = Ivdb_wire.Wire
@@ -33,7 +31,6 @@ type t = {
   mutable stop_requested : bool;
   mutable conn : Transport.conn option; (* live connection, closed by stop *)
   mutable primary_flushed : int; (* primary's last advertised stable horizon *)
-  mutable primary_committed : int; (* primary's last advertised commit horizon *)
   mutable batches : int;
   mutable reconnects : int;
   mutable last_error : string option;
@@ -57,7 +54,6 @@ let create ?(name = "replica") db dialer =
     stop_requested = false;
     conn = None;
     primary_flushed = Database.replicated_lsn db;
-    primary_committed = Database.replicated_lsn db;
     batches = 0;
     reconnects = 0;
     last_error = None;
@@ -75,12 +71,7 @@ let reconnects t = t.reconnects
 let last_error t = t.last_error
 let backoff t = t.backoff
 
-(* Lag is measured against the primary's *commit* horizon, not its raw
-   flushed horizon: the gated applied position can never pass the last
-   shipped commit boundary while a primary transaction is in flight, and
-   a caught-up follower should read as lag 0, not as perpetually behind
-   by the open transaction's tail. *)
-let lag t = max 0 (t.primary_committed - Database.replicated_lsn t.db)
+let lag t = max 0 (t.primary_flushed - Database.replicated_lsn t.db)
 
 let stop t =
   t.stop_requested <- true;
@@ -99,15 +90,14 @@ let repoint t dialer =
    corrupt payload tail yields a short dense prefix, which is still
    safe to apply — the follower simply acks less than [upto] and the
    caller drops the connection to force a clean restart. *)
-let apply_batch t ~first ~upto ~committed ~flushed payload =
-  let expect = Database.received_lsn t.db + 1 in
+let apply_batch t ~first ~upto ~flushed payload =
+  let expect = Database.replicated_lsn t.db + 1 in
   if first <> expect then
     `Protocol (Printf.sprintf "batch starts at LSN %d, expected %d" first expect)
   else begin
     let records = Wal.decode_frames ~first_lsn:first payload in
     (match records with [] -> () | _ -> Database.apply_replicated t.db records);
     t.primary_flushed <- max t.primary_flushed flushed;
-    t.primary_committed <- max t.primary_committed committed;
     let n = List.length records in
     Metrics.inc t.m_batches;
     Metrics.inc_by t.m_records n;
@@ -126,10 +116,7 @@ let session t =
   Fun.protect
     ~finally:(fun () ->
       t.conn <- None;
-      conn.Transport.close ();
-      (* anything buffered past the commit horizon belongs to the broken
-         session: the resubscribe below re-ships it *)
-      ignore (Database.discard_pending_tail t.db))
+      conn.Transport.close ())
     (fun () ->
       Transport.Frame_io.send io
         (Wire.Hello { version = Wire.version; client = t.name; resume = None });
@@ -137,14 +124,13 @@ let session t =
       | Some (Wire.Welcome _) ->
           Transport.Frame_io.send io
             (Wire.ReplSubscribe
-               { from = Database.received_lsn t.db + 1; replica = t.name });
+               { from = Database.replicated_lsn t.db + 1; replica = t.name });
           t.status <- Streaming;
           let rec pump () =
             if not t.stop_requested then
               match Transport.Frame_io.recv io with
-              | Some (Wire.ReplRecords { first; upto; committed; flushed; payload })
-                -> (
-                  match apply_batch t ~first ~upto ~committed ~flushed payload with
+              | Some (Wire.ReplRecords { first; upto; flushed; payload }) -> (
+                  match apply_batch t ~first ~upto ~flushed payload with
                   | `Ok ->
                       Transport.Frame_io.send io
                         (Wire.ReplAck { upto = Database.replicated_lsn t.db });
@@ -209,7 +195,6 @@ let replication_rows t () =
         | Stopped -> "stopped");
       Value.Int (Database.replicated_lsn t.db);
       Value.Int t.primary_flushed;
-      Value.Int t.primary_committed;
       Value.Int (lag t);
       Value.Int t.tick;
     |]

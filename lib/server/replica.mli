@@ -8,12 +8,11 @@
     ({!Ivdb.Database.apply_replicated}), answer [ReplAck].
 
     Any stream break (EOF, corrupt frame, torn batch, protocol
-    violation) drops the connection, discards the follower's buffered
-    in-flight tail, and redials with exponential backoff (reset to 1
-    after any session that delivered a batch), resubscribing from
-    whatever was durably applied — so no record is lost or applied
-    twice. An [Err] frame from the primary (refused subscribe, draining)
-    stops the driver for good.
+    violation) drops the connection and redials with exponential
+    backoff (reset to 1 after any session that delivered a batch),
+    resubscribing from whatever was durably applied — so no record is
+    lost or applied twice. An [Err] frame from the primary (refused
+    subscribe, draining) stops the driver for good.
 
     Progress lands in the follower's metrics: [replica.batches],
     [replica.records], [replica.reconnects] (alongside the engine's
@@ -52,10 +51,9 @@ val repoint : t -> Ivdb_transport.Transport.dialer -> unit
     truncate. Only meaningful on a driver that has not stopped. *)
 
 val lag : t -> int
-(** Records between the primary's last advertised *commit* horizon and
+(** Records between the primary's last advertised stable horizon and
     what this follower has applied. Zero when caught up (or never
-    connected) — an open transaction on the primary does not count as
-    lag, since its records are not readable anywhere yet. *)
+    connected). *)
 
 val backoff : t -> int
 (** Current redial delay in scheduler ticks: doubles (capped at 64) after

@@ -194,7 +194,6 @@ let replication_rows t db () =
   | _ ->
       let wal = Database.wal db in
       let flushed = Wal.flushed_lsn wal in
-      let committed = Wal.commit_horizon wal in
       let rows =
         Hashtbl.fold
           (fun _ rp acc ->
@@ -204,7 +203,6 @@ let replication_rows t db () =
               Value.Str (if rp.rp_connected then "streaming" else "detached");
               Value.Int rp.rp_acked;
               Value.Int flushed;
-              Value.Int committed;
               Value.Int (flushed - rp.rp_acked);
               Value.Int rp.rp_tick;
             |]
@@ -333,20 +331,17 @@ let repl_stream t db io ~from ~replica =
           let first = !sent + 1 in
           let upto = min flushed (!sent + repl_batch_limit) in
           let payload = Wal.serialize_range wal ~from:first ~upto in
-          let committed = Wal.commit_horizon_upto wal ~upto in
           Transport.Frame_io.send io
-            (Wire.ReplRecords { first; upto; committed; flushed; payload });
+            (Wire.ReplRecords { first; upto; flushed; payload });
           sent := upto;
           Metrics.inc t.m_repl_batches;
           Metrics.inc_by t.m_repl_records (upto - first + 1);
           match Transport.Frame_io.recv io with
           | Some (Wire.ReplAck { upto = acked }) ->
-              (* the ack is slot/retention progress only — with
-                 commit-horizon gating the replica routinely acks below
-                 [upto] (it buffers the tail of an in-flight transaction),
-                 so the ship position keeps advancing; a replica that
-                 actually dropped records closes the connection, and the
-                 resubscribe renegotiates the position *)
+              (* the ack is slot/retention progress only, so the ship
+                 position keeps advancing; a replica that dropped records
+                 closes the connection, and the resubscribe renegotiates
+                 the position *)
               rp.rp_acked <- max rp.rp_acked acked;
               rp.rp_tick <- Sched.now ();
               update_retain_floor t db;
@@ -463,10 +458,8 @@ and engine_frame t io se frame =
                   text =
                     Printf.sprintf
                       "promoted to primary: %d in-flight transaction(s) \
-                       rolled back (%d undo record(s)), %d buffered \
-                       record(s) applied"
-                      p.Database.losers_undone p.Database.undo_records
-                      p.Database.tail_records;
+                       rolled back (%d undo record(s))"
+                      p.Database.losers_undone p.Database.undo_records;
                 }
           | exception e -> err ~seq E_repl (Printexc.to_string e)
         end

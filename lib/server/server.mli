@@ -56,15 +56,17 @@
     [Err E_repl]: that replica must be re-seeded. Shipping cost lands in
     [server.repl.batches] / [server.repl.records].
 
-    Each [ReplRecords] batch carries the commit horizon
-    ({!Ivdb_wal.Wal.commit_horizon_upto}) so the replica applies only
-    transaction-consistent prefixes; its [ReplAck] may therefore trail
-    the shipped position and is treated purely as slot/retention
-    progress. Two admin frames complete the failover story: [Promote]
-    (follower server only — stops the attached driver, calls
-    {!Ivdb.Database.promote}, answers [Msg]) and [DropSlot] (forget a
-    detached slot so it stops pinning WAL retention; refused with
-    [Err E_repl] for an unknown or still-connected slot). *)
+    The replica applies each batch as it arrives and hides the primary's
+    open transactions through its own [Mvcc]; its [ReplAck] is treated
+    purely as slot/retention progress. Two admin frames complete the
+    failover story: [Promote] (follower server only — stops the attached
+    driver, calls {!Ivdb.Database.promote}, answers [Msg]) and
+    [DropSlot] (forget a detached slot so it stops pinning WAL
+    retention; refused with [Err E_repl] for an unknown or
+    still-connected slot). *)
+
+val repl_batch_limit : int
+(** Records shipped per [ReplRecords] batch at most: 128. *)
 
 type config = {
   max_inflight : int;  (** sessions served concurrently (default 32) *)

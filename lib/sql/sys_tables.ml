@@ -261,7 +261,6 @@ let replication_header =
     "state";
     "replicated_lsn";
     "flushed_lsn";
-    "committed_lsn";
     "lag_records";
     "tick";
   ]

@@ -193,6 +193,9 @@ let update t rid record =
 let get t rid =
   Bufpool.read t.pool rid.rpage (fun p -> Heap_page.get p rid.rslot)
 
+let get_any t rid =
+  Bufpool.read t.pool rid.rpage (fun p -> Heap_page.get_any p rid.rslot)
+
 let iter_pages t f =
   for i = 0 to t.npages - 1 do
     f t.pages.(i)

@@ -63,6 +63,10 @@ val update : t -> rid -> string -> diffs
     [Invalid_argument] on size change (callers use delete + insert). *)
 
 val get : t -> rid -> string option
+
+val get_any : t -> rid -> string option
+(** Live or ghost: a ghost still holds the bytes it was deleted with. *)
+
 val iter : t -> (rid -> string -> unit) -> unit
 (** Live records, ascending rid order. *)
 

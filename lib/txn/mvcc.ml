@@ -35,7 +35,6 @@ let create metrics =
 
 let last_stamp t = t.last_stamp
 let snapshot_count t = t.n_snapshots
-let live_versions t = Metrics.value t.m_live
 let snapshot_active t = t.n_snapshots > 0
 
 let min_snapshot t =

@@ -84,4 +84,3 @@ val gc : t -> int
 
 val last_stamp : t -> int
 val snapshot_count : t -> int
-val live_versions : t -> int

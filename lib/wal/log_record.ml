@@ -176,10 +176,7 @@ let decodable t =
 
 (* the fixed header, read in place *)
 
-let txn_at b pos = B.get_u32 b (pos + 4)
-let tag_at b pos = Bytes.get b (pos + 12)
-let ends_txn_at b pos = match tag_at b pos with 'C' | 'E' -> true | _ -> false
-let checkpoint_at b pos = tag_at b pos = 'K'
+let checkpoint_at b pos = Bytes.get b (pos + 12) = 'K'
 
 (* decoding *)
 

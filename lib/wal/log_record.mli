@@ -77,18 +77,10 @@ val decode : string -> t
 val decode_sub : bytes -> int -> int -> t
 (** [decode_sub b pos len] is {!decode} of the [len] bytes at [pos]. *)
 
-(** {2 The fixed header}
-
-    Every encoding starts [i32 lsn | i32 txn | i32 prev | u8 body tag].
-    These read it in place, given the bytes and the encoding's offset,
-    without decoding the body. *)
-
-val txn_at : bytes -> int -> int
-
-val ends_txn_at : bytes -> int -> bool
-(** A [Commit] or an [End]. *)
-
 val checkpoint_at : bytes -> int -> bool
+(** Whether the encoding at the given offset is a [Checkpoint]. Every
+    encoding starts [i32 lsn | i32 txn | i32 prev | u8 body tag]; this
+    reads the tag in place, without decoding the body. *)
 
 val pages_touched : t -> int list
 val pp : Format.formatter -> t -> unit

@@ -39,12 +39,6 @@ type t = {
       (* replication slot: truncate_before never discards records with
          LSN >= the floor, so a subscribed (or disconnected-but-known)
          replica can always resume from its acked position *)
-  open_txns : (int, unit) Hashtbl.t;
-      (* transactions with a record in the log but no Commit/End yet *)
-  mutable boundaries : Log_record.lsn list;
-      (* commit boundaries, newest first: LSNs after whose record no
-         transaction is in flight — the prefix up to one is
-         transaction-consistent *)
   metrics : Metrics.t;
   trace : Trace.t;
   m_append : Metrics.counter;
@@ -72,8 +66,6 @@ let create ?trace metrics =
     fault = Fault.none;
     pending_tear = None;
     retain_floor = None;
-    open_txns = Hashtbl.create 16;
-    boundaries = [];
     metrics;
     trace;
     m_append = Metrics.counter metrics "log.append";
@@ -132,44 +124,6 @@ let room t ~own n =
   let c = t.chunks.(Array.length t.chunks - 1) in
   (c.data, c.fill)
 
-(* Commit-boundary tracking: an LSN is a boundary when no transaction is
-   in flight once its record is applied. A Commit or End retires its
-   transaction (a committed transaction is complete at its Commit record;
-   an aborted one only once its compensation finishes at End), any other
-   transaction-stamped record opens one, and checkpoints are transparent.
-   The prefix up to a boundary is transaction-consistent — the property a
-   replica needs to serve reads at the commit horizon. *)
-let note_open open_txns ~txn ~ends ~transparent =
-  if ends then Hashtbl.remove open_txns txn
-  else if (not transparent) && txn <> 0 then Hashtbl.replace open_txns txn ();
-  Hashtbl.length open_txns = 0
-
-let track_open_txns open_txns (r : Log_record.t) =
-  note_open open_txns ~txn:r.Log_record.txn
-    ~ends:
-      (match r.Log_record.body with
-      | Log_record.Commit | Log_record.End -> true
-      | _ -> false)
-    ~transparent:
-      (match r.Log_record.body with Log_record.Checkpoint _ -> true | _ -> false)
-
-let track_boundary t lsn =
-  let data = (chunk_of t lsn).data and off = offset t lsn in
-  if
-    note_open t.open_txns ~txn:(Log_record.txn_at data off)
-      ~ends:(Log_record.ends_txn_at data off)
-      ~transparent:(Log_record.checkpoint_at data off)
-  then t.boundaries <- lsn :: t.boundaries
-
-let commit_horizon_upto t ~upto =
-  let rec find = function
-    | [] -> 0
-    | b :: rest -> if b <= upto then b else find rest
-  in
-  find t.boundaries
-
-let commit_horizon t = commit_horizon_upto t ~upto:t.flushed
-
 (* Encode [r] once, into the store, as LSN [last_lsn t + 1]; returns its
    payload length. *)
 let store t (r : Log_record.t) =
@@ -191,7 +145,6 @@ let store t (r : Log_record.t) =
   t.locs.(t.len) <- (last lsl 33) lor (c.fill lsl 1) lor bad;
   t.len <- t.len + 1;
   c.fill <- c.fill + n;
-  track_boundary t r.Log_record.lsn;
   n
 
 let append t ~txn ~prev body =
@@ -350,9 +303,6 @@ let crash t ?trace metrics =
             { data = Bytes.sub t.chunks.(i).data 0 fill; fill });
     }
   in
-  for lsn = t.base + 1 to !last do
-    track_boundary copy lsn
-  done;
   flush_range copy !last;
   let dropped = t.flushed - !last in
   if dropped > 0 then Metrics.inc_by (Lazy.force copy.m_torn_dropped) dropped;
@@ -397,7 +347,6 @@ let truncate_before t lsn =
     t.locs <- Array.init (t.len - drop) (fun i -> locs.(drop + i) - shift);
     t.base <- t.base + drop;
     t.len <- t.len - drop;
-    t.boundaries <- List.filter (fun b -> b > t.base) t.boundaries;
     Metrics.inc_by (Lazy.force t.m_truncated) drop
   end
 

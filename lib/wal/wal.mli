@@ -98,28 +98,6 @@ val retain_floor : t -> Log_record.lsn option
 val last_checkpoint_lsn : t -> Log_record.lsn
 (** LSN of the most recent *stable* checkpoint record; 0 if none. *)
 
-val commit_horizon_upto : t -> upto:Log_record.lsn -> Log_record.lsn
-(** Greatest commit boundary <= [upto]: the largest LSN [b <= upto] such
-    that applying the log prefix [[.., b]] leaves no transaction in
-    flight — a Commit retires its transaction, an aborted transaction
-    stays open until the End record that closes its compensation, and
-    checkpoint records are transparent. The prefix up to a boundary is
-    transaction-consistent, which is what lets a replica apply shipped
-    records only up to the horizon and never expose a split transaction.
-    Returns 0 when no boundary lies in the retained window. *)
-
-val track_open_txns : (int, unit) Hashtbl.t -> Log_record.t -> bool
-(** The commit-boundary rule behind {!commit_horizon_upto}, applied to a
-    caller-held set of open transactions: a Commit or End retires the
-    record's transaction, a Checkpoint is transparent, and any other
-    record stamped with a transaction opens it. True when no transaction
-    is open once the record is applied, i.e. its LSN is a boundary. *)
-
-val commit_horizon : t -> Log_record.lsn
-(** [commit_horizon_upto t ~upto:(flushed_lsn t)]: the newest stable
-    transaction-consistent prefix end — what a primary advertises to
-    followers as the last-committed LSN. *)
-
 val crash : t -> ?trace:Ivdb_util.Trace.t -> Ivdb_util.Metrics.t -> t
 (** The log as found after a crash: the stable prefix as a device holds
     it, framed as {!serialize_range} from {!first_lsn} to {!flushed_lsn}.

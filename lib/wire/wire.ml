@@ -12,7 +12,7 @@ module B = Ivdb_util.Bytes_util
 module Row = Ivdb_relation.Row
 module Log_record = Ivdb_wal.Log_record
 
-let version = 8
+let version = 9
 
 (* A length prefix beyond this is corruption, not a real frame: it caps
    the allocation a hostile or damaged stream can request. *)
@@ -42,9 +42,6 @@ type frame =
   | ReplRecords of {
       first : Log_record.lsn;
       upto : Log_record.lsn;
-      committed : Log_record.lsn;
-          (* greatest commit boundary <= upto: the follower may expose
-             reads at this horizon even though it buffers up to [upto] *)
       flushed : Log_record.lsn;
       payload : string;
     }
@@ -108,9 +105,9 @@ let pp ppf f =
   | Metrics_req { seq } -> Format.fprintf ppf "Metrics_req{#%d}" seq
   | ReplSubscribe { from; replica } ->
       Format.fprintf ppf "ReplSubscribe{from=%d %S}" from replica
-  | ReplRecords { first; upto; committed; flushed; payload } ->
-      Format.fprintf ppf "ReplRecords{[%d,%d] committed=%d flushed=%d bytes=%d}"
-        first upto committed flushed (String.length payload)
+  | ReplRecords { first; upto; flushed; payload } ->
+      Format.fprintf ppf "ReplRecords{[%d,%d] flushed=%d bytes=%d}"
+        first upto flushed (String.length payload)
   | ReplAck { upto } -> Format.fprintf ppf "ReplAck{upto=%d}" upto
   | Promote { seq } -> Format.fprintf ppf "Promote{#%d}" seq
   | DropSlot { seq; name } -> Format.fprintf ppf "DropSlot{#%d %S}" seq name
@@ -204,11 +201,10 @@ let encode f =
       Buffer.add_char buf 'S';
       add_u32 buf from;
       add_str buf replica
-  | ReplRecords { first; upto; committed; flushed; payload } ->
+  | ReplRecords { first; upto; flushed; payload } ->
       Buffer.add_char buf 'L';
       add_u32 buf first;
       add_u32 buf upto;
-      add_u32 buf committed;
       add_u32 buf flushed;
       add_str buf payload
   | ReplAck { upto } ->
@@ -339,9 +335,8 @@ let decode s =
     | 'L' ->
         let first = rd_u32 r in
         let upto = rd_u32 r in
-        let committed = rd_u32 r in
         let flushed = rd_u32 r in
-        ReplRecords { first; upto; committed; flushed; payload = rd_str r }
+        ReplRecords { first; upto; flushed; payload = rd_str r }
     | 'K' -> ReplAck { upto = rd_u32 r }
     | 'P' -> Promote { seq = rd_u32 r }
     | 'D' ->

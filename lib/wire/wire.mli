@@ -83,12 +83,6 @@ type frame =
   | ReplRecords of {
       first : Ivdb_wal.Log_record.lsn;  (** LSN of the first record *)
       upto : Ivdb_wal.Log_record.lsn;  (** LSN of the last record *)
-      committed : Ivdb_wal.Log_record.lsn;
-          (** greatest commit boundary <= [upto]
-              ({!Ivdb_wal.Wal.commit_horizon_upto}): the prefix through
-              this LSN is transaction-consistent, so the follower applies
-              records up to it and buffers the rest — reads at the commit
-              horizon never observe a split transaction *)
       flushed : Ivdb_wal.Log_record.lsn;
           (** primary's stable horizon when the batch was cut — lets the
               follower compute its lag without another round trip *)
@@ -100,10 +94,8 @@ type frame =
     }
   | ReplAck of { upto : Ivdb_wal.Log_record.lsn }
       (** follower → primary: everything up to [upto] is ingested and
-          applied. With commit-horizon gating [upto] routinely trails the
-          last shipped record (the tail of an in-flight transaction stays
-          buffered), so the primary treats the ack as slot/retention
-          progress only — it never rewinds its ship position, which is
+          applied. The primary treats the ack as slot/retention progress
+          only — it never rewinds its ship position, which is
           renegotiated at subscribe time. *)
   | Promote of { seq : int }
       (** admin request: promote a follower to primary — stop ingesting,

@@ -1396,9 +1396,10 @@ let test_gids_never_reused () =
             check Alcotest.int "recovery cannot reach shard 0" 0 (Coord.recover c);
             run_txn c [ ins 1 1; ins 2 1 ];
             down := false;
-            (* this commit's retry meets the re-dial, the next one asks *)
+            (* this commit asks again: the poll meets the re-dial and is
+               retried on the new connection *)
             run_txn c [ ins 1 2; ins 2 2 ];
-            check Alcotest.(list string) "still in doubt until asked" [ "coord:1" ]
+            check Alcotest.(list string) "resolved at the first commit after the return" []
               (indoubt_gtxns cl.dbs.(0));
             run_txn c [ ins 0 3; ins 1 3 ];
             let gids =
@@ -1412,7 +1413,7 @@ let test_gids_never_reused () =
   in
   check Alcotest.(list string) "coord:1 aborted; new gids above its block"
     [
-      "coord:1027 committed"; "coord:1 aborted"; "coord:1026 committed";
+      "coord:1027 committed"; "coord:1026 committed"; "coord:1 aborted";
       "coord:1025 committed";
     ]
     gids;

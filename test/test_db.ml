@@ -813,6 +813,49 @@ let test_ghost_entries_end_with_txn () =
   check Alcotest.int "one deadlock victim" 1 !victims;
   entries "after a deadlock victim's abort" 0
 
+(* A prepared transaction survives a restart in doubt, holding its locks;
+   its before-images survive too, so an autocommit SELECT (a snapshot) on
+   the restarted shard reads past its writes exactly as before the crash.
+   The decision then settles what the snapshot sees: the new rows after a
+   commit, still the old ones after an abort. *)
+let test_indoubt_snapshot_after_restart () =
+  let rows db =
+    match Sql.exec (Sql.session db) "SELECT * FROM t" with
+    | Sql.Rows { rows; _ } ->
+        List.sort compare
+          (List.map
+             (function
+               | [| Value.Int k; Value.Int x |] -> (k, x)
+               | _ -> Alcotest.fail "a (k, x) row")
+             rows)
+    | _ -> Alcotest.fail "expected rows"
+  in
+  List.iter
+    (fun committed ->
+      let db = Database.create ~config () in
+      let s = Sql.session db in
+      List.iter
+        (fun q -> ignore (Sql.exec s q))
+        [
+          "CREATE TABLE t (k INT NOT NULL, x INT NOT NULL)";
+          "INSERT INTO t VALUES (1, 10)";
+          "BEGIN";
+          "INSERT INTO t VALUES (2, 20)";
+          "UPDATE t SET x = 99 WHERE k = 1";
+        ];
+      ignore (Sql.prepare_2pc s ~gtxn:"g:1");
+      let old = [ (1, 10) ] in
+      check Alcotest.(list (pair int int)) "before the crash" old (rows db);
+      let db = Database.crash db in
+      check Alcotest.int "in doubt after the restart" 1 (Database.indoubt_count db);
+      check Alcotest.(list (pair int int)) "after the restart" old (rows db);
+      ignore (Database.decide_2pc db ~gtxn:"g:1" ~committed);
+      check Alcotest.(list (pair int int))
+        (if committed then "after a commit decision" else "after an abort decision")
+        (if committed then [ (1, 99); (2, 20) ] else old)
+        (rows db))
+    [ true; false ]
+
 (* Page density: the shape of perfbench's view-read table, 20,000 rows
    of (id, product, qty, amount) with a unique index on id, loaded in
    ascending id order, must fit in at most 1.1 times the pages it took
@@ -920,6 +963,8 @@ let () =
           Alcotest.test_case "deferred queue recovered" `Quick
             test_crash_deferred_queue_recovered;
           Alcotest.test_case "double crash" `Quick test_double_crash;
+          Alcotest.test_case "in-doubt writes hidden from snapshots after restart"
+            `Quick test_indoubt_snapshot_after_restart;
           Alcotest.test_case "ghost entries end with their transaction" `Quick
             test_ghost_entries_end_with_txn;
           Alcotest.test_case "checkpoint truncates log" `Quick

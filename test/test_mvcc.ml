@@ -181,7 +181,7 @@ let test_snapshot_vs_escrow_writers () =
           (Printf.sprintf "no live versions after run (%s, seed %d)"
              mode_name seed)
           0
-          (Mvcc.live_versions (Txn.mvcc (Database.mgr db)))
+          (Metrics.get (Database.metrics db) "mvcc.versions_live")
       done)
     [
       (Txn.Sync, "sync");
@@ -239,7 +239,6 @@ let test_snapshot_rejects_writes () =
    chains drain as soon as the last snapshot is released. *)
 let test_version_gc () =
   let db, sales, _v = make_db () in
-  let mvcc = Txn.mvcc (Database.mgr db) in
   let m = Database.metrics db in
   Database.transact db (fun tx ->
       for i = 1 to 5 do
@@ -248,7 +247,7 @@ let test_version_gc () =
              [| Value.Int i; Value.Int (i mod 2); Value.Int i |])
       done);
   (* no snapshot live: committed writes install nothing *)
-  Alcotest.(check int) "no versions without readers" 0 (Mvcc.live_versions mvcc);
+  Alcotest.(check int) "no versions without readers" 0 (Metrics.get m "mvcc.versions_live");
   let snap = Txn.begin_snapshot (Database.mgr db) in
   Database.transact db (fun tx ->
       for i = 10 to 14 do
@@ -256,7 +255,7 @@ let test_version_gc () =
           (Table.insert db tx sales
              [| Value.Int i; Value.Int (i mod 2); Value.Int i |])
       done);
-  let live_during = Mvcc.live_versions mvcc in
+  let live_during = Metrics.get m "mvcc.versions_live" in
   Alcotest.(check bool) "versions retained for the open snapshot" true
     (live_during > 0);
   (* the snapshot still sees the pre-commit state *)
@@ -267,7 +266,7 @@ let test_version_gc () =
   Alcotest.(check int) "snapshot sees 5 rows" 5 !n;
   Txn.commit (Database.mgr db) snap;
   Alcotest.(check int) "chains drained after release" 0
-    (Mvcc.live_versions mvcc);
+    (Metrics.get m "mvcc.versions_live");
   Alcotest.(check bool) "prunes counted" true
     (Metrics.get m "mvcc.versions_pruned" >= live_during)
 
@@ -282,7 +281,9 @@ let test_version_gc () =
    chain head was duplicated and the reader's answer depended on which
    path ran last. *)
 let test_mixed_install_race () =
-  let mvcc = Mvcc.create (Metrics.create ()) in
+  let metrics = Metrics.create () in
+  let mvcc = Mvcc.create metrics in
+  let live () = Metrics.get metrics "mvcc.versions_live" in
   let snap = Mvcc.begin_snapshot mvcc in
   let committed = function
     | Mvcc.Committed v -> v
@@ -295,11 +296,11 @@ let test_mixed_install_race () =
   let stamp_a = Mvcc.last_stamp mvcc + 1 in
   Mvcc.push_committed mvcc ~obj:1 ~key:"a" ~stamp:stamp_a (Some "escrow-a");
   Alcotest.(check int) "one entry after the escrow push" 1
-    (Mvcc.live_versions mvcc);
+    (live ());
   let s = Mvcc.commit_txn mvcc ~txn:7 in
   Alcotest.(check int) "commit stamps the racing pair equally" stamp_a s;
   Alcotest.(check int) "the promoted before-image was dropped" 1
-    (Mvcc.live_versions mvcc);
+    (live ());
   Alcotest.(check (option string)) "reader sees the first-installed value"
     (Some "escrow-a")
     (committed (Mvcc.resolve mvcc ~obj:1 ~key:"a" ~snap));
@@ -308,10 +309,10 @@ let test_mixed_install_race () =
   Mvcc.record_write mvcc ~txn:8 ~obj:1 ~key:"b" ~before:(Some "before-b");
   let stamp_b = Mvcc.commit_txn mvcc ~txn:8 in
   Alcotest.(check int) "one entry after the promotion" 2
-    (Mvcc.live_versions mvcc);
+    (live ());
   Mvcc.push_committed mvcc ~obj:1 ~key:"b" ~stamp:stamp_b (Some "escrow-b");
   Alcotest.(check int) "the late escrow push was dropped" 2
-    (Mvcc.live_versions mvcc);
+    (live ());
   Alcotest.(check (option string)) "reader sees the first-installed value"
     (Some "before-b")
     (committed (Mvcc.resolve mvcc ~obj:1 ~key:"b" ~snap));
@@ -319,13 +320,13 @@ let test_mixed_install_race () =
   Mvcc.record_write mvcc ~txn:9 ~obj:1 ~key:"a" ~before:(Some "second-a");
   ignore (Mvcc.commit_txn mvcc ~txn:9);
   Alcotest.(check int) "a distinct stamp chains a new entry" 3
-    (Mvcc.live_versions mvcc);
+    (live ());
   Alcotest.(check (option string)) "the old snapshot still reads the oldest"
     (Some "escrow-a")
     (committed (Mvcc.resolve mvcc ~obj:1 ~key:"a" ~snap));
   Mvcc.release_snapshot mvcc snap;
   Alcotest.(check int) "chains drain with the snapshot" 0
-    (Mvcc.live_versions mvcc)
+    (live ())
 
 (* --- snapshot index probes ------------------------------------------------- *)
 

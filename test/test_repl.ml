@@ -9,13 +9,15 @@
    - every local write path on a follower is rejected;
    - a torn shipped batch truncates to its longest dense prefix and
      re-shipping the remainder converges, at every byte cut;
-   - a follower crash mid-stream recovers (no undo, no checkpoint) and
-     resumes at its applied horizon;
+   - a follower crash mid-stream recovers (no undo, no checkpoint),
+     rebuilds its open transactions' before-images from their log, and
+     resumes at its ingested horizon;
    - the primary may crash at ANY force point (clean or torn tail) while
      a subscribed follower streams continuously; after recovery the
      follower resubscribes and converges to the recovered state;
-   - follower reads never observe a split transaction: the applied
-     horizon is gated to the last shipped commit boundary;
+   - a follower applies each record as it arrives, and at every cut a
+     snapshot read sees exactly the transactions whose Commit record it
+     has applied: never a split transaction, never an open one;
    - at any of those crash points the follower can instead PROMOTE,
      rolling back the in-flight transactions itself, and lands on exactly
      the state single-node recovery reaches — then serves writes;
@@ -43,6 +45,7 @@ module Schema = Ivdb_relation.Schema
 module Expr = Ivdb_relation.Expr
 module View_def = Ivdb_core.View_def
 module Maintain = Ivdb_core.Maintain
+module Server = Ivdb_server.Server
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -167,12 +170,71 @@ let test_resume_below_retention () =
   let refused = try ignore (ship db f); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "subscribing below retention is refused" true refused
 
+(* --- what a follower snapshot may see ------------------------------------ *)
+
+(* Table [name]'s first column, read at a snapshot on [d] and sorted; []
+   while the table does not exist there. *)
+let snapshot_ids d name =
+  match Database.table d name with
+  | tbl ->
+      Database.transact d ~read_only:true (fun tx ->
+          Query.table_scan d (Some tx) tbl Query.Serializable
+          |> Seq.map (fun r -> match r.(0) with Value.Int i -> i | _ -> min_int)
+          |> List.of_seq |> List.sort compare)
+  | exception Not_found -> []
+
+(* View [name]'s rows as snapshot [tx] reads them; [] before it exists. *)
+let view_rows d tx name =
+  match Database.view d name with
+  | v -> List.of_seq (Query.view_scan d (Some tx) v Query.Serializable)
+  | exception Not_found -> []
+
+(* V1 at a snapshot: the view as the snapshot reads it equals its
+   recomputation from the base rows the same snapshot reads (float sums
+   up to rounding: the two add in different orders). *)
+let snapshot_v1 d name =
+  let close a b =
+    match (a, b) with
+    | Value.Float x, Value.Float y ->
+        Float.abs (x -. y) <= 1e-9 *. Float.max 1. (Float.abs x)
+    | _ -> Value.equal a b
+  in
+  let same (g1, r1) (g2, r2) =
+    g1 = g2 && Array.length r1 = Array.length r2 && Array.for_all2 close r1 r2
+  in
+  match Database.view d name with
+  | v ->
+      Database.transact d ~read_only:true (fun tx ->
+          let expect = Query.on_demand_aggregate d (Some tx) (Database.view_def d v) in
+          let actual = view_rows d tx name in
+          List.length expect = List.length actual && List.for_all2 same expect actual)
+  | exception Not_found -> true
+
+(* Transactions whose Commit record lies in the log prefix [.., upto]. *)
+let committed_upto wal upto =
+  let c = Hashtbl.create 16 in
+  Wal.iter_from wal ~from:(Wal.first_lsn wal) (fun r ->
+      match r.Log_record.body with
+      | Log_record.Commit when r.Log_record.lsn <= upto ->
+          Hashtbl.replace c r.Log_record.txn ()
+      | _ -> ());
+  c
+
+(* The ids the committed transactions of the prefix wrote, given each
+   transaction's ids. *)
+let expected_ids wal upto ids_of =
+  let c = committed_upto wal upto in
+  Hashtbl.fold (fun txn ids acc -> if Hashtbl.mem c txn then ids @ acc else acc) ids_of []
+  |> List.sort compare
+
 (* --- torn shipped batches -------------------------------------------------- *)
 
 (* Cut a serialized batch at EVERY byte offset: decode_frames must yield
-   exactly a dense prefix (never garbage, never an exception), and a
-   follower that applied the prefix must converge once the remainder is
-   re-shipped — the reconnect path after a torn ReplRecords payload. *)
+   exactly a dense prefix (never garbage, never an exception), a follower
+   that applied it must show a snapshot of exactly the transactions
+   committed in it (each writes one row), with its view equal to its
+   recomputation, and it must converge once the remainder is re-shipped —
+   the reconnect path after a torn ReplRecords payload. *)
 let test_torn_batch () =
   let config =
     { Database.default_config with read_cost = 0; write_cost = 0 }
@@ -193,8 +255,10 @@ let test_torn_batch () =
        ~aggs:[ View_def.Count_star; View_def.Sum (Expr.col schema "qty") ]
        ~source:(Database.From (sales, None))
        ~strategy:Maintain.Escrow ());
+  let ids_of = Hashtbl.create 8 in
   for i = 1 to 8 do
     Database.transact db (fun tx ->
+        Hashtbl.replace ids_of (Txn.id tx) [ i ];
         ignore
           (Table.insert db tx sales
              [| Value.Int i; Value.Int (i mod 3); Value.Int i |]))
@@ -219,12 +283,14 @@ let test_torn_batch () =
       let f = Database.create_follower ~config () in
       Database.apply_replicated f records;
       Alcotest.(check int)
-        (Printf.sprintf "cut %d: received = decoded" cut)
-        k (Database.received_lsn f);
-      Alcotest.(check int)
-        (Printf.sprintf "cut %d: applied = commit horizon of the prefix" cut)
-        (Wal.commit_horizon_upto wal ~upto:k)
-        (Database.replicated_lsn f);
+        (Printf.sprintf "cut %d: replicated = decoded" cut)
+        k (Database.replicated_lsn f);
+      Alcotest.(check (list int))
+        (Printf.sprintf "cut %d: the snapshot holds the committed rows" cut)
+        (expected_ids wal k ids_of) (snapshot_ids f "sales");
+      Alcotest.(check bool)
+        (Printf.sprintf "cut %d: V1 at the snapshot" cut)
+        true (snapshot_v1 f "by_product");
       converged (Printf.sprintf "cut %d" cut) db f
     end
   done
@@ -240,34 +306,122 @@ let test_follower_restart () =
   List.iter
     (fun k ->
       let cut = total * k / 5 in
-      let horizon = Wal.commit_horizon_upto (Database.wal db) ~upto:cut in
       let f = Database.create_follower ~config:spec.Workload.config () in
       ignore (ship ~upto:cut db f);
       Alcotest.(check int)
-        (Printf.sprintf "cut %d/%d applies up to its commit horizon" cut total)
-        horizon (Database.replicated_lsn f);
+        (Printf.sprintf "cut %d/%d applies every shipped record" cut total)
+        cut (Database.replicated_lsn f);
       let f = Database.crash f in
       Alcotest.(check bool) "restart keeps the role" true (Database.is_follower f);
-      (* the buffered post-horizon tail is volatile: restart resumes at the
-         durably applied commit horizon, never past it *)
       Alcotest.(check int)
-        (Printf.sprintf "restart at %d/%d keeps the applied horizon" cut total)
-        horizon (Database.replicated_lsn f);
+        (Printf.sprintf "restart at %d/%d resumes at the ingested horizon" cut total)
+        cut (Database.replicated_lsn f);
+      Alcotest.(check bool)
+        (Printf.sprintf "restart at %d/%d: V1 at the snapshot" cut total)
+        true
+        (snapshot_v1 f "sales_by_product_0");
       converged (Printf.sprintf "after restart at %d/%d" cut total) db f;
       Alcotest.(check bool) "restarted replica satisfies V1" true
         (Workload.check_consistency f (Database.view f "sales_by_product_0")))
     [ 1; 2; 3; 4 ]
 
-(* --- commit horizon: no split transactions on the replica ------------------- *)
+(* A primary log with three DDL statements (each a Ddl record, then its
+   Commit), an escrow view among them, a transaction open from the middle
+   of the log to its end, a committed delete, and a transaction that
+   aborts. Built the same way
+   every call, so one copy can be crashed for a reference. *)
+let restart_primary () =
+  let config = { Database.default_config with read_cost = 0; write_cost = 0 } in
+  let db = Database.create ~config () in
+  let t =
+    Database.create_table db ~name:"t"
+      ~cols:
+        [
+          { Schema.name = "id"; ty = Value.TInt; nullable = false };
+          { Schema.name = "g"; ty = Value.TInt; nullable = false };
+          { Schema.name = "qty"; ty = Value.TInt; nullable = false };
+        ]
+  in
+  let row i = [| Value.Int i; Value.Int (abs i mod 2); Value.Int i |] in
+  let insert tx i = Table.insert db tx t (row i) in
+  let rids =
+    List.map (fun i -> Database.transact db (fun tx -> insert tx i)) [ 1; 2; 3 ]
+  in
+  let schema = Database.schema db t in
+  ignore
+    (Database.create_view db ~name:"v" ~group_by:[ "g" ]
+       ~aggs:[ View_def.Count_star; View_def.Sum (Expr.col schema "qty") ]
+       ~source:(Database.From (t, None))
+       ~strategy:Maintain.Escrow ());
+  Database.create_index db t ~col:"id" ~name:"t_id";
+  (* open to the end of the log: its ids sort below every other, so no
+     later insert's next-key lock meets its keys *)
+  let mgr = Database.mgr db in
+  let held = Txn.begin_txn mgr in
+  ignore (insert held (-10));
+  ignore (insert held (-11));
+  ignore (Database.transact db (fun tx -> insert tx 4));
+  Database.transact db (fun tx -> Table.delete db tx t (List.hd rids));
+  (match
+     Database.transact_result db (fun tx ->
+         ignore (insert tx 20);
+         raise Exit)
+   with
+  | Error (Database.User_abort Exit) -> ()
+  | _ -> Alcotest.fail "the aborting transaction committed");
+  ignore (Database.transact db (fun tx -> insert tx 5));
+  Wal.force (Database.wal db) (Wal.last_lsn (Database.wal db));
+  (config, db)
+
+(* Restart the follower at EVERY cut of that log, between a Ddl record
+   and its Commit among them. The restarted follower resumes at the
+   horizon it had ingested, its snapshot sees what single-node recovery
+   of the same prefix keeps (a promoted copy), it converges after further
+   shipping, and promoting it then equals single-node recovery of the
+   whole log. *)
+let test_follower_restart_every_cut () =
+  let config, db = restart_primary () in
+  let reference = Database.state_digest (Database.crash (snd (restart_primary ()))) in
+  let n = Wal.flushed_lsn (Database.wal db) in
+  let ddl_cuts = ref 0 in
+  for k = 1 to n do
+    (match (Wal.get (Database.wal db) k).Log_record.body with
+    | Log_record.Ddl _ -> incr ddl_cuts
+    | _ -> ());
+    let seen d =
+      ( snapshot_ids d "t",
+        Database.transact d ~read_only:true (fun tx -> view_rows d tx "v") )
+    in
+    let recovered = Database.create_follower ~config () in
+    ignore (ship ~upto:k db recovered);
+    ignore (Database.promote recovered);
+    let f = Database.create_follower ~config () in
+    ignore (ship ~upto:k db f);
+    let f = Database.crash f in
+    Alcotest.(check int)
+      (Printf.sprintf "cut %d: restart resumes at the ingested horizon" k)
+      k (Database.replicated_lsn f);
+    if seen f <> seen recovered then
+      Alcotest.failf
+        "cut %d: the restarted snapshot differs from recovery of the prefix" k;
+    Alcotest.(check bool) (Printf.sprintf "cut %d: V1 at the snapshot" k) true
+      (snapshot_v1 f "v");
+    converged (Printf.sprintf "after restart at %d" k) db f;
+    ignore (Database.promote f);
+    Alcotest.(check string)
+      (Printf.sprintf "cut %d: promotion after restart = single-node recovery" k)
+      reference (Database.state_digest f)
+  done;
+  Alcotest.(check int) "cuts right after each Ddl record (table, view, index)" 3
+    !ddl_cuts
+
+(* --- every cut: a snapshot sees exactly the committed transactions --------- *)
 
 (* Two interleaved writers each insert a matched pair of rows (one in [a],
-   one in [b]) per transaction, so commit records regularly land while the
-   other transaction is still open — raw log prefixes are NOT
-   transaction-consistent there. Shipping record by record, a snapshot
-   read on the follower must never see a pair split: the gate pins the
-   applied horizon to the last commit boundary of whatever arrived, and
-   the boundary the follower computes must equal the primary's
-   [commit_horizon_upto] over the same prefix. *)
+   one in [b]) per transaction, so Commit records regularly land while the
+   other transaction is still open. Shipping record by record, at every
+   cut a follower snapshot holds exactly the rows of the transactions
+   whose Commit record is in the prefix — so no pair is ever split. *)
 let test_no_split_transactions () =
   let config = { Database.default_config with read_cost = 0; write_cost = 0 } in
   let db = Database.create ~config () in
@@ -279,44 +433,165 @@ let test_no_split_transactions () =
     Database.create_table db ~name:"b"
       ~cols:[ { Schema.name = "id"; ty = Value.TInt; nullable = false } ]
   in
+  let ids_of = Hashtbl.create 16 in
   Sched.run ~seed:13 (fun () ->
       for w = 0 to 1 do
         ignore
           (Sched.spawn (fun () ->
                for i = 1 to 6 do
+                 let id = (100 * w) + i in
                  Database.transact db (fun tx ->
-                     ignore
-                       (Table.insert db tx ta [| Value.Int ((100 * w) + i) |]);
+                     Hashtbl.replace ids_of (Txn.id tx) [ id ];
+                     ignore (Table.insert db tx ta [| Value.Int id |]);
                      Sched.yield ();
-                     ignore
-                       (Table.insert db tx tb [| Value.Int ((100 * w) + i) |]);
+                     ignore (Table.insert db tx tb [| Value.Int id |]);
                      Sched.yield ())
                done))
       done);
   let wal = Database.wal db in
   Wal.force wal (Wal.last_lsn wal);
   let f = Database.create_follower ~config () in
-  let count d name =
-    match Database.table d name with
-    | tbl ->
-        Database.transact d ~read_only:true (fun tx ->
-            Seq.length (Query.table_scan d (Some tx) tbl Query.Serializable))
-    | exception _ -> 0
-  in
-  let split = ref 0 and gated = ref 0 in
+  let hidden = ref 0 in
   for lsn = 1 to Wal.flushed_lsn wal do
     ignore (ship ~batch:1 ~upto:lsn db f);
-    Alcotest.(check int)
-      (Printf.sprintf "lsn %d: applied = commit horizon of the prefix" lsn)
-      (Wal.commit_horizon_upto wal ~upto:lsn)
-      (Database.replicated_lsn f);
-    if Database.replicated_lsn f < lsn then incr gated;
-    if count f "a" <> count f "b" then incr split
+    let expect = expected_ids wal lsn ids_of in
+    Alcotest.(check (list int))
+      (Printf.sprintf "lsn %d: a holds the committed rows" lsn)
+      expect (snapshot_ids f "a");
+    Alcotest.(check (list int))
+      (Printf.sprintf "lsn %d: b holds the committed rows" lsn)
+      expect (snapshot_ids f "b");
+    (* the follower's pages hold an open transaction's row here *)
+    match Database.table f "a" with
+    | tbl ->
+        if Seq.length (Query.table_scan f None tbl Query.Dirty) <> List.length expect
+        then incr hidden
+    | exception Not_found -> ()
   done;
-  Alcotest.(check int) "no prefix ever shows a split transaction" 0 !split;
-  Alcotest.(check bool) "the gate actually engaged mid-transaction" true
-    (!gated > 0);
+  Alcotest.(check bool) "some cuts hid an applied open transaction" true (!hidden > 0);
   converged "record-by-record shipping" db f
+
+(* One escrow-view writer commits; another inserts into the same groups
+   and aborts, so its compensation (CLRs) ships too; a third rolls one
+   insert back to a savepoint and commits. At every cut a follower
+   snapshot holds exactly the committed rows, the view it reads equals
+   its recomputation (V1), and a snapshot taken one record earlier still
+   reads what it read then: the escrow commit path pushed the committed
+   view rows it needed. *)
+let test_escrow_abort_every_cut () =
+  let config = { Database.default_config with read_cost = 0; write_cost = 0 } in
+  let db = Database.create ~config () in
+  let t =
+    Database.create_table db ~name:"t"
+      ~cols:
+        [
+          { Schema.name = "id"; ty = Value.TInt; nullable = false };
+          { Schema.name = "g"; ty = Value.TInt; nullable = false };
+          { Schema.name = "qty"; ty = Value.TInt; nullable = false };
+        ]
+  in
+  let schema = Database.schema db t in
+  ignore
+    (Database.create_view db ~name:"v" ~group_by:[ "g" ]
+       ~aggs:[ View_def.Count_star; View_def.Sum (Expr.col schema "qty") ]
+       ~source:(Database.From (t, None))
+       ~strategy:Maintain.Escrow ());
+  let ids_of = Hashtbl.create 16 in
+  let insert tx id =
+    ignore (Table.insert db tx t [| Value.Int id; Value.Int (id mod 2); Value.Int id |])
+  in
+  let aborted = ref 0 in
+  Sched.run ~seed:17 (fun () ->
+      let writer body =
+        ignore
+          (Sched.spawn (fun () ->
+               for i = 1 to 4 do
+                 match
+                   Database.transact_result db (fun tx ->
+                       Hashtbl.replace ids_of (Txn.id tx) [];
+                       body tx i)
+                 with
+                 | Ok () -> ()
+                 | Error _ -> incr aborted
+               done))
+      in
+      writer (fun tx i ->
+          Hashtbl.replace ids_of (Txn.id tx) [ i; 100 + i ];
+          insert tx i;
+          Sched.yield ();
+          insert tx (100 + i);
+          Sched.yield ());
+      writer (fun tx i ->
+          insert tx (200 + i);
+          Sched.yield ();
+          insert tx (300 + i);
+          Sched.yield ();
+          raise Exit);
+      writer (fun tx i ->
+          Hashtbl.replace ids_of (Txn.id tx) [ 400 + i ];
+          insert tx (400 + i);
+          let sp = Txn.savepoint tx in
+          insert tx (500 + i);
+          Sched.yield ();
+          Txn.rollback_to (Database.mgr db) tx sp;
+          Sched.yield ()));
+  Alcotest.(check int) "every aborting transaction aborted" 4 !aborted;
+  let wal = Database.wal db in
+  Wal.force wal (Wal.last_lsn wal);
+  let f = Database.create_follower ~config () in
+  let mgr = Database.mgr f in
+  for lsn = 1 to Wal.flushed_lsn wal do
+    let held = Txn.begin_snapshot mgr in
+    let read () =
+      ( (match Database.table f "t" with
+        | tbl -> Seq.length (Query.table_scan f (Some held) tbl Query.Serializable)
+        | exception Not_found -> 0),
+        view_rows f held "v" )
+    in
+    let before = read () in
+    ignore (ship ~batch:1 ~upto:lsn db f);
+    if read () <> before then
+      Alcotest.failf "lsn %d: a snapshot taken one record earlier reads differently" lsn;
+    Txn.commit mgr held;
+    Alcotest.(check (list int))
+      (Printf.sprintf "lsn %d: the snapshot holds the committed rows" lsn)
+      (expected_ids wal lsn ids_of) (snapshot_ids f "t");
+    Alcotest.(check bool) (Printf.sprintf "lsn %d: V1 at the snapshot" lsn) true
+      (snapshot_v1 f "v")
+  done;
+  converged "escrow writers with aborts" db f
+
+(* One primary transaction stays open while others commit: a follower
+   snapshot sees each commit as soon as the one batch carrying it
+   arrives, and never the open transaction's row until it commits. *)
+let test_held_open_transaction () =
+  let config = { Database.default_config with read_cost = 0; write_cost = 0 } in
+  let db = Database.create ~config () in
+  let t =
+    Database.create_table db ~name:"t"
+      ~cols:[ { Schema.name = "id"; ty = Value.TInt; nullable = false } ]
+  in
+  let f = Database.create_follower ~config () in
+  let mgr = Database.mgr db in
+  let held = Txn.begin_txn mgr in
+  ignore (Table.insert db held t [| Value.Int 0 |]);
+  for i = 1 to 5 do
+    Database.transact db (fun tx -> ignore (Table.insert db tx t [| Value.Int i |]));
+    let shipped = ship ~batch:Server.repl_batch_limit db f in
+    Alcotest.(check bool)
+      (Printf.sprintf "commit %d arrives in one batch (%d records)" i shipped)
+      true
+      (shipped <= Server.repl_batch_limit);
+    Alcotest.(check (list int))
+      (Printf.sprintf "commit %d is visible, the open transaction is not" i)
+      (List.init i (fun j -> j + 1))
+      (snapshot_ids f "t")
+  done;
+  Txn.commit mgr held;
+  ignore (ship db f);
+  Alcotest.(check (list int)) "the held transaction's commit is visible"
+    [ 0; 1; 2; 3; 4; 5 ] (snapshot_ids f "t");
+  converged "held-open transaction" db f
 
 (* --- crash-the-primary sweep ----------------------------------------------- *)
 
@@ -449,7 +724,6 @@ let test_promoted_reuses_space () =
 
 (* --- wire-level: server, replica driver, clients ---------------------------- *)
 
-module Server = Ivdb_server.Server
 module Replica = Ivdb_server.Replica
 module Client = Ivdb_client.Client
 module Transport = Ivdb_transport.Transport
@@ -782,7 +1056,6 @@ let test_backoff_reset () =
                          {
                            first = from;
                            upto = n;
-                           committed = Wal.commit_horizon wal;
                            flushed = n;
                            payload;
                          });
@@ -942,6 +1215,10 @@ let () =
         [
           Alcotest.test_case "no split transactions on the replica" `Quick
             test_no_split_transactions;
+          Alcotest.test_case "escrow writers with aborts, every cut" `Quick
+            test_escrow_abort_every_cut;
+          Alcotest.test_case "commits past a held-open transaction" `Quick
+            test_held_open_transaction;
         ] );
       ( "wire",
         [
@@ -961,6 +1238,8 @@ let () =
           Alcotest.test_case "torn batch byte sweep" `Quick test_torn_batch;
           Alcotest.test_case "follower restart mid-stream" `Quick
             test_follower_restart;
+          Alcotest.test_case "follower restart at every cut, then promote" `Quick
+            test_follower_restart_every_cut;
           Alcotest.test_case "primary crash-at-force sweep" `Quick
             sweep_crash_primary;
           Alcotest.test_case "promote the follower at every crash point" `Quick

@@ -325,10 +325,8 @@ let prop_torn_tail_prefix =
 (* --- the store against a model ----------------------------------------- *)
 
 (* The log is checked against a plain list of the records it should
-   retain, with the stable prefix, retain floor, checkpoint, byte counts
-   and commit boundaries kept beside it by the rules [wal.mli] states.
-   Commit boundaries come from [Wal.track_open_txns] on the typed
-   records; the log finds them from the stored bytes. *)
+   retain, with the stable prefix, retain floor, checkpoint and byte
+   counts kept beside it by the rules [wal.mli] states. *)
 
 type op =
   | Append of int * LR.body (* txn, body *)
@@ -388,8 +386,6 @@ type model = {
   mutable floor : int option;
   mutable ckpt : int;
   mutable stable : int;
-  open_txns : (int, unit) Hashtbl.t;
-  mutable bounds : int list; (* ascending *)
 }
 
 let fresh_model () =
@@ -400,17 +396,13 @@ let fresh_model () =
     floor = None;
     ckpt = 0;
     stable = 0;
-    open_txns = Hashtbl.create 8;
-    bounds = [];
   }
 
 let m_last m = m.base + List.length m.recs
 let size r = String.length (LR.encode r)
 let m_stable m = List.filter (fun r -> r.LR.lsn <= m.flushed) m.recs
 
-let m_add m r =
-  m.recs <- m.recs @ [ r ];
-  if Wal.track_open_txns m.open_txns r then m.bounds <- m.bounds @ [ r.LR.lsn ]
+let m_add m r = m.recs <- m.recs @ [ r ]
 
 let m_flush m lsn =
   List.iter
@@ -427,12 +419,8 @@ let m_truncate m lsn =
   let lsn = match m.floor with Some f -> min lsn f | None -> lsn in
   if lsn - 1 > m.base then begin
     m.base <- lsn - 1;
-    m.recs <- List.filter (fun r -> r.LR.lsn > m.base) m.recs;
-    m.bounds <- List.filter (fun b -> b > m.base) m.bounds
+    m.recs <- List.filter (fun r -> r.LR.lsn > m.base) m.recs
   end
-
-let m_horizon m upto =
-  List.fold_left (fun acc b -> if b <= upto then b else acc) 0 m.bounds
 
 let frame r =
   let p = LR.encode r in
@@ -490,12 +478,6 @@ let agree w m =
   if Wal.serialize_range w ~from:mid ~upto:m.flushed
      <> String.concat "" (List.map frame (List.filter (fun r -> r.LR.lsn >= mid) stable))
   then fail "serialize_range [%d, %d] differs" mid m.flushed;
-  for upto = m.base to m_last m do
-    if Wal.commit_horizon_upto w ~upto <> m_horizon m upto then
-      fail "commit_horizon_upto %d: %d, model %d" upto
-        (Wal.commit_horizon_upto w ~upto) (m_horizon m upto)
-  done;
-  if Wal.commit_horizon w <> m_horizon m m.flushed then fail "commit_horizon";
   if Wal.last_checkpoint_lsn w <> m.ckpt then
     fail "last_checkpoint_lsn %d, model %d" (Wal.last_checkpoint_lsn w) m.ckpt;
   if Wal.stable_byte_size w <> m.stable then

@@ -85,7 +85,6 @@ let frame_gen =
               {
                 first;
                 upto = first + n;
-                committed = first + (n / 2);
                 flushed = first + n;
                 payload;
               })
@@ -145,7 +144,6 @@ let sample_frames =
       {
         first = 42;
         upto = 44;
-        committed = 43;
         flushed = 99;
         payload = "\x00\x01framed\xff";
       };

@@ -702,7 +702,7 @@ let e12 () =
               { n with fault_seed = 3; read_error_p = 0.2; write_error_p = 0.2 } );
             ("crash-write", 0., { n with crash_at_write = Some 5 });
             ( "torn-write", 0.,
-              { n with fault_seed = 6; crash_at_write = Some 5; torn_writes = true } );
+              { n with fault_seed = 1; crash_at_write = Some 5; torn_writes = true } );
             ( "torn-tail", 0.,
               { n with fault_seed = 9; crash_at_force = Some 25; torn_tail = true } );
           ];
@@ -861,6 +861,7 @@ let e15 () =
       f2 (per_1k r.Workload.committed_readers);
       f2 (per_1k writers);
       i (metric r "lock.wait");
+      i (metric r "lock.deadlock");
       f1 r.Workload.mean_latency;
       f1 r.Workload.p95_latency;
     ]
@@ -871,7 +872,7 @@ let e15 () =
         "E15  Snapshot readers vs key-range S-lock readers (escrow writers, zipf 0.99, 60% reads)";
       header =
         [ "reader mode"; "mpl"; "commits"; "readers"; "writers"; "reader tput";
-          "writer tput"; "lock waits"; "lat mean"; "lat p95" ];
+          "writer tput"; "lock waits"; "deadlocks"; "lat mean"; "lat p95" ];
       rows =
         List.concat_map
           (fun mpl -> [ cell Workload.Key_range mpl; cell Workload.Snapshot mpl ])

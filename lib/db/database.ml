@@ -1134,10 +1134,11 @@ let relock t tx undo =
    first, so the oldest image of a key wins), escrow deltas and Ddl
    payloads waiting for its Commit. A CLR's section is already undone, so
    the walk skips it through undo_next. With [tx], the transaction's
-   handle, it also re-acquires its write locks. Three callers: in-doubt
+   handle, it also re-acquires its write locks. Four callers: in-doubt
    resurrection on a restarted primary (with [tx]), a restarted
-   follower's open transactions, and a follower receiving a CLR, so that
-   a compensated escrow delta is no longer subtracted. *)
+   follower's open transactions, and a follower receiving a CLR or a
+   primary rolling back to a savepoint, so that a compensated escrow delta
+   is no longer subtracted. *)
 let restore_open t ?tx ~txn last =
   let rec live lsn acc =
     if lsn = Log_record.nil_lsn then acc
@@ -1159,6 +1160,17 @@ let restore_open t ?tx ~txn last =
       | Log_record.Ddl payload -> note_ddl t ~txn payload
       | _ -> ())
     (live last [])
+
+(* Partial rollback to a savepoint. The CLRs restore storage, but the
+   in-flight registry still holds the compensated escrow deltas: a
+   snapshot would subtract them from the group, and the commit would push
+   that value as the version older snapshots read. Rebuild the deltas from
+   the live chain, as a follower does at a CLR; the locks stay held. *)
+let rollback_to t tx sp =
+  Txn.rollback_to t.tmgr tx sp;
+  let txn = Txn.id tx in
+  if Ivdb_core.Inflight.keys_of_txn t.inflight ~txn <> [] then
+    restore_open t ~txn (Txn.last_lsn tx)
 
 (* --- crash / recovery ------------------------------------------------------------- *)
 

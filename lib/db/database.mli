@@ -244,6 +244,12 @@ val transact_result :
     (User_abort e)] when the body raised [e]. Never raises from the
     transaction machinery itself. *)
 
+val rollback_to : t -> Ivdb_txn.Txn.t -> Ivdb_txn.Txn.savepoint -> unit
+(** {!Ivdb_txn.Txn.rollback_to}, then the transaction's in-flight escrow
+    deltas are rebuilt from its live log chain, so a snapshot (and the
+    version its commit pushes) no longer subtracts a compensated delta.
+    The transaction keeps its locks. *)
+
 val checkpoint : t -> unit
 
 (** {1 Sharding and two-phase commit (participant side)}

@@ -20,7 +20,7 @@ type req = {
 type lock = {
   lname : Lock_name.t;
   mutable owners : owner list;
-  mutable queue : req list; (* FIFO; conversions are kept at the front *)
+  mutable queue : req list; (* arrival order bar the escrow pass; conversions first *)
 }
 
 module Name_map = Map.Make (Lock_name)
@@ -34,6 +34,7 @@ type t = {
   h_wait_ticks : Metrics.hist;
   mutable locks : lock Name_map.t;
   txn_locks : (int, (Lock_name.t, unit) Hashtbl.t) Hashtbl.t;
+  e_held : (int, int) Hashtbl.t; (* txn -> E locks it holds, if any *)
   blocked : (int, lock * req) Hashtbl.t; (* txn -> what it waits on *)
 }
 
@@ -48,6 +49,7 @@ let create ?trace metrics =
     h_wait_ticks = Metrics.hist metrics "lock.wait_ticks";
     locks = Name_map.empty;
     txn_locks = Hashtbl.create 64;
+    e_held = Hashtbl.create 64;
     blocked = Hashtbl.create 16;
   }
 
@@ -87,9 +89,9 @@ let note_held t txn name =
   in
   Hashtbl.replace tbl name ()
 
-(* A fresh request is grantable when compatible with every other owner and
-   nothing waits ahead of it (FIFO fairness); a conversion ignores the
-   queue and checks other owners only. *)
+(* A request is grantable when compatible with every other owner; a
+   fresh one must also conflict with no request queued ahead of it, while
+   a conversion ignores the queue. *)
 let compatible_with_owners lk txn mode =
   List.for_all
     (fun o -> o.otxn = txn || Lock_mode.compat ~requested:mode ~granted:o.mode)
@@ -100,17 +102,42 @@ let conflicts_with a b =
   && (not (Lock_mode.compat ~requested:a.grant_mode ~granted:b.target)
      || not (Lock_mode.compat ~requested:b.grant_mode ~granted:a.target))
 
-(* Granting is by arrival order with skip-ahead: a request may be granted
+(* Granting is by queue order with skip-ahead: a request may be granted
    past earlier waiters it does not conflict with (so e.g. an instant gap
    lock never queues behind an unrelated exclusive request), but never past
-   a conflicting one — that still guarantees no starvation, and it makes
-   the waits-for edges (owners + conflicting earlier waiters) exactly the
-   conditions for remaining blocked. *)
+   a conflicting one, which keeps the waits-for edges (owners + conflicting
+   requests ahead) exactly the conditions for remaining blocked.
+
+   A fresh request joins the queue at its tail, except for the escrow
+   pass: a fresh E request from a transaction that already holds an E lock
+   joins ahead of the plain S requests at the tail. Otherwise a writer
+   holding E(g1) waits on g2 behind a reader that waits only for g2's E
+   owners, and writers close cycles through readers (W1 behind R2 on g2,
+   R2 behind W3's E(g2), W3 behind R1 on g1, R1 behind W1's E(g1)). A
+   writer that holds no E yet still queues behind the readers. The
+   position is decided once, here, and never revisited, so every edge the
+   pass creates (a passed reader waits for the writer) points at the new
+   request, whose cycles [resolve_deadlocks] searches before it sleeps. *)
 let grantable lk req = compatible_with_owners lk req.rtxn req.grant_mode
 
-let grantable_fresh lk req =
-  grantable lk req
-  && (req.convert || not (List.exists (fun r -> conflicts_with req r) lk.queue))
+let is_e = function Lock_mode.E -> true | _ -> false
+let plain_s r = (not r.convert) && match r.target with Lock_mode.S -> true | _ -> false
+
+(* Where a fresh request joins the queue: (ahead, behind). *)
+let place t lk req =
+  match lk.queue with
+  | [] -> ([], [])
+  | q when (not req.convert) && is_e req.target && Hashtbl.mem t.e_held req.rtxn ->
+      let rec cut behind = function
+        | r :: rest when plain_s r -> cut (r :: behind) rest
+        | rest -> (List.rev rest, behind)
+      in
+      cut [] (List.rev q)
+  | q -> (q, [])
+
+let note_e t txn d =
+  let n = d + Option.value ~default:0 (Hashtbl.find_opt t.e_held txn) in
+  if n = 0 then Hashtbl.remove t.e_held txn else Hashtbl.replace t.e_held txn n
 
 (* Apply a grant to the lock state. Instant-duration requests retain
    nothing. *)
@@ -118,57 +145,58 @@ let apply_grant t lk req =
   if not req.instant then begin
     (match owner_of lk req.rtxn with
     | Some o ->
+        if is_e o.mode then note_e t req.rtxn (-1);
         o.mode <- req.target;
         o.count <- o.count + 1
     | None ->
         lk.owners <- { otxn = req.rtxn; mode = req.target; count = 1 } :: lk.owners);
+    if is_e req.target then note_e t req.rtxn 1;
     note_held t req.rtxn lk.lname
   end
 
 (* Wake every queued request that has become grantable. Conversions may be
-   granted out of order; regular requests are granted strictly from the
-   front so that an incompatible head blocks everything behind it. *)
+   granted out of order; regular requests are granted in queue order with
+   skip-ahead, never past a conflicting request ahead of them, a waiting
+   conversion included. The queue order is the one fixed at enqueue
+   (arrival order, bar the escrow pass), so a request stays queued exactly
+   while [blockers] names someone. *)
 let sweep t lk =
+  let grant r =
+    apply_grant t lk r;
+    Hashtbl.remove t.blocked r.rtxn;
+    trace_lock t ev_grant r.rtxn lk r;
+    match r.wake with Some w -> w () | None -> ()
+  in
   (* pass 1: conversions anywhere in the queue *)
   let converts, others = List.partition (fun r -> r.convert) lk.queue in
-  let still_waiting_converts =
+  let waiting =
     List.filter
       (fun r ->
         if grantable lk r then begin
-          apply_grant t lk r;
-          Hashtbl.remove t.blocked r.rtxn;
-          trace_lock t ev_grant r.rtxn lk r;
-          (match r.wake with Some w -> w () | None -> ());
+          grant r;
           false
         end
         else true)
       converts
   in
-  lk.queue <- still_waiting_converts @ others;
-  (* pass 2: arrival order with skip-ahead, unless a conversion still
-     waits (conversions have absolute priority) *)
-  if still_waiting_converts = [] then begin
-    let rec pass kept = function
-      | [] -> List.rev kept
-      | r :: rest ->
-          if grantable lk r && not (List.exists (fun ahead -> conflicts_with r ahead) kept)
-          then begin
-            apply_grant t lk r;
-            Hashtbl.remove t.blocked r.rtxn;
-            trace_lock t ev_grant r.rtxn lk r;
-            (match r.wake with Some w -> w () | None -> ());
-            pass kept rest
-          end
-          else pass (r :: kept) rest
-    in
-    lk.queue <- pass [] lk.queue
-  end;
+  (* pass 2: queue order with skip-ahead *)
+  let rec pass kept = function
+    | [] -> List.rev kept
+    | r :: rest ->
+        if grantable lk r && not (List.exists (fun ahead -> conflicts_with r ahead) kept)
+        then begin
+          grant r;
+          pass kept rest
+        end
+        else pass (r :: kept) rest
+  in
+  lk.queue <- pass (List.rev waiting) others;
   drop_if_idle t lk
 
 (* --- deadlock detection ------------------------------------------------ *)
 
 (* Transactions a waiting request is blocked by: incompatible owners, plus
-   incompatible requests queued ahead of it (FIFO blocking). *)
+   conflicting requests queued ahead of it (a conversion: owners only). *)
 let blockers lk req =
   let from_owners =
     List.filter_map
@@ -244,12 +272,11 @@ let resolve_deadlocks t txn my_lk my_req =
 
 (* --- public operations -------------------------------------------------- *)
 
-let wait t lk req =
+let wait t lk req ~ahead ~behind =
   Metrics.inc t.m_wait;
   trace_lock t ev_wait req.rtxn lk req;
   req.since <- Sched.now ();
-  if req.convert then lk.queue <- req :: lk.queue
-  else lk.queue <- lk.queue @ [ req ];
+  lk.queue <- (if req.convert then req :: lk.queue else ahead @ (req :: behind));
   Hashtbl.replace t.blocked req.rtxn (lk, req);
   resolve_deadlocks t req.rtxn lk req;
   (* if we were granted while cancelling victims, blocked was cleared and
@@ -292,11 +319,14 @@ let request t ~txn name mode ~instant =
           cancel = None;
         }
       in
-      if grantable_fresh lk req then begin
+      let ahead, behind = place t lk req in
+      if grantable lk req && (convert || not (List.exists (conflicts_with req) ahead))
+      then begin
         apply_grant t lk req;
-        drop_if_idle t lk
+        (* a conversion can widen what the lock admits (IS to E) *)
+        if convert then sweep t lk else drop_if_idle t lk
       end
-      else wait t lk req)
+      else wait t lk req ~ahead ~behind)
 
 let acquire t ~txn name mode = request t ~txn name mode ~instant:false
 
@@ -305,6 +335,7 @@ let acquire_instant t ~txn name mode =
   request t ~txn name mode ~instant:true
 
 let release_all t ~txn =
+  Hashtbl.remove t.e_held txn;
   (match Hashtbl.find_opt t.blocked txn with
   | Some (lk, req) ->
       remove_from_queue lk req;

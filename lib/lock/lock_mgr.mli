@@ -1,5 +1,11 @@
-(** The lock manager: granted groups, FIFO wait queues, conversion, and
+(** The lock manager: granted groups, wait queues, conversion, and
     waits-for deadlock detection.
+
+    A request waits behind every conflicting request queued ahead of it;
+    fresh requests queue in arrival order, with one exception: a fresh [E]
+    request from a transaction that already holds an [E] lock joins ahead
+    of the plain [S] requests at the queue's tail, so escrow writers do
+    not deadlock with each other through the readers queued between them.
 
     Integration with the fiber scheduler: an incompatible request suspends
     the calling fiber; grants wake it. Deadlocks are detected at block time

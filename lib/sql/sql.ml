@@ -889,7 +889,7 @@ let with_txn s f =
       try f tx with
       | (Txn.Conflict _ | Ivdb_storage.Fault.Crash_point _) as e -> raise e
       | e ->
-          Txn.rollback_to (Database.mgr s.sdb) tx sp;
+          Database.rollback_to s.sdb tx sp;
           raise e)
   | None -> Database.transact s.sdb f
 
@@ -1108,7 +1108,7 @@ let exec_stmt s (stmt : A.stmt) =
           match List.assoc_opt name s.savepoints with
           | None -> fail "unknown savepoint %s" name
           | Some sp ->
-              Txn.rollback_to (Database.mgr s.sdb) tx sp;
+              Database.rollback_to s.sdb tx sp;
               (* savepoints taken after the target are gone *)
               let rec keep = function
                 | [] -> []

@@ -102,13 +102,18 @@ let write t id p =
          | None -> Hashtbl.replace t.pages id (stamped p));
         if id >= t.next_id then t.next_id <- id + 1
     | Fault.Write_crash -> Fault.crash "disk.write"
-    | Fault.Write_torn keep ->
+    | Fault.Write_torn ->
         let old =
           match Hashtbl.find_opt t.pages id with
           | Some o -> Bytes.copy o
           | None -> Bytes.make Page.size '\000'
         in
-        Bytes.blit (stamped p) 0 old 0 keep;
+        let fresh = stamped p in
+        let same i = Bytes.get old i = Bytes.get fresh i in
+        let rec first i = if i < Page.size && same i then first (i + 1) else i in
+        let rec last i = if i > 0 && same i then last (i - 1) else i in
+        let keep = Fault.torn_cut t.fault ~lo:(first 0) ~hi:(last (Page.size - 1)) in
+        Bytes.blit fresh 0 old 0 keep;
         Hashtbl.replace t.pages id old;
         if id >= t.next_id then t.next_id <- id + 1;
         Fault.crash "disk.write.torn"

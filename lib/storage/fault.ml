@@ -84,7 +84,7 @@ let writes_seen = function Off -> 0 | On p -> p.p_writes
 let forces_seen = function Off -> 0 | On p -> p.p_forces
 let injected = function Off -> 0 | On p -> p.p_injected
 
-type write_action = Write_ok | Write_crash | Write_torn of int
+type write_action = Write_ok | Write_crash | Write_torn
 type force_action = Force_ok | Force_crash | Force_torn of int
 
 let note p kind arg =
@@ -127,10 +127,8 @@ let on_write t ~page =
         | Some n when p.p_writes = n ->
             p.p_frozen <- true;
             if p.cfg.torn_writes then begin
-              let keep = 1 + Rng.int p.rng (Page.size - 1) in
               Metrics.inc p.m_torn_write;
-              note p "torn.write" keep;
-              Write_torn keep
+              Write_torn
             end
             else begin
               Metrics.inc p.m_crash_write;
@@ -139,6 +137,16 @@ let on_write t ~page =
             end
         | _ -> Write_ok
       end
+
+(* Anywhere outside [lo, hi] the two images agree, so a cut there would
+   leave a whole page on disk. *)
+let torn_cut t ~lo ~hi =
+  match t with
+  | Off -> Page.size
+  | On p ->
+      let keep = if hi > lo then lo + 1 + Rng.int p.rng (hi - lo) else Page.size in
+      note p "torn.write" keep;
+      keep
 
 let on_force t ~bytes_new =
   match t with

@@ -75,8 +75,9 @@ val injected : t -> int
 type write_action =
   | Write_ok
   | Write_crash  (** persist nothing, then raise {!Crash_point} *)
-  | Write_torn of int
-      (** persist only the first [n] bytes over the old image, then raise *)
+  | Write_torn
+      (** persist the first {!torn_cut} bytes over the old image, then
+          raise *)
 
 type force_action =
   | Force_ok
@@ -90,6 +91,13 @@ val on_read : t -> page:int -> unit
 val on_write : t -> page:int -> write_action
 (** May raise {!Io_error}. A crash action freezes the plan; the caller
     persists accordingly and then raises {!Crash_point}. *)
+
+val torn_cut : t -> lo:int -> hi:int -> int
+(** For a [Write_torn] verdict: how many leading bytes of the new image
+    persist. [lo] and [hi] are the first and last byte at which the old
+    and new images differ; the cut falls strictly inside, so the page left
+    on disk matches neither image whenever they differ in two bytes or
+    more; otherwise the whole new image persists. *)
 
 val on_force : t -> bytes_new:int -> force_action
 (** [bytes_new] is the framed byte size about to be flushed; a torn

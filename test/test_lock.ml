@@ -299,6 +299,172 @@ let test_held_reporting () =
       Alcotest.(check bool) "holds E" true
         (List.exists (fun (n, m) -> n = key "a" && m = Mode.E) held))
 
+
+(* --- the escrow pass --------------------------------------------------------- *)
+
+(* Runs [f] as transaction [txn]: a [Deadlock] is recorded instead of
+   failing, and the transaction releases its locks either way. *)
+let guarded mgr ~committed ~victims txn f =
+  (try
+     f ();
+     committed := txn :: !committed
+   with Mgr.Deadlock v -> victims := v :: !victims);
+  Mgr.release_all mgr ~txn
+
+let test_writers_pass_readers () =
+  (* W1 holds E(g1) and asks for g2 behind reader R2; R2 waits for W3's
+     E(g2); W3 asks for g1 behind reader R1; R1 waits for W1. Queued
+     behind the readers, the writers close the cycle W1 -> R2 -> W3 -> R1
+     -> W1; writers that already hold E pass the readers instead. *)
+  with_mgr (fun mgr m ->
+      let g1 = key "g1" and g2 = key "g2" in
+      let w1 = 1 and r2 = 2 and w3 = 3 and r1 = 4 in
+      let committed = ref [] and victims = ref [] in
+      let txn id f = ignore (Sched.spawn (fun () -> guarded mgr ~committed ~victims id f)) in
+      let g1_holders, blockers =
+        Sched.run ~policy:Sched.Fifo (fun () ->
+            Mgr.acquire mgr ~txn:w1 g1 Mode.E;
+            Mgr.acquire mgr ~txn:w3 g2 Mode.E;
+            txn r1 (fun () -> Mgr.acquire mgr ~txn:r1 g1 Mode.S);
+            txn r2 (fun () -> Mgr.acquire mgr ~txn:r2 g2 Mode.S);
+            Sched.yield ();
+            check Alcotest.(list int) "both readers wait" [ r2; r1 ]
+              (List.map (fun w -> w.Mgr.w_txn) (Mgr.waits mgr));
+            let writer id g =
+              txn id (fun () ->
+                  Mgr.acquire mgr ~txn:id g Mode.E;
+                  Sched.yield ();
+                  Sched.yield ())
+            in
+            writer w1 g2;
+            writer w3 g1;
+            Sched.yield ();
+            ( List.sort compare (List.map fst (Mgr.holders mgr g1)),
+              List.map (fun w -> w.Mgr.w_blockers) (Mgr.waits mgr) ))
+      in
+      check Alcotest.(list int) "no deadlock" [] !victims;
+      check Alcotest.int "none counted" 0 (Metrics.get m "lock.deadlock");
+      check Alcotest.(list int) "both writers held g1" [ w1; w3 ] g1_holders;
+      check
+        Alcotest.(list (list int))
+        "each reader waited for both writers" [ [ w1; w3 ]; [ w1; w3 ] ] blockers;
+      check Alcotest.(list int) "all four commit" [ 1; 2; 3; 4 ]
+        (List.sort compare !committed))
+
+let test_fresh_writer_queues_behind_reader () =
+  (* a writer holding no E lock yet keeps its arrival place: it waits
+     behind the queued reader, and the reader is granted the moment the
+     E owner leaves *)
+  with_mgr (fun mgr _ ->
+      let g = key "g" and other = key "other" in
+      let committed = ref [] and victims = ref [] in
+      Sched.run ~policy:Sched.Fifo (fun () ->
+          Mgr.acquire mgr ~txn:1 g Mode.E;
+          Mgr.acquire mgr ~txn:3 other Mode.X;
+          ignore
+            (Sched.spawn (fun () ->
+                 guarded mgr ~committed ~victims 2 (fun () ->
+                     Mgr.acquire mgr ~txn:2 g Mode.S;
+                     Sched.yield ())));
+          Sched.yield ();
+          ignore
+            (Sched.spawn (fun () ->
+                 guarded mgr ~committed ~victims 3 (fun () ->
+                     Mgr.acquire mgr ~txn:3 g Mode.E)));
+          Sched.yield ();
+          check
+            Alcotest.(list (pair int (list int)))
+            "the writer waits behind the reader alone"
+            [ (2, [ 1 ]); (3, [ 2 ]) ]
+            (List.map (fun w -> (w.Mgr.w_txn, w.Mgr.w_blockers)) (Mgr.waits mgr));
+          Mgr.release_all mgr ~txn:1;
+          check Alcotest.(list int) "reader granted when the E owner leaves" [ 2 ]
+            (List.map fst (Mgr.holders mgr g));
+          check
+            Alcotest.(list (pair int (list int)))
+            "the writer still waits for the reader"
+            [ (3, [ 2 ]) ]
+            (List.map (fun w -> (w.Mgr.w_txn, w.Mgr.w_blockers)) (Mgr.waits mgr)));
+      check Alcotest.(list int) "no deadlock" [] !victims;
+      check Alcotest.(list int) "reader first, then writer" [ 3; 2 ] !committed)
+
+(* A seeded random schedule of acquisitions (conversions among them) and
+   releases by six transactions on three names. After every step the lock
+   table is checked against a model of the grant rule: every waiting
+   request has a blocker, and none could be granted. At the end every
+   transaction finishes. *)
+let random_schedule ~modes seed =
+  with_mgr (fun mgr _ ->
+      let rng = Random.State.make [| seed |] in
+      let names = [| key "a"; key "b"; key "c" |] and n_txns = 6 in
+      let pick a = a.(Random.State.int rng (Array.length a)) in
+      let busy = Array.make (n_txns + 1) false in
+      let compat a b = Mode.compat ~requested:a ~granted:b in
+      let check_table step =
+        List.iter
+          (fun w ->
+            if w.Mgr.w_blockers = [] then
+              Alcotest.failf "seed %d step %d: txn %d waits with no blocker" seed step
+                w.Mgr.w_txn)
+          (Mgr.waits mgr);
+        List.iter
+          (fun (name, owners, queue) ->
+            List.iteri
+              (fun i (txn, target, convert, _) ->
+                let ahead = List.filteri (fun j _ -> j < i) queue in
+                let owners_ok =
+                  List.for_all (fun (o, m) -> o = txn || compat target m) owners
+                in
+                let conflict (t', m', _, _) =
+                  t' <> txn && not (compat target m' && compat m' target)
+                in
+                if owners_ok && (convert || not (List.exists conflict ahead)) then
+                  Alcotest.failf "seed %d step %d: txn %d waits for %a though grantable"
+                    seed step txn Name.pp name)
+              queue)
+          (Mgr.dump mgr)
+      in
+      Sched.run ~policy:Sched.Fifo (fun () ->
+          for step = 1 to 300 do
+            let txn = 1 + Random.State.int rng n_txns in
+            if not busy.(txn) then begin
+              if Random.State.int rng 5 = 0 then Mgr.release_all mgr ~txn
+              else begin
+                let name = pick names and mode = pick modes in
+                busy.(txn) <- true;
+                ignore
+                  (Sched.spawn (fun () ->
+                       (try Mgr.acquire mgr ~txn name mode
+                        with Mgr.Deadlock _ -> Mgr.release_all mgr ~txn);
+                       busy.(txn) <- false))
+              end
+            end;
+            Sched.yield ();
+            Sched.yield ();
+            check_table step
+          done;
+          while Array.exists Fun.id busy do
+            for txn = 1 to n_txns do
+              if not busy.(txn) then Mgr.release_all mgr ~txn
+            done;
+            Sched.yield ()
+          done;
+          for txn = 1 to n_txns do
+            Mgr.release_all mgr ~txn
+          done);
+      if not (Array.for_all (Mgr.unlocked mgr) names) then
+        Alcotest.failf "seed %d: locks left after every transaction ended" seed)
+
+let test_random_schedule () =
+  for seed = 1 to 50 do
+    random_schedule ~modes:[| Mode.S; Mode.E; Mode.X |] seed
+  done;
+  (* intention modes add conversions that do not conflict with every
+     request (IX to SIX) and one that widens what a lock admits (IS to E) *)
+  for seed = 1 to 200 do
+    random_schedule ~modes:[| Mode.IS; Mode.IX; Mode.S; Mode.E; Mode.X; Mode.U |] seed
+  done
+
 let () =
   Alcotest.run "lock"
     [
@@ -325,6 +491,13 @@ let () =
           Alcotest.test_case "victim removal unblocks queue" `Quick
             test_victim_removal_unblocks_queue;
           Alcotest.test_case "skip-ahead grant" `Quick test_skip_ahead_grant;
+        ] );
+      ( "escrow pass",
+        [
+          Alcotest.test_case "writers pass readers" `Quick test_writers_pass_readers;
+          Alcotest.test_case "fresh writer queues behind reader" `Quick
+            test_fresh_writer_queues_behind_reader;
+          Alcotest.test_case "random schedule" `Quick test_random_schedule;
         ] );
       ( "instant",
         [

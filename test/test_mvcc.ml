@@ -494,6 +494,52 @@ let test_auto_snapshot_select_probes () =
   Alcotest.(check int) "probe counted" 1 (Metrics.get m "sql.index_probe" - probes0);
   Alcotest.(check int) "range counted" 1 (Metrics.get m "sql.index_range" - ranges0)
 
+(* A partial rollback compensates an escrow increment in storage and in
+   the in-flight registry alike: a snapshot taken while the writer is
+   still open, and one held across its commit, read the committed group.
+   Both partial rollbacks are covered: ROLLBACK TO a savepoint, and a
+   statement that fails after its first row. *)
+let test_partial_rollback_escrow () =
+  let db = Database.create () in
+  let module Sql = Ivdb_sql.Sql in
+  let w = Sql.session db and r = Sql.session db in
+  let exec s sql = ignore (Sql.exec s sql) in
+  let rows s sql =
+    match Sql.exec s sql with
+    | Sql.Rows { rows; _ } -> List.map (Array.map Value.to_int) rows
+    | _ -> Alcotest.failf "%s: expected rows" sql
+  in
+  exec w "CREATE TABLE t (k INT NOT NULL, g INT NOT NULL, x INT NOT NULL)";
+  exec w "CREATE UNIQUE INDEX t_k ON t (k)";
+  exec w "CREATE VIEW v AS SELECT g, COUNT(*), SUM(x) FROM t GROUP BY g USING ESCROW";
+  exec w "INSERT INTO t VALUES (1, 1, 10)";
+  let committed = [ [| 1; 1; 10 |] ] in
+  exec w "BEGIN";
+  exec w "INSERT INTO t VALUES (2, 1, 5)";
+  exec w "SAVEPOINT s";
+  exec w "INSERT INTO t VALUES (3, 1, 7)";
+  exec w "ROLLBACK TO s";
+  Alcotest.(check (list (array int))) "snapshot after ROLLBACK TO" committed
+    (rows r "SELECT * FROM v");
+  (* the second row repeats k = 1: the statement fails after its first
+     row and is rolled back on its own *)
+  (match Sql.exec w "INSERT INTO t VALUES (4, 1, 9), (1, 1, 1)" with
+  | exception Database.Constraint_violation _ -> ()
+  | _ -> Alcotest.fail "duplicate key accepted");
+  Alcotest.(check (list (array int))) "snapshot after the failed statement" committed
+    (rows r "SELECT * FROM v");
+  exec r "BEGIN READ ONLY";
+  Alcotest.(check (list (array int))) "held snapshot before the commit" committed
+    (rows r "SELECT * FROM v");
+  exec w "COMMIT";
+  Alcotest.(check (list (array int))) "held snapshot after the commit" committed
+    (rows r "SELECT * FROM v");
+  exec r "COMMIT";
+  Alcotest.(check (list (array int))) "after the commit" [ [| 1; 2; 15 |] ]
+    (rows r "SELECT * FROM v");
+  Alcotest.(check bool) "V1" true
+    (Ivdb.Workload.check_consistency db (Database.view db "v"))
+
 let () =
   Alcotest.run "mvcc"
     [
@@ -508,6 +554,8 @@ let () =
           Alcotest.test_case "version chains drain" `Quick test_version_gc;
           Alcotest.test_case "mixed-key install race dedups at the head"
             `Quick test_mixed_install_race;
+          Alcotest.test_case "partial rollback of escrow deltas" `Quick
+            test_partial_rollback_escrow;
         ] );
       ( "probes",
         [

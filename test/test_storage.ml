@@ -567,6 +567,30 @@ let test_bufpool_capacity_zero () =
   Bufpool.read pool a (fun p -> check Alcotest.char "still readable" 'z' (Bytes.get p 90));
   Alcotest.(check bool) "overflowed" true (Metrics.get m "buffer.overflow" > 0)
 
+(* A torn write cuts inside the bytes where the old and new images
+   differ, so the page it leaves is neither image and fails its checksum:
+   a two-byte change far from the header tears under every fault seed. *)
+let test_torn_write_tears () =
+  let module Fault = Ivdb_storage.Fault in
+  for seed = 1 to 40 do
+    let m = Metrics.create () in
+    let d = Disk.create ~read_cost:0 ~write_cost:0 m in
+    let id = Disk.alloc_page d in
+    let page = Page.alloc () in
+    Disk.write d id page;
+    Disk.set_fault d
+      (Fault.create m
+         { Fault.no_faults with fault_seed = seed; crash_at_write = Some 1; torn_writes = true });
+    let changed = Bytes.copy page in
+    Bytes.set changed 5000 'x';
+    Bytes.set changed 5100 'y';
+    (match Disk.write d id changed with
+    | () -> Alcotest.fail "the torn write did not crash"
+    | exception Fault.Crash_point _ -> ());
+    if not (Disk.is_torn d id) then
+      Alcotest.failf "fault seed %d: the torn write left a whole page" seed
+  done
+
 let test_bufpool_io_retry () =
   let m = Metrics.create () in
   let d = Disk.create ~read_cost:0 ~write_cost:0 m in
@@ -1084,6 +1108,7 @@ let () =
             test_bufpool_reused_buffers;
           Alcotest.test_case "capacity zero" `Quick test_bufpool_capacity_zero;
           Alcotest.test_case "transient I/O retry" `Quick test_bufpool_io_retry;
+          Alcotest.test_case "a torn write tears" `Quick test_torn_write_tears;
         ] );
       ("writer", [ qtest prop_recorded_diff_is_bytewise ]);
       ( "heap-file",

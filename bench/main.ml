@@ -72,17 +72,22 @@ let print_table t =
    the simulated schedule alone. Each [(off, on)] pair of rows under
    [header] holds one run with the instrumentation off and one with it
    on; their [cols] cells must be equal. *)
+(* The cell of [row] under column [c] of [header]. *)
+let cell header row c = List.assoc c (List.combine header row)
+
+(* Guards compare cells exactly: a float cell may move below its printed
+   decimals. *)
+let exact = function F (_, x) -> Printf.sprintf "%.17g" x | c -> text c
+
 let assert_same_schedule exp header cols pairs =
-  let cell row c = List.assoc c (List.combine header row) in
-  (* exact: a float cell may move below its printed decimals *)
-  let show = function F (_, x) -> Printf.sprintf "%.17g" x | c -> text c in
+  let cell = cell header in
   List.iter
     (fun (off, on) ->
       List.iter
         (fun c ->
           if cell off c <> cell on c then begin
             Printf.eprintf "FATAL: %s: instrumentation moved %s (off %s, on %s)\n"
-              exp c (show (cell off c)) (show (cell on c));
+              exp c (exact (cell off c)) (exact (cell on c));
             exit 1
           end)
         cols)
@@ -1242,8 +1247,27 @@ let e18_crash_smoke () =
      in-doubt at crash, %d gtxn(s) listed and resolved, 0 lost / 0 duplicated\n"
     crash_action total !committed_txns indoubt_at_crash resolved
 
+(* Build-breaking guard: an idle shard server costs the scheduler
+   nothing, so a single-shard closed loop runs at the same throughput
+   whatever the cluster size. A server that polls while idle (yields in
+   its accept loop) charges each poll to the one global clock, and the
+   single-shard rows drift apart as shards are added. *)
+let e18_idle_shard_guard t =
+  let cell = cell t.header in
+  let single = List.filter (fun r -> cell r "mix" = S "single") t.rows in
+  let shards = String.concat ", " (List.map (fun r -> text (cell r "shards")) single) in
+  let tputs = List.map (fun r -> cell r "tput/1k ticks") single in
+  match List.sort_uniq compare tputs with
+  | [ tput ] ->
+      Printf.printf "e18 idle-shard guard: ok (single-shard tput %s at %s shards)\n%!"
+        (text tput) shards
+  | _ ->
+      Printf.eprintf "FATAL: e18: single-shard tput differs across %s shards: %s\n"
+        shards (String.concat ", " (List.map exact tputs));
+      exit 1
+
 let e18 () =
-  print_table
+  let t =
     {
       title =
         "E18  Sharding: 2PC cross-shard commit over hash partitions (escrow view, loopback)";
@@ -1257,7 +1281,10 @@ let e18 () =
             else if s = 2 then [ e18_cell s "single"; e18_cell s "cross" ]
             else [ e18_cell s "single"; e18_cell s "cross"; e18_cell s "cross+read" ])
           [ 1; 2; 4 ];
-    };
+    }
+  in
+  print_table t;
+  e18_idle_shard_guard t;
   e18_crash_smoke ()
 
 (* --- E19: cluster observability ----------------------------------------------------------- *)

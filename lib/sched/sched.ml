@@ -13,6 +13,7 @@ type _ Effect.t +=
   | Now : int Effect.t
   | Advance : int -> unit Effect.t
   | Alive : int Effect.t
+  | Runnable : int Effect.t
   | Running : bool Effect.t
 
 (* Growable circular buffer used as the run queue; random policy
@@ -100,6 +101,7 @@ let run ?(seed = 0) ?(policy = Random) main =
             | Self -> Some (fun k -> continue k fid)
             | Now -> Some (fun k -> continue k st.clock)
             | Alive -> Some (fun k -> continue k st.live)
+            | Runnable -> Some (fun k -> continue k (Vec.length st.runq))
             | Running -> Some (fun k -> continue k true)
             | Advance n ->
                 Some
@@ -158,6 +160,7 @@ let outside_run : type a. a Effect.t -> exn -> a =
   | Self -> 0
   | Now -> 0
   | Alive -> 1
+  | Runnable -> 0
   | Running -> false
   | Advance _ -> ()
   | Suspend _ -> raise (Stuck 1)
@@ -175,6 +178,10 @@ let suspend register = with_fallback (Suspend register)
 let now () = with_fallback Now
 let advance n = with_fallback (Advance n)
 let fibers_alive () = with_fallback Alive
+
+(* the running fiber was taken off the run queue, so its length counts
+   the others *)
+let runnable () = with_fallback Runnable
 
 (* true iff the caller executes inside a scheduler run (so spawn/suspend are
    available); single-threaded callers outside any run get false *)

@@ -59,6 +59,13 @@ val advance : int -> unit
 val fibers_alive : unit -> int
 (** Number of unfinished fibers, including the caller (1 outside a run). *)
 
+val runnable : unit -> int
+(** Number of {e other} fibers ready to run: the run queue's length seen
+    from the running fiber (0 outside a run). Suspended fibers are not
+    counted. Draws nothing from the scheduler's RNG and costs no tick.
+    When it is 0, nothing can happen until the caller suspends, yields
+    or wakes another fiber. *)
+
 val in_run : unit -> bool
 (** [true] iff the caller executes inside a [run] — i.e. [spawn] and
     [suspend] are available. Lets blocking protocols (e.g. group commit)

@@ -60,10 +60,6 @@ let serve metrics (listener : Transport.listener) =
            | Some conn ->
                ignore (Sched.spawn (fun () -> handle metrics conn));
                loop ()
-           | None ->
-               if not (listener.Transport.stopped ()) then begin
-                 Sched.yield ();
-                 loop ()
-               end
+           | None -> ()
          in
          loop ()))

@@ -632,10 +632,6 @@ let serve t =
            | Some conn ->
                admit t conn;
                loop ()
-           | None ->
-               if not (t.listener.stopped ()) then begin
-                 Sched.yield ();
-                 loop ()
-               end
+           | None -> ()
          in
          loop ()))

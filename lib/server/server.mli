@@ -10,10 +10,12 @@
     when its connection ends for any reason and rolls back the
     transaction it left open, releasing its locks.
 
-    [serve] spawns an accept fiber that polls the listener and spawns a
-    session fiber per admitted connection. Admission control is a hard
-    in-flight cap: a connection arriving above [max_inflight] is shed
-    with a {!Ivdb_wire.Wire.Busy} frame and closed before any SQL runs.
+    [serve] spawns an accept fiber that blocks in the listener's
+    [accept] and spawns a session fiber per admitted connection; an idle
+    server has no runnable fiber and costs the scheduler no steps.
+    Admission control is a hard in-flight cap: a connection arriving
+    above [max_inflight] is shed with a {!Ivdb_wire.Wire.Busy} frame and
+    closed before any SQL runs.
     [drain] stops the listener and lets open sessions finish: a session
     holding an open transaction may still run statements through its
     [COMMIT]/[ROLLBACK]; one without gets [Err E_draining] + [Bye] on its
@@ -108,7 +110,9 @@ val create_sessions :
 
 val serve : t -> unit
 (** Spawn the accept fiber. Must be called inside a scheduler run; the
-    fiber exits once the listener is stopped (see {!drain}). *)
+    fiber blocks until a connection arrives and exits once the listener
+    is stopped (see {!drain}). A run that never drains its servers ends
+    in {!Ivdb_sched.Sched.Stuck} once nothing else can run. *)
 
 val drain : t -> unit
 (** Stop accepting, begin refusing new transactions. Idempotent. *)

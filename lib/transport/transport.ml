@@ -2,11 +2,10 @@
    every layer above programs against, frame-granular I/O on top of
    them, and the deterministic in-memory loopback implementation.
 
-   Blocking discipline: a conn's [read] may suspend the calling fiber
-   (loopback) or block the calling thread (unix sockets outside a
-   scheduler run); it never spins without yielding. Everything else is
-   non-blocking, so the server's accept loop and the scheduler's run
-   queue stay live. *)
+   Blocking discipline: a conn's [read] and a listener's [accept] may
+   suspend the calling fiber (loopback) or block the calling thread
+   (unix sockets outside a scheduler run); they never spin without
+   yielding. Everything else is non-blocking. *)
 
 module Sched = Ivdb_sched.Sched
 module Wire = Ivdb_wire.Wire
@@ -23,7 +22,6 @@ type conn = {
 
 type listener = {
   accept : unit -> conn option;
-  pending : unit -> int;
   stop : unit -> unit;
   stopped : unit -> bool;
 }
@@ -131,10 +129,18 @@ module Loopback = struct
     mutable queue : conn list; (* oldest first *)
     mutable next_id : int;
     mutable l_stopped : bool;
+    mutable acceptor : (unit -> unit) option; (* the fiber blocked in accept *)
   }
 
   let create ?(backlog = 16) () =
-    { backlog; queue = []; next_id = 0; l_stopped = false }
+    { backlog; queue = []; next_id = 0; l_stopped = false; acceptor = None }
+
+  let wake_acceptor net =
+    match net.acceptor with
+    | None -> ()
+    | Some w ->
+        net.acceptor <- None;
+        w ()
 
   let endpoints net =
     let c2s = pipe () and s2c = pipe () in
@@ -166,21 +172,28 @@ module Loopback = struct
     if net.l_stopped || List.length net.queue >= net.backlog then raise Refused;
     let client, server = endpoints net in
     net.queue <- net.queue @ [ server ];
+    wake_acceptor net;
     client
 
   let dialer net = { addr = "loopback"; dial = (fun () -> connect net) }
 
+  let rec accept net =
+    match net.queue with
+    | c :: rest ->
+        net.queue <- rest;
+        Some c
+    | [] when net.l_stopped -> None
+    | [] ->
+        Sched.suspend (fun wake _cancel -> net.acceptor <- Some wake);
+        accept net
+
   let listener net =
     {
-      accept =
+      accept = (fun () -> accept net);
+      stop =
         (fun () ->
-          match net.queue with
-          | [] -> None
-          | c :: rest ->
-              net.queue <- rest;
-              Some c);
-      pending = (fun () -> List.length net.queue);
-      stop = (fun () -> net.l_stopped <- true);
+          net.l_stopped <- true;
+          wake_acceptor net);
       stopped = (fun () -> net.l_stopped);
     }
 end

@@ -4,9 +4,11 @@
     "blocking" means suspending the calling fiber under
     {!Ivdb_sched.Sched} (cooperative, deterministic) or blocking the
     calling thread outside a scheduler run, depending on the transport.
-    A {!listener} hands out server-side connections; [accept] is a
-    non-blocking poll so the server's accept fiber stays runnable and a
-    quiet server never wedges the scheduler.
+    A {!listener} hands out server-side connections; its [accept] blocks
+    the same way until a connection arrives or the listener stops, so a
+    quiet server costs the scheduler nothing and a run whose only live
+    fiber is an undrained server's accept loop ends in
+    {!Ivdb_sched.Sched.Stuck}.
 
     Two implementations exist: the in-memory {!Loopback} (fully
     deterministic under a seeded scheduler run — the transport the test
@@ -34,10 +36,12 @@ type conn = {
 }
 
 type listener = {
-  accept : unit -> conn option;  (** non-blocking; [None] = nothing pending *)
-  pending : unit -> int;  (** connections queued but not yet accepted *)
+  accept : unit -> conn option;
+      (** blocks until a connection is queued or the listener stops;
+          [None] = stopped and nothing left queued *)
   stop : unit -> unit;
-      (** refuse future connects; already-queued ones still accept *)
+      (** refuse future connects and wake a blocked [accept];
+          already-queued ones still accept *)
   stopped : unit -> bool;
 }
 
@@ -78,6 +82,9 @@ module Loopback : sig
       it raises {!Refused}, like a kernel refusing a SYN. *)
 
   val listener : net -> listener
+  (** Its [accept] suspends the calling fiber while the queue is empty;
+      a connect or [stop] wakes it. At most one fiber may block in
+      [accept] on one [net]. *)
 
   val connect : net -> conn
   (** Client-side endpoint; the matching server-side conn is queued for

@@ -12,15 +12,12 @@ module Sched = Ivdb_sched.Sched
 let idle_polls = ref 0
 let idle_threshold = 256
 
-let idle_tick () =
+let would_block () =
   incr idle_polls;
   if !idle_polls >= idle_threshold then begin
     idle_polls := 0;
     Unix.sleepf 0.0002
-  end
-
-let would_block () =
-  idle_tick ();
+  end;
   Sched.yield ()
 
 let progressed () = idle_polls := 0
@@ -74,7 +71,10 @@ let listen ?(backlog = 64) ~port () =
     | ADDR_UNIX _ -> assert false
   in
   let stopped = ref false in
-  let accept () =
+  (* the kernel holds the queue: poll it, yielding between fruitless
+     polls like a read, until a connection arrives or [stop] closes the
+     socket *)
+  let rec accept () =
     if !stopped then None
     else
       match Unix.accept fd with
@@ -82,8 +82,8 @@ let listen ?(backlog = 64) ~port () =
           progressed ();
           Some (conn_of_fd client)
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-          idle_tick ();
-          None
+          would_block ();
+          accept ()
       | exception Unix.Unix_error (EBADF, _, _) -> None
   in
   let stop () =
@@ -92,15 +92,7 @@ let listen ?(backlog = 64) ~port () =
       try Unix.close fd with Unix.Unix_error _ -> ()
     end
   in
-  ( {
-      Transport.accept;
-      (* the kernel holds the queue; connections surface one per accept
-         poll, so admission control sees them as they arrive *)
-      pending = (fun () -> 0);
-      stop;
-      stopped = (fun () -> !stopped);
-    },
-    actual_port )
+  ({ Transport.accept; stop; stopped = (fun () -> !stopped) }, actual_port)
 
 let dial ?(host = "127.0.0.1") ~port () =
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in

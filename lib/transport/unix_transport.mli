@@ -1,7 +1,8 @@
 (** Real-socket transport: TCP behind a cooperative poll loop.
 
     Inside a {!Ivdb_sched.Sched.run}, sockets are non-blocking and a
-    read that would block yields to the scheduler and retries, backing
+    read or accept that would block yields to the scheduler and retries
+    (an accept also returns [None] once the listener stops), backing
     off to a sub-millisecond sleep after a burst of fruitless polls so
     an idle server does not spin a core. Outside a run (a standalone
     client such as the REPL), sockets block the calling thread

@@ -4,11 +4,15 @@
    Committers append their Commit record, enqueue here, and suspend; a
    coordinator fiber (spawned lazily on the first waiter — fibers only
    exist inside a Sched.run, so a permanent fiber would wedge the scheduler
-   at exit) collects waiters until the batch is full or a tick deadline
-   passes, issues ONE force up to the highest pending LSN, and wakes every
-   waiter. A transaction is acknowledged committed (its commit call
-   returns) only after its LSN is flushed, so durability semantics match
-   per-commit forcing exactly; only latency is traded for throughput.
+   at exit) collects waiters until the batch is full, a tick deadline
+   passes, or no other fiber is runnable, issues ONE force up to the
+   highest pending LSN, and wakes every waiter. The third condition
+   closes the batch the deadline would have closed, only sooner: with the
+   run queue empty no fiber can reach commit before the coordinator
+   itself acts, so yielding until the deadline only burns ticks. A
+   transaction is acknowledged committed (its commit call returns) only
+   after its LSN is flushed, so durability semantics match per-commit
+   forcing exactly; only latency is traded for throughput.
 
    Async weakens that: the committer is acknowledged immediately and the
    coordinator flushes in the background, so a crash can lose transactions
@@ -99,7 +103,8 @@ let rec coordinator t =
   let max_batch, max_wait = batch_params t in
   let deadline = Sched.now () + max_wait in
   let rec collect () =
-    if t.n_pending < max_batch && Sched.now () < deadline then begin
+    if t.n_pending < max_batch && Sched.now () < deadline && Sched.runnable () > 0
+    then begin
       Sched.yield ();
       collect ()
     end

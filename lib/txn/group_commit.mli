@@ -3,8 +3,10 @@
 
     In [Group] mode a committing transaction appends its Commit record,
     enqueues here, and suspends; the coordinator collects waiters until
-    [max_batch] of them are pending or [max_wait_ticks] simulated ticks
-    have passed, issues one {!Ivdb_wal.Wal.force} up to the highest pending
+    [max_batch] of them are pending, [max_wait_ticks] simulated ticks
+    have passed, or no other fiber is runnable
+    ({!Ivdb_sched.Sched.runnable} is 0, so no further commit can enqueue
+    first), issues one {!Ivdb_wal.Wal.force} up to the highest pending
     LSN, and wakes the whole batch. The force cost is amortized across the
     batch while the durability contract is unchanged: a transaction is
     acknowledged only after its commit record is stable.
@@ -22,7 +24,8 @@
 type mode =
   | Sync  (** one private force per commit (the classic WAL rule) *)
   | Group of { max_batch : int; max_wait_ticks : int }
-      (** batch until [max_batch] waiters or [max_wait_ticks] ticks.
+      (** batch until [max_batch] waiters, [max_wait_ticks] ticks, or
+          no other fiber left to run.
           [max_batch] is a flush trigger, not a hard cap: commits that
           enqueue before the coordinator fiber gets scheduled ride the
           same force, so observed batches can exceed it. *)

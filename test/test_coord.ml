@@ -1953,6 +1953,64 @@ let test_sessions_share_the_coordinator () =
   Alcotest.(check bool) "both sessions see the same stats" true
     (stats_a = stats_b)
 
+(* A lock cycle that spans shards. Two sessions each update one row on
+   shard 0 and one on shard 1, in opposite orders. Each shard sees one
+   waits-for edge and no cycle, and no lock wait times out, so both
+   transactions wait forever. With every fiber blocked (the shard
+   servers' accept loops too) the run ends in Stuck: the hang is
+   reported, not a silent spin. Ending the cycle with an error the
+   client sees is still open. Main first yields until it is the only
+   runnable fiber, so a fiber that keeps polling fails the test within
+   a bounded number of steps instead of hanging it. *)
+let test_cross_shard_cycle_is_stuck () =
+  let shards = 2 in
+  let k0 = (keys_owned_by ~shards 0 1).(0) and k1 = (keys_owned_by ~shards 1 1).(0) in
+  let update c k =
+    ignore (Coord.exec c (Printf.sprintf "UPDATE t SET x = x + 1 WHERE k = %d" k))
+  in
+  let blocked = ref 0 and committed = ref 0 in
+  match
+    cross_shard_cluster 7 (fun _dbs dialers ->
+        let a = Coord.create ~name:"cyc" dialers in
+        ignore (Coord.exec a "CREATE TABLE t (k INT NOT NULL, x INT NOT NULL)");
+        ignore (Coord.exec a (Printf.sprintf "INSERT INTO t VALUES (%d, 0)" k0));
+        ignore (Coord.exec a (Printf.sprintf "INSERT INTO t VALUES (%d, 0)" k1));
+        let b = Coord.session a in
+        let a_ready = ref false and b_ready = ref false in
+        let side c ~first ~second ~ready ~other =
+          ignore (Coord.exec c "BEGIN");
+          update c first;
+          ready := true;
+          wait_until (fun () -> !other);
+          incr blocked;
+          update c second;
+          decr blocked;
+          ignore (Coord.exec c "COMMIT");
+          incr committed
+        in
+        let wait, _ =
+          Sched.spawn_group 2 (function
+            | 1 -> side a ~first:k0 ~second:k1 ~ready:a_ready ~other:b_ready
+            | _ -> side b ~first:k1 ~second:k0 ~ready:b_ready ~other:a_ready)
+        in
+        let rec settle steps =
+          if Sched.runnable () > 0 then
+            if steps = 0 then Alcotest.fail "fibers still runnable after 100k steps"
+            else begin
+              Sched.yield ();
+              settle (steps - 1)
+            end
+        in
+        settle 100_000;
+        wait ();
+        Coord.close b;
+        Coord.close a)
+  with
+  | () -> Alcotest.fail "both transactions committed through a lock cycle"
+  | exception Sched.Stuck _ ->
+      check Alcotest.int "both sessions wait in their second UPDATE" 2 !blocked;
+      check Alcotest.int "neither committed" 0 !committed
+
 let () =
   Alcotest.run "coord"
     [
@@ -2039,5 +2097,7 @@ let () =
             `Quick test_deadlock_victim_is_abort_only;
           Alcotest.test_case "Coord.session shares log, ids and stats"
             `Quick test_sessions_share_the_coordinator;
+          Alcotest.test_case "a cross-shard lock cycle ends in Stuck" `Quick
+            test_cross_shard_cycle_is_stuck;
         ] );
     ]

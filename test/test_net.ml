@@ -36,6 +36,64 @@ let rows = function
   | Sql.Rows { rows; _ } -> rows
   | _ -> Alcotest.fail "expected Rows"
 
+(* --- idle accept ------------------------------------------------------------ *)
+
+(* A server's accept fiber blocks in [accept]: once it has suspended, a
+   server that nobody dials adds no step to the clock. Main's [n] yields
+   take exactly [n] ticks, as they do with no server at all. *)
+let test_idle_server_costs_no_steps () =
+  let n = 100 in
+  let ticks =
+    Sched.run ~policy:Sched.Fifo (fun () ->
+        let net = Transport.Loopback.create () in
+        let srv =
+          Server.create (Database.create ()) (Transport.Loopback.listener net)
+        in
+        Server.serve srv;
+        (* the accept fiber runs once and suspends *)
+        Sched.yield ();
+        let t0 = Sched.now () in
+        for _ = 1 to n do
+          Sched.yield ()
+        done;
+        let ticks = Sched.now () - t0 in
+        Server.drain srv;
+        ticks)
+  in
+  check Alcotest.int "one tick per yield of main" n ticks
+
+(* [drain] stops the listener, which wakes the blocked accept fiber; it
+   exits and the run returns. *)
+let test_drain_wakes_accept () =
+  let returned =
+    with_loopback_server (Database.create ()) (fun _ _ ->
+        for _ = 1 to 5 do
+          Sched.yield ()
+        done;
+        true)
+  in
+  Alcotest.(check bool) "the run returned" true returned
+
+(* A run that never drains its server is left with one live fiber, the
+   blocked accept loop, and nothing to wake it: Stuck, not a spin. (An
+   accept loop that polled would stay runnable; the check before main
+   returns fails on it instead of spinning forever.) *)
+let test_undrained_server_is_stuck () =
+  let db = Database.create () in
+  match
+    Sched.run ~policy:Sched.Fifo (fun () ->
+        let net = Transport.Loopback.create () in
+        let srv = Server.create db (Transport.Loopback.listener net) in
+        Server.serve srv;
+        Sched.yield ();
+        if Sched.runnable () > 0 then begin
+          Server.drain srv;
+          Alcotest.fail "the idle accept fiber is still runnable"
+        end)
+  with
+  | () -> Alcotest.fail "expected Stuck"
+  | exception Sched.Stuck n -> check Alcotest.int "the accept fiber" 1 n
+
 (* --- smoke ----------------------------------------------------------------- *)
 
 let test_loopback_smoke () =
@@ -399,6 +457,12 @@ let () =
         [
           Alcotest.test_case "open txn finishes, idle turned away" `Quick
             test_drain_lets_open_txn_finish;
+          Alcotest.test_case "an idle server costs no steps" `Quick
+            test_idle_server_costs_no_steps;
+          Alcotest.test_case "drain wakes the accept fiber" `Quick
+            test_drain_wakes_accept;
+          Alcotest.test_case "an undrained server is Stuck" `Quick
+            test_undrained_server_is_stuck;
         ] );
       ( "net workload",
         [

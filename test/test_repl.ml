@@ -1073,15 +1073,16 @@ let test_backoff_reset () =
                     conn.Transport.close ())
             | _ -> conn.Transport.close ())
       in
-      let stop_accept = ref false in
       ignore
         (Sched.spawn (fun () ->
-             while not !stop_accept do
-               (match lst.Transport.accept () with
-               | Some conn -> serve_one conn
-               | None -> ());
-               Sched.yield ()
-             done));
+             let rec loop () =
+               match lst.Transport.accept () with
+               | Some conn ->
+                   serve_one conn;
+                   loop ()
+               | None -> ()
+             in
+             loop ()));
       let r = Replica.create ~name:"flaky" fdb (Transport.Loopback.dialer net) in
       Replica.spawn r;
       (* a burst of dead sessions: the backoff climbs toward the cap *)
@@ -1117,7 +1118,6 @@ let test_backoff_reset () =
       while Replica.status r <> Replica.Stopped do
         Sched.yield ()
       done;
-      stop_accept := true;
       lst.Transport.stop ())
 
 let sweep_crash_primary () =

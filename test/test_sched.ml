@@ -125,6 +125,24 @@ let test_in_run () =
   Alcotest.(check bool) "inside" true inside;
   Alcotest.(check bool) "after" false (Sched.in_run ())
 
+(* [runnable] counts the other fibers on the run queue: not the caller,
+   not a suspended fiber; asking costs no tick *)
+let test_runnable () =
+  check Alcotest.int "outside a run" 0 (Sched.runnable ());
+  Sched.run ~policy:Sched.Fifo (fun () ->
+      check Alcotest.int "main alone" 0 (Sched.runnable ());
+      let wake_b = ref ignore in
+      ignore (Sched.spawn ignore);
+      ignore (Sched.spawn (fun () -> Sched.suspend (fun wake _ -> wake_b := wake)));
+      check Alcotest.int "two spawned" 2 (Sched.runnable ());
+      let t0 = Sched.now () in
+      ignore (Sched.runnable ());
+      check Alcotest.int "asking costs no tick" t0 (Sched.now ());
+      Sched.yield ();
+      check Alcotest.int "one finished, one suspended" 0 (Sched.runnable ());
+      !wake_b ();
+      check Alcotest.int "woken" 1 (Sched.runnable ()))
+
 (* the FIFO run queue is a circular buffer whose head index wraps; a long
    churn of spawn/yield must preserve strict round-robin order across many
    wraparounds *)
@@ -262,6 +280,7 @@ let () =
           Alcotest.test_case "advance" `Quick test_clock_advances;
           Alcotest.test_case "outside run fallbacks" `Quick test_outside_run_fallbacks;
           Alcotest.test_case "in_run probe" `Quick test_in_run;
+          Alcotest.test_case "runnable counts the others" `Quick test_runnable;
           Alcotest.test_case "fifo order survives wraparound" `Quick
             test_fifo_order_survives_wraparound;
         ] );

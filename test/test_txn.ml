@@ -352,7 +352,8 @@ let test_group_commit_batches_forces () =
 
 let test_group_commit_deadline_fires () =
   (* a single committer must not wait forever for a batch that never
-     fills: the coordinator's tick deadline flushes it *)
+     fills: with no other fiber runnable the coordinator flushes it at
+     once (the deadline path is pinned by the runnable-fiber test below) *)
   let env = make_env ~commit_mode:group_mode () in
   let mgr = env.h.Harness.mgr in
   Sched.run ~policy:Sched.Fifo (fun () ->
@@ -364,6 +365,74 @@ let test_group_commit_deadline_fires () =
     "batch of 1" [ (1, 1) ]
     (Metrics.hist_snapshot env.h.Harness.metrics "commit.batch");
   check Alcotest.(list string) "durable" [ "solo" ] (heap_contents env)
+
+(* A deadline far beyond one force: a batch that waits it out shows. *)
+let patient_group = Txn.Group { max_batch = 32; max_wait_ticks = 10_000 }
+
+(* [k] writers that all reach commit: once each has suspended, no other
+   fiber can join the batch, so the coordinator forces at once instead of
+   yielding out the deadline. Each writer stalls about one force. *)
+let test_group_commit_closes_when_nobody_can_join () =
+  let k = 6 in
+  List.iter
+    (fun seed ->
+      let env = make_env ~commit_mode:patient_group () in
+      let mgr = env.h.Harness.mgr in
+      let forces_before = Metrics.get env.h.Harness.metrics "log.force" in
+      let stalls = ref [] in
+      Sched.run ~seed (fun () ->
+          let wait, _ =
+            Sched.spawn_group k (fun w ->
+                let tx = Txn.begin_txn mgr in
+                ignore (heap_insert env tx (Printf.sprintf "g%d" w));
+                let t0 = Sched.now () in
+                Txn.commit mgr tx;
+                stalls := (Sched.now () - t0) :: !stalls)
+          in
+          wait ());
+      check Alcotest.int "one force for every writer" 1
+        (Metrics.get env.h.Harness.metrics "log.force" - forces_before);
+      check
+        Alcotest.(list (pair int int))
+        "one batch of k" [ (k, 1) ]
+        (Metrics.hist_snapshot env.h.Harness.metrics "commit.batch");
+      List.iter
+        (fun stall ->
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d: stall %d is about one force" seed stall)
+            true
+            (stall >= 100 && stall < 100 + (4 * k)))
+        !stalls)
+    [ 1; 2; 3; 4; 5 ]
+
+(* A fiber that stays runnable without committing could still join, so
+   the batch stays open until the deadline: the deadline bounds the wait. *)
+let test_group_commit_runnable_fiber_holds_batch () =
+  let env = make_env ~commit_mode:patient_group () in
+  let mgr = env.h.Harness.mgr in
+  let stall =
+    Sched.run ~policy:Sched.Fifo (fun () ->
+        let acked = ref false in
+        ignore
+          (Sched.spawn (fun () ->
+               while not !acked do
+                 Sched.yield ()
+               done));
+        let tx = Txn.begin_txn mgr in
+        ignore (heap_insert env tx "solo");
+        let t0 = Sched.now () in
+        Txn.commit mgr tx;
+        acked := true;
+        Sched.now () - t0)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "stall %d is the deadline plus one force" stall)
+    true
+    (stall >= 10_000 + 100 && stall < 10_000 + 100 + 10);
+  check
+    Alcotest.(list (pair int int))
+    "batch of 1" [ (1, 1) ]
+    (Metrics.hist_snapshot env.h.Harness.metrics "commit.batch")
 
 let test_group_commit_outside_run_falls_back () =
   (* no scheduler, no fibers: Group mode degrades to a private force *)
@@ -623,6 +692,10 @@ let () =
           Alcotest.test_case "batches forces" `Quick test_group_commit_batches_forces;
           Alcotest.test_case "deadline flushes a lone committer" `Quick
             test_group_commit_deadline_fires;
+          Alcotest.test_case "closes once nobody can join" `Quick
+            test_group_commit_closes_when_nobody_can_join;
+          Alcotest.test_case "a runnable fiber holds it to the deadline" `Quick
+            test_group_commit_runnable_fiber_holds_batch;
           Alcotest.test_case "outside run falls back to sync" `Quick
             test_group_commit_outside_run_falls_back;
           Alcotest.test_case "crash before force loses txn" `Quick

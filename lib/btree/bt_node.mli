@@ -16,7 +16,6 @@
     bytes they change; readers take the page bytes. *)
 
 val init_leaf : Ivdb_storage.Page_writer.t -> unit
-val init_interior : Ivdb_storage.Page_writer.t -> unit
 
 val is_leaf : bytes -> bool
 val nkeys : bytes -> int

@@ -28,7 +28,6 @@ let attach mgr ~index_id ~root =
   }
 
 let root t = t.root_pid
-let index_id t = t.idx
 let pool t = Txn.pool t.mgr
 
 (* Interior nodes are considered full when they might not accommodate one
@@ -391,9 +390,6 @@ let next_key t key =
       let k, v, _ = entry_at t pid slot in
       Some (k, v)
 
-let min_entry t =
-  match seek t "" with Some (k, v, _) -> Some (k, v) | None -> None
-
 let cursor_next t c =
   (* fast path: same unmodified leaf *)
   let fast =
@@ -421,21 +417,6 @@ let iter t f =
         go (cursor_next t c)
   in
   go (seek t "")
-
-let height t =
-  let rec go pid acc =
-    let next =
-      Bufpool.read (pool t) pid (fun p ->
-          if Bt_node.is_leaf p then None else Some (Bt_node.child_at p 0))
-    in
-    match next with None -> acc | Some c -> go c (acc + 1)
-  in
-  go t.root_pid 1
-
-let entry_count t =
-  let n = ref 0 in
-  iter t (fun _ _ -> incr n);
-  !n
 
 (* --- vacuum: reclaim the debris of lazy deletion -------------------------- *)
 

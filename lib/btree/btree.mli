@@ -30,7 +30,6 @@ val create : Ivdb_txn.Txn.mgr -> index_id:int -> t
 
 val attach : Ivdb_txn.Txn.mgr -> index_id:int -> root:int -> t
 val root : t -> int
-val index_id : t -> int
 
 val search : t -> string -> string option
 
@@ -71,8 +70,6 @@ val next_key : t -> string -> (string * string) option
 (** Smallest entry with key strictly greater — the next-key probe of
     key-range locking. *)
 
-val min_entry : t -> (string * string) option
-
 type cursor
 
 val seek : t -> string -> (string * string * cursor) option
@@ -82,9 +79,6 @@ val cursor_next : t -> cursor -> (string * string * cursor) option
 
 val iter : t -> (string -> string -> unit) -> unit
 (** Full ascending scan (no locking — callers lock). *)
-
-val height : t -> int
-val entry_count : t -> int
 
 val vacuum : t -> int
 (** Reclaim empty leaves and collapse empty interior levels, as a system

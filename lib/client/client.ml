@@ -23,7 +23,6 @@ type t = {
   mutable session : int;
   mutable server : string;
   mutable seq : int;
-  mutable last_rid : int;
   mutable reconnects : int;
   mutable closed : bool;
 }
@@ -97,7 +96,6 @@ let connect ?(client = "ivdb-client") ?(attempts = 8) dialer =
       session = 0;
       server = "";
       seq = 0;
-      last_rid = 0;
       reconnects = 0;
       closed = false;
     }
@@ -109,7 +107,6 @@ let peer_addr t = t.dialer.Transport.addr
 let session_id t = t.session
 let server_name t = t.server
 let reconnects t = t.reconnects
-let last_rid t = t.last_rid
 
 let drop t =
   (match t.io with
@@ -158,7 +155,6 @@ let exec ?rid t sql =
         | Some r -> r
         | None -> rid_of ~session:t.session ~seq
       in
-      t.last_rid <- rid;
       Wire.Exec { seq; rid; sql })
     (function
       | Wire.Rows { header; rows; _ } -> Some (Sql.Rows { header; rows })

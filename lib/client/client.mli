@@ -58,15 +58,10 @@ val exec : ?rid:int -> t -> string -> Ivdb_sql.Sql.result
     {!Disconnected} on a dead connection (after attempting reconnect).
     Every statement carries a correlation id
     ([session * 65536 + (seq land 0xffff)] by default) echoed into the
-    server's trace events and slow-query log; see {!last_rid}. [?rid]
+    server's trace events and slow-query log. [?rid]
     overrides it — the shard coordinator stamps its own per-statement id
     on fanned-out statements so every shard-side record of one
     distributed statement shares a single correlation id. *)
-
-val last_rid : t -> int
-(** Correlation id of the most recent {!exec} — join it against
-    [sys.slow_queries.rid] or the [rid] field of [net.request] /
-    [net.response] / [net.slow_query] trace events. *)
 
 val prepare_2pc :
   ?rid:int -> t -> gtxn:string -> [ `Prepared | `Read_only ]

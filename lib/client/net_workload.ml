@@ -150,8 +150,15 @@ let run_replicated ?(server_config = Server.default_config) spec =
   let lag_sum = ref 0 and lag_n = ref 0 and lag_max = ref 0 in
   let catchup = ref 0 in
   let ship_batches = ref 0 and reconnects = ref 0 in
+  (* replication lag, sampled as each transaction commits *)
+  let sample_lag _ =
+    let lag = Wal.flushed_lsn (Database.wal db) - Database.replicated_lsn fdb in
+    lag_sum := !lag_sum + lag;
+    incr lag_n;
+    if lag > !lag_max then lag_max := lag
+  in
   let result =
-    Workload.closed_loop spec (Database.metrics db) ~on_commit:ignore
+    Workload.closed_loop spec (Database.metrics db) ~on_commit:sample_lag
       (fun start ->
         let net =
           Transport.Loopback.create
@@ -167,24 +174,9 @@ let run_replicated ?(server_config = Server.default_config) spec =
           Replica.create ~name:"wl-follower" fdb (Transport.Loopback.dialer net)
         in
         Replica.spawn repl;
-        let wait, running =
+        let wait, _running =
           start (net_client spec (Transport.Loopback.dialer net) next_id)
         in
-        ignore
-          (Sched.spawn (fun () ->
-               (* sample replication lag while the workload runs *)
-               while running () do
-                 let lag =
-                   Wal.flushed_lsn (Database.wal db)
-                   - Database.replicated_lsn fdb
-                 in
-                 lag_sum := !lag_sum + lag;
-                 incr lag_n;
-                 if lag > !lag_max then lag_max := lag;
-                 for _ = 1 to 32 do
-                   Sched.yield ()
-                 done
-               done));
         wait ();
         (* aborts (e.g. deadlock victims) append CLRs without forcing:
            flush the tail so the follower can converge on the full log *)

@@ -18,8 +18,8 @@
 type transport = Loopback | Tcp
 
 type repl_report = {
-  lag_max : int;  (** worst sampled records-behind during the run *)
-  lag_mean : float;  (** mean of the periodic lag samples *)
+  lag_max : int;  (** worst records-behind sampled at a commit during the run *)
+  lag_mean : float;  (** mean of the lag sampled at each commit *)
   ship_batches : int;  (** ReplRecords batches the follower applied *)
   reconnects : int;  (** times the replica driver redialed *)
   catchup_ticks : int;

@@ -305,7 +305,6 @@ let session c = open_session c.co
 let wal c = c.co.cwal
 let metrics c = c.co.metrics
 let trace c = c.co.ctrace
-let last_rid c = c.co.next_rid - 1
 let shard_count c = Array.length c.clients
 let all_shards c = List.init (shard_count c) Fun.id
 let in_transaction c = c.in_txn

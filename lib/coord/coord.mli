@@ -143,13 +143,10 @@ val exec : t -> string -> Ivdb_sql.Sql.result
       [shard<i>] (unreachable shards are skipped, not errors).
 
     Every routed statement is stamped with a coordinator-assigned
-    correlation id (see {!last_rid}) carried on the Exec, Prepare and
-    Decide frames it causes, so shard-side trace events and
-    [sys.slow_queries] rows join back to the coordinator statement. *)
-
-val last_rid : t -> int
-(** Correlation id the coordinator assigned most recently, to a
-    statement of any of its sessions. *)
+    correlation id carried on the Exec, Prepare and Decide frames it
+    causes (and on its own [coord.*] trace events), so shard-side trace
+    events and [sys.slow_queries] rows join back to the coordinator
+    statement. *)
 
 val metrics : t -> Ivdb_util.Metrics.t
 (** The coordinator's metrics registry (2PC phase histograms

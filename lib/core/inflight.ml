@@ -48,9 +48,6 @@ let pending t ~vid ~key =
   | None -> []
   | Some l -> List.map (fun e -> e.e_delta) !l
 
-let pending_count t =
-  Hashtbl.fold (fun _ l acc -> acc + List.length !l) t.by_txn 0
-
 let vmax a b = if Value.compare a b >= 0 then a else b
 let vmin a b = if Value.compare a b <= 0 then a else b
 

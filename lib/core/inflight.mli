@@ -24,9 +24,6 @@ val keys_of_txn : t -> txn:int -> (int * string) list
 (** Distinct (view id, key) pairs the transaction has escrow deltas on —
     the MVCC commit hook pushes a committed version per pair. *)
 
-val pending_count : t -> int
-(** Total registered deltas (diagnostics). *)
-
 val bounds :
   View_def.t ->
   Ivdb_relation.Row.t ->

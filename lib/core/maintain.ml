@@ -142,9 +142,8 @@ let create_group mgr txn rt ~key =
   | System_txn -> create_zero_group mgr txn rt ~key
   | User_txn -> create_group_user mgr txn rt ~key
 
-let update_row mgr txn rt ~key ~undo row' =
-  Btree.update ?undo txn rt.tree ~key ~value:(Row.encode row');
-  ignore mgr
+let update_row txn rt ~key ~undo row' =
+  Btree.update ?undo txn rt.tree ~key ~value:(Row.encode row')
 
 (* --- exclusive ----------------------------------------------------------- *)
 
@@ -176,7 +175,7 @@ let rec exclusive mgr txn rt ~key delta =
         Metrics.inc rt.stats.s_group_delete;
         rt.vstats.v_group_deletes <- rt.vstats.v_group_deletes + 1
       end
-      else update_row mgr txn rt ~key ~undo:None row'
+      else update_row txn rt ~key ~undo:None row'
 
 (* --- escrow --------------------------------------------------------------- *)
 
@@ -198,7 +197,7 @@ let rec escrow mgr txn rt ~key delta =
         | `Recompute -> assert false (* additive deltas never recompute *)
       in
       let inverse = Aggregate.encode (Aggregate.negate delta) in
-      update_row mgr txn rt ~key
+      update_row txn rt ~key
         ~undo:(Some (Log_record.Undo_escrow { view = rt.vid; key; inverse }))
         row';
       Inflight.record rt.inflight ~txn:(Txn.id txn) ~vid:rt.vid ~key delta
@@ -233,7 +232,7 @@ let apply_delta mgr txn rt ~key delta =
 
 (* --- logical undo ------------------------------------------------------------ *)
 
-let undo_escrow _mgr rt ~key ~inverse =
+let undo_escrow rt ~key ~inverse =
   let delta = Aggregate.decode inverse in
   match Btree.search rt.tree key with
   | None ->

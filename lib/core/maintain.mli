@@ -99,8 +99,7 @@ val apply_delta_exclusive :
 (** The exclusive protocol regardless of the runtime's strategy — used by
     the refresh transaction that drains a deferred queue. *)
 
-val undo_escrow :
-  Ivdb_txn.Txn.mgr -> runtime -> key:string -> inverse:string -> Ivdb_wal.Log_record.page_diffs
+val undo_escrow : runtime -> key:string -> inverse:string -> Ivdb_wal.Log_record.page_diffs
 (** Logical undo executor for escrow updates: apply the encoded inverse
     delta to the group row, unlogged (the caller wraps the diffs in a
     compensation record). *)

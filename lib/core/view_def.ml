@@ -40,26 +40,3 @@ let where_of t =
   match t.source with Single { where; _ } -> where | Join { where; _ } -> where
 
 let group_key t row = Key_codec.encode (Row.project row t.group_cols)
-let stored_arity t = 1 + Array.length t.aggs
-
-let pp_agg ppf = function
-  | Count_star -> Format.fprintf ppf "COUNT( * )"
-  | Count e -> Format.fprintf ppf "COUNT(%a)" Expr.pp e
-  | Sum e -> Format.fprintf ppf "SUM(%a)" Expr.pp e
-  | Min e -> Format.fprintf ppf "MIN(%a)" Expr.pp e
-  | Max e -> Format.fprintf ppf "MAX(%a)" Expr.pp e
-
-let pp ppf t =
-  let src ppf = function
-    | Single { table; _ } -> Format.fprintf ppf "table %d" table
-    | Join { left; right; left_col; right_col; _ } ->
-        Format.fprintf ppf "table %d JOIN table %d ON $%d = $%d" left right
-          left_col right_col
-  in
-  Format.fprintf ppf "VIEW %s: GROUP BY %a, aggs [%a] FROM %a" t.name
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-       Format.pp_print_int)
-    (Array.to_list t.group_cols)
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ") pp_agg)
-    (Array.to_list t.aggs) src t.source

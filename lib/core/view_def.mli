@@ -43,9 +43,3 @@ val where_of : t -> Ivdb_relation.Expr.t option
 
 val group_key : t -> Ivdb_relation.Row.t -> string
 (** Encoded GROUP BY key of a source row. *)
-
-val stored_arity : t -> int
-(** Arity of the stored aggregate row: 1 (COUNT( * )) + number of
-    aggregates. *)
-
-val pp : Format.formatter -> t -> unit

@@ -74,9 +74,16 @@ let check_name t name =
     || List.exists (fun m -> m.vw_name = name) t.vws
   then invalid_arg (Printf.sprintf "name %s is already in use" name)
 
-(* The catalog payloads travel only between a process and its own log, so
-   Marshal (on plain data constructors: ints, strings, expression ASTs) is a
-   safe, compact representation. A version byte guards future layouts. *)
+(* Catalog payloads are Marshal images of plain data (ints, strings,
+   expression ASTs) behind a version byte. They are read back from the
+   process's own log on restart, and also from another process: a
+   follower decodes the primary's Ddl payloads as they arrive over the
+   wire (Replica.apply_batch -> Database.apply_replicated -> decode_op) and
+   the checkpoint snapshots in that log when it restarts. Marshal checks
+   nothing about what it reads, so this is safe only while both ends run
+   the same build and the bytes arrive intact (the frame and log
+   checksums catch corruption, not a different layout); the version byte
+   helps only when a layout change bumps it. *)
 let version = '\001'
 
 let encode_op op = Printf.sprintf "%c%s" version (Marshal.to_string (op : op) [])

@@ -565,7 +565,7 @@ let install_undo t =
       | Log_record.Undo_bt_update { index; key; before } ->
           Btree.update_raw (tree_of t index) ~key ~value:before
       | Log_record.Undo_escrow { view; key; inverse } ->
-          Maintain.undo_escrow t.tmgr (view_rt t view) ~key ~inverse)
+          Maintain.undo_escrow (view_rt t view) ~key ~inverse)
 
 (* The end of transaction [txn] on every node, once [Mvcc] has settled
    its before-images: [stamp] is its commit stamp, [None] if it aborted.
@@ -703,7 +703,6 @@ let create_follower ?(config = default_config) () =
   let wal = Wal.create ~trace metrics in
   bare ~config ~role:Follower ~trace ~metrics ~disk ~wal ()
 
-let role t = t.role
 let is_follower t = t.role = Follower
 let reject_writes t = if t.role = Follower then raise Read_only_replica
 
@@ -953,9 +952,8 @@ type abort_reason = Deadlock_victim | User_abort of exn
 (* Retry loop returning the terminal exception (if any) unconsumed, so
    [transact] can re-raise the original and [transact_result] can classify
    it without losing the payload. *)
-let transact_exn t ?retries f =
+let transact_exn t f =
   reject_writes t;
-  let retries = match retries with Some r -> r | None -> t.cfg.txn_retries in
   let rec go attempts_left =
     let tx = Txn.begin_txn t.tmgr in
     match f tx with
@@ -981,7 +979,7 @@ let transact_exn t ?retries f =
         (match e with Txn.Conflict _ -> Metrics.inc t.m_give_up | _ -> ());
         Error e
   in
-  go retries
+  go t.cfg.txn_retries
 
 (* A snapshot transaction can neither conflict nor deadlock, so there is no
    retry loop: begin, run, commit (abort on exception just unregisters). *)
@@ -995,12 +993,12 @@ let transact_snapshot t f =
       Txn.abort t.tmgr tx;
       raise e
 
-let transact t ?retries ?(read_only = false) f =
+let transact t ?(read_only = false) f =
   if read_only then transact_snapshot t f
-  else match transact_exn t ?retries f with Ok v -> v | Error e -> raise e
+  else match transact_exn t f with Ok v -> v | Error e -> raise e
 
-let transact_result t ?retries f =
-  match transact_exn t ?retries f with
+let transact_result t f =
+  match transact_exn t f with
   | Ok v -> Ok v
   | Error (Txn.Conflict _) -> Error Deadlock_victim
   | Error e -> Error (User_abort e)

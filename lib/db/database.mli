@@ -72,7 +72,6 @@ val create_follower : ?config:config -> unit -> t
     {!apply_replicated}-ing the primary's records from LSN 1 and serves
     lock-free snapshot reads at its applied horizon. *)
 
-val role : t -> role
 val is_follower : t -> bool
 
 val apply_replicated : t -> Ivdb_wal.Log_record.t list -> unit
@@ -222,7 +221,7 @@ type abort_reason =
     automatic retries). No lock wait in the engine times out — deadlocks
     are detected at block time — so there is no timeout reason. *)
 
-val transact : t -> ?retries:int -> ?read_only:bool -> (Ivdb_txn.Txn.t -> 'a) -> 'a
+val transact : t -> ?read_only:bool -> (Ivdb_txn.Txn.t -> 'a) -> 'a
 (** Begin / run / commit, aborting on exception. A deadlock-victim
     {!Ivdb_txn.Txn.Conflict} aborts, yields, and retries (up to
     [config.txn_retries]); other exceptions abort and re-raise. After a
@@ -238,7 +237,7 @@ val transact : t -> ?retries:int -> ?read_only:bool -> (Ivdb_txn.Txn.t -> 'a) ->
     Snapshot transactions never deadlock, so there is no retry loop. *)
 
 val transact_result :
-  t -> ?retries:int -> (Ivdb_txn.Txn.t -> 'a) -> ('a, abort_reason) result
+  t -> (Ivdb_txn.Txn.t -> 'a) -> ('a, abort_reason) result
 (** Like {!transact}, but the terminal outcome is a value: [Error
     Deadlock_victim] when retries are exhausted by deadlock aborts, [Error
     (User_abort e)] when the body raised [e]. Never raises from the

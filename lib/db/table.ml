@@ -152,27 +152,6 @@ let update db tx tbl rid row' =
   delete db tx tbl rid;
   insert db tx tbl row'
 
-let get db txn tbl rid =
-  let tid = I.table_id tbl in
-  let mgr = Database.mgr db in
-  let stored () =
-    Option.map Row.decode (Heap_file.get (I.rt_heap (I.table_rt db tid)) rid)
-  in
-  match txn with
-  | Some tx when Txn.snapshot_of tx <> None ->
-      let snap = Option.get (Txn.snapshot_of tx) in
-      (match
-         Mvcc.resolve (Txn.mvcc mgr) ~obj:tid
-           ~key:(Heap_file.encode_rid rid) ~snap
-       with
-      | Mvcc.Committed v | Mvcc.Pending v -> Option.map Row.decode v
-      | Mvcc.Current -> stored ())
-  | Some tx ->
-      Txn.lock mgr tx (Lock_name.Table tid) Lock_mode.IS;
-      Txn.lock mgr tx (Lock_name.Row (tid, rid)) Lock_mode.S;
-      stored ()
-  | None -> stored ()
-
 let delete_where db tx tbl pred =
   let victims =
     I.heap_scan_rows db (Some tx) tbl

@@ -29,14 +29,6 @@ val update :
   Ivdb_storage.Heap_file.rid
 (** Delete + insert; returns the row's new rid. *)
 
-val get :
-  Database.t ->
-  Ivdb_txn.Txn.t option ->
-  Database.table ->
-  Ivdb_storage.Heap_file.rid ->
-  Ivdb_relation.Row.t option
-(** With a transaction: IS on the table, S on the row. *)
-
 val delete_where :
   Database.t -> Ivdb_txn.Txn.t -> Database.table -> Ivdb_relation.Expr.t -> int
 (** Delete every row satisfying the predicate; returns the count. *)

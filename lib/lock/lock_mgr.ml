@@ -365,30 +365,6 @@ let held_mode t ~txn name =
   | None -> None
   | Some lk -> Option.map (fun o -> o.mode) (owner_of lk txn)
 
-let held t ~txn =
-  match Hashtbl.find_opt t.txn_locks txn with
-  | None -> []
-  | Some tbl ->
-      Hashtbl.fold
-        (fun name () acc ->
-          match find_lock t name with
-          | None -> acc
-          | Some lk -> (
-              match owner_of lk txn with
-              | Some o -> (name, o.mode) :: acc
-              | None -> acc))
-        tbl []
-
-let holders t name =
-  match find_lock t name with
-  | None -> []
-  | Some lk -> List.map (fun o -> (o.otxn, o.mode)) lk.owners
-
-let waiters t name =
-  match find_lock t name with
-  | None -> []
-  | Some lk -> List.map (fun r -> r.rtxn) lk.queue
-
 let lock_count t ~txn =
   match Hashtbl.find_opt t.txn_locks txn with
   | None -> 0

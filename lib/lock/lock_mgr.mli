@@ -48,9 +48,6 @@ val unlocked : t -> Lock_name.t -> bool
 val held_mode : t -> txn:int -> Lock_name.t -> Lock_mode.t option
 (** Mode this transaction currently holds on the name, if any. *)
 
-val held : t -> txn:int -> (Lock_name.t * Lock_mode.t) list
-val holders : t -> Lock_name.t -> (int * Lock_mode.t) list
-val waiters : t -> Lock_name.t -> int list
 val lock_count : t -> txn:int -> int
 
 type wait_info = {

@@ -119,5 +119,3 @@ let to_string = function
   | RangeS_U -> "RangeS-U"
   | RangeI_N -> "RangeI-N"
   | RangeX_X -> "RangeX-X"
-
-let pp ppf m = Format.pp_print_string ppf (to_string m)

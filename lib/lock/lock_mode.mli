@@ -41,5 +41,4 @@ val sup : t -> t -> t
 val covers : held:t -> req:t -> bool
 (** [true] iff holding [held] already grants [req]. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -5,12 +5,6 @@ type t =
   | Key of int * string
   | Eof of int
 
-let parent = function
-  | Database -> None
-  | Table _ -> Some Database
-  | Row (t, _) -> Some (Table t)
-  | Key (i, _) | Eof i -> Some (Table i)
-
 let compare = Stdlib.compare
 
 let pp ppf = function

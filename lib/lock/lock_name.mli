@@ -9,8 +9,5 @@ type t =
   | Eof of int  (** the virtual +infinity key of an index: range locks past
                     the last real key attach here *)
 
-val parent : t -> t option
-(** The next coarser granule ([Database] has none). *)
-
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

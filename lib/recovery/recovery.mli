@@ -77,8 +77,6 @@ module Redo : sig
       the one after the last applied — shipped batches must be dense and
       in order. *)
 
-  val applied : t -> int
-  (** Page diffs applied through this state since [create]. *)
 end
 
 val redo : Ivdb_wal.Wal.t -> Ivdb_storage.Bufpool.t -> analysis -> redo_result

@@ -16,8 +16,6 @@ type t =
 
 let col schema name = Col (Schema.index_of schema name)
 let int i = Const (Value.Int i)
-let str s = Const (Value.Str s)
-let float f = Const (Value.Float f)
 let bool b = Const (Value.Bool b)
 
 let arith name fi ff a b =
@@ -73,48 +71,3 @@ let rec eval e row =
   | Is_null a -> Value.Bool (eval a row = Value.Null)
 
 let eval_bool e row = match eval e row with Value.Bool b -> b | _ -> false
-
-let columns e =
-  let rec go acc = function
-    | Col i -> i :: acc
-    | Const _ -> acc
-    | Neg a | Not a | Is_null a -> go acc a
-    | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) | Cmp (_, a, b)
-    | And (a, b) | Or (a, b) ->
-        go (go acc a) b
-  in
-  List.sort_uniq Stdlib.compare (go [] e)
-
-let rec shift e off =
-  match e with
-  | Col i -> Col (i + off)
-  | Const _ -> e
-  | Add (a, b) -> Add (shift a off, shift b off)
-  | Sub (a, b) -> Sub (shift a off, shift b off)
-  | Mul (a, b) -> Mul (shift a off, shift b off)
-  | Div (a, b) -> Div (shift a off, shift b off)
-  | Neg a -> Neg (shift a off)
-  | Cmp (op, a, b) -> Cmp (op, shift a off, shift b off)
-  | And (a, b) -> And (shift a off, shift b off)
-  | Or (a, b) -> Or (shift a off, shift b off)
-  | Not a -> Not (shift a off)
-  | Is_null a -> Is_null (shift a off)
-
-let rec pp ppf = function
-  | Col i -> Format.fprintf ppf "$%d" i
-  | Const v -> Value.pp ppf v
-  | Add (a, b) -> Format.fprintf ppf "(%a + %a)" pp a pp b
-  | Sub (a, b) -> Format.fprintf ppf "(%a - %a)" pp a pp b
-  | Mul (a, b) -> Format.fprintf ppf "(%a * %a)" pp a pp b
-  | Div (a, b) -> Format.fprintf ppf "(%a / %a)" pp a pp b
-  | Neg a -> Format.fprintf ppf "(-%a)" pp a
-  | Cmp (op, a, b) ->
-      let s =
-        match op with
-        | Eq -> "=" | Ne -> "<>" | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
-      in
-      Format.fprintf ppf "(%a %s %a)" pp a s pp b
-  | And (a, b) -> Format.fprintf ppf "(%a AND %a)" pp a pp b
-  | Or (a, b) -> Format.fprintf ppf "(%a OR %a)" pp a pp b
-  | Not a -> Format.fprintf ppf "(NOT %a)" pp a
-  | Is_null a -> Format.fprintf ppf "(%a IS NULL)" pp a

@@ -21,8 +21,6 @@ val col : Schema.t -> string -> t
 (** Column reference by name; raises [Not_found]. *)
 
 val int : int -> t
-val str : string -> t
-val float : float -> t
 val bool : bool -> t
 
 val eval : t -> Row.t -> Value.t
@@ -32,12 +30,3 @@ val eval : t -> Row.t -> Value.t
 
 val eval_bool : t -> Row.t -> bool
 (** Predicate evaluation: NULL counts as false (SQL WHERE semantics). *)
-
-val columns : t -> int list
-(** Distinct referenced column positions, ascending. *)
-
-val shift : t -> int -> t
-(** Add an offset to every column reference (for the right side of a
-    join's concatenated row). *)
-
-val pp : Format.formatter -> t -> unit

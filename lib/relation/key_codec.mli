@@ -1,8 +1,9 @@
 (** Order-preserving ("memcomparable") key encoding.
 
     B-tree keys are raw byte strings compared lexicographically; this codec
-    guarantees [String.compare (encode a) (encode b) = Row.compare a b] for
-    rows of identical shape, which property tests verify. Encoding:
+    guarantees that [String.compare (encode a) (encode b)] orders rows of
+    identical shape lexicographically by {!Value.compare}, which property
+    tests verify. Encoding:
 
     - each cell starts with a type tag chosen so NULL < bool < number < string;
     - ints: sign-bit-flipped 8-byte big-endian;

@@ -108,12 +108,3 @@ let compare a b =
   go 0
 
 let equal a b = Array.length a = Array.length b && compare a b = 0
-
-let pp ppf row =
-  Format.fprintf ppf "[";
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Format.fprintf ppf "; ";
-      Value.pp ppf v)
-    row;
-  Format.fprintf ppf "]"

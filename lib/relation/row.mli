@@ -17,7 +17,3 @@ val project : t -> int array -> t
 (** [project row positions] picks cells by position. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-(** Lexicographic by {!Value.compare}. *)
-
-val pp : Format.formatter -> t -> unit

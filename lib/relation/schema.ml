@@ -53,13 +53,3 @@ let concat a b =
     if Hashtbl.mem names c.name then { c with name = "r." ^ c.name } else c
   in
   { cols = Array.append a.cols (Array.map rename b.cols) }
-
-let pp ppf t =
-  Format.fprintf ppf "(";
-  Array.iteri
-    (fun i c ->
-      if i > 0 then Format.fprintf ppf ", ";
-      Format.fprintf ppf "%s %a%s" c.name Value.pp_ty c.ty
-        (if c.nullable then "" else " NOT NULL"))
-    t.cols;
-  Format.fprintf ppf ")"

@@ -8,7 +8,6 @@ val make : col list -> t
 (** Raises [Invalid_argument] on duplicate column names. *)
 
 val cols : t -> col array
-val arity : t -> int
 
 val index_of : t -> string -> int
 (** Position of a column by name; raises [Not_found]. *)
@@ -21,5 +20,3 @@ val validate : t -> Value.t array -> (unit, string) result
 val concat : t -> t -> t
 (** Schema of the concatenation of two rows (for joins); duplicate names get
     a ["r."] prefix on the right side. *)
-
-val pp : Format.formatter -> t -> unit

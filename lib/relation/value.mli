@@ -42,6 +42,5 @@ val to_int : t -> int
 val to_float : t -> float
 (** Numeric coercion of [Int]/[Float]; raises {!Type_error} otherwise. *)
 
-val pp : Format.formatter -> t -> unit
 val pp_ty : Format.formatter -> ty -> unit
 val to_string : t -> string

@@ -12,7 +12,6 @@ type _ Effect.t +=
   | Suspend : ((unit -> unit) -> (exn -> unit) -> unit) -> unit Effect.t
   | Now : int Effect.t
   | Advance : int -> unit Effect.t
-  | Alive : int Effect.t
   | Runnable : int Effect.t
   | Running : bool Effect.t
 
@@ -100,7 +99,6 @@ let run ?(seed = 0) ?(policy = Random) main =
                     Vec.push st.runq (fun () -> continue k ()))
             | Self -> Some (fun k -> continue k fid)
             | Now -> Some (fun k -> continue k st.clock)
-            | Alive -> Some (fun k -> continue k st.live)
             | Runnable -> Some (fun k -> continue k (Vec.length st.runq))
             | Running -> Some (fun k -> continue k true)
             | Advance n ->
@@ -159,7 +157,6 @@ let outside_run : type a. a Effect.t -> exn -> a =
   | Yield -> ()
   | Self -> 0
   | Now -> 0
-  | Alive -> 1
   | Runnable -> 0
   | Running -> false
   | Advance _ -> ()
@@ -177,8 +174,6 @@ let self () = with_fallback Self
 let suspend register = with_fallback (Suspend register)
 let now () = with_fallback Now
 let advance n = with_fallback (Advance n)
-let fibers_alive () = with_fallback Alive
-
 (* the running fiber was taken off the run queue, so its length counts
    the others *)
 let runnable () = with_fallback Runnable

@@ -56,9 +56,6 @@ val now : unit -> int
 val advance : int -> unit
 (** Charge [n] ticks of simulated time (e.g. a simulated disk I/O). *)
 
-val fibers_alive : unit -> int
-(** Number of unfinished fibers, including the caller (1 outside a run). *)
-
 val runnable : unit -> int
 (** Number of {e other} fibers ready to run: the run queue's length seen
     from the running fiber (0 outside a run). Suspended fibers are not

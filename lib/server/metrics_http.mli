@@ -11,6 +11,3 @@
 val serve : Ivdb_util.Metrics.t -> Ivdb_transport.Transport.listener -> unit
 (** Spawn the accept fiber. Must be called inside a scheduler run; the
     fiber blocks in [accept] and exits once the listener is stopped. *)
-
-val handle : Ivdb_util.Metrics.t -> Ivdb_transport.Transport.conn -> unit
-(** Serve a single already-accepted connection and close it. *)

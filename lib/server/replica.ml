@@ -33,7 +33,6 @@ type t = {
   mutable primary_flushed : int; (* primary's last advertised stable horizon *)
   mutable batches : int;
   mutable reconnects : int;
-  mutable last_error : string option;
   mutable tick : int; (* tick of the last applied batch *)
   mutable delivered : bool; (* current session delivered >= 1 batch *)
   mutable backoff : int; (* ticks to wait before the next redial *)
@@ -56,7 +55,6 @@ let create ?(name = "replica") db dialer =
     primary_flushed = Database.replicated_lsn db;
     batches = 0;
     reconnects = 0;
-    last_error = None;
     tick = 0;
     delivered = false;
     backoff = 1;
@@ -68,8 +66,6 @@ let create ?(name = "replica") db dialer =
 let status t = t.status
 let batches t = t.batches
 let reconnects t = t.reconnects
-let last_error t = t.last_error
-let backoff t = t.backoff
 
 let lag t = max 0 (t.primary_flushed - Database.replicated_lsn t.db)
 
@@ -81,19 +77,18 @@ let stop t =
 let repoint t dialer =
   t.dialer <- dialer;
   t.backoff <- 1;
-  t.last_error <- None;
   (* drop the live session (if any): the redial loop picks up the new
      dialer and resubscribes from the applied horizon *)
   match t.conn with Some c -> c.Transport.close () | None -> ()
 
-(* Apply one ReplRecords batch. decode_frames never raises: a torn or
-   corrupt payload tail yields a short dense prefix, which is still
-   safe to apply — the follower simply acks less than [upto] and the
-   caller drops the connection to force a clean restart. *)
+(* Apply one ReplRecords batch; [false] ends the session. A batch that
+   does not start right after the applied horizon is refused whole.
+   decode_frames never raises: a torn or corrupt payload tail yields a
+   short dense prefix, which is still safe to apply — the follower simply
+   acks less than [upto] and the caller drops the connection to force a
+   clean restart. *)
 let apply_batch t ~first ~upto ~flushed payload =
-  let expect = Database.replicated_lsn t.db + 1 in
-  if first <> expect then
-    `Protocol (Printf.sprintf "batch starts at LSN %d, expected %d" first expect)
+  if first <> Database.replicated_lsn t.db + 1 then false
   else begin
     let records = Wal.decode_frames ~first_lsn:first payload in
     (match records with [] -> () | _ -> Database.apply_replicated t.db records);
@@ -104,7 +99,7 @@ let apply_batch t ~first ~upto ~flushed payload =
     t.batches <- t.batches + 1;
     t.delivered <- true;
     t.tick <- Sched.now ();
-    if first + n - 1 < upto then `Torn else `Ok
+    first + n - 1 >= upto
   end
 
 (* One connection's lifetime: dial, handshake, subscribe, pump until the
@@ -130,27 +125,17 @@ let session t =
             if not t.stop_requested then
               match Transport.Frame_io.recv io with
               | Some (Wire.ReplRecords { first; upto; flushed; payload }) -> (
-                  match apply_batch t ~first ~upto ~flushed payload with
-                  | `Ok ->
-                      Transport.Frame_io.send io
-                        (Wire.ReplAck { upto = Database.replicated_lsn t.db });
-                      pump ()
-                  | `Torn -> t.last_error <- Some "torn batch"
-                  | `Protocol msg -> t.last_error <- Some msg)
-              | Some (Wire.Err { text; _ }) ->
-                  t.last_error <- Some text;
-                  t.stop_requested <- true
-              | Some Wire.Bye | None -> ()
-              | Some f ->
-                  t.last_error <-
-                    Some ("unexpected frame " ^ Wire.frame_name f)
+                  if apply_batch t ~first ~upto ~flushed payload then begin
+                    Transport.Frame_io.send io
+                      (Wire.ReplAck { upto = Database.replicated_lsn t.db });
+                    pump ()
+                  end)
+              | Some (Wire.Err _) -> t.stop_requested <- true
+              | Some _ | None -> ()
           in
           pump ()
-      | Some (Wire.Err { text; _ }) ->
-          t.last_error <- Some text;
-          t.stop_requested <- true
-      | Some (Wire.Busy _) -> t.last_error <- Some "primary busy"
-      | Some _ | None -> t.last_error <- Some "handshake failed")
+      | Some (Wire.Err _) -> t.stop_requested <- true
+      | Some _ | None -> ())
 
 let run t =
   t.backoff <- 1;
@@ -159,8 +144,7 @@ let run t =
       t.delivered <- false;
       (match session t with
       | () -> ()
-      | exception Transport.Refused -> t.last_error <- Some "connection refused"
-      | exception Transport.Corrupt m -> t.last_error <- Some m);
+      | exception (Transport.Refused | Transport.Corrupt _) -> ());
       if not t.stop_requested then begin
         t.reconnects <- t.reconnects + 1;
         Metrics.inc t.m_reconnects;
@@ -200,6 +184,3 @@ let replication_rows t () =
     |]
   in
   (Sys_tables.replication_header, [ row ])
-
-let register_sys t session =
-  Sql.add_sys_provider session "sys.replication" (replication_rows t)

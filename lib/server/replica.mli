@@ -33,9 +33,6 @@ val spawn : t -> unit
 (** Spawn the driver fiber. Must be called inside a scheduler run; the
     fiber exits only via {!stop} or a fatal [Err] from the primary. *)
 
-val run : t -> unit
-(** The driver loop itself, for callers managing their own fiber. *)
-
 val stop : t -> unit
 (** Request shutdown and close the live connection, waking the fiber if
     it is blocked in a read. Idempotent. *)
@@ -50,27 +47,11 @@ val repoint : t -> Ivdb_transport.Transport.dialer -> unit
     promoted primary retains, since its promotion checkpoint does not
     truncate. Only meaningful on a driver that has not stopped. *)
 
-val lag : t -> int
-(** Records between the primary's last advertised stable horizon and
-    what this follower has applied. Zero when caught up (or never
-    connected). *)
-
-val backoff : t -> int
-(** Current redial delay in scheduler ticks: doubles (capped at 64) after
-    each session that delivered nothing, resets to 1 after a healthy
-    session. Exposed for the reconnect regression test. *)
-
 val batches : t -> int
 val reconnects : t -> int
-val last_error : t -> string option
 
 val replication_rows :
   t -> unit -> string list * Ivdb_relation.Value.t array list
 (** The driver's live one-row [sys.replication] content (role
     [follower], peer, state, horizons, lag). {!Server.attach_replica}
     serves this while the database is still a follower. *)
-
-val register_sys : t -> Ivdb_sql.Sql.session -> unit
-(** Install {!replication_rows} as a [sys.replication] provider on a SQL
-    session — for local admin sessions on a follower; wire sessions get
-    it via {!Server.attach_replica}. *)

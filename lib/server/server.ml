@@ -221,12 +221,6 @@ let register_sys t session =
 
 let attach_replica t r = t.attached <- Some r
 
-let replicas t =
-  Hashtbl.fold
-    (fun _ rp acc -> (rp.rp_name, rp.rp_acked, rp.rp_connected) :: acc)
-    t.replicas []
-  |> List.sort compare
-
 (* The WAL must retain every record some slot has yet to acknowledge:
    the floor is the minimum unacked LSN across all slots, detached ones
    included. With no slots the floor lifts and checkpoints truncate

@@ -117,16 +117,8 @@ val serve : t -> unit
 val drain : t -> unit
 (** Stop accepting, begin refusing new transactions. Idempotent. *)
 
-val draining : t -> bool
-
 val inflight : t -> int
 (** Sessions currently admitted and not yet closed. *)
-
-val register_sys : t -> Ivdb_sql.Sql.session -> unit
-(** Attach this server's live [sys.server_sessions] / [sys.slow_queries] /
-    [sys.replication] providers to an arbitrary SQL session, e.g. a local
-    admin REPL sharing the server's database in-process. Wire sessions get
-    this automatically at handshake. *)
 
 val attach_replica : t -> Replica.t -> unit
 (** On a follower's server: register the local replication driver. While
@@ -135,7 +127,3 @@ val attach_replica : t -> Replica.t -> unit
     primary-shaped slot rows — the role transition is visible in the
     catalog. Attaching also lets the [Promote] wire frame stop the driver
     before calling {!Ivdb.Database.promote}. *)
-
-val replicas : t -> (string * int * bool) list
-(** Known replication slots as [(name, acked_lsn, connected)], sorted by
-    name. Empty when nothing ever subscribed. *)

@@ -65,8 +65,6 @@ let prepare_2pc s ~gtxn =
       s.savepoints <- [];
       vote
 
-let decide_2pc s ~gtxn ~committed = Database.decide_2pc s.sdb ~gtxn ~committed
-
 type result =
   | Rows of { header : string list; rows : Row.t list }
   | Affected of int

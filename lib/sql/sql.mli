@@ -67,10 +67,6 @@ val prepare_2pc : session -> gtxn:string -> [ `Prepared | `Read_only ]
     and answers [`Read_only]. Raises {!Sql_error} if no read-write
     transaction is open. *)
 
-val decide_2pc :
-  session -> gtxn:string -> committed:bool -> [ `Applied | `Duplicate | `Presumed_abort ]
-(** 2PC phase 2, idempotent ({!Ivdb.Database.decide_2pc}). *)
-
 val add_sys_provider :
   session -> string -> (unit -> string list * Ivdb_relation.Row.t list) -> unit
 (** [add_sys_provider s name f] registers (or replaces) an

@@ -63,33 +63,3 @@ type stmt =
   | Rollback_to of string
   | Checkpoint
   | Show of [ `Tables | `Views | `Metrics ]
-
-let pp_lit ppf = function
-  | L_int i -> Format.fprintf ppf "%d" i
-  | L_float f -> Format.fprintf ppf "%g" f
-  | L_string s -> Format.fprintf ppf "'%s'" s
-  | L_bool b -> Format.fprintf ppf "%b" b
-  | L_null -> Format.fprintf ppf "NULL"
-
-let rec pp_expr ppf = function
-  | Lit l -> pp_lit ppf l
-  | Column c -> Format.pp_print_string ppf c
-  | Binop (op, a, b) ->
-      let s =
-        match op with
-        | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Eq -> "=" | Ne -> "<>"
-        | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">=" | And -> "AND" | Or -> "OR"
-      in
-      Format.fprintf ppf "(%a %s %a)" pp_expr a s pp_expr b
-  | Unop (Neg, a) -> Format.fprintf ppf "(-%a)" pp_expr a
-  | Unop (Not, a) -> Format.fprintf ppf "(NOT %a)" pp_expr a
-  | Is_null a -> Format.fprintf ppf "(%a IS NULL)" pp_expr a
-  | Agg_ref a -> pp_agg ppf a
-
-and pp_agg ppf = function
-  | Count_star -> Format.fprintf ppf "COUNT(all)"
-  | Count e -> Format.fprintf ppf "COUNT(%a)" pp_expr e
-  | Sum e -> Format.fprintf ppf "SUM(%a)" pp_expr e
-  | Min e -> Format.fprintf ppf "MIN(%a)" pp_expr e
-  | Max e -> Format.fprintf ppf "MAX(%a)" pp_expr e
-  | Avg e -> Format.fprintf ppf "AVG(%a)" pp_expr e

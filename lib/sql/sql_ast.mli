@@ -72,5 +72,3 @@ type stmt =
   | Rollback_to of string
   | Checkpoint
   | Show of [ `Tables | `Views | `Metrics ]
-
-val pp_expr : Format.formatter -> expr -> unit

@@ -507,11 +507,3 @@ let parse src =
   | L.Eof -> ()
   | t -> fail "trailing input: %a" L.pp_token t);
   s
-
-let parse_expr src =
-  let st = { toks = L.tokenize src; depth = 0 } in
-  let e = expr st in
-  (match peek st with
-  | L.Eof -> ()
-  | t -> fail "trailing input: %a" L.pp_token t);
-  e

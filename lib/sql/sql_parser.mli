@@ -5,6 +5,3 @@ exception Parse_error of string
 val parse : string -> Sql_ast.stmt
 (** Parse one statement. Raises {!Parse_error} or
     {!Sql_lexer.Lex_error}. *)
-
-val parse_expr : string -> Sql_ast.expr
-(** Parse a bare expression (tests). *)

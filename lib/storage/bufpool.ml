@@ -242,11 +242,6 @@ let stamp t page_id lsn =
       fr.no_steal <- false;
       if fr.rec_lsn = 0L then fr.rec_lsn <- lsn
 
-let flush_page t page_id =
-  match Hashtbl.find_opt t.frames page_id with
-  | None -> ()
-  | Some fr -> write_back t fr
-
 let flush_all t =
   for i = 0 to t.ring_len - 1 do
     write_back t t.ring.(i)

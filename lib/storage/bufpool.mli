@@ -46,7 +46,6 @@ val stamp : t -> int -> int64 -> unit
 (** Set the pageLSN after logging; records the frame's recLSN (first LSN to
     dirty it since it was last clean) for checkpointing. *)
 
-val flush_page : t -> int -> unit
 val flush_all : t -> unit
 
 val dirty_page_table : t -> (int * int64) list

@@ -13,12 +13,10 @@ type t = {
   read_cost : int;
   write_cost : int;
   mutable next_id : int;
-  mutable strict : bool;
   mutable fault : Fault.t;
 }
 
-let create ?(read_cost = 100) ?(write_cost = 100) ?(strict = true) ?trace
-    metrics =
+let create ?(read_cost = 100) ?(write_cost = 100) ?trace metrics =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
   {
     pages = Hashtbl.create 256;
@@ -30,14 +28,10 @@ let create ?(read_cost = 100) ?(write_cost = 100) ?(strict = true) ?trace
     read_cost;
     write_cost;
     next_id = 1;
-    strict;
     fault = Fault.none;
   }
 
 let set_fault t f = t.fault <- f
-let fault t = t.fault
-let set_strict t on = t.strict <- on
-let strict t = t.strict
 
 let alloc_page t =
   let id = t.next_id in
@@ -78,16 +72,8 @@ let read_into t id buf =
         Metrics.inc t.m_bogus;
         if Trace.enabled t.trace then
           Trace.emit t.trace (Trace.Fault_inject { kind = "disk.read_bogus"; arg = id });
-        if t.strict then
-          invalid_arg
-            (Printf.sprintf "Disk.read: page %d was never allocated" id)
-        else Bytes.fill buf 0 Page.size '\000'
+        invalid_arg (Printf.sprintf "Disk.read: page %d was never allocated" id)
       end
-
-let read t id =
-  let buf = Bytes.create Page.size in
-  read_into t id buf;
-  buf
 
 (* No stored image ever leaves this module ([read_into] and the torn path
    copy out of it), so a write may stamp over it in place. *)

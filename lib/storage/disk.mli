@@ -11,7 +11,7 @@
     Recovery sweeps {!is_torn} / {!reset_page} before redo. *)
 
 exception Torn_page of int
-(** Raised by {!read} when the stored image fails checksum verification.
+(** Raised by {!read_into} when the stored image fails checksum verification.
     Only recovery should ever see this: during normal operation every
     stored page was written whole. *)
 
@@ -20,22 +20,14 @@ type t
 val create :
   ?read_cost:int ->
   ?write_cost:int ->
-  ?strict:bool ->
   ?trace:Ivdb_util.Trace.t ->
   Ivdb_util.Metrics.t ->
   t
 (** Costs are logical ticks charged to the scheduler clock per I/O
-    (defaults 100/100, the classic 100:1 I/O-to-CPU-step ratio).
-    [strict] (default true) makes reading a page id that was never
-    allocated an error — see {!read}. *)
+    (defaults 100/100, the classic 100:1 I/O-to-CPU-step ratio). *)
 
 val set_fault : t -> Fault.t -> unit
 (** Install a fault plan consulted on every read and write. *)
-
-val fault : t -> Fault.t
-
-val set_strict : t -> bool -> unit
-val strict : t -> bool
 
 val alloc_page : t -> int
 (** Fresh page id (ids start at 1; 0 is "nil"). Allocation itself performs
@@ -47,13 +39,10 @@ val read_into : t -> int -> bytes -> unit
     and zeroes its checksum field. An allocated but never-written page
     reads as zeroes and counts [disk.read_unwritten] (legitimate after a
     crash that beat the first write-back). A page id the allocator never
-    handed out is a dangling reference: counts [disk.read_bogus] and, in
-    strict mode, raises [Invalid_argument]. Raises {!Torn_page} on checksum
+    handed out is a dangling reference: counts [disk.read_bogus] and
+    raises [Invalid_argument]. Raises {!Torn_page} on checksum
     mismatch. Counts [disk.read]; may raise {!Fault.Io_error} under an
     installed plan. [buf] is written only once the read succeeds. *)
-
-val read : t -> int -> bytes
-(** {!read_into} a fresh buffer. *)
 
 val write : t -> int -> bytes -> unit
 (** Stores a checksum-stamped copy; the caller keeps its buffer. A page

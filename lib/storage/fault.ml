@@ -40,7 +40,6 @@ type plan = {
   mutable p_forces : int;
   mutable consecutive : int; (* injected errors in a row, across streams *)
   mutable p_frozen : bool;
-  mutable p_injected : int;
   m_err_read : Metrics.counter;
   m_err_write : Metrics.counter;
   m_crash_write : Metrics.counter;
@@ -64,7 +63,6 @@ let create ?trace metrics cfg =
       p_forces = 0;
       consecutive = 0;
       p_frozen = false;
-      p_injected = 0;
       m_err_read = Metrics.counter metrics "fault.io_error_read";
       m_err_write = Metrics.counter metrics "fault.io_error_write";
       m_crash_write = Metrics.counter metrics "fault.crash_write";
@@ -80,15 +78,12 @@ let tears_writes = function
   | On p -> p.cfg.torn_writes && p.cfg.crash_at_write <> None
 
 let frozen = function Off -> false | On p -> p.p_frozen
-let writes_seen = function Off -> 0 | On p -> p.p_writes
 let forces_seen = function Off -> 0 | On p -> p.p_forces
-let injected = function Off -> 0 | On p -> p.p_injected
 
 type write_action = Write_ok | Write_crash | Write_torn
 type force_action = Force_ok | Force_crash | Force_torn of int
 
 let note p kind arg =
-  p.p_injected <- p.p_injected + 1;
   if Trace.enabled p.trace then
     Trace.emit p.trace (Trace.Fault_inject { kind; arg })
 

@@ -64,13 +64,9 @@ val tears_writes : t -> bool
 val frozen : t -> bool
 (** The crash trigger has fired: stable storage is dead. *)
 
-val writes_seen : t -> int
 val forces_seen : t -> int
-(** Injection-point counters — run a workload under a trigger-less plan to
-    learn how many crash points it has, then sweep them. *)
-
-val injected : t -> int
-(** Total faults injected (errors + crashes + tears). *)
+(** Log forces the plan has seen — run a workload under a trigger-less
+    plan to learn how many force crash points it has, then sweep them. *)
 
 type write_action =
   | Write_ok

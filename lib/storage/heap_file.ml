@@ -232,5 +232,3 @@ let ghosts t =
       Bufpool.read t.pool pid (fun p ->
           Heap_page.iter_ghosts p (fun slot -> acc := { rpage = pid; rslot = slot } :: !acc)));
   !acc
-
-let page_ids t = Array.to_list (Array.sub t.pages 0 t.npages)

@@ -78,9 +78,6 @@ val iter_all : t -> (rid -> string -> ghost:bool -> unit) -> unit
 val ghosts : t -> rid list
 (** Every ghost slot, descending rid order (the chain's tail first). *)
 
-val page_ids : t -> int list
-(** The chain, first page to tail. *)
-
 val refresh : t -> unit
 (** Re-walk the next-pointer chain from the cached tail and adopt any
     pages appended to the on-disk chain behind this handle's back — as

@@ -25,8 +25,6 @@ val init : Page_writer.t -> unit
 val get_next : bytes -> int
 val set_next : Page_writer.t -> int -> unit
 
-val nslots : bytes -> int
-
 val insert : Page_writer.t -> string -> int option
 (** [insert page record] returns the slot, or [None] if the record does not
     fit even after compaction. The slot is the lowest empty one, else a new

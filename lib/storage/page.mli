@@ -32,7 +32,6 @@ val set_lsn : bytes -> int64 -> unit
 val get_ty : bytes -> ty
 val set_ty : Page_writer.t -> ty -> unit
 
-val get_checksum : bytes -> int
 val set_checksum : bytes -> int -> unit
 
 val checksum : bytes -> int

@@ -97,11 +97,6 @@ let encode_into t b pos =
       pos + 4 + n)
     (pos + 2) t
 
-let encode t =
-  let b = Bytes.create (byte_size t) in
-  ignore (encode_into t b 0);
-  Bytes.unsafe_to_string b
-
 (* only shapes a diff can have: non-empty, ascending and disjoint ranges
    inside [8, Page.size) — a range below 8 would overwrite the pageLSN on
    [apply] *)
@@ -132,5 +127,3 @@ let decode_sub b pos len =
   in
   if !pos <> stop || not (well_formed ranges) then fail ();
   ranges
-
-let decode s = decode_sub (Bytes.unsafe_of_string s) 0 (String.length s)

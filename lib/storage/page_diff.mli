@@ -35,26 +35,21 @@ val apply : Page_writer.t -> t -> unit
 val is_empty : t -> bool
 
 val byte_size : t -> int
-(** Length of {!encode}'s output. *)
-
-val encode : t -> string
+(** Length of the encoding {!encode_into} writes. *)
 
 val encode_into : t -> bytes -> int -> int
-(** [encode_into d b pos] writes {!encode}'s bytes for [d] at [pos] and
-    returns the position after them; [b] must have {!byte_size}[ d]
+(** [encode_into d b pos] writes the encoding of [d] at [pos] and
+    returns the position after it; [b] must have {!byte_size}[ d]
     bytes of room there. *)
 
 val well_formed : t -> bool
-(** Whether {!decode} accepts {!encode}'s output: every range non-empty,
+(** Whether {!decode_sub} accepts the encoding: every range non-empty,
     in ascending order, disjoint and inside [\[8, Page.size)]. *)
 
-val decode : string -> t
-(** Inverse of {!encode}. Raises [Invalid_argument] on a malformed
-    encoding, and on ranges no diff has: an offset below 8
-    (it would overwrite the pageLSN), a zero length, a range past
-    {!Page.size}, or ranges out of order or overlapping. Log records
-    shipped to a replica are decoded here, so a bad range stops at
-    decode, not inside redo. *)
-
 val decode_sub : bytes -> int -> int -> t
-(** [decode_sub b pos len] is {!decode} of the [len] bytes at [pos]. *)
+(** [decode_sub b pos len] decodes the [len] bytes at [pos], the inverse
+    of {!encode_into}. Raises [Invalid_argument] on a malformed encoding,
+    and on ranges no diff has: an offset below 8 (it would overwrite the
+    pageLSN), a zero length, a range past {!Page.size}, or ranges out of
+    order or overlapping. Log records shipped to a replica are decoded
+    here, so a bad range stops at decode, not inside redo. *)

@@ -15,12 +15,10 @@ val listen :
     returns the listener and the actual port. [backlog] is the kernel
     accept queue (default 64). *)
 
-val dial : ?host:string -> port:int -> unit -> Transport.conn
-(** Connect to [host] (default 127.0.0.1). Raises {!Transport.Refused}
-    when the peer refuses. *)
-
 val dialer : ?host:string -> port:int -> unit -> Transport.dialer
-(** {!dial} packaged as a named {!Transport.dialer} ("host:port"). *)
+(** A named {!Transport.dialer} ("host:port") connecting to [host]
+    (default 127.0.0.1); a dial raises {!Transport.Refused} when the peer
+    refuses. *)
 
 val parse_host_port : string -> (string * int) option
 (** Parse a ["HOST:PORT"] command-line address; an empty host means

@@ -33,7 +33,6 @@ let create metrics =
     m_pruned = Metrics.counter metrics "mvcc.versions_pruned";
   }
 
-let last_stamp t = t.last_stamp
 let snapshot_count t = t.n_snapshots
 let snapshot_active t = t.n_snapshots > 0
 

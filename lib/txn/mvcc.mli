@@ -82,5 +82,4 @@ val gc : t -> int
     entries when no snapshot is live); returns entries pruned. Also runs
     automatically on {!release_snapshot}. *)
 
-val last_stamp : t -> int
 val snapshot_count : t -> int

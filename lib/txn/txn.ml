@@ -102,7 +102,6 @@ let create_mgr ?(commit_mode = Sync) ?trace ~wal ~locks ~pool metrics =
 
 let set_undo_exec mgr f = mgr.undo_exec <- f
 let add_end_hook mgr f = mgr.end_hooks <- f :: mgr.end_hooks
-let wal mgr = mgr.mwal
 let locks mgr = mgr.mlocks
 let pool mgr = mgr.mpool
 let disk mgr = Bufpool.disk mgr.mpool
@@ -165,9 +164,7 @@ let begin_snapshot mgr =
   t
 
 let id t = t.tid
-let status t = t.tstatus
 let last_lsn t = t.tlast_lsn
-let first_lsn t = t.tfirst_lsn
 let snapshot_of t = t.tsnapshot
 let commit_stamp t = t.tcommit_stamp
 

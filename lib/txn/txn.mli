@@ -49,7 +49,6 @@ val add_end_hook : mgr -> (t -> status -> unit) -> unit
     abort), before its locks are released. Used e.g. to retire a
     transaction's in-flight escrow deltas from the bounds registry. *)
 
-val wal : mgr -> Ivdb_wal.Wal.t
 val locks : mgr -> Ivdb_lock.Lock_mgr.t
 val pool : mgr -> Ivdb_storage.Bufpool.t
 val disk : mgr -> Ivdb_storage.Disk.t
@@ -77,9 +76,7 @@ val mvcc : mgr -> Mvcc.t
 (** The manager's version-chain registry. *)
 
 val id : t -> int
-val status : t -> status
 val last_lsn : t -> Ivdb_wal.Log_record.lsn
-val first_lsn : t -> Ivdb_wal.Log_record.lsn
 
 val snapshot_of : t -> int option
 (** [Some stamp] iff the transaction is a {!begin_snapshot} reader. *)

@@ -4,9 +4,7 @@
 
    Hot paths resolve a typed handle once at subsystem-create time and
    bump it directly, so the steady-state cost is a ref increment instead
-   of a hashtable lookup per event. Handles stay valid across [reset]:
-   reset zeroes the registered cells in place rather than emptying the
-   tables, so a handle can never end up counting into an orphaned cell. *)
+   of a hashtable lookup per event. *)
 
 type counter = int ref
 type hist = (int, int ref) Hashtbl.t
@@ -28,14 +26,9 @@ let counter t name =
 
 let inc c = Stdlib.incr c
 let inc_by c n = c := !c + n
-let value c = !c
 
 let get t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
-
-let reset t =
-  Hashtbl.iter (fun _ r -> r := 0) t.counters;
-  Hashtbl.iter (fun _ h -> Hashtbl.reset h) t.hists
 
 let snapshot t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
@@ -148,12 +141,11 @@ let window_cells w name =
 (* Prometheus text exposition (version 0.0.4). Exact-value histograms
    render as cumulative buckets: one le="v" bucket per distinct observed
    value plus the mandatory le="+Inf", then _sum and _count. Counter and
-   histogram names are sanitized to [a-zA-Z0-9_] and namespaced, so
-   "txn.commit" becomes e.g. ivdb_txn_commit. *)
-let prom_name ~namespace name =
-  let b = Buffer.create (String.length namespace + String.length name + 1) in
-  Buffer.add_string b namespace;
-  Buffer.add_char b '_';
+   histogram names are sanitized to [a-zA-Z0-9_] and prefixed, so
+   "txn.commit" becomes ivdb_txn_commit. *)
+let prom_name name =
+  let b = Buffer.create (String.length name + 5) in
+  Buffer.add_string b "ivdb_";
   String.iter
     (fun c ->
       match c with
@@ -162,16 +154,16 @@ let prom_name ~namespace name =
     name;
   Buffer.contents b
 
-let to_prometheus ?(namespace = "ivdb") t =
+let to_prometheus t =
   let b = Buffer.create 1024 in
   List.iter
     (fun (name, v) ->
-      let n = prom_name ~namespace name in
+      let n = prom_name name in
       Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n%s %d\n" n n v))
     (snapshot t);
   List.iter
     (fun (name, cells) ->
-      let n = prom_name ~namespace name in
+      let n = prom_name name in
       Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" n);
       let cum = ref 0 in
       let sum = ref 0 in
@@ -188,12 +180,3 @@ let to_prometheus ?(namespace = "ivdb") t =
       Buffer.add_string b (Printf.sprintf "%s_count %d\n" n !cum))
     (hists t);
   Buffer.contents b
-
-let pp ppf t =
-  List.iter (fun (k, v) -> Format.fprintf ppf "%s=%d@ " k v) (snapshot t);
-  List.iter
-    (fun (name, cells) ->
-      Format.fprintf ppf "%s={" name;
-      List.iter (fun (v, c) -> Format.fprintf ppf "%d:%d " v c) cells;
-      Format.fprintf ppf "}@ ")
-    (hists t)

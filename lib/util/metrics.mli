@@ -15,11 +15,10 @@
 type t
 
 type counter
-(** Pre-resolved handle to one named counter. Survives {!reset} (the cell
-    is zeroed in place, never replaced). *)
+(** Pre-resolved handle to one named counter. *)
 
 type hist
-(** Pre-resolved handle to one named histogram. Survives {!reset}. *)
+(** Pre-resolved handle to one named histogram. *)
 
 val create : unit -> t
 
@@ -30,7 +29,6 @@ val counter : t -> string -> counter
 
 val inc : counter -> unit
 val inc_by : counter -> int -> unit
-val value : counter -> int
 
 val hist : t -> string -> hist
 (** Resolve (registering if new) the histogram for [name]. *)
@@ -42,10 +40,6 @@ val record : hist -> int -> unit
 
 val get : t -> string -> int
 (** 0 for counters never bumped. *)
-
-val reset : t -> unit
-(** Zero every counter and empty every histogram, in place: typed handles
-    resolved before the reset keep working. *)
 
 val snapshot : t -> (string * int) list
 (** Sorted by counter name. *)
@@ -98,13 +92,10 @@ val window_get : window -> string -> int
 val window_cells : window -> string -> (int * int) list
 (** A histogram's cells; [] for histograms the window does not name. *)
 
-val to_prometheus : ?namespace:string -> t -> string
+val to_prometheus : t -> string
 (** Prometheus text exposition (format 0.0.4). Counters render as
-    [# TYPE ns_name counter] plus a value line; histograms render with
+    [# TYPE ivdb_name counter] plus a value line; histograms render with
     cumulative [_bucket{le="v"}] lines (one per distinct observed value,
     plus [le="+Inf"]), [_sum], and [_count]. Metric names are sanitized
-    to [A-Za-z0-9_] and prefixed with [namespace] (default ["ivdb"]).
+    to [A-Za-z0-9_] and prefixed with [ivdb_].
     Deterministic: families and buckets are sorted. *)
-
-val pp : Format.formatter -> t -> unit
-(** Counters then histograms, each sorted by name — deterministic output. *)

@@ -1,7 +1,6 @@
 type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
 
 (* splitmix64: tiny, fast, passes BigCrush for this use. *)
 let next t =
@@ -19,16 +18,3 @@ let int t bound =
 let float t =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   v /. 9007199254740992.0 (* 2^53 *)
-
-let bool t = Int64.logand (next t) 1L = 1L
-let pick t a = a.(int t (Array.length a))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let split t = { state = next t }

@@ -26,6 +26,3 @@ let draw t rng =
       if t.cdf.(mid) >= u then search lo mid else search (mid + 1) hi
   in
   search 0 (t.n - 1)
-
-let n t = t.n
-let theta t = t.theta

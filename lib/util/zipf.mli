@@ -11,6 +11,3 @@ val create : n:int -> theta:float -> t
     [theta = 0.] is uniform. Requires [n > 0] and [theta >= 0.]. *)
 
 val draw : t -> Rng.t -> int
-
-val n : t -> int
-val theta : t -> float

@@ -289,46 +289,9 @@ let decode_sub b pos len =
   if r.pos <> r.stop then fail ();
   { lsn; txn; prev; body }
 
-let decode s = decode_sub (Bytes.unsafe_of_string s) 0 (String.length s)
-
 let pages_touched t =
   match t.body with
   | Update { redo; _ } | Clr { redo; _ } -> List.map fst redo
   | Begin _ | Commit | Abort | End | Checkpoint _ | Ddl _ | Prepare _
   | Decision _ | Gid_block _ ->
       []
-
-let pp_undo ppf = function
-  | No_undo -> Format.fprintf ppf "none"
-  | Undo_heap_insert u -> Format.fprintf ppf "heap-del t%d %a" u.table Ivdb_storage.Heap_file.pp_rid u.rid
-  | Undo_heap_delete u ->
-      Format.fprintf ppf "heap-rev t%d %a" u.table Ivdb_storage.Heap_file.pp_rid u.rid
-  | Undo_heap_update u -> Format.fprintf ppf "heap-upd t%d %a" u.table Ivdb_storage.Heap_file.pp_rid u.rid
-  | Undo_bt_insert u -> Format.fprintf ppf "bt-del i%d" u.index
-  | Undo_bt_delete u -> Format.fprintf ppf "bt-ins i%d" u.index
-  | Undo_bt_update u -> Format.fprintf ppf "bt-upd i%d" u.index
-  | Undo_escrow u -> Format.fprintf ppf "escrow v%d" u.view
-
-let pp ppf t =
-  let body ppf = function
-    | Begin b -> Format.fprintf ppf "BEGIN%s" (if b.system then "(sys)" else "")
-    | Commit -> Format.fprintf ppf "COMMIT"
-    | Abort -> Format.fprintf ppf "ABORT"
-    | End -> Format.fprintf ppf "END"
-    | Update u ->
-        Format.fprintf ppf "UPDATE pages=%a undo=%a"
-          (Format.pp_print_list Format.pp_print_int)
-          (List.map fst u.redo) pp_undo u.undo
-    | Clr c ->
-        Format.fprintf ppf "CLR pages=%a undoNext=%d"
-          (Format.pp_print_list Format.pp_print_int)
-          (List.map fst c.redo) c.undo_next
-    | Checkpoint c ->
-        Format.fprintf ppf "CHECKPOINT att=%d dpt=%d" (List.length c.active)
-          (List.length c.dpt)
-    | Ddl _ -> Format.fprintf ppf "DDL"
-    | Prepare p -> Format.fprintf ppf "PREPARE %s" p.gtxn
-    | Decision d -> Format.fprintf ppf "DECISION %s" d.gtxn
-    | Gid_block g -> Format.fprintf ppf "GIDS up to %s" g.last
-  in
-  Format.fprintf ppf "[%d] txn=%d prev=%d %a" t.lsn t.txn t.prev body t.body

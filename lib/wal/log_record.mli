@@ -68,14 +68,12 @@ val encode_into : t -> (int -> bytes * int) -> int
     with [n] free bytes to write them at. *)
 
 val decodable : t -> bool
-(** Whether {!decode} accepts {!encode}'s output. It does not only when
+(** Whether {!decode_sub} accepts {!encode}'s output. It does not only when
     a page diff is not {!Ivdb_storage.Page_diff.well_formed}. *)
 
-val decode : string -> t
-(** Inverse of [encode]; raises [Invalid_argument] on malformed input. *)
-
 val decode_sub : bytes -> int -> int -> t
-(** [decode_sub b pos len] is {!decode} of the [len] bytes at [pos]. *)
+(** [decode_sub b pos len] decodes the [len] bytes at [pos], the inverse
+    of {!encode}; raises [Invalid_argument] on malformed input. *)
 
 val checkpoint_at : bytes -> int -> bool
 (** Whether the encoding at the given offset is a [Checkpoint]. Every
@@ -83,4 +81,3 @@ val checkpoint_at : bytes -> int -> bool
     reads the tag in place, without decoding the body. *)
 
 val pages_touched : t -> int list
-val pp : Format.formatter -> t -> unit

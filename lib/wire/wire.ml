@@ -85,45 +85,6 @@ let error_code_name = function
   | E_read_only -> "read_only"
   | E_repl -> "repl"
 
-let pp ppf f =
-  match f with
-  | Hello { version; client; resume } ->
-      Format.fprintf ppf "Hello{v%d %S resume=%s}" version client
-        (match resume with None -> "-" | Some s -> string_of_int s)
-  | Welcome { version; server; session } ->
-      Format.fprintf ppf "Welcome{v%d %S session=%d}" version server session
-  | Exec { seq; rid; sql } -> Format.fprintf ppf "Exec{#%d r%d %S}" seq rid sql
-  | Rows { seq; header; rows } ->
-      Format.fprintf ppf "Rows{#%d cols=%d rows=%d}" seq (List.length header)
-        (List.length rows)
-  | Affected { seq; n } -> Format.fprintf ppf "Affected{#%d %d}" seq n
-  | Msg { seq; text } -> Format.fprintf ppf "Msg{#%d %S}" seq text
-  | Err { seq; code; text; txn_open } ->
-      Format.fprintf ppf "Err{#%d %s %S txn_open=%b}" seq
-        (error_code_name code) text txn_open
-  | Busy { retry_ticks } -> Format.fprintf ppf "Busy{retry=%d}" retry_ticks
-  | Metrics_req { seq } -> Format.fprintf ppf "Metrics_req{#%d}" seq
-  | ReplSubscribe { from; replica } ->
-      Format.fprintf ppf "ReplSubscribe{from=%d %S}" from replica
-  | ReplRecords { first; upto; flushed; payload } ->
-      Format.fprintf ppf "ReplRecords{[%d,%d] flushed=%d bytes=%d}"
-        first upto flushed (String.length payload)
-  | ReplAck { upto } -> Format.fprintf ppf "ReplAck{upto=%d}" upto
-  | Promote { seq } -> Format.fprintf ppf "Promote{#%d}" seq
-  | DropSlot { seq; name } -> Format.fprintf ppf "DropSlot{#%d %S}" seq name
-  | Prepare { seq; rid; gtxn } ->
-      Format.fprintf ppf "Prepare{#%d r%d %s}" seq rid gtxn
-  | Prepared { seq; gtxn; read_only } ->
-      Format.fprintf ppf "Prepared{#%d %s%s}" seq gtxn
-        (if read_only then " read-only" else "")
-  | Decide { seq; rid; gtxn; committed } ->
-      Format.fprintf ppf "Decide{#%d r%d %s %s}" seq rid gtxn
-        (if committed then "commit" else "abort")
-  | Decided { seq; gtxn; committed } ->
-      Format.fprintf ppf "Decided{#%d %s %s}" seq gtxn
-        (if committed then "commit" else "abort")
-  | Bye -> Format.fprintf ppf "Bye"
-
 (* --- payload writer -------------------------------------------------------- *)
 
 let add_u32 buf v =

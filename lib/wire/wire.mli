@@ -31,11 +31,6 @@
 val version : int
 (** Current protocol version, negotiated in the handshake. *)
 
-val max_frame_bytes : int
-(** Upper bound on a payload length the decoder will accept; a larger
-    length prefix is treated as corruption, not as an allocation
-    request. *)
-
 type error_code =
   | E_sql  (** {!Ivdb_sql.Sql.Sql_error}: semantic error, txn kept open *)
   | E_parse  (** lexer/parser rejection *)
@@ -139,16 +134,7 @@ val frame_name : frame -> string
 
 val error_code_name : error_code -> string
 
-val pp : Format.formatter -> frame -> unit
-
 (** {1 Payload codec} *)
-
-val encode : frame -> string
-(** Payload bytes only (no length/checksum framing). *)
-
-val decode : string -> frame
-(** Inverse of {!encode}. Raises [Invalid_argument] on malformed input,
-    including trailing bytes. *)
 
 (** {1 Framing} *)
 

@@ -7,6 +7,8 @@ module Bufpool = Ivdb_storage.Bufpool
 module Wal = Ivdb_wal.Wal
 module Lock_mgr = Ivdb_lock.Lock_mgr
 module Txn = Ivdb_txn.Txn
+module Heap_file = Ivdb_storage.Heap_file
+module Heap_page = Ivdb_storage.Heap_page
 
 type t = {
   metrics : Metrics.t;
@@ -39,3 +41,11 @@ let crash t ~pool_capacity =
   let locks = Lock_mgr.create metrics in
   let mgr = Txn.create_mgr ~wal ~locks ~pool metrics in
   { metrics; disk = t.disk; pool; wal; locks; mgr }
+
+(* A heap file's page chain, walked through the next pointers. *)
+let heap_pages pool heap =
+  let rec walk pid acc =
+    let next = Bufpool.read pool pid Heap_page.get_next in
+    if next = 0 then List.rev (pid :: acc) else walk next (pid :: acc)
+  in
+  walk (Heap_file.first_page heap) []

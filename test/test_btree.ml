@@ -16,14 +16,40 @@ let make_tree () =
 
 let ikey i = Key_codec.encode [| Value.Int i |]
 
+(* In-place Fisher-Yates shuffle. *)
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
+  done
+
+let entry_count t =
+  let n = ref 0 in
+  Btree.iter t (fun _ _ -> incr n);
+  !n
+
+(* Levels from the root down to the leftmost leaf. *)
+let height h t =
+  let rec go pid acc =
+    match
+      Bufpool.read h.Harness.pool pid (fun p ->
+          if Bt_node.is_leaf p then None else Some (Bt_node.child_at p 0))
+    with
+    | None -> acc
+    | Some c -> go c (acc + 1)
+  in
+  go (Btree.root t) 1
+
 (* --- basics ---------------------------------------------------------------- *)
 
 let test_empty_tree () =
-  let _, t = make_tree () in
+  let h, t = make_tree () in
   check Alcotest.(option string) "search empty" None (Btree.search t (ikey 1));
-  Alcotest.(check bool) "no min" true (Btree.min_entry t = None);
-  check Alcotest.int "count" 0 (Btree.entry_count t);
-  check Alcotest.int "height" 1 (Btree.height t)
+  Alcotest.(check bool) "no min" true (Option.is_none (Btree.seek t ""));
+  check Alcotest.int "count" 0 (entry_count t);
+  check Alcotest.int "height" 1 (height h t)
 
 let test_insert_search_delete () =
   let h, t = make_tree () in
@@ -78,8 +104,8 @@ let test_bulk_ascending () =
     Btree.insert tx t ~key:(ikey i) ~value:(Printf.sprintf "v%d" i)
   done;
   Txn.commit h.Harness.mgr tx;
-  check Alcotest.int "count" n (Btree.entry_count t);
-  Alcotest.(check bool) "tree grew" true (Btree.height t >= 2);
+  check Alcotest.int "count" n (entry_count t);
+  Alcotest.(check bool) "tree grew" true (height h t >= 2);
   check Alcotest.(option string) "first" (Some "v1") (Btree.search t (ikey 1));
   check Alcotest.(option string) "last" (Some ("v" ^ string_of_int n))
     (Btree.search t (ikey n));
@@ -94,12 +120,12 @@ let test_bulk_random_with_deletes () =
   let tx = Txn.begin_txn h.Harness.mgr in
   let rng = Rng.create 2024 in
   let keys = Array.init 3000 (fun i -> i * 2) in
-  Rng.shuffle rng keys;
+  shuffle rng keys;
   Array.iter (fun i -> Btree.insert tx t ~key:(ikey i) ~value:(string_of_int i)) keys;
   (* delete one third *)
   Array.iteri (fun idx i -> if idx mod 3 = 0 then Btree.delete tx t ~key:(ikey i)) keys;
   Txn.commit h.Harness.mgr tx;
-  check Alcotest.int "count" 2000 (Btree.entry_count t);
+  check Alcotest.int "count" 2000 (entry_count t);
   Array.iteri
     (fun idx i ->
       let expect = if idx mod 3 = 0 then None else Some (string_of_int i) in
@@ -173,7 +199,7 @@ let test_vacuum_reclaims_empty_tree () =
     Btree.insert tx t ~key:(ikey i) ~value:(Printf.sprintf "%08d" i)
   done;
   Txn.commit h.Harness.mgr tx;
-  Alcotest.(check bool) "grew" true (Btree.height t >= 2);
+  Alcotest.(check bool) "grew" true (height h t >= 2);
   let tx = Txn.begin_txn h.Harness.mgr in
   for i = 1 to 4000 do
     Btree.delete tx t ~key:(ikey i)
@@ -181,15 +207,15 @@ let test_vacuum_reclaims_empty_tree () =
   Txn.commit h.Harness.mgr tx;
   let freed = Btree.vacuum t in
   Alcotest.(check bool) "freed pages" true (freed > 5);
-  check Alcotest.int "collapsed to a single leaf" 1 (Btree.height t);
-  check Alcotest.int "empty" 0 (Btree.entry_count t);
+  check Alcotest.int "collapsed to a single leaf" 1 (height h t);
+  check Alcotest.int "empty" 0 (entry_count t);
   (* the tree is still fully usable *)
   let tx = Txn.begin_txn h.Harness.mgr in
   for i = 1 to 100 do
     Btree.insert tx t ~key:(ikey i) ~value:"again"
   done;
   Txn.commit h.Harness.mgr tx;
-  check Alcotest.int "works after vacuum" 100 (Btree.entry_count t)
+  check Alcotest.int "works after vacuum" 100 (entry_count t)
 
 let test_vacuum_preserves_contents () =
   let h, t = make_tree () in
@@ -205,7 +231,7 @@ let test_vacuum_preserves_contents () =
   done;
   Txn.commit h.Harness.mgr tx;
   ignore (Btree.vacuum t);
-  check Alcotest.int "survivors" (Hashtbl.length keep) (Btree.entry_count t);
+  check Alcotest.int "survivors" (Hashtbl.length keep) (entry_count t);
   Hashtbl.iter
     (fun i () -> assert (Btree.search t (ikey i) = Some (string_of_int i)))
     keep;
@@ -234,7 +260,7 @@ let test_vacuum_survives_crash () =
   let analysis = Ivdb_recovery.Recovery.analyze h'.Harness.wal in
   ignore (Ivdb_recovery.Recovery.redo h'.Harness.wal h'.Harness.pool analysis);
   let t' = Btree.attach h'.Harness.mgr ~index_id:1 ~root:(Btree.root t) in
-  check Alcotest.int "entries after crash" 10 (Btree.entry_count t');
+  check Alcotest.int "entries after crash" 10 (entry_count t');
   assert (Btree.search t' (ikey 1995) = Some "x")
 
 module SM = Map.Make (String)
@@ -323,7 +349,7 @@ let prop_split_orders =
         | 1 -> Array.init n (fun i -> n - i)
         | 2 ->
             let a = Array.init n (fun i -> i) in
-            Rng.shuffle rng a;
+            shuffle rng a;
             a
         | _ ->
             let a = Array.init n (fun i -> i) in

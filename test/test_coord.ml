@@ -1563,6 +1563,13 @@ let test_catalogs_over_wire () =
         dbs
         (fun dialers ->
           let c = Coord.create dialers in
+          (* the rid the coordinator stamped on its Prepare to shard 0 *)
+          let commit_rid = ref 0 in
+          Trace.add_sink (Coord.trace c) (fun r ->
+              match r.Trace.event with
+              | Trace.Coord_prepare { rid; shard = 0; _ } -> commit_rid := rid
+              | _ -> ());
+          Trace.set_enabled (Coord.trace c) true;
           let cnet = Transport.Loopback.create ~backlog:16 () in
           let csrv =
             Coord.server
@@ -1594,7 +1601,6 @@ let test_catalogs_over_wire () =
               Alcotest.(check bool) "2PC commit reported" true
                 (contains m "2 participants")
           | _ -> Alcotest.fail "expected a commit message");
-          let commit_rid = Coord.last_rid c in
           (* sys.gtxns answers over the wire, WHERE/projection included *)
           (match
              rows (Client.exec cl "SELECT gtxn, phase FROM sys.gtxns")
@@ -1648,7 +1654,7 @@ let test_catalogs_over_wire () =
               | _ -> Alcotest.fail "malformed slow-query row")
             slow;
           check Alcotest.(list int) "the COMMIT's rid reached the shard's trace"
-            [ commit_rid ] !prepare_rids;
+            [ !commit_rid ] !prepare_rids;
           Client.close cl;
           Coord.close c;
           Server.drain csrv))

@@ -27,7 +27,7 @@ let cols =
 
 let row id product qty = [| Value.Int id; Value.Int product; Value.Int qty |]
 
-let make_db () =
+let make_db ?(config = config) () =
   let db = Database.create ~config () in
   let t = Database.create_table db ~name:"sales" ~cols in
   (db, t)
@@ -40,15 +40,20 @@ let sum_qty db t ~strategy () =
 
 (* --- tables ------------------------------------------------------------- *)
 
+(* The live row at [rid], unlocked. *)
+let get db t rid =
+  Database.Internal.heap_scan_rows db None t
+  |> Seq.find_map (fun (r, row) -> if r = rid then Some row else None)
+
 let test_table_crud () =
   let db, t = make_db () in
   let rid =
     Database.transact db (fun tx -> Table.insert db tx t (row 1 10 5))
   in
   Alcotest.(check bool) "get" true
-    (Option.is_some (Table.get db None t rid));
+    (Option.is_some (get db t rid));
   Database.transact db (fun tx -> Table.delete db tx t rid);
-  Alcotest.(check bool) "gone" true (Table.get db None t rid = None);
+  Alcotest.(check bool) "gone" true (get db t rid = None);
   check Alcotest.int "count" 0 (Table.row_count db t)
 
 let test_table_validation () =
@@ -78,8 +83,8 @@ let test_update_moves_row () =
   let rid' =
     Database.transact db (fun tx -> Table.update db tx t rid (row 1 1 99))
   in
-  Alcotest.(check bool) "old rid gone" true (Table.get db None t rid = None);
-  (match Table.get db None t rid' with
+  Alcotest.(check bool) "old rid gone" true (get db t rid = None);
+  (match get db t rid' with
   | Some r -> Alcotest.(check bool) "new value" true (Value.to_int r.(2) = 99)
   | None -> Alcotest.fail "row missing");
   check Alcotest.int "still one row" 1 (Table.row_count db t)
@@ -269,7 +274,7 @@ let test_unique_insert_blocks_on_inflight_delete () =
      on the key lock and succeed only because T1 commits. Then the reverse:
      if the deleter aborts, the blocked inserter gets the violation. *)
   let run ~deleter_commits =
-    let db, t = make_db () in
+    let db, t = make_db ~config:{ config with Database.txn_retries = 0 } () in
     Database.create_index db ~unique:true t ~col:"id" ~name:"pk";
     Database.transact db (fun tx -> ignore (Table.insert db tx t (row 1 1 1)));
     let outcome = ref `Pending in
@@ -288,7 +293,7 @@ let test_unique_insert_blocks_on_inflight_delete () =
           (Ivdb_sched.Sched.spawn (fun () ->
                Ivdb_sched.Sched.yield ();
                match
-                 Database.transact db ~retries:0 (fun tx ->
+                 Database.transact db (fun tx ->
                      ignore (Table.insert db tx t (row 1 7 7)))
                with
                | () -> outcome := `Inserted
@@ -612,7 +617,7 @@ let prop_join_source_rows =
               live := List.filter (fun e -> e != gone) !live
             end
             else
-              let tbl = if Rng.bool rng then l else r in
+              let tbl = if Rng.int rng 2 = 0 then l else r in
               let row = [| key (); Value.Int (Rng.int rng 3) |] in
               live := (tbl, Table.insert db tx tbl row, row) :: !live)
       done;
@@ -625,7 +630,7 @@ let prop_join_source_rows =
               (side r))
           (side l)
       in
-      let multiset rows = List.sort Row.compare rows in
+      let multiset rows = List.sort compare rows in
       let same rows = List.equal Row.equal (multiset rows) (multiset expect) in
       let def = Database.view_def db v in
       let unlocked = List.of_seq (Database.Internal.source_rows db None def) in
@@ -732,7 +737,8 @@ let test_checkpoint_respects_active_txn () =
   let mgr = Database.mgr db in
   let tx = Txn.begin_txn mgr in
   ignore (Table.insert db tx t (row 1 1 1));
-  let first = Txn.first_lsn tx in
+  (* the only active transaction's first LSN *)
+  let first = List.fold_left min max_int (Txn.active_first_lsns mgr) in
   (* lots of committed work after the long-running transaction began *)
   Database.transact db (fun tx2 ->
       for i = 2 to 40 do
@@ -749,7 +755,7 @@ let test_checkpoint_respects_active_txn () =
    explicit COMMIT and ROLLBACK, a 2PC decision either way, a deadlock
    victim's abort, and transact's commit and abort. *)
 let test_ghost_entries_end_with_txn () =
-  let db = Database.create ~config () in
+  let db = Database.create ~config:{ config with Database.txn_retries = 0 } () in
   let s = Sql.session db in
   let sql q = ignore (Sql.exec s q) in
   sql "CREATE TABLE t (k INT NOT NULL, x INT NOT NULL)";
@@ -802,7 +808,7 @@ let test_ghost_entries_end_with_txn () =
           ignore
             (Ivdb_sched.Sched.spawn (fun () ->
                  match
-                   Database.transact_result db ~retries:0 (fun tx ->
+                   Database.transact_result db (fun tx ->
                        Table.delete db tx t a;
                        Ivdb_sched.Sched.yield ();
                        Table.delete db tx t b)

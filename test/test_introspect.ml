@@ -21,6 +21,9 @@ module Net_workload = Ivdb_client.Net_workload
 
 let check = Alcotest.check
 
+let value =
+  Alcotest.testable (fun ppf v -> Format.pp_print_string ppf (Value.to_string v)) Value.equal
+
 let rows_of = function
   | Sql.Rows { rows; _ } -> rows
   | _ -> Alcotest.fail "expected Rows"
@@ -132,7 +135,7 @@ let test_sys_transactions_self () =
   let h = header_of r in
   (match rows_of r with
   | [ row ] ->
-      check (Alcotest.testable Value.pp Value.equal) "self" (Value.Bool true)
+      check value "self" (Value.Bool true)
         (cell h "self" row);
       Alcotest.(check bool) "deltas counted" true (int_cell h "deltas" row >= 1);
       Alcotest.(check bool) "locks held" true (int_cell h "locks" row > 0)
@@ -341,7 +344,8 @@ let test_tcp_lock_waits_and_correlation () =
   let tr = Database.trace db in
   Trace.add_sink tr (Trace.Ring.sink ring);
   Trace.set_enabled tr true;
-  let reader_rid = ref 0 in
+  (* the reader's blocked statement carries this correlation id *)
+  let reader_rid = 4242 in
   Sched.run ~seed:13 (fun () ->
       let listener, port = Unix_transport.listen ~port:0 () in
       let config =
@@ -379,8 +383,7 @@ let test_tcp_lock_waits_and_correlation () =
       ignore
         (Sched.spawn (fun () ->
              (* blocks server-side on the writer's escrow E lock *)
-             ignore (Client.exec reader "SELECT * FROM by_product");
-             reader_rid := Client.last_rid reader;
+             ignore (Client.exec ~rid:reader_rid reader "SELECT * FROM by_product");
              ignore (Client.exec reader "COMMIT");
              Client.close reader;
              reader_done := true));
@@ -415,7 +418,7 @@ let test_tcp_lock_waits_and_correlation () =
           (fun r -> int_cell sh "session" r = Client.session_id writer)
           sess_rows
       in
-      check (Alcotest.testable Value.pp Value.equal) "writer in txn"
+      check value "writer in txn"
         (Value.Bool true)
         (cell sh "in_txn" writer_sess);
       (* release: the reader completes, slowly *)
@@ -434,7 +437,7 @@ let test_tcp_lock_waits_and_correlation () =
         rows_of
           (Client.exec monitor
              (Printf.sprintf "SELECT * FROM sys.slow_queries WHERE rid = %d"
-                !reader_rid))
+                reader_rid))
       in
       check Alcotest.int "slow query recorded once" 1 (List.length slow);
       let sq = List.hd slow in
@@ -451,20 +454,20 @@ let test_tcp_lock_waits_and_correlation () =
   let has_req =
     List.exists
       (function
-        | Trace.Net_request { rid; _ } -> rid = !reader_rid | _ -> false)
+        | Trace.Net_request { rid; _ } -> rid = reader_rid | _ -> false)
       events
   in
   let has_resp =
     List.exists
       (function
-        | Trace.Net_response { rid; _ } -> rid = !reader_rid | _ -> false)
+        | Trace.Net_response { rid; _ } -> rid = reader_rid | _ -> false)
       events
   in
   let has_slow =
     List.exists
       (function
         | Trace.Slow_query { rid; sql; _ } ->
-            rid = !reader_rid && contains sql "by_product"
+            rid = reader_rid && contains sql "by_product"
         | _ -> false)
       events
   in

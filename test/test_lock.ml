@@ -57,6 +57,11 @@ let test_sup () =
 
 (* --- manager behaviour ----------------------------------------------------- *)
 
+(* Owners of [name], as sys.locks lists them. *)
+let holders mgr name =
+  List.find_map (fun (n, owners, _) -> if n = name then Some owners else None) (Mgr.dump mgr)
+  |> Option.value ~default:[]
+
 let with_mgr f =
   let m = Metrics.create () in
   let mgr = Mgr.create m in
@@ -66,9 +71,9 @@ let test_grant_and_release () =
   with_mgr (fun mgr _ ->
       Mgr.acquire mgr ~txn:1 table1 Mode.S;
       Mgr.acquire mgr ~txn:2 table1 Mode.S;
-      check Alcotest.int "two holders" 2 (List.length (Mgr.holders mgr table1));
+      check Alcotest.int "two holders" 2 (List.length (holders mgr table1));
       Mgr.release_all mgr ~txn:1;
-      check Alcotest.int "one holder" 1 (List.length (Mgr.holders mgr table1));
+      check Alcotest.int "one holder" 1 (List.length (holders mgr table1));
       Mgr.release_all mgr ~txn:2;
       Alcotest.(check bool) "unlocked" true (Mgr.unlocked mgr table1))
 
@@ -77,7 +82,7 @@ let test_reentrant () =
       Mgr.acquire mgr ~txn:1 table1 Mode.X;
       Mgr.acquire mgr ~txn:1 table1 Mode.S;
       (* covered *)
-      check Alcotest.int "single entry" 1 (List.length (Mgr.holders mgr table1)))
+      check Alcotest.int "single entry" 1 (List.length (holders mgr table1)))
 
 let test_escrow_group () =
   with_mgr (fun mgr _ ->
@@ -86,7 +91,7 @@ let test_escrow_group () =
       Mgr.acquire mgr ~txn:2 k Mode.E;
       Mgr.acquire mgr ~txn:3 k Mode.E;
       check Alcotest.int "three concurrent escrow holders" 3
-        (List.length (Mgr.holders mgr k));
+        (List.length (holders mgr k));
       Sched.run ~policy:Sched.Fifo (fun () ->
           ignore (Sched.spawn (fun () -> Mgr.acquire mgr ~txn:4 k Mode.S));
           Sched.yield ();
@@ -98,7 +103,7 @@ let test_escrow_group () =
           | ws -> Alcotest.failf "expected one wait, got %d" (List.length ws));
           List.iter (fun txn -> Mgr.release_all mgr ~txn) [ 1; 2; 3 ]);
       check Alcotest.(list int) "reader granted after release" [ 4 ]
-        (List.map fst (Mgr.holders mgr k)))
+        (List.map fst (holders mgr k)))
 
 let test_blocking_and_wakeup () =
   with_mgr (fun mgr m ->
@@ -295,9 +300,7 @@ let test_held_reporting () =
       Mgr.acquire mgr ~txn:7 table1 Mode.IX;
       Mgr.acquire mgr ~txn:7 (key "a") Mode.E;
       check Alcotest.int "lock count" 2 (Mgr.lock_count mgr ~txn:7);
-      let held = Mgr.held mgr ~txn:7 in
-      Alcotest.(check bool) "holds E" true
-        (List.exists (fun (n, m) -> n = key "a" && m = Mode.E) held))
+      Alcotest.(check bool) "holds E" true (Mgr.held_mode mgr ~txn:7 (key "a") = Some Mode.E))
 
 
 (* --- the escrow pass --------------------------------------------------------- *)
@@ -339,7 +342,7 @@ let test_writers_pass_readers () =
             writer w1 g2;
             writer w3 g1;
             Sched.yield ();
-            ( List.sort compare (List.map fst (Mgr.holders mgr g1)),
+            ( List.sort compare (List.map fst (holders mgr g1)),
               List.map (fun w -> w.Mgr.w_blockers) (Mgr.waits mgr) ))
       in
       check Alcotest.(list int) "no deadlock" [] !victims;
@@ -379,7 +382,7 @@ let test_fresh_writer_queues_behind_reader () =
             (List.map (fun w -> (w.Mgr.w_txn, w.Mgr.w_blockers)) (Mgr.waits mgr));
           Mgr.release_all mgr ~txn:1;
           check Alcotest.(list int) "reader granted when the E owner leaves" [ 2 ]
-            (List.map fst (Mgr.holders mgr g));
+            (List.map fst (holders mgr g));
           check
             Alcotest.(list (pair int (list int)))
             "the writer still waits for the reader"

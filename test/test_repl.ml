@@ -46,6 +46,7 @@ module Expr = Ivdb_relation.Expr
 module View_def = Ivdb_core.View_def
 module Maintain = Ivdb_core.Maintain
 module Server = Ivdb_server.Server
+module Harness = Ivdb_test_support.Harness
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -693,7 +694,7 @@ let test_promoted_reuses_space () =
   let row i = [| Value.Int i; Value.Str (String.make 200 'p') |] in
   let insert d i = Database.transact d (fun tx -> Table.insert d tx (Database.table d "t") (row i)) in
   let tail_full d =
-    let pages = Heap_file.page_ids (heap d) in
+    let pages = Harness.heap_pages (Database.pool d) (heap d) in
     let len = ref 0 in
     Heap_file.iter (heap d) (fun _ r -> len := String.length r);
     Bufpool.read (Database.pool d) (List.nth pages (List.length pages - 1))
@@ -701,7 +702,7 @@ let test_promoted_reuses_space () =
     < 2 + !len + 2
   in
   let rids = ref [] and i = ref 0 in
-  while List.length (Heap_file.page_ids (heap db)) < 3 || not (tail_full db) do
+  while List.length (Harness.heap_pages (Database.pool db) (heap db)) < 3 || not (tail_full db) do
     incr i;
     rids := insert db !i :: !rids
   done;
@@ -714,13 +715,13 @@ let test_promoted_reuses_space () =
   let f = Database.create_follower ~config () in
   converged "before promotion" db f;
   ignore (Database.promote f);
-  let pages = Heap_file.page_ids (heap f) in
+  let pages = Harness.heap_pages (Database.pool f) (heap f) in
   Alcotest.(check bool) "the follower's tail is full" true (tail_full f);
   let rid = insert f (!i + 1) in
   Alcotest.(check string) "the insert lands in the freed slot"
     (Format.asprintf "%a" Heap_file.pp_rid victim)
     (Format.asprintf "%a" Heap_file.pp_rid rid);
-  Alcotest.(check (list int)) "no page appended" pages (Heap_file.page_ids (heap f))
+  Alcotest.(check (list int)) "no page appended" pages (Harness.heap_pages (Database.pool f) (heap f))
 
 (* --- wire-level: server, replica driver, clients ---------------------------- *)
 
@@ -736,6 +737,15 @@ let rows = function
 
 let cell_str (r : Ivdb_relation.Row.t) i =
   match r.(i) with Value.Str s -> s | _ -> Alcotest.fail "expected Str cell"
+
+(* A primary's replication slots as [(name, acked_lsn, connected)], read
+   from its sys.replication. *)
+let slots cl =
+  rows (Client.exec cl "SELECT peer, replicated_lsn, state FROM sys.replication")
+  |> List.map (function
+       | [| Value.Str name; Value.Int acked; Value.Str state |] ->
+           (name, acked, state = "streaming")
+       | _ -> Alcotest.fail "a (peer, replicated_lsn, state) row")
 
 let server_error code f =
   try
@@ -818,7 +828,7 @@ let test_wire_replication () =
       caught_up ();
       Alcotest.(check int) "rows after resubscribe" 3
         (List.length (rows (Client.exec fcl "SELECT a FROM t")));
-      (match Server.replicas psrv with
+      (match slots pcl with
       | [ (name, acked, connected) ] ->
           Alcotest.(check string) "one durable slot" "netfollower" name;
           Alcotest.(check bool) "slot reconnected" true connected;
@@ -861,8 +871,8 @@ let test_wire_subscribe_refused () =
       while Replica.status r <> Replica.Stopped do
         Sched.yield ()
       done;
-      Alcotest.(check bool) "driver surfaced the refusal" true
-        (Replica.last_error r <> None);
+      Alcotest.(check int) "the refusal stopped the driver: no redial" 0
+        (Replica.reconnects r);
       Alcotest.(check int) "nothing was applied" 0 (Database.replicated_lsn fdb);
       Server.drain srv)
 
@@ -982,7 +992,7 @@ let test_wire_drop_slot () =
          dead connection, observes the EOF, and marks the slot detached —
          until then a drop racing the disconnect is (correctly) refused *)
       let rec wait_detached () =
-        match Server.replicas srv with
+        match slots cl with
         | [ (_, _, false) ] -> ()
         | _ ->
             Sched.yield ();
@@ -995,7 +1005,7 @@ let test_wire_drop_slot () =
       let msg = Client.drop_slot cl "gone" in
       Alcotest.(check bool) "drop acknowledged" true (String.length msg > 0);
       Alcotest.(check (list (triple string int bool))) "no slots survive" []
-        (Server.replicas srv);
+        (slots cl);
       for i = 10 to 12 do
         insert i
       done;
@@ -1030,6 +1040,7 @@ let test_backoff_reset () =
       let net = Transport.Loopback.create ~backlog:16 () in
       let lst = Transport.Loopback.listener net in
       let failures = ref 0 in
+      let fail_ticks = ref [] in
       let healthy_done = ref false in
       let healthy_close_tick = ref 0 in
       let first_fail_tick = ref (-1) in
@@ -1038,6 +1049,7 @@ let test_backoff_reset () =
         match !mode with
         | `Fail ->
             incr failures;
+            fail_ticks := Sched.now () :: !fail_ticks;
             if !healthy_done && !first_fail_tick < 0 then
               first_fail_tick := Sched.now ();
             conn.Transport.close ()
@@ -1085,15 +1097,18 @@ let test_backoff_reset () =
              loop ()));
       let r = Replica.create ~name:"flaky" fdb (Transport.Loopback.dialer net) in
       Replica.spawn r;
-      (* a burst of dead sessions: the backoff climbs toward the cap *)
+      (* a burst of dead sessions: the backoff climbs toward the cap, 1, 2,
+         4, 8 and then 16 yields before the sixth dial *)
       while !failures < 6 do
         Sched.yield ()
       done;
+      let gap =
+        match !fail_ticks with t6 :: t5 :: _ -> t6 - t5 | _ -> 0
+      in
       Alcotest.(check bool)
-        (Printf.sprintf "backoff climbed after %d failed sessions (got %d)"
-           !failures (Replica.backoff r))
-        true
-        (Replica.backoff r >= 16);
+        (Printf.sprintf "backoff climbed after %d failed sessions (%d ticks)"
+           !failures gap)
+        true (gap >= 16);
       (* one healthy session delivers a batch... *)
       mode := `Healthy;
       while not !healthy_done do

@@ -117,7 +117,7 @@ let test_outside_run_fallbacks () =
   check Alcotest.int "self" 0 (Sched.self ());
   check Alcotest.int "now" 0 (Sched.now ());
   Sched.advance 10;
-  check Alcotest.int "alive" 1 (Sched.fibers_alive ())
+  check Alcotest.int "runnable" 0 (Sched.runnable ())
 
 let test_in_run () =
   Alcotest.(check bool) "outside" false (Sched.in_run ());

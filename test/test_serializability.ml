@@ -73,7 +73,10 @@ let acyclic events =
 (* --- the instrumented workload ---------------------------------------------- *)
 
 let run_history ~seed ~strategy =
-  let config = { Database.default_config with read_cost = 0; write_cost = 0 } in
+  (* no automatic retry: a deadlock victim's attempt is dropped *)
+  let config =
+    { Database.default_config with read_cost = 0; write_cost = 0; txn_retries = 0 }
+  in
   let db = Database.create ~config () in
   let accounts =
     Database.create_table db ~name:"accounts"
@@ -119,7 +122,7 @@ let run_history ~seed ~strategy =
                         { seq = next_seq (); etxn = 0; kind; item } :: !attempt
                     in
                     let tid = ref 0 in
-                    Database.transact db ~retries:0 (fun tx ->
+                    Database.transact db (fun tx ->
                         tid := Txn.id tx;
                         (* ops are recorded immediately AFTER they complete,
                            while their locks are still held: for conflicting

@@ -254,16 +254,22 @@ let test_parse_select () =
       check Alcotest.(option int) "limit" (Some 3) q.A.limit
   | _ -> Alcotest.fail "not a select"
 
+(* The WHERE expression of [SELECT * FROM t WHERE cond]. *)
+let parse_where cond =
+  match Parser.parse ("SELECT * FROM t WHERE " ^ cond) with
+  | A.Select { A.where = Some e; _ } -> e
+  | _ -> Alcotest.failf "%s: not a filtered select" cond
+
 let test_parse_precedence () =
   (* a = 1 OR b = 2 AND c = 3  ==  a=1 OR (b=2 AND c=3) *)
-  match Parser.parse_expr "a = 1 OR b = 2 AND c = 3" with
+  match parse_where "a = 1 OR b = 2 AND c = 3" with
   | A.Binop (A.Or, _, A.Binop (A.And, _, _)) -> ()
-  | e -> Alcotest.failf "wrong precedence: %a" A.pp_expr e
+  | _ -> Alcotest.fail "wrong precedence"
 
 let test_parse_arith_precedence () =
-  match Parser.parse_expr "1 + 2 * 3" with
-  | A.Binop (A.Add, A.Lit (A.L_int 1), A.Binop (A.Mul, _, _)) -> ()
-  | e -> Alcotest.failf "wrong precedence: %a" A.pp_expr e
+  match parse_where "x = 1 + 2 * 3" with
+  | A.Binop (A.Eq, _, A.Binop (A.Add, A.Lit (A.L_int 1), A.Binop (A.Mul, _, _))) -> ()
+  | _ -> Alcotest.fail "wrong precedence"
 
 let test_parse_view () =
   (match

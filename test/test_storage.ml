@@ -8,9 +8,26 @@ module Heap_file = Ivdb_storage.Heap_file
 module Bt_node = Ivdb_btree.Bt_node
 module Metrics = Ivdb_util.Metrics
 module Rng = Ivdb_util.Rng
+module B = Ivdb_util.Bytes_util
+module Harness = Ivdb_test_support.Harness
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
+
+let disk_read d id =
+  let buf = Bytes.create Page.size in
+  Disk.read_into d id buf;
+  buf
+
+(* Header fields read at the offsets page.mli and heap_page.mli document. *)
+let checksum_field p = B.get_u32 p 9
+let nslots p = B.get_u16 p 17
+
+(* [Page_diff.decode] of the encoded diff, as the log codec runs them. *)
+let diff_roundtrip d =
+  let b = Bytes.create (Page_diff.byte_size d) in
+  ignore (Page_diff.encode_into d b 0);
+  Page_diff.decode_sub b 0 (Bytes.length b)
 
 (* --- Page ----------------------------------------------------------------- *)
 
@@ -53,7 +70,7 @@ let prop_diff_apply =
         Bytes.set b (8 + Rng.int rng (Page.size - 8)) (Char.chr (Rng.int rng 256))
       done;
       let d = Page_diff.compute ~before:a ~after:b in
-      let d' = Page_diff.decode (Page_diff.encode d) in
+      let d' = diff_roundtrip d in
       let restored = Bytes.copy a in
       Page_diff.apply (Page_writer.on restored) d';
       Bytes.sub restored 8 (Page.size - 8) = Bytes.sub b 8 (Page.size - 8))
@@ -106,7 +123,7 @@ let prop_diff_matches_bytewise =
           (* word and page edges: the first compared byte, both sides of a
              word boundary, the last word and the last byte *)
           List.iter
-            (fun off -> if Rng.bool rng then flip off)
+            (fun off -> if Rng.int rng 2 = 0 then flip off)
             [ 8; 15; 16; Page.size - 8; Page.size - 1 ];
           flip [| 8; 15; 16; Page.size - 8; Page.size - 1 |].(Rng.int rng 5)
       | 2 ->
@@ -114,7 +131,7 @@ let prop_diff_matches_bytewise =
              merges, the others split (merge_gap = 8); some start near
              the end of the page *)
           let off =
-            ref (if Rng.bool rng then 8 + Rng.int rng 64 else Page.size - 48 + Rng.int rng 16)
+            ref (if Rng.int rng 2 = 0 then 8 + Rng.int rng 64 else Page.size - 48 + Rng.int rng 16)
           in
           for _ = 1 to 1 + Rng.int rng 6 do
             let len = 1 + Rng.int rng 5 in
@@ -135,7 +152,7 @@ let test_diff_decode_rejects () =
      [compute] can produce *)
   let rejects name d =
     Alcotest.check_raises name (Invalid_argument "Page_diff.decode: malformed diff")
-      (fun () -> ignore (Page_diff.decode (Page_diff.encode d)))
+      (fun () -> ignore (diff_roundtrip d))
   in
   rejects "offset 0 (the pageLSN)" [ (0, "x") ];
   rejects "offset 7, overlapping the type byte" [ (7, "ab") ];
@@ -147,7 +164,7 @@ let test_diff_decode_rejects () =
   let edges = [ (8, "a"); (Page.size - 1, "z") ] in
   Alcotest.(check (list (pair int string)))
     "page edges accepted" edges
-    (Page_diff.decode (Page_diff.encode edges))
+    (diff_roundtrip edges)
 
 (* --- Disk ------------------------------------------------------------------ *)
 
@@ -160,7 +177,7 @@ let test_disk_rw () =
   Disk.write d id p;
   Bytes.set p 100 'Y';
   (* mutation after write must not leak into the stable copy *)
-  let q = Disk.read d id in
+  let q = disk_read d id in
   check Alcotest.char "stable copy" 'Z' (Bytes.get q 100);
   check Alcotest.int "reads counted" 1 (Metrics.get m "disk.read");
   check Alcotest.int "writes counted" 1 (Metrics.get m "disk.write")
@@ -171,22 +188,15 @@ let test_disk_unwritten_vs_bogus () =
   (* allocated but never flushed: legitimate (e.g. crash beat the first
      write-back) — reads as zeroes, counted separately *)
   let id = Disk.alloc_page d in
-  let q = Disk.read d id in
+  let q = disk_read d id in
   Alcotest.(check bool) "zeroed" true (Bytes.for_all (fun c -> c = '\000') q);
   check Alcotest.int "unwritten counted" 1 (Metrics.get m "disk.read_unwritten");
-  (* never-allocated id: a dangling reference — strict mode (the default)
-     refuses to fabricate a page for it *)
-  Alcotest.(check bool) "strict by default" true (Disk.strict d);
+  (* never-allocated id: a dangling reference — no page is fabricated
+     for it *)
   Alcotest.check_raises "bogus id rejected"
     (Invalid_argument "Disk.read: page 999 was never allocated") (fun () ->
-      ignore (Disk.read d 999));
-  check Alcotest.int "bogus counted" 1 (Metrics.get m "disk.read_bogus");
-  (* non-strict keeps the old fabricate-a-fresh-page behavior, still counted *)
-  Disk.set_strict d false;
-  let q = Disk.read d 999 in
-  Alcotest.(check bool) "fabricated zeroed" true
-    (Bytes.for_all (fun c -> c = '\000') q);
-  check Alcotest.int "bogus counted again" 2 (Metrics.get m "disk.read_bogus")
+      ignore (disk_read d 999));
+  check Alcotest.int "bogus counted" 1 (Metrics.get m "disk.read_bogus")
 
 let test_disk_checksum_roundtrip () =
   let m = Metrics.create () in
@@ -197,11 +207,11 @@ let test_disk_checksum_roundtrip () =
   Bytes.set p 4000 'Q';
   Disk.write d id p;
   Alcotest.(check bool) "stored image verifies" false (Disk.is_torn d id);
-  let q = Disk.read d id in
+  let q = disk_read d id in
   (* the checksum lives only on the stable image: the pool-facing copy
      reads back with the field zeroed and is byte-equal to what was
      written *)
-  check Alcotest.int "checksum field zero" 0 (Page.get_checksum q);
+  check Alcotest.int "checksum field zero" 0 (checksum_field q);
   Alcotest.(check bool) "image equal" true (Bytes.equal p q)
 
 (* --- Heap_page -------------------------------------------------------------- *)
@@ -297,7 +307,7 @@ let prop_heap_page_model =
                 assert (Heap_page.free_ghost w s);
                 Hashtbl.remove model s)
         | _ ->
-            let n = Heap_page.nslots p in
+            let n = nslots p in
             if n > 0 then begin
               let s = Rng.int rng n in
               let expect = Hashtbl.find_opt model s in
@@ -313,7 +323,7 @@ let prop_heap_page_model =
    inserts (of sizes that force compaction once deletes and ghost
    reclamation leave dead cells), deletes, revivals and reclamations. *)
 let lowest_empty p =
-  let n = Heap_page.nslots p in
+  let n = nslots p in
   let rec go i = if i >= n || Heap_page.get_any p i = None then i else go (i + 1) in
   go 0
 
@@ -332,7 +342,7 @@ let prop_heap_page_lowest_empty =
       for step = 1 to 400 do
         let p, w = !cur and r, wr = !other in
         Page_writer.reset w p;
-        let slot () = Rng.int rng (max 1 (Heap_page.nslots p)) in
+        let slot () = Rng.int rng (max 1 (nslots p)) in
         (match Rng.int rng 10 with
         | 0 | 1 | 2 | 3 -> (
             let expect = lowest_empty p in
@@ -380,9 +390,9 @@ let test_bufpool_update_stamp_flush () =
   let (), diff = Bufpool.update pool id (fun w -> set_char w 100 'A') in
   Alcotest.(check bool) "diff captured" false (Page_diff.is_empty diff);
   Bufpool.stamp pool id 7L;
-  Bufpool.flush_page pool id;
+  Bufpool.flush_all pool;
   Alcotest.(check bool) "wal forced before flush" true (List.mem 7L !forced);
-  let stable = Disk.read d id in
+  let stable = disk_read d id in
   check Alcotest.char "flushed content" 'A' (Bytes.get stable 100);
   check Alcotest.int64 "flushed lsn" 7L (Page.get_lsn stable)
 
@@ -437,7 +447,7 @@ let test_bufpool_unstamped_not_evicted () =
   done;
   Bufpool.read pool a (fun p -> check Alcotest.char "still buffered" 'U' (Bytes.get p 50));
   (* stable copy must not have the change *)
-  let stable = Disk.read d a in
+  let stable = disk_read d a in
   check Alcotest.char "not flushed" '\000' (Bytes.get stable 50)
 
 let test_bufpool_dpt () =
@@ -495,7 +505,7 @@ let test_bufpool_update_raise_restores () =
   for _ = 1 to 4 do
     Bufpool.read pool (Disk.alloc_page d) (fun _ -> ())
   done;
-  let stable = Disk.read d a in
+  let stable = disk_read d a in
   check Alcotest.char "stable image intact" 'G' (Bytes.get stable 200);
   (* a mutator that raises after partial writes: a leaf rebuild formats
      the node, then runs out of room partway through its cells; the
@@ -545,7 +555,7 @@ let test_bufpool_reused_buffers () =
   Array.iteri
     (fun i id ->
       Bufpool.read pool id (fun p ->
-          check Alcotest.int "checksum field reads as 0" 0 (Page.get_checksum p);
+          check Alcotest.int "checksum field reads as 0" 0 (checksum_field p);
           Alcotest.(check bool) "pool page = last update" true (Bytes.equal p model.(i))))
     ids;
   Bufpool.flush_all pool;
@@ -553,7 +563,7 @@ let test_bufpool_reused_buffers () =
     (fun i id ->
       Alcotest.(check bool) "stored image verifies" false (Disk.is_torn d id);
       Alcotest.(check bool) "disk page = last update" true
-        (Bytes.equal (Disk.read d id) model.(i)))
+        (Bytes.equal (disk_read d id) model.(i)))
     ids
 
 let test_bufpool_capacity_zero () =
@@ -612,7 +622,7 @@ let test_bufpool_io_retry () =
   let a = Disk.alloc_page d in
   let (), _ = Bufpool.update pool a (fun w -> set_char w 70 'R') in
   Bufpool.stamp pool a 1L;
-  Bufpool.flush_page pool a;
+  Bufpool.flush_all pool;
   Bufpool.drop_all pool;
   Bufpool.read pool a (fun p ->
       check Alcotest.char "survived the error storm" 'R' (Bytes.get p 70));
@@ -648,7 +658,7 @@ let random_string rng len =
    once deletes and ghost reclamation have left dead cells behind. *)
 let heap_op rng w =
   let p = Page_writer.page w in
-  let slot () = Rng.int rng (max 1 (Heap_page.nslots p)) in
+  let slot () = Rng.int rng (max 1 (nslots p)) in
   let x = Rng.int rng 200 in
   if x < 80 then
     ignore (Heap_page.insert w (random_string rng (1 + Rng.int rng 400)))
@@ -667,7 +677,7 @@ let heap_op rng w =
 
 (* a split's left or right half *)
 let half rng l =
-  let m = List.length l / 2 and left = Rng.bool rng in
+  let m = List.length l / 2 and left = Rng.int rng 2 = 0 in
   List.filteri (fun j _ -> j < m = left) l
 
 let leaf_op rng w =
@@ -687,7 +697,7 @@ let leaf_op rng w =
     if n > 0 then begin
       let i = Rng.int rng n in
       let len =
-        if Rng.bool rng then String.length (Bt_node.leaf_value_at p i)
+        if Rng.int rng 2 = 0 then String.length (Bt_node.leaf_value_at p i)
         else Rng.int rng 120
       in
       ignore (Bt_node.leaf_replace w i (random_string rng len))
@@ -732,7 +742,7 @@ let prop_recorded_diff_is_bytewise =
         [
           (Heap_page.init, heap_op);
           (Bt_node.init_leaf, leaf_op);
-          (Bt_node.init_interior, interior_op);
+          ((fun w -> Bt_node.interior_rebuild w 0 []), interior_op);
         ]
       in
       List.for_all
@@ -782,7 +792,7 @@ let test_heap_file_crud () =
       ignore (Heap_file.delete heap r1))
 
 let test_heap_file_grows_chains () =
-  let _, _, heap, stamp = make_heap () in
+  let _, pool, heap, stamp = make_heap () in
   let record = String.make 500 'r' in
   let rids =
     List.init 100 (fun _ ->
@@ -790,7 +800,7 @@ let test_heap_file_grows_chains () =
         stamp ds;
         rid)
   in
-  Alcotest.(check bool) "multiple pages" true (List.length (Heap_file.page_ids heap) > 1);
+  Alcotest.(check bool) "multiple pages" true (List.length (Harness.heap_pages pool heap) > 1);
   let seen = ref 0 in
   Heap_file.iter heap (fun _ r ->
       incr seen;
@@ -809,9 +819,12 @@ let test_heap_file_attach () =
   done;
   let disk = Bufpool.disk pool in
   let reopened = Heap_file.attach pool disk ~first_page:(Heap_file.first_page heap) in
-  check
-    Alcotest.(list int)
-    "same chain" (Heap_file.page_ids heap) (Heap_file.page_ids reopened);
+  let rids h =
+    let acc = ref [] in
+    Heap_file.iter h (fun rid _ -> acc := rid :: !acc);
+    List.rev !acc
+  in
+  Alcotest.(check bool) "same chain" true (rids heap = rids reopened);
   let n = ref 0 in
   Heap_file.iter reopened (fun _ _ -> incr n);
   check Alcotest.int "all records visible" 50 !n
@@ -841,13 +854,13 @@ let pins_per_insert rows =
   let rids = fill heap stamp rows record_100 in
   (* top the tail up so every later insert misses it *)
   let tail_room () =
-    let pages = Heap_file.page_ids heap in
+    let pages = Harness.heap_pages pool heap in
     Bufpool.read pool (List.nth pages (List.length pages - 1)) Heap_page.free_space
   in
   while tail_room () >= 2 + String.length record_100 + 2 do
     stamp (snd (Heap_file.insert heap record_100))
   done;
-  let pages = Heap_file.page_ids heap in
+  let pages = Harness.heap_pages pool heap in
   (* one hole on every third page but the tail *)
   let holes =
     List.filteri (fun i _ -> i mod 3 = 0) (List.filteri (fun i _ -> i < List.length pages - 1) pages)
@@ -860,11 +873,14 @@ let pins_per_insert rows =
   let placed = fill heap stamp (List.length holes) record_100 in
   check Alcotest.(list int) "holes refilled, newest first" (List.rev holes)
     (List.map (fun r -> r.Heap_file.rpage) placed);
-  check Alcotest.(list int) "no page appended" pages (Heap_file.page_ids heap);
   let n = float_of_int (List.length holes) in
-  ( float_of_int (pins () - pins0) /. n,
-    float_of_int (Metrics.get m "heap.probe" - probes0) /. n,
-    List.length holes )
+  let cost =
+    ( float_of_int (pins () - pins0) /. n,
+      float_of_int (Metrics.get m "heap.probe" - probes0) /. n,
+      List.length holes )
+  in
+  check Alcotest.(list int) "no page appended" pages (Harness.heap_pages pool heap);
+  cost
 
 let test_heap_insert_cost () =
   let small_pins, small_probes, small_holes = pins_per_insert 1_000 in
@@ -910,7 +926,7 @@ let test_heap_churn_reuses_space () =
       peak := max !peak !n_live
     end
   done;
-  let pages = List.length (Heap_file.page_ids heap) in
+  let pages = List.length (Harness.heap_pages pool heap) in
   let bound = ((!peak + per_page - 1) / per_page) + 1 in
   if pages > bound then
     Alcotest.failf "%d pages for a peak of %d live rows (%d per page): want at most %d"
@@ -920,13 +936,13 @@ let test_heap_churn_reuses_space () =
 
 (* Insert through [heap] until a record lands on page [hole]; the file
    must not grow first. *)
-let fills_hole_before_growing heap stamp hole =
-  let pages = Heap_file.page_ids heap in
+let fills_hole_before_growing pool heap stamp hole =
+  let pages = Harness.heap_pages pool heap in
   let rec go () =
     let rid, ds = Heap_file.insert heap record_100 in
     stamp ds;
     check Alcotest.(list int) "no growth before the hole is used" pages
-      (Heap_file.page_ids heap);
+      (Harness.heap_pages pool heap);
     if rid.Heap_file.rpage <> hole then go ()
   in
   go ()
@@ -937,23 +953,15 @@ let fills_hole_before_growing heap stamp hole =
 let test_heap_rebuilt_map_finds_hole () =
   let _, pool, heap, stamp = make_heap () in
   let rids = fill heap stamp 300 record_100 in
-  let page n = List.nth (Heap_file.page_ids heap) n in
+  let page n = List.nth (Harness.heap_pages pool heap) n in
   let on n = List.find (fun r -> r.Heap_file.rpage = page n) rids in
   free_slot heap stamp (on 0);
   let reopened = Heap_file.attach pool (Bufpool.disk pool) ~first_page:(page 0) in
-  fills_hole_before_growing reopened stamp (page 0);
+  fills_hole_before_growing pool reopened stamp (page 0);
   (* a page [heap] never saw freed *)
   free_slot reopened stamp (on 1);
   Heap_file.refresh heap;
-  fills_hole_before_growing heap stamp (page 1)
-
-(* The on-disk chain, walked through next pointers. *)
-let disk_chain pool heap =
-  let rec walk pid acc =
-    let next = Bufpool.read pool pid Heap_page.get_next in
-    if next = 0 then List.rev (pid :: acc) else walk next (pid :: acc)
-  in
-  walk (Heap_file.first_page heap) []
+  fills_hole_before_growing pool heap stamp (page 1)
 
 (* A unique index entry's rid is six bytes, and the largest slot a heap
    page can hold survives the round trip. *)
@@ -1056,9 +1064,14 @@ let prop_heap_file_model =
           if Heap_file.get !heap rid <> want then
             QCheck.Test.fail_reportf "get %a disagrees with the model" Heap_file.pp_rid rid)
         model;
+      (* a handle reopened from the disk's chain sees the same records *)
+      let reopened = ref [] in
+      Heap_file.iter_all
+        (Heap_file.attach pool d ~first_page:(Heap_file.first_page !heap))
+        (fun rid r ~ghost -> reopened := (rid, (r, ghost)) :: !reopened);
       List.rev !live = expect_live
       && List.rev !all = expect_all
-      && Heap_file.page_ids !heap = disk_chain pool !heap)
+      && List.rev !reopened = expect_all)
 
 let () =
   Alcotest.run "storage"

@@ -128,12 +128,12 @@ let test_transact_result_ok_and_user_abort () =
       Database.transact db (fun _ -> raise Exit))
 
 let test_transact_result_deadlock_victim () =
-  let db = Database.create ~config () in
+  let db = Database.create ~config:{ config with Database.txn_retries = 0 } () in
   let outcomes = ref [] in
   Sched.run ~policy:Sched.Fifo (fun () ->
       let worker first second =
         let r =
-          Database.transact_result db ~retries:0 (fun tx ->
+          Database.transact_result db (fun tx ->
               Txn.lock (Database.mgr db) tx first Mode.X;
               Sched.yield ();
               Sched.yield ();

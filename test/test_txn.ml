@@ -22,6 +22,16 @@ type env = {
   tree : Btree.t;
 }
 
+(* A transaction's status as sys.transactions reports it. *)
+let status mgr tx =
+  match
+    List.find_opt
+      (fun i -> i.Txn.i_txn = Txn.id tx)
+      (Txn.active_info mgr @ Txn.recent_info mgr)
+  with
+  | Some i -> i.Txn.i_status
+  | None -> Alcotest.failf "transaction %d is unknown" (Txn.id tx)
+
 let install_undo h ~heap ~tree =
   Txn.set_undo_exec h.Harness.mgr (fun _txn undo ->
       match undo with
@@ -122,7 +132,7 @@ let test_system_txn_failure () =
            ignore (heap_insert env tx "undone");
            raise exn)
      with e when e == exn -> ());
-    Txn.status (Option.get !stx)
+    status mgr (Option.get !stx)
   in
   Alcotest.(check bool) "a failure aborts" true (run Exit = Txn.Aborted);
   check Alcotest.(list string) "its insert is undone" [] (heap_contents env);
@@ -163,7 +173,7 @@ let test_abort_rolls_back_heap () =
   Txn.abort mgr tx;
   check Alcotest.(list string) "only committed row survives, delete undone"
     [ "keep" ] (heap_contents env);
-  Alcotest.(check bool) "status" true (Txn.status tx = Txn.Aborted)
+  Alcotest.(check bool) "status" true (status mgr tx = Txn.Aborted)
 
 let test_abort_rolls_back_btree () =
   let env = make_env () in
@@ -506,7 +516,7 @@ let test_async_commit_outside_run_lost_on_crash () =
   ignore (heap_insert env tx "volatile");
   Txn.commit mgr tx;
   Alcotest.(check bool) "acknowledged as committed" true
-    (Txn.status tx = Txn.Committed);
+    (status mgr tx = Txn.Committed);
   Alcotest.(check bool) "but commit record not stable" true
     (Wal.flushed_lsn env.h.Harness.wal < Txn.last_lsn tx - 1);
   let env', _, _ = reopen env in
